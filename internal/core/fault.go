@@ -174,7 +174,7 @@ func (t *topology) resubmitAfter(d time.Duration, n *node) {
 		// the original submission: the backoff sleep is policy, not queue
 		// wait (latency.go).
 		if t.lat != nil {
-			n.readyAtNs = nowNanos()
+			n.readyAtNs = executor.Nanos()
 		}
 		if n.hasAcquires() && !t.admit(t.sub, n) {
 			return // parked; a semaphore release will submit it

@@ -69,7 +69,7 @@ type node struct {
 	execCount atomic.Uint64
 	execDurNs atomic.Int64
 
-	// readyAtNs is the monotonic instant (nowNanos, latency.go) the
+	// readyAtNs is the monotonic instant (executor.Nanos, latency.go) the
 	// node's current execution became ready, i.e. was queued. Written by
 	// whichever goroutine queues the execution and read by the worker
 	// that runs it; the queue publication provides the happens-before

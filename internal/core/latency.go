@@ -9,35 +9,33 @@ package core
 // scheduler to executor.LatencyProvider once per topology and cache the
 // returned sink on the topology. When the sink is nil — the executor was
 // built without WithLatencyHistograms, or the scheduler is internal/sim —
-// the per-execution cost is one nil check and the readyAtNs field is
-// never written, keeping the 0-alloc gates and the simulation paths
-// byte-identical to before.
+// the per-execution cost is one flag check and readyAtNs is never written.
 //
 // Timing points: readyAtNs is stamped wherever an execution is queued
 // (run/dispatch sources, dependency release in notifySucc, condition
-// re-schedule, subflow spawn, retry resubmission), the body start/end are
-// read in runNode, and one RecordLatency call per resolved execution
-// feeds all three series (queue-wait, execution, end-to-end). A retry
-// attempt whose failure arms another backoff is not recorded — the
-// execution is still outstanding — and its resubmission restamps
-// readyAtNs, so the eventual record charges the last wait, not the
-// backoff sleeps.
+// re-schedule, subflow spawn, retry resubmission), and the body start/end
+// are the executing worker's two stamps (Context.StartStamp / EndStamp) —
+// the readings its trace events carry, so core reads no clock on a worker
+// and a successor released by this task is ready at this task's end
+// stamp. One bodyEnd call per execution feeds RunStats timing and, per
+// resolved execution, the three histogram series. A retry attempt whose
+// failure arms another backoff is not recorded — the execution is still
+// outstanding — and its resubmission restamps readyAtNs, so the eventual
+// record charges the last wait, not the backoff sleeps.
 
-import (
-	"time"
+import "gotaskflow/internal/executor"
 
-	"gotaskflow/internal/executor"
-)
-
-// latencyEpoch anchors nowNanos. time.Since reads the monotonic clock
-// and allocates nothing.
-var latencyEpoch = time.Now()
-
-// nowNanos returns monotonic nanoseconds since process-local epoch.
-func nowNanos() int64 { return int64(time.Since(latencyEpoch)) }
-
-// noteLatency records one resolved execution of n whose body started at
-// startNs. Callers have checked t.lat != nil.
-func (t *topology) noteLatency(ctx executor.Context, n *node, startNs int64) {
-	t.lat.RecordLatency(ctx.WorkerID(), startNs-n.readyAtNs, nowNanos()-startNs)
+// bodyEnd accounts one body execution of n that began at the worker's
+// start stamp: its duration to the worker's end stamp is busy time for
+// RunStats timing and, when the execution resolved, one histogram record.
+// Callers have checked t.timed.
+func (t *topology) bodyEnd(ctx executor.Context, n *node, start int64, resolved bool) {
+	d := ctx.EndStamp() - start
+	if st := t.stats; st != nil && st.timing {
+		st.busyNs.Add(d)
+		n.execDurNs.Add(d)
+	}
+	if resolved && t.lat != nil {
+		t.lat.RecordLatency(ctx.WorkerID(), start-n.readyAtNs, d)
+	}
 }

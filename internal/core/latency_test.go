@@ -207,3 +207,76 @@ func TestRunLinearChainZeroAllocFlightOn(t *testing.T) {
 		t.Fatalf("linear-chain Run with flight recorder allocates %v objects/run, want 0", allocs)
 	}
 }
+
+// TestOneTimestampLaw pins the event spine's clock sharing: with every
+// recorder armed, RunStats busy time, the execution histogram's sum and
+// the task spans of the flight recorder are three readers of the same two
+// stamps per task, so they agree to the nanosecond — and a dependency
+// release is stamped with its releasing task's own end stamp.
+func TestOneTimestampLaw(t *testing.T) {
+	const chain = 256
+	e := executor.New(2, executor.WithMetrics(), executor.WithLatencyHistograms(),
+		executor.WithFlightRecorder(8*chain)) // holds the whole run per worker
+	defer e.Shutdown()
+	tf := NewShared(e).CollectRunStats(true)
+	var n int64
+	prev := tf.Emplace1(func() { n++ })
+	for i := 1; i < chain; i++ {
+		next := tf.Emplace1(func() { n++ })
+		prev.Precede(next)
+		prev = next
+	}
+	if err := tf.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	rs, ok := tf.LastRunStats()
+	if !ok || rs.Tasks != chain {
+		t.Fatalf("RunStats = %+v (ok=%v), want %d tasks", rs, ok, chain)
+	}
+	flows, _ := e.LatencyStats()
+	var exec executor.LatencySnapshot
+	for i := range flows {
+		exec.Merge(&flows[i].Exec)
+	}
+	fl, _ := e.FlightSnapshot()
+	if fl.Dropped != 0 {
+		t.Fatalf("flight window too small for the run: dropped %d", fl.Dropped)
+	}
+	type span struct{ start, end time.Duration }
+	spans := map[uint64]*span{}
+	var releases []executor.TraceEvent
+	var spanSum time.Duration
+	for _, ev := range fl.Events {
+		switch ev.Kind {
+		case executor.EvTaskStart:
+			spans[ev.Meta.ID] = &span{start: ev.Ts, end: -1}
+		case executor.EvTaskEnd:
+			sp := spans[ev.Meta.ID]
+			if sp == nil || sp.end >= 0 {
+				t.Fatalf("task end without a single open start: %+v", ev)
+			}
+			sp.end = ev.Ts
+			spanSum += sp.end - sp.start
+		case executor.EvDepRelease:
+			releases = append(releases, ev)
+		}
+	}
+	if len(spans) != chain || len(releases) != chain-1 {
+		t.Fatalf("flight holds %d spans and %d releases, want %d and %d",
+			len(spans), len(releases), chain, chain-1)
+	}
+	if exec.Count != chain || time.Duration(exec.Sum) != rs.Busy || spanSum != rs.Busy {
+		t.Fatalf("busy %v, exec histogram sum %v (n=%d), flight span sum %v: not one reading",
+			rs.Busy, time.Duration(exec.Sum), exec.Count, spanSum)
+	}
+	for _, ev := range releases {
+		sp := spans[ev.Meta.ID]
+		if sp == nil || ev.Ts < sp.start || ev.Ts > sp.end {
+			t.Fatalf("release %+v outside its task's span %+v", ev, sp)
+		}
+		if ev.Ts != sp.end {
+			t.Fatalf("release stamped %v, its task's end stamp is %v", ev.Ts, sp.end)
+		}
+	}
+}

@@ -108,7 +108,7 @@ func (tf *Taskflow) run(ctx context.Context) error {
 	if latOn {
 		// One clock read stamps every node: sources are genuinely ready
 		// now, and non-sources are restamped at dependency release.
-		readyNs = nowNanos()
+		readyNs = executor.Nanos()
 	}
 	for _, n := range g.nodes {
 		n.topo = t
@@ -186,6 +186,7 @@ func (tf *Taskflow) prepareRun() (*topology, error) {
 	if tf.statsEnabled {
 		t.stats = &topoStats{timing: tf.statsTiming}
 	}
+	t.timed = t.lat != nil || (tf.statsEnabled && tf.statsTiming)
 	tf.runSources = tf.runSources[:0]
 	tf.runSemSources = tf.runSemSources[:0]
 	for _, n := range g.nodes {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"gotaskflow/internal/graphgen"
 )
 
 func TestRunExecutesGraph(t *testing.T) {
@@ -226,6 +228,40 @@ func TestRunLinearChainZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("linear-chain Run allocates %v objects/run, want 0", allocs)
+	}
+}
+
+// Steady-state re-runs of a wide random DAG must be allocation-free too:
+// every Run batches ~1600 sources onto one injection shard, and the ring
+// that grew for the first batch must still be that size for the next one
+// (it used to shrink behind every drain and regrow on every Run).
+func TestRunTraversalZeroAlloc(t *testing.T) {
+	d := graphgen.Random(8192, graphgen.Config{MaxIn: 4, MaxOut: 4, Seed: 1})
+	tf := New(2)
+	defer tf.Close()
+	var n atomic.Int64
+	tasks := make([]Task, d.N)
+	for v := range tasks {
+		tasks[v] = tf.Emplace1(func() { n.Add(1) })
+	}
+	for u := range tasks {
+		d.Successors(u, func(v int) { tasks[u].Precede(tasks[v]) })
+	}
+	for i := 0; i < 3; i++ { // run state, ring growth and the ring's memory of it
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("random-DAG Run allocates %v objects/run, want 0", allocs)
+	}
+	if got, want := n.Load(), int64(24*d.N); got != want {
+		t.Fatalf("executed %d tasks over 24 runs, want %d", got, want)
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"gotaskflow/internal/executor"
 )
 
 // RunStats summarizes one completed run (Taskflow.Run) or one dispatched
@@ -82,8 +84,8 @@ type topoStats struct {
 	skipped atomic.Int64
 	busyNs  atomic.Int64
 
-	timing bool
-	start  time.Time
+	timing  bool
+	startNs int64 // executor.Nanos at submission; 0 until the first run
 	// wall is written by the finishing worker in topology.finish and read
 	// by waiters after the done signal (the channel provides the
 	// happens-before edge).
@@ -95,14 +97,15 @@ func (st *topoStats) reset() {
 	st.retries.Store(0)
 	st.skipped.Store(0)
 	st.busyNs.Store(0)
-	st.start = time.Now()
+	st.startNs = executor.Nanos()
 	st.wall = 0
 }
 
 // CollectRunStats enables per-run statistics for subsequent Run and
 // Dispatch calls: execution/retry/skip counts, wall time, and per-node
 // execution counts (read by DumpAnnotated). With timing=true, per-task
-// durations are also captured — two monotonic clock reads per task body —
+// durations are also captured — from the worker's two clock readings per
+// task, shared with its trace events and histogram record —
 // populating RunStats.Busy/AchievedParallelism and the durations in
 // annotated dumps. Collection stays allocation-free in steady state.
 // Returns tf for chaining.
@@ -118,7 +121,7 @@ func (tf *Taskflow) CollectRunStats(timing bool) *Taskflow {
 // since. Must not be called concurrently with Run.
 func (tf *Taskflow) LastRunStats() (RunStats, bool) {
 	t := tf.runTopo
-	if t == nil || t.stats == nil || t.stats.start.IsZero() {
+	if t == nil || t.stats == nil || t.stats.startNs == 0 {
 		return RunStats{}, false
 	}
 	return t.runStats(structuralSpan(t.graph)), true

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"time"
 
 	"gotaskflow/internal/executor"
 )
@@ -288,6 +287,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 	if lp, ok := tf.exec.(executor.LatencyProvider); ok {
 		t.lat = lp.LatencySink(tf.flow)
 	}
+	t.timed = t.lat != nil || (tf.statsEnabled && tf.statsTiming)
 	if ctx != nil || hasCtx {
 		t.ensureCtx(ctx)
 	}
@@ -296,7 +296,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 		go func() { <-t.done; stop() }()
 	}
 	if st := t.stats; st != nil {
-		st.start = time.Now() // dispatched nodes are fresh; no counter reset needed
+		st.startNs = executor.Nanos() // dispatched nodes are fresh; no counter reset needed
 	}
 	// pending counts outstanding executions; sources are pre-counted
 	// before submission so no execution can retire against a zero count.
@@ -305,7 +305,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 	// start as a batch.
 	var readyNs int64
 	if t.lat != nil {
-		readyNs = nowNanos()
+		readyNs = executor.Nanos()
 	}
 	runnable := make([]*executor.Runnable, 0, numSources)
 	for _, n := range g.nodes {

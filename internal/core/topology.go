@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,7 +89,9 @@ type topology struct {
 	// lat is the executor's latency histogram sink for this topology's
 	// flow, non-nil only when the scheduler implements
 	// executor.LatencyProvider with histograms enabled (see latency.go).
-	lat executor.LatencySink
+	// timed is set when lat or the stats block wants task bodies timed.
+	lat   executor.LatencySink
+	timed bool
 }
 
 // finish signals quiescence: close for one-shot (dispatched) topologies,
@@ -98,7 +101,7 @@ func (t *topology) finish() {
 	if st := t.stats; st != nil {
 		// Written by the single finishing worker; waiters read it after the
 		// done signal below, which provides the happens-before edge.
-		st.wall = time.Since(st.start)
+		st.wall = time.Duration(executor.Nanos() - st.startNs)
 	}
 	t.cancelDerivedCtx()
 	if f := t.flow; f != nil && t.flowReserved > 0 {
@@ -111,6 +114,14 @@ func (t *topology) finish() {
 		t.done <- struct{}{}
 	} else {
 		close(t.done)
+	}
+	if t.flow != nil {
+		// A flow shares the pool with other tenants, so the worker that
+		// finishes here usually has their work to go on with and would
+		// not give up its processor before the pool runs dry. With no
+		// processor to spare that leaves the waiter it just readied
+		// runnable but not running; hand it this one.
+		runtime.Gosched()
 	}
 }
 
@@ -275,7 +286,7 @@ func (t *topology) schedule(ctx executor.Context, s *node, cached bool) {
 	}
 	t.pending.Add(1)
 	if t.lat != nil {
-		s.readyAtNs = nowNanos()
+		s.readyAtNs = ctx.EndStamp()
 	}
 	if s.hasAcquires() && !t.admit(ctx, s) {
 		return // parked on a semaphore; a release will submit it
@@ -299,9 +310,7 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		if st := t.stats; st != nil {
 			st.skipped.Add(1)
 		}
-		if ctx.Tracing() {
-			ctx.Trace(executor.EvSkip, n.Describe(), 0)
-		}
+		ctx.Trace(executor.EvSkip, n, 0)
 		t.releaseSems(ctx, n)
 		if n.condWork != nil {
 			t.retire(ctx, n)
@@ -317,16 +326,16 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		st.tasks.Add(1)
 		n.execCount.Add(1)
 	}
-	var lstart int64
-	if t.lat != nil {
-		lstart = nowNanos()
+	var start int64
+	if t.timed {
+		start = ctx.StartStamp()
 	}
 	switch {
 	case n.condWork != nil:
 		idx := -1
 		t.invoke(n, func() { idx = n.condWork() })
-		if t.lat != nil {
-			t.noteLatency(ctx, n, lstart)
+		if t.timed {
+			t.bodyEnd(ctx, n, start, true)
 		}
 		t.releaseSems(ctx, n)
 		// Signal exactly the chosen successor; an out-of-range index
@@ -334,11 +343,9 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		// how a branch terminates.
 		if idx >= 0 && idx < n.succCount {
 			s := n.successor(idx)
-			if ctx.Tracing() {
-				// A taken condition branch releases its target exactly
-				// like a final join-decrement releases a strong successor.
-				ctx.Trace(executor.EvDepRelease, n.Describe(), s.traceID)
-			}
+			// A taken condition branch releases its target exactly like a
+			// final join-decrement releases a strong successor.
+			ctx.Trace(executor.EvDepRelease, n, s.traceID)
 			t.schedule(ctx, s, true)
 		}
 		t.retire(ctx, n)
@@ -348,14 +355,12 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		sf.g = &graph{}
 		n.extra().subgraph = sf.g
 		t.invoke(n, func() { n.subflowWork(sf) })
-		if t.lat != nil {
-			t.noteLatency(ctx, n, lstart)
+		if t.timed {
+			t.bodyEnd(ctx, n, start, true)
 		}
 		t.releaseSems(ctx, n)
-		if sf.g.len() > 0 && ctx.Tracing() {
-			ctx.Trace(executor.EvSubflowSpawn, n.Describe(), uint64(sf.g.len()))
-		}
 		if sf.g.len() > 0 {
+			ctx.Trace(executor.EvSubflowSpawn, n, uint64(sf.g.len()))
 			if !sf.detached {
 				// Joined subflow: the parent completes only after every
 				// spawned execution (recursively) finishes.
@@ -371,23 +376,15 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 			}
 		}
 	case n.isFallible():
-		if !t.runFallible(ctx, n) {
+		if !t.runFallible(ctx, n, start) {
 			return // retry scheduled; the execution is still outstanding
 		}
-		// Resolved (success or final failure): the end-to-end timing spans
-		// from the last (re)submission, not the first — see latency.go.
-		if t.lat != nil {
-			t.noteLatency(ctx, n, lstart)
-		}
-	case n.work != nil:
-		t.invoke(n, n.work)
-		if t.lat != nil {
-			t.noteLatency(ctx, n, lstart)
-		}
-		t.releaseSems(ctx, n)
 	default:
-		if t.lat != nil {
-			t.noteLatency(ctx, n, lstart)
+		if n.work != nil {
+			t.invoke(n, n.work)
+		}
+		if t.timed {
+			t.bodyEnd(ctx, n, start, true)
 		}
 		t.releaseSems(ctx, n)
 	}
@@ -395,26 +392,26 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 }
 
 // runFallible executes the body of an error-returning, context-aware or
-// retryable task. It reports whether the execution resolved (success or
-// final failure) — false means a retry was scheduled and the execution
-// remains outstanding. A final failure fail-fast-cancels the topology.
-func (t *topology) runFallible(ctx executor.Context, n *node) bool {
+// retryable task that started at start. It reports whether the execution
+// resolved (success or final failure) — false means a retry was scheduled
+// and the execution remains outstanding. A final failure fail-fast-cancels
+// the topology.
+func (t *topology) runFallible(ctx executor.Context, n *node, start int64) bool {
 	err := t.captureErr(n)
-	if err == nil {
-		if n.ext != nil {
-			n.ext.attempts = 0
-		}
-		t.releaseSems(ctx, n)
-		return true
+	rp := n.retryPolicy()
+	retry := err != nil && rp != nil && n.ext.attempts < rp.max && !t.cancelled.Load()
+	if t.timed {
+		// An attempt that arms a retry is busy time but no resolved
+		// execution; the resolving attempt's timing spans from the last
+		// (re)submission, not the first — see latency.go.
+		t.bodyEnd(ctx, n, start, !retry)
 	}
-	if rp := n.retryPolicy(); rp != nil && n.ext.attempts < rp.max && !t.cancelled.Load() {
+	if retry {
 		n.ext.attempts++
 		if st := t.stats; st != nil {
 			st.retries.Add(1)
 		}
-		if ctx.Tracing() {
-			ctx.Trace(executor.EvRetryArm, n.Describe(), uint64(n.ext.attempts))
-		}
+		ctx.Trace(executor.EvRetryArm, n, uint64(n.ext.attempts))
 		// Release units now: the retry waits on a timer, not on a worker,
 		// and re-admits through the semaphores when it resubmits.
 		t.releaseSems(ctx, n)
@@ -424,7 +421,9 @@ func (t *topology) runFallible(ctx executor.Context, n *node) bool {
 	if n.ext != nil {
 		n.ext.attempts = 0
 	}
-	t.fail(fmt.Errorf("core: task %q failed: %w", n.nodeName(), err))
+	if err != nil {
+		t.fail(fmt.Errorf("core: task %q failed: %w", n.nodeName(), err))
+	}
 	t.releaseSems(ctx, n)
 	return true
 }
@@ -436,14 +435,6 @@ func (t *topology) captureErr(n *node) (err error) {
 			err = fmt.Errorf("task panicked: %v", r)
 		}
 	}()
-	if st := t.stats; st != nil && st.timing {
-		start := time.Now()
-		defer func() {
-			d := time.Since(start).Nanoseconds()
-			st.busyNs.Add(d)
-			n.execDurNs.Add(d)
-		}()
-	}
 	if t.pprofLabels {
 		// Cold profiling path: the closure allocation is acceptable here
 		// and only here (see EnablePprofLabels).
@@ -478,14 +469,6 @@ func (t *topology) invoke(n *node, fn func()) {
 			t.setErr(fmt.Errorf("core: task %q panicked: %v", n.nodeName(), r))
 		}
 	}()
-	if st := t.stats; st != nil && st.timing {
-		start := time.Now()
-		defer func() {
-			d := time.Since(start).Nanoseconds()
-			st.busyNs.Add(d)
-			n.execDurNs.Add(d)
-		}()
-	}
 	t.labeled(n, fn)
 }
 
@@ -499,7 +482,7 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 	needCtx := false
 	var readyNs int64
 	if t.lat != nil {
-		readyNs = nowNanos()
+		readyNs = ctx.EndStamp()
 	}
 	for _, c := range g.nodes {
 		c.topo = t
@@ -589,16 +572,14 @@ func (t *topology) notifySucc(ctx executor.Context, src, s *node, cached bool, e
 	if s.join.Add(-1) != 0 {
 		return cached, extra
 	}
-	if ctx.Tracing() {
-		ctx.Trace(executor.EvDepRelease, src.Describe(), s.traceID)
-	}
+	ctx.Trace(executor.EvDepRelease, src, s.traceID)
 	s.join.Store(int32(s.numDependents))
 	if s.parent != nil {
 		s.parent.children.Add(1)
 	}
 	t.pending.Add(1)
 	if t.lat != nil {
-		s.readyAtNs = nowNanos()
+		s.readyAtNs = ctx.EndStamp()
 	}
 	if s.hasAcquires() && !t.admit(ctx, s) {
 		return cached, extra // parked on a semaphore; a release will submit it
@@ -620,9 +601,7 @@ func (t *topology) retire(ctx executor.Context, n *node) {
 	}
 	if p := n.parent; p != nil {
 		if p.children.Add(-1) == 0 {
-			if ctx.Tracing() {
-				ctx.Trace(executor.EvSubflowJoin, p.Describe(), 0)
-			}
+			ctx.Trace(executor.EvSubflowJoin, p, 0)
 			t.finishNode(ctx, p)
 		}
 	}

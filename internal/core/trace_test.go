@@ -296,8 +296,10 @@ func TestHotTasksRanking(t *testing.T) {
 			}
 		}
 	}
-	tf.Emplace1(spin(20 * time.Millisecond)).Name("heavy")
-	tf.Emplace1(spin(4 * time.Millisecond)).Name("medium")
+	// The gaps must exceed a scheduler quantum: on a 2-vCPU host a 1 ms
+	// spinner that loses its CPU once measures ~5 ms of wall time.
+	tf.Emplace1(spin(40 * time.Millisecond)).Name("heavy")
+	tf.Emplace1(spin(15 * time.Millisecond)).Name("medium")
 	for i := 0; i < 6; i++ {
 		tf.Emplace1(spin(time.Millisecond))
 	}

@@ -93,12 +93,12 @@ func TestLatencyAndFlightEndpoints(t *testing.T) {
 	}
 }
 
-// TestObservabilityEndpointsUnderConcurrency hammers the full debug
+// TestObservabilityHammer hammers the full debug
 // surface while the executor is live: trace start/stop racing flight
 // snapshots, /flows and /latency racing flow registration, all under
 // -race. Responses must stay well-formed; start/stop may 409 when the
 // race loses, which is the documented contract.
-func TestObservabilityEndpointsUnderConcurrency(t *testing.T) {
+func TestObservabilityHammer(t *testing.T) {
 	e := executor.New(4,
 		executor.WithMetrics(),
 		executor.WithTracing(1<<10),

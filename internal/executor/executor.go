@@ -113,12 +113,19 @@ type Context interface {
 	// Executor returns the owning scheduler (the real executor, or the
 	// simulation executor when the task runs under internal/sim).
 	Executor() Scheduler
-	// Tracing reports whether a trace capture is currently recording —
-	// the cheap guard before building a TaskMeta for Trace.
-	Tracing() bool
-	// Trace records a trace event attributed to this worker. No-op unless
-	// a capture is active (see WithTracing / StartTrace).
-	Trace(kind EventKind, meta TaskMeta, arg uint64)
+	// StartStamp returns the Nanos reading at which the worker began the
+	// current task; EndStamp returns the reading at the end of its body,
+	// taken by whichever consumer asks first — the task's owner calls it
+	// right after the body. While a recorder or the latency histograms are
+	// armed each is read at most once per task and shared, by the task's
+	// start/end trace events too; otherwise each call reads the clock.
+	StartStamp() int64
+	EndStamp() int64
+	// Trace records an event about task, attributed to this worker and
+	// stamped EndStamp: it is for the running task's owner to call after
+	// the body (or instead of it). No-op unless a capture is active or the
+	// flight recorder is armed (see WithTracing / WithFlightRecorder).
+	Trace(kind EventKind, task Described, arg uint64)
 }
 
 // Observer receives callbacks around task execution, carrying the task's
@@ -162,6 +169,19 @@ type worker struct {
 	// executor was built WithMetrics, nil otherwise. Every instrumentation
 	// point is one nil check on this pointer.
 	metrics *workerMetrics
+
+	// spine is the executor's event-recording state and ring this worker's
+	// ring in it (trace.go), nil unless built WithTracing or
+	// WithFlightRecorder. The rest is the running task's record state, live
+	// while stamping is set (see invoke): its two shared clock readings (0:
+	// not taken yet) and, when events are wanted, its identity (cur nil and
+	// meta zero for a task that has none).
+	spine      *spine
+	ring       *eventRing
+	stamping   bool
+	start, end int64
+	cur        Described
+	meta       TaskMeta
 }
 
 var _ Context = (*worker)(nil)
@@ -260,16 +280,12 @@ type Executor struct {
 	metricsOn bool
 	metrics   *metricsState
 
-	// tracer is the event-trace recorder (see trace.go), non-nil only when
-	// built WithTracing. Each instrumentation point is one nil check, plus
-	// one atomic flag load while armed.
-	tracer *tracerState
-
-	// flight is the always-armed flight recorder (see flight.go), non-nil
-	// only when built WithFlightRecorder. It shares the trace
-	// instrumentation points with tracer but never stops recording.
-	flightCap int
-	flight    *flightState
+	// spine is the event-recording state (see trace.go), non-nil only when
+	// built WithTracing (traceCap > 0: capture sessions) or
+	// WithFlightRecorder (flightCap > 0: always recording). Each
+	// instrumentation point is one nil check on the worker's copy.
+	traceCap, flightCap int
+	spine               *spine
 
 	// lat is the per-flow latency histogram state (see histogram.go),
 	// non-nil only when built WithLatencyHistograms.
@@ -396,8 +412,8 @@ func New(n int, opts ...Option) *Executor {
 	if e.latencyOn {
 		e.lat = &latencyState{workers: n, def: newFlowLatency(n)}
 	}
-	if e.flightCap > 0 {
-		e.flight = newFlightState(n, e.flightCap)
+	if e.traceCap > 0 || e.flightCap > 0 {
+		e.spine = newSpine(n, e.traceCap, e.flightCap)
 	}
 	e.workers = make([]*worker, n)
 	for i := 0; i < n; i++ {
@@ -412,7 +428,8 @@ func New(n int, opts ...Option) *Executor {
 			w.queue.SetCounters(&e.metrics.deques[i].Counters)
 			w.metrics = &e.metrics.workers[i].workerMetrics
 		}
-		if e.tracer != nil || e.flight != nil {
+		if e.spine != nil {
+			w.spine, w.ring = e.spine, &e.spine.rings[i]
 			// Ring reallocations on the push path are a latency smell worth a
 			// timeline mark; the hook runs on the owner, so it records into
 			// the owner's ring.
@@ -823,13 +840,20 @@ func (e *Executor) invoke(w *worker, r *Runnable) {
 	if m := w.metrics; m != nil {
 		m.executed.Add(1)
 	}
-	tracing := w.Tracing()
+	tracing := w.tracing()
 	busy := e.trackBusy.Load()
-	if !busy && !tracing {
+	if !busy && !tracing && e.lat == nil {
 		e.safeRun(w, r)
 		return
 	}
-	meta := taskMetaOf(r)
+	// Something records this task: from here to the reset below its
+	// consumers share the worker's two stamps instead of reading the clock.
+	w.stamping = true
+	if busy || tracing {
+		if d, ok := (*r).(Described); ok {
+			w.cur, w.meta = d, d.Describe()
+		}
+	}
 	// Load the observer list once so this task delivers balanced
 	// OnTaskStart/OnTaskEnd pairs even if AddObserver races with it.
 	var obs []Observer
@@ -839,19 +863,23 @@ func (e *Executor) invoke(w *worker, r *Runnable) {
 			obs = *p
 		}
 	}
-	e.notifyStart(w, obs, meta)
+	e.notifyStart(w, obs, w.meta)
 	// Trace events sit innermost so spans bound the task body tightly,
 	// excluding observer work.
 	if tracing {
-		w.Trace(EvTaskStart, meta, 0)
+		w.ring.write(int32(w.id), EvTaskStart, w.StartStamp(), &w.meta, 0)
 	}
 	e.safeRun(w, r)
 	if tracing {
-		w.Trace(EvTaskEnd, meta, 0)
+		w.ring.write(int32(w.id), EvTaskEnd, w.EndStamp(), &w.meta, 0)
 	}
-	e.notifyEnd(w, obs, meta)
+	e.notifyEnd(w, obs, w.meta)
 	if busy {
 		e.busy.Add(-1)
+	}
+	w.stamping, w.start, w.end = false, 0, 0
+	if w.cur != nil {
+		w.cur, w.meta = nil, TaskMeta{}
 	}
 }
 

@@ -1,151 +1,45 @@
 package executor
 
-// Flight recorder: a continuously-armed, bounded black box built on the
-// same per-worker event rings as trace.go. Where Start/StopTrace is a
-// capture session — you must have known in advance that something
-// interesting was about to happen — the flight recorder never stops
-// recording: each worker writes into a fixed-capacity wrapping ring
-// (drop-OLDEST, unlike the capture rings' drop-newest), so at any moment
-// a snapshot yields the last ~capacity scheduler decisions per worker.
-// That is the dump the stall watchdog (watchdog.go) attaches to its
-// report: "what was the scheduler doing just before it stalled", with no
-// pre-arranged capture.
-//
-// Cost model: the recorder shares the trace instrumentation points
-// (worker.Trace/traceEvent, Executor.TraceExternal), so an armed flight
-// recorder pays the same per-event price as an active capture — one clock
-// read, one mutexed slot write, no allocation — and
-// executors built without WithFlightRecorder pay one nil check. Because
-// it is always on, worker.Tracing() returns true when armed, which also
-// makes internal/core emit its task/dependency events continuously.
-//
-// Snapshot protocol: unlike the capture rings (write-once slots,
-// publish-by-counter), a wrapping ring REUSES slots, so a lock-free
-// reader could observe a slot torn mid-overwrite. Each ring therefore
-// carries its own mutex: record's critical section is one slot copy and
-// a counter bump, and FlightSnapshot holds only one ring's lock at a
-// time while copying that ring's window. A writer contends only when a
-// snapshot of its own ring is in flight — rare, bounded by the copy of
-// capacity slots — and accounting is exact: dropped is precisely the
-// number of events the wrap overwrote.
+// Flight recorder: the continuously-armed reader of the event rings in
+// trace.go. A capture session must be started before the interesting
+// moment; an executor built WithFlightRecorder records for its whole
+// lifetime, so a snapshot at any moment yields each worker's last
+// capacity scheduler decisions — the dump the stall watchdog attaches to
+// its report. It adds no storage and no record path: it keeps the rings'
+// writers always on (so internal/core emits its task and dependency
+// events continuously too) and reads their trailing window.
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
-
-// flightRing is one worker's wrapping event buffer. len(buf) is a power
-// of two; slot i lives at buf[i&mask]. n is the total number of events
-// ever written (monotonic). mu serializes slot writes against snapshot
-// copies; it is effectively uncontended outside snapshots.
-type flightRing struct {
-	mu   sync.Mutex
-	buf  []TraceEvent
-	mask int64
-	n    int64
-}
-
-func (r *flightRing) record(ev TraceEvent) {
-	r.mu.Lock()
-	r.buf[r.n&r.mask] = ev
-	r.n++
-	r.mu.Unlock()
-}
-
-// flightState exists iff the executor was built WithFlightRecorder.
-type flightState struct {
-	epoch time.Time
-	// rings[i] belongs to worker i; rings[len-1] is the external ring
-	// (external submissions, timers), serialized by its own ring mutex.
-	rings []flightRing
-}
-
-func newFlightState(workers, capacity int) *flightState {
-	f := &flightState{
-		epoch: time.Now(),
-		rings: make([]flightRing, workers+1),
-	}
-	for i := range f.rings {
-		f.rings[i].buf = make([]TraceEvent, capacity)
-		f.rings[i].mask = int64(capacity - 1)
-	}
-	return f
-}
-
-func (f *flightState) record(worker int32, kind EventKind, meta TaskMeta, arg uint64) {
-	ev := TraceEvent{
-		Ts:     time.Since(f.epoch),
-		Worker: worker,
-		Kind:   kind,
-		Arg:    arg,
-		Meta:   meta,
-	}
-	if worker >= 0 && int(worker) < len(f.rings)-1 {
-		f.rings[worker].record(ev)
-		return
-	}
-	ev.Worker = ExternalWorker
-	f.rings[len(f.rings)-1].record(ev)
-}
-
-// defaultFlightCapacity is the per-ring event budget when
-// WithFlightRecorder is given a non-positive capacity: 4K events per
-// worker keeps the black box under ~350 KiB per worker while still
-// holding seconds of steady-state scheduling.
+// defaultFlightCapacity is the per-ring window when WithFlightRecorder is
+// given a non-positive capacity: 4K events per worker keeps the black box
+// under ~350 KiB per worker while still holding seconds of steady-state
+// scheduling.
 const defaultFlightCapacity = 1 << 12
 
-// WithFlightRecorder arms a continuously-recording bounded event ring of
-// the given per-worker capacity (rounded up to a power of two; <= 0
-// selects the default). Unlike WithTracing there is no Start/Stop: the
-// recorder runs for the executor's whole lifetime, each ring wraps
-// (keeping the newest events), and FlightSnapshot returns the recent
-// window at any moment. Composes with WithTracing — a capture session
-// and the black box record independently from the same instrumentation
-// points.
+// WithFlightRecorder arms continuous event recording with a per-worker
+// window of capacity events (<= 0 selects the default). Unlike WithTracing
+// there is no Start/Stop: FlightSnapshot returns the recent window at any
+// moment. Composes with WithTracing — a capture session and the black box
+// are two readers of the same rings, sized for the larger of the two.
 func WithFlightRecorder(capacity int) Option {
 	if capacity <= 0 {
 		capacity = defaultFlightCapacity
 	}
-	// Round up to a power of two so the ring can index with a mask.
-	c := 1
-	for c < capacity {
-		c <<= 1
-	}
-	return func(e *Executor) { e.flightCap = c }
+	return func(e *Executor) { e.flightCap = capacity }
 }
 
 // FlightEnabled reports whether the executor was built
 // WithFlightRecorder.
-func (e *Executor) FlightEnabled() bool { return e.flight != nil }
+func (e *Executor) FlightEnabled() bool { return e.flightCap > 0 }
 
-// FlightSnapshot copies the flight recorder's current contents into a
-// merged, time-ordered Trace without stopping recording. ok is false when
-// the executor was built without WithFlightRecorder. Trace.Dropped counts
-// exactly the events overwritten by ring wrap-around, so Dropped > 0
-// simply means the box has been running longer than its window —
-// expected in steady state.
+// FlightSnapshot copies each ring's newest capacity events into a merged,
+// time-ordered Trace without stopping recording. ok is false when the
+// executor was built without WithFlightRecorder. Trace.Dropped counts
+// exactly the events recorded before the window, so Dropped > 0 simply
+// means the box has been running longer than its window — expected in
+// steady state.
 func (e *Executor) FlightSnapshot() (Trace, bool) {
-	f := e.flight
-	if f == nil {
+	if e.flightCap <= 0 {
 		return Trace{}, false
 	}
-	tr := Trace{Epoch: f.epoch, Workers: len(e.workers)}
-	for i := range f.rings {
-		r := &f.rings[i]
-		r.mu.Lock()
-		lo := r.n - (r.mask + 1)
-		if lo < 0 {
-			lo = 0
-		}
-		for j := lo; j < r.n; j++ {
-			tr.Events = append(tr.Events, r.buf[j&r.mask])
-		}
-		r.mu.Unlock()
-		tr.Dropped += uint64(lo)
-	}
-	sort.SliceStable(tr.Events, func(i, j int) bool {
-		return tr.Events[i].Ts < tr.Events[j].Ts
-	})
-	return tr, true
+	return e.spine.read(&e.spine.born, e.spine.flightCap), true
 }

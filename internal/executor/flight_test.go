@@ -6,33 +6,123 @@ import (
 	"time"
 )
 
+// waitParked blocks until every worker of an idle executor has parked, so
+// the workers' own rings stay quiet while a test writes the external one.
+func waitParked(t *testing.T, e *Executor) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for int(e.idlerCount.Load()) != len(e.workers) {
+		if time.Now().After(deadline) {
+			t.Fatal("workers never parked")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// externalEvents filters a trace down to the external ring's events.
+func externalEvents(tr Trace) []TraceEvent {
+	var out []TraceEvent
+	for _, ev := range tr.Events {
+		if ev.Worker == ExternalWorker {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 // TestFlightWrapAroundAccounting pins the drop-oldest snapshot protocol:
-// a ring that recorded more events than its capacity yields the newest
-// window, and everything older is counted as dropped — kept + dropped
-// equals everything ever recorded.
+// a ring that recorded more events than the flight window yields the
+// newest window, and everything older is counted as dropped — kept +
+// dropped equals everything ever recorded.
 func TestFlightWrapAroundAccounting(t *testing.T) {
 	e := New(1, WithFlightRecorder(8))
 	defer e.Shutdown()
-	const total = 20
+	waitParked(t, e)
+	before, _ := e.FlightSnapshot() // the worker's own events on its way to parking
+	if before.Dropped != 0 {
+		t.Fatalf("dropped %d events before anything wrapped", before.Dropped)
+	}
+	// Enough to lap the whole ring (two segments), not just the window.
+	const total = 5 * ringSegLen
 	for i := 0; i < total; i++ {
-		e.flight.record(0, EvTaskStart, TaskMeta{ID: uint64(i) + 1}, 0)
+		e.TraceExternal(EvTaskStart, TaskMeta{ID: uint64(i) + 1}, 0)
 	}
 	tr, ok := e.FlightSnapshot()
 	if !ok {
 		t.Fatal("FlightSnapshot not ok")
 	}
-	if uint64(len(tr.Events))+tr.Dropped != total {
-		t.Fatalf("kept %d + dropped %d != recorded %d", len(tr.Events), tr.Dropped, total)
+	if got, want := uint64(len(tr.Events))+tr.Dropped, uint64(total+len(before.Events)); got != want {
+		t.Fatalf("kept %d + dropped %d != recorded %d", len(tr.Events), tr.Dropped, want)
 	}
-	// The snapshot keeps the full capacity window, and it must be the
-	// newest one.
-	if len(tr.Events) != 8 {
-		t.Fatalf("kept %d events from an 8-slot ring, want 8", len(tr.Events))
+	// The snapshot keeps the full window, and it must be the newest one.
+	ext := externalEvents(tr)
+	if len(ext) != 8 {
+		t.Fatalf("kept %d events of an 8-event window, want 8", len(ext))
 	}
-	for i, ev := range tr.Events {
+	for i, ev := range ext {
 		if want := uint64(total - 8 + i + 1); ev.Meta.ID != want {
 			t.Fatalf("event %d has ID %d, want %d (newest window)", i, ev.Meta.ID, want)
 		}
+	}
+}
+
+// TestCaptureWindowWhileFlightWraps is the two-readers law: a capture
+// started and stopped while the flight recorder laps the ring several
+// times returns exactly the events recorded between the two calls, in
+// order, and each reader accounts its own drops exactly.
+func TestCaptureWindowWhileFlightWraps(t *testing.T) {
+	const flightWin, captureWin = 16, 3 * ringSegLen
+	e := New(1, WithFlightRecorder(flightWin), WithTracing(captureWin))
+	defer e.Shutdown()
+	waitParked(t, e)
+	record := func(from, to int) {
+		for i := from; i < to; i++ {
+			e.TraceExternal(EvTaskStart, TaskMeta{ID: uint64(i) + 1}, 0)
+		}
+	}
+	ringLen := len(e.spine.rings[0].buf)
+	const pre, in = 1000, 150 // in < captureWin: the capture must lose nothing
+	if pre < 3*ringLen {
+		t.Fatalf("%d events do not lap a %d-slot ring several times", pre, ringLen)
+	}
+	record(0, pre)
+	if !e.StartTrace() {
+		t.Fatal("StartTrace failed")
+	}
+	record(pre, pre+in)
+	capt, ok := e.StopTrace()
+	if !ok {
+		t.Fatal("StopTrace failed")
+	}
+	record(pre+in, pre+in+10)
+
+	if capt.Dropped != 0 || len(capt.Events) != in {
+		t.Fatalf("capture kept %d dropped %d, want %d/0", len(capt.Events), capt.Dropped, in)
+	}
+	for i, ev := range capt.Events {
+		if want := uint64(pre + i + 1); ev.Meta.ID != want {
+			t.Fatalf("capture event %d has ID %d, want %d", i, ev.Meta.ID, want)
+		}
+	}
+	fl, _ := e.FlightSnapshot()
+	ext := externalEvents(fl)
+	if len(ext) != flightWin || ext[0].Meta.ID != pre+in+10-flightWin+1 {
+		t.Fatalf("flight window = %d events from ID %d, want %d from %d",
+			len(ext), ext[0].Meta.ID, flightWin, pre+in+10-flightWin+1)
+	}
+	workerEvents := len(fl.Events) - len(ext)
+	if got, want := uint64(len(fl.Events))+fl.Dropped, uint64(pre+in+10+workerEvents); got != want {
+		t.Fatalf("flight kept+dropped = %d, want %d", got, want)
+	}
+
+	// A capture longer than its window keeps the newest captureWin events
+	// and counts the rest.
+	e.StartTrace()
+	record(0, captureWin+40)
+	capt, _ = e.StopTrace()
+	if len(capt.Events) != captureWin || capt.Dropped != 40 || capt.Events[0].Meta.ID != 41 {
+		t.Fatalf("overlong capture kept %d dropped %d first ID %d, want %d/40/41",
+			len(capt.Events), capt.Dropped, capt.Events[0].Meta.ID, captureWin)
 	}
 }
 
@@ -155,7 +245,7 @@ func TestFlightRecordZeroAlloc(t *testing.T) {
 	defer e.Shutdown()
 	meta := TaskMeta{ID: 7, Name: "gate"}
 	if allocs := testing.AllocsPerRun(100, func() {
-		e.flight.record(0, EvTaskStart, meta, 0)
+		e.TraceExternal(EvTaskStart, meta, 0)
 	}); allocs != 0 {
 		t.Fatalf("flight record allocates %v per op, want 0", allocs)
 	}

@@ -25,11 +25,12 @@ package executor
 //     fetches its sink once per topology (a cold type assertion) and the
 //     per-task guard is one nil-interface check.
 //
-//   - Lock-free and allocation-free on the record path. Each histogram
-//     keeps one padded shard per worker, written only by that worker
-//     (owner-written): a record is three atomic adds into the owner's
-//     shard — bucket count, sum, count — with no CAS loop, no mutex and
-//     no allocation. Shards are merged at read time.
+//   - Lock-free and allocation-free on the record path. Each sink keeps
+//     one padded shard per worker, written only by that worker: a record
+//     is five atomic adds — one bucket per series, the two component sums
+//     — with no CAS loop, mutex or allocation. A series' count (the total
+//     of its buckets) and the end-to-end sum (of the other two) are
+//     derived when the shards are merged at read time.
 //
 //   - Fixed memory. Buckets are log-linear (below): 64 buckets cover
 //     [0, ~550s] with ≤ 50% relative width, so a histogram is a flat
@@ -95,53 +96,26 @@ func LatencyBucketBounds() []time.Duration {
 	return out
 }
 
-// latHistShard is one worker's private histogram storage.
-type latHistShard struct {
-	counts [numLatencyBuckets]atomic.Uint64
-	sum    atomic.Uint64 // total nanoseconds
-	count  atomic.Uint64
+// latSeries indexes the three recorded series of a sink.
+const (
+	latQueueWait = iota
+	latExec
+	latEndToEnd
+	numLatSeries
+)
+
+// latShard is one worker's private storage of a sink: the bucket counts
+// of the three series and the sums of the two component series.
+type latShard struct {
+	counts [numLatSeries][numLatencyBuckets]atomic.Uint64
+	sums   [latEndToEnd]atomic.Uint64 // total nanoseconds: queue-wait, exec
 }
 
-// paddedLatHistShard aligns shards to metricsPad so two workers never
-// share a cache line (same idiom as the metrics counter blocks).
-type paddedLatHistShard struct {
-	latHistShard
-	_ [metricsPad - unsafe.Sizeof(latHistShard{})%metricsPad]byte
-}
-
-// latencyHist is one timing dimension's histogram: per-worker shards,
-// owner-written, merged at read time.
-type latencyHist struct {
-	shards []paddedLatHistShard
-}
-
-func newLatencyHist(workers int) latencyHist {
-	return latencyHist{shards: make([]paddedLatHistShard, workers)}
-}
-
-// record adds one observation to the worker's shard. The caller has
-// bounds-checked worker and clamped v to >= 0.
-func (h *latencyHist) record(worker int, v int64) {
-	s := &h.shards[worker].latHistShard
-	s.counts[latencyBucketOf(v)].Add(1)
-	s.sum.Add(uint64(v))
-	s.count.Add(1)
-}
-
-// snapshot merges the shards. Counters are monotone, so a concurrent
-// record skews the snapshot by at most the in-flight observations —
-// never tears it.
-func (h *latencyHist) snapshot() LatencySnapshot {
-	var out LatencySnapshot
-	for i := range h.shards {
-		s := &h.shards[i].latHistShard
-		for b := range s.counts {
-			out.Counts[b] += s.counts[b].Load()
-		}
-		out.Sum += s.sum.Load()
-		out.Count += s.count.Load()
-	}
-	return out
+// paddedLatShard aligns shards to metricsPad so two workers never share a
+// cache line (same idiom as the metrics counter blocks).
+type paddedLatShard struct {
+	latShard
+	_ [metricsPad - unsafe.Sizeof(latShard{})%metricsPad]byte
 }
 
 // LatencySnapshot is one merged histogram at a snapshot instant.
@@ -228,45 +202,51 @@ type LatencyProvider interface {
 	LatencySink(f Flow) LatencySink
 }
 
-// flowLatency is one sink: the three histograms of one flow (or of the
-// default, unbound set).
+// flowLatency is one sink: the three series of one flow (or of the
+// default, unbound set), sharded per worker and merged at read time.
 type flowLatency struct {
-	queueWait latencyHist
-	exec      latencyHist
-	endToEnd  latencyHist
+	shards []paddedLatShard
 }
 
 func newFlowLatency(workers int) *flowLatency {
-	return &flowLatency{
-		queueWait: newLatencyHist(workers),
-		exec:      newLatencyHist(workers),
-		endToEnd:  newLatencyHist(workers),
-	}
+	return &flowLatency{shards: make([]paddedLatShard, workers)}
 }
 
-// RecordLatency implements LatencySink: three shard-local records, no
+// RecordLatency implements LatencySink: five shard-local adds, no
 // allocation, no CAS.
 func (fl *flowLatency) RecordLatency(worker int, queueWaitNs, execNs int64) {
-	if worker < 0 || worker >= len(fl.queueWait.shards) {
+	if worker < 0 || worker >= len(fl.shards) {
 		worker = 0
 	}
-	if queueWaitNs < 0 {
-		queueWaitNs = 0
-	}
-	if execNs < 0 {
-		execNs = 0
-	}
-	fl.queueWait.record(worker, queueWaitNs)
-	fl.exec.record(worker, execNs)
-	fl.endToEnd.record(worker, queueWaitNs+execNs)
+	queueWaitNs, execNs = max(queueWaitNs, 0), max(execNs, 0)
+	s := &fl.shards[worker].latShard
+	s.counts[latQueueWait][latencyBucketOf(queueWaitNs)].Add(1)
+	s.counts[latExec][latencyBucketOf(execNs)].Add(1)
+	s.counts[latEndToEnd][latencyBucketOf(queueWaitNs+execNs)].Add(1)
+	s.sums[latQueueWait].Add(uint64(queueWaitNs))
+	s.sums[latExec].Add(uint64(execNs))
 }
 
+// stats merges the shards. Counters are monotone, so a concurrent record
+// skews the result by at most the in-flight observations — never tears
+// it — and each series' Count always equals the total of its own buckets.
 func (fl *flowLatency) stats() *FlowLatencyStats {
-	return &FlowLatencyStats{
-		QueueWait: fl.queueWait.snapshot(),
-		Exec:      fl.exec.snapshot(),
-		EndToEnd:  fl.endToEnd.snapshot(),
+	var out FlowLatencyStats
+	series := [numLatSeries]*LatencySnapshot{&out.QueueWait, &out.Exec, &out.EndToEnd}
+	for i := range fl.shards {
+		s := &fl.shards[i].latShard
+		for k, snap := range series {
+			for b := range s.counts[k] {
+				c := s.counts[k][b].Load()
+				snap.Counts[b] += c
+				snap.Count += c
+			}
+		}
+		out.QueueWait.Sum += s.sums[latQueueWait].Load()
+		out.Exec.Sum += s.sums[latExec].Load()
 	}
+	out.EndToEnd.Sum = out.QueueWait.Sum + out.Exec.Sum
+	return &out
 }
 
 // FlowLatencyStats is the merged latency triple of one flow (or class, or
@@ -308,9 +288,9 @@ type latencyState struct {
 // WithLatencyHistograms enables continuous per-flow latency histograms:
 // every flow registered with NewFlow gets its own queue-wait / execution /
 // end-to-end histogram set, plus one shared set for topologies bound to
-// no flow. Record cost is three shard-local atomic adds per task plus two
-// clock reads in internal/core; executors built without this option pay
-// one nil check per topology and nothing per task.
+// no flow. Record cost is five shard-local atomic adds per task on top of
+// the worker's two shared clock readings; executors built without this
+// option pay one nil check per topology and one per task.
 func WithLatencyHistograms() Option {
 	return func(e *Executor) { e.latencyOn = true }
 }

@@ -49,11 +49,11 @@ func TestLatencyBucketBoundaries(t *testing.T) {
 }
 
 func TestLatencySnapshotMeanAndQuantile(t *testing.T) {
-	h := newLatencyHist(1)
+	h := newFlowLatency(1)
 	for i := 0; i < 1000; i++ {
-		h.record(0, 1000)
+		h.RecordLatency(0, 0, 1000)
 	}
-	s := h.snapshot()
+	s := h.stats().Exec
 	if s.Count != 1000 || s.Sum != 1_000_000 {
 		t.Fatalf("count=%d sum=%d, want 1000/1000000", s.Count, s.Sum)
 	}
@@ -71,11 +71,11 @@ func TestLatencySnapshotMeanAndQuantile(t *testing.T) {
 
 	// A spread distribution must yield monotonically non-decreasing
 	// quantiles bracketing the data.
-	h2 := newLatencyHist(1)
+	h2 := newFlowLatency(1)
 	for i := int64(1); i <= 10000; i++ {
-		h2.record(0, i*100) // 100ns .. 1ms
+		h2.RecordLatency(0, 0, i*100) // 100ns .. 1ms
 	}
-	s2 := h2.snapshot()
+	s2 := h2.stats().Exec
 	prev := time.Duration(-1)
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
 		got := s2.Quantile(q)
@@ -99,12 +99,12 @@ func TestLatencySnapshotMeanAndQuantile(t *testing.T) {
 }
 
 func TestLatencySnapshotMerge(t *testing.T) {
-	a := newLatencyHist(2)
-	a.record(0, 300)
-	a.record(1, 300)
-	b := newLatencyHist(1)
-	b.record(0, 600)
-	sa, sb := a.snapshot(), b.snapshot()
+	a := newFlowLatency(2)
+	a.RecordLatency(0, 0, 300)
+	a.RecordLatency(1, 0, 300)
+	b := newFlowLatency(1)
+	b.RecordLatency(0, 0, 600)
+	sa, sb := a.stats().Exec, b.stats().Exec
 	sa.Merge(&sb)
 	if sa.Count != 3 || sa.Sum != 1200 {
 		t.Fatalf("merged count=%d sum=%d, want 3/1200", sa.Count, sa.Sum)
@@ -206,8 +206,8 @@ func TestLatencyDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestLatencyRecordZeroAlloc gates the record path: three shard-local
-// atomic adds per dimension, no allocation. Runs under the CI alloc-gate
+// TestLatencyRecordZeroAlloc gates the record path: five shard-local
+// atomic adds, no allocation. Runs under the CI alloc-gate
 // job alongside the scheduler gates.
 func TestLatencyRecordZeroAlloc(t *testing.T) {
 	e := New(2, WithLatencyHistograms())

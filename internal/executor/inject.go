@@ -61,12 +61,21 @@ type paddedInjShard struct {
 // storage behind the executor's external injection queue. Unlike the
 // append/re-slice queue it replaces, a drained ring reuses its slots instead
 // of marching through (and retaining) an ever-growing backing array, and it
-// shrinks back after bursts so capacity stays proportional to the live
-// backlog. All methods are called with the executor's injection lock held.
+// shrinks back after bursts so capacity stays proportional to the backlog
+// its producers actually build. All methods are called with the owning
+// shard's or flow's lock held.
 type taskRing struct {
 	buf  []*Runnable
 	head int64 // next slot to pop
 	tail int64 // next slot to push; length = tail - head
+
+	// peak is the deepest backlog since the ring was last empty, lastPeak
+	// the same for the fill/drain cycle before. The ring never shrinks
+	// below lastPeak: a topology re-Run pushes the same source batch every
+	// cycle, and shrinking behind it would reallocate the ring twice per
+	// run forever. A one-off spike still decays — it stops being the
+	// previous cycle as soon as one ordinary cycle has followed it.
+	peak, lastPeak int64
 }
 
 func (q *taskRing) init(capacity int) {
@@ -92,6 +101,7 @@ func (q *taskRing) push(r *Runnable) {
 	}
 	q.buf[q.tail&int64(len(q.buf)-1)] = r
 	q.tail++
+	q.peak = max(q.peak, q.tail-q.head)
 }
 
 func (q *taskRing) pushBatch(rs []*Runnable) {
@@ -108,6 +118,7 @@ func (q *taskRing) pushBatch(rs []*Runnable) {
 		q.buf[q.tail&mask] = r
 		q.tail++
 	}
+	q.peak = max(q.peak, need)
 }
 
 // popN removes up to len(dst) of the oldest tasks into dst and returns how
@@ -128,25 +139,14 @@ func (q *taskRing) popN(dst []*Runnable) int {
 		q.buf[j] = nil // release the task for GC
 		q.head++
 	}
-	if c := int64(len(q.buf)); c > injShrinkCap && (q.tail-q.head)*4 <= c {
+	// Shrink after bursts: once the live backlog fits in a quarter of the
+	// ring, halve it (down to the floor, and to what the last cycle needed).
+	live := q.tail - q.head
+	if c := int64(len(q.buf)); c > injShrinkCap && live*4 <= c && c/2 >= q.lastPeak {
 		q.resize(c / 2)
+	}
+	if live == 0 {
+		q.lastPeak, q.peak = q.peak, 0
 	}
 	return n
-}
-
-func (q *taskRing) pop() (*Runnable, bool) {
-	if q.head == q.tail {
-		return nil, false
-	}
-	i := q.head & int64(len(q.buf)-1)
-	r := q.buf[i]
-	q.buf[i] = nil // release the task for GC
-	q.head++
-	// Shrink after bursts: once the live backlog fits in a quarter of the
-	// ring, halve it (down to the floor) so a one-off spike does not pin
-	// the high-water-mark capacity forever.
-	if c := int64(len(q.buf)); c > injShrinkCap && (q.tail-q.head)*4 <= c {
-		q.resize(c / 2)
-	}
-	return r, true
 }

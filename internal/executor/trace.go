@@ -1,38 +1,41 @@
 package executor
 
-// Event-level execution tracing: the recording half of the TFProf-style
-// profiler (the Taskflow follow-up system's timeline view). Where
-// metrics.go answers "how many" (aggregate counters), this file answers
-// "when, where and why": every task span and scheduler lifecycle event —
-// steal, park/unpark, precise vs. probabilistic wake, injection traffic,
-// retry arm/fire, cancellation skips, subflow spawn/join, dependency
-// release — is timestamped into a per-worker ring buffer, and
-// internal/tracing renders the merged stream as a Chrome trace-event JSON
-// timeline (Perfetto).
+// The event spine: the one record path behind capture sessions, the
+// flight recorder, and every timestamp a running task's consumers share.
+// Where metrics.go answers "how many", this file answers "when, where and
+// why": every task span and scheduler lifecycle event — steal,
+// park/unpark, wakes, injection traffic, retry arm/fire, cancellation
+// skips, subflow spawn/join, dependency release — is timestamped into a
+// per-worker wrapping ring, and internal/tracing renders the merged
+// stream as a Chrome trace-event JSON timeline (Perfetto).
 //
-// Design rules, mirroring metrics.go:
+// One clock. Nanos is the only clock recording reads, and a worker reads
+// it at most twice per task, lazily: at body start (StartStamp) and body
+// end (EndStamp). The task's start/end events, every event its owner
+// traces, internal/core's histogram record, RunStats busy time and the
+// successors' ready stamps share those two readings to the nanosecond.
 //
-//   - Provably zero cost when disabled. Tracing exists only when the
-//     executor was built WithTracing; every instrumentation point is one
-//     nil check on the executor's tracer pointer.
+// One ring, two readers. Each worker owns one ring (one more, mutex-
+// guarded, takes events from outside the pool — cold by construction). A
+// capture session is a [start, stop) window of event numbers on it, the
+// flight recorder (flight.go) its trailing window; an event is written
+// once however many readers are armed.
 //
-//   - Lock-free on the hot path when enabled. Each worker owns a
-//     fixed-capacity event ring written only by that worker: a record is
-//     one atomic flag load, one monotonic clock read, one slot write and
-//     one atomic length publication. No mutex, no allocation. Events from
-//     non-worker goroutines (external submissions, retry timers,
-//     cancellation) go to a mutex-guarded overflow ring — a cold path by
-//     construction.
+// No per-event lock. The owner fills a slot with plain stores and
+// publishes it with one atomic store of head, so a reader that loads head
+// sees whole slots. Slots are reused a segment (ringSegLen) at a time:
+// the owner closes the segment (pins 0 -> -1), advances its base event
+// number and reopens it; a reader pins the one segment it copies, checks
+// that base still names the generation it wants, copies and unpins. The
+// owner thus waits only while its own oldest segment is being copied. A
+// seqlock over the slots would be shorter, but its reader loads string
+// headers that may be torn — unsafe, and the race detector rejects it.
 //
-//   - Bounded. A full ring drops new events (drop-newest) and counts the
-//     drops; capture cost is capped by capacity, never by run length.
-//
-// Start/StopTrace may be called while workers run. Each capture allocates
-// fresh rings and publishes them atomically, so a racing in-flight record
-// lands either in the old capture (lost, at most one event per worker) or
-// the new one — never in a torn ring.
+// Disabled, an instrumentation point costs one nil check on the worker's
+// spine pointer (plus one atomic load when only WithTracing is built in).
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -170,19 +173,13 @@ type Described interface {
 	Describe() TaskMeta
 }
 
-// taskMetaOf extracts the task identity, if the task offers one.
-func taskMetaOf(r *Runnable) TaskMeta {
-	if d, ok := (*r).(Described); ok {
-		return d.Describe()
-	}
-	return TaskMeta{}
-}
-
 // TraceEvent is one recorded event. Worker is the recording worker's index,
 // or ExternalWorker for events from outside the pool (external submissions,
 // retry timers, cancellation).
 type TraceEvent struct {
-	Ts     time.Duration // offset from the capture epoch
+	// Ts is the offset from Trace.Epoch (inside a ring: the raw Nanos
+	// reading, rebased when a reader copies the event out).
+	Ts     time.Duration
 	Worker int32
 	Kind   EventKind
 	Arg    uint64
@@ -192,200 +189,313 @@ type TraceEvent struct {
 // ExternalWorker is the Worker value of events recorded outside the pool.
 const ExternalWorker int32 = -1
 
-// Trace is the result of one capture: the merged, time-ordered event
-// stream of every ring.
+// Trace is what a reader of the rings returns — a stopped capture or a
+// flight snapshot: the merged, time-ordered event stream of its window on
+// every ring.
 type Trace struct {
-	// Epoch is the wall-clock instant of StartTrace; event timestamps are
-	// offsets from it.
+	// Epoch is the wall-clock instant of StartTrace (of New, for a flight
+	// snapshot); event timestamps are offsets from it.
 	Epoch time.Time
 	// Events is the merged stream, sorted by Ts.
 	Events []TraceEvent
-	// Dropped counts events lost to full rings (drop-newest policy).
+	// Dropped counts the window's events the rings no longer held: the
+	// oldest ones, overwritten by wrap-around.
 	Dropped uint64
 	// Workers is the executor's worker count at capture time.
 	Workers int
 }
 
-// traceRing is one fixed-capacity event buffer. The writer (its owning
-// worker, or the external mutex holder) writes the slot first and then
-// publishes it with an atomic store of n, so a reader that loads n sees
-// fully written slots — no seqlock needed because slots are never
-// overwritten (drop-newest).
-type traceRing struct {
-	buf     []TraceEvent
-	n       atomic.Int64
-	dropped atomic.Uint64
+// clockEpoch anchors Nanos; set back one tick so a reading is never 0,
+// which the workers use for "no stamp taken".
+var clockEpoch = time.Now().Add(-time.Nanosecond)
+
+// Nanos reads the monotonic clock: nanoseconds since a process-local
+// epoch, always positive. It is the one clock behind every recorded
+// timestamp; code running on a worker shares the worker's readings
+// (Context.StartStamp / EndStamp) instead of calling it per consumer.
+func Nanos() int64 { return int64(time.Since(clockEpoch)) }
+
+// ringSegLen is the slot count of one ring segment: the unit of slot
+// reuse, and the most a writer ever waits for a reader to copy.
+const ringSegLen = 64
+
+// ringSeg is the reuse gate of one segment. pins counts readers copying
+// it, or is -1 while the writer moves it to its next generation; base is
+// the sequence number of the event in its first slot.
+type ringSeg struct {
+	pins atomic.Int32
+	base atomic.Int64
 }
 
-func (r *traceRing) record(ev TraceEvent) {
-	i := r.n.Load()
-	if i >= int64(len(r.buf)) {
-		r.dropped.Add(1)
-		return
+// eventRing is one wrapping event buffer with a single writer at a time:
+// its owning worker, or for the external ring the holder of spine.extMu.
+// Event number i lives in slot i mod len(buf). See the file comment for
+// the publication and segment-pin protocol.
+type eventRing struct {
+	buf  []TraceEvent
+	segs []ringSeg
+	head atomic.Int64
+	pos  int // writer-private: the slot of event number head
+
+	_ [metricsPad - 64]byte // rings sit side by side: keep each writer's head on its own lines
+}
+
+// newEventRing sizes a ring so that the newest capacity events are always
+// held: one segment beyond capacity, because entering a segment gives up
+// all of its old events at once.
+func newEventRing(capacity int) eventRing {
+	n := (capacity+ringSegLen-1)/ringSegLen + 1
+	return eventRing{buf: make([]TraceEvent, n*ringSegLen), segs: make([]ringSeg, n)}
+}
+
+// write records one event — kind at ts about meta's task (nil: none) —
+// filling its slot in place, having first moved the segment that slot
+// opens (if any) to its new generation.
+func (r *eventRing) write(worker int32, kind EventKind, ts int64, meta *TaskMeta, arg uint64) {
+	n := r.head.Load()
+	if r.pos&(ringSegLen-1) == 0 {
+		seg := &r.segs[r.pos/ringSegLen]
+		for !seg.pins.CompareAndSwap(0, -1) {
+			runtime.Gosched() // a reader is copying this segment's last generation
+		}
+		seg.base.Store(n)
+		seg.pins.Store(0)
 	}
-	r.buf[i] = ev
-	r.n.Store(i + 1)
+	ev := &r.buf[r.pos]
+	ev.Ts, ev.Worker, ev.Kind, ev.Arg = time.Duration(ts), worker, kind, arg
+	if meta != nil {
+		ev.Meta = *meta
+	} else {
+		ev.Meta = TaskMeta{}
+	}
+	if r.pos++; r.pos == len(r.buf) {
+		r.pos = 0
+	}
+	r.head.Store(n + 1)
 }
 
-// capture is the storage of one Start/StopTrace window. Fresh per capture
-// so a control goroutine never resets storage a worker may be writing.
-type capture struct {
-	epoch time.Time
-	// rings[i] belongs to worker i; rings[len-1] is the external ring,
-	// serialized by extMu.
-	rings []traceRing
+// window appends to dst the events numbered [lo, hi) that the ring still
+// holds, oldest first, with base subtracted from their timestamps. hi
+// must not exceed a value loaded from head. Events the writer has since
+// overwritten are skipped; the caller counts them as dropped.
+func (r *eventRing) window(dst []TraceEvent, lo, hi, base int64) []TraceEvent {
+	for lo < hi {
+		first := lo - lo%ringSegLen
+		end := min(first+ringSegLen, hi)
+		s := int(first / ringSegLen % int64(len(r.segs)))
+		seg := &r.segs[s]
+		for {
+			p := seg.pins.Load()
+			if p >= 0 && seg.pins.CompareAndSwap(p, p+1) {
+				break
+			}
+			runtime.Gosched() // the writer is between generations: a few instructions
+		}
+		if seg.base.Load() == first {
+			from := len(dst)
+			dst = append(dst, r.buf[s*ringSegLen+int(lo-first):s*ringSegLen+int(end-first)]...)
+			for i := from; i < len(dst); i++ {
+				dst[i].Ts = max(dst[i].Ts-time.Duration(base), 0)
+			}
+		}
+		seg.pins.Add(-1)
+		lo = end
+	}
+	return dst
+}
+
+// spine is the executor's event-recording state; it exists iff the
+// executor was built WithTracing or WithFlightRecorder.
+type spine struct {
+	// rings[i] belongs to worker i; the last ring takes events from
+	// outside the pool, its writers serialized by extMu.
+	rings []eventRing
 	extMu sync.Mutex
+
+	// traceCap and flightCap are the two readers' window lengths in events
+	// per ring (0: that reader is not built in).
+	traceCap, flightCap int64
+
+	// capture is the active capture session, nil between sessions; born
+	// is the session flight snapshots read: everything since New.
+	capture atomic.Pointer[captureSession]
+	born    captureSession
 }
 
-// tracerState exists iff the executor was built WithTracing.
-type tracerState struct {
-	capacity int
-	active   atomic.Bool
-	cur      atomic.Pointer[capture]
+// captureSession is the start of a reader's window: the instant (wall
+// clock and Nanos) timestamps are rebased to, and where each ring's head
+// stood then (nil: at zero).
+type captureSession struct {
+	epoch time.Time
+	base  int64
+	marks []int64
 }
 
-// defaultTraceCapacity is the per-ring event budget when WithTracing is
-// given a non-positive capacity: 16K events ≈ 1.3 MiB per worker.
-const defaultTraceCapacity = 1 << 14
-
-// WithTracing enables event-level tracing with the given per-worker ring
-// capacity (<= 0 selects the default). Tracing is armed but idle until
-// StartTrace; the idle cost per instrumentation point is one atomic flag
-// load, and executors built without this option pay only a nil check.
-func WithTracing(capacity int) Option {
-	if capacity <= 0 {
-		capacity = defaultTraceCapacity
+func newSpine(workers int, traceCap, flightCap int) *spine {
+	sp := &spine{
+		rings:     make([]eventRing, workers+1),
+		traceCap:  int64(traceCap),
+		flightCap: int64(flightCap),
+		born:      captureSession{epoch: time.Now(), base: Nanos()},
 	}
-	return func(e *Executor) { e.tracer = &tracerState{capacity: capacity} }
+	for i := range sp.rings {
+		sp.rings[i] = newEventRing(max(traceCap, flightCap))
+	}
+	return sp
 }
 
-// TracingEnabled reports whether the executor was built WithTracing.
-func (e *Executor) TracingEnabled() bool { return e.tracer != nil }
-
-// TraceActive reports whether a capture is currently recording.
-func (e *Executor) TraceActive() bool {
-	t := e.tracer
-	return t != nil && t.active.Load()
+// recording reports whether any reader wants events: the flight recorder
+// always does, a capture while it is active.
+func (sp *spine) recording() bool {
+	return sp.flightCap > 0 || sp.capture.Load() != nil
 }
 
-// StartTrace begins a capture: fresh rings, epoch now. It returns false
-// when the executor was built without WithTracing or a capture is already
-// active. Safe to call while workers run.
-func (e *Executor) StartTrace() bool {
-	t := e.tracer
-	if t == nil || t.active.Load() {
-		return false
-	}
-	c := &capture{
-		epoch: time.Now(),
-		rings: make([]traceRing, len(e.workers)+1),
-	}
-	for i := range c.rings {
-		c.rings[i].buf = make([]TraceEvent, t.capacity)
-	}
-	t.cur.Store(c)
-	t.active.Store(true)
-	return true
-}
-
-// StopTrace ends the capture and returns the merged, time-ordered event
-// stream. ok is false when tracing was not built in or no capture was
-// started. Records racing with StopTrace may lose at most one event per
-// worker; events already published are never torn.
-func (e *Executor) StopTrace() (Trace, bool) {
-	t := e.tracer
-	if t == nil {
-		return Trace{}, false
-	}
-	t.active.Store(false)
-	c := t.cur.Load()
-	if c == nil {
-		return Trace{}, false
-	}
-	tr := Trace{Epoch: c.epoch, Workers: len(e.workers)}
-	for i := range c.rings {
-		r := &c.rings[i]
-		n := r.n.Load()
-		tr.Events = append(tr.Events, r.buf[:n]...)
-		tr.Dropped += r.dropped.Load()
+// read merges the newest limit events each ring recorded since c into a
+// time-sorted Trace.
+func (sp *spine) read(c *captureSession, limit int64) Trace {
+	tr := Trace{Epoch: c.epoch, Workers: len(sp.rings) - 1}
+	for i := range sp.rings {
+		r := &sp.rings[i]
+		var lo int64
+		if c.marks != nil {
+			lo = c.marks[i]
+		}
+		hi := r.head.Load()
+		before := len(tr.Events)
+		tr.Events = r.window(tr.Events, max(lo, hi-limit), hi, c.base)
+		tr.Dropped += uint64(hi-lo) - uint64(len(tr.Events)-before)
 	}
 	sort.SliceStable(tr.Events, func(i, j int) bool {
 		return tr.Events[i].Ts < tr.Events[j].Ts
 	})
-	return tr, true
+	return tr
 }
 
-// record appends one event to the worker's ring (ExternalWorker goes to
-// the mutex-guarded external ring). Callers must have checked TraceActive;
-// record re-reads the capture pointer so a concurrent Stop/Start at worst
-// misroutes one event into an orphaned ring.
-func (t *tracerState) record(worker int32, kind EventKind, meta TaskMeta, arg uint64) {
-	c := t.cur.Load()
+// defaultTraceCapacity is the per-ring capture window when WithTracing is
+// given a non-positive capacity: 16K events ≈ 1.3 MiB per worker.
+const defaultTraceCapacity = 1 << 14
+
+// WithTracing enables capture sessions over the event rings, each keeping
+// up to capacity events per worker (<= 0 selects the default). Tracing is
+// armed but idle until StartTrace; the idle cost per instrumentation point
+// is one atomic pointer load, and executors built without this option pay
+// only a nil check.
+func WithTracing(capacity int) Option {
+	if capacity <= 0 {
+		capacity = defaultTraceCapacity
+	}
+	return func(e *Executor) { e.traceCap = capacity }
+}
+
+// TracingEnabled reports whether the executor was built WithTracing.
+func (e *Executor) TracingEnabled() bool { return e.traceCap > 0 }
+
+// TraceActive reports whether a capture is currently recording.
+func (e *Executor) TraceActive() bool {
+	return e.traceCap > 0 && e.spine.capture.Load() != nil
+}
+
+// StartTrace begins a capture: the window opens at each ring's current
+// head, epoch now. It returns false when the executor was built without
+// WithTracing or a capture is already active. Safe to call while workers
+// run.
+func (e *Executor) StartTrace() bool {
+	if e.traceCap <= 0 {
+		return false
+	}
+	sp := e.spine
+	c := &captureSession{epoch: time.Now(), base: Nanos(), marks: make([]int64, len(sp.rings))}
+	for i := range sp.rings {
+		c.marks[i] = sp.rings[i].head.Load()
+	}
+	return sp.capture.CompareAndSwap(nil, c)
+}
+
+// StopTrace ends the capture and returns the merged, time-ordered events
+// recorded since StartTrace. A capture is a window on wrapping rings: when
+// a worker recorded more than the WithTracing capacity the newest events
+// are kept and the older ones counted in Dropped. ok is false when tracing
+// was not built in or no capture is active. A record racing with StartTrace
+// or StopTrace may fall on the wrong side of the window, at most one event
+// per worker; events already published are never torn.
+func (e *Executor) StopTrace() (Trace, bool) {
+	if e.traceCap <= 0 {
+		return Trace{}, false
+	}
+	sp := e.spine
+	c := sp.capture.Swap(nil)
 	if c == nil {
-		return
+		return Trace{}, false
 	}
-	ev := TraceEvent{
-		Ts:     time.Since(c.epoch),
-		Worker: worker,
-		Kind:   kind,
-		Arg:    arg,
-		Meta:   meta,
-	}
-	if worker >= 0 && int(worker) < len(c.rings)-1 {
-		c.rings[worker].record(ev)
-		return
-	}
-	ev.Worker = ExternalWorker
-	c.extMu.Lock()
-	c.rings[len(c.rings)-1].record(ev)
-	c.extMu.Unlock()
+	return sp.read(c, sp.traceCap), true
 }
 
 // TraceExternal records an event from outside the worker pool (retry
-// timers, cancellation, submission goroutines). It feeds both recorders:
-// the capture tracer when one is active, and the flight recorder
-// (flight.go) whenever it is armed.
+// timers, cancellation, submission goroutines).
 func (e *Executor) TraceExternal(kind EventKind, meta TaskMeta, arg uint64) {
-	if t := e.tracer; t != nil && t.active.Load() {
-		t.record(ExternalWorker, kind, meta, arg)
+	sp := e.spine
+	if sp == nil || !sp.recording() {
+		return
 	}
-	if f := e.flight; f != nil {
-		f.record(ExternalWorker, kind, meta, arg)
-	}
+	sp.extMu.Lock()
+	sp.rings[len(sp.rings)-1].write(ExternalWorker, kind, Nanos(), &meta, arg)
+	sp.extMu.Unlock()
 }
 
-// Tracing implements Context: it reports whether any recorder wants
-// events — a capture is active, or the flight recorder is armed (it
-// always is, when built in). This is the cheap guard tasks use before
-// building a TaskMeta for Trace.
-func (w *worker) Tracing() bool {
-	if w.exec.flight != nil {
-		return true
-	}
-	t := w.exec.tracer
-	return t != nil && t.active.Load()
+// tracing reports whether this worker's events are wanted right now.
+func (w *worker) tracing() bool {
+	sp := w.spine
+	return sp != nil && sp.recording()
 }
 
-// Trace implements Context: record an event attributed to this worker
-// into every recorder that wants it.
-func (w *worker) Trace(kind EventKind, meta TaskMeta, arg uint64) {
-	e := w.exec
-	if t := e.tracer; t != nil && t.active.Load() {
-		t.record(int32(w.id), kind, meta, arg)
+// StartStamp implements Context: the clock reading at which the worker
+// began the current task, taken on first use.
+func (w *worker) StartStamp() int64 {
+	if w.start != 0 {
+		return w.start
 	}
-	if f := e.flight; f != nil {
-		f.record(int32(w.id), kind, meta, arg)
+	t := Nanos()
+	if w.stamping {
+		w.start = t
 	}
+	return t
 }
 
-// traceEvent is the executor-internal emission helper for events with no
-// task identity (scheduler lifecycle).
+// EndStamp implements Context: the clock reading at the end of the current
+// task's body, taken on first use and shared by every later consumer.
+func (w *worker) EndStamp() int64 {
+	if w.end != 0 {
+		return w.end
+	}
+	t := Nanos()
+	if w.stamping {
+		w.end = t
+	}
+	return t
+}
+
+// Trace implements Context: record an event about task at the current
+// task's end stamp. The running task's identity was resolved when it
+// started (invoke); any other task is asked for its own.
+func (w *worker) Trace(kind EventKind, task Described, arg uint64) {
+	if !w.tracing() {
+		return
+	}
+	meta := &w.meta
+	if task != w.cur {
+		var m TaskMeta
+		if task != nil {
+			m = task.Describe()
+		}
+		meta = &m
+	}
+	w.ring.write(int32(w.id), kind, w.EndStamp(), meta, arg)
+}
+
+// traceEvent records a scheduler lifecycle event, which has no task
+// identity and is no task boundary: it reads the clock itself.
 func (w *worker) traceEvent(kind EventKind, arg uint64) {
-	e := w.exec
-	if t := e.tracer; t != nil && t.active.Load() {
-		t.record(int32(w.id), kind, TaskMeta{}, arg)
-	}
-	if f := e.flight; f != nil {
-		f.record(int32(w.id), kind, TaskMeta{}, arg)
+	if w.tracing() {
+		w.ring.write(int32(w.id), kind, Nanos(), nil, arg)
 	}
 }

@@ -115,9 +115,9 @@ func TestTraceCaptureLifecycle(t *testing.T) {
 	}
 }
 
-func TestTraceRingDropNewest(t *testing.T) {
-	// Capacity 1 per ring: almost every event beyond the first per ring is
-	// dropped, and the drops are counted rather than overwriting.
+func TestTraceWindowKeepsNewest(t *testing.T) {
+	// A one-event window per ring: a capture keeps each ring's newest event
+	// and counts every older one as dropped.
 	e := New(2, WithTracing(1))
 	defer e.Shutdown()
 	if !e.StartTrace() {
@@ -132,11 +132,11 @@ func TestTraceRingDropNewest(t *testing.T) {
 	if !ok {
 		t.Fatal("StopTrace failed")
 	}
-	if len(tr.Events) > 3 { // one slot per worker ring + one external
-		t.Fatalf("%d events recorded with capacity-1 rings", len(tr.Events))
+	if len(tr.Events) > 3 { // one event per worker ring + one external
+		t.Fatalf("%d events returned from one-event windows", len(tr.Events))
 	}
 	if tr.Dropped == 0 {
-		t.Fatal("no drops counted despite overflowing capacity-1 rings")
+		t.Fatal("no drops counted despite overflowing one-event windows")
 	}
 }
 

@@ -24,9 +24,11 @@ func spin(d time.Duration) {
 func TestPipelineRunNZeroAlloc(t *testing.T) {
 	e := executor.New(4)
 	defer e.Shutdown()
-	const n = 64
-	sink := make([]int64, 256)
-	p := New(e, 4,
+	const n, lines = 64, 4
+	// One row per line: tokens on different lines run the parallel
+	// ForEach pipe concurrently.
+	var sink [lines][256]int64
+	p := New(e, lines,
 		Pipe{Type: Serial, Fn: func(pf *Pipeflow) {
 			if pf.Token() >= n {
 				pf.Stop()
@@ -37,10 +39,10 @@ func TestPipelineRunNZeroAlloc(t *testing.T) {
 				pf.Defer(tok - 1) // parks or not; both paths must be clean
 			}
 		}},
-		ForEach(Parallel, func(*Pipeflow) int { return len(sink) }, 32, Guided,
+		ForEach(Parallel, func(*Pipeflow) int { return len(sink[0]) }, 32, Guided,
 			func(pf *Pipeflow, begin, end int) {
 				for i := begin; i < end; i++ {
-					sink[i] = pf.Token()
+					sink[pf.Line()][i] = pf.Token()
 				}
 			}),
 		Pipe{Type: Serial, Fn: func(*Pipeflow) {}},

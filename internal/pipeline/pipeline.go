@@ -54,7 +54,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gotaskflow/internal/executor"
 )
@@ -313,10 +312,11 @@ type Pipeline struct {
 	lineTokens []atomic.Int64
 
 	// lat is the token-latency sink (nil when the scheduler records no
-	// histograms); lineStart stamps each line's in-flight token at
-	// generation. Writes and reads are ordered by the join-counter chain.
+	// histograms); lineStart holds the generating worker's start stamp of
+	// each line's in-flight token. Writes and reads are ordered by the
+	// join-counter chain.
 	lat       executor.LatencySink
-	lineStart []time.Time
+	lineStart []int64
 
 	defMu sync.Mutex // guards every cell's waiters list
 
@@ -359,7 +359,7 @@ func New(sched executor.Scheduler, lines int, pipes ...Pipe) *Pipeline {
 		p.lat = lp.LatencySink(nil)
 	}
 	if p.lat != nil {
-		p.lineStart = make([]time.Time, lines)
+		p.lineStart = make([]int64, lines)
 	}
 	p.lineTokens = make([]atomic.Int64, lines)
 	p.cells = make([][]cell, lines)
@@ -410,7 +410,7 @@ func (p *Pipeline) BindFlow(f executor.Flow) {
 		if sink := lp.LatencySink(f); sink != nil {
 			p.lat = sink
 			if p.lineStart == nil {
-				p.lineStart = make([]time.Time, p.lines)
+				p.lineStart = make([]int64, p.lines)
 			}
 		}
 	}
@@ -557,7 +557,7 @@ func (p *Pipeline) runCell(ctx executor.Context, c *cell) {
 		pf := &c.pf
 		pf.line, pf.pipe, pf.token, pf.stop, pf.deferTo = l, 0, tok, false, -1
 		if p.lat != nil {
-			p.lineStart[l] = time.Now()
+			p.lineStart[l] = ctx.StartStamp()
 		}
 		p.invoke(&p.pipes[0], pf)
 		if pf.stop {
@@ -620,8 +620,7 @@ func (p *Pipeline) completeToken(ctx executor.Context, l int) {
 	p.total.Add(1)
 	p.lineTokens[l].Add(1)
 	if p.lat != nil {
-		e2e := time.Since(p.lineStart[l]).Nanoseconds()
-		p.lat.RecordLatency(ctx.WorkerID(), 0, e2e)
+		p.lat.RecordLatency(ctx.WorkerID(), 0, ctx.EndStamp()-p.lineStart[l])
 	}
 }
 

@@ -757,10 +757,14 @@ type simCtx struct {
 
 var _ executor.Context = simCtx{}
 
-func (c simCtx) WorkerID() int                                       { return c.w }
-func (c simCtx) Executor() executor.Scheduler                        { return c.s }
-func (c simCtx) Tracing() bool                                       { return false }
-func (c simCtx) Trace(executor.EventKind, executor.TaskMeta, uint64) {}
+func (c simCtx) WorkerID() int                { return c.w }
+func (c simCtx) Executor() executor.Scheduler { return c.s }
+
+// The simulation records no events and shares no stamps: a task that
+// times itself (RunStats timing) reads the real clock.
+func (c simCtx) StartStamp() int64                                    { return executor.Nanos() }
+func (c simCtx) EndStamp() int64                                      { return executor.Nanos() }
+func (c simCtx) Trace(executor.EventKind, executor.Described, uint64) {}
 
 // target picks the deque a worker-context submission lands on. On the
 // real pool a task submitted from a worker always enters that worker's
