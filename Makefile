@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race chaos bench bench-contention cover fuzz trace fairness latency-smoke pipeline-bench
+.PHONY: all build test vet race chaos bench bench-pairs bench-contention cover fuzz trace fairness latency-smoke pipeline-bench
 
 all: vet build test
 
@@ -18,6 +18,7 @@ vet:
 
 race:
 	$(GO) test -race ./internal/...
+	$(GO) test -race -count=3 -run 'Rerun|PendingNeverZero|HotColdLayout' ./internal/core/
 
 # chaos runs the fault-injection stress suite under the race detector:
 # deterministic seeded panics/failures/delays over wavefront- and
@@ -35,6 +36,35 @@ bench:
 		-bench 'BenchmarkSched|BenchmarkParallelForSkewed|Fig7WavefrontSizeTaskflow|Fig7TraversalSizeTaskflow' \
 		-benchmem -benchtime 2s -count 3 . | tee /tmp/bench_scheduler.txt
 	@echo "raw output in /tmp/bench_scheduler.txt; curate BENCH_scheduler.json from it"
+
+# bench-pairs is the procedure behind a claimed gain (benchmark/README.md,
+# "Steadiness"): build the benchmark program from PARENT and from the
+# working tree, run PAIRS pairs of the two, alternating which side goes
+# first, and gate the working tree against PARENT with `benchmark -compare`
+# (exit status 1 when any metric is worse). WORKLOAD narrows it to one
+# workload. Everything lands in .bench_build/pairs/, nothing in benchmark/;
+# the parent's source is a `git archive` there, so no worktree is left
+# registered.
+#
+#	make bench-pairs PARENT=HEAD~1 WORKLOAD=traversal_rerun
+PARENT ?= HEAD
+WORKLOAD ?= all
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	@set -e; b=.bench_build/pairs; rm -rf $$b; mkdir -p $$b/src; \
+	git archive $(PARENT) | tar -x -C $$b/src; \
+	(cd $$b/src && $(GO) build -o ../parent ./benchmark); \
+	$(GO) build -o $$b/change ./benchmark; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+		for side in $$order; do \
+			echo "# pair $$i: $$side"; \
+			$$b/$$side -workload $(WORKLOAD) -seed $(SEED) -out $$b/$$side.jsonl > $$b/last.log || { cat $$b/last.log; exit 1; }; \
+			grep -E '^[a-z_]+ +tasks_per_s' $$b/last.log; \
+		done; \
+	done; \
+	$$b/change -compare $$b/parent.jsonl $$b/change.jsonl
 
 # bench-contention runs the scheduler contention suite — thundering herd,
 # empty-steal storm, cross-worker fanout, injection flood — across the

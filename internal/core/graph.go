@@ -13,8 +13,6 @@ import (
 // the paper's std::variant-based polymorphic function wrapper), its
 // successor list, and the runtime join counter used during execution.
 type node struct {
-	name string
-
 	// At most one of work/errWork/ctxWork/subflowWork/condWork is non-nil
 	// for a runnable node; all nil means a placeholder that acts as a
 	// synchronization point. condWork marks a condition task: its integer
@@ -55,7 +53,7 @@ type node struct {
 	traceID uint64
 
 	// join is the number of unfinished dependents; a node becomes ready
-	// when it drops to zero. Reset from numDependents at dispatch.
+	// when it drops to zero. Armed at dispatch and by each release (arm).
 	join atomic.Int32
 
 	// children counts unfinished nodes of a joined spawned subflow; the
@@ -170,14 +168,6 @@ func (n *node) semAcquires() []*Semaphore {
 	return nil
 }
 
-// semReleases returns the node's release list (nil when absent).
-func (n *node) semReleases() []*Semaphore {
-	if n.ext != nil {
-		return n.ext.releases
-	}
-	return nil
-}
-
 // spawned returns the child graph recorded by the node's last execution.
 func (n *node) spawned() *graph {
 	if n.ext != nil {
@@ -202,6 +192,11 @@ func (n *node) precede(m *node) {
 		m.numWeakPreds++
 	} else {
 		m.numDependents++
+	}
+	if t := m.topo; t != nil {
+		// The edge makes t's cached run state stale: the source list, and
+		// m's join counter, armed for one dependency fewer.
+		t.builtLen = -1
 	}
 }
 

@@ -98,32 +98,30 @@ func (tf *Taskflow) run(ctx context.Context) error {
 		stopWatch = context.AfterFunc(ctx, func() { t.cancelWith(gen, ctx.Err()) })
 	}
 
-	// Join counters must be re-armed for every node: a node that executed
-	// last run was already re-armed at schedule time, but an untaken
-	// condition branch retains a partial count. The per-node stat counters
-	// reset in the same O(n) sweep when stats are on.
 	statsOn := t.stats != nil
-	latOn := t.lat != nil
-	var readyNs int64
-	if latOn {
-		// One clock read stamps every node: sources are genuinely ready
-		// now, and non-sources are restamped at dependency release.
-		readyNs = executor.Nanos()
-	}
-	for _, n := range g.nodes {
-		n.topo = t
-		n.parent = nil
-		n.join.Store(int32(n.numDependents))
-		if latOn {
-			n.readyAtNs = readyNs
-		}
-		if statsOn {
-			n.execCount.Store(0)
-			n.execDurNs.Store(0)
+	if tf.mustSweep(t) {
+		for _, n := range g.nodes {
+			n.topo = t
+			n.parent = nil
+			n.join.Store(int32(n.numDependents))
+			if statsOn {
+				n.execCount.Store(0)
+				n.execDurNs.Store(0)
+			}
 		}
 	}
 	if statsOn {
 		t.stats.reset()
+	}
+	if t.lat != nil {
+		// Sources are ready now; the rest are stamped when released.
+		readyNs := executor.Nanos()
+		for _, r := range tf.runSources {
+			(*r).(*node).readyAtNs = readyNs
+		}
+		for _, n := range tf.runSemSources {
+			n.readyAtNs = readyNs
+		}
 	}
 	t.pending.Store(int64(len(tf.runSources) + len(tf.runSemSources)))
 
@@ -155,8 +153,20 @@ func (tf *Taskflow) run(ctx context.Context) error {
 	return t.joinedErr()
 }
 
-// runStale reports whether tasks were added to the present graph since the
-// run state was built.
+// mustSweep reports whether a run under t has to re-arm every node of the
+// present graph first. The release that takes a join counter to zero
+// re-arms it, so a run in which every node executed — failed and cancelled
+// ones included: skipped nodes still drain the structure — leaves them all
+// armed, and the serial O(n) sweep, made while every worker idles, is
+// skipped. It is kept where counters can be short — the nodes have not run
+// under t (it is new, or a Composed parent ran the graph since) or a
+// condition task may leave a branch untaken — and for run stats' reset.
+func (tf *Taskflow) mustSweep(t *topology) bool {
+	return t.stats != nil || t.hasCond || tf.present.nodes[0].topo != t
+}
+
+// runStale reports whether tasks or edges (node.precede) were added to the
+// present graph since the run state was built.
 func (tf *Taskflow) runStale() bool {
 	return tf.runTopo == nil || tf.runTopo.builtLen != tf.present.len()
 }
@@ -173,6 +183,7 @@ func (tf *Taskflow) prepareRun() (*topology, error) {
 		builtLen:    g.len(),
 		flowName:    tf.name,
 		pprofLabels: tf.pprofLabels,
+		ready:       make([][releaseChunk]*executor.Runnable, tf.exec.NumWorkers()),
 	}
 	t.sub = execSubmitter{tf.exec}
 	if f := tf.flow; f != nil {
@@ -190,9 +201,8 @@ func (tf *Taskflow) prepareRun() (*topology, error) {
 	tf.runSources = tf.runSources[:0]
 	tf.runSemSources = tf.runSemSources[:0]
 	for _, n := range g.nodes {
-		if n.ctxWork != nil {
-			t.hasCtx = true
-		}
+		t.hasCtx = t.hasCtx || n.ctxWork != nil
+		t.hasCond = t.hasCond || n.condWork != nil
 		if !n.isSource() {
 			continue
 		}

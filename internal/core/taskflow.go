@@ -233,6 +233,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 		done:        make(chan struct{}),
 		flowName:    tf.name,
 		pprofLabels: tf.pprofLabels,
+		ready:       make([][releaseChunk]*executor.Runnable, tf.exec.NumWorkers()),
 	}
 	t.sub = execSubmitter{tf.exec}
 	if tf.statsEnabled {

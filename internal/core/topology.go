@@ -17,20 +17,62 @@ import (
 //
 // Completion protocol: pending counts scheduled-but-unfinished node
 // *executions* rather than nodes, because condition tasks (branches and
-// loops) mean a node may execute zero or many times. Every schedule
-// increments pending before the new execution can retire, and every
-// execution decrements it exactly once at retirement, so pending reaching
-// zero is exactly quiescence.
+// loops) mean a node may execute zero or many times. The sources are
+// pre-counted before any is submitted; after that an execution settles
+// the net of what it released against its own unit, once (settle):
 //
-// Scheduling pushes each node's intrusive task reference (&n.rbox) rather
-// than a freshly allocated closure, so steady-state execution performs no
-// allocation; see graph.go and the executor package documentation.
+//   - k >= 2 released: pending += k-1, BEFORE any of the k is published or
+//     offered to a semaphore. A released execution may run and settle on
+//     another worker the moment it is visible; visible first, the k could
+//     settle against their releaser's one unit and read zero too early.
+//   - exactly one (a chain link, a taken condition branch, a third of a
+//     random DAG's nodes): nothing. The finishing execution's unit becomes
+//     its successor's, and a count that does not move cannot reach zero.
+//   - none: pending -= 1; whoever reads zero signals quiescence (finish).
+//
+// A joined subflow's parent.children follows the same rules. Join counters
+// re-arm where they are consumed — the release that takes one to zero
+// stores numDependents back, on a line it already owns — so a run in which
+// every node executed leaves them armed and the next does not sweep the
+// graph first; Taskflow.mustSweep lists the exceptions.
+//
+// Layout (TestTopologyHotColdLayout): what every execution reads comes
+// first; pending, which every worker writes, has a cache line to itself, so
+// those writes invalidate nothing a task loads; the cold fields follow.
 type topology struct {
+	cancelled atomic.Bool
 	graph     *graph
 	exec      executor.Scheduler
-	pending   atomic.Int64
-	cancelled atomic.Bool
-	done      chan struct{}
+
+	// lat is the executor's latency histogram sink for this topology's
+	// flow, non-nil only when the scheduler implements
+	// executor.LatencyProvider with histograms enabled (see latency.go).
+	// timed is set when lat or the stats block wants task bodies timed.
+	// pprofLabels enables runtime/pprof label propagation around task
+	// bodies (see Taskflow.EnablePprofLabels).
+	lat         executor.LatencySink
+	timed       bool
+	pprofLabels bool
+
+	// stats is the per-run counter block, non-nil only when the owning
+	// Taskflow enabled CollectRunStats. Reset per run, never reallocated.
+	stats *topoStats
+
+	// flow is the multi-tenant flow this topology is bound to (nil for
+	// unbound topologies — the pre-multi-tenancy behavior).
+	flow executor.Flow
+
+	// ready is one buffer per worker for the batch publish hands over. It
+	// cannot live on the stack (an argument of an interface call escapes)
+	// and needs no lock: SubmitBatch copies it out before it returns.
+	ready [][releaseChunk]*executor.Runnable
+
+	// 56 bytes either side keep pending's line clear at any 8-byte alignment.
+	_       [56]byte
+	pending atomic.Int64
+	_       [56]byte
+
+	done chan struct{}
 
 	// sub is exec pre-boxed into the submitter interface used by
 	// semaphore admission and retry resubmission. Since exec became an
@@ -39,24 +81,25 @@ type topology struct {
 	// keeps the steady-state Run path allocation-free.
 	sub submitter
 
-	// flow is the multi-tenant flow this topology is bound to (nil for
-	// unbound topologies — the pre-multi-tenancy behavior). flowReserved
-	// is the number of in-flight task units Admit charged at dispatch/run
-	// time; finish returns them through Release exactly once (including
-	// the failed-submission undo paths, which drain through finish).
-	flow         executor.Flow
+	// flowReserved is the number of in-flight task units Admit charged the
+	// flow at dispatch/run time; finish returns them through Release
+	// exactly once (including the failed-submission undo paths, which
+	// drain through finish).
 	flowReserved int
 
 	// reusable marks a topology driven by Taskflow.Run: completion is
 	// signalled with a token on the (buffered) done channel instead of a
 	// close, so the same topology object serves many runs without
 	// reallocating. builtLen records the graph size the cached run state
-	// was prepared for, invalidating it when tasks are added. hasCtx
-	// records whether the graph contains context-aware tasks, so each run
-	// materializes a cancellable context for them.
+	// was prepared for (-1 once an edge was added since), invalidating it
+	// when the graph changes. hasCtx records whether the graph contains
+	// context-aware tasks, so each run materializes a cancellable context
+	// for them; hasCond, whether it contains a condition task, so each run
+	// re-arms every node first.
 	reusable bool
 	builtLen int
 	hasCtx   bool
+	hasCond  bool
 
 	// errMu guards the captured-error list, the derived context, and the
 	// run generation counter. errs accumulates every task failure (plus
@@ -76,23 +119,13 @@ type topology struct {
 	gen       atomic.Uint64
 
 	// flowName is the owning Taskflow's display name at dispatch time,
-	// carried into trace spans and pprof labels. pprofLabels enables
-	// runtime/pprof label propagation around task bodies (see
-	// Taskflow.EnablePprofLabels).
-	flowName    string
-	pprofLabels bool
-
-	// stats is the per-run counter block, non-nil only when the owning
-	// Taskflow enabled CollectRunStats. Reset per run, never reallocated.
-	stats *topoStats
-
-	// lat is the executor's latency histogram sink for this topology's
-	// flow, non-nil only when the scheduler implements
-	// executor.LatencyProvider with histograms enabled (see latency.go).
-	// timed is set when lat or the stats block wants task bodies timed.
-	lat   executor.LatencySink
-	timed bool
+	// carried into trace spans and pprof labels.
+	flowName string
 }
+
+// releaseChunk is the most released successors published at once; wider
+// fan-outs go out in chunks of this size.
+const releaseChunk = 16
 
 // finish signals quiescence: close for one-shot (dispatched) topologies,
 // a token for reusable (Run) topologies. The derived context (if any) is
@@ -276,28 +309,6 @@ func (t *topology) cancelDerivedCtx() {
 	}
 }
 
-// schedule accounts for and submits one new execution of node s from
-// within a running execution. The join counter is re-armed so the node can
-// run again on a later loop iteration.
-func (t *topology) schedule(ctx executor.Context, s *node, cached bool) {
-	s.join.Store(int32(s.numDependents))
-	if s.parent != nil {
-		s.parent.children.Add(1)
-	}
-	t.pending.Add(1)
-	if t.lat != nil {
-		s.readyAtNs = ctx.EndStamp()
-	}
-	if s.hasAcquires() && !t.admit(ctx, s) {
-		return // parked on a semaphore; a release will submit it
-	}
-	if cached {
-		ctx.SubmitCached(s.ref())
-	} else {
-		ctx.Submit(s.ref())
-	}
-}
-
 // runNode executes one node: invoke its work, spawn its subflow if it is a
 // dynamic task, signal the selected branch if it is a condition task, then
 // (unless deferred by a joined subflow) complete it.
@@ -313,7 +324,7 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		ctx.Trace(executor.EvSkip, n, 0)
 		t.releaseSems(ctx, n)
 		if n.condWork != nil {
-			t.retire(ctx, n)
+			t.complete(ctx, n, nil)
 			return
 		}
 		t.finishNode(ctx, n)
@@ -341,14 +352,15 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		// Signal exactly the chosen successor; an out-of-range index
 		// (including the -1 left by a panic) signals nothing, which is
 		// how a branch terminates.
-		if idx >= 0 && idx < n.succCount {
-			s := n.successor(idx)
-			// A taken condition branch releases its target exactly like a
-			// final join-decrement releases a strong successor.
-			ctx.Trace(executor.EvDepRelease, n, s.traceID)
-			t.schedule(ctx, s, true)
+		if idx < 0 || idx >= n.succCount {
+			t.complete(ctx, n, nil)
+			return
 		}
-		t.retire(ctx, n)
+		// A taken condition branch releases its target exactly like a
+		// final join-decrement releases a strong successor.
+		s := n.successor(idx)
+		t.arm(ctx, n, s)
+		t.complete(ctx, n, []*node{s})
 		return
 	case n.subflowWork != nil:
 		sf := &Subflow{topo: t, parent: n}
@@ -511,101 +523,112 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 	if parent != nil {
 		parent.children.Store(int32(nsrc))
 	}
-	// The first source goes to the worker's speculative cache slot; the
-	// rest are published as one batch with a single computed wake count.
-	var batch []*executor.Runnable
-	if nsrc > 1 {
-		batch = make([]*executor.Runnable, 0, nsrc-1)
-	}
-	cached := false
+	var buf [releaseChunk]*node
+	k := 0
 	for _, c := range g.nodes {
 		if !c.isSource() {
 			continue
 		}
-		if c.hasAcquires() && !t.admit(ctx, c) {
-			continue // parked; a release will submit it
+		if k == len(buf) {
+			t.publish(ctx, buf[:])
+			k = 0
 		}
-		if !cached {
-			ctx.SubmitCached(c.ref())
-			cached = true
-		} else {
-			batch = append(batch, c.ref())
-		}
+		buf[k] = c
+		k++
 	}
-	ctx.SubmitBatch(batch)
+	t.publish(ctx, buf[:k])
 	return true
 }
 
-// finishNode completes an execution of n: release its strong successors,
-// then retire. The first ready successor goes into the worker's cache slot
-// so linear chains run back-to-back (Algorithm 1 speculative execution);
-// the rest are pushed without individual wakeups and a single Wake with
-// the batch's ready count replaces one wake attempt per successor.
+// finishNode completes an execution of n: take one dependency off each
+// strong successor, gather those that released, settle, hand them over.
 func (t *topology) finishNode(ctx executor.Context, n *node) {
-	cached := false
-	extra := 0
-	k := n.succCount
-	if k > len(n.succInline) {
-		k = len(n.succInline)
-	}
-	for i := 0; i < k; i++ {
-		cached, extra = t.notifySucc(ctx, n, n.succInline[i], cached, extra)
+	var buf [releaseChunk]*node
+	k := 0
+	for _, s := range n.succInline[:min(n.succCount, len(n.succInline))] {
+		k = t.notifySucc(ctx, n, s, &buf, k)
 	}
 	for _, s := range n.succSpill {
-		cached, extra = t.notifySucc(ctx, n, s, cached, extra)
+		k = t.notifySucc(ctx, n, s, &buf, k)
 	}
-	if extra > 0 {
-		ctx.Wake(extra)
-	}
-	t.retire(ctx, n)
+	t.complete(ctx, n, buf[:k])
 }
 
-// notifySucc decrements s's join counter and, on readiness, accounts and
-// submits a new execution: the first ready successor of the batch goes to
-// the speculative cache slot, later ones are queued without waking (the
-// caller issues one Wake for the whole batch). src is the finishing node
-// whose edge performed the decrement; when its decrement is the one that
-// released s, that edge is recorded as a dependency-release trace event —
-// the exporter draws it as a flow arrow along the graph edge that actually
-// gated s this run.
-func (t *topology) notifySucc(ctx executor.Context, src, s *node, cached bool, extra int) (bool, int) {
+// notifySucc decrements s's join counter on behalf of the finishing node
+// src and, when that was s's last dependency, adds s to the released set
+// buf[:k], returning the new k. A full buf goes out first, charged whole:
+// src keeps its own unit, for whether anything follows is not known yet.
+func (t *topology) notifySucc(ctx executor.Context, src, s *node, buf *[releaseChunk]*node, k int) int {
 	if s.join.Add(-1) != 0 {
-		return cached, extra
+		return k
 	}
+	t.arm(ctx, src, s)
+	if k == len(buf) {
+		t.settle(ctx, src, k)
+		t.publish(ctx, buf[:])
+		k = 0
+	}
+	buf[k] = s
+	return k + 1
+}
+
+// arm prepares the execution of s that src just released: the release is
+// traced along the edge that gated s this run (drawn as a flow arrow), the
+// join counter re-armed for a later iteration or run, the wait clock set.
+func (t *topology) arm(ctx executor.Context, src, s *node) {
 	ctx.Trace(executor.EvDepRelease, src, s.traceID)
 	s.join.Store(int32(s.numDependents))
-	if s.parent != nil {
-		s.parent.children.Add(1)
-	}
-	t.pending.Add(1)
 	if t.lat != nil {
 		s.readyAtNs = ctx.EndStamp()
 	}
-	if s.hasAcquires() && !t.admit(ctx, s) {
-		return cached, extra // parked on a semaphore; a release will submit it
-	}
-	if !cached {
-		ctx.SubmitCached(s.ref())
-		return true, extra
-	}
-	ctx.SubmitNoWake(s.ref())
-	return cached, extra + 1
 }
 
-// retire performs the bookkeeping tail of an execution: notify a joined
-// subflow parent and decrement the outstanding-execution count, closing
-// the topology at quiescence.
-func (t *topology) retire(ctx executor.Context, n *node) {
+// complete ends an execution of n that released the given executions: the
+// counts move by the net first, then the worker gets them (see topology).
+func (t *topology) complete(ctx executor.Context, n *node, released []*node) {
 	if f := t.flow; f != nil {
 		f.NoteExecuted(1)
 	}
-	if p := n.parent; p != nil {
-		if p.children.Add(-1) == 0 {
-			ctx.Trace(executor.EvSubflowJoin, p, 0)
-			t.finishNode(ctx, p)
+	t.settle(ctx, n, len(released)-1)
+	t.publish(ctx, released)
+}
+
+// settle moves the outstanding-execution counts — pending, and a joined
+// subflow parent's children — by delta on behalf of n. Only a negative
+// delta can take one to zero, completing the parent or the topology.
+func (t *topology) settle(ctx executor.Context, n *node, delta int) {
+	if delta == 0 {
+		return
+	}
+	if p := n.parent; p != nil && p.children.Add(int32(delta)) == 0 {
+		ctx.Trace(executor.EvSubflowJoin, p, 0)
+		t.finishNode(ctx, p)
+	}
+	if t.pending.Add(int64(delta)) == 0 {
+		t.finish()
+	}
+}
+
+// publish hands released, already settled executions to the worker: the
+// first to its speculative cache slot so linear chains run back-to-back
+// (Algorithm 1), the rest onto its deque as one batch with one computed
+// wake count. One that must wait for a semaphore is parked instead.
+func (t *topology) publish(ctx executor.Context, released []*node) {
+	var batch []*executor.Runnable
+	cached := false
+	for _, s := range released {
+		switch {
+		case s.hasAcquires() && !t.admit(ctx, s): // parked
+		case !cached:
+			ctx.SubmitCached(s.ref())
+			cached = true
+		case batch == nil:
+			batch = append(t.ready[ctx.WorkerID()][:0], s.ref())
+		default:
+			batch = append(batch, s.ref())
 		}
 	}
-	if t.pending.Add(-1) == 0 {
-		t.finish()
+	if len(batch) > 0 {
+		ctx.SubmitBatch(batch)
 	}
 }

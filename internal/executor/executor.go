@@ -34,9 +34,8 @@
 //     (lines 26-28).
 //
 // Producers that make several tasks ready at once submit them as a batch
-// (SubmitBatch, or SubmitNoWake followed by one Wake) with a single
-// computed wake count — min(batch size, parked workers) — instead of one
-// wake attempt per task.
+// (SubmitBatch) with a single computed wake count — min(batch size, parked
+// workers) — instead of one wake attempt per task.
 //
 // The executor is pluggable and shareable: multiple Taskflow instances can
 // dispatch graphs to one executor, avoiding thread over-subscription
@@ -93,11 +92,6 @@ type Context interface {
 	// Submit schedules a task on this worker's local deque and wakes an
 	// idler if one exists.
 	Submit(r *Runnable)
-	// SubmitNoWake schedules a task on this worker's local deque without
-	// waking anyone. Producers making a batch of tasks ready use it for
-	// every task in the batch and then issue a single Wake(n), so the wake
-	// count is computed once per batch instead of once per task.
-	SubmitNoWake(r *Runnable)
 	// SubmitBatch schedules all tasks onto this worker's local deque with
 	// one queue publication and wakes at most min(len(rs), idle workers).
 	SubmitBatch(rs []*Runnable)
@@ -105,9 +99,6 @@ type Context interface {
 	// runs immediately after the current task, bypassing all queues. If the
 	// slot is occupied the task is submitted normally instead.
 	SubmitCached(r *Runnable)
-	// Wake wakes up to n parked workers, stopping at the first failure.
-	// It pairs with SubmitNoWake.
-	Wake(n int)
 	// WorkerID returns the executing worker's index in [0, NumWorkers).
 	WorkerID() int
 	// Executor returns the owning scheduler (the real executor, or the
@@ -196,10 +187,6 @@ func (w *worker) Submit(r *Runnable) {
 	}
 }
 
-func (w *worker) SubmitNoWake(r *Runnable) {
-	w.queue.Push(r)
-}
-
 func (w *worker) SubmitBatch(rs []*Runnable) {
 	if len(rs) == 0 {
 		return
@@ -219,12 +206,6 @@ func (w *worker) SubmitCached(r *Runnable) {
 		return
 	}
 	w.Submit(r)
-}
-
-func (w *worker) Wake(n int) {
-	if woke := w.exec.wakeUpTo(n); woke > 0 {
-		w.traceEvent(EvWakePrecise, uint64(woke))
-	}
 }
 
 // Executor schedules Runnables over a fixed set of worker goroutines.
@@ -824,8 +805,9 @@ func (e *Executor) run(w *worker) {
 			w.cache = nil
 		}
 
-		// Lines 26-28: probabilistic wakeup for load balancing.
-		if e.wakeDen > 0 && w.rng.Intn(e.wakeDen) == 0 {
+		// Lines 26-28: probabilistic wakeup for load balancing; no draw
+		// when nobody is in the park protocol, for the wake would fail.
+		if e.wakeDen > 0 && e.idlerCount.Load() > 0 && w.rng.Intn(e.wakeDen) == 0 {
 			if e.wakeOne() {
 				if m := w.metrics; m != nil {
 					m.probWakes.Add(1)

@@ -136,20 +136,6 @@ func TestSubmitCachedFallsBackWhenOccupied(t *testing.T) {
 	waitCounter(t, &n, 3)
 }
 
-func TestSubmitNoWakeThenWake(t *testing.T) {
-	e := New(4)
-	defer e.Shutdown()
-	var n atomic.Int64
-	const fanout = 64
-	e.SubmitFunc(func(ctx Context) {
-		for i := 0; i < fanout; i++ {
-			ctx.SubmitNoWake(NewTask(func(Context) { n.Add(1) }))
-		}
-		ctx.Wake(fanout)
-	})
-	waitCounter(t, &n, fanout)
-}
-
 func TestContextSubmitBatch(t *testing.T) {
 	e := New(4)
 	defer e.Shutdown()

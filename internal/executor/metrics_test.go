@@ -109,15 +109,16 @@ func TestMetricsStealAccounting(t *testing.T) {
 	const kids = 2000
 	wg.Add(kids)
 	err := e.SubmitFunc(func(ctx Context) {
-		for i := 0; i < kids; i++ {
-			ctx.SubmitNoWake(NewTask(func(Context) {
+		batch := make([]*Runnable, kids)
+		for i := range batch {
+			batch[i] = NewTask(func(Context) {
 				for j := 0; j < 100; j++ {
 					_ = j * j
 				}
 				wg.Done()
-			}))
+			})
 		}
-		ctx.Wake(kids)
+		ctx.SubmitBatch(batch)
 	})
 	if err != nil {
 		t.Fatal(err)

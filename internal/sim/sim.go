@@ -788,14 +788,6 @@ func (c simCtx) Submit(r *executor.Runnable) {
 	c.s.wakeOne()
 }
 
-// SubmitNoWake pushes without waking; the producer issues one Wake for
-// the whole batch.
-func (c simCtx) SubmitNoWake(r *executor.Runnable) {
-	w := c.target()
-	c.s.deques[w] = append(c.s.deques[w], r)
-	c.s.st.Enqueued++
-}
-
 // SubmitBatch pushes the batch onto one seed-chosen deque (one placement
 // choice per batch, like the real pool's one-publication batch push) and
 // wakes up to len(rs) idlers.
@@ -820,6 +812,3 @@ func (c simCtx) SubmitCached(r *executor.Runnable) {
 	}
 	c.Submit(r)
 }
-
-// Wake wakes up to n parked workers.
-func (c simCtx) Wake(n int) { c.s.wakeUpTo(n) }
