@@ -19,6 +19,7 @@ vet:
 race:
 	$(GO) test -race ./internal/...
 	$(GO) test -race -count=3 -run 'Rerun|PendingNeverZero|HotColdLayout' ./internal/core/
+	$(GO) test -race -count=3 -run 'Reclaim|Scrub|OrderedEdges' ./internal/core/ ./internal/wsq/ ./internal/executor/ ./internal/stav2/
 
 # chaos runs the fault-injection stress suite under the race detector:
 # deterministic seeded panics/failures/delays over wavefront- and
@@ -44,7 +45,8 @@ bench:
 # (exit status 1 when any metric is worse). WORKLOAD narrows it to one
 # workload. Everything lands in .bench_build/pairs/, nothing in benchmark/;
 # the parent's source is a `git archive` there, so no worktree is left
-# registered.
+# registered, and it is deleted as soon as the parent is built: a second
+# source tree is what `grep -r` and editors find first.
 #
 #	make bench-pairs PARENT=HEAD~1 WORKLOAD=traversal_rerun
 PARENT ?= HEAD
@@ -54,7 +56,7 @@ SEED ?= 1
 bench-pairs:
 	@set -e; b=.bench_build/pairs; rm -rf $$b; mkdir -p $$b/src; \
 	git archive $(PARENT) | tar -x -C $$b/src; \
-	(cd $$b/src && $(GO) build -o ../parent ./benchmark); \
+	(cd $$b/src && $(GO) build -o ../parent ./benchmark); rm -rf $$b/src; \
 	$(GO) build -o $$b/change ./benchmark; \
 	for i in $$(seq 1 $(PAIRS)); do \
 		if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \

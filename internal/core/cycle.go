@@ -5,38 +5,54 @@ import (
 	"strings"
 )
 
-// findCycleError checks g for strong dependency cycles with Kahn's
-// algorithm (weak edges leaving condition tasks are legal cycles — that is
-// how task-graph loops are expressed — so they are ignored). It returns
-// nil for an acyclic graph, or a descriptive error naming the tasks on one
-// cycle, wrapping ErrCyclic. The happy path costs two O(V) scratch slices
-// and one O(V+E) sweep; the error path allocates freely.
+// findCycleError checks g for strong dependency cycles (weak edges leaving
+// condition tasks are legal cycles — that is how task-graph loops are
+// expressed — so they are ignored). It returns nil for an acyclic graph, or
+// a descriptive error naming the tasks on one cycle, wrapping ErrCyclic.
+//
+// The usual graph needs no search: when every strong edge leads from an
+// earlier-emplaced node to a later one (node.forward), emplace order is a
+// topological order. Builders that wire tasks as they create them — timing
+// cones, wavefronts, the traversal DAG — produce exactly that. dispatch and
+// prepareRun make the same test inside the pass they already run over the
+// nodes and come to kahn only when it fails.
 func findCycleError(g *graph) error {
+	for _, nd := range g.nodes {
+		if !nd.forward() {
+			return kahn(g)
+		}
+	}
+	return nil
+}
+
+// kahn is the one cycle detector: Kahn's algorithm over the strong edges,
+// for graphs with an edge against emplace order or a self-loop. The happy
+// path costs two O(V) pointer-free scratch slices and one O(V+E) sweep; the
+// error path allocates freely.
+func kahn(g *graph) error {
 	n := g.len()
 	indeg := make([]int32, n)
+	stack := make([]int32, 0, n)
 	for _, nd := range g.nodes {
-		indeg[nd.idx] = int32(nd.numDependents)
-	}
-	queue := make([]*node, 0, n)
-	for _, nd := range g.nodes {
-		if indeg[nd.idx] == 0 {
-			queue = append(queue, nd)
+		if indeg[nd.idx] = nd.numDependents; nd.numDependents == 0 {
+			stack = append(stack, nd.idx)
 		}
 	}
 	visited := 0
-	for len(queue) > 0 {
-		nd := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+	for len(stack) > 0 {
+		nd := g.nodes[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
 		visited++
 		if nd.isCondition() {
 			continue // out-edges of condition tasks are weak
 		}
-		nd.eachSuccessor(func(s *node) {
-			indeg[s.idx]--
-			if indeg[s.idx] == 0 {
-				queue = append(queue, s)
+		for _, succs := range [2][]*node{nd.inlineSuccs(), nd.succSpill} {
+			for _, s := range succs {
+				if indeg[s.idx]--; indeg[s.idx] == 0 {
+					stack = append(stack, s.idx)
+				}
 			}
-		})
+		}
 	}
 	if visited == n {
 		return nil

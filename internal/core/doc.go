@@ -42,7 +42,10 @@
 // moves it into a Topology and schedules it without blocking, returning a
 // Future (the shared_future equivalent); SilentDispatch discards the future;
 // WaitForAll dispatches the present graph and blocks until every dispatched
-// topology finishes (paper Section III-C, Figure 3).
+// topology finishes (paper Section III-C, Figure 3). Reclaim is WaitForAll
+// for programs that build a fresh graph per step: it also takes the finished
+// graphs' node storage back for the graphs built next, which ends the life
+// of every Task handle into them.
 //
 // # Executor
 //

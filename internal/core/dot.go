@@ -126,7 +126,7 @@ func (d *dotDumper) dumpGraph(g *graph, indent string) {
 	for _, n := range g.nodes {
 		if n.isCondition() {
 			// Weak edges: dashed, labeled with the branch index.
-			for i := 0; i < n.succCount; i++ {
+			for i := 0; i < int(n.succCount); i++ {
 				d.printf("%s  %q -> %q [style=dashed label=\"%d\"];\n",
 					indent, d.id(n), d.id(n.successor(i)), i)
 			}

@@ -164,7 +164,7 @@ func (t *topology) resubmitAfter(d time.Duration, n *node) {
 			// Dead pool: do not touch the semaphores (admission could park
 			// the node forever — no release would ever come). Resolve the
 			// execution so waiters unblock.
-			t.fail(fmt.Errorf("core: retry of task %q: %w", n.nodeName(), executor.ErrShutdown))
+			t.fail(fmt.Errorf("core: retry of task %q: %w", n.name, executor.ErrShutdown))
 			if t.pending.Add(-1) == 0 {
 				t.finish()
 			}
@@ -182,7 +182,7 @@ func (t *topology) resubmitAfter(d time.Duration, n *node) {
 		if err := t.submitOne(n.ref()); err != nil {
 			// The executor shut down between the check above and the
 			// submission: same resolution as the dead-pool path.
-			t.fail(fmt.Errorf("core: retry of task %q: %w", n.nodeName(), err))
+			t.fail(fmt.Errorf("core: retry of task %q: %w", n.name, err))
 			if t.pending.Add(-1) == 0 {
 				t.finish()
 			}

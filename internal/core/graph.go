@@ -32,19 +32,20 @@ type node struct {
 	// degree-4-bounded random DAGs — have fanout <= 4, so the common case
 	// allocates nothing); the rest overflow to a slice.
 	succInline [4]*node
-	succCount  int
 	succSpill  []*node
+
+	// idx is the node's position in its graph's node list, assigned at
+	// emplace time: the cycle check compares and indexes with it instead of
+	// allocating a map per dispatch. Reclaim poisons it (reclaimedIdx) until
+	// the node's storage is handed out again. succCount is the out-degree.
+	idx       int32
+	succCount int32
 
 	// numDependents counts strong in-edges (those participating in the
 	// join counter); numWeakPreds counts in-edges from condition tasks. A
 	// node is a topology source only when both are zero.
-	numDependents int
-	numWeakPreds  int
-
-	// idx is the node's position in its graph's node list, assigned at
-	// emplace time. Dispatch-time cycle detection indexes its scratch
-	// arrays with it instead of allocating a map per dispatch.
-	idx int32
+	numDependents int32
+	numWeakPreds  int32
 
 	// traceID is a process-unique task identity assigned at allocation,
 	// used by trace exports to match dependency-release events to the
@@ -79,8 +80,13 @@ type node struct {
 	// top-level and detached nodes.
 	parent *node
 
-	// ext holds the node's rarely used cold fields (display name,
-	// semaphore lists, spawned subgraph), allocated on first use. Most
+	// name is the display name ("" if unnamed). It lives in the node, not
+	// in ext: graphs built per update name every task, and a 96-byte ext
+	// per node to hold one string cost more than the 16 bytes here.
+	name string
+
+	// ext holds the node's rarely used cold fields (semaphore lists,
+	// retry policy, spawned subgraph), allocated on first use. Most
 	// graphs never touch them, and large graphs are built in bulk, so
 	// keeping them out of line shrinks every node the arena allocates —
 	// less to zero and less for the garbage collector to scan.
@@ -99,8 +105,6 @@ type node struct {
 
 // nodeExt is the out-of-line cold part of a node; see node.ext.
 type nodeExt struct {
-	name string
-
 	// acquires lists semaphores the node must obtain before each
 	// execution (kept sorted by identity); releases lists semaphores it
 	// returns units to afterwards.
@@ -128,14 +132,6 @@ func (n *node) extra() *nodeExt {
 		n.ext = &nodeExt{}
 	}
 	return n.ext
-}
-
-// nodeName returns the assigned display name ("" if unnamed).
-func (n *node) nodeName() string {
-	if n.ext != nil {
-		return n.ext.name
-	}
-	return ""
 }
 
 // hasAcquires reports whether the node must obtain semaphores before each
@@ -177,7 +173,7 @@ func (n *node) spawned() *graph {
 }
 
 func (n *node) precede(m *node) {
-	if n.succCount < len(n.succInline) {
+	if int(n.succCount) < len(n.succInline) {
 		n.succInline[n.succCount] = m
 	} else {
 		if n.succSpill == nil {
@@ -222,33 +218,54 @@ func (n *node) successor(i int) *node {
 }
 
 // numSuccessors returns the out-degree.
-func (n *node) numSuccessors() int { return n.succCount }
+func (n *node) numSuccessors() int { return int(n.succCount) }
+
+// inlineSuccs returns the successors stored inline; the rest are succSpill.
+func (n *node) inlineSuccs() []*node {
+	return n.succInline[:min(int(n.succCount), len(n.succInline))]
+}
 
 // eachSuccessor visits every successor in insertion order.
 func (n *node) eachSuccessor(visit func(*node)) {
-	k := n.succCount
-	if k > len(n.succInline) {
-		k = len(n.succInline)
-	}
-	for i := 0; i < k; i++ {
-		visit(n.succInline[i])
+	for _, s := range n.inlineSuccs() {
+		visit(s)
 	}
 	for _, s := range n.succSpill {
 		visit(s)
 	}
 }
 
+// forward reports whether every strong edge leaving n leads to a node
+// emplaced after it. A graph whose nodes are all forward is in topological
+// order as emplaced, hence acyclic; see findCycleError.
+func (n *node) forward() bool {
+	if n.isCondition() {
+		return true // out-edges of condition tasks are weak
+	}
+	for _, s := range n.inlineSuccs() {
+		if s.idx <= n.idx {
+			return false
+		}
+	}
+	for _, s := range n.succSpill {
+		if s.idx <= n.idx {
+			return false
+		}
+	}
+	return true
+}
+
 // label returns the display name used in DOT dumps and errors.
 func (n *node) label(i int) string {
-	if name := n.nodeName(); name != "" {
-		return name
+	if n.name != "" {
+		return n.name
 	}
 	return fmt.Sprintf("p%#x", i)
 }
 
-// traceIDCounter hands out process-unique node identities; see
-// node.traceID. The zero value is reserved so a zero TaskMeta is
-// distinguishable from any real task.
+// traceIDCounter hands out process-unique node identities, a block's worth
+// at a time (graph.grow); see node.traceID. The zero value is reserved so a
+// zero TaskMeta is distinguishable from any real task.
 var traceIDCounter atomic.Uint64
 
 // Describe implements executor.Described: the task identity carried into
@@ -256,7 +273,7 @@ var traceIDCounter atomic.Uint64
 // integers — no allocation on the traced hot path.
 func (n *node) Describe() executor.TaskMeta {
 	m := executor.TaskMeta{
-		Name: n.nodeName(),
+		Name: n.name,
 		ID:   n.traceID,
 		Idx:  n.idx,
 	}
@@ -273,22 +290,97 @@ func (n *node) Describe() executor.TaskMeta {
 // handles rely on.
 const arenaChunk = 128
 
+// reclaimedIdx is the idx of a node whose graph was reclaimed; Task.must
+// refuses handles to such nodes until the storage is handed out again.
+const reclaimedIdx = -1
+
 // graph is an ordered collection of nodes under construction or execution.
 type graph struct {
 	nodes []*node
-	arena []node
+	arena []node // the unused tail of the newest block
+
+	// store is the owning Taskflow's free list (nil for subflow graphs,
+	// whose storage is left to the collector); blocks lists every arena
+	// block drawn through it, so Reclaim can hand them back. recycled
+	// marks the newest block as one that came off the free list: its nodes
+	// still hold what their previous tenants left and are zeroed as they
+	// are handed out.
+	store    *graphStore
+	blocks   [][]node
+	recycled bool
+
+	// lastID is the trace identity of the node handed out last. A block's
+	// worth is reserved from traceIDCounter with the block, so alloc does
+	// not pay for an atomic per node.
+	lastID uint64
+}
+
+// graphStore is a Taskflow's free list of graph storage, filled by Reclaim
+// and drawn from before the allocator: arena blocks (last in, first out, so
+// the next graph is built in the memory the last one left warm in cache) and
+// emptied graph objects, which keep the capacity of their nodes and blocks
+// slices. It holds what the largest reclaimed graphs needed for as long as
+// the Taskflow lives, together with whatever those nodes still reference.
+type graphStore struct {
+	blocks [][]node
+	graphs []*graph
+}
+
+// graph returns an empty graph drawing on s.
+func (s *graphStore) graph() *graph {
+	if k := len(s.graphs); k > 0 {
+		g := s.graphs[k-1]
+		s.graphs[k-1] = nil
+		s.graphs = s.graphs[:k-1]
+		return g
+	}
+	return &graph{store: s}
+}
+
+// reclaim poisons g's nodes and takes its storage back. The caller
+// guarantees nothing runs or references g any more.
+func (s *graphStore) reclaim(g *graph) {
+	for _, n := range g.nodes {
+		n.idx = reclaimedIdx
+	}
+	s.blocks = append(s.blocks, g.blocks...)
+	clear(g.blocks)
+	*g = graph{store: s, nodes: g.nodes[:0], blocks: g.blocks[:0]}
+	s.graphs = append(s.graphs, g)
+}
+
+// grow gives g a new arena block and the trace identities for its nodes.
+func (g *graph) grow() {
+	g.lastID = traceIDCounter.Add(arenaChunk) - arenaChunk
+	s := g.store
+	if s == nil {
+		g.arena = make([]node, arenaChunk)
+		return
+	}
+	if k := len(s.blocks); k > 0 {
+		g.arena, g.recycled = s.blocks[k-1], true
+		s.blocks[k-1] = nil
+		s.blocks = s.blocks[:k-1]
+	} else {
+		g.arena, g.recycled = make([]node, arenaChunk), false
+	}
+	g.blocks = append(g.blocks, g.arena)
 }
 
 // alloc returns a zeroed node from the arena with its intrusive task slot
 // armed.
 func (g *graph) alloc() *node {
 	if len(g.arena) == 0 {
-		g.arena = make([]node, arenaChunk)
+		g.grow()
 	}
 	n := &g.arena[0]
 	g.arena = g.arena[1:]
+	if g.recycled {
+		*n = node{}
+	}
 	n.rbox = n
-	n.traceID = traceIDCounter.Add(1)
+	g.lastID++
+	n.traceID = g.lastID
 	return n
 }
 

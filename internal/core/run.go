@@ -103,7 +103,7 @@ func (tf *Taskflow) run(ctx context.Context) error {
 		for _, n := range g.nodes {
 			n.topo = t
 			n.parent = nil
-			n.join.Store(int32(n.numDependents))
+			n.join.Store(n.numDependents)
 			if statsOn {
 				n.execCount.Store(0)
 				n.execDurNs.Store(0)
@@ -200,9 +200,11 @@ func (tf *Taskflow) prepareRun() (*topology, error) {
 	t.timed = t.lat != nil || (tf.statsEnabled && tf.statsTiming)
 	tf.runSources = tf.runSources[:0]
 	tf.runSemSources = tf.runSemSources[:0]
+	ordered := true
 	for _, n := range g.nodes {
 		t.hasCtx = t.hasCtx || n.ctxWork != nil
 		t.hasCond = t.hasCond || n.condWork != nil
+		ordered = ordered && n.forward()
 		if !n.isSource() {
 			continue
 		}
@@ -216,9 +218,11 @@ func (tf *Taskflow) prepareRun() (*topology, error) {
 		tf.invalidateRun()
 		return nil, ErrNoSource
 	}
-	if err := findCycleError(g); err != nil {
-		tf.invalidateRun()
-		return nil, err
+	if !ordered {
+		if err := kahn(g); err != nil {
+			tf.invalidateRun()
+			return nil, err
+		}
 	}
 	tf.runTopo = t
 	return t, nil

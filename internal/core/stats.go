@@ -128,11 +128,11 @@ func (tf *Taskflow) LastRunStats() (RunStats, bool) {
 }
 
 // Stats returns the statistics of a finished dispatched topology. ok is
-// false when stats collection was not enabled at dispatch time or the
-// topology has not finished yet.
+// false when stats collection was not enabled at dispatch time, the
+// topology has not finished yet, or Taskflow.Reclaim took its graph back.
 func (f *Future) Stats() (RunStats, bool) {
 	t := f.t
-	if t.stats == nil {
+	if t.stats == nil || t.graph == nil {
 		return RunStats{}, false
 	}
 	select {
@@ -213,7 +213,7 @@ func structuralSpan(g *graph) int {
 	depth := make([]int32, n)
 	queue := make([]int32, 0, n)
 	for i, nd := range g.nodes {
-		indeg[i] = int32(nd.numDependents)
+		indeg[i] = nd.numDependents
 		depth[i] = 1
 		if indeg[i] == 0 {
 			queue = append(queue, int32(i))

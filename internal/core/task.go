@@ -16,14 +16,14 @@ func (t Task) IsEmpty() bool { return t.node == nil }
 // handle for chaining.
 func (t Task) Name(name string) Task {
 	t.must("Name")
-	t.node.extra().name = name
+	t.node.name = name
 	return t
 }
 
 // NameOf returns the task's assigned name ("" if unnamed).
 func (t Task) NameOf() string {
 	t.must("NameOf")
-	return t.node.nodeName()
+	return t.node.name
 }
 
 // Precede adds dependency edges so that t runs before each task in others
@@ -114,11 +114,18 @@ func (t Task) NumSuccessors() int {
 // NumDependents returns the number of incoming dependency edges.
 func (t Task) NumDependents() int {
 	t.must("NumDependents")
-	return t.node.numDependents
+	return int(t.node.numDependents)
 }
 
+// must rejects an empty handle and, as far as it can be told, a dead one:
+// Taskflow.Reclaim ends the life of every handle into the graphs it
+// reclaims, and their nodes stay poisoned until the storage is handed out
+// again.
 func (t Task) must(op string) {
 	if t.node == nil {
 		panic("core: " + op + " on an empty Task handle")
+	}
+	if t.node.idx == reclaimedIdx {
+		panic("core: " + op + " on a Task of a reclaimed graph")
 	}
 }

@@ -62,6 +62,10 @@ type Taskflow struct {
 	present    *graph
 	topologies []*topology
 
+	// store is the free list of graph storage Reclaim fills and every
+	// present graph draws on; see graphStore.
+	store graphStore
+
 	// Reusable execution state behind Run/RunN: a topology whose done
 	// channel is signalled (not closed) at quiescence and a pre-built
 	// source batch, so steady-state re-runs of an unchanged graph are
@@ -89,11 +93,9 @@ var _ FlowBuilder = (*Taskflow)(nil)
 // New creates a Taskflow with its own executor of n workers (n <= 0 means
 // GOMAXPROCS). Call Close when done to stop the executor.
 func New(n int) *Taskflow {
-	return &Taskflow{
-		exec:    executor.New(n),
-		ownExec: true,
-		present: &graph{},
-	}
+	tf := NewShared(executor.New(n))
+	tf.ownExec = true
+	return tf
 }
 
 // NewShared creates a Taskflow that shares s with other taskflows — the
@@ -103,7 +105,9 @@ func New(n int) *Taskflow {
 // or internal/sim's deterministic SimExecutor for seed-replayable schedule
 // exploration. Close does not stop a shared scheduler.
 func NewShared(s executor.Scheduler) *Taskflow {
-	return &Taskflow{exec: s, present: &graph{}}
+	tf := &Taskflow{exec: s}
+	tf.present = tf.store.graph()
+	return tf
 }
 
 // Close shuts down the executor if this Taskflow owns it. It does not wait
@@ -187,8 +191,9 @@ func (tf *Taskflow) NumNodes() int { return tf.present.len() }
 // topologies.
 func (tf *Taskflow) NumTopologies() int { return len(tf.topologies) }
 
-// Validate checks the present graph for strong dependency cycles (Kahn's
-// algorithm over strong edges). Cycles through condition tasks are legal —
+// Validate checks the present graph for strong dependency cycles (none can
+// exist when every strong edge follows emplace order; Kahn's algorithm
+// otherwise). Cycles through condition tasks are legal —
 // that is how task-graph loops are expressed — so weak edges are ignored.
 // Dispatch and Run perform the same check and refuse cyclic graphs with a
 // descriptive error instead of deadlocking the waiters. Returns nil or an
@@ -225,7 +230,7 @@ func (tf *Taskflow) SilentDispatch() {
 
 func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 	g := tf.present
-	tf.present = &graph{}
+	tf.present = tf.store.graph()
 	tf.invalidateRun()
 	t := &topology{
 		graph:       g,
@@ -248,16 +253,18 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 
 	numSources := 0
 	hasCtx := false
+	ordered := true
 	for _, n := range g.nodes {
 		n.topo = t
 		n.parent = nil
-		n.join.Store(int32(n.numDependents))
+		n.join.Store(n.numDependents)
 		if n.ctxWork != nil {
 			hasCtx = true
 		}
 		if n.isSource() {
 			numSources++
 		}
+		ordered = ordered && n.forward()
 	}
 	if numSources == 0 {
 		t.setErr(ErrNoSource)
@@ -265,11 +272,14 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 		return t
 	}
 	// A strong cycle behind the sources would never drain; refuse it with
-	// a descriptive error instead of deadlocking the waiters.
-	if err := findCycleError(g); err != nil {
-		t.setErr(err)
-		close(t.done)
-		return t
+	// a descriptive error instead of deadlocking the waiters. Edges that all
+	// follow emplace order cannot close one (findCycleError).
+	if !ordered {
+		if err := kahn(g); err != nil {
+			t.setErr(err)
+			close(t.done)
+			return t
+		}
 	}
 	// Admission control: a flow-bound topology reserves its task count
 	// before anything is submitted. Admit is all-or-nothing, so a refused
@@ -339,15 +349,40 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 // it returns every captured task error across them aggregated with
 // errors.Join (panics are converted to errors).
 func (tf *Taskflow) WaitForAll() error {
+	return tf.waitForAll(false)
+}
+
+// Reclaim is WaitForAll that also takes back the storage of the graphs it
+// reclaims — their arena blocks and node lists — for the graphs built next
+// on this Taskflow, so that a program that builds and launches a fresh graph
+// per step (paper Section IV-B: one per incremental timing update) pays the
+// allocator and the collector for the largest of them once, not for each.
+//
+// In exchange every Task handle into a reclaimed graph is dead, as in
+// Cpp-Taskflow: using one panics until its node is handed out again, and
+// then silently aliases the new task. A Future of a reclaimed topology keeps
+// answering Get, Wait, Done and Cancelled; its Stats reports ok=false, for
+// the graph they were read from is gone. Reclaim must not run concurrently
+// with graph construction or with Stats on those Futures.
+func (tf *Taskflow) Reclaim() error {
+	return tf.waitForAll(true)
+}
+
+func (tf *Taskflow) waitForAll(recycle bool) error {
 	if tf.present.len() > 0 {
 		tf.dispatch(nil)
 	}
 	var errs []error
-	for _, t := range tf.topologies {
+	for i, t := range tf.topologies {
 		<-t.done
 		if err := t.joinedErr(); err != nil {
 			errs = append(errs, err)
 		}
+		if recycle {
+			tf.store.reclaim(t.graph)
+			t.graph = nil
+		}
+		tf.topologies[i] = nil
 	}
 	tf.topologies = tf.topologies[:0]
 	return joinErrs(errs)

@@ -352,7 +352,7 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		// Signal exactly the chosen successor; an out-of-range index
 		// (including the -1 left by a panic) signals nothing, which is
 		// how a branch terminates.
-		if idx < 0 || idx >= n.succCount {
+		if idx < 0 || idx >= int(n.succCount) {
 			t.complete(ctx, n, nil)
 			return
 		}
@@ -434,7 +434,7 @@ func (t *topology) runFallible(ctx executor.Context, n *node, start int64) bool 
 		n.ext.attempts = 0
 	}
 	if err != nil {
-		t.fail(fmt.Errorf("core: task %q failed: %w", n.nodeName(), err))
+		t.fail(fmt.Errorf("core: task %q failed: %w", n.name, err))
 	}
 	t.releaseSems(ctx, n)
 	return true
@@ -478,7 +478,7 @@ func (t *topology) captureErr(n *node) (err error) {
 func (t *topology) invoke(n *node, fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			t.setErr(fmt.Errorf("core: task %q panicked: %v", n.nodeName(), r))
+			t.setErr(fmt.Errorf("core: task %q panicked: %v", n.name, r))
 		}
 	}()
 	t.labeled(n, fn)
@@ -499,7 +499,7 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 	for _, c := range g.nodes {
 		c.topo = t
 		c.parent = parent
-		c.join.Store(int32(c.numDependents))
+		c.join.Store(c.numDependents)
 		if c.ctxWork != nil {
 			needCtx = true
 		}
@@ -545,7 +545,7 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 func (t *topology) finishNode(ctx executor.Context, n *node) {
 	var buf [releaseChunk]*node
 	k := 0
-	for _, s := range n.succInline[:min(n.succCount, len(n.succInline))] {
+	for _, s := range n.inlineSuccs() {
 		k = t.notifySucc(ctx, n, s, &buf, k)
 	}
 	for _, s := range n.succSpill {
@@ -577,7 +577,7 @@ func (t *topology) notifySucc(ctx executor.Context, src, s *node, buf *[releaseC
 // join counter re-armed for a later iteration or run, the wait clock set.
 func (t *topology) arm(ctx executor.Context, src, s *node) {
 	ctx.Trace(executor.EvDepRelease, src, s.traceID)
-	s.join.Store(int32(s.numDependents))
+	s.join.Store(s.numDependents)
 	if t.lat != nil {
 		s.readyAtNs = ctx.EndStamp()
 	}

@@ -773,7 +773,10 @@ func (e *Executor) run(w *worker) {
 			// announces intent, the anyWork re-check races any producer's
 			// publish-then-notify — the eventcount guarantees one side sees
 			// the other, so no lost wakeup without any lock. The idlerCount
-			// gauge is raised before prewait (see its field comment).
+			// gauge is raised before prewait (see its field comment). The
+			// deque is scrubbed first: asleep, it must not be what keeps the
+			// graphs of finished work reachable.
+			w.queue.Scrub()
 			e.idlerCount.Add(1)
 			e.no.prewait()
 			if m := w.metrics; m != nil {

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -495,4 +496,33 @@ func BenchmarkLinearChainCached(b *testing.B) {
 	remaining = b.N
 	e.Submit(&task.self)
 	<-done
+}
+
+// A worker scrubs its deque on the way to sleep: once the pool has parked,
+// no deque slot keeps a finished task reachable, so a collection frees them
+// while the executor is still up.
+func TestParkScrubsDeque(t *testing.T) {
+	e := New(2)
+	defer e.Shutdown()
+	const tasks = 300 // past the 256-slot ring, so the scrub range is clamped too
+	var ran, freed atomic.Int64
+	if err := e.SubmitFunc(func(ctx Context) {
+		for i := 0; i < tasks; i++ {
+			r := NewTask(func(Context) { ran.Add(1) })
+			runtime.SetFinalizer(r, func(*Runnable) { freed.Add(1) })
+			ctx.Submit(r) // onto the worker's own deque; the other worker steals
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, &ran, tasks)
+	parkAll(t, e)
+	deadline := time.Now().Add(10 * time.Second)
+	for freed.Load() != tasks {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d finished tasks were freed while the pool is parked", freed.Load(), tasks)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -18,10 +18,22 @@ type Analyzer struct {
 	T    *sta.Timing
 	exec *executor.Executor
 
+	// tf builds and launches every update's graph. One Taskflow for the
+	// analyzer's lifetime lets each update build in the storage the last
+	// one left (core.Taskflow.Reclaim): a graph per update for the price
+	// of a re-run.
+	tf *core.Taskflow
+
 	// tasks is an n-sized scratch mapping gate -> its task in the update
 	// under construction; member tracks cone membership. Allocated once.
 	tasks  []core.Task
 	member []bool
+
+	// fwd and bwd hold each gate's two propagation closures and bwdName its
+	// backward task's display name, made the first time an update reaches
+	// the gate and emplaced as they are by every update after.
+	fwd, bwd []func()
+	bwdName  []string
 }
 
 // New creates an analyzer with its own work-stealing executor of the given
@@ -35,10 +47,14 @@ func New(t *sta.Timing, workers int) *Analyzer {
 func NewShared(t *sta.Timing, e *executor.Executor) *Analyzer {
 	n := t.Ckt.NumGates()
 	return &Analyzer{
-		T:      t,
-		exec:   e,
-		tasks:  make([]core.Task, n),
-		member: make([]bool, n),
+		T:       t,
+		exec:    e,
+		tf:      core.NewShared(e).SetName("timing_update"),
+		tasks:   make([]core.Task, n),
+		member:  make([]bool, n),
+		fwd:     make([]func(), n),
+		bwd:     make([]func(), n),
+		bwdName: make([]string, n),
 	}
 }
 
@@ -54,26 +70,40 @@ func (a *Analyzer) NumWorkers() int { return a.exec.NumWorkers() }
 // and a backward subgraph over the required-time cone (paper Figure 8
 // shows one such graph). Task failures are returned, not re-panicked.
 func (a *Analyzer) Run(u sta.Update) error {
-	tf := a.buildTaskflow(u)
-	return tf.WaitForAll()
+	a.buildTaskflow(u)
+	return a.tf.Reclaim()
 }
 
 // Taskflow builds the update's task dependency graph without dispatching
-// it — used by the examples to dump the Figure-8 graph.
+// it, for the caller to dump (the examples' Figure-8 graph) or to launch
+// and wait for.
+//
+// The analyzer applies one update at a time, and every call returns the
+// same Taskflow: it first waits for whatever that Taskflow still has in
+// flight — launching a graph the previous call built and nobody dispatched —
+// and takes the finished graphs' storage back for this one, so two updates
+// never relax the timer at once. Tasks and Future.Stats of an earlier
+// update are dead once the next call begins; a failure of an earlier update
+// is reported by the Future of whoever dispatched it, not here.
 func (a *Analyzer) Taskflow(u sta.Update) *core.Taskflow {
-	return a.buildTaskflow(u)
+	a.buildTaskflow(u)
+	return a.tf
 }
 
-func (a *Analyzer) buildTaskflow(u sta.Update) *core.Taskflow {
+func (a *Analyzer) buildTaskflow(u sta.Update) {
 	t := a.T
 	g := t.Ckt.Gates
-	tf := core.NewShared(a.exec).SetName("timing_update")
+	tf := a.tf
+	_ = tf.Reclaim() // an earlier update's failure belongs to its own waiter
 
 	// Forward subgraph: task per cone node, cone-internal fanin edges.
 	for _, v := range u.Fwd {
-		v := v
+		if a.fwd[v] == nil {
+			v := v
+			a.fwd[v] = func() { t.RelaxForward(v) }
+		}
 		a.member[v] = true
-		a.tasks[v] = tf.Emplace1(func() { t.RelaxForward(v) }).Name(g[v].Name)
+		a.tasks[v] = tf.Emplace1(a.fwd[v]).Name(g[v].Name)
 	}
 	for _, v := range u.Fwd {
 		for _, wi := range g[v].Fanout {
@@ -99,15 +129,19 @@ func (a *Analyzer) buildTaskflow(u sta.Update) *core.Taskflow {
 		}
 	}
 	for _, v := range u.Fwd {
-		a.member[v] = false
+		a.member[v], a.tasks[v] = false, core.Task{}
 	}
 
 	// Backward subgraph: reversed cone edges; its sources hang off the
 	// barrier and reach every backward task transitively.
 	for _, v := range u.Bwd {
-		v := v
+		if a.bwd[v] == nil {
+			v := v
+			a.bwd[v] = func() { t.RelaxBackward(v) }
+			a.bwdName[v] = g[v].Name + "'"
+		}
 		a.member[v] = true
-		a.tasks[v] = tf.Emplace1(func() { t.RelaxBackward(v) }).Name(g[v].Name + "'")
+		a.tasks[v] = tf.Emplace1(a.bwd[v]).Name(a.bwdName[v])
 	}
 	for _, v := range u.Bwd {
 		hasConeFanout := false
@@ -122,7 +156,6 @@ func (a *Analyzer) buildTaskflow(u sta.Update) *core.Taskflow {
 		}
 	}
 	for _, v := range u.Bwd {
-		a.member[v] = false
+		a.member[v], a.tasks[v] = false, core.Task{}
 	}
-	return tf
 }

@@ -6,11 +6,14 @@ package wsq
 //  1. sequentially against a model queue — Push appends, Pop must return
 //     the newest item (LIFO bottom), Steal the oldest (FIFO top), and
 //     StealBatch a ceil(half)-capped prefix of the oldest items in order,
-//     with Len agreeing throughout; and
+//     with Len agreeing throughout, and a Scrub after every op whose byte
+//     has bit 4 set: it must change nothing the model sees, and must leave
+//     no pointer in any slot when it finds the deque empty; and
 //  2. concurrently, the owner replaying the same script against 0-3
 //     stealer goroutines — half of them using StealBatch into private
-//     deques they drain as owners — every pushed item must be consumed
-//     exactly once, by either the owner or a thief.
+//     deques they drain as owners, the owner scrubbing on the same bytes —
+//     every pushed item must be consumed exactly once, by either the owner
+//     or a thief.
 //
 // Both phases check the counter conservation law at quiescence:
 // Pushes == Pops + Steals (with StealBatch counting every item it moved as
@@ -29,6 +32,8 @@ func FuzzDeque(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // push-only growth, 0 thieves
 	f.Add([]byte{3, 1, 2, 1, 2, 0, 1, 2})          // ops on an often-empty deque
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 3, 1, 3}) // batch steals off a deep deque
+	// Scrubs (bit 4) of a deque empty and not, across a ring growth.
+	f.Add([]byte{3, 0, 0, 0, 17, 18, 17, 0, 0, 16, 17, 17, 19, 0, 18, 17})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -42,6 +47,9 @@ func FuzzDeque(f *testing.F) {
 		fuzzConcurrentExactlyOnce(t, stealers, script)
 	})
 }
+
+// scrubBit marks the script bytes after whose op the owner calls Scrub.
+const scrubBit = 16
 
 // fuzzSequentialModel replays the script single-threaded against a slice
 // model of the deque.
@@ -122,6 +130,12 @@ func fuzzSequentialModel(t *testing.T, script []byte) {
 			model = model[k:]
 			consumed += uint64(k)
 		}
+		if b&scrubBit != 0 {
+			d.Scrub()
+			if held := heldSlots(d); len(model) == 0 && held != 0 {
+				t.Fatalf("%d slots still hold an item after Scrub of an empty deque", held)
+			}
+		}
 		if d.Len() != len(model) {
 			t.Fatalf("Len = %d, model has %d", d.Len(), len(model))
 		}
@@ -198,6 +212,9 @@ func fuzzConcurrentExactlyOnce(t *testing.T, stealers int, script []byte) {
 		d.Push(&items[i])
 		if b%4 == 3 {
 			consume(d.Pop())
+		}
+		if b&scrubBit != 0 {
+			d.Scrub() // a no-op unless the thieves have just emptied the deque
 		}
 	}
 	// Owner drains what the thieves have not taken, then releases them.

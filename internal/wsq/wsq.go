@@ -62,13 +62,18 @@ func (r *ring[T]) grow(bottom, top, need int64) *ring[T] {
 // Deque is an unbounded single-owner multi-thief work-stealing deque of
 // pointers. The zero value is not usable; construct with New.
 //
-// Push, PushBatch and Pop must only be called by the owner goroutine. Steal
-// may be called by any goroutine. Empty and Len may be called by any
+// Push, PushBatch, Pop and Scrub must only be called by the owner goroutine.
+// Steal may be called by any goroutine. Empty and Len may be called by any
 // goroutine but are inherently racy snapshots.
 type Deque[T any] struct {
 	bottom atomic.Int64
 	top    atomic.Int64
 	array  atomic.Pointer[ring[T]]
+
+	// scrubbed and high bound the slots that may hold a pointer to an item
+	// already taken: [scrubbed, max(high, bottom)). Owner only; see Scrub.
+	// high follows bottom where bottom turns back, in Pop.
+	scrubbed, high int64
 
 	// ctr, when non-nil, receives per-operation accounting (see Counters).
 	// Attached once before use; the disabled cost is one nil check per
@@ -159,6 +164,9 @@ func (d *Deque[T]) PushBatch(items []*T) {
 // The second result reports whether an item was obtained.
 func (d *Deque[T]) Pop() (*T, bool) {
 	b := d.bottom.Load() - 1
+	if b >= d.high {
+		d.high = b + 1
+	}
 	a := d.array.Load()
 	d.bottom.Store(b)
 	t := d.top.Load()
@@ -270,6 +278,31 @@ func (d *Deque[T]) StealBatch(dst *Deque[T]) (*T, int) {
 		dst.PushBatch(scratch[1:taken])
 	}
 	return scratch[0], int(taken)
+}
+
+// Scrub clears the slots of taken items when the deque is empty. Owner only.
+// Neither Pop nor Steal clears the slot it takes from, so an idle deque keeps
+// every item that passed through it reachable — for a scheduler, the last
+// tasks of finished graphs and, through them, the graphs — until the ring
+// wraps over the slot. The owner calls Scrub before it goes to sleep. The
+// cost is one store per slot used since the last call, at most the ring's
+// capacity. A thief still holding an index it read earlier may load a
+// cleared slot, but only after top moved past that index, so its CAS fails
+// and the nil goes nowhere.
+func (d *Deque[T]) Scrub() {
+	b := d.bottom.Load()
+	if d.top.Load() != b {
+		return
+	}
+	a := d.array.Load()
+	lo, hi := d.scrubbed, max(d.high, b)
+	if hi-lo > a.cap() {
+		lo = hi - a.cap()
+	}
+	for i := lo; i < hi; i++ {
+		a.store(i, nil)
+	}
+	d.scrubbed, d.high = b, b
 }
 
 // Empty reports whether the deque appears empty at this instant.

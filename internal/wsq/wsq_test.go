@@ -760,3 +760,69 @@ func TestGrowHook(t *testing.T) {
 		t.Fatalf("detached hook still fired: %v", caps)
 	}
 }
+
+// heldSlots counts the ring slots that still hold a pointer.
+func heldSlots[T any](d *Deque[T]) int {
+	held := 0
+	a := d.array.Load()
+	for i := range a.buf {
+		if a.buf[i].Load() != nil {
+			held++
+		}
+	}
+	return held
+}
+
+// Scrub leaves a non-empty deque alone, clears every slot of an emptied one
+// — those popped from above the point where it went empty, those stolen from
+// below it, and a range longer than the ring — and costs later items nothing.
+func TestScrubClearsTakenSlots(t *testing.T) {
+	d := New[int](64)
+	items := ints(300)
+	for _, p := range items[:10] {
+		d.Push(p)
+	}
+	d.Scrub()
+	if got := heldSlots(d); got != 10 {
+		t.Fatalf("Scrub of a deque holding 10 items left %d slots set", got)
+	}
+	for i := 0; i < 4; i++ {
+		if _, ok := d.Steal(); !ok {
+			t.Fatal("Steal failed")
+		}
+	}
+	for i := 0; i < 6; i++ {
+		if _, ok := d.Pop(); !ok {
+			t.Fatal("Pop failed")
+		}
+	}
+	if got := heldSlots(d); got != 10 {
+		t.Fatalf("%d slots set after draining 10 items, want 10: nothing but Scrub clears a slot", got)
+	}
+	d.Scrub()
+	if got := heldSlots(d); got != 0 {
+		t.Fatalf("Scrub of the emptied deque left %d slots set", got)
+	}
+	// Several times round the 64-slot ring without it ever holding more than
+	// one item, then empty again.
+	for _, p := range items {
+		d.Push(p)
+		if v, ok := d.Steal(); !ok || v != p {
+			t.Fatalf("Steal after Scrub = (%v, %v), want (%v, true)", v, ok, p)
+		}
+	}
+	if d.Capacity() != 64 {
+		t.Fatalf("ring grew to %d", d.Capacity())
+	}
+	d.Scrub()
+	if got := heldSlots(d); got != 0 {
+		t.Fatalf("Scrub after %d items through a 64-slot ring left %d slots set", len(items), got)
+	}
+	d.PushBatch(items[:3])
+	d.Scrub()
+	for i := 2; i >= 0; i-- {
+		if v, ok := d.Pop(); !ok || v != items[i] {
+			t.Fatalf("Pop = (%v, %v), want item %d", v, ok, i)
+		}
+	}
+}
