@@ -17,11 +17,16 @@ package core
 // are the executing worker's two stamps (Context.StartStamp / EndStamp) —
 // the readings its trace events carry, so core reads no clock on a worker
 // and a successor released by this task is ready at this task's end
-// stamp. One bodyEnd call per execution feeds RunStats timing and, per
-// resolved execution, the three histogram series. A retry attempt whose
-// failure arms another backoff is not recorded — the execution is still
-// outstanding — and its resubmission restamps readyAtNs, so the eventual
-// record charges the last wait, not the backoff sleeps.
+// stamp. The successor the worker takes along in its cache slot also
+// starts at that stamp: its queue wait is zero by construction, and the
+// bookkeeping between the two bodies is part of its execution time. One
+// bodyEnd call per execution feeds RunStats timing and, per resolved
+// execution, the three histogram series — into words the worker owns,
+// which it settles before it lets a waiter go (topology.settle). A retry
+// attempt whose failure arms another backoff is not recorded — the
+// execution is still outstanding — and its resubmission restamps
+// readyAtNs, so the eventual record charges the last wait, not the backoff
+// sleeps.
 
 import "gotaskflow/internal/executor"
 
@@ -31,11 +36,16 @@ import "gotaskflow/internal/executor"
 // Callers have checked t.timed.
 func (t *topology) bodyEnd(ctx executor.Context, n *node, start int64, resolved bool) {
 	d := ctx.EndStamp() - start
+	w := ctx.WorkerID()
 	if st := t.stats; st != nil && st.timing {
-		st.busyNs.Add(d)
-		n.execDurNs.Add(d)
+		st.workers[w].busyNs += d
+		if t.addsNodeStats(n) {
+			n.execDurNs.Add(d)
+		} else {
+			n.execDurNs.Store(d)
+		}
 	}
 	if resolved && t.lat != nil {
-		t.lat.RecordLatency(ctx.WorkerID(), start-n.readyAtNs, d)
+		t.lat.RecordLatency(w, start-n.readyAtNs, d)
 	}
 }

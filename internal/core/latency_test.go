@@ -154,9 +154,10 @@ func TestLatencySkippedTasksNotRecorded(t *testing.T) {
 }
 
 // TestRunLinearChainZeroAllocHistogramsOn is TestRunLinearChainZeroAlloc
-// with latency histograms armed: the record path (two clock reads, a
-// stamp, three shard-local atomic adds per dimension) must not add a
-// single allocation to the steady-state re-run.
+// with latency histograms armed: the record path (one clock reading per
+// hand-off, plain stores into the worker's shard, a settle every 64
+// records and at the end of the run) must not add a single allocation to
+// the steady-state re-run.
 func TestRunLinearChainZeroAllocHistogramsOn(t *testing.T) {
 	e := executor.New(2, executor.WithLatencyHistograms())
 	defer e.Shutdown()
@@ -210,9 +211,12 @@ func TestRunLinearChainZeroAllocFlightOn(t *testing.T) {
 
 // TestOneTimestampLaw pins the event spine's clock sharing: with every
 // recorder armed, RunStats busy time, the execution histogram's sum and
-// the task spans of the flight recorder are three readers of the same two
-// stamps per task, so they agree to the nanosecond — and a dependency
-// release is stamped with its releasing task's own end stamp.
+// the task spans of the flight recorder are three readers of the same
+// stamps, so they agree to the nanosecond — and a dependency release is
+// stamped with its releasing task's own end stamp. On a chain, where every
+// task is handed over through the cache slot, that end stamp is also the
+// next task's start stamp: one reading per hand-off, and no queue wait but
+// the source's.
 func TestOneTimestampLaw(t *testing.T) {
 	const chain = 256
 	e := executor.New(2, executor.WithMetrics(), executor.WithLatencyHistograms(),
@@ -230,9 +234,87 @@ func TestOneTimestampLaw(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	spans, releases := oneTimestampLaw(t, e, tf, chain, chain-1)
+	for _, ev := range releases {
+		sp := spans[ev.Meta.ID]
+		if sp == nil || ev.Ts != sp.end {
+			t.Fatalf("release %+v not stamped with its task's end stamp, span %+v", ev, sp)
+		}
+	}
+	// The hand-off law. Ready stamps are raw clock readings, spans are
+	// offsets from the recorder's epoch; the first link gives the offset.
+	nodes := tf.present.nodes
+	base := nodes[1].readyAtNs - int64(spans[nodes[0].traceID].end)
+	for i := 1; i < chain; i++ {
+		before, sp := spans[nodes[i-1].traceID], spans[nodes[i].traceID]
+		if sp.start != before.end {
+			t.Fatalf("task %d starts at %v, its releaser ended at %v: two readings for one hand-off", i, sp.start, before.end)
+		}
+		if ready := time.Duration(nodes[i].readyAtNs - base); ready != before.end {
+			t.Fatalf("task %d ready at %v, its releaser ended at %v", i, ready, before.end)
+		}
+	}
+	// So every wait but the source's is zero by construction.
+	flows, _ := e.LatencyStats()
+	srcWait := spans[nodes[0].traceID].start - time.Duration(nodes[0].readyAtNs-base)
+	if got := time.Duration(flows[0].QueueWait.Sum); srcWait < 0 || got != srcWait {
+		t.Fatalf("queue-wait histogram sums to %v, the source alone waited %v", got, srcWait)
+	}
+}
+
+// TestHandOffLawFanOut is the other side of the hand-off law: of the tasks
+// one release makes ready, one inherits the releaser's end stamp and the
+// rest — popped or stolen later — start at a reading of their own, not
+// before they were ready and not inside another span of their worker. The
+// three readers of the stamps still agree to the nanosecond.
+func TestHandOffLawFanOut(t *testing.T) {
+	const width = 64
+	e := executor.New(2, executor.WithMetrics(), executor.WithLatencyHistograms(),
+		executor.WithFlightRecorder(8*width))
+	defer e.Shutdown()
+	tf := NewShared(e).CollectRunStats(true)
+	var n atomic.Int64
+	src := tf.Emplace1(func() { n.Add(1) })
+	for i := 0; i < width; i++ {
+		src.Precede(tf.Emplace1(func() { n.Add(1) }))
+	}
+	if err := tf.Run(); err != nil {
+		t.Fatal(err)
+	}
+	spans, _ := oneTimestampLaw(t, e, tf, width+1, width)
+	nodes := tf.present.nodes
+	releaser := spans[nodes[0].traceID]
+	inherited := 0
+	for _, nd := range nodes[1:] {
+		sp := spans[nd.traceID]
+		if sp.start < releaser.end {
+			t.Fatalf("task %d starts at %v, before it was ready at %v", nd.idx, sp.start, releaser.end)
+		}
+		if sp.start == releaser.end && sp.worker == releaser.worker {
+			inherited++
+		}
+	}
+	if inherited < 1 {
+		t.Fatal("no task inherited the releaser's end stamp through the cache slot")
+	}
+}
+
+// stampedSpan is one task's span in a flight snapshot.
+type stampedSpan struct {
+	start, end time.Duration
+	worker     int32
+}
+
+// oneTimestampLaw reads the three consumers of the worker's stamps after a
+// run of tf with tasks task executions and checks that they are one
+// reading: RunStats busy, the execution histogram's sum and the summed
+// flight spans, none of which overlap on a worker. It returns the spans by
+// task identity and the release events.
+func oneTimestampLaw(t *testing.T, e *executor.Executor, tf *Taskflow, tasks, wantReleases int) (map[uint64]*stampedSpan, []executor.TraceEvent) {
+	t.Helper()
 	rs, ok := tf.LastRunStats()
-	if !ok || rs.Tasks != chain {
-		t.Fatalf("RunStats = %+v (ok=%v), want %d tasks", rs, ok, chain)
+	if !ok || rs.Tasks != int64(tasks) {
+		t.Fatalf("RunStats = %+v (ok=%v), want %d tasks", rs, ok, tasks)
 	}
 	flows, _ := e.LatencyStats()
 	var exec executor.LatencySnapshot
@@ -243,40 +325,91 @@ func TestOneTimestampLaw(t *testing.T) {
 	if fl.Dropped != 0 {
 		t.Fatalf("flight window too small for the run: dropped %d", fl.Dropped)
 	}
-	type span struct{ start, end time.Duration }
-	spans := map[uint64]*span{}
+	spans := map[uint64]*stampedSpan{}
+	lastEnd := map[int32]time.Duration{}
 	var releases []executor.TraceEvent
 	var spanSum time.Duration
 	for _, ev := range fl.Events {
 		switch ev.Kind {
 		case executor.EvTaskStart:
-			spans[ev.Meta.ID] = &span{start: ev.Ts, end: -1}
+			if ev.Ts < lastEnd[ev.Worker] {
+				t.Fatalf("task starts at %v inside worker %d's last span, which ended at %v", ev.Ts, ev.Worker, lastEnd[ev.Worker])
+			}
+			spans[ev.Meta.ID] = &stampedSpan{start: ev.Ts, end: -1, worker: ev.Worker}
 		case executor.EvTaskEnd:
 			sp := spans[ev.Meta.ID]
 			if sp == nil || sp.end >= 0 {
 				t.Fatalf("task end without a single open start: %+v", ev)
 			}
-			sp.end = ev.Ts
+			sp.end, lastEnd[ev.Worker] = ev.Ts, ev.Ts
 			spanSum += sp.end - sp.start
 		case executor.EvDepRelease:
 			releases = append(releases, ev)
 		}
 	}
-	if len(spans) != chain || len(releases) != chain-1 {
+	if len(spans) != tasks || len(releases) != wantReleases {
 		t.Fatalf("flight holds %d spans and %d releases, want %d and %d",
-			len(spans), len(releases), chain, chain-1)
+			len(spans), len(releases), tasks, wantReleases)
 	}
-	if exec.Count != chain || time.Duration(exec.Sum) != rs.Busy || spanSum != rs.Busy {
+	if exec.Count != uint64(tasks) || time.Duration(exec.Sum) != rs.Busy || spanSum != rs.Busy {
 		t.Fatalf("busy %v, exec histogram sum %v (n=%d), flight span sum %v: not one reading",
 			rs.Busy, time.Duration(exec.Sum), exec.Count, spanSum)
 	}
-	for _, ev := range releases {
-		sp := spans[ev.Meta.ID]
-		if sp == nil || ev.Ts < sp.start || ev.Ts > sp.end {
-			t.Fatalf("release %+v outside its task's span %+v", ev, sp)
+	return spans, releases
+}
+
+// TestLatencyLiveReaderLag bounds what owner-private records cost a reader
+// that does not wait for a run to end: while a long chain runs, the
+// histograms trail the executed counter by at most the unsettled records a
+// worker may hold (fewer than 64) plus the task it is inside of.
+func TestLatencyLiveReaderLag(t *testing.T) {
+	const workers, lagPerWorker = 2, 64
+	e := executor.New(workers, executor.WithMetrics(), executor.WithLatencyHistograms())
+	defer e.Shutdown()
+	tf := NewShared(e)
+	var n int64
+	prev := tf.Emplace1(func() { n++ })
+	for i := 1; i < 10000; i++ {
+		next := tf.Emplace1(func() { n++ })
+		prev.Precede(next)
+		prev = next
+	}
+	// The chain re-runs until the reader has caught it moving often enough.
+	var stop atomic.Bool
+	runs := make(chan error, 1)
+	go func() {
+		var err error
+		for err == nil && !stop.Load() {
+			err = tf.Run()
 		}
-		if ev.Ts != sp.end {
-			t.Fatalf("release stamped %v, its task's end stamp is %v", ev.Ts, sp.end)
+		runs <- err
+	}()
+	recorded := func() uint64 {
+		flows, _ := e.LatencyStats()
+		return flows[0].Exec.Count
+	}
+	var last uint64
+	for live := 0; live < 50; {
+		// Executed first: both only grow, so reading it first can only
+		// understate how close the histograms follow.
+		snap, _ := e.MetricsSnapshot()
+		executed := snap.Total().Executed
+		if got := recorded(); got+workers*lagPerWorker < executed {
+			t.Errorf("histograms hold %d records with %d tasks executed: %d behind, bound %d",
+				got, executed, executed-got, workers*lagPerWorker)
+			break
 		}
+		if executed != last {
+			live++
+		}
+		last = executed
+	}
+	stop.Store(true)
+	if err := <-runs; err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := e.MetricsSnapshot()
+	if got, executed := recorded(), snap.Total().Executed; got != executed {
+		t.Fatalf("at rest the histograms hold %d records for %d tasks executed", got, executed)
 	}
 }

@@ -155,14 +155,16 @@ func (tf *Taskflow) run(ctx context.Context) error {
 
 // mustSweep reports whether a run under t has to re-arm every node of the
 // present graph first. The release that takes a join counter to zero
-// re-arms it, so a run in which every node executed — failed and cancelled
+// re-arms it, and with run stats an execution overwrites its node's
+// counters, so a run in which every node executed — failed and cancelled
 // ones included: skipped nodes still drain the structure — leaves them all
-// armed, and the serial O(n) sweep, made while every worker idles, is
-// skipped. It is kept where counters can be short — the nodes have not run
-// under t (it is new, or a Composed parent ran the graph since) or a
-// condition task may leave a branch untaken — and for run stats' reset.
+// armed and accounted, and the serial O(n) sweep, made while every worker
+// idles, is skipped. It is kept where counters can be short — the nodes
+// have not run under t (it is new, or a Composed parent ran the graph
+// since) or a condition task may leave a branch untaken — and where
+// executions add to their node's counters (topology.sumNodeStats).
 func (tf *Taskflow) mustSweep(t *topology) bool {
-	return t.stats != nil || t.hasCond || tf.present.nodes[0].topo != t
+	return t.hasCond || t.sumNodeStats || tf.present.nodes[0].topo != t
 }
 
 // runStale reports whether tasks or edges (node.precede) were added to the
@@ -195,15 +197,16 @@ func (tf *Taskflow) prepareRun() (*topology, error) {
 		t.lat = lp.LatencySink(tf.flow)
 	}
 	if tf.statsEnabled {
-		t.stats = &topoStats{timing: tf.statsTiming}
+		t.stats = newTopoStats(tf)
 	}
 	t.timed = t.lat != nil || (tf.statsEnabled && tf.statsTiming)
 	tf.runSources = tf.runSources[:0]
 	tf.runSemSources = tf.runSemSources[:0]
-	ordered := true
+	ordered, dynamic := true, false
 	for _, n := range g.nodes {
 		t.hasCtx = t.hasCtx || n.ctxWork != nil
 		t.hasCond = t.hasCond || n.condWork != nil
+		dynamic = dynamic || n.subflowWork != nil
 		ordered = ordered && n.forward()
 		if !n.isSource() {
 			continue
@@ -218,6 +221,10 @@ func (tf *Taskflow) prepareRun() (*topology, error) {
 		tf.invalidateRun()
 		return nil, ErrNoSource
 	}
+	// A condition task may run a node any number of times, and a dynamic
+	// task may splice in a graph that outlives the run (Composed), whose
+	// nodes it may run under conditions of its own, or twice.
+	t.sumNodeStats = t.stats != nil && (t.hasCond || dynamic)
 	if !ordered {
 		if err := kahn(g); err != nil {
 			tf.invalidateRun()

@@ -10,6 +10,9 @@ package core
 // steady state: the counters live on the reusable topology and on the
 // nodes themselves, pre-allocated with the graph, and are reset — not
 // reallocated — on every run. TestRunZeroAllocMetricsEnabled gates this.
+// The two counters every execution moves are plain words, one pair per
+// worker, summed when read: every reader comes after the done signal, and
+// the completion counters already order every execution before it.
 
 import (
 	"sort"
@@ -79,10 +82,9 @@ const hotTaskK = 5
 // when stats collection is on. Reset (never reallocated) at the start of
 // each reusable run.
 type topoStats struct {
-	tasks   atomic.Int64
+	workers []workerRunStats
 	retries atomic.Int64
 	skipped atomic.Int64
-	busyNs  atomic.Int64
 
 	timing  bool
 	startNs int64 // executor.Nanos at submission; 0 until the first run
@@ -92,11 +94,23 @@ type topoStats struct {
 	wall time.Duration
 }
 
+// workerRunStats is one worker's share of a run's counters, written by that
+// worker alone: body executions and, with timing, their summed duration.
+// Padded so that two workers' words never share a cache line.
+type workerRunStats struct {
+	tasks  int64
+	busyNs int64
+	_      [128 - 2*8]byte
+}
+
+func newTopoStats(tf *Taskflow) *topoStats {
+	return &topoStats{timing: tf.statsTiming, workers: make([]workerRunStats, tf.exec.NumWorkers())}
+}
+
 func (st *topoStats) reset() {
-	st.tasks.Store(0)
+	clear(st.workers)
 	st.retries.Store(0)
 	st.skipped.Store(0)
-	st.busyNs.Store(0)
 	st.startNs = executor.Nanos()
 	st.wall = 0
 }
@@ -104,8 +118,8 @@ func (st *topoStats) reset() {
 // CollectRunStats enables per-run statistics for subsequent Run and
 // Dispatch calls: execution/retry/skip counts, wall time, and per-node
 // execution counts (read by DumpAnnotated). With timing=true, per-task
-// durations are also captured — from the worker's two clock readings per
-// task, shared with its trace events and histogram record —
+// durations are also captured — from the worker's clock readings at the
+// task's two boundaries, shared with its trace events and histogram record —
 // populating RunStats.Busy/AchievedParallelism and the durations in
 // annotated dumps. Collection stays allocation-free in steady state.
 // Returns tf for chaining.
@@ -147,13 +161,15 @@ func (f *Future) Stats() (RunStats, bool) {
 func (t *topology) runStats(span int) RunStats {
 	st := t.stats
 	rs := RunStats{
-		Tasks:     st.tasks.Load(),
 		Retries:   st.retries.Load(),
 		Skipped:   st.skipped.Load(),
 		Cancelled: t.cancelled.Load(),
 		Span:      span,
 		Wall:      st.wall,
-		Busy:      time.Duration(st.busyNs.Load()),
+	}
+	for i := range st.workers {
+		rs.Tasks += st.workers[i].tasks
+		rs.Busy += time.Duration(st.workers[i].busyNs)
 	}
 	t.errMu.Lock()
 	rs.Errors = len(t.errs)

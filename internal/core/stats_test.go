@@ -294,3 +294,97 @@ func TestStructuralSpanEmptyGraph(t *testing.T) {
 		t.Fatalf("span of empty graph = %d, want 0", got)
 	}
 }
+
+// TestRunLinearChainZeroAllocEverythingOn is the allocation gate for the
+// README's production-monitoring configuration as a whole — scheduler
+// metrics, latency histograms, flight recorder and run stats with timing,
+// what the benchmark's chain_rerun_observed workload runs: the single-option
+// gates do not cover what the recorders share.
+func TestRunLinearChainZeroAllocEverythingOn(t *testing.T) {
+	e := executor.New(2, executor.WithMetrics(), executor.WithLatencyHistograms(),
+		executor.WithFlightRecorder(0))
+	defer e.Shutdown()
+	tf := NewShared(e).CollectRunStats(true)
+	var n int64
+	prev := tf.Emplace1(func() { n++ })
+	for i := 0; i < 255; i++ {
+		next := tf.Emplace1(func() { n++ })
+		prev.Precede(next)
+		prev = next
+	}
+	if err := tf.Run(); err != nil { // build run state outside measurement
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("fully observed Run allocates %v objects/run, want 0", allocs)
+	}
+	rs, _ := tf.LastRunStats()
+	flows, _ := e.LatencyStats()
+	if rs.Tasks != 256 || rs.Busy <= 0 || flows[0].Exec.Count != 102*256 {
+		t.Fatalf("records lost under the alloc gate: %+v, %d latency records", rs, flows[0].Exec.Count)
+	}
+}
+
+// TestRerunNodeStatsWithoutSweep: run stats alone no longer make a re-run
+// sweep the graph, because an execution overwrites its node's per-run
+// counters. Each run must read as if it had started from zeroed nodes: one
+// execution per node however many runs came before, a retried node its
+// attempts, and a node the run skipped nothing — not what the last run
+// left there.
+func TestRerunNodeStatsWithoutSweep(t *testing.T) {
+	tf := New(2).CollectRunStats(true)
+	defer tf.Close()
+	var fail atomic.Bool
+	fails := 0
+	first := tf.Emplace1(func() {})
+	flaky := tf.EmplaceErr(func() error {
+		if fails++; fails%3 != 0 {
+			return errors.New("transient")
+		}
+		return nil
+	}).Retry(2, 0)
+	gate := tf.EmplaceErr(func() error {
+		if fail.Load() {
+			return errors.New("boom")
+		}
+		return nil
+	})
+	last := tf.Emplace1(func() {})
+	first.Precede(flaky.Precede(gate.Precede(last)))
+
+	want := func(run string, counts ...uint64) {
+		t.Helper()
+		if tf.mustSweep(tf.runTopo) {
+			t.Fatalf("%s: the next run would sweep a static graph for its stats", run)
+		}
+		for i, n := range tf.present.nodes {
+			if got := n.execCount.Load(); got != counts[i] {
+				t.Fatalf("%s: node %d counts %d executions, want %d", run, i, got, counts[i])
+			}
+			if d := n.execDurNs.Load(); (d > 0) != (counts[i] > 0) {
+				t.Fatalf("%s: node %d executed %d times in %dns", run, i, counts[i], d)
+			}
+		}
+	}
+	for run := 0; run < 3; run++ {
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want("clean run", 1, 3, 1, 1)
+	}
+	fail.Store(true)
+	if err := tf.Run(); err == nil {
+		t.Fatal("failing run reported no error")
+	}
+	want("failing run", 1, 3, 1, 0)
+	fail.Store(false)
+	if err := tf.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want("run after the failure", 1, 3, 1, 1)
+}

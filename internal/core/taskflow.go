@@ -242,7 +242,9 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 	}
 	t.sub = execSubmitter{tf.exec}
 	if tf.statsEnabled {
-		t.stats = &topoStats{timing: tf.statsTiming}
+		// A dispatched graph's nodes are fresh: adding to their zeroed
+		// counters is right for every graph and needs no sweep.
+		t.stats, t.sumNodeStats = newTopoStats(tf), true
 	}
 	tf.topologies = append(tf.topologies, t)
 

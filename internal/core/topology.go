@@ -54,6 +54,13 @@ type topology struct {
 	timed       bool
 	pprofLabels bool
 
+	// sumNodeStats says how an execution accounts itself on its node when
+	// stats are collected: set, it adds to the node's per-run counters,
+	// which the run swept first; clear — a re-run in which every node
+	// executes exactly once — it overwrites them, and nothing is swept (see
+	// addsNodeStats, mustSweep).
+	sumNodeStats bool
+
 	// stats is the per-run counter block, non-nil only when the owning
 	// Taskflow enabled CollectRunStats. Reset per run, never reallocated.
 	stats *topoStats
@@ -320,6 +327,10 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		// nothing, which terminates loops.
 		if st := t.stats; st != nil {
 			st.skipped.Add(1)
+			if !t.addsNodeStats(n) {
+				n.execCount.Store(0)
+				n.execDurNs.Store(0)
+			}
 		}
 		ctx.Trace(executor.EvSkip, n, 0)
 		t.releaseSems(ctx, n)
@@ -334,8 +345,12 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		// Count every non-skipped execution — retry attempts and condition-
 		// loop iterations included — and mirror it on the node for the
 		// annotated DOT dump.
-		st.tasks.Add(1)
-		n.execCount.Add(1)
+		st.workers[ctx.WorkerID()].tasks++
+		if t.addsNodeStats(n) {
+			n.execCount.Add(1)
+		} else if n.execCount.Load() != 1 { // a re-run finds the 1 it left
+			n.execCount.Store(1)
+		}
 	}
 	var start int64
 	if t.timed {
@@ -375,8 +390,10 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 			ctx.Trace(executor.EvSubflowSpawn, n, uint64(sf.g.len()))
 			if !sf.detached {
 				// Joined subflow: the parent completes only after every
-				// spawned execution (recursively) finishes.
+				// spawned execution (recursively) finishes — maybe on another
+				// worker, before this one runs anything else of the topology.
 				n.ext.detached = false
+				ctx.Settle()
 				if t.spawn(ctx, sf.g, n) {
 					return
 				}
@@ -403,6 +420,13 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 	t.finishNode(ctx, n)
 }
 
+// addsNodeStats reports whether an execution of n adds to n's per-run
+// counters instead of overwriting them: always under sumNodeStats, and for a
+// retry attempt, which follows the attempt that overwrote them.
+func (t *topology) addsNodeStats(n *node) bool {
+	return t.sumNodeStats || (n.ext != nil && n.ext.attempts > 0)
+}
+
 // runFallible executes the body of an error-returning, context-aware or
 // retryable task that started at start. It reports whether the execution
 // resolved (success or final failure) — false means a retry was scheduled
@@ -425,8 +449,10 @@ func (t *topology) runFallible(ctx executor.Context, n *node, start int64) bool 
 		}
 		ctx.Trace(executor.EvRetryArm, n, uint64(n.ext.attempts))
 		// Release units now: the retry waits on a timer, not on a worker,
-		// and re-admits through the semaphores when it resubmits.
+		// and re-admits through the semaphores when it resubmits — to any
+		// worker, so this one's records of the attempt go out first.
 		t.releaseSems(ctx, n)
+		ctx.Settle()
 		t.resubmitAfter(rp.delay(n.ext.attempts), n)
 		return false
 	}
@@ -595,10 +621,17 @@ func (t *topology) complete(ctx executor.Context, n *node, released []*node) {
 
 // settle moves the outstanding-execution counts — pending, and a joined
 // subflow parent's children — by delta on behalf of n. Only a negative
-// delta can take one to zero, completing the parent or the topology.
+// delta can take one to zero, completing the parent or the topology, and it
+// means n handed this worker nothing to go on with: the worker settles its
+// records first (Context.Settle), so that whoever the zero releases finds
+// those of every execution. An execution that did hand something over
+// leaves that to the execution it put in the worker's cache slot.
 func (t *topology) settle(ctx executor.Context, n *node, delta int) {
 	if delta == 0 {
 		return
+	}
+	if delta < 0 {
+		ctx.Settle()
 	}
 	if p := n.parent; p != nil && p.children.Add(int32(delta)) == 0 {
 		ctx.Trace(executor.EvSubflowJoin, p, 0)
@@ -617,8 +650,15 @@ func (t *topology) publish(ctx executor.Context, released []*node) {
 	var batch []*executor.Runnable
 	cached := false
 	for _, s := range released {
+		if s.hasAcquires() {
+			// s may park here, for whichever worker frees the semaphore to
+			// pick up: nothing says this one runs it.
+			ctx.Settle()
+			if !t.admit(ctx, s) {
+				continue
+			}
+		}
 		switch {
-		case s.hasAcquires() && !t.admit(ctx, s): // parked
 		case !cached:
 			ctx.SubmitCached(s.ref())
 			cached = true

@@ -429,3 +429,32 @@ func TestRunTracingActiveAllocBound(t *testing.T) {
 		t.Fatal("active capture recorded nothing")
 	}
 }
+
+// TestTraceCaptureHoldsFinishedRun: a capture stopped the moment Run
+// returns holds every event of the run — each task's start, its releases
+// and its end — because workers settle before they let the waiter go; no
+// event is left behind for a later publication to carry.
+func TestTraceCaptureHoldsFinishedRun(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		e := executor.New(workers, executor.WithTracing(1<<13))
+		tf := NewShared(e)
+		src, sink := tf.Emplace1(func() {}), tf.Emplace1(func() {})
+		for i := 0; i < 100; i++ {
+			src.Precede(tf.Emplace1(func() {}).Precede(sink))
+		}
+		for run := 0; run < 5; run++ {
+			tr := collectTrace(t, e, func() {
+				if err := tf.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			got := kindCounts(tr)
+			if tr.Dropped != 0 || got[executor.EvTaskStart] != 102 || got[executor.EvTaskEnd] != 102 ||
+				got[executor.EvDepRelease] != 101 {
+				t.Fatalf("W=%d run %d: capture holds %d starts, %d ends, %d releases (dropped %d), want 102/102/101",
+					workers, run, got[executor.EvTaskStart], got[executor.EvTaskEnd], got[executor.EvDepRelease], tr.Dropped)
+			}
+		}
+		e.Shutdown()
+	}
+}

@@ -109,7 +109,11 @@ type Context interface {
 	// taken by whichever consumer asks first — the task's owner calls it
 	// right after the body. While a recorder or the latency histograms are
 	// armed each is read at most once per task and shared, by the task's
-	// start/end trace events too; otherwise each call reads the clock.
+	// start/end trace events too, and a task that came through the cache
+	// slot starts at the end stamp of the task that put it there: the two
+	// share the boundary's one reading, so what the worker did between the
+	// two bodies counts as the later task's. Otherwise each call reads the
+	// clock.
 	StartStamp() int64
 	EndStamp() int64
 	// Trace records an event about task, attributed to this worker and
@@ -117,6 +121,16 @@ type Context interface {
 	// the body (or instead of it). No-op unless a capture is active or the
 	// flight recorder is armed (see WithTracing / WithFlightRecorder).
 	Trace(kind EventKind, task Described, arg uint64)
+	// Settle makes everything this worker has recorded readable by others:
+	// it ends the running task's span at EndStamp, publishes the worker's
+	// trace events and adds its pending latency records to their histogram.
+	// A worker keeps its records to itself while it has a next task in
+	// hand, and settles by itself when it runs out of local work; the
+	// running task's owner calls Settle, after the body, before it does
+	// what may let a waiter go without this worker running another of its
+	// tasks: a completion that hands nothing over, or parking the work on a
+	// timer or a semaphore. Two nil checks when nothing is armed.
+	Settle()
 }
 
 // Observer receives callbacks around task execution, carrying the task's
@@ -165,14 +179,21 @@ type worker struct {
 	// ring in it (trace.go), nil unless built WithTracing or
 	// WithFlightRecorder. The rest is the running task's record state, live
 	// while stamping is set (see invoke): its two shared clock readings (0:
-	// not taken yet) and, when events are wanted, its identity (cur nil and
-	// meta zero for a task that has none).
+	// not taken yet; between tasks start holds the boundary stamp a
+	// handed-over task inherits), whether its start event still lacks its end
+	// event and, when events are wanted, its identity (cur nil and meta zero
+	// for a task that has none).
 	spine      *spine
 	ring       *eventRing
 	stamping   bool
+	spanOpen   bool
 	start, end int64
 	cur        Described
 	meta       TaskMeta
+
+	// dirty is the histogram shard holding records of this worker that no
+	// reader can see yet (histogram.go), nil when there are none.
+	dirty *latShard
 }
 
 var _ Context = (*worker)(nil)
@@ -198,7 +219,11 @@ func (w *worker) SubmitBatch(rs []*Runnable) {
 }
 
 func (w *worker) SubmitCached(r *Runnable) {
-	if w.cache == nil && !w.exec.noCache {
+	if w.exec.noCache {
+		// The caller may count on this worker running r next and settling
+		// then (Settle); through the queue r is anybody's.
+		w.Settle()
+	} else if w.cache == nil {
 		w.cache = r
 		if m := w.metrics; m != nil {
 			m.cacheHits.Add(1)
@@ -268,10 +293,11 @@ type Executor struct {
 	traceCap, flightCap int
 	spine               *spine
 
-	// lat is the per-flow latency histogram state (see histogram.go),
-	// non-nil only when built WithLatencyHistograms.
+	// lat is the latency histogram sink of topologies bound to no flow (see
+	// histogram.go; a flow carries its own), non-nil only when built
+	// WithLatencyHistograms.
 	latencyOn bool
-	lat       *latencyState
+	lat       *flowLatency
 
 	// Ablation knobs for the Algorithm-1 heuristics (defaults match the
 	// paper's scheduler; see the ablation benchmarks in bench_test.go).
@@ -390,13 +416,13 @@ func New(n int, opts ...Option) *Executor {
 	if e.metricsOn {
 		e.metrics = newMetricsState(n, shards)
 	}
-	if e.latencyOn {
-		e.lat = &latencyState{workers: n, def: newFlowLatency(n)}
-	}
 	if e.traceCap > 0 || e.flightCap > 0 {
 		e.spine = newSpine(n, e.traceCap, e.flightCap)
 	}
 	e.workers = make([]*worker, n)
+	if e.latencyOn {
+		e.lat = newFlowLatency(n, e.workers)
+	}
 	for i := 0; i < n; i++ {
 		w := &worker{
 			id:     i,
@@ -753,7 +779,9 @@ func (e *Executor) run(w *worker) {
 		// Line 2: try local queue.
 		r, ok := w.queue.Pop()
 		if !ok {
-			// Line 3: steal.
+			// Line 3: steal — which may take a while, or end in a park, so
+			// what this worker still holds back of its records goes out first.
+			w.Settle()
 			r, ok = w.steal()
 		}
 		if !ok {
@@ -825,7 +853,15 @@ func (e *Executor) invoke(w *worker, r *Runnable) {
 	if m := w.metrics; m != nil {
 		m.executed.Add(1)
 	}
-	tracing := w.tracing()
+	tracing := false
+	if sp := w.spine; sp != nil {
+		if tracing = sp.recording(); !tracing && e.lat == nil {
+			// Nothing may be recording any more: a hand-off stamp carried
+			// for the capture that stopped must not outlive the tasks that
+			// run unrecorded (see the tail).
+			w.start = 0
+		}
+	}
 	busy := e.trackBusy.Load()
 	if !busy && !tracing && e.lat == nil {
 		e.safeRun(w, r)
@@ -848,21 +884,34 @@ func (e *Executor) invoke(w *worker, r *Runnable) {
 			obs = *p
 		}
 	}
-	e.notifyStart(w, obs, w.meta)
+	if len(obs) > 0 {
+		e.notifyStart(w, obs, w.meta)
+	}
 	// Trace events sit innermost so spans bound the task body tightly,
-	// excluding observer work.
+	// excluding observer work. The start event is published at once: a
+	// task that never returns must still be seen.
 	if tracing {
 		w.ring.write(int32(w.id), EvTaskStart, w.StartStamp(), &w.meta, 0)
+		w.ring.publish()
+		w.spanOpen = true
 	}
 	e.safeRun(w, r)
-	if tracing {
-		w.ring.write(int32(w.id), EvTaskEnd, w.EndStamp(), &w.meta, 0)
+	w.endSpan()
+	if len(obs) > 0 {
+		e.notifyEnd(w, obs, w.meta)
 	}
-	e.notifyEnd(w, obs, w.meta)
 	if busy {
 		e.busy.Add(-1)
 	}
-	w.stamping, w.start, w.end = false, 0, 0
+	// A task waiting in the cache slot runs next with nothing in between
+	// but the bookkeeping that released it, so this task's end stamp is its
+	// start stamp: one clock reading per hand-off. Observer callbacks are
+	// not bookkeeping and keep the two readings apart.
+	w.start = 0
+	if w.cache != nil && len(obs) == 0 {
+		w.start = w.end
+	}
+	w.stamping, w.end = false, 0
 	if w.cur != nil {
 		w.cur, w.meta = nil, TaskMeta{}
 	}
@@ -875,9 +924,6 @@ func (e *Executor) invoke(w *worker, r *Runnable) {
 // dispatch loop), but the task itself still runs and later events still
 // reach every observer.
 func (e *Executor) notifyStart(w *worker, obs []Observer, meta TaskMeta) {
-	if len(obs) == 0 {
-		return
-	}
 	defer func() {
 		if rec := recover(); rec != nil {
 			e.containPanic(w.id, rec)
@@ -889,9 +935,6 @@ func (e *Executor) notifyStart(w *worker, obs []Observer, meta TaskMeta) {
 }
 
 func (e *Executor) notifyEnd(w *worker, obs []Observer, meta TaskMeta) {
-	if len(obs) == 0 {
-		return
-	}
 	defer func() {
 		if rec := recover(); rec != nil {
 			e.containPanic(w.id, rec)

@@ -250,3 +250,67 @@ func TestFlightRecordZeroAlloc(t *testing.T) {
 		t.Fatalf("flight record allocates %v per op, want 0", allocs)
 	}
 }
+
+// TestFlightShowsBlockedTask pins publication at task start: a task stuck
+// in its body is in the flight window although its worker has published
+// nothing since — no poll, the body itself runs after the publication.
+func TestFlightShowsBlockedTask(t *testing.T) {
+	e := New(1, WithFlightRecorder(0))
+	defer e.Shutdown()
+	meta := TaskMeta{Flow: "flow", Name: "stuck", ID: 42}
+	inside, release := make(chan struct{}), make(chan struct{})
+	d := newDescribedTask(meta, func(Context) {
+		close(inside)
+		<-release
+	})
+	if err := e.Submit(&d.rbox); err != nil {
+		t.Fatal(err)
+	}
+	<-inside
+	tr, _ := e.FlightSnapshot()
+	starts, ends := 0, 0
+	for _, ev := range tr.Events {
+		if ev.Meta == meta {
+			switch ev.Kind {
+			case EvTaskStart:
+				starts++
+			case EvTaskEnd:
+				ends++
+			}
+		}
+	}
+	if starts != 1 || ends != 0 {
+		t.Fatalf("blocked task shows %d starts and %d ends in the flight window, want 1 and 0", starts, ends)
+	}
+	close(release)
+}
+
+// TestSettlePublishesForeignTask is the Settle contract for a task the
+// executor knows nothing about: what its worker recorded up to the call —
+// the task's end event and its latency record included — is readable by
+// whoever the task releases next, and invoke does not end the span twice.
+func TestSettlePublishesForeignTask(t *testing.T) {
+	e := New(2, WithFlightRecorder(0), WithLatencyHistograms())
+	defer e.Shutdown()
+	sink := e.LatencySink(nil)
+	const tasks = 50
+	for i := 1; i <= tasks; i++ {
+		onWorker(t, e, func(ctx Context) {
+			sink.RecordLatency(ctx.WorkerID(), 0, 1)
+		})
+		tr, _ := e.FlightSnapshot()
+		starts, ends := 0, 0
+		for _, ev := range tr.Events {
+			switch ev.Kind {
+			case EvTaskStart:
+				starts++
+			case EvTaskEnd:
+				ends++
+			}
+		}
+		flows, _ := e.LatencyStats()
+		if starts != i || ends != i || flows[0].Exec.Count != uint64(i) {
+			t.Fatalf("after task %d: %d starts, %d ends, %d latency records", i, starts, ends, flows[0].Exec.Count)
+		}
+	}
+}

@@ -292,7 +292,7 @@ func (e *Executor) NewFlow(name string, cfg FlowConfig) Flow {
 	f := &execFlow{e: e, name: name, cfg: cfg}
 	f.ring.init(injInitialCap)
 	if e.lat != nil {
-		f.lat = newFlowLatency(e.lat.workers)
+		f.lat = newFlowLatency(len(e.workers), e.workers)
 	}
 	mt.mu.Lock()
 	f.idx = len(mt.all)

@@ -26,11 +26,18 @@ package executor
 //     per-task guard is one nil-interface check.
 //
 //   - Lock-free and allocation-free on the record path. Each sink keeps
-//     one padded shard per worker, written only by that worker: a record
-//     is five atomic adds — one bucket per series, the two component sums
-//     — with no CAS loop, mutex or allocation. A series' count (the total
-//     of its buckets) and the end-to-end sum (of the other two) are
-//     derived when the shards are merged at read time.
+//     one padded shard per worker, written only by that worker, and a
+//     record stays in owner-private words of the shard until somebody else
+//     could need it: per series a run of records that fell into one
+//     bucket (a plain increment while the bucket repeats, one atomic add of
+//     the finished run when it changes), the two component sums plain.
+//     settle moves them into the counters readers see with at most five
+//     atomic adds — when the worker settles (Context.Settle), after
+//     latSettleRecords records, or once the records waiting add up to
+//     latSettleNs — so a record never costs more than the five adds it
+//     used to. A series' count (the total of its buckets) and the
+//     end-to-end sum (of the other two) are derived when the shards are
+//     merged at read time.
 //
 //   - Fixed memory. Buckets are log-linear (below): 64 buckets cover
 //     [0, ~550s] with ≤ 50% relative width, so a histogram is a flat
@@ -104,11 +111,57 @@ const (
 	numLatSeries
 )
 
-// latShard is one worker's private storage of a sink: the bucket counts
-// of the three series and the sums of the two component series.
+// A shard is settled by its owner no later than latSettleRecords records or
+// latSettleNs of recorded time after it took a record, whichever comes
+// first: what a live reader of a busy worker may lag by. The time bound
+// keeps a chain of slow tasks from hiding behind the record bound.
+const (
+	latSettleRecords = 64
+	latSettleNs      = 100_000
+)
+
+// latShard is one worker's storage of a sink. Readers see the bucket counts
+// of the three series and the sums of the two component series; the rest is
+// the owner's alone: per series the bucket its latest records fell into and
+// how many did, the sums and the number of the records not yet settled.
 type latShard struct {
 	counts [numLatSeries][numLatencyBuckets]atomic.Uint64
 	sums   [latEndToEnd]atomic.Uint64 // total nanoseconds: queue-wait, exec
+
+	runBucket [numLatSeries]int32
+	runLen    [numLatSeries]uint32
+	pendSums  [latEndToEnd]uint64
+	pending   uint32
+}
+
+// add counts one record of series k in bucket b: it extends the current
+// run, or settles the run and starts the next.
+func (s *latShard) add(k, b int) {
+	if int(s.runBucket[k]) != b {
+		if n := s.runLen[k]; n > 0 {
+			s.counts[k][s.runBucket[k]].Add(uint64(n))
+		}
+		s.runBucket[k], s.runLen[k] = int32(b), 0
+	}
+	s.runLen[k]++
+}
+
+// settle moves the owner's pending records into the counters readers see.
+// Owner only.
+func (s *latShard) settle() {
+	for k := range s.runLen {
+		if n := s.runLen[k]; n > 0 {
+			s.counts[k][s.runBucket[k]].Add(uint64(n))
+			s.runLen[k] = 0
+		}
+	}
+	for k := range s.pendSums {
+		if v := s.pendSums[k]; v > 0 {
+			s.sums[k].Add(v)
+			s.pendSums[k] = 0
+		}
+	}
+	s.pending = 0
 }
 
 // paddedLatShard aligns shards to metricsPad so two workers never share a
@@ -187,8 +240,11 @@ func (s *LatencySnapshot) Quantile(q float64) time.Duration {
 // Implemented by the executor's per-flow histogram sets; internal/core
 // fetches one per topology through LatencyProvider and calls it from the
 // worker executing the task. worker must be the executing worker's index
-// (Context.WorkerID); negative timings are clamped to zero. End-to-end is
-// derived as queueWaitNs+execNs, so one call feeds all three series.
+// (Context.WorkerID) — call on that worker, only: the record goes into
+// words that worker owns and writes without synchronization, and readers
+// see it once that worker settles (Context.Settle). Negative timings are
+// clamped to zero. End-to-end is derived as queueWaitNs+execNs, so one
+// call feeds all three series.
 type LatencySink interface {
 	RecordLatency(worker int, queueWaitNs, execNs int64)
 }
@@ -204,32 +260,52 @@ type LatencyProvider interface {
 
 // flowLatency is one sink: the three series of one flow (or of the
 // default, unbound set), sharded per worker and merged at read time.
+// owners are the executor's workers, which settle the shards they dirty;
+// a sink no executor owns (nil) is settled by whoever records into it.
 type flowLatency struct {
 	shards []paddedLatShard
+	owners []*worker
 }
 
-func newFlowLatency(workers int) *flowLatency {
-	return &flowLatency{shards: make([]paddedLatShard, workers)}
+func newFlowLatency(workers int, owners []*worker) *flowLatency {
+	return &flowLatency{shards: make([]paddedLatShard, workers), owners: owners}
 }
 
-// RecordLatency implements LatencySink: five shard-local adds, no
-// allocation, no CAS.
+// RecordLatency implements LatencySink: plain stores into the worker's own
+// shard while the buckets repeat, no allocation, no CAS; see latShard.
 func (fl *flowLatency) RecordLatency(worker int, queueWaitNs, execNs int64) {
 	if worker < 0 || worker >= len(fl.shards) {
 		worker = 0
 	}
 	queueWaitNs, execNs = max(queueWaitNs, 0), max(execNs, 0)
 	s := &fl.shards[worker].latShard
-	s.counts[latQueueWait][latencyBucketOf(queueWaitNs)].Add(1)
-	s.counts[latExec][latencyBucketOf(execNs)].Add(1)
-	s.counts[latEndToEnd][latencyBucketOf(queueWaitNs+execNs)].Add(1)
-	s.sums[latQueueWait].Add(uint64(queueWaitNs))
-	s.sums[latExec].Add(uint64(execNs))
+	s.add(latQueueWait, latencyBucketOf(queueWaitNs))
+	s.add(latExec, latencyBucketOf(execNs))
+	s.add(latEndToEnd, latencyBucketOf(queueWaitNs+execNs))
+	s.pendSums[latQueueWait] += uint64(queueWaitNs)
+	s.pendSums[latExec] += uint64(execNs)
+	s.pending++
+	if s.pending >= latSettleRecords || s.pendSums[latQueueWait]+s.pendSums[latExec] >= latSettleNs {
+		s.settle()
+		return
+	}
+	if fl.owners == nil {
+		return
+	}
+	// One dirty shard per worker: a record for another sink settles the
+	// last one's first.
+	if w := fl.owners[worker]; w.dirty != s {
+		if w.dirty != nil {
+			w.dirty.settle()
+		}
+		w.dirty = s
+	}
 }
 
-// stats merges the shards. Counters are monotone, so a concurrent record
-// skews the result by at most the in-flight observations — never tears
-// it — and each series' Count always equals the total of its own buckets.
+// stats merges the shards' settled counters. They are monotone, so a
+// concurrent record skews the result by at most the records still with
+// their workers — never tears it — and each series' Count always equals
+// the total of its own buckets.
 func (fl *flowLatency) stats() *FlowLatencyStats {
 	var out FlowLatencyStats
 	series := [numLatSeries]*LatencySnapshot{&out.QueueWait, &out.Exec, &out.EndToEnd}
@@ -278,19 +354,15 @@ type FlowLatencySummary struct {
 	FlowLatencyStats
 }
 
-// latencyState exists iff the executor was built WithLatencyHistograms.
-type latencyState struct {
-	workers int
-	// def is the sink of topologies bound to no flow.
-	def *flowLatency
-}
-
 // WithLatencyHistograms enables continuous per-flow latency histograms:
 // every flow registered with NewFlow gets its own queue-wait / execution /
 // end-to-end histogram set, plus one shared set for topologies bound to
-// no flow. Record cost is five shard-local atomic adds per task on top of
-// the worker's two shared clock readings; executors built without this
-// option pay one nil check per topology and one per task.
+// no flow. A record costs plain stores into the recording worker's own
+// shard, on top of the clock readings the worker shares, and becomes
+// readable when that worker settles — after at most 64 records or 100 µs
+// of recorded time on a busy worker, and always before a waiter on the
+// work it belongs to is released (Context.Settle); executors built without
+// this option pay one nil check per topology and one per task.
 func WithLatencyHistograms() Option {
 	return func(e *Executor) { e.latencyOn = true }
 }
@@ -303,12 +375,11 @@ func (e *Executor) LatencyEnabled() bool { return e.lat != nil }
 // topologies bound to f (nil f selects the unbound default sink). Returns
 // nil when histograms are disabled.
 func (e *Executor) LatencySink(f Flow) LatencySink {
-	ls := e.lat
-	if ls == nil {
+	if e.lat == nil {
 		return nil
 	}
 	if f == nil {
-		return ls.def
+		return e.lat
 	}
 	if ef, ok := f.(*execFlow); ok && ef.lat != nil {
 		return ef.lat
@@ -321,11 +392,10 @@ func (e *Executor) LatencySink(f Flow) LatencySink {
 // registration order. ok is false when the executor was built without
 // WithLatencyHistograms.
 func (e *Executor) LatencyStats() ([]FlowLatencySummary, bool) {
-	ls := e.lat
-	if ls == nil {
+	if e.lat == nil {
 		return nil, false
 	}
-	out := []FlowLatencySummary{{Unbound: true, FlowLatencyStats: *ls.def.stats()}}
+	out := []FlowLatencySummary{{Unbound: true, FlowLatencyStats: *e.lat.stats()}}
 	if mt := e.mt.Load(); mt != nil {
 		mt.mu.Lock()
 		all := append([]*execFlow(nil), mt.all...)

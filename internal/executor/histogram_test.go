@@ -1,9 +1,38 @@
 package executor
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
+
+// settled returns the merged stats of a sink no executor owns, having
+// settled every shard first: nobody else would.
+func settled(fl *flowLatency) *FlowLatencyStats {
+	for i := range fl.shards {
+		fl.shards[i].settle()
+	}
+	return fl.stats()
+}
+
+// onWorker runs fn as a task of e and waits for it: a worker is the only
+// place a sink's RecordLatency(ctx.WorkerID(), …) may be called from.
+// Returning from Wait orders everything fn did, and the Settle after it,
+// before the caller.
+func onWorker(t *testing.T, e *Executor, fn func(ctx Context)) {
+	t.Helper()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	err := e.SubmitFunc(func(ctx Context) {
+		fn(ctx)
+		ctx.Settle()
+		wg.Done()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+}
 
 // TestLatencyBucketBoundaries pins the log-linear bucket scheme: octaves
 // split in two, boundaries at 256, 384, 512, 768, 1024, ...
@@ -49,11 +78,11 @@ func TestLatencyBucketBoundaries(t *testing.T) {
 }
 
 func TestLatencySnapshotMeanAndQuantile(t *testing.T) {
-	h := newFlowLatency(1)
+	h := newFlowLatency(1, nil)
 	for i := 0; i < 1000; i++ {
 		h.RecordLatency(0, 0, 1000)
 	}
-	s := h.stats().Exec
+	s := settled(h).Exec
 	if s.Count != 1000 || s.Sum != 1_000_000 {
 		t.Fatalf("count=%d sum=%d, want 1000/1000000", s.Count, s.Sum)
 	}
@@ -71,11 +100,11 @@ func TestLatencySnapshotMeanAndQuantile(t *testing.T) {
 
 	// A spread distribution must yield monotonically non-decreasing
 	// quantiles bracketing the data.
-	h2 := newFlowLatency(1)
+	h2 := newFlowLatency(1, nil)
 	for i := int64(1); i <= 10000; i++ {
 		h2.RecordLatency(0, 0, i*100) // 100ns .. 1ms
 	}
-	s2 := h2.stats().Exec
+	s2 := settled(h2).Exec
 	prev := time.Duration(-1)
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 0.999, 1} {
 		got := s2.Quantile(q)
@@ -99,12 +128,12 @@ func TestLatencySnapshotMeanAndQuantile(t *testing.T) {
 }
 
 func TestLatencySnapshotMerge(t *testing.T) {
-	a := newFlowLatency(2)
+	a := newFlowLatency(2, nil)
 	a.RecordLatency(0, 0, 300)
 	a.RecordLatency(1, 0, 300)
-	b := newFlowLatency(1)
+	b := newFlowLatency(1, nil)
 	b.RecordLatency(0, 0, 600)
-	sa, sb := a.stats().Exec, b.stats().Exec
+	sa, sb := settled(a).Exec, settled(b).Exec
 	sa.Merge(&sb)
 	if sa.Count != 3 || sa.Sum != 1200 {
 		t.Fatalf("merged count=%d sum=%d, want 3/1200", sa.Count, sa.Sum)
@@ -118,10 +147,10 @@ func TestLatencySnapshotMerge(t *testing.T) {
 // indices fall back to shard 0, negative timings clamp to zero, and
 // end-to-end is derived as the sum.
 func TestFlowLatencyRecordClamps(t *testing.T) {
-	fl := newFlowLatency(2)
+	fl := newFlowLatency(2, nil)
 	fl.RecordLatency(-1, -10, 50)
 	fl.RecordLatency(99, 100, 200)
-	st := fl.stats()
+	st := settled(fl)
 	if st.QueueWait.Count != 2 || st.Exec.Count != 2 || st.EndToEnd.Count != 2 {
 		t.Fatalf("counts = %d/%d/%d, want 2 each",
 			st.QueueWait.Count, st.Exec.Count, st.EndToEnd.Count)
@@ -148,15 +177,17 @@ func TestExecutorLatencySinks(t *testing.T) {
 	if def == nil {
 		t.Fatal("nil default sink")
 	}
-	def.RecordLatency(0, 100, 200)
+	onWorker(t, e, func(ctx Context) { def.RecordLatency(ctx.WorkerID(), 100, 200) })
 
 	f := e.NewFlow("tenant", FlowConfig{Class: Interactive, Weight: 2})
 	fs := e.LatencySink(f)
 	if fs == nil {
 		t.Fatal("nil sink for registered flow")
 	}
-	fs.RecordLatency(1, 1000, 2000)
-	fs.RecordLatency(1, 1000, 2000)
+	onWorker(t, e, func(ctx Context) {
+		fs.RecordLatency(ctx.WorkerID(), 1000, 2000)
+		fs.RecordLatency(ctx.WorkerID(), 1000, 2000)
+	})
 
 	if s := e.LatencySink(fakeFlow{}); s != nil {
 		t.Fatal("foreign flow must yield a nil sink")
@@ -206,16 +237,25 @@ func TestLatencyDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestLatencyRecordZeroAlloc gates the record path: five shard-local
-// atomic adds, no allocation. Runs under the CI alloc-gate
-// job alongside the scheduler gates.
+// TestLatencyRecordZeroAlloc gates the record path — run-length words of
+// the worker's own shard, settled every latSettleRecords records — at no
+// allocation, recording where the contract says to: on the worker. Runs
+// under the CI alloc-gate job alongside the scheduler gates.
 func TestLatencyRecordZeroAlloc(t *testing.T) {
 	e := New(2, WithLatencyHistograms())
 	defer e.Shutdown()
 	sink := e.LatencySink(nil)
-	if allocs := testing.AllocsPerRun(100, func() {
-		sink.RecordLatency(1, 1234, 5678)
-	}); allocs != 0 {
-		t.Fatalf("RecordLatency allocates %v per op, want 0", allocs)
+	onWorker(t, e, func(ctx Context) {
+		w := ctx.WorkerID()
+		if allocs := testing.AllocsPerRun(100, func() {
+			sink.RecordLatency(w, 1234, 5678)
+			sink.RecordLatency(w, 1234, 99) // a bucket change settles a run
+		}); allocs != 0 {
+			t.Errorf("RecordLatency allocates %v per op, want 0", allocs)
+		}
+	})
+	flows, _ := e.LatencyStats()
+	if got := flows[0].Exec.Count; got != 202 { // AllocsPerRun warms up once
+		t.Fatalf("recorded %d observations, want 202", got)
 	}
 }

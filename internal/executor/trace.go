@@ -10,10 +10,12 @@ package executor
 // stream as a Chrome trace-event JSON timeline (Perfetto).
 //
 // One clock. Nanos is the only clock recording reads, and a worker reads
-// it at most twice per task, lazily: at body start (StartStamp) and body
+// it once per task boundary, lazily: at body start (StartStamp) and body
 // end (EndStamp). The task's start/end events, every event its owner
 // traces, internal/core's histogram record, RunStats busy time and the
-// successors' ready stamps share those two readings to the nanosecond.
+// successors' ready stamps share those two readings to the nanosecond —
+// and a task handed over through the cache slot starts at its releaser's
+// end stamp (invoke), so a chain reads the clock once per task.
 //
 // One ring, two readers. Each worker owns one ring (one more, mutex-
 // guarded, takes events from outside the pool — cold by construction). A
@@ -21,9 +23,14 @@ package executor
 // flight recorder (flight.go) its trailing window; an event is written
 // once however many readers are armed.
 //
-// No per-event lock. The owner fills a slot with plain stores and
-// publishes it with one atomic store of head, so a reader that loads head
-// sees whole slots. Slots are reused a segment (ringSegLen) at a time:
+// No per-event lock, one publication per task. The owner fills slots with
+// plain stores and publishes them with one atomic store of head, so a
+// reader that loads head sees whole slots. What a worker has written stays
+// private until somebody else could need it: head moves at a task's start
+// event (the task a worker is inside, or stuck inside, is always visible),
+// at scheduler lifecycle events, at Settle and on entering a segment; a
+// task's release and end events ride with the next of those. Slots are
+// reused a segment (ringSegLen) at a time:
 // the owner closes the segment (pins 0 -> -1), advances its base event
 // number and reopens it; a reader pins the one segment it copies, checks
 // that base still names the generation it wants, copies and unpins. The
@@ -229,37 +236,44 @@ type ringSeg struct {
 
 // eventRing is one wrapping event buffer with a single writer at a time:
 // its owning worker, or for the external ring the holder of spine.extMu.
-// Event number i lives in slot i mod len(buf). See the file comment for
-// the publication and segment-pin protocol.
+// Event number i lives in slot i mod len(buf). Readers see the events below
+// head; the writer's own count runs ahead of it by the events it has not
+// published yet, fewer than ringSegLen. See the file comment for the
+// publication and segment-pin protocol.
 type eventRing struct {
 	buf  []TraceEvent
 	segs []ringSeg
 	head atomic.Int64
-	pos  int // writer-private: the slot of event number head
+	n    int64 // writer-private: events written
+	pos  int   // writer-private: the slot of event number n
 
-	_ [metricsPad - 64]byte // rings sit side by side: keep each writer's head on its own lines
+	_ [metricsPad - 72]byte // rings sit side by side: keep each writer's head on its own lines
 }
 
-// newEventRing sizes a ring so that the newest capacity events are always
-// held: one segment beyond capacity, because entering a segment gives up
-// all of its old events at once.
+// newEventRing sizes a ring so that the newest capacity published events
+// are always held: two segments beyond capacity, because entering a segment
+// gives up all of its old events at once and up to a segment's worth of the
+// newest are not published yet.
 func newEventRing(capacity int) eventRing {
-	n := (capacity+ringSegLen-1)/ringSegLen + 1
+	n := (capacity+ringSegLen-1)/ringSegLen + 2
 	return eventRing{buf: make([]TraceEvent, n*ringSegLen), segs: make([]ringSeg, n)}
 }
 
 // write records one event — kind at ts about meta's task (nil: none) —
 // filling its slot in place, having first moved the segment that slot
-// opens (if any) to its new generation.
+// opens (if any) to its new generation. The event is the writer's own
+// until the next publish; entering a segment publishes what came before,
+// which bounds both the unpublished tail and what a burst of releases can
+// push out of a reader's window unseen.
 func (r *eventRing) write(worker int32, kind EventKind, ts int64, meta *TaskMeta, arg uint64) {
-	n := r.head.Load()
 	if r.pos&(ringSegLen-1) == 0 {
 		seg := &r.segs[r.pos/ringSegLen]
 		for !seg.pins.CompareAndSwap(0, -1) {
 			runtime.Gosched() // a reader is copying this segment's last generation
 		}
-		seg.base.Store(n)
+		seg.base.Store(r.n)
 		seg.pins.Store(0)
+		r.head.Store(r.n)
 	}
 	ev := &r.buf[r.pos]
 	ev.Ts, ev.Worker, ev.Kind, ev.Arg = time.Duration(ts), worker, kind, arg
@@ -271,7 +285,14 @@ func (r *eventRing) write(worker int32, kind EventKind, ts int64, meta *TaskMeta
 	if r.pos++; r.pos == len(r.buf) {
 		r.pos = 0
 	}
-	r.head.Store(n + 1)
+	r.n++
+}
+
+// publish makes every event written so far visible to readers.
+func (r *eventRing) publish() {
+	if r.head.Load() != r.n {
+		r.head.Store(r.n)
+	}
 }
 
 // window appends to dst the events numbered [lo, hi) that the ring still
@@ -415,9 +436,13 @@ func (e *Executor) StartTrace() bool {
 // recorded since StartTrace. A capture is a window on wrapping rings: when
 // a worker recorded more than the WithTracing capacity the newest events
 // are kept and the older ones counted in Dropped. ok is false when tracing
-// was not built in or no capture is active. A record racing with StartTrace
-// or StopTrace may fall on the wrong side of the window, at most one event
-// per worker; events already published are never torn.
+// was not built in or no capture is active. The window is made of what the
+// workers have published: everything a worker recorded before it let a
+// waiter go (Context.Settle) — so a capture around a finished Run holds all
+// of the run's events — and each task's start event from the moment it
+// started. Of a task running across StartTrace or StopTrace, at most that
+// one task's trailing events (its releases and its end) per worker may fall
+// on the wrong side of the window; events already published are never torn.
 func (e *Executor) StopTrace() (Trace, bool) {
 	if e.traceCap <= 0 {
 		return Trace{}, false
@@ -437,8 +462,10 @@ func (e *Executor) TraceExternal(kind EventKind, meta TaskMeta, arg uint64) {
 	if sp == nil || !sp.recording() {
 		return
 	}
+	ext := &sp.rings[len(sp.rings)-1]
 	sp.extMu.Lock()
-	sp.rings[len(sp.rings)-1].write(ExternalWorker, kind, Nanos(), &meta, arg)
+	ext.write(ExternalWorker, kind, Nanos(), &meta, arg)
+	ext.publish()
 	sp.extMu.Unlock()
 }
 
@@ -449,34 +476,34 @@ func (w *worker) tracing() bool {
 }
 
 // StartStamp implements Context: the clock reading at which the worker
-// began the current task, taken on first use.
+// began the current task — taken on first use, or inherited from the task
+// that handed this one over (invoke).
 func (w *worker) StartStamp() int64 {
-	if w.start != 0 {
-		return w.start
+	if !w.stamping {
+		return Nanos()
 	}
-	t := Nanos()
-	if w.stamping {
-		w.start = t
+	if w.start == 0 {
+		w.start = Nanos()
 	}
-	return t
+	return w.start
 }
 
 // EndStamp implements Context: the clock reading at the end of the current
 // task's body, taken on first use and shared by every later consumer.
 func (w *worker) EndStamp() int64 {
-	if w.end != 0 {
-		return w.end
+	if !w.stamping {
+		return Nanos()
 	}
-	t := Nanos()
-	if w.stamping {
-		w.end = t
+	if w.end == 0 {
+		w.end = Nanos()
 	}
-	return t
+	return w.end
 }
 
 // Trace implements Context: record an event about task at the current
 // task's end stamp. The running task's identity was resolved when it
-// started (invoke); any other task is asked for its own.
+// started (invoke); any other task is asked for its own. The event is
+// published with the worker's next publication (see Settle).
 func (w *worker) Trace(kind EventKind, task Described, arg uint64) {
 	if !w.tracing() {
 		return
@@ -493,9 +520,34 @@ func (w *worker) Trace(kind EventKind, task Described, arg uint64) {
 }
 
 // traceEvent records a scheduler lifecycle event, which has no task
-// identity and is no task boundary: it reads the clock itself.
+// identity and is no task boundary: it reads the clock itself, and is
+// published at once — what follows may be a park.
 func (w *worker) traceEvent(kind EventKind, arg uint64) {
 	if w.tracing() {
 		w.ring.write(int32(w.id), kind, Nanos(), nil, arg)
+		w.ring.publish()
+	}
+}
+
+// endSpan writes the running task's end event, once: from Settle when the
+// task's owner settles, from invoke otherwise.
+func (w *worker) endSpan() {
+	if w.spanOpen {
+		w.spanOpen = false
+		w.ring.write(int32(w.id), EvTaskEnd, w.EndStamp(), &w.meta, 0)
+	}
+}
+
+// Settle implements Context: everything this worker has recorded becomes
+// readable — the running task's span is closed at its end stamp, the ring
+// published, the pending histogram records added to their shard.
+func (w *worker) Settle() {
+	if r := w.ring; r != nil {
+		w.endSpan()
+		r.publish()
+	}
+	if s := w.dirty; s != nil {
+		w.dirty = nil
+		s.settle()
 	}
 }

@@ -11,16 +11,16 @@ import (
 type describedTask struct {
 	rbox Runnable
 	meta TaskMeta
-	fn   func()
+	fn   func(Context)
 }
 
-func newDescribedTask(meta TaskMeta, fn func()) *describedTask {
+func newDescribedTask(meta TaskMeta, fn func(Context)) *describedTask {
 	d := &describedTask{meta: meta, fn: fn}
 	d.rbox = d
 	return d
 }
 
-func (d *describedTask) Run(Context)        { d.fn() }
+func (d *describedTask) Run(ctx Context)    { d.fn(ctx) }
 func (d *describedTask) Describe() TaskMeta { return d.meta }
 
 func TestTraceDisabledWithoutOption(t *testing.T) {
@@ -60,12 +60,15 @@ func TestTraceCaptureLifecycle(t *testing.T) {
 		t.Fatal("capture not active after StartTrace")
 	}
 
+	// Each task settles before it lets the waiter go, as an owner of tasks
+	// must: its end event is then in the capture, not racing StopTrace.
 	var n atomic.Int64
+	body := func(ctx Context) { ctx.Settle(); n.Add(1) }
 	meta := TaskMeta{Flow: "flow", Name: "alpha", ID: 7, Idx: 3, Gen: 1}
-	d := newDescribedTask(meta, func() { n.Add(1) })
+	d := newDescribedTask(meta, body)
 	e.Submit(&d.rbox)
 	for i := 0; i < 9; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
+		e.SubmitFunc(body)
 	}
 	waitCounter(t, &n, 10)
 
@@ -244,5 +247,40 @@ func TestObserverPanicRoutedToHandler(t *testing.T) {
 	}
 	if err := e.PanicError(); err != nil {
 		t.Fatalf("handler-routed panics also recorded: %v", err)
+	}
+}
+
+// TestHandOffStampDiesWithCapture: the end stamp a task leaves for the task
+// in its cache slot must not survive recording being switched off. A stops
+// the capture it runs under and hands B over; B runs unrecorded, starts a
+// new capture and hands C over. C's start stamp is then a reading of its
+// own — not A's end stamp, carried past B.
+func TestHandOffStampDiesWithCapture(t *testing.T) {
+	e := New(1, WithTracing(64))
+	defer e.Shutdown()
+	var bEnd, cStart int64
+	done := make(chan struct{})
+	c := NewTask(func(ctx Context) {
+		cStart = ctx.StartStamp()
+		close(done)
+	})
+	b := NewTask(func(ctx Context) {
+		e.StartTrace()
+		bEnd = Nanos()
+		ctx.SubmitCached(c)
+	})
+	a := NewTask(func(ctx Context) {
+		e.StopTrace()
+		ctx.SubmitCached(b)
+	})
+	if !e.StartTrace() {
+		t.Fatal("StartTrace failed")
+	}
+	if err := e.Submit(a); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if cStart < bEnd {
+		t.Fatalf("C starts at %d, before B — which ran unrecorded — ended at %d: a stale hand-off stamp", cStart, bEnd)
 	}
 }

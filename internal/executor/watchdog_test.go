@@ -186,6 +186,20 @@ func TestWatchdogFiresOnBlockedWorkers(t *testing.T) {
 	if rep.Flight == nil || len(rep.Flight.Events) == 0 {
 		t.Fatal("report missing flight dump despite WithFlightRecorder")
 	}
+	// The dump names what the workers are stuck in: a start event is
+	// published when it is written, not with the task's end.
+	open := 0
+	for _, ev := range rep.Flight.Events {
+		switch ev.Kind {
+		case EvTaskStart:
+			open++
+		case EvTaskEnd:
+			open--
+		}
+	}
+	if open != workers {
+		t.Fatalf("flight dump shows %d tasks in progress, want the %d blocked ones", open, workers)
+	}
 	if wd.Firings() == 0 || wd.LastReport() == nil {
 		t.Fatal("Firings/LastReport inconsistent with the delivered report")
 	}

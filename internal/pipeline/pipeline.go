@@ -525,11 +525,11 @@ func (p *Pipeline) RunContext(ctx context.Context) (int64, error) {
 }
 
 // signal decrements cell (l, q)'s join counter and schedules it on zero,
-// re-arming the counter for the next round.
-func (p *Pipeline) signal(ctx executor.Context, l, q int, cached bool) {
+// re-arming the counter for the next round. It reports whether it did.
+func (p *Pipeline) signal(ctx executor.Context, l, q int, cached bool) bool {
 	c := &p.cells[l][q]
 	if c.join.Add(-1) != 0 {
-		return
+		return false
 	}
 	c.join.Store(p.rearmJoin(q))
 	p.outstanding.Add(1)
@@ -538,6 +538,7 @@ func (p *Pipeline) signal(ctx executor.Context, l, q int, cached bool) {
 	} else {
 		ctx.Submit(&c.self)
 	}
+	return true
 }
 
 // runCell is one activation of cell c: generate (head), invoke (scalar
@@ -550,7 +551,7 @@ func (p *Pipeline) runCell(ctx executor.Context, c *cell) {
 		if p.stopped.Load() {
 			// Stopped: do not generate or propagate; token order along
 			// the first pipe also ends here.
-			p.retire()
+			p.leave(ctx)
 			return
 		}
 		tok := p.nextToken.Add(1) - 1
@@ -562,13 +563,13 @@ func (p *Pipeline) runCell(ctx executor.Context, c *cell) {
 		p.invoke(&p.pipes[0], pf)
 		if pf.stop {
 			p.stopped.Store(true)
-			p.retire()
+			p.leave(ctx)
 			return
 		}
 		// Defer at the head can never park: the serial head completes
 		// tokens in generation order, so any strictly-earlier target has
 		// already completed pipe 0. park still linearizes the check.
-		if pf.deferTo >= 0 && p.park(c, pf.deferTo) {
+		if pf.deferTo >= 0 && p.park(ctx, c, pf.deferTo) {
 			return
 		}
 		p.advance(ctx, c, tok)
@@ -584,7 +585,7 @@ func (p *Pipeline) runCell(ctx executor.Context, c *cell) {
 		return
 	}
 	p.invoke(pipe, pf)
-	if pf.deferTo >= 0 && p.park(c, pf.deferTo) {
+	if pf.deferTo >= 0 && p.park(ctx, c, pf.deferTo) {
 		return // parked: charge retained, re-armed when the target completes
 	}
 	p.advance(ctx, c, tok)
@@ -600,17 +601,21 @@ func (p *Pipeline) advance(ctx executor.Context, c *cell, tok int64) {
 	if c.waiters.Load() != nil {
 		p.wakeWaiters(ctx, c, tok)
 	}
-	last := len(p.pipes) - 1
+	next := q + 1
 	if p.pipes[q].Type == Serial {
 		p.signal(ctx, (l+1)%p.lines, q, false)
 	}
-	if q == last {
+	if next == len(p.pipes) {
 		p.completeToken(ctx, l)
-		p.signal(ctx, l, 0, true) // line becomes free: wrap to the head
-	} else {
-		p.signal(ctx, l, q+1, true)
+		next = 0 // line becomes free: wrap to the head
 	}
-	p.retire()
+	// The cell this worker takes along in its cache slot settles for it,
+	// later; without one this may be the last the worker does for the run.
+	if p.signal(ctx, l, next, true) {
+		p.retire()
+	} else {
+		p.leave(ctx)
+	}
 }
 
 // completeToken accounts one token that finished the last pipe on line l
@@ -630,11 +635,12 @@ func (p *Pipeline) completeToken(ctx executor.Context, l int) {
 // token actually parked; false means the target has already completed
 // and the caller should advance normally. The cell's outstanding charge
 // is retained while parked, so the run cannot quiesce under it.
-func (p *Pipeline) park(c *cell, target int64) bool {
+func (p *Pipeline) park(ctx executor.Context, c *cell, target int64) bool {
 	tc := &p.cells[int(target%int64(p.lines))][c.pipe]
 	if tc.completed.Load() >= target {
 		return false // already completed: Defer is a no-op
 	}
+	ctx.Settle() // once linked, c is any worker's to resume
 	p.defMu.Lock()
 	c.waitFor = target
 	c.waitNext = tc.waiters.Load()
@@ -717,6 +723,7 @@ func (p *Pipeline) fanOut(ctx executor.Context, c *cell, pipe *Pipe, tok int64) 
 	c.grainEff = grain
 	c.pending.Store(int64(k))
 	p.outstanding.Add(int64(k))
+	ctx.Settle() // the claimants carry the token on, on any worker
 	if err := p.sched.SubmitBatch(c.claimRefs[:k]); err != nil {
 		// Rejected whole: no claimant will run. Undo the charges and
 		// advance so the failing run still drains.
@@ -759,8 +766,10 @@ func (p *Pipeline) runClaim(ctx executor.Context, c *cell) {
 	}
 	if c.pending.Add(-1) == 0 {
 		p.advance(ctx, c, c.pf.token) // barrier reached: the token moves on
+		p.retire()                    // advance settled, or took a cell along
+		return
 	}
-	p.retire()
+	p.leave(ctx)
 }
 
 // nextTokenOnLine reconstructs the token currently traversing line l: the
@@ -815,6 +824,14 @@ func (p *Pipeline) retire() {
 	if p.outstanding.Add(-1) == 0 {
 		p.done <- struct{}{}
 	}
+}
+
+// leave is retire for an activation that leaves its worker nothing of the
+// pipeline to go on with: the worker settles its records first, so that a
+// Run released by the last retire finds every worker's.
+func (p *Pipeline) leave(ctx executor.Context) {
+	ctx.Settle()
+	p.retire()
 }
 
 // Err returns every failure captured during the current (or last) run —

@@ -761,10 +761,12 @@ func (c simCtx) WorkerID() int                { return c.w }
 func (c simCtx) Executor() executor.Scheduler { return c.s }
 
 // The simulation records no events and shares no stamps: a task that
-// times itself (RunStats timing) reads the real clock.
+// times itself (RunStats timing) reads the real clock, and there is never
+// anything to settle.
 func (c simCtx) StartStamp() int64                                    { return executor.Nanos() }
 func (c simCtx) EndStamp() int64                                      { return executor.Nanos() }
 func (c simCtx) Trace(executor.EventKind, executor.Described, uint64) {}
+func (c simCtx) Settle()                                              {}
 
 // target picks the deque a worker-context submission lands on. On the
 // real pool a task submitted from a worker always enters that worker's
