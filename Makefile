@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race chaos bench bench-pairs bench-contention cover fuzz trace fairness latency-smoke pipeline-bench
+.PHONY: all build test vet race chaos bench-pairs cover fuzz trace latency-smoke pipeline-bench
 
 all: vet build test
 
@@ -13,8 +13,10 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./internal/...
@@ -28,16 +30,6 @@ race:
 # coherent aggregated error and no goroutine leaks.
 chaos:
 	$(GO) test -race -count=5 ./internal/chaos/
-
-# bench runs the scheduler hot-path benchmarks (steady-state re-runs plus
-# the paper's wavefront/traversal end-to-end figures) with allocation
-# reporting and records the raw output in BENCH_scheduler.json alongside
-# the kept before/after medians.
-bench:
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkSched|BenchmarkParallelForSkewed|Fig7WavefrontSizeTaskflow|Fig7TraversalSizeTaskflow' \
-		-benchmem -benchtime 2s -count 3 . | tee /tmp/bench_scheduler.txt
-	@echo "raw output in /tmp/bench_scheduler.txt; curate BENCH_scheduler.json from it"
 
 # bench-pairs is the procedure behind a claimed gain (benchmark/README.md,
 # "Steadiness"): build the benchmark program from PARENT and from the
@@ -69,27 +61,6 @@ bench-pairs:
 	done; \
 	$$b/change -compare $$b/parent.jsonl $$b/change.jsonl
 
-# bench-contention runs the scheduler contention suite — thundering herd,
-# empty-steal storm, cross-worker fanout, injection flood — across the
-# GOMAXPROCS ladder (each sub-benchmark pins its own worker count/procs).
-# Medians feed the "contention" section of BENCH_scheduler.json.
-bench-contention:
-	$(GO) test -run '^$$' -bench 'BenchmarkContention' \
-		-benchmem -benchtime 1s -count 5 ./internal/executor/ \
-		| tee /tmp/bench_contention.txt
-	@echo "raw output in /tmp/bench_contention.txt; curate BENCH_scheduler.json (contention section) from it"
-
-# fairness runs the multi-tenant suite: the sim fairness property sweep,
-# the injected-starvation detector, the real-executor admission and
-# -race mirror tests, then the fairness tail benchmarks (interactive p99
-# under batch saturation). Medians feed the "fairness" section of
-# BENCH_scheduler.json.
-fairness:
-	$(GO) test -run 'Fairness|StrictDrain|WeightedDrain|ServiceGap|TestFlow' -v ./internal/sim/ ./internal/core/ ./internal/executor/
-	$(GO) test -run '^$$' -bench 'BenchmarkFairness' \
-		-benchmem -benchtime 1s -count 3 . | tee /tmp/bench_fairness.txt
-	@echo "raw output in /tmp/bench_fairness.txt; curate BENCH_scheduler.json (fairness section) from it"
-
 # trace is the tracing smoke: capture an event trace from an instrumented
 # wavefront and traversal run via the drivers' -trace flags, then validate
 # the Chrome trace-event JSON (required Perfetto fields, named task spans,
@@ -112,10 +83,10 @@ latency-smoke:
 
 # pipeline-bench is the pipeline throughput smoke: the zero-alloc
 # steady-state gate, a short benchmark pass over the stages × lines
-# matrix (tokens/sec must be reported; medians feed the "pipeline"
-# section of BENCH_scheduler.json), and a cmd/pipestream run that
-# self-checks token counts, positive throughput, the per-line trace and
-# the Prometheus export.
+# matrix (tokens/sec must be reported; the number of record is the
+# harness's pipeline_stream workload, pipeline.tokens_per_s), and a
+# cmd/pipestream run that self-checks token counts, positive throughput,
+# the per-line trace and the Prometheus export.
 pipeline-bench:
 	$(GO) test -run 'TestPipelineRunNZeroAlloc' -v ./internal/pipeline/
 	$(GO) test -run '^$$' -bench 'BenchmarkPipeline' \

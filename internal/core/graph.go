@@ -269,8 +269,8 @@ func (n *node) label(i int) string {
 var traceIDCounter atomic.Uint64
 
 // Describe implements executor.Described: the task identity carried into
-// observer hooks and trace events. Building it copies string headers and
-// integers — no allocation on the traced hot path.
+// trace events. Building it copies string headers and integers — no
+// allocation on the traced hot path.
 func (n *node) Describe() executor.TaskMeta {
 	m := executor.TaskMeta{
 		Name: n.name,

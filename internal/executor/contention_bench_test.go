@@ -3,8 +3,9 @@ package executor
 // Contention benchmarks for the notifier and injection paths — the two
 // structures that serialize at high core counts. Every benchmark runs
 // across a GOMAXPROCS ladder (1/2/4/8/16) so the scaling knee, not just
-// the single-core figure, is visible on any machine; `make bench-contention`
-// runs the suite and BENCH_scheduler.json keeps the before/after medians.
+// the single-core figure, is visible on any machine. The numbers of record
+// for these paths are the benchmark harness's wsq.contended_steal_ns and
+// wsq.contended_steal_win_share probes (go run ./benchmark -trace 1).
 //
 // The four shapes:
 //

@@ -133,20 +133,6 @@ type Context interface {
 	Settle()
 }
 
-// Observer receives callbacks around task execution, carrying the task's
-// identity (name, owning flow, run generation) when the task offers one
-// (see Described; anonymous tasks pass a zero TaskMeta). Observers may be
-// registered at construction or while running and must be safe for
-// concurrent use; they serve profiling and visualization (paper Section
-// IV, CPU utilization profile). A panicking observer is contained at the
-// worker level and routed through the executor's panic machinery
-// (PanicError / WithPanicHandler) — it never unwinds the worker loop —
-// but the remaining observers of that event are skipped.
-type Observer interface {
-	OnTaskStart(worker int, meta TaskMeta)
-	OnTaskEnd(worker int, meta TaskMeta)
-}
-
 // defaultWakeDen is the default denominator of the probabilistic
 // load-balancing wakeup: after finishing a task batch, a worker wakes one
 // idler with probability 1/defaultWakeDen (Algorithm 1, lines 26-28).
@@ -267,20 +253,6 @@ type Executor struct {
 	// pool later; see timers.go.
 	timers timerRegistry
 
-	// busy counts workers currently inside a task. Maintaining it costs
-	// two shared-cacheline atomics per task, so it is only updated when
-	// profiling is requested (WithBusyTracking, WithObserver, or a later
-	// AddObserver).
-	trackBusy atomic.Bool
-	busy      atomic.Int64
-
-	// observers is a copy-on-write list so AddObserver is safe while the
-	// workers run: registration publishes a fresh slice, and each task
-	// invocation loads the list once, delivering balanced
-	// OnTaskStart/OnTaskEnd pairs even when registration races with it.
-	obsMu     sync.Mutex
-	observers atomic.Pointer[[]Observer]
-
 	// metrics is the scheduler counter storage (see metrics.go), non-nil
 	// only when built WithMetrics.
 	metricsOn bool
@@ -333,34 +305,6 @@ type Option func(*Executor)
 // reproducible in tests. Without it each executor draws a fresh seed.
 func WithSeed(seed int64) Option {
 	return func(e *Executor) { e.seed, e.seedSet = seed, true }
-}
-
-// WithObserver registers an observer at construction. Observers imply busy
-// tracking. Observers may also be registered later with AddObserver.
-func WithObserver(o Observer) Option {
-	return func(e *Executor) { e.AddObserver(o) }
-}
-
-// WithBusyTracking enables the BusyWorkers counter used by profilers.
-func WithBusyTracking() Option {
-	return func(e *Executor) { e.trackBusy.Store(true) }
-}
-
-// AddObserver registers an observer, implying busy tracking. Safe to call
-// concurrently with running tasks: the observer list is copy-on-write, so
-// in-flight tasks keep the list they loaded (an observer registered
-// mid-task sees its first OnTaskStart on the next task, never an unpaired
-// OnTaskEnd). Observers must be safe for concurrent use.
-func (e *Executor) AddObserver(o Observer) {
-	e.obsMu.Lock()
-	var next []Observer
-	if p := e.observers.Load(); p != nil {
-		next = append(next, *p...)
-	}
-	next = append(next, o)
-	e.observers.Store(&next)
-	e.obsMu.Unlock()
-	e.trackBusy.Store(true)
 }
 
 // WithoutTaskCache disables the per-worker speculative task cache
@@ -455,11 +399,6 @@ func New(n int, opts ...Option) *Executor {
 
 // NumWorkers returns the number of worker goroutines.
 func (e *Executor) NumWorkers() int { return len(e.workers) }
-
-// BusyWorkers returns the number of workers currently executing a task.
-// It is a racy snapshot intended for profiling and is only maintained when
-// the executor was built with WithBusyTracking or WithObserver.
-func (e *Executor) BusyWorkers() int { return int(e.busy.Load()) }
 
 // Submit schedules a task from outside the worker pool via the injection
 // queue (work sharing). Tasks running inside the pool should use their
@@ -862,86 +801,35 @@ func (e *Executor) invoke(w *worker, r *Runnable) {
 			w.start = 0
 		}
 	}
-	busy := e.trackBusy.Load()
-	if !busy && !tracing && e.lat == nil {
+	if !tracing && e.lat == nil {
 		e.safeRun(w, r)
 		return
 	}
 	// Something records this task: from here to the reset below its
 	// consumers share the worker's two stamps instead of reading the clock.
 	w.stamping = true
-	if busy || tracing {
+	// The start event is published at once: a task that never returns must
+	// still be seen.
+	if tracing {
 		if d, ok := (*r).(Described); ok {
 			w.cur, w.meta = d, d.Describe()
 		}
-	}
-	// Load the observer list once so this task delivers balanced
-	// OnTaskStart/OnTaskEnd pairs even if AddObserver races with it.
-	var obs []Observer
-	if busy {
-		e.busy.Add(1)
-		if p := e.observers.Load(); p != nil {
-			obs = *p
-		}
-	}
-	if len(obs) > 0 {
-		e.notifyStart(w, obs, w.meta)
-	}
-	// Trace events sit innermost so spans bound the task body tightly,
-	// excluding observer work. The start event is published at once: a
-	// task that never returns must still be seen.
-	if tracing {
 		w.ring.write(int32(w.id), EvTaskStart, w.StartStamp(), &w.meta, 0)
 		w.ring.publish()
 		w.spanOpen = true
 	}
 	e.safeRun(w, r)
 	w.endSpan()
-	if len(obs) > 0 {
-		e.notifyEnd(w, obs, w.meta)
-	}
-	if busy {
-		e.busy.Add(-1)
-	}
 	// A task waiting in the cache slot runs next with nothing in between
 	// but the bookkeeping that released it, so this task's end stamp is its
-	// start stamp: one clock reading per hand-off. Observer callbacks are
-	// not bookkeeping and keep the two readings apart.
+	// start stamp: one clock reading per hand-off.
 	w.start = 0
-	if w.cache != nil && len(obs) == 0 {
+	if w.cache != nil {
 		w.start = w.end
 	}
 	w.stamping, w.end = false, 0
 	if w.cur != nil {
 		w.cur, w.meta = nil, TaskMeta{}
-	}
-}
-
-// notifyStart/notifyEnd dispatch observer hooks under panic containment: a
-// panicking observer is routed through the PanicError/WithPanicHandler
-// machinery instead of unwinding into the worker loop. The remaining
-// observers of that event are skipped (the deferred recover unwinds the
-// dispatch loop), but the task itself still runs and later events still
-// reach every observer.
-func (e *Executor) notifyStart(w *worker, obs []Observer, meta TaskMeta) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			e.containPanic(w.id, rec)
-		}
-	}()
-	for _, o := range obs {
-		o.OnTaskStart(w.id, meta)
-	}
-}
-
-func (e *Executor) notifyEnd(w *worker, obs []Observer, meta TaskMeta) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			e.containPanic(w.id, rec)
-		}
-	}()
-	for _, o := range obs {
-		o.OnTaskEnd(w.id, meta)
 	}
 }
 

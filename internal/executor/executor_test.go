@@ -257,48 +257,6 @@ func TestStealingHappens(t *testing.T) {
 	}
 }
 
-type countingObserver struct {
-	starts atomic.Int64
-	ends   atomic.Int64
-}
-
-func (o *countingObserver) OnTaskStart(int, TaskMeta) { o.starts.Add(1) }
-func (o *countingObserver) OnTaskEnd(int, TaskMeta)   { o.ends.Add(1) }
-
-func TestObserver(t *testing.T) {
-	obs := &countingObserver{}
-	e := New(2, WithObserver(obs))
-	defer e.Shutdown()
-	var n atomic.Int64
-	for i := 0; i < 50; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
-	}
-	waitCounter(t, &n, 50)
-	waitCounter(t, &obs.ends, 50)
-	if obs.starts.Load() != 50 {
-		t.Fatalf("observer starts = %d, want 50", obs.starts.Load())
-	}
-}
-
-func TestBusyWorkers(t *testing.T) {
-	e := New(2, WithBusyTracking())
-	defer e.Shutdown()
-	release := make(chan struct{})
-	started := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ {
-		e.SubmitFunc(func(Context) {
-			started <- struct{}{}
-			<-release
-		})
-	}
-	<-started
-	<-started
-	if got := e.BusyWorkers(); got != 2 {
-		t.Fatalf("BusyWorkers() = %d, want 2", got)
-	}
-	close(release)
-}
-
 func TestIdleWakeupLatency(t *testing.T) {
 	// After a quiet period (workers parked), a new submission must still run.
 	e := New(4)

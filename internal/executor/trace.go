@@ -153,9 +153,9 @@ func InjectArgShard(arg uint64) int { return int(arg >> injectArgShardShift) }
 // InjectArgCount extracts the task count from a packed injection arg.
 func InjectArgCount(arg uint64) uint64 { return arg & (uint64(1)<<injectArgShardShift - 1) }
 
-// TaskMeta identifies a task for observers and trace events. Producing a
-// TaskMeta copies two string headers and three integers — no allocation —
-// so carrying identity through the hot path is free of garbage.
+// TaskMeta identifies a task in trace events. Producing a TaskMeta copies
+// two string headers and three integers — no allocation — so carrying
+// identity through the hot path is free of garbage.
 type TaskMeta struct {
 	// Flow is the owning taskflow/topology display name ("" if unnamed).
 	Flow string

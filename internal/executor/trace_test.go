@@ -187,69 +187,6 @@ func TestEventKindStrings(t *testing.T) {
 	}
 }
 
-// panickingObserver blows up in its hooks; the executor must contain it.
-type panickingObserver struct {
-	starts atomic.Int64
-	ends   atomic.Int64
-}
-
-func (o *panickingObserver) OnTaskStart(int, TaskMeta) {
-	o.starts.Add(1)
-	panic("observer start boom")
-}
-
-func (o *panickingObserver) OnTaskEnd(int, TaskMeta) {
-	o.ends.Add(1)
-	panic("observer end boom")
-}
-
-func TestObserverPanicContained(t *testing.T) {
-	obs := &panickingObserver{}
-	e := New(2, WithObserver(obs))
-	defer e.Shutdown()
-
-	var n atomic.Int64
-	for i := 0; i < 10; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
-	}
-	// Every task still runs: the panics must not kill workers or skip
-	// task bodies.
-	waitCounter(t, &n, 10)
-	waitCounter(t, &obs.ends, 10)
-	if obs.starts.Load() != 10 {
-		t.Fatalf("observer starts = %d, want 10", obs.starts.Load())
-	}
-
-	err := e.PanicError()
-	if err == nil {
-		t.Fatal("observer panics not recorded in PanicError")
-	}
-	if !strings.Contains(err.Error(), "observer start boom") ||
-		!strings.Contains(err.Error(), "observer end boom") {
-		t.Fatalf("PanicError missing observer panics: %v", err)
-	}
-}
-
-func TestObserverPanicRoutedToHandler(t *testing.T) {
-	var handled atomic.Int64
-	obs := &panickingObserver{}
-	e := New(1,
-		WithObserver(obs),
-		WithPanicHandler(func(worker int, rec any) { handled.Add(1) }),
-	)
-	defer e.Shutdown()
-	var n atomic.Int64
-	e.SubmitFunc(func(Context) { n.Add(1) })
-	waitCounter(t, &n, 1)
-	waitCounter(t, &obs.ends, 1)
-	if handled.Load() < 2 { // start hook + end hook
-		t.Fatalf("panic handler saw %d observer panics, want 2", handled.Load())
-	}
-	if err := e.PanicError(); err != nil {
-		t.Fatalf("handler-routed panics also recorded: %v", err)
-	}
-}
-
 // TestHandOffStampDiesWithCapture: the end stamp a task leaves for the task
 // in its cache slot must not survive recording being switched off. A stops
 // the capture it runs under and hands B over; B runs unrecorded, starts a

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"gotaskflow/internal/sta"
+	"gotaskflow/internal/stav2"
 )
 
 func TestSrcRoot(t *testing.T) {
@@ -134,13 +138,50 @@ func TestFig9And10Smoke(t *testing.T) {
 	if !strings.Contains(sb.String(), "full timing on smoke") {
 		t.Fatalf("Fig10 output:\n%s", sb.String())
 	}
+}
 
-	sb.Reset()
-	if err := Fig10Utilization(&sb, small, 1, []int{2}, 3); err != nil {
+// TestFig10UtilizationMeasured: the utilisation table is what the runs
+// recorded about themselves, so it obeys their arithmetic — every task of
+// every update counted once, busy time bounded by the workers it was spent
+// on, and elapsed time (which includes building the graphs) no shorter than
+// the time the graphs were in flight.
+func TestFig10UtilizationMeasured(t *testing.T) {
+	small := Design{Name: "smoke", Gates: 400, Seed: 1}
+	const updates = 3
+	tm := sta.New(small.Build(1), ClockPeriod)
+	a := stav2.New(tm, 1)
+	tf := a.Taskflow(tm.FullUpdate())
+	graphTasks := tf.NumNodes() // every gate forward and backward, plus the barrier
+	err := tf.Dispatch().Get()
+	a.Close()
+	if err != nil || graphTasks != 2*tm.Ckt.NumGates()+1 {
+		t.Fatalf("full update: %d tasks for %d gates, err %v", graphTasks, tm.Ckt.NumGates(), err)
+	}
+
+	var sb strings.Builder
+	if err := Fig10Utilization(&sb, small, 1, []int{1, 2}, updates); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "CPU utilization") {
-		t.Fatalf("Fig10 util output:\n%s", sb.String())
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) != 4 || !strings.Contains(lines[0], "CPU utilization on smoke") || !strings.Contains(lines[1], "achieved_parallelism") {
+		t.Fatalf("want a title, a header and two rows:\n%s", sb.String())
+	}
+	for i, want := range []float64{1, 2} {
+		var workers, util, par, elapsed float64
+		var tasks int
+		if _, err := fmt.Sscan(lines[2+i], &workers, &util, &par, &tasks, &elapsed); err != nil || workers != want {
+			t.Fatalf("row %q: want %v workers, err %v", lines[2+i], want, err)
+		}
+		if tasks != updates*graphTasks {
+			t.Errorf("W=%v: tasks = %d, want %d updates x %d", workers, tasks, updates, graphTasks)
+		}
+		if !(util > 0 && util <= 100) || !(par > 0 && par <= workers) {
+			t.Errorf("W=%v: mean_util_pct %v not in (0, 100] or achieved_parallelism %v not in (0, W]", workers, util, par)
+		}
+		// elapsed >= the runs' summed wall time; 0.01 covers the cells' rounding.
+		if util*workers/100 > par+0.01 {
+			t.Errorf("W=%v: mean_util_pct %v of the workers exceeds achieved_parallelism %v", workers, util, par)
+		}
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 
 	"gotaskflow/internal/bench"
 	"gotaskflow/internal/circuit"
-	"gotaskflow/internal/executor"
-	"gotaskflow/internal/profile"
 	"gotaskflow/internal/sloc"
 	"gotaskflow/internal/sta"
 	"gotaskflow/internal/stav1"
@@ -154,30 +152,37 @@ func Fig10Scalability(w io.Writer, designs []Design, scale int, workerCounts []i
 	return nil
 }
 
-// Fig10Utilization reproduces the right plot of Figure 10: CPU
-// utilization over time while v2 runs repeated full updates, one series
-// per worker count.
+// Fig10Utilization reproduces the right plot of Figure 10: CPU utilization
+// while v2 runs repeated full updates, one row per worker count, from the
+// runs' own RunStats. mean_util_pct is the share of elapsed·workers spent in
+// task bodies (building the graphs counts as idle), achieved_parallelism the
+// mean number of busy workers while a graph was in flight.
 func Fig10Utilization(w io.Writer, design Design, scale int, workerCounts []int, updates int) error {
 	ckt := design.Build(scale)
 	t := bench.NewTable(
 		fmt.Sprintf("Figure 10 (right): CPU utilization on %s (%d gates)", design.Name, ckt.NumGates()),
-		"workers", "mean_util_pct", "peak_busy", "samples", "elapsed_ms")
+		"workers", "mean_util_pct", "achieved_parallelism", "tasks", "elapsed_ms")
 	for _, n := range workerCounts {
 		tm := sta.New(ckt, ClockPeriod)
-		e := executor.New(n, executor.WithBusyTracking())
-		a := stav2.NewShared(tm, e)
-		sampler := profile.NewSampler(e, 500*time.Microsecond)
-		sampler.Start()
+		a := stav2.New(tm, n)
+		var busy, wall time.Duration
+		var tasks int64
 		start := time.Now()
 		for k := 0; k < updates; k++ {
-			a.Run(tm.FullUpdate())
+			f := a.Taskflow(tm.FullUpdate()).CollectRunStats(true).Dispatch()
+			if err := f.Get(); err != nil {
+				a.Close()
+				return fmt.Errorf("fig 10 utilization: update %d on %d workers: %w", k, n, err)
+			}
+			rs, _ := f.Stats()
+			busy, wall, tasks = busy+rs.Busy, wall+rs.Wall, tasks+rs.Tasks
 		}
 		elapsed := time.Since(start)
-		samples := sampler.Stop()
-		e.Shutdown()
+		a.Close()
 		t.Row(n,
-			fmt.Sprintf("%.1f", 100*profile.MeanUtilization(samples, n)),
-			profile.PeakBusy(samples), len(samples), elapsed)
+			fmt.Sprintf("%.1f", 100*float64(busy)/(float64(elapsed)*float64(n))),
+			fmt.Sprintf("%.2f", float64(busy)/float64(wall)),
+			tasks, elapsed)
 	}
 	return t.Fprint(w)
 }

@@ -132,7 +132,7 @@ func runPipelineSchedule(t *testing.T, p pipeParams) pipeResult {
 
 	// Recording state. The simulation is single-threaded, so plain maps
 	// and slices need no locking.
-	order := make([][]int64, len(sh.types))     // per-pipe invocation order
+	order := make([][]int64, len(sh.types))              // per-pipe invocation order
 	completedAt := make([]map[int64]bool, len(sh.types)) // pipe → tokens completed
 	for i := range completedAt {
 		completedAt[i] = map[int64]bool{}

@@ -3,20 +3,15 @@
 // Cpp-Taskflow: visualizing where every worker spends its time without
 // modifying user code.
 //
-// It has two layers. Profiler is an executor.Observer that aggregates
-// completed task spans — cheap, always-on-capable, mutex-guarded, good for
-// totals and coarse timelines. WriteTrace (chrome.go) renders the richer
-// executor.Trace stream captured by StartTrace/StopTrace — named spans,
-// scheduler instants and dependency flow arrows — recorded lock-free by
-// the executor itself.
+// The executor records the events itself, lock-free, one ring per worker
+// (executor.StartTrace/StopTrace, FlightSnapshot). WriteTrace (chrome.go)
+// renders such an executor.Trace — named spans, scheduler instants and
+// dependency flow arrows — and WriteLineTrace (pipeline.go) the per-line
+// view of a pipeline run.
 package tracing
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"sync"
-	"time"
 
 	"gotaskflow/internal/executor"
 )
@@ -32,176 +27,4 @@ func SpanName(m executor.TaskMeta) string {
 		return fmt.Sprintf("p%#x", m.Idx)
 	}
 	return "task"
-}
-
-// Event is one completed task execution on a worker.
-type Event struct {
-	Worker int
-	Start  time.Duration // offset from profiler creation
-	End    time.Duration
-	// Name and Flow identify the task when it offered identity (graph
-	// nodes do); both are "" for anonymous one-shots.
-	Name string
-	Flow string
-}
-
-// Profiler is an executor.Observer that records task execution spans.
-// Register it at executor construction:
-//
-//	p := tracing.NewProfiler()
-//	e := executor.New(4, executor.WithObserver(p))
-//
-// or on a running executor with e.AddObserver(p).
-//
-// # Concurrency contract
-//
-// All methods are safe for concurrent use. Registration mid-run is safe:
-// the executor snapshots its observer list once per task, so a Profiler
-// always sees balanced OnTaskStart/OnTaskEnd pairs — it either observes a
-// task entirely or not at all, never a dangling end. Snapshot-while-
-// running is safe too: NumEvents, Events, TotalBusy and WriteChromeTrace
-// may be called while workers are executing and observe a consistent
-// prefix of completed spans (in-flight tasks appear once they end).
-// Reset is an epoch bump: spans that straddle it — including an
-// OnTaskStart whose timestamp was taken before Reset but delivered after —
-// are discarded rather than leaked into the new epoch.
-type Profiler struct {
-	epoch time.Time
-
-	mu sync.Mutex
-	// floor is the offset of the most recent Reset; opens and spans
-	// strictly older than it belong to a discarded epoch.
-	floor  time.Duration
-	open   map[int]openSpan // worker -> in-flight span
-	events []Event
-}
-
-type openSpan struct {
-	start time.Duration
-	meta  executor.TaskMeta
-}
-
-var _ executor.Observer = (*Profiler)(nil)
-
-// NewProfiler creates an empty profiler; its epoch is the creation time.
-func NewProfiler() *Profiler {
-	return &Profiler{
-		epoch: time.Now(),
-		open:  map[int]openSpan{},
-	}
-}
-
-// OnTaskStart implements executor.Observer.
-func (p *Profiler) OnTaskStart(worker int, meta executor.TaskMeta) {
-	p.startAt(worker, meta, time.Since(p.epoch))
-}
-
-// startAt is the timestamp-injected seam behind OnTaskStart: the clock is
-// read before the lock is taken, so a Reset can slip between them. The
-// floor check makes that interleaving drop the stale open instead of
-// leaking it into the new epoch.
-func (p *Profiler) startAt(worker int, meta executor.TaskMeta, now time.Duration) {
-	p.mu.Lock()
-	if now >= p.floor {
-		p.open[worker] = openSpan{start: now, meta: meta}
-	}
-	p.mu.Unlock()
-}
-
-// OnTaskEnd implements executor.Observer.
-func (p *Profiler) OnTaskEnd(worker int, _ executor.TaskMeta) {
-	p.endAt(worker, time.Since(p.epoch))
-}
-
-func (p *Profiler) endAt(worker int, now time.Duration) {
-	p.mu.Lock()
-	if sp, ok := p.open[worker]; ok {
-		delete(p.open, worker)
-		// A span that started before the floor straddles a Reset; drop it.
-		if sp.start >= p.floor {
-			p.events = append(p.events, Event{
-				Worker: worker,
-				Start:  sp.start,
-				End:    now,
-				Name:   sp.meta.Name,
-				Flow:   sp.meta.Flow,
-			})
-		}
-	}
-	p.mu.Unlock()
-}
-
-// NumEvents returns the number of completed task executions recorded.
-func (p *Profiler) NumEvents() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.events)
-}
-
-// Events returns a copy of the recorded spans.
-func (p *Profiler) Events() []Event {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Event, len(p.events))
-	copy(out, p.events)
-	return out
-}
-
-// Reset discards all recorded events and bumps the epoch floor: spans in
-// flight at the Reset — even ones whose start timestamp was read before it
-// but delivered after — are discarded, never recorded into the new epoch.
-func (p *Profiler) Reset() {
-	now := time.Since(p.epoch)
-	p.mu.Lock()
-	if now > p.floor {
-		p.floor = now
-	}
-	p.open = map[int]openSpan{}
-	p.events = nil
-	p.mu.Unlock()
-}
-
-// traceEvent is the Chrome trace-event wire format ("X" complete events).
-type traceEvent struct {
-	Name string  `json:"name"`
-	Cat  string  `json:"cat"`
-	Ph   string  `json:"ph"`
-	Ts   float64 `json:"ts"`  // microseconds
-	Dur  float64 `json:"dur"` // microseconds
-	Pid  int     `json:"pid"`
-	Tid  int     `json:"tid"`
-}
-
-// WriteChromeTrace exports the recorded spans as a Chrome trace-event JSON
-// array, one "thread" per worker. Spans carry task names when the tasks
-// offered them (anonymous spans render as "task").
-func (p *Profiler) WriteChromeTrace(w io.Writer) error {
-	evs := p.Events()
-	out := make([]traceEvent, 0, len(evs))
-	for _, e := range evs {
-		name := e.Name
-		if name == "" {
-			name = "task"
-		}
-		out = append(out, traceEvent{
-			Name: name,
-			Cat:  "task",
-			Ph:   "X",
-			Ts:   float64(e.Start.Nanoseconds()) / 1e3,
-			Dur:  float64((e.End - e.Start).Nanoseconds()) / 1e3,
-			Pid:  0,
-			Tid:  e.Worker,
-		})
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
-}
-
-// TotalBusy returns the summed task execution time per worker.
-func (p *Profiler) TotalBusy() map[int]time.Duration {
-	totals := map[int]time.Duration{}
-	for _, e := range p.Events() {
-		totals[e.Worker] += e.End - e.Start
-	}
-	return totals
 }

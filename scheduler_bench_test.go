@@ -1,208 +1,15 @@
-// Scheduler hot-path benchmarks: steady-state re-execution of fixed
-// graph shapes via Taskflow.Run, isolating the per-task scheduling cost
-// (intrusive task refs, batch successor submission, ring injection) from
-// graph construction. Run with -benchmem: the linear chain is the
-// zero-allocation regression gate.
+// Partitioner comparison: one skewed ParallelForIndex re-run under static,
+// guided and dynamic chunking. The per-task scheduling cost of fixed graph
+// shapes is the benchmark harness's business (`go run ./benchmark -trace 1`:
+// core.run_chain_ns_per_task, core.run_fanout_ns_per_task,
+// core.run_tree_ns_per_task, executor.obs_*_ns_per_task).
 package gotaskflow_test
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"gotaskflow/internal/core"
-	"gotaskflow/internal/executor"
 )
-
-// BenchmarkSchedLinearChain re-runs a 256-node chain: pure dependency
-// hand-off, one successor per task, all through the speculative cache
-// slot. Steady state must report 0 allocs/op.
-func BenchmarkSchedLinearChain(b *testing.B) {
-	tf := core.New(workers())
-	defer tf.Close()
-	var n int64
-	prev := tf.Emplace1(func() { n++ })
-	for i := 1; i < 256; i++ {
-		next := tf.Emplace1(func() { n++ })
-		prev.Precede(next)
-		prev = next
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSchedLinearChainMetricsOn is BenchmarkSchedLinearChain with
-// the full observability stack enabled — executor scheduler counters
-// (WithMetrics) plus timed run statistics (CollectRunStats). It is the
-// enabled-path allocation gate: -benchmem must still report 0 allocs/op,
-// and the ns/op delta against the plain benchmark is the whole cost of
-// counting.
-func BenchmarkSchedLinearChainMetricsOn(b *testing.B) {
-	e := executor.New(workers(), executor.WithMetrics())
-	defer e.Shutdown()
-	tf := core.NewShared(e).CollectRunStats(true)
-	var n int64
-	prev := tf.Emplace1(func() { n++ })
-	for i := 1; i < 256; i++ {
-		next := tf.Emplace1(func() { n++ })
-		prev.Precede(next)
-		prev = next
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if snap, ok := e.MetricsSnapshot(); !ok || snap.Total().Executed == 0 {
-		b.Fatal("metrics were not collected during the benchmark")
-	}
-}
-
-// BenchmarkSchedLinearChainTracingOn is BenchmarkSchedLinearChain with an
-// active event-trace capture (WithTracing + StartTrace): every task span
-// and scheduler lifecycle event is recorded into the per-worker rings
-// while the chain re-runs. It is the tracing enabled-path gate: -benchmem
-// must report <= 2 allocs/op (in practice 0 — ring slots are written in
-// place), and the ns/op delta against the plain benchmark is the whole
-// cost of recording. Ring overflow just drops (and counts) events, so
-// long benchmark runs stay bounded.
-func BenchmarkSchedLinearChainTracingOn(b *testing.B) {
-	e := executor.New(workers(), executor.WithTracing(1<<16))
-	defer e.Shutdown()
-	tf := core.NewShared(e)
-	var n int64
-	prev := tf.Emplace1(func() { n++ })
-	for i := 1; i < 256; i++ {
-		next := tf.Emplace1(func() { n++ })
-		prev.Precede(next)
-		prev = next
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
-	if !e.StartTrace() {
-		b.Fatal("StartTrace failed")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if tr, ok := e.StopTrace(); !ok || len(tr.Events) == 0 {
-		b.Fatal("no trace events were recorded during the benchmark")
-	}
-}
-
-// BenchmarkSchedLinearChainHistogramsOn is BenchmarkSchedLinearChain with
-// per-flow latency histograms armed (WithLatencyHistograms): every task
-// execution stamps a ready time in core, reads the clock twice and records
-// queue-wait, execution and end-to-end into worker-sharded histograms. It
-// is the histogram enabled-path allocation gate: -benchmem must report
-// 0 allocs/op — the record path is three shard-local atomic adds per
-// dimension — and the ns/op delta against the plain benchmark is the whole
-// cost of always-on latency accounting.
-func BenchmarkSchedLinearChainHistogramsOn(b *testing.B) {
-	e := executor.New(workers(), executor.WithLatencyHistograms())
-	defer e.Shutdown()
-	tf := core.NewShared(e)
-	var n int64
-	prev := tf.Emplace1(func() { n++ })
-	for i := 1; i < 256; i++ {
-		next := tf.Emplace1(func() { n++ })
-		prev.Precede(next)
-		prev = next
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	flows, ok := e.LatencyStats()
-	if !ok || len(flows) == 0 || flows[0].EndToEnd.Count == 0 {
-		b.Fatal("latency histograms recorded nothing during the benchmark")
-	}
-}
-
-// BenchmarkSchedLinearChainFlightOn is BenchmarkSchedLinearChain with the
-// always-armed flight recorder (WithFlightRecorder): every task span and
-// scheduler lifecycle event is continuously written into the per-worker
-// wrap-around rings, oldest events overwritten in place. It is the flight
-// enabled-path allocation gate: -benchmem must report 0 allocs/op — ring
-// slots are rewritten, never grown — and the ns/op delta against the plain
-// benchmark is the steady-state cost of the black box.
-func BenchmarkSchedLinearChainFlightOn(b *testing.B) {
-	e := executor.New(workers(), executor.WithFlightRecorder(1<<12))
-	defer e.Shutdown()
-	tf := core.NewShared(e)
-	var n int64
-	prev := tf.Emplace1(func() { n++ })
-	for i := 1; i < 256; i++ {
-		next := tf.Emplace1(func() { n++ })
-		prev.Precede(next)
-		prev = next
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if tr, ok := e.FlightSnapshot(); !ok || len(tr.Events) == 0 {
-		b.Fatal("no flight events were recorded during the benchmark")
-	}
-}
-
-// BenchmarkSchedDiamondRerun re-runs a 1→64→1 diamond: exercises batch
-// successor submission (one Wake per fan-out) and fan-in join counters.
-func BenchmarkSchedDiamondRerun(b *testing.B) {
-	tf := core.New(workers())
-	defer tf.Close()
-	var n atomic.Int64
-	src := tf.Emplace1(func() { n.Add(1) })
-	sink := tf.Emplace1(func() { n.Add(1) })
-	for i := 0; i < 64; i++ {
-		mid := tf.Emplace1(func() { n.Add(1) })
-		src.Precede(mid)
-		mid.Precede(sink)
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // skewedCosts builds a deterministic heavy-tailed per-element cost table:
 // most elements spin a few LCG rounds, a pseudo-random ~1/16 of them spin
@@ -274,63 +81,4 @@ func BenchmarkParallelForSkewedGuided(b *testing.B) {
 // modest grain: fixed 8-element grants off the shared cursor.
 func BenchmarkParallelForSkewedDynamic(b *testing.B) {
 	benchmarkParallelForSkewed(b, 8, core.WithPartitioner(core.Dynamic))
-}
-
-// BenchmarkSchedWideFanout re-runs a 1→512→1 diamond on a 4-worker pool:
-// the source's batch submission floods one deque and the other workers
-// drain it through StealBatch, so this is the batch-stealing hot path.
-// The worker count is fixed (not GOMAXPROCS-derived) so the steal traffic
-// exists even on single-CPU runners.
-func BenchmarkSchedWideFanout(b *testing.B) {
-	tf := core.New(4)
-	defer tf.Close()
-	var n atomic.Int64
-	src := tf.Emplace1(func() { n.Add(1) })
-	sink := tf.Emplace1(func() { n.Add(1) })
-	for i := 0; i < 512; i++ {
-		mid := tf.Emplace1(func() { n.Add(1) })
-		src.Precede(mid)
-		mid.Precede(sink)
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSchedBinaryTree re-runs a complete binary tree of depth 10
-// (2047 nodes): steadily widening fan-out, the shape work stealing feeds
-// on.
-func BenchmarkSchedBinaryTree(b *testing.B) {
-	tf := core.New(workers())
-	defer tf.Close()
-	var n atomic.Int64
-	const depth = 10
-	level := []core.Task{tf.Emplace1(func() { n.Add(1) })}
-	for d := 1; d <= depth; d++ {
-		next := make([]core.Task, 0, 1<<d)
-		for _, p := range level {
-			l := tf.Emplace1(func() { n.Add(1) })
-			r := tf.Emplace1(func() { n.Add(1) })
-			p.Precede(l, r)
-			next = append(next, l, r)
-		}
-		level = next
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
