@@ -169,10 +169,11 @@ func runReport(d experiments.Design, scale, workers int, tracePath, debugAddr st
 }
 
 // reportCircuit performs one full timing update and prints the report.
-// The update's task graph — one task per gate, named after it — runs with
-// scheduler metrics and event tracing armed, so -trace captures a
-// Chrome/Perfetto timeline of the forward/backward propagation and
-// -debug exposes the live /debug/taskflow/ endpoint while it executes.
+// The update's task graph — one task per level slice, named after the first
+// gate it relaxes — runs with scheduler metrics and event tracing armed, so
+// -trace captures a Chrome/Perfetto timeline of the forward/backward
+// propagation and -debug exposes the live /debug/taskflow/ endpoint while it
+// executes.
 func reportCircuit(ckt *circuit.Circuit, workers int, tracePath, debugAddr string) {
 	tm := sta.New(ckt, experiments.ClockPeriod)
 	e := executor.New(workers, executor.WithMetrics(), executor.WithTracing(0))

@@ -368,7 +368,7 @@ func (g *graph) grow() {
 }
 
 // alloc returns a zeroed node from the arena with its intrusive task slot
-// armed.
+// armed; a recycled one keeps the capacity of its successor spill.
 func (g *graph) alloc() *node {
 	if len(g.arena) == 0 {
 		g.grow()
@@ -376,7 +376,12 @@ func (g *graph) alloc() *node {
 	n := &g.arena[0]
 	g.arena = g.arena[1:]
 	if g.recycled {
-		*n = node{}
+		// The spill slice outlives its tenant: a graph rebuilt per update
+		// with more than four successors a node would otherwise allocate
+		// one again for each of them, every time.
+		spill := n.succSpill
+		clear(spill)
+		*n = node{succSpill: spill[:0]}
 	}
 	n.rbox = n
 	g.lastID++

@@ -61,6 +61,42 @@ func TestReclaimAllocBound(t *testing.T) {
 	}
 }
 
+// A node with more successors than fit inline spills them to a slice, and a
+// recycled node keeps that slice's capacity: a fan of 12 rebuilt through
+// Reclaim allocates its spill on the first build only, and from then on
+// what a fan of 4, which never spills, allocates — the dispatch's handful.
+func TestReclaimKeepsSpillCapacity(t *testing.T) {
+	tf := New(2)
+	defer tf.Close()
+	var ran atomic.Int64
+	fn := func() { ran.Add(1) }
+	rebuild := func(fan int) float64 {
+		iter := func() {
+			src := tf.Emplace1(fn)
+			for i := 0; i < fan; i++ {
+				src.Precede(tf.Emplace1(fn))
+			}
+			if got := src.NumSuccessors(); got != fan {
+				t.Fatalf("the source has %d successors, want %d", got, fan)
+			}
+			if err := tf.Reclaim(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		iter() // the one build that pays for the spill
+		ran.Store(0)
+		const runs = 100
+		allocs := testing.AllocsPerRun(runs, iter)
+		if got, want := ran.Load(), int64((runs+1)*(fan+1)); got != want {
+			t.Fatalf("fan of %d: %d task bodies ran, want %d", fan, got, want)
+		}
+		return allocs
+	}
+	if inline, spilled := rebuild(4), rebuild(12); spilled != inline {
+		t.Fatalf("rebuilding a fan of 12 allocates %v objects per iteration, a fan of 4 %v: the spill is made again", spilled, inline)
+	}
+}
+
 // shape is one graph of TestReclaimRebuildsDifferentShapes: build emplaces
 // it into tf counting body executions in ran and returns the count a
 // complete run must reach, after launches it (nil: plain Dispatch) and

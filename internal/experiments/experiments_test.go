@@ -121,7 +121,7 @@ func TestFig9And10Smoke(t *testing.T) {
 	if err := Fig9Incremental(&sb, small, 1, 3, 2); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "must match") {
+	if !strings.Contains(sb.String(), "must match") || !strings.Contains(sb.String(), "graph_nodes") {
 		t.Fatalf("Fig9 output:\n%s", sb.String())
 	}
 	// The two engines must agree on worst slack; the harness prints both.
@@ -148,32 +148,38 @@ func TestFig9And10Smoke(t *testing.T) {
 func TestFig10UtilizationMeasured(t *testing.T) {
 	small := Design{Name: "smoke", Gates: 400, Seed: 1}
 	const updates = 3
-	tm := sta.New(small.Build(1), ClockPeriod)
-	a := stav2.New(tm, 1)
-	tf := a.Taskflow(tm.FullUpdate())
-	graphTasks := tf.NumNodes() // every gate forward and backward, plus the barrier
-	err := tf.Dispatch().Get()
-	a.Close()
-	if err != nil || graphTasks != 2*tm.Ckt.NumGates()+1 {
-		t.Fatalf("full update: %d tasks for %d gates, err %v", graphTasks, tm.Ckt.NumGates(), err)
+	rows := []int{1, 2}
+	// A full update's graph holds a task per level slice and the barrier:
+	// how many depends on the pool it was cut for.
+	graphTasks := make([]int, len(rows))
+	for i, workers := range rows {
+		tm := sta.New(small.Build(1), ClockPeriod)
+		a := stav2.New(tm, workers)
+		tf := a.Taskflow(tm.FullUpdate())
+		graphTasks[i] = tf.NumNodes()
+		err := tf.Dispatch().Get()
+		a.Close()
+		if most := 2*tm.Ckt.NumGates() + 1; err != nil || graphTasks[i] <= 1 || graphTasks[i] > most {
+			t.Fatalf("full update on %d workers: %d tasks for %d gates, err %v", workers, graphTasks[i], tm.Ckt.NumGates(), err)
+		}
 	}
 
 	var sb strings.Builder
-	if err := Fig10Utilization(&sb, small, 1, []int{1, 2}, updates); err != nil {
+	if err := Fig10Utilization(&sb, small, 1, rows, updates); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 4 || !strings.Contains(lines[0], "CPU utilization on smoke") || !strings.Contains(lines[1], "achieved_parallelism") {
 		t.Fatalf("want a title, a header and two rows:\n%s", sb.String())
 	}
-	for i, want := range []float64{1, 2} {
+	for i, want := range rows {
 		var workers, util, par, elapsed float64
 		var tasks int
-		if _, err := fmt.Sscan(lines[2+i], &workers, &util, &par, &tasks, &elapsed); err != nil || workers != want {
+		if _, err := fmt.Sscan(lines[2+i], &workers, &util, &par, &tasks, &elapsed); err != nil || workers != float64(want) {
 			t.Fatalf("row %q: want %v workers, err %v", lines[2+i], want, err)
 		}
-		if tasks != updates*graphTasks {
-			t.Errorf("W=%v: tasks = %d, want %d updates x %d", workers, tasks, updates, graphTasks)
+		if tasks != updates*graphTasks[i] {
+			t.Errorf("W=%v: tasks = %d, want %d updates x %d", workers, tasks, updates, graphTasks[i])
 		}
 		if !(util > 0 && util <= 100) || !(par > 0 && par <= workers) {
 			t.Errorf("W=%v: mean_util_pct %v not in (0, 100] or achieved_parallelism %v not in (0, W]", workers, util, par)

@@ -85,7 +85,10 @@ func Table2(w io.Writer, srcRoot string) error {
 
 // Fig9Incremental reproduces "Runtime comparisons of the incremental
 // timing between v1 and v2": per-iteration runtime of a
-// modifier-then-query loop on two designs.
+// modifier-then-query loop on two designs. tasks counts the update's gate
+// propagations, graph_nodes the tasks v2 scheduled to carry them (level
+// slices and the barrier; tasks+1 when the pool is wide enough for a task
+// per gate).
 func Fig9Incremental(w io.Writer, design Design, scale, iterations, workers int) error {
 	ckt1 := design.Build(scale)
 	ckt2 := design.Build(scale)
@@ -101,7 +104,7 @@ func Fig9Incremental(w io.Writer, design Design, scale, iterations, workers int)
 	t := bench.NewTable(
 		fmt.Sprintf("Figure 9: incremental timing on %s (%d gates, %d workers)",
 			design.Name, ckt1.NumGates(), workers),
-		"iteration", "tasks", "v1_omp_ms", "v2_taskflow_ms", "speedup")
+		"iteration", "tasks", "graph_nodes", "v1_omp_ms", "v2_taskflow_ms", "speedup")
 	rng1 := rand.New(rand.NewSource(7))
 	rng2 := rand.New(rand.NewSource(7))
 	for i := 0; i < iterations; i++ {
@@ -110,9 +113,18 @@ func Fig9Incremental(w io.Writer, design Design, scale, iterations, workers int)
 		u1 := tm1.PrepareUpdate(seeds1)
 		u2 := tm2.PrepareUpdate(seeds2)
 		d1 := bench.Measure(func() { a1.Run(u1) })
-		d2 := bench.Measure(func() { a2.Run(u2) })
+		var nodes int
+		var err error
+		d2 := bench.Measure(func() {
+			tf := a2.Taskflow(u2)
+			nodes = tf.NumNodes()
+			err = tf.Reclaim()
+		})
+		if err != nil {
+			return fmt.Errorf("fig 9: update %d: %w", i, err)
+		}
 		speed := float64(d1) / float64(d2)
-		t.Row(i, u2.NumTasks(), d1, d2, speed)
+		t.Row(i, u2.NumTasks(), nodes, d1, d2, speed)
 	}
 	if err := t.Fprint(w); err != nil {
 		return err

@@ -2,7 +2,6 @@ package sta
 
 import (
 	"math/rand"
-	"sort"
 
 	"gotaskflow/internal/circuit"
 )
@@ -74,53 +73,65 @@ func (t *Timing) RandomModifier(rng *rand.Rand) []int {
 // forward cone is everything reachable through fanouts (arrival, slew and
 // load may change there); the backward cone is everything that reaches the
 // forward cone through fanins (required time may change there).
+//
+// The returned lists are freshly allocated and stay valid across later
+// calls; everything else is scratch kept on the Timing, so calls on one
+// Timing must not overlap.
 func (t *Timing) PrepareUpdate(seeds []int) Update {
-	n := t.Ckt.NumGates()
-	inFwd := make([]bool, n)
-	queue := make([]int, 0, len(seeds))
+	if t.epoch++; t.epoch == 0 {
+		// The epoch wrapped: a stamp left 2^32 calls ago would read as
+		// current.
+		clear(t.inFwd)
+		clear(t.inBwd)
+		t.epoch = 1
+	}
+	e, inFwd, inBwd := t.epoch, t.inFwd, t.inBwd
+	// work[:next] has been expanded, work[next:] is waiting. Nothing is
+	// taken off, so after the forward traversal it lists the forward cone
+	// and seeds the backward one.
+	work := t.work[:0]
 	for _, s := range seeds {
-		if !inFwd[s] {
-			inFwd[s] = true
-			queue = append(queue, s)
+		if inFwd[s] != e {
+			inFwd[s] = e
+			work = append(work, int32(s))
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, wi := range t.Ckt.Gates[v].Fanout {
-			if w := int(wi); !inFwd[w] {
-				inFwd[w] = true
-				queue = append(queue, w)
+	next := 0
+	for ; next < len(work); next++ {
+		v := work[next]
+		for _, w := range t.fanout[t.fanoutOff[v]:t.fanoutOff[v+1]] {
+			if inFwd[w] != e {
+				inFwd[w] = e
+				work = append(work, w)
 			}
 		}
 	}
-	inBwd := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if inFwd[v] && !inBwd[v] {
-			inBwd[v] = true
-			queue = append(queue, v)
-		}
+	nFwd := len(work)
+	for _, v := range work {
+		inBwd[v] = e
 	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, ui := range t.Ckt.Gates[v].Fanin {
-			if u := int(ui); !inBwd[u] {
-				inBwd[u] = true
-				queue = append(queue, u)
+	for next = 0; next < len(work); next++ {
+		v := work[next]
+		for _, u := range t.fanin[t.faninOff[v]:t.faninOff[v+1]] {
+			if inBwd[u] != e {
+				inBwd[u] = e
+				work = append(work, u)
 			}
 		}
 	}
-	var u Update
-	for v := 0; v < n; v++ {
-		if inFwd[v] {
+	t.work = work
+
+	u := Update{Fwd: make([]int, 0, nFwd), Bwd: make([]int, 0, len(work))}
+	for v, stamp := range inFwd {
+		if stamp == e {
 			u.Fwd = append(u.Fwd, v)
 		}
-		if inBwd[v] {
+	}
+	for v := len(inBwd) - 1; v >= 0; v-- {
+		if inBwd[v] == e {
 			u.Bwd = append(u.Bwd, v)
 		}
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(u.Bwd)))
 	return u
 }
 

@@ -65,6 +65,21 @@ type Timing struct {
 	EarlyRequired [ntr][]float64
 	EarlySlack    [ntr][]float64
 	EarlyDelay    [][]float64
+
+	// The netlist's edges as flat adjacency, copied from the gates' lists
+	// once in New (design modifiers never change topology): gate v's
+	// fan-out is fanout[fanoutOff[v]:fanoutOff[v+1]], its fan-in likewise.
+	// Cone extraction and stav2's edge wiring walk these instead of
+	// chasing a *Gate per node.
+	fanoutOff, fanout []int32
+	faninOff, fanin   []int32
+
+	// PrepareUpdate's scratch: a gate is in the cone being extracted when
+	// its stamp equals epoch, so no per-call membership array is made or
+	// cleared; work is the traversal's worklist, kept for its capacity.
+	inFwd, inBwd []uint32
+	epoch        uint32
+	work         []int32
 }
 
 // New creates a Timing for ckt with the given clock period (ps).
@@ -90,12 +105,24 @@ func New(ckt *circuit.Circuit, clockPeriod float64) *Timing {
 		t.EarlyRequired[tr] = make([]float64, n)
 		t.EarlySlack[tr] = make([]float64, n)
 	}
+	edges := ckt.NumEdges()
+	t.fanoutOff, t.fanout = make([]int32, n+1), make([]int32, 0, edges)
+	t.faninOff, t.fanin = make([]int32, n+1), make([]int32, 0, edges)
 	for v, g := range ckt.Gates {
 		t.Delay[v] = make([]float64, 4*len(g.Fanin))
 		t.EarlyDelay[v] = make([]float64, 4*len(g.Fanin))
+		t.fanout = append(t.fanout, g.Fanout...)
+		t.fanin = append(t.fanin, g.Fanin...)
+		t.fanoutOff[v+1], t.faninOff[v+1] = int32(len(t.fanout)), int32(len(t.fanin))
 	}
+	t.inFwd, t.inBwd = make([]uint32, n), make([]uint32, n)
 	return t
 }
+
+// Fanouts returns the netlist's fan-out edges as flat adjacency: gate v
+// drives adj[off[v]:off[v+1]], in Gate.Fanout order. The arrays are the
+// timer's own; callers must not write to them.
+func (t *Timing) Fanouts() (off, adj []int32) { return t.fanoutOff, t.fanout }
 
 // delayIndex computes the layout offset of (arc k, input transition,
 // output transition) in Delay[v].

@@ -3,6 +3,7 @@ package sta
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -280,6 +281,86 @@ func TestPrepareUpdateCones(t *testing.T) {
 	}
 	if upd.NumTasks() != 14 {
 		t.Fatalf("NumTasks = %d", upd.NumTasks())
+	}
+}
+
+// conesByDefinition extracts the cones of seeds from the gates' own lists,
+// one sweep per cone in index (topological) order: a gate is in the forward
+// cone if it is a seed or a fan-in is, in the backward cone if it is in the
+// forward one or a fan-out is.
+func conesByDefinition(ckt *circuit.Circuit, seeds []int) Update {
+	n := ckt.NumGates()
+	inFwd, inBwd := make([]bool, n), make([]bool, n)
+	for _, s := range seeds {
+		inFwd[s] = true
+	}
+	var u Update
+	for v, g := range ckt.Gates {
+		for _, f := range g.Fanin {
+			inFwd[v] = inFwd[v] || inFwd[f]
+		}
+		if inFwd[v] {
+			u.Fwd = append(u.Fwd, v)
+		}
+	}
+	for v := n - 1; v >= 0; v-- {
+		inBwd[v] = inFwd[v]
+		for _, w := range ckt.Gates[v].Fanout {
+			inBwd[v] = inBwd[v] || inBwd[w]
+		}
+		if inBwd[v] {
+			u.Bwd = append(u.Bwd, v)
+		}
+	}
+	return u
+}
+
+// PrepareUpdate keeps its traversal scratch on the Timing and hands out
+// lists of the caller's own: an Update stays intact while the next one is
+// extracted, and the membership stamps survive their epoch wrapping, when
+// the stamps of the first calls here would otherwise read as current.
+func TestPrepareUpdateReusesScratchOnly(t *testing.T) {
+	ckt := circuit.Generate("t", circuit.Config{Gates: 1500, Seed: 21})
+	tm := New(ckt, clock)
+	rng := rand.New(rand.NewSource(4))
+	var held, heldWant Update
+	for i := 0; i < 90; i++ {
+		if i == 30 {
+			tm.epoch = math.MaxUint32 - 30 // call 60 wraps it
+		}
+		seeds := tm.RandomModifier(rng)
+		u, want := tm.PrepareUpdate(seeds), conesByDefinition(ckt, seeds)
+		if !slices.Equal(u.Fwd, want.Fwd) || !slices.Equal(u.Bwd, want.Bwd) {
+			t.Fatalf("call %d (epoch %d): cones of %v are %d forward and %d backward gates, by definition %d and %d",
+				i, tm.epoch, seeds, len(u.Fwd), len(u.Bwd), len(want.Fwd), len(want.Bwd))
+		}
+		if !slices.Equal(held.Fwd, heldWant.Fwd) || !slices.Equal(held.Bwd, heldWant.Bwd) {
+			t.Fatalf("call %d rewrote the Update of call %d", i, i-1)
+		}
+		held, heldWant = u, want
+	}
+	if tm.epoch != 30 {
+		t.Fatalf("epoch %d after 30 calls past the wrap, want 30", tm.epoch)
+	}
+}
+
+// Once the worklist has grown to the largest cone, PrepareUpdate allocates
+// its two result lists and nothing else.
+func TestPrepareUpdateAllocBound(t *testing.T) {
+	ckt := circuit.Generate("t", circuit.Config{Gates: 3000, Seed: 5})
+	tm := New(ckt, clock)
+	var seeds [][]int
+	for v := 0; v < ckt.NumGates(); v += 97 {
+		seeds = append(seeds, []int{v})
+		tm.PrepareUpdate(seeds[len(seeds)-1])
+	}
+	i, gates := 0, 0
+	allocs := testing.AllocsPerRun(100, func() {
+		gates += tm.PrepareUpdate(seeds[i%len(seeds)]).NumTasks()
+		i++
+	})
+	if allocs > 3 || gates == 0 {
+		t.Fatalf("PrepareUpdate allocates %v objects per call, want <= 3 (%d gates extracted)", allocs, gates)
 	}
 }
 

@@ -13,9 +13,11 @@ import (
 )
 
 // One incremental update — cone extraction, graph build, dispatch, wait —
-// settles at a few hundred allocations on tv80 (most of them PrepareUpdate's
-// cone lists), where a graph of ~6000 fresh nodes, closures and names cost
-// ~16000.
+// settles near a dozen allocations on tv80: the modifier's seeds, the two
+// cone lists, the dispatch's five, and now and then a recycled node whose
+// successor spill has to grow for the slice it holds this time (the reason
+// for the long warm-up). A graph of ~6000 fresh nodes, closures and names
+// cost ~16000.
 func TestIncrementalUpdateAllocBound(t *testing.T) {
 	tm := sta.New(experiments.TV80.Build(1), experiments.ClockPeriod)
 	a := stav2.New(tm, 2)
@@ -32,13 +34,13 @@ func TestIncrementalUpdateAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 100; i++ {
 		update()
 	}
 	tasks = 0
 	const runs = 30
 	allocs := testing.AllocsPerRun(runs, update)
-	if allocs > 400 {
-		t.Fatalf("an incremental update of ~%d tasks allocates %v objects, want <= 400", tasks/(runs+1), allocs)
+	if allocs > 40 {
+		t.Fatalf("an incremental update of ~%d propagations allocates %v objects, want <= 40", tasks/(runs+1), allocs)
 	}
 }

@@ -185,44 +185,238 @@ func TestReclaimedGraphsMatchSequential(t *testing.T) {
 
 // The analyzer applies one update at a time: a Taskflow call finds the
 // previous update's graph running, or built and never launched, and sees it
-// through before it builds the next in the same storage.
+// through before it builds the next in the same storage. The next graph has
+// a task per level slice and the barrier: a task per gate propagation on a
+// pool wide enough that no level is cut (64 workers: 256 gates a level),
+// fewer on a small one.
 func TestReclaimSerializesUpdates(t *testing.T) {
-	cfg := circuit.Config{Gates: 3000, Seed: 9}
-	tm := sta.New(circuit.Generate("t", cfg), clock)
-	ref := sta.New(circuit.Generate("t", cfg), clock)
-	a := New(tm, 4)
-	defer a.Close()
-	if err := a.Run(tm.FullUpdate()); err != nil {
-		t.Fatal(err)
+	for _, workers := range []int{4, 64} {
+		t.Run(fmt.Sprintf("W=%d", workers), func(t *testing.T) {
+			cfg := circuit.Config{Gates: 3000, Seed: 9}
+			tm := sta.New(circuit.Generate("t", cfg), clock)
+			ref := sta.New(circuit.Generate("t", cfg), clock)
+			a := New(tm, workers)
+			defer a.Close()
+			if err := a.Run(tm.FullUpdate()); err != nil {
+				t.Fatal(err)
+			}
+			rng, refRng := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+			for round := 0; round < 8; round++ {
+				// Both edits go in before either update runs: editing the
+				// design under a running update is the caller's race, not
+				// the analyzer's.
+				s1, s2 := tm.RandomModifier(rng), tm.RandomModifier(rng)
+				u1, u2 := tm.PrepareUpdate(s1), tm.PrepareUpdate(s2)
+				tf := a.Taskflow(u1)
+				var first *core.Future
+				if round%2 == 0 {
+					first = tf.Dispatch() // launched, not waited for
+				} // else: built, not even launched
+				tf = a.Taskflow(u2)
+				if first != nil {
+					select {
+					case <-first.Done():
+					default:
+						t.Fatalf("round %d: Taskflow returned the next graph while the previous update still runs", round)
+					}
+				}
+				got, most := tf.NumNodes(), u2.NumTasks()+1
+				if got <= 1 || got > most || (workers == 64 && got != most) {
+					t.Fatalf("round %d: the next graph has %d tasks for %d propagations and the barrier", round, got, most-1)
+				}
+				if err := tf.Dispatch().Get(); err != nil {
+					t.Fatal(err)
+				}
+				ref.RandomModifier(refRng)
+				ref.RandomModifier(refRng)
+				ref.FullUpdateSequential()
+				compare(t, tm, ref, "after both updates")
+			}
+		})
 	}
-	rng, refRng := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-	for round := 0; round < 8; round++ {
-		// Both edits go in before either update runs: editing the design
-		// under a running update is the caller's race, not the analyzer's.
-		s1, s2 := tm.RandomModifier(rng), tm.RandomModifier(rng)
-		u1, u2 := tm.PrepareUpdate(s1), tm.PrepareUpdate(s2)
-		tf := a.Taskflow(u1)
-		var first *core.Future
-		if round%2 == 0 {
-			first = tf.Dispatch() // launched, not waited for
-		} // else: built, not even launched
-		tf = a.Taskflow(u2)
-		if first != nil {
-			select {
-			case <-first.Done():
-			default:
-				t.Fatalf("round %d: Taskflow returned the next graph while the previous update still runs", round)
+}
+
+// TestSliceLaw checks every update graph against the netlist it was cut
+// from: each cone gate sits in exactly one slice, a slice holds gates of one
+// level in the order the update lists them, no level is cut into more than
+// four slices per worker, slices are emplaced level by level (so every edge
+// follows emplace order and dispatch needs no cycle search), and the graph's
+// edges are exactly the cone's edges between slices, the forward sinks into
+// the barrier and the barrier into the backward sources — each once.
+func TestSliceLaw(t *testing.T) {
+	for _, gates := range []int{1000, 3000} {
+		for _, workers := range []int{1, 2, 4, 64} {
+			t.Run(fmt.Sprintf("gates=%d/W=%d", gates, workers), func(t *testing.T) {
+				cfg := circuit.Config{Gates: gates, Seed: int64(gates)}
+				tm := sta.New(circuit.Generate("t", cfg), clock)
+				ref := sta.New(circuit.Generate("t", cfg), clock)
+				a := New(tm, workers)
+				defer a.Close()
+				full := tm.FullUpdate()
+				checkSlices(t, a, full, a.Taskflow(full), true)
+				rng, refRng := rand.New(rand.NewSource(61)), rand.New(rand.NewSource(61))
+				for i := 0; i < 50; i++ {
+					u := tm.PrepareUpdate(tm.RandomModifier(rng))
+					tf := a.Taskflow(u)
+					// A dump costs the square of the graph's size
+					// (dotDumper.id): one update in five pays for it.
+					checkSlices(t, a, u, tf, i%5 == 0)
+					if err := tf.Dispatch().Get(); err != nil {
+						t.Fatalf("edit %d: %v", i, err)
+					}
+					ref.RandomModifier(refRng)
+					ref.FullUpdateSequential()
+					compare(t, tm, ref, fmt.Sprintf("edit %d", i))
+				}
+			})
+		}
+	}
+}
+
+// checkSlices holds the graph tf, just built by a for u, to TestSliceLaw's
+// rules. Levels are recomputed here from the gates' fan-in lists. Every
+// task's successor and dependent counts are checked against the cone; with
+// dump set the edges themselves are read back from the DOT dump, where a
+// forward slice goes by its first gate's name and a backward one by that
+// name primed.
+func checkSlices(t *testing.T, a *Analyzer, u sta.Update, tf *core.Taskflow, dump bool) {
+	t.Helper()
+	g := a.T.Ckt.Gates
+	level := make([]int, len(g))
+	for v, gate := range g {
+		for _, f := range gate.Fanin {
+			level[v] = max(level[v], level[f]+1)
+		}
+	}
+	if got, want := len(a.cone), u.NumTasks(); got != want {
+		t.Fatalf("the slices hold %d gates, the update lists %d", got, want)
+	}
+	n := len(a.start) - 1 // slices; ordinal n stands for the barrier below
+	nFwd := 0
+	for nFwd < n && int(a.start[nFwd]) < len(u.Fwd) {
+		nFwd++
+	}
+	if got := tf.NumNodes(); got != n+1 {
+		t.Fatalf("%d tasks for %d slices and the barrier", got, n)
+	}
+
+	want := map[[2]int]bool{}
+	sliceOf := make([]int, len(g))
+	pass := func(gates []int, lo, hi, sign int) {
+		for v := range sliceOf {
+			sliceOf[v] = -1
+		}
+		perLevel := map[int]int{}
+		for k := lo; k < hi; k++ {
+			first := int(a.cone[a.start[k]])
+			perLevel[level[first]]++
+			if last := int(a.cone[max(a.start[k], 1)-1]); k > lo && sign*level[first] < sign*level[last] {
+				t.Fatalf("slice %d of level %d is emplaced after a slice of level %d", k, level[first], level[last])
+			}
+			for _, v := range a.cone[a.start[k]:a.start[k+1]] {
+				if level[v] != level[first] {
+					t.Fatalf("slice %d mixes levels %d and %d", k, level[first], level[v])
+				}
+				if sliceOf[v] >= 0 {
+					t.Fatalf("gate %d is in slices %d and %d", v, sliceOf[v], k)
+				}
+				sliceOf[v] = k
 			}
 		}
-		if got, want := tf.NumNodes(), u2.NumTasks()+1; got != want {
-			t.Fatalf("round %d: the next graph has %d tasks, want %d", round, got, want)
+		for l, slices := range perLevel {
+			if slices > 4*a.NumWorkers() {
+				t.Fatalf("level %d is cut into %d slices on %d workers", l, slices, a.NumWorkers())
+			}
 		}
-		if err := tf.Dispatch().Get(); err != nil {
-			t.Fatal(err)
+		// As many positions as listed gates, no gate twice, every listed
+		// gate placed: each exactly once. A level keeps the pass's order.
+		if got := int(a.start[hi] - a.start[lo]); got != len(gates) {
+			t.Fatalf("slices %d..%d hold %d gates, the pass lists %d", lo, hi, got, len(gates))
 		}
-		ref.RandomModifier(refRng)
-		ref.RandomModifier(refRng)
-		ref.FullUpdateSequential()
-		compare(t, tm, ref, "after both updates")
+		next := map[int]int32{} // level -> position of its next gate
+		for k := hi - 1; k >= lo; k-- {
+			next[level[a.cone[a.start[k]]]] = a.start[k]
+		}
+		for _, v := range gates {
+			if sliceOf[v] < 0 {
+				t.Fatalf("gate %d is in no slice", v)
+			}
+			if at := next[level[v]]; int(a.cone[at]) != v {
+				t.Fatalf("level %d holds gate %d where the pass lists %d next", level[v], a.cone[at], v)
+			}
+			next[level[v]]++
+		}
+		for k := lo; k < hi; k++ {
+			alone := true
+			for _, v := range a.cone[a.start[k]:a.start[k+1]] {
+				for _, w := range g[v].Fanout {
+					if j := sliceOf[w]; j >= 0 {
+						alone = false
+						want[[2]int{k, j}] = true
+					}
+				}
+			}
+			if alone {
+				want[[2]int{k, n}] = true
+			}
+		}
+	}
+	pass(u.Fwd, 0, nFwd, +1)
+	pass(u.Bwd, nFwd, n, -1)
+
+	// want holds each edge from its fan-in side; the backward pass's run the
+	// other way.
+	succ, deps := make([]int, n+1), make([]int, n+1)
+	for e := range want {
+		if e[0] >= nFwd {
+			e[0], e[1] = e[1], e[0]
+		}
+		succ[e[0]]++
+		deps[e[1]]++
+	}
+	for k := 0; k < n; k++ {
+		if s, d := a.tasks[k].NumSuccessors(), a.tasks[k].NumDependents(); s != succ[k] || d != deps[k] {
+			t.Fatalf("slice %d has %d successors and %d dependents, the cone asks for %d and %d", k, s, d, succ[k], deps[k])
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, func() { _ = tf.Validate() }); allocs != 0 {
+		t.Fatalf("Validate allocates %v objects: an edge runs against emplace order", allocs)
+	}
+	if err := tf.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !dump {
+		return
+	}
+
+	ordinal := map[string]int{"fwd_bwd_barrier": n}
+	for k := 0; k < n; k++ {
+		name := g[a.cone[a.start[k]]].Name
+		if k >= nFwd {
+			name += "'"
+		}
+		ordinal[name] = k
+	}
+	var sb strings.Builder
+	if err := tf.Dump(&sb); err != nil {
+		t.Fatal(err)
+	}
+	edges := 0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		from, to, ok := strings.Cut(strings.TrimSuffix(strings.TrimSpace(line), ";"), " -> ")
+		if !ok {
+			continue
+		}
+		edges++
+		e := [2]int{ordinal[strings.Trim(from, `"`)], ordinal[strings.Trim(to, `"`)]}
+		if e[0] >= nFwd {
+			e[0], e[1] = e[1], e[0]
+		}
+		if !want[e] {
+			t.Fatalf("the graph has an edge %s -> %s that no cone edge asks for", from, to)
+		}
+	}
+	if edges != len(want) {
+		t.Fatalf("the graph has %d edges, the cone's edges between slices number %d", edges, len(want))
 	}
 }
