@@ -130,7 +130,7 @@ func (tf *Taskflow) run(ctx context.Context) error {
 	for _, n := range tf.runSemSources {
 		if t.admit(t.sub, n) {
 			if err := t.submitOne(n.ref()); err != nil {
-				t.setErr(err)
+				t.addErr(err)
 				if t.pending.Add(-1) == 0 {
 					t.finish()
 				}
@@ -141,7 +141,7 @@ func (tf *Taskflow) run(ctx context.Context) error {
 		// The executor was already shut down: the batch was rejected
 		// whole. Undo its pending charge so the run completes with the
 		// error instead of hanging.
-		t.setErr(err)
+		t.addErr(err)
 		if t.pending.Add(-int64(len(tf.runSources))) == 0 {
 			t.finish()
 		}

@@ -269,7 +269,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 		ordered = ordered && n.forward()
 	}
 	if numSources == 0 {
-		t.setErr(ErrNoSource)
+		t.addErr(ErrNoSource)
 		close(t.done)
 		return t
 	}
@@ -278,7 +278,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 	// follow emplace order cannot close one (findCycleError).
 	if !ordered {
 		if err := kahn(g); err != nil {
-			t.setErr(err)
+			t.addErr(err)
 			close(t.done)
 			return t
 		}
@@ -289,7 +289,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 	// done closes here) has nothing to release.
 	if f := tf.flow; f != nil {
 		if err := f.Admit(g.len()); err != nil {
-			t.setErr(err)
+			t.addErr(err)
 			close(t.done)
 			return t
 		}
@@ -338,7 +338,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 		// the batch's pending charge so the topology can complete and
 		// waiters observe the error instead of hanging (finish also
 		// returns the flow reservation, exactly once).
-		t.setErr(err)
+		t.addErr(err)
 		if t.pending.Add(-int64(len(runnable))) == 0 {
 			t.finish()
 		}

@@ -224,10 +224,6 @@ func (t *topology) addErr(err error) {
 	t.errMu.Unlock()
 }
 
-// setErr is addErr under its historical name for the dispatch-time
-// structural errors (no source, cycle).
-func (t *topology) setErr(err error) { t.addErr(err) }
-
 // joinedErr aggregates the captured failures: nil, the sole error, or
 // errors.Join of all of them.
 func (t *topology) joinedErr() error {
@@ -504,7 +500,7 @@ func (t *topology) captureErr(n *node) (err error) {
 func (t *topology) invoke(n *node, fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			t.setErr(fmt.Errorf("core: task %q panicked: %v", n.name, r))
+			t.addErr(fmt.Errorf("core: task %q panicked: %v", n.name, r))
 		}
 	}()
 	t.labeled(n, fn)
@@ -537,7 +533,7 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 		}
 	}
 	if nsrc == 0 {
-		t.setErr(ErrNoSource)
+		t.addErr(ErrNoSource)
 		return false
 	}
 	if needCtx {

@@ -85,7 +85,7 @@ func livenessWatchdog(e *Executor) (stop func()) {
 // herd followed by an all-park stampede.
 func BenchmarkContentionThunderingHerd(b *testing.B) {
 	ladderRun(b, func(b *testing.B, w int) {
-		e := New(w, WithSpin(0), WithWakeProbability(0))
+		e := New(w, withSpin(0), withWakeProbability(0))
 		defer e.Shutdown()
 		defer livenessWatchdog(e)()
 		var remaining atomic.Int64
@@ -124,7 +124,7 @@ func BenchmarkContentionThunderingHerd(b *testing.B) {
 // the per-hop cost of the wake path under an empty-steal storm.
 func BenchmarkContentionEmptyStealStorm(b *testing.B) {
 	ladderRun(b, func(b *testing.B, w int) {
-		e := New(w, WithWakeProbability(0))
+		e := New(w, withWakeProbability(0))
 		defer e.Shutdown()
 		defer livenessWatchdog(e)()
 		done := make(chan struct{})
@@ -156,7 +156,7 @@ func BenchmarkContentionEmptyStealStorm(b *testing.B) {
 // wakes, and the children spread across the pool through batch steals.
 func BenchmarkContentionCrossWorkerFanout(b *testing.B) {
 	ladderRun(b, func(b *testing.B, w int) {
-		e := New(w, WithWakeProbability(0))
+		e := New(w, withWakeProbability(0))
 		defer e.Shutdown()
 		defer livenessWatchdog(e)()
 		fanout := 8 * w
@@ -194,7 +194,7 @@ func BenchmarkContentionCrossWorkerFanout(b *testing.B) {
 // submission-side contention.
 func BenchmarkContentionInjectionFlood(b *testing.B) {
 	ladderRun(b, func(b *testing.B, w int) {
-		e := New(w, WithWakeProbability(0))
+		e := New(w, withWakeProbability(0))
 		defer e.Shutdown()
 		defer livenessWatchdog(e)()
 		var done atomic.Int64

@@ -205,11 +205,7 @@ func (w *worker) SubmitBatch(rs []*Runnable) {
 }
 
 func (w *worker) SubmitCached(r *Runnable) {
-	if w.exec.noCache {
-		// The caller may count on this worker running r next and settling
-		// then (Settle); through the queue r is anybody's.
-		w.Settle()
-	} else if w.cache == nil {
+	if w.cache == nil {
 		w.cache = r
 		if m := w.metrics; m != nil {
 			m.cacheHits.Add(1)
@@ -233,7 +229,7 @@ type Executor struct {
 	// mt is the multi-tenancy state (flow.go), allocated lazily by the
 	// first NewFlow call. Pools that never register a flow pay one nil
 	// pointer load per steal sweep and per anyWork re-check.
-	mt atomic.Pointer[mtState]
+	mt atomic.Pointer[FlowTable]
 
 	// no is the eventcount notifier parked workers wait on (notifier.go).
 	// idlerCount is a derived gauge of workers currently inside the park
@@ -271,9 +267,10 @@ type Executor struct {
 	latencyOn bool
 	lat       *flowLatency
 
-	// Ablation knobs for the Algorithm-1 heuristics (defaults match the
-	// paper's scheduler; see the ablation benchmarks in bench_test.go).
-	noCache bool
+	// The Algorithm-1 heuristics' constants, fields so that in-package tests
+	// can force deterministic parks (withSpin, withWakeProbability). To
+	// ablate one, edit defaultWakeDen or spinSteals and run
+	// `make bench-pairs PARENT=HEAD`.
 	wakeDen int
 	spin    int
 
@@ -292,10 +289,9 @@ type Executor struct {
 	panics       []error
 }
 
-// maxRecordedPanics bounds the contained-panic log so a pathological
-// producer cannot grow it without bound; later panics are counted but
-// their messages dropped.
-const maxRecordedPanics = 64
+// MaxRecordedPanics bounds the contained-panic log so a pathological
+// producer cannot grow it without bound; later panics are dropped.
+const MaxRecordedPanics = 64
 
 // Option configures an Executor.
 type Option func(*Executor)
@@ -307,24 +303,17 @@ func WithSeed(seed int64) Option {
 	return func(e *Executor) { e.seed, e.seedSet = seed, true }
 }
 
-// WithoutTaskCache disables the per-worker speculative task cache
-// (Algorithm 1 lines 16-25), for ablation studies: every ready task goes
-// through the queues.
-func WithoutTaskCache() Option {
-	return func(e *Executor) { e.noCache = true }
-}
-
-// WithWakeProbability sets the denominator of the probabilistic
+// withWakeProbability sets the denominator of the probabilistic
 // load-balancing wakeup (Algorithm 1 lines 26-28): a worker wakes one
 // idler with probability 1/den after each task batch. den <= 0 disables
 // the heuristic.
-func WithWakeProbability(den int) Option {
+func withWakeProbability(den int) Option {
 	return func(e *Executor) { e.wakeDen = den }
 }
 
-// WithSpin sets the number of steal rounds a worker attempts before
+// withSpin sets the number of steal rounds a worker attempts before
 // parking on the idlers list. Zero parks immediately.
-func WithSpin(rounds int) Option {
+func withSpin(rounds int) Option {
 	return func(e *Executor) { e.spin = rounds }
 }
 
@@ -350,7 +339,7 @@ func New(n int, opts ...Option) *Executor {
 		// identical victim-selection and wakeup sequences.
 		e.seed = rand.Int63()
 	}
-	shards := injShardCount(n)
+	shards := InjectionShards(n)
 	e.injMask = shards - 1
 	e.injShards = make([]paddedInjShard, shards)
 	for i := range e.injShards {
@@ -401,30 +390,12 @@ func New(n int, opts ...Option) *Executor {
 func (e *Executor) NumWorkers() int { return len(e.workers) }
 
 // Submit schedules a task from outside the worker pool via the injection
-// queue (work sharing). Tasks running inside the pool should use their
-// Context instead. After Shutdown it rejects the task with ErrShutdown
-// instead of accepting work that could never run.
+// queue (work sharing): a batch of one. Tasks running inside the pool should
+// use their Context instead. After Shutdown it rejects the task with
+// ErrShutdown instead of accepting work that could never run.
 func (e *Executor) Submit(r *Runnable) error {
-	if e.stop.Load() {
-		return ErrShutdown
-	}
-	idx := e.injShardIdx(r)
-	s := &e.injShards[idx].injShard
-	s.mu.Lock()
-	s.ring.push(r)
-	s.mu.Unlock()
-	// Publish the length before the wake: a parking worker that our notify
-	// misses has not re-checked anyWork yet and will see this count.
-	s.len.Add(1)
-	if m := e.metrics; m != nil {
-		m.injectionPushes.Add(1)
-		m.shards[idx].pushes.Add(1)
-	}
-	e.TraceExternal(EvInjectPush, TaskMeta{}, InjectArg(idx, 1))
-	if e.wakeOne() {
-		e.TraceExternal(EvWakePrecise, TaskMeta{}, 1)
-	}
-	return nil
+	rs := [1]*Runnable{r}
+	return e.SubmitBatch(rs[:])
 }
 
 // injShardIdx hashes a task reference to its injection shard. Task objects
@@ -458,6 +429,8 @@ func (e *Executor) SubmitBatch(rs []*Runnable) error {
 	s.mu.Lock()
 	s.ring.pushBatch(rs)
 	s.mu.Unlock()
+	// Publish the length before the wake: a parking worker that our notify
+	// misses has not re-checked anyWork yet and will see this count.
 	s.len.Add(int64(len(rs)))
 	if m := e.metrics; m != nil {
 		m.injectionPushes.Add(uint64(len(rs)))
@@ -494,24 +467,18 @@ func (e *Executor) Shutdown() {
 // first non-empty shard's backlog (capped at len(scratch)) into scratch
 // under one lock acquisition. It returns the number moved and the shard it
 // came from. The per-shard atomic length keeps empty shards lock-free to
-// skip. Grabbing only half leaves the rest for the other workers a deep
-// backlog will wake, mirroring the half-grab policy of wsq.StealBatch.
+// skip. The grab is wsq.StealQuota, like every other steal.
 func (w *worker) drainInjection(scratch []*Runnable) (int, int) {
 	e := w.exec
 	home := w.id & e.injMask
 	for i := range e.injShards {
 		idx := (home + i) & e.injMask
 		s := &e.injShards[idx].injShard
-		n := s.len.Load()
-		if n <= 0 {
-			// n can be transiently negative: producers publish the atomic
-			// length after releasing the ring lock, so a drain can land in
-			// between.
+		// The length can be transiently negative: producers publish it after
+		// releasing the ring lock, so a drain can land in between.
+		grab := min(wsq.StealQuota(s.len.Load()), int64(len(scratch)))
+		if grab == 0 {
 			continue
-		}
-		grab := (n + 1) / 2
-		if grab > int64(len(scratch)) {
-			grab = int64(len(scratch))
 		}
 		s.mu.Lock()
 		k := s.ring.popN(scratch[:grab])
@@ -562,12 +529,8 @@ func (e *Executor) anyWork() bool {
 			return true
 		}
 	}
-	if mt := e.mt.Load(); mt != nil {
-		for c := range mt.classes {
-			if mt.classes[c].backlog.Load() > 0 {
-				return true
-			}
-		}
+	if mt := e.mt.Load(); mt != nil && mt.Backlog() > 0 {
+		return true
 	}
 	for _, w := range e.workers {
 		if !w.queue.Empty() {
@@ -629,12 +592,13 @@ func (e *Executor) wakeAll() {
 // and parking the extras on this worker's own deque, so one victim
 // selection and one sweep pay for several tasks on wide fan-outs.
 //
-// Multi-tenant drain order (flow.go): Interactive flow backlog outranks
-// everything — it is checked before deque stealing, so request-shaped work
-// preempts in-flight graph expansion at the next steal point. Batch flows
-// rank below the deques and the plain injection shards (active graphs keep
-// priority over new bulk admissions), and Background flows come last.
-// Within a class, drainFlows walks the weighted round-robin wheel.
+// Multi-tenant drain order (flow.go, DequeRank): Interactive flow backlog
+// outranks everything — it is checked before deque stealing, so
+// request-shaped work preempts in-flight graph expansion at the next steal
+// point. Batch flows rank below the deques and the plain injection shards
+// (active graphs keep priority over new bulk admissions), and Background
+// flows come last. Within a class, drainFlows walks the weighted
+// round-robin wheel.
 func (w *worker) steal() (*Runnable, bool) {
 	e := w.exec
 	m := w.metrics
@@ -643,8 +607,10 @@ func (w *worker) steal() (*Runnable, bool) {
 	}
 	mt := e.mt.Load()
 	if mt != nil {
-		if r, ok := w.drainFlows(&mt.classes[Interactive]); ok {
-			return r, true
+		for c := PriorityClass(0); c < DequeRank; c++ {
+			if r, ok := w.drainFlows(mt, c); ok {
+				return r, true
+			}
 		}
 	}
 	n := len(e.workers)
@@ -685,11 +651,10 @@ func (w *worker) steal() (*Runnable, bool) {
 		return scratch[0], true
 	}
 	if mt != nil {
-		if r, ok := w.drainFlows(&mt.classes[Batch]); ok {
-			return r, true
-		}
-		if r, ok := w.drainFlows(&mt.classes[Background]); ok {
-			return r, true
+		for c := DequeRank; c < NumPriorityClasses; c++ {
+			if r, ok := w.drainFlows(mt, c); ok {
+				return r, true
+			}
 		}
 	}
 	return nil, false
@@ -854,7 +819,7 @@ func (e *Executor) containPanic(worker int, rec any) {
 		return
 	}
 	e.panicMu.Lock()
-	if len(e.panics) < maxRecordedPanics {
+	if len(e.panics) < MaxRecordedPanics {
 		e.panics = append(e.panics, fmt.Errorf("executor: task panicked on worker %d: %v", worker, rec))
 	}
 	e.panicMu.Unlock()

@@ -285,7 +285,7 @@ func parkAll(t *testing.T, e *Executor) {
 
 // wakeUpTo must wake exactly min(n, parked) workers — no over-waking.
 func TestWakeUpToExact(t *testing.T) {
-	e := New(4, WithWakeProbability(0), WithSpin(0))
+	e := New(4, withWakeProbability(0), withSpin(0))
 	defer e.Shutdown()
 	parkAll(t, e)
 
@@ -307,7 +307,7 @@ func TestWakeUpToExact(t *testing.T) {
 // SubmitBatch must not attempt more wakes than there are parked workers:
 // with zero idlers the batch publication is the only cost.
 func TestSubmitBatchNoIdlersNoWake(t *testing.T) {
-	e := New(2, WithWakeProbability(0))
+	e := New(2, withWakeProbability(0))
 	defer e.Shutdown()
 	// Occupy both workers so the idlers list is empty.
 	release := make(chan struct{})
@@ -395,7 +395,7 @@ func TestInjectionShrinksAfterBurst(t *testing.T) {
 // Steady-state execution of pre-built tasks must not allocate: an intrusive
 // task resubmitting itself through the local deque, measured end to end.
 func TestIntrusiveResubmitZeroAlloc(t *testing.T) {
-	e := New(1, WithWakeProbability(0))
+	e := New(1, withWakeProbability(0))
 	defer e.Shutdown()
 	done := make(chan struct{})
 	var rounds int

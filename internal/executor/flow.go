@@ -12,8 +12,8 @@ package executor
 //
 //   - Strict class priority on the drain path: Interactive flow backlog is
 //     drained before deque stealing and the plain injection shards, which
-//     in turn are drained before Batch flows, then Background flows. Small
-//     high-priority flows never wait behind bulk work.
+//     in turn are drained before Batch flows, then Background flows
+//     (DequeRank). Small high-priority flows never wait behind bulk work.
 //
 //   - Weighted round-robin within a class: each class keeps a
 //     weight-expanded wheel of its flows and a shared cursor that advances
@@ -37,6 +37,13 @@ package executor
 // Everything here stays off the per-task hot path: a pool with no flows
 // registered pays one nil pointer load per steal sweep, and a flow-bound
 // topology pays atomics only (no allocation) per run and per task.
+//
+// The policy lives in FlowTable and FlowQueue and exists once: the worker
+// pool and internal/sim's single-threaded simulator register and drain the
+// same objects (atomics are correct on one goroutine). What differs between
+// the two is behind FlowHost: how a scheduler learns that it has shut down
+// and what it does when tasks were published — wake and trace workers here,
+// advance the simulation there.
 
 import (
 	"errors"
@@ -76,6 +83,12 @@ const (
 	NumPriorityClasses = 3
 )
 
+// DequeRank is where the worker deques and the plain injection shards sit in
+// the class order of one steal sweep: flow classes below it are drained
+// before them, DequeRank and the classes above it after them, in class
+// order. Both drivers of the policy (worker.steal, sim's steal) walk it.
+const DequeRank = Batch
+
 // String returns the lowercase class name.
 func (c PriorityClass) String() string {
 	switch c {
@@ -112,8 +125,8 @@ type FlowConfig struct {
 
 // FlowStats is one flow's counters at a snapshot instant. The counters
 // are always on (they are the admission-control state), so Stats works
-// without WithMetrics; Snapshot.Reconcile checks their conservation laws
-// at quiescence.
+// without WithMetrics; CheckFlowLaws checks their conservation laws at
+// quiescence.
 type FlowStats struct {
 	Name   string
 	Class  PriorityClass
@@ -155,14 +168,13 @@ type FlowStats struct {
 	Latency *FlowLatencyStats
 }
 
-// Flow is a multi-tenant submission handle. Implemented by the real
-// executor (NewFlow) and by internal/sim's SimExecutor, so flow-bound
-// taskflows run identically under deterministic simulation.
+// Flow is a multi-tenant submission handle, implemented by *FlowQueue on the
+// real executor and under internal/sim alike, so flow-bound taskflows run
+// under deterministic simulation through the same admission and queue code.
 //
 // The admission pair is Admit/Release; the submission pair is
 // Submit/SubmitBatch (pre-admitted work only). NoteExecuted attributes
-// executions. All methods are safe for concurrent use on the real
-// executor.
+// executions. All methods are safe for concurrent use.
 type Flow interface {
 	// Name returns the flow's display name.
 	Name() string
@@ -187,6 +199,18 @@ type Flow interface {
 	Stats() FlowStats
 }
 
+// FlowHost is the scheduler a FlowTable is registered on: the two facts
+// about a flow submission that belong to the scheduler and not to the policy.
+type FlowHost interface {
+	// Stopped reports whether the scheduler has shut down; Admit, Submit and
+	// SubmitBatch then refuse with ErrShutdown.
+	Stopped() bool
+	// FlowPublished runs after n tasks entered f's ring and its backlog
+	// gauges were published: the host wakes up to n workers (and records
+	// what it records about a submission).
+	FlowPublished(f *FlowQueue, n int)
+}
+
 // classState is the per-priority-class scheduling state: an atomic
 // backlog gauge (published like the injection shards' len, after the ring
 // unlock and before the wake, so parking workers see flow work without a
@@ -195,30 +219,34 @@ type classState struct {
 	backlog atomic.Int64
 	cursor  atomic.Uint64
 	// wheel holds each flow of the class Weight times; rebuilt (copy on
-	// write) under mtState.mu when a flow registers.
-	wheel atomic.Pointer[[]*execFlow]
+	// write) under FlowTable.mu when a flow registers.
+	wheel atomic.Pointer[[]*FlowQueue]
 	_     [metricsPad - 24%metricsPad]byte // pad: three words of state above
 }
 
-// mtState is the executor's multi-tenancy state, allocated on first
-// NewFlow so flow-free pools pay only a nil check.
-type mtState struct {
+// FlowTable is a scheduler's multi-tenancy state: the registered flows and
+// the per-class wheels a drain walks. The executor allocates it on the first
+// NewFlow, so flow-free pools pay only a nil check.
+type FlowTable struct {
+	host    FlowHost
 	classes [NumPriorityClasses]classState
 
-	mu         sync.Mutex
-	all        []*execFlow                     // registration order, for FlowStats
-	classFlows [NumPriorityClasses][]*execFlow // registration order per class
+	mu  sync.Mutex
+	all []*FlowQueue // registration order
 }
 
-// execFlow is the real executor's Flow: a lock-guarded task ring (the
-// same shrink-on-drain ring as the injection shards) plus always-on
+// NewFlowTable returns an empty table whose flows report to host.
+func NewFlowTable(host FlowHost) *FlowTable { return &FlowTable{host: host} }
+
+// FlowQueue is the Flow both schedulers hand out: a lock-guarded task ring
+// (the same shrink-on-drain ring as the injection shards) plus always-on
 // atomic accounting.
-type execFlow struct {
-	e    *Executor
+type FlowQueue struct {
+	host FlowHost
 	cs   *classState
 	name string
 	cfg  FlowConfig
-	idx  int // registration index, used as the trace shard id
+	idx  int // registration index; the real pool's trace shard id
 
 	mu   sync.Mutex
 	ring taskRing
@@ -241,39 +269,75 @@ type execFlow struct {
 	lat *flowLatency
 }
 
-var _ Flow = (*execFlow)(nil)
+var _ Flow = (*FlowQueue)(nil)
 
-// flowTraceShardBase offsets flow indices into the shard byte of
-// EvInjectPush/EvInjectDrain trace args (see InjectArg), so flow queue
-// traffic shares the injection event kinds while staying distinguishable
-// from the plain shards (which are < flowTraceShardBase).
-const flowTraceShardBase = 0x80
-
-func (f *execFlow) traceShard() int {
-	return flowTraceShardBase | (f.idx & 0x7f)
-}
-
-// NormalizeFlowConfig clamps a FlowConfig to its documented ranges:
+// normalizeFlowConfig clamps a FlowConfig to its documented ranges:
 // out-of-range classes become Background, Weight lands in [1, 64], and
-// negative limits mean unlimited. Exported so internal/sim applies the
-// identical normalization to its modeled flows.
-func NormalizeFlowConfig(cfg FlowConfig) FlowConfig {
+// negative limits mean unlimited.
+func normalizeFlowConfig(cfg FlowConfig) FlowConfig {
 	if cfg.Class >= NumPriorityClasses {
 		cfg.Class = Background
 	}
-	if cfg.Weight < 1 {
-		cfg.Weight = 1
-	}
-	if cfg.Weight > maxFlowWeight {
-		cfg.Weight = maxFlowWeight
-	}
-	if cfg.MaxInFlight < 0 {
-		cfg.MaxInFlight = 0
-	}
-	if cfg.MaxBacklog < 0 {
-		cfg.MaxBacklog = 0
-	}
+	cfg.Weight = min(max(cfg.Weight, 1), maxFlowWeight)
+	cfg.MaxInFlight = max(cfg.MaxInFlight, 0)
+	cfg.MaxBacklog = max(cfg.MaxBacklog, 0)
 	return cfg
+}
+
+// NewFlow registers a named flow on the table. Flows are never unregistered.
+func (t *FlowTable) NewFlow(name string, cfg FlowConfig) *FlowQueue {
+	return t.register(name, cfg, nil)
+}
+
+func (t *FlowTable) register(name string, cfg FlowConfig, lat *flowLatency) *FlowQueue {
+	cfg = normalizeFlowConfig(cfg)
+	f := &FlowQueue{host: t.host, cs: &t.classes[cfg.Class], name: name, cfg: cfg, lat: lat}
+	f.ring.init(injInitialCap)
+	t.mu.Lock()
+	f.idx = len(t.all)
+	t.all = append(t.all, f)
+	// Rebuild the class wheel copy-on-write: each flow appears Weight
+	// times, block-repeated in registration order. Readers (drain walks)
+	// load the pointer once and never see a partial wheel.
+	var wheel []*FlowQueue
+	for _, g := range t.all {
+		for i := 0; g.cfg.Class == cfg.Class && i < g.cfg.Weight; i++ {
+			wheel = append(wheel, g)
+		}
+	}
+	f.cs.wheel.Store(&wheel)
+	t.mu.Unlock()
+	return f
+}
+
+// Flows returns the registered flows in registration order.
+func (t *FlowTable) Flows() []*FlowQueue {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]*FlowQueue(nil), t.all...)
+}
+
+// Stats snapshots every registered flow's counters, in registration order.
+func (t *FlowTable) Stats() []FlowStats {
+	all := t.Flows()
+	out := make([]FlowStats, len(all))
+	for i, f := range all {
+		out[i] = f.Stats()
+	}
+	return out
+}
+
+// Backlog reports the queued flow tasks across classes. It is what a parking
+// worker re-checks: Submit publishes the class gauges before its wake, so a
+// worker that missed the notify sees the count here. A gauge can read
+// transiently negative (it is published after the ring unlock, and a drain
+// can land in between); such a class counts as empty and hides no other.
+func (t *FlowTable) Backlog() int {
+	var total int64
+	for c := range t.classes {
+		total += max(t.classes[c].backlog.Load(), 0)
+	}
+	return int(total)
 }
 
 // NewFlow registers a named multi-tenant flow on the executor. Flows are
@@ -281,37 +345,18 @@ func NormalizeFlowConfig(cfg FlowConfig) FlowConfig {
 // first registration allocates the multi-tenancy state — a pool that
 // never calls NewFlow pays one nil check per steal sweep.
 func (e *Executor) NewFlow(name string, cfg FlowConfig) Flow {
-	cfg = NormalizeFlowConfig(cfg)
 	mt := e.mt.Load()
 	if mt == nil {
-		mt = &mtState{}
+		mt = NewFlowTable((*flowHost)(e))
 		if !e.mt.CompareAndSwap(nil, mt) {
 			mt = e.mt.Load()
 		}
 	}
-	f := &execFlow{e: e, name: name, cfg: cfg}
-	f.ring.init(injInitialCap)
+	var lat *flowLatency
 	if e.lat != nil {
-		f.lat = newFlowLatency(len(e.workers), e.workers)
+		lat = newFlowLatency(len(e.workers), e.workers)
 	}
-	mt.mu.Lock()
-	f.idx = len(mt.all)
-	mt.all = append(mt.all, f)
-	cs := &mt.classes[cfg.Class]
-	f.cs = cs
-	mt.classFlows[cfg.Class] = append(mt.classFlows[cfg.Class], f)
-	// Rebuild the class wheel copy-on-write: each flow appears Weight
-	// times, block-repeated in registration order. Readers (drain sweeps)
-	// load the pointer once and never see a partial wheel.
-	var wheel []*execFlow
-	for _, g := range mt.classFlows[cfg.Class] {
-		for i := 0; i < g.cfg.Weight; i++ {
-			wheel = append(wheel, g)
-		}
-	}
-	cs.wheel.Store(&wheel)
-	mt.mu.Unlock()
-	return f
+	return mt.register(name, cfg, lat)
 }
 
 // FlowStats snapshots every registered flow's counters, in registration
@@ -322,27 +367,51 @@ func (e *Executor) FlowStats() []FlowStats {
 	if mt == nil {
 		return nil
 	}
-	mt.mu.Lock()
-	all := append([]*execFlow(nil), mt.all...)
-	mt.mu.Unlock()
-	out := make([]FlowStats, len(all))
-	for i, f := range all {
-		out[i] = f.Stats()
-	}
-	return out
+	return mt.Stats()
 }
 
-func (f *execFlow) Name() string         { return f.name }
-func (f *execFlow) Class() PriorityClass { return f.cfg.Class }
+// flowHost is the Executor as its flow table sees it.
+type flowHost Executor
+
+func (h *flowHost) Stopped() bool { return h.stop.Load() }
+
+// FlowPublished implements FlowHost: one trace event and one computed wake
+// count for the whole publication.
+func (h *flowHost) FlowPublished(f *FlowQueue, n int) {
+	e := (*Executor)(h)
+	e.TraceExternal(EvInjectPush, TaskMeta{Flow: f.name}, InjectArg(f.traceShard(), uint64(n)))
+	if woke := e.wakeUpTo(n); woke > 0 {
+		e.TraceExternal(EvWakePrecise, TaskMeta{}, uint64(woke))
+	}
+}
+
+// flowTraceShardBase offsets flow indices into the shard byte of
+// EvInjectPush/EvInjectDrain trace args (see InjectArg), so flow queue
+// traffic shares the injection event kinds while staying distinguishable
+// from the plain shards (which are < flowTraceShardBase).
+const flowTraceShardBase = 0x80
+
+func (f *FlowQueue) traceShard() int {
+	return flowTraceShardBase | (f.idx & 0x7f)
+}
+
+func (f *FlowQueue) Name() string         { return f.name }
+func (f *FlowQueue) Class() PriorityClass { return f.cfg.Class }
+
+// Index returns the flow's registration index on its table.
+func (f *FlowQueue) Index() int { return f.idx }
+
+// Backlog returns the flow's queued task count (a gauge, never negative).
+func (f *FlowQueue) Backlog() int { return int(max(f.qlen.Load(), 0)) }
 
 // Admit implements Flow: an all-or-nothing reservation of n in-flight
 // task units. The watermark check comes first (nothing to undo), then the
 // quota CAS loop, so a rejected request leaves every counter untouched.
-func (f *execFlow) Admit(n int) error {
+func (f *FlowQueue) Admit(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	if f.e.stop.Load() {
+	if f.host.Stopped() {
 		return ErrShutdown
 	}
 	if wm := int64(f.cfg.MaxBacklog); wm > 0 && f.qlen.Load() >= wm {
@@ -376,7 +445,7 @@ func (f *execFlow) Admit(n int) error {
 }
 
 // Release implements Flow: return n units reserved by Admit.
-func (f *execFlow) Release(n int) {
+func (f *FlowQueue) Release(n int) {
 	if n <= 0 {
 		return
 	}
@@ -385,61 +454,41 @@ func (f *execFlow) Release(n int) {
 }
 
 // NoteExecuted implements Flow.
-func (f *execFlow) NoteExecuted(n int) {
+func (f *FlowQueue) NoteExecuted(n int) {
 	f.executed.Add(uint64(n))
 }
 
-// Submit implements Flow: enqueue one pre-admitted task. The backlog
-// gauges are published after the ring unlock and before the wake, the
-// same lost-wakeup-free protocol as the injection shards: a parking
-// worker that misses the notify re-checks anyWork and sees the count.
-func (f *execFlow) Submit(r *Runnable) error {
-	e := f.e
-	if e.stop.Load() {
-		return ErrShutdown
-	}
-	f.mu.Lock()
-	f.ring.push(r)
-	f.mu.Unlock()
-	f.qlen.Add(1)
-	f.cs.backlog.Add(1)
-	f.pushes.Add(1)
-	e.TraceExternal(EvInjectPush, TaskMeta{Flow: f.name}, InjectArg(f.traceShard(), 1))
-	if e.wakeOne() {
-		e.TraceExternal(EvWakePrecise, TaskMeta{}, 1)
-	}
-	return nil
+// Submit implements Flow: enqueue one pre-admitted task, a batch of one.
+func (f *FlowQueue) Submit(r *Runnable) error {
+	rs := [1]*Runnable{r}
+	return f.SubmitBatch(rs[:])
 }
 
 // SubmitBatch implements Flow: one lock, one publication, one computed
-// wake count for the whole batch.
-func (f *execFlow) SubmitBatch(rs []*Runnable) error {
+// wake count for the whole batch. The backlog gauges are published after
+// the ring unlock and before the host's wake, the same lost-wakeup-free
+// protocol as the injection shards: a parking worker that misses the notify
+// re-checks anyWork and sees the count.
+func (f *FlowQueue) SubmitBatch(rs []*Runnable) error {
 	if len(rs) == 0 {
 		return nil
 	}
-	e := f.e
-	if e.stop.Load() {
+	if f.host.Stopped() {
 		return ErrShutdown
 	}
 	f.mu.Lock()
 	f.ring.pushBatch(rs)
 	f.mu.Unlock()
-	f.qlen.Add(int64(len(rs)))
-	f.cs.backlog.Add(int64(len(rs)))
-	f.pushes.Add(uint64(len(rs)))
-	e.TraceExternal(EvInjectPush, TaskMeta{Flow: f.name}, InjectArg(f.traceShard(), uint64(len(rs))))
-	if woke := e.wakeUpTo(len(rs)); woke > 0 {
-		e.TraceExternal(EvWakePrecise, TaskMeta{}, uint64(woke))
-	}
+	n := len(rs)
+	f.qlen.Add(int64(n))
+	f.cs.backlog.Add(int64(n))
+	f.pushes.Add(uint64(n))
+	f.host.FlowPublished(f, n)
 	return nil
 }
 
 // Stats implements Flow.
-func (f *execFlow) Stats() FlowStats {
-	backlog := f.qlen.Load()
-	if backlog < 0 {
-		backlog = 0
-	}
+func (f *FlowQueue) Stats() FlowStats {
 	var lat *FlowLatencyStats
 	if f.lat != nil {
 		lat = f.lat.stats()
@@ -458,57 +507,86 @@ func (f *execFlow) Stats() FlowStats {
 		OverloadSheds:    f.shed.Load(),
 		InFlight:         f.inflight.Load(),
 		PeakInFlight:     f.peak.Load(),
-		Backlog:          int(backlog),
+		Backlog:          f.Backlog(),
 		MaxInFlight:      f.cfg.MaxInFlight,
 		MaxBacklog:       f.cfg.MaxBacklog,
 		Latency:          lat,
 	}
 }
 
-// drainFlows sweeps one priority class's flows in weighted-round-robin
-// order and drains up to half the first non-empty flow's backlog (capped
-// at wsq.MaxStealBatch): the first task is returned for execution, the
-// extras land on this worker's own deque. The shared cursor advances by
-// one per drain, so while a flow keeps backlog it is serviced at least
-// once per wheel rotation — the service-gap bound the fairness property
-// tests assert. Returns (nil, false) when the class has no visible work.
-func (w *worker) drainFlows(cs *classState) (*Runnable, bool) {
-	if cs.backlog.Load() <= 0 {
-		// Transient negatives are possible (gauge published after the
-		// ring unlock); treat <= 0 as empty like the shard drains do.
-		return nil, false
-	}
+// FlowWalk is one service turn on a class wheel; see FlowTable.Walk.
+type FlowWalk struct {
+	wheel    []*FlowQueue
+	at, left int
+}
+
+// Walk starts one service turn of class c: the weighted round-robin
+// decision. The class's shared cursor advances by one slot per turn and the
+// walk visits the weight-expanded wheel once from there, so while a flow
+// keeps backlog it is serviced at least once per wheel rotation — the
+// service-gap bound the fairness property tests assert. A class with no
+// visible backlog gets an empty walk and keeps its cursor.
+func (t *FlowTable) Walk(c PriorityClass) FlowWalk {
+	cs := &t.classes[c]
 	wp := cs.wheel.Load()
-	if wp == nil {
-		return nil, false
+	if cs.backlog.Load() <= 0 || wp == nil {
+		return FlowWalk{}
 	}
-	wheel := *wp
-	n := len(wheel)
-	if n == 0 {
+	n := len(*wp)
+	return FlowWalk{wheel: *wp, at: int((cs.cursor.Add(1) - 1) % uint64(n)), left: n}
+}
+
+// Next returns the next flow on the walk that shows backlog, nil when the
+// wheel has been visited once. A caller whose Take from that flow comes back
+// empty (another worker drained it first) asks again.
+func (w *FlowWalk) Next() *FlowQueue {
+	for w.left > 0 {
+		f := w.wheel[w.at]
+		if w.at++; w.at == len(w.wheel) {
+			w.at = 0
+		}
+		w.left--
+		if f.qlen.Load() > 0 {
+			return f
+		}
+	}
+	return nil
+}
+
+// Take removes up to len(dst) of the flow's oldest tasks into dst and
+// accounts for them as one drain operation. It returns the number moved; 0
+// means the ring was empty by the time the lock was held. The policy size of
+// dst is wsq.StealQuota(f.Backlog()).
+func (f *FlowQueue) Take(dst []*Runnable) int {
+	f.mu.Lock()
+	k := f.ring.popN(dst)
+	f.mu.Unlock()
+	if k == 0 {
+		return 0
+	}
+	f.qlen.Add(-int64(k))
+	f.cs.backlog.Add(-int64(k))
+	f.drains.Add(1)
+	f.drainedTasks.Add(uint64(k))
+	return k
+}
+
+// drainFlows gives class c one service turn on behalf of this worker: up to
+// the steal quota of the first backlogged flow's tasks leave its ring, the
+// first is returned for execution and the extras land on this worker's own
+// deque. Returns (nil, false) when the class has no visible work.
+func (w *worker) drainFlows(mt *FlowTable, c PriorityClass) (*Runnable, bool) {
+	walk := mt.Walk(c)
+	f := walk.Next()
+	if f == nil {
 		return nil, false
 	}
 	var scratch [wsq.MaxStealBatch]*Runnable
-	start := int(cs.cursor.Add(1) - 1)
-	for i := 0; i < n; i++ {
-		f := wheel[(start+i)%n]
-		ln := f.qlen.Load()
-		if ln <= 0 {
-			continue
-		}
-		grab := (ln + 1) / 2
-		if grab > int64(len(scratch)) {
-			grab = int64(len(scratch))
-		}
-		f.mu.Lock()
-		k := f.ring.popN(scratch[:grab])
-		f.mu.Unlock()
+	for ; f != nil; f = walk.Next() {
+		k := f.Take(scratch[:wsq.StealQuota(f.qlen.Load())])
 		if k == 0 {
 			continue
 		}
-		f.qlen.Add(-int64(k))
-		cs.backlog.Add(-int64(k))
-		f.drains.Add(1)
-		f.drainedTasks.Add(uint64(k))
 		if k > 1 {
 			w.queue.PushBatch(scratch[1:k])
 		}
@@ -522,19 +600,41 @@ func (w *worker) drainFlows(cs *classState) (*Runnable, bool) {
 	return nil, false
 }
 
-// flowBacklog reports the total queued flow backlog across classes
-// (gauge, for tests and debug surfaces).
-func (e *Executor) flowBacklog() int {
-	mt := e.mt.Load()
-	if mt == nil {
-		return 0
+// CheckFlowLaws checks the per-flow conservation laws at quiescence (no
+// admitted topology open, no task queued): every pushed task was drained,
+// every reservation returned, no quota ceiling exceeded, and the flows' own
+// drain counters sum to the scheduler-side ones (drain operations that found
+// work, and the tasks they moved). It is the one statement of these laws:
+// Snapshot.Reconcile holds the worker pool to it and sim's CheckFlows the
+// simulator.
+func CheckFlowLaws(flows []FlowStats, drainOps, drainedTasks uint64) error {
+	var ops, drained uint64
+	for i := range flows {
+		f := &flows[i]
+		if f.Pushes != f.DrainedTasks || f.Backlog != 0 {
+			return fmt.Errorf("flow %q pushes %d != drained tasks %d (backlog %d)",
+				f.Name, f.Pushes, f.DrainedTasks, f.Backlog)
+		}
+		if f.AdmittedTasks != f.ReleasedTasks {
+			return fmt.Errorf("flow %q admitted %d != released %d (leaked reservation)",
+				f.Name, f.AdmittedTasks, f.ReleasedTasks)
+		}
+		if f.InFlight != 0 {
+			return fmt.Errorf("flow %q in-flight gauge %d != 0 at quiescence",
+				f.Name, f.InFlight)
+		}
+		if f.MaxInFlight > 0 && f.PeakInFlight > int64(f.MaxInFlight) {
+			return fmt.Errorf("flow %q peak in-flight %d > quota %d",
+				f.Name, f.PeakInFlight, f.MaxInFlight)
+		}
+		ops += f.DrainOps
+		drained += f.DrainedTasks
 	}
-	var total int64
-	for c := range mt.classes {
-		total += mt.classes[c].backlog.Load()
+	if ops != drainOps {
+		return fmt.Errorf("flow drain ops %d != scheduler flow drain ops %d", ops, drainOps)
 	}
-	if total < 0 {
-		total = 0
+	if drained != drainedTasks {
+		return fmt.Errorf("flow drained tasks %d != scheduler flow drained tasks %d", drained, drainedTasks)
 	}
-	return int(total)
+	return nil
 }

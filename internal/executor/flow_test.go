@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestNormalizeFlowConfig pins the clamping rules both the executor and
-// the simulation model rely on for identical wheel construction.
+// TestNormalizeFlowConfig pins the clamping rules every flow table applies
+// at registration.
 func TestNormalizeFlowConfig(t *testing.T) {
 	cases := []struct {
 		in, want FlowConfig
@@ -21,8 +21,8 @@ func TestNormalizeFlowConfig(t *testing.T) {
 			FlowConfig{Class: Background, Weight: 2, MaxInFlight: 7, MaxBacklog: 9}},
 	}
 	for i, c := range cases {
-		if got := NormalizeFlowConfig(c.in); got != c.want {
-			t.Errorf("case %d: NormalizeFlowConfig(%+v) = %+v, want %+v", i, c.in, got, c.want)
+		if got := normalizeFlowConfig(c.in); got != c.want {
+			t.Errorf("case %d: normalizeFlowConfig(%+v) = %+v, want %+v", i, c.in, got, c.want)
 		}
 	}
 }

@@ -65,15 +65,15 @@ func TestPanicHandlerOverridesRecording(t *testing.T) {
 func TestPanicRecordingIsBounded(t *testing.T) {
 	e := New(4)
 	var n atomic.Int64
-	for i := 0; i < maxRecordedPanics+50; i++ {
+	for i := 0; i < MaxRecordedPanics+50; i++ {
 		e.SubmitFunc(func(Context) { defer n.Add(1); panic("again") })
 	}
-	waitCounter(t, &n, maxRecordedPanics+50)
+	waitCounter(t, &n, MaxRecordedPanics+50)
 	e.Shutdown()
 	e.panicMu.Lock()
 	recorded := len(e.panics)
 	e.panicMu.Unlock()
-	if recorded != maxRecordedPanics {
-		t.Fatalf("recorded %d panics, want capped at %d", recorded, maxRecordedPanics)
+	if recorded != MaxRecordedPanics {
+		t.Fatalf("recorded %d panics, want capped at %d", recorded, MaxRecordedPanics)
 	}
 }

@@ -381,7 +381,7 @@ func (e *Executor) LatencySink(f Flow) LatencySink {
 	if f == nil {
 		return e.lat
 	}
-	if ef, ok := f.(*execFlow); ok && ef.lat != nil {
+	if ef, ok := f.(*FlowQueue); ok && ef.lat != nil {
 		return ef.lat
 	}
 	return nil
@@ -397,10 +397,7 @@ func (e *Executor) LatencyStats() ([]FlowLatencySummary, bool) {
 	}
 	out := []FlowLatencySummary{{Unbound: true, FlowLatencyStats: *e.lat.stats()}}
 	if mt := e.mt.Load(); mt != nil {
-		mt.mu.Lock()
-		all := append([]*execFlow(nil), mt.all...)
-		mt.mu.Unlock()
-		for _, f := range all {
+		for _, f := range mt.Flows() {
 			if f.lat == nil {
 				continue
 			}
@@ -426,15 +423,10 @@ func (e *Executor) ClassLatency(c PriorityClass) (FlowLatencyStats, bool) {
 	if mt == nil {
 		return agg, true
 	}
-	mt.mu.Lock()
-	flows := append([]*execFlow(nil), mt.classFlows[c]...)
-	mt.mu.Unlock()
-	for _, f := range flows {
-		if f.lat == nil {
-			continue
+	for _, f := range mt.Flows() {
+		if f.lat != nil && f.cfg.Class == c {
+			agg.Merge(f.lat.stats())
 		}
-		st := f.lat.stats()
-		agg.Merge(st)
 	}
 	return agg, true
 }

@@ -20,11 +20,11 @@ const injShrinkCap = 1024
 // contention relief.
 const injMaxShards = 16
 
-// injShardCount sizes the injection queue for n workers: one shard per
+// InjectionShards sizes the injection queue for n workers: one shard per
 // four-worker group, rounded up to a power of two (so shard selection is a
 // mask), capped at injMaxShards. Small pools keep a single ring and pay
-// nothing for the sharding.
-func injShardCount(n int) int {
+// nothing for the sharding. internal/sim models the same number of shards.
+func InjectionShards(n int) int {
 	s := 1
 	for s*4 < n && s < injMaxShards {
 		s <<= 1
@@ -93,15 +93,6 @@ func (q *taskRing) resize(capacity int64) {
 		buf[i&(capacity-1)] = q.buf[i&mask]
 	}
 	q.buf = buf
-}
-
-func (q *taskRing) push(r *Runnable) {
-	if q.tail-q.head == int64(len(q.buf)) {
-		q.resize(int64(len(q.buf)) * 2)
-	}
-	q.buf[q.tail&int64(len(q.buf)-1)] = r
-	q.tail++
-	q.peak = max(q.peak, q.tail-q.head)
 }
 
 func (q *taskRing) pushBatch(rs []*Runnable) {

@@ -352,35 +352,8 @@ func (s *Snapshot) Reconcile() error {
 		return fmt.Errorf("executor metrics: prewaits %d outside [parks %d + cancels %d, +%d workers]",
 			t.Prewaits, t.Parks, t.WaitCancels, len(s.Workers))
 	}
-	var flowDrainOps, flowDrained uint64
-	for i := range s.Flows {
-		f := &s.Flows[i]
-		if f.Pushes != f.DrainedTasks {
-			return fmt.Errorf("executor metrics: flow %q pushes %d != drained tasks %d",
-				f.Name, f.Pushes, f.DrainedTasks)
-		}
-		if f.AdmittedTasks != f.ReleasedTasks {
-			return fmt.Errorf("executor metrics: flow %q admitted %d != released %d (leaked reservation)",
-				f.Name, f.AdmittedTasks, f.ReleasedTasks)
-		}
-		if f.InFlight != 0 {
-			return fmt.Errorf("executor metrics: flow %q in-flight gauge %d != 0 at quiescence",
-				f.Name, f.InFlight)
-		}
-		if f.MaxInFlight > 0 && f.PeakInFlight > int64(f.MaxInFlight) {
-			return fmt.Errorf("executor metrics: flow %q peak in-flight %d > quota %d",
-				f.Name, f.PeakInFlight, f.MaxInFlight)
-		}
-		flowDrainOps += f.DrainOps
-		flowDrained += f.DrainedTasks
-	}
-	if flowDrainOps != t.FlowDrains {
-		return fmt.Errorf("executor metrics: flow drain ops %d != per-worker flow drain ops %d",
-			flowDrainOps, t.FlowDrains)
-	}
-	if flowDrained != t.FlowDrainedTasks {
-		return fmt.Errorf("executor metrics: flow drained tasks %d != per-worker flow drained tasks %d",
-			flowDrained, t.FlowDrainedTasks)
+	if err := CheckFlowLaws(s.Flows, t.FlowDrains, t.FlowDrainedTasks); err != nil {
+		return fmt.Errorf("executor metrics: %w", err)
 	}
 	return nil
 }

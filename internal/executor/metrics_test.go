@@ -87,7 +87,7 @@ func TestMetricsCountAndReconcile(t *testing.T) {
 }
 
 func TestMetricsCountParksAndWakes(t *testing.T) {
-	e := New(2, WithMetrics(), WithSpin(0)) // park immediately when idle
+	e := New(2, WithMetrics(), withSpin(0)) // park immediately when idle
 	defer e.Shutdown()
 	for round := 0; round < 20; round++ {
 		drain(t, e, 4)
@@ -95,7 +95,7 @@ func TestMetricsCountParksAndWakes(t *testing.T) {
 	snap, _ := e.MetricsSnapshot()
 	total := snap.Total()
 	if total.Parks == 0 {
-		t.Fatal("no parks recorded despite WithSpin(0) idle periods")
+		t.Fatal("no parks recorded despite withSpin(0) idle periods")
 	}
 	if snap.PreciseWakes == 0 {
 		t.Fatal("no precise wakes recorded despite external submissions")
@@ -151,7 +151,7 @@ func TestMetricsStealAccounting(t *testing.T) {
 // small pool so the batch injection drain fires, and checks the
 // operation/task split the batch counters promise.
 func TestMetricsBatchDrainAccounting(t *testing.T) {
-	e := New(2, WithMetrics(), WithSeed(11), WithSpin(0))
+	e := New(2, WithMetrics(), WithSeed(11), withSpin(0))
 	const rounds, burst = 10, 256
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup

@@ -200,7 +200,7 @@ func TestInjectionShardFIFO(t *testing.T) {
 	pushed, popped := 0, 0
 	for popped < len(tasks) {
 		for k := 0; k < 3 && pushed < len(tasks); k++ {
-			s.ring.push(tasks[pushed])
+			s.ring.pushBatch(tasks[pushed : pushed+1])
 			pushed++
 		}
 		n := s.ring.popN(dst)
@@ -217,7 +217,7 @@ func TestInjectionShardFIFO(t *testing.T) {
 // execute exactly once, and the per-shard counters must account for every
 // push and drain.
 func TestInjectionShardsExactlyOnce(t *testing.T) {
-	e := New(16, WithMetrics(), WithSpin(0))
+	e := New(16, WithMetrics(), withSpin(0))
 	if len(e.injShards) < 2 {
 		t.Fatalf("16 workers built %d injection shards, want >= 2", len(e.injShards))
 	}
@@ -277,7 +277,7 @@ func TestInjectionShardsExactlyOnce(t *testing.T) {
 // A full park/unpark cycle through the armed eventcount must not allocate:
 // external submit -> wake -> run -> re-park, measured end to end.
 func TestParkUnparkCycleZeroAlloc(t *testing.T) {
-	e := New(1, WithSpin(0), WithWakeProbability(0))
+	e := New(1, withSpin(0), withWakeProbability(0))
 	defer e.Shutdown()
 	done := make(chan struct{})
 	task := NewTask(func(Context) { done <- struct{}{} })
@@ -299,7 +299,7 @@ func TestParkUnparkCycleZeroAlloc(t *testing.T) {
 // Submitting prebuilt tasks through the sharded injection queue must not
 // allocate in steady state, shards and wakes included.
 func TestShardedInjectionSubmitZeroAlloc(t *testing.T) {
-	e := New(16, WithSpin(0), WithWakeProbability(0))
+	e := New(16, withSpin(0), withWakeProbability(0))
 	defer e.Shutdown()
 	if len(e.injShards) < 2 {
 		t.Fatalf("16 workers built %d injection shards, want >= 2", len(e.injShards))

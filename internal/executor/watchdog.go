@@ -23,11 +23,12 @@ package executor
 // the configured OnStall sink exactly once per stall episode (it re-arms
 // only after progress resumes, so a persistent stall does not spam).
 //
-// The detector core (stallDetector) is a pure function of observed
-// counter samples with no goroutine, clock or executor dependency: the
-// same logic is unit-tested directly here and modeled step-for-step in
-// internal/sim, where an injected stall bug must be caught across a seed
-// sweep and the healthy path must stay silent.
+// The detector core (StallDetector) is a pure function of observed
+// counter samples with no goroutine, clock or executor dependency: it is
+// unit-tested directly here, and internal/sim feeds the same detector its
+// own samples (scheduling steps as the duration), where an injected stall
+// bug must be caught across a seed sweep and the healthy path must stay
+// silent.
 
 import (
 	"errors"
@@ -40,11 +41,15 @@ import (
 // let a starved flow miss four full wheel rotations before calling it
 // starvation.
 const (
-	defaultWatchdogInterval   = 100 * time.Millisecond
-	defaultStallAfter         = time.Second
-	defaultServiceGapFactor   = 4
-	watchdogReasonNoProgress  = "no-progress"
-	watchdogReasonFlowStarved = "flow-starvation"
+	defaultWatchdogInterval = 100 * time.Millisecond
+	defaultStallAfter       = time.Second
+	defaultServiceGapFactor = 4
+)
+
+// The two no-progress shapes a StallDetector reports (StallReport.Reason).
+const (
+	ReasonNoProgress  = "no-progress"
+	ReasonFlowStarved = "flow-starvation"
 )
 
 // WatchdogConfig configures StartWatchdog. The zero value selects the
@@ -97,12 +102,11 @@ type flowMark struct {
 	classDrains uint64
 }
 
-// stallDetector is the pure detection core. Feed it counter samples with
-// observe/observeFlows; it keeps only counter marks and reports at most
+// StallDetector is the pure detection core. Feed it counter samples with
+// Observe/ObserveFlows; it keeps only counter marks and reports at most
 // one firing per stall episode. now is any monotonic duration — the real
-// watchdog passes time.Since(start), internal/sim passes virtual step
-// counts scaled onto a duration.
-type stallDetector struct {
+// watchdog passes time.Since(start), internal/sim its step count.
+type StallDetector struct {
 	stallAfter time.Duration
 	gapFactor  uint64
 
@@ -114,22 +118,26 @@ type stallDetector struct {
 	marks []flowMark
 }
 
-func newStallDetector(stallAfter time.Duration, gapFactor int) *stallDetector {
+// NewStallDetector returns a detector that calls executed flat for
+// stallAfter with work queued a stall, and a backlogged flow unserviced
+// across more than gapFactor × Σ(class weights) class drains starved.
+// Non-positive arguments select the watchdog defaults.
+func NewStallDetector(stallAfter time.Duration, gapFactor int) *StallDetector {
 	if stallAfter <= 0 {
 		stallAfter = defaultStallAfter
 	}
 	if gapFactor <= 0 {
 		gapFactor = defaultServiceGapFactor
 	}
-	return &stallDetector{stallAfter: stallAfter, gapFactor: uint64(gapFactor)}
+	return &StallDetector{stallAfter: stallAfter, gapFactor: uint64(gapFactor)}
 }
 
-// observe feeds one (executed, queued) sample at monotonic instant now.
+// Observe feeds one (executed, queued) sample at monotonic instant now.
 // It returns a non-empty detail string when the no-progress alarm fires:
 // queued work with a flat executed counter for longer than stallAfter.
 // The alarm fires once per episode; any progress (or an empty queue)
 // re-arms it.
-func (d *stallDetector) observe(now time.Duration, executed uint64, queued int) (string, bool) {
+func (d *StallDetector) Observe(now time.Duration, executed uint64, queued int) (string, bool) {
 	if !d.primed || executed != d.lastExecuted || queued == 0 {
 		d.primed = true
 		d.lastExecuted = executed
@@ -148,13 +156,13 @@ func (d *stallDetector) observe(now time.Duration, executed uint64, queued int) 
 	return "", false
 }
 
-// observeFlows feeds one per-flow counter sample (FlowStats in
+// ObserveFlows feeds one per-flow counter sample (FlowStats in
 // registration order — the slice only ever appends, which is what lets
 // the marks index by position). It returns a detail string when some
 // backlogged flow's service gap exceeded gapFactor × Σ(class weights)
 // drains. A newly seen flow is marked at its current counters, so it can
 // never fire on its first observation.
-func (d *stallDetector) observeFlows(flows []FlowStats) (string, bool) {
+func (d *StallDetector) ObserveFlows(flows []FlowStats) (string, bool) {
 	if len(flows) == 0 {
 		return "", false
 	}
@@ -242,7 +250,7 @@ func (w *Watchdog) Stop() {
 
 func (w *Watchdog) run() {
 	defer close(w.done)
-	det := newStallDetector(w.cfg.StallAfter, w.cfg.ServiceGapFactor)
+	det := NewStallDetector(w.cfg.StallAfter, w.cfg.ServiceGapFactor)
 	start := time.Now()
 	tick := time.NewTicker(w.cfg.Interval)
 	defer tick.Stop()
@@ -258,11 +266,11 @@ func (w *Watchdog) run() {
 		}
 		executed, queued := progressSample(&snap)
 		now := time.Since(start)
-		if detail, fired := det.observe(now, executed, queued); fired {
-			w.fire(watchdogReasonNoProgress, detail, executed, queued, &snap)
+		if detail, fired := det.Observe(now, executed, queued); fired {
+			w.fire(ReasonNoProgress, detail, executed, queued, &snap)
 		}
-		if detail, fired := det.observeFlows(snap.Flows); fired {
-			w.fire(watchdogReasonFlowStarved, detail, executed, queued, &snap)
+		if detail, fired := det.ObserveFlows(snap.Flows); fired {
+			w.fire(ReasonFlowStarved, detail, executed, queued, &snap)
 		}
 	}
 }

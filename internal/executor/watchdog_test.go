@@ -11,37 +11,37 @@ import (
 // primes on first sample, fires once per flat episode, re-arms on
 // progress or an empty queue.
 func TestStallDetectorObserve(t *testing.T) {
-	d := newStallDetector(100*time.Millisecond, 0)
+	d := NewStallDetector(100*time.Millisecond, 0)
 
-	if _, fired := d.observe(0, 0, 5); fired {
+	if _, fired := d.Observe(0, 0, 5); fired {
 		t.Fatal("fired on the priming sample")
 	}
-	if _, fired := d.observe(50*time.Millisecond, 0, 5); fired {
+	if _, fired := d.Observe(50*time.Millisecond, 0, 5); fired {
 		t.Fatal("fired before stallAfter elapsed")
 	}
-	detail, fired := d.observe(150*time.Millisecond, 0, 5)
+	detail, fired := d.Observe(150*time.Millisecond, 0, 5)
 	if !fired {
 		t.Fatal("did not fire after 150ms flat with queued work")
 	}
 	if !strings.Contains(detail, "5 tasks queued") {
 		t.Fatalf("detail %q does not name the queue depth", detail)
 	}
-	if _, fired := d.observe(300*time.Millisecond, 0, 5); fired {
+	if _, fired := d.Observe(300*time.Millisecond, 0, 5); fired {
 		t.Fatal("fired twice in one stall episode")
 	}
 
 	// Progress re-arms: another flat stretch fires again.
-	if _, fired := d.observe(350*time.Millisecond, 1, 5); fired {
+	if _, fired := d.Observe(350*time.Millisecond, 1, 5); fired {
 		t.Fatal("fired on a progress sample")
 	}
-	if _, fired := d.observe(500*time.Millisecond, 1, 5); !fired {
+	if _, fired := d.Observe(500*time.Millisecond, 1, 5); !fired {
 		t.Fatal("did not re-fire after progress and a new flat stretch")
 	}
 
 	// An empty queue never stalls, no matter how flat the counter.
-	d2 := newStallDetector(10*time.Millisecond, 0)
+	d2 := NewStallDetector(10*time.Millisecond, 0)
 	for i, now := 0, time.Duration(0); i < 10; i, now = i+1, now+20*time.Millisecond {
-		if _, fired := d2.observe(now, 7, 0); fired {
+		if _, fired := d2.Observe(now, 7, 0); fired {
 			t.Fatal("fired with an empty queue")
 		}
 	}
@@ -58,13 +58,13 @@ func flowSample(name string, class PriorityClass, weight int, drains uint64, bac
 // gapFactor × Σweights fires; first observations and serviced flows never
 // do.
 func TestStallDetectorObserveFlows(t *testing.T) {
-	d := newStallDetector(0, 4) // bound = 4 × Σweights = 4 × 2 = 8
+	d := NewStallDetector(0, 4) // bound = 4 × Σweights = 4 × 2 = 8
 
 	base := []FlowStats{
 		flowSample("a", Batch, 1, 0, 0),
 		flowSample("b", Batch, 1, 0, 3),
 	}
-	if _, fired := d.observeFlows(base); fired {
+	if _, fired := d.ObserveFlows(base); fired {
 		t.Fatal("fired on first observation (marks not yet primed)")
 	}
 
@@ -73,7 +73,7 @@ func TestStallDetectorObserveFlows(t *testing.T) {
 		flowSample("a", Batch, 1, 8, 0),
 		flowSample("b", Batch, 1, 0, 3),
 	}
-	if detail, fired := d.observeFlows(step1); fired {
+	if detail, fired := d.ObserveFlows(step1); fired {
 		t.Fatalf("fired at gap == bound: %s", detail)
 	}
 
@@ -82,7 +82,7 @@ func TestStallDetectorObserveFlows(t *testing.T) {
 		flowSample("a", Batch, 1, 9, 0),
 		flowSample("b", Batch, 1, 0, 3),
 	}
-	detail, fired := d.observeFlows(step2)
+	detail, fired := d.ObserveFlows(step2)
 	if !fired {
 		t.Fatal("did not fire with a backlogged flow bypassed past the bound")
 	}
@@ -92,7 +92,7 @@ func TestStallDetectorObserveFlows(t *testing.T) {
 
 	// The firing re-marked the flow: the same sample stays quiet until the
 	// class rotates another full gap.
-	if _, fired := d.observeFlows(step2); fired {
+	if _, fired := d.ObserveFlows(step2); fired {
 		t.Fatal("fired twice without further class drains")
 	}
 
@@ -101,7 +101,7 @@ func TestStallDetectorObserveFlows(t *testing.T) {
 		flowSample("a", Batch, 1, 30, 0),
 		flowSample("b", Batch, 1, 1, 3),
 	}
-	if _, fired := d.observeFlows(step3); fired {
+	if _, fired := d.ObserveFlows(step3); fired {
 		t.Fatal("fired though the flow was just serviced")
 	}
 
@@ -112,7 +112,7 @@ func TestStallDetectorObserveFlows(t *testing.T) {
 		flowSample("b", Batch, 1, 1, 3),
 		flowSample("c", Batch, 1, 0, 9),
 	}
-	if detail, fired := d.observeFlows(step4); fired && strings.Contains(detail, `"c"`) {
+	if detail, fired := d.ObserveFlows(step4); fired && strings.Contains(detail, `"c"`) {
 		t.Fatal("new flow fired on its first observation")
 	}
 }
@@ -174,8 +174,8 @@ func TestWatchdogFiresOnBlockedWorkers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("watchdog did not fire within 5s of a full stall")
 	}
-	if rep.Reason != watchdogReasonNoProgress {
-		t.Fatalf("reason = %q, want %q", rep.Reason, watchdogReasonNoProgress)
+	if rep.Reason != ReasonNoProgress {
+		t.Fatalf("reason = %q, want %q", rep.Reason, ReasonNoProgress)
 	}
 	if rep.Queued == 0 {
 		t.Fatal("report shows no queued work during the stall")

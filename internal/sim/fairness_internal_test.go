@@ -9,8 +9,16 @@ package sim
 // rotation, so MaxServiceGap exceeding WheelSize−1 is the violation
 // signature. The control sweep shows the faithful model never violates
 // the bound on the same seeds.
+//
+// The same runs are the stall watchdog's second detector meeting a real
+// starvation: every sim here is armed WithStallDetector, which feeds the
+// executor's StallDetector the flow counters, so under the injected bug it
+// must report flow-starvation (a standing heavy backlog drains several
+// times the class's service-gap bound while the light flow waits) and under
+// the faithful wheel it must report nothing.
 
 import (
+	"strings"
 	"testing"
 
 	"gotaskflow/internal/core"
@@ -20,11 +28,12 @@ import (
 // runStarvationWorkload builds one sim (buggy or faithful), registers a
 // heavy Batch flow ahead of a light one, pre-fills both queues from an
 // orchestrator task (so nothing drains until both backlogs exist), runs
-// to quiescence, and returns the light flow's worst service gap plus the
-// schedule hash.
-func runStarvationWorkload(t *testing.T, seed int64, bug bool) (gap int, bound int, hash uint64) {
+// to quiescence, and returns the light flow's worst service gap, the
+// schedule hash and what the stall detector reported. Any liveness failure
+// but the injected bug's flow-starvation is fatal.
+func runStarvationWorkload(t *testing.T, seed int64, bug bool) (gap int, bound int, hash uint64, starved error) {
 	t.Helper()
-	opts := []Option{WithSeed(seed), WithServiceLog()}
+	opts := []Option{WithSeed(seed), WithServiceLog(), WithStallDetector(64)}
 	if bug {
 		opts = append(opts, withStrictDrainBug())
 	}
@@ -48,7 +57,7 @@ func runStarvationWorkload(t *testing.T, seed int64, bug bool) (gap int, bound i
 		// Inside a running task the drive loop is reentrant — dispatches
 		// only enqueue, so the heavy backlog is standing before the first
 		// drain picks a flow.
-		futs = append(futs, dispatch(heavy, 40)...)
+		futs = append(futs, dispatch(heavy, 200)...)
 		futs = append(futs, dispatch(light, 6)...)
 	})
 	if err := orch.Run(); err != nil {
@@ -59,32 +68,49 @@ func runStarvationWorkload(t *testing.T, seed int64, bug bool) (gap int, bound i
 			t.Fatalf("seed %d bug=%v: job %d failed: %v", seed, bug, i, err)
 		}
 	}
-	if err := s.Failure(); err != nil {
-		t.Fatalf("seed %d bug=%v: liveness failure: %v", seed, bug, err)
+	if starved = s.Failure(); starved != nil {
+		for _, line := range strings.Split(starved.Error(), "\n") {
+			if !bug || !strings.HasPrefix(line, "sim: "+executor.ReasonFlowStarved) {
+				t.Fatalf("seed %d bug=%v: liveness failure: %v", seed, bug, line)
+			}
+		}
 	}
 	if err := s.CheckFlows(); err != nil {
 		t.Fatalf("seed %d bug=%v: %v", seed, bug, err)
 	}
-	lightIdx := light.(*simFlow).idx
-	return MaxServiceGap(s.ServiceLog(), executor.Batch, lightIdx), s.WheelSize(executor.Batch) - 1, s.ScheduleHash()
+	lightIdx := light.(*executor.FlowQueue).Index()
+	return MaxServiceGap(s.ServiceLog(), executor.Batch, lightIdx), s.WheelSize(executor.Batch) - 1, s.ScheduleHash(), starved
 }
 
 // TestStrictDrainStarvationCaught sweeps 100 seeds under the injected
 // strict-drain bug and requires the service-gap bound to be violated on
-// most of them, with a deterministic replay of the first violating seed.
+// most of them, with a deterministic replay of the first violating seed,
+// and the stall detector to report flow-starvation, with the seed, on some.
 func TestStrictDrainStarvationCaught(t *testing.T) {
 	const seeds = 100
-	violations := 0
+	violations, reported := 0, 0
 	var firstSeed int64 = -1
+	var firstReport error
 	for seed := int64(0); seed < seeds; seed++ {
-		gap, bound, _ := runStarvationWorkload(t, seed, true)
+		gap, bound, _, starved := runStarvationWorkload(t, seed, true)
 		if gap > bound {
 			violations++
 			if firstSeed < 0 {
 				firstSeed = seed
 			}
 		}
+		if starved != nil {
+			reported++
+			if firstReport == nil {
+				firstReport = starved
+			}
+		}
 	}
+	if reported == 0 {
+		t.Fatalf("the stall detector never reported %s under the injected strict-drain bug across %d seeds",
+			executor.ReasonFlowStarved, seeds)
+	}
+	t.Logf("stall detector reported %s on %d/%d seeds; first: %v", executor.ReasonFlowStarved, reported, seeds, firstReport)
 	if violations == 0 {
 		t.Fatalf("injected strict-drain bug never violated the service-gap bound across %d seeds", seeds)
 	}
@@ -98,8 +124,8 @@ func TestStrictDrainStarvationCaught(t *testing.T) {
 
 	// Replay determinism: the first violating seed violates again with an
 	// identical schedule fingerprint and identical gap.
-	gapA, boundA, hashA := runStarvationWorkload(t, firstSeed, true)
-	gapB, _, hashB := runStarvationWorkload(t, firstSeed, true)
+	gapA, boundA, hashA, _ := runStarvationWorkload(t, firstSeed, true)
+	gapB, _, hashB, _ := runStarvationWorkload(t, firstSeed, true)
 	if gapA <= boundA {
 		t.Fatalf("seed %d did not re-violate on replay (gap %d, bound %d)", firstSeed, gapA, boundA)
 	}
@@ -109,12 +135,13 @@ func TestStrictDrainStarvationCaught(t *testing.T) {
 	}
 }
 
-// TestWeightedDrainHoldsServiceBound is the control: the faithful
-// weighted-round-robin model never exceeds the wheel-rotation bound on
-// the exact workload and seeds the bug sweep uses.
+// TestWeightedDrainHoldsServiceBound is the control: the executor's
+// weighted-round-robin wheel never exceeds the wheel-rotation bound on
+// the exact workload and seeds the bug sweep uses, and the armed stall
+// detector stays silent (runStarvationWorkload fails on any report).
 func TestWeightedDrainHoldsServiceBound(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
-		gap, bound, _ := runStarvationWorkload(t, seed, false)
+		gap, bound, _, _ := runStarvationWorkload(t, seed, false)
 		if gap > bound {
 			t.Fatalf("seed %d: faithful model bypassed the light flow for %d consecutive drains, bound %d",
 				seed, gap, bound)
@@ -156,7 +183,7 @@ func TestServiceGapScalesWithWeight(t *testing.T) {
 		if err := s.CheckFlows(); err != nil {
 			t.Fatalf("weight %d: %v", weight, err)
 		}
-		lightIdx := light.(*simFlow).idx
+		lightIdx := light.(*executor.FlowQueue).Index()
 		return MaxServiceGap(s.ServiceLog(), executor.Batch, lightIdx), s.WheelSize(executor.Batch) - 1
 	}
 	gap1, bound1 := worst(1)

@@ -60,7 +60,7 @@ func runFairScenario(t *testing.T, seed int64) fairOutcome {
 		if rng.Intn(3) == 0 {
 			cfg.MaxBacklog = 3 + rng.Intn(4)
 		}
-		cfgs[i] = executor.NormalizeFlowConfig(cfg)
+		cfgs[i] = cfg // already within the documented ranges
 		flows[i] = s.NewFlow(fmt.Sprintf("flow%d", i), cfg)
 	}
 

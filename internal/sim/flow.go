@@ -1,15 +1,15 @@
 package sim
 
-// Deterministic model of the executor's multi-tenant flow layer
-// (internal/executor/flow.go): the same admission protocol (quota CAS
-// becomes a plain compare — the sim is single-threaded), the same
-// shed-before-quota error order, the same strict-class-priority drain
-// placement in the steal sweep, and the same weighted-round-robin wheel
-// with a cursor that advances one slot per drain. Because the decisions
-// are modeled rather than reimplemented loosely, the fairness properties
-// proved here — bounded service gap, quota ceilings, conservation —
-// transfer to the real executor up to memory-model effects, which the
-// -race mirror tests own.
+// Multi-tenant flows under simulation. The policy is not modelled: flows
+// register on an executor.FlowTable and are the executor's own FlowQueue
+// objects, so admission (shed before quota, all-or-nothing), the queues and
+// their counters, and the weighted-round-robin wheel with its cursor walk
+// are the code the worker pool runs. What is the simulation's own is here:
+// what a publication does to the model (flowHost), the seed-chosen batch
+// size of a drain, the service log the fairness properties are read from,
+// and the injected strict-drain bug. The fairness properties proved here —
+// bounded service gap, quota ceilings, conservation — therefore hold for
+// the real executor up to memory-model effects, which the -race tests own.
 
 import (
 	"fmt"
@@ -17,186 +17,39 @@ import (
 	"gotaskflow/internal/executor"
 )
 
-// simFlow is the simulation's executor.Flow: a FIFO queue plus plain-int
-// counters mirroring execFlow's atomics one-for-one.
-type simFlow struct {
-	s    *SimExecutor
-	name string
-	cfg  executor.FlowConfig
-	idx  int // registration index across all classes
+// flowHost is the simulation as its flow table sees it.
+type flowHost SimExecutor
 
-	q []*executor.Runnable
+func (h *flowHost) Stopped() bool { return h.stopped }
 
-	inflight int64
-	peak     int64
-	admitted uint64
-	released uint64
-	rejected uint64
-	shed     uint64
-
-	pushes       uint64
-	drainOps     uint64
-	drainedTasks uint64
-	executed     uint64
+// FlowPublished implements executor.FlowHost: count the tasks, wake, and
+// (outside a running step) drive to quiescence.
+func (h *flowHost) FlowPublished(f *executor.FlowQueue, n int) {
+	s := (*SimExecutor)(h)
+	s.st.Enqueued += uint64(n)
+	s.mix(1<<62 | uint64(f.Index())<<16 | uint64(n))
+	s.wakeUpTo(n)
+	s.drive()
 }
 
-var _ executor.Flow = (*simFlow)(nil)
-
-// simClass is one priority class's scheduling state: flows in
-// registration order (the strict-drain bug's scan order), the
-// weight-expanded wheel, and the shared round-robin cursor.
-type simClass struct {
-	flows  []*simFlow
-	wheel  []*simFlow
-	cursor int
-}
-
-// NewFlow registers a modeled multi-tenant flow, mirroring
-// Executor.NewFlow: same config normalization, same block-repeat wheel
-// rebuild.
+// NewFlow registers a multi-tenant flow, as Executor.NewFlow does.
 func (s *SimExecutor) NewFlow(name string, cfg executor.FlowConfig) executor.Flow {
-	cfg = executor.NormalizeFlowConfig(cfg)
-	f := &simFlow{s: s, name: name, cfg: cfg, idx: len(s.flows)}
-	s.flows = append(s.flows, f)
-	cl := &s.classes[cfg.Class]
-	cl.flows = append(cl.flows, f)
-	cl.wheel = cl.wheel[:0]
-	for _, g := range cl.flows {
-		for i := 0; i < g.cfg.Weight; i++ {
-			cl.wheel = append(cl.wheel, g)
-		}
-	}
-	return f
+	return s.flows.NewFlow(name, cfg)
 }
 
-// FlowStats snapshots every modeled flow's counters in registration
-// order, mirroring Executor.FlowStats.
-func (s *SimExecutor) FlowStats() []executor.FlowStats {
-	out := make([]executor.FlowStats, len(s.flows))
-	for i, f := range s.flows {
-		out[i] = f.Stats()
-	}
-	return out
-}
+// FlowStats snapshots every flow's counters in registration order.
+func (s *SimExecutor) FlowStats() []executor.FlowStats { return s.flows.Stats() }
 
 // WheelSize returns the weight-expanded wheel length of a class — the
 // service-gap bound the fairness property tests assert against.
 func (s *SimExecutor) WheelSize(class executor.PriorityClass) int {
-	return len(s.classes[class].wheel)
-}
-
-func (f *simFlow) Name() string                  { return f.name }
-func (f *simFlow) Class() executor.PriorityClass { return f.cfg.Class }
-
-// Admit implements executor.Flow with the exact semantics of
-// execFlow.Admit: shutdown, then the backlog watermark (nothing to undo),
-// then the quota — all-or-nothing, charging nothing on rejection.
-func (f *simFlow) Admit(n int) error {
-	if n <= 0 {
-		return nil
+	n := 0
+	for _, st := range s.flows.Stats() {
+		if st.Class == class {
+			n += st.Weight
+		}
 	}
-	if f.s.stopped {
-		return executor.ErrShutdown
-	}
-	if wm := f.cfg.MaxBacklog; wm > 0 && len(f.q) >= wm {
-		f.shed += uint64(n)
-		return executor.ErrOverloaded
-	}
-	if max := int64(f.cfg.MaxInFlight); max > 0 && f.inflight+int64(n) > max {
-		f.rejected += uint64(n)
-		return executor.ErrAdmission
-	}
-	f.inflight += int64(n)
-	f.admitted += uint64(n)
-	if f.inflight > f.peak {
-		f.peak = f.inflight
-	}
-	return nil
-}
-
-// Release implements executor.Flow.
-func (f *simFlow) Release(n int) {
-	if n <= 0 {
-		return
-	}
-	f.inflight -= int64(n)
-	f.released += uint64(n)
-}
-
-// NoteExecuted implements executor.Flow.
-func (f *simFlow) NoteExecuted(n int) { f.executed += uint64(n) }
-
-// Submit implements executor.Flow: enqueue one pre-admitted task on the
-// flow's queue, wake, and (outside a running step) drive to quiescence.
-func (f *simFlow) Submit(r *executor.Runnable) error {
-	if f.s.stopped {
-		return executor.ErrShutdown
-	}
-	f.q = append(f.q, r)
-	f.pushes++
-	f.s.st.Enqueued++
-	f.s.mix(1<<62 | uint64(f.idx))
-	f.s.wakeOne()
-	f.s.drive()
-	return nil
-}
-
-// SubmitBatch implements executor.Flow: the batch lands in order, one
-// wake pass, accepted whole or rejected whole at shutdown.
-func (f *simFlow) SubmitBatch(rs []*executor.Runnable) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	if f.s.stopped {
-		return executor.ErrShutdown
-	}
-	f.q = append(f.q, rs...)
-	f.pushes += uint64(len(rs))
-	f.s.st.Enqueued += uint64(len(rs))
-	f.s.mix(1<<62 | uint64(f.idx)<<16 | uint64(len(rs)))
-	f.s.wakeUpTo(len(rs))
-	f.s.drive()
-	return nil
-}
-
-// Stats implements executor.Flow.
-func (f *simFlow) Stats() executor.FlowStats {
-	return executor.FlowStats{
-		Name:             f.name,
-		Class:            f.cfg.Class,
-		Weight:           f.cfg.Weight,
-		Pushes:           f.pushes,
-		DrainOps:         f.drainOps,
-		DrainedTasks:     f.drainedTasks,
-		Executed:         f.executed,
-		AdmittedTasks:    f.admitted,
-		ReleasedTasks:    f.released,
-		AdmissionRejects: f.rejected,
-		OverloadSheds:    f.shed,
-		InFlight:         f.inflight,
-		PeakInFlight:     f.peak,
-		Backlog:          len(f.q),
-		MaxInFlight:      f.cfg.MaxInFlight,
-		MaxBacklog:       f.cfg.MaxBacklog,
-	}
-}
-
-// classBacklog sums the queued tasks of one priority class.
-func (s *SimExecutor) classBacklog(class executor.PriorityClass) int {
-	total := 0
-	for _, f := range s.classes[class].flows {
-		total += len(f.q)
-	}
-	return total
-}
-
-// flowBacklog sums queued tasks across every flow of every class.
-func (s *SimExecutor) flowBacklog() int {
-	total := 0
-	for _, f := range s.flows {
-		total += len(f.q)
-	}
-	return total
+	return n
 }
 
 // FlowService records one flow-queue drain, for fairness analysis: which
@@ -256,102 +109,61 @@ func MaxServiceGap(log []FlowService, class executor.PriorityClass, idx int) int
 	return max
 }
 
-// drainFlows services one priority class for worker w: pick the flow by
-// weighted round-robin (or, under the injected bug, by registration-order
-// scan), move a seed-chosen batch of up to half its backlog (capped at
-// maxStealBatch), run the first task and park the extras on w's deque.
-// Reports whether a task ran.
+// backlogged lists the flows of a class that have queued tasks, in
+// registration order.
+func (s *SimExecutor) backlogged(class executor.PriorityClass) []*executor.FlowQueue {
+	var out []*executor.FlowQueue
+	for _, f := range s.flows.Flows() {
+		if f.Class() == class && f.Backlog() > 0 {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// drainFlows services one priority class for worker w: the flow table's
+// wheel walk picks the flow, a seed-chosen batch of up to the steal quota
+// leaves it, the first task runs and the extras land on w's deque. Reports
+// whether a task ran.
 func (s *SimExecutor) drainFlows(w int, class executor.PriorityClass) bool {
-	cl := &s.classes[class]
-	var f *simFlow
+	walk := s.flows.Walk(class)
+	f := walk.Next()
+	if f == nil {
+		return false
+	}
+	var standing []*executor.FlowQueue
+	if s.strictDrainBug || s.logServices {
+		standing = s.backlogged(class)
+	}
 	if s.strictDrainBug {
 		// Injected starvation bug: always the first backlogged flow in
 		// registration order — no weighted share, so a class-mate ahead of
 		// you with a standing backlog starves you indefinitely. The
 		// fairness sweep catches this as a MaxServiceGap violation.
-		for _, g := range cl.flows {
-			if len(g.q) > 0 {
-				f = g
-				break
-			}
-		}
-	} else {
-		n := len(cl.wheel)
-		if n == 0 {
-			return false
-		}
-		start := cl.cursor % n
-		cl.cursor++
-		for i := 0; i < n; i++ {
-			if g := cl.wheel[(start+i)%n]; len(g.q) > 0 {
-				f = g
-				break
-			}
-		}
+		f = standing[0]
 	}
-	if f == nil {
-		return false
-	}
+	grabbed := make([]*executor.Runnable, s.batch(f.Backlog()))
 	if s.logServices {
-		sv := FlowService{Class: class, FlowIdx: f.idx, Flow: f.name}
-		for _, g := range cl.flows {
-			if len(g.q) > 0 {
-				sv.Backlogged = append(sv.Backlogged, g.idx)
-			}
+		sv := FlowService{Class: class, FlowIdx: f.Index(), Flow: f.Name(), Tasks: len(grabbed)}
+		for _, g := range standing {
+			sv.Backlogged = append(sv.Backlogged, g.Index())
 		}
 		s.services = append(s.services, sv)
 	}
-	max := (len(f.q) + 1) / 2
-	if max > maxStealBatch {
-		max = maxStealBatch
-	}
-	k := 1 + s.pick(max)
-	grabbed := make([]*executor.Runnable, k)
-	copy(grabbed, f.q[:k])
-	f.q = append(f.q[:0], f.q[k:]...)
-	f.drainOps++
-	f.drainedTasks += uint64(k)
+	f.Take(grabbed)
 	s.st.FlowDrains++
-	s.st.FlowDrainedTasks += uint64(k)
-	if s.logServices {
-		s.services[len(s.services)-1].Tasks = k
-	}
-	if k > 1 {
-		s.deques[w] = append(s.deques[w], grabbed[1:]...)
-	}
+	s.st.FlowDrainedTasks += uint64(len(grabbed))
+	s.deques[w] = append(s.deques[w], grabbed[1:]...)
 	s.runTask(w, grabbed[0])
 	return true
 }
 
-// CheckFlows verifies the per-flow conservation laws at quiescence,
-// mirroring the flow section of executor.Snapshot.Reconcile: queues
-// drained, reservations returned, quota ceilings respected.
+// CheckFlows holds the simulator to the flow laws the worker pool's
+// Snapshot.Reconcile checks: queues drained, reservations returned, quota
+// ceilings respected, flow-side and scheduler-side drain counts equal.
 func (s *SimExecutor) CheckFlows() error {
-	var drainOps, drained uint64
-	for _, f := range s.flows {
-		if f.pushes != f.drainedTasks {
-			return fmt.Errorf("sim: flow %q pushes %d != drained tasks %d", f.name, f.pushes, f.drainedTasks)
-		}
-		if f.admitted != f.released {
-			return fmt.Errorf("sim: flow %q admitted %d != released %d (leaked reservation)", f.name, f.admitted, f.released)
-		}
-		if f.inflight != 0 {
-			return fmt.Errorf("sim: flow %q in-flight %d != 0 at quiescence", f.name, f.inflight)
-		}
-		if f.cfg.MaxInFlight > 0 && f.peak > int64(f.cfg.MaxInFlight) {
-			return fmt.Errorf("sim: flow %q peak in-flight %d > quota %d", f.name, f.peak, f.cfg.MaxInFlight)
-		}
-		if len(f.q) != 0 {
-			return fmt.Errorf("sim: flow %q still has %d queued tasks at quiescence", f.name, len(f.q))
-		}
-		drainOps += f.drainOps
-		drained += f.drainedTasks
-	}
-	if drainOps != s.st.FlowDrains {
-		return fmt.Errorf("sim: Σ flow drain ops %d != scheduler flow drains %d", drainOps, s.st.FlowDrains)
-	}
-	if drained != s.st.FlowDrainedTasks {
-		return fmt.Errorf("sim: Σ flow drained tasks %d != scheduler flow drained tasks %d", drained, s.st.FlowDrainedTasks)
+	if err := executor.CheckFlowLaws(s.FlowStats(), s.st.FlowDrains, s.st.FlowDrainedTasks); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	return nil
 }

@@ -14,20 +14,32 @@
 // or fuzz case prints its seed, and one `go test -run` invocation with
 // that seed replays the identical schedule, fault plan and failure.
 //
-// # Model
+// # What is shared and what is modelled
 //
-// The simulation executes every task inline on the driving goroutine.
-// Modeled state mirrors the real executor one level up from its lock-free
-// machinery: per-worker deques and speculative cache slots, sharded
-// injection queues, and a banked-signal park/wake protocol shaped like
-// the eventcount notifier (prewait → re-check → park, with notify
-// banking a signal for workers inside the prewait window). Each step the
-// PRNG picks one enabled action:
+// Every scheduling decision the real pool takes by rule is the real pool's
+// own code, called from here; only what the real pool leaves to the machine
+// is modelled. Shared with internal/executor and internal/wsq: the flow
+// table (executor.FlowTable — registration, admission, the per-class
+// weighted wheel and its cursor walk, the queues and their counters), the
+// steal quota (wsq.StealQuota), the injection shard count
+// (executor.InjectionShards), the class order of a steal sweep
+// (executor.DequeRank), the stall detector (executor.StallDetector) and the
+// flow conservation laws (executor.CheckFlowLaws).
+//
+// Modelled, one level up from the lock-free machinery: per-worker deques
+// and speculative cache slots and the injection shards as plain slices, and
+// a banked-signal park/wake protocol shaped like the eventcount notifier
+// (prewait → re-check → park, with notify banking a signal for workers
+// inside the prewait window) — the sim has no goroutines to park, and that
+// model is what the lost-wakeup detector tests. The simulation executes
+// every task inline on the driving goroutine. Each step the PRNG picks one
+// enabled action:
 //
 //   - an active worker runs its cached task, pops a task from its deque
 //     (any position — a superset of the owner-LIFO/thief-FIFO orders
 //     reachable on the real pool), or steals a batch of seed-chosen size
-//     from a seed-chosen victim deque or injection shard;
+//     (1 up to the steal quota, where the real worker takes the quota) from
+//     a seed-chosen victim deque or injection shard;
 //
 //   - a task that makes successors ready or spawns a subflow places them
 //     on a seed-chosen deque (simCtx.target): spawn and successor-release
@@ -58,10 +70,10 @@
 //
 // Deadlock is not the only way to lose progress: a scheduler can also
 // livelock, burning steps without ever executing a task. WithStallDetector
-// (stall.go) arms the deterministic counterpart of the real executor's
-// stall watchdog — every N steps it requires the executed counter to have
-// moved whenever queued work is visible, and reports a seed-replayable
-// stall failure otherwise.
+// (stall.go) feeds the real executor's stall detector every N steps — the
+// executed counter must have moved whenever queued work is visible, and no
+// backlogged flow may go unserviced while its class drains — and reports a
+// seed-replayable failure otherwise.
 //
 // # What is and is not modeled
 //
@@ -83,19 +95,12 @@ import (
 	"time"
 
 	"gotaskflow/internal/executor"
+	"gotaskflow/internal/wsq"
 )
 
-// maxStealBatch caps how many tasks one steal or drain moves, matching
-// wsq.MaxStealBatch on the real pool.
-const maxStealBatch = 16
-
-// maxRecordedPanics bounds the contained-panic log, matching the real
-// executor.
-const maxRecordedPanics = 64
-
-// maxRecoveries bounds lost-wakeup recoveries before the simulation
-// gives up; a correct model never recovers even once.
-const maxRecoveries = 100
+// maxFailures bounds the liveness failures recorded (and recovered from)
+// before the simulation gives up; a correct model never records even one.
+const maxFailures = 100
 
 // wstate is a modeled worker's park-protocol state.
 type wstate uint8
@@ -149,8 +154,9 @@ type Stats struct {
 	// FlowDrains/FlowDrainedTasks count multi-tenant flow-queue drains,
 	// mirroring the real executor's per-worker flow counters.
 	FlowDrains, FlowDrainedTasks uint64
-	// Recoveries counts lost-wakeup recoveries — nonzero only when the
-	// model (or an injected model bug) dropped a wake; see Failure.
+	// Recoveries counts the liveness failures recorded (lost wakeups and
+	// stalls recovered from, flow starvations reported) — nonzero only
+	// when the model or an injected bug lost progress; see Failure.
 	Recoveries int
 }
 
@@ -190,24 +196,21 @@ type SimExecutor struct {
 	// tests that validate the liveness detector. See sim_internal_test.go.
 	lostWakeBug bool
 
-	// Multi-tenant flow model (flow.go): registered flows, per-class
-	// wheel state, and the optional per-drain service log the fairness
-	// property tests analyze. strictDrainBug replaces the weighted
-	// round-robin wheel with a registration-order scan — the injected
-	// starvation bug the fairness sweep must catch.
-	flows          []*simFlow
-	classes        [executor.NumPriorityClasses]simClass
+	// Multi-tenant flows (flow.go): the executor's own flow table with this
+	// simulation as its host, and the optional per-drain service log the
+	// fairness property tests analyze. strictDrainBug overrides the wheel's
+	// pick with a registration-order scan — the injected starvation bug the
+	// fairness sweep must catch.
+	flows          *executor.FlowTable
 	strictDrainBug bool
 	logServices    bool
 	services       []FlowService
 
-	// Stall watchdog model (stall.go): an optional executed-progress
-	// check every stallWindow steps, mirroring the real
-	// executor.Watchdog's no-progress detector, plus the injected
-	// injection-stall bug used to validate its detection power.
+	// Stall watchdog (stall.go): the executor's detector, fed every
+	// stallWindow steps, plus the injected injection-stall bug used to
+	// validate its detection power.
+	stall       *executor.StallDetector
 	stallWindow uint64
-	stallMark   uint64
-	stallArmed  bool
 	injStallBug bool
 
 	st       Stats
@@ -215,7 +218,8 @@ type SimExecutor struct {
 	failures []error
 	panics   []error
 
-	scratch []action
+	scratch   []action
+	victimBuf []int
 }
 
 // Option configures a SimExecutor.
@@ -244,7 +248,7 @@ func withLostWakeupBug() Option {
 	return func(s *SimExecutor) { s.lostWakeBug = true }
 }
 
-// withStrictDrainBug replaces the weighted-round-robin flow wheel with a
+// withStrictDrainBug overrides the weighted-round-robin flow wheel with a
 // strict registration-order scan: the first backlogged flow of a class
 // always wins, so later flows starve behind a standing backlog.
 // Unexported — it exists so the fairness sweep's detection power is
@@ -274,12 +278,8 @@ func New(n int, opts ...Option) *SimExecutor {
 	for _, opt := range opts {
 		opt(s)
 	}
-	// Shard count mirrors the real pool's one-shard-per-four-workers
-	// grouping (power of two, capped at 16).
-	s.nshards = 1
-	for s.nshards < (n+3)/4 && s.nshards < 16 {
-		s.nshards <<= 1
-	}
+	s.nshards = executor.InjectionShards(n)
+	s.flows = executor.NewFlowTable((*flowHost)(s))
 	s.rng = rand.New(rand.NewSource(s.seed))
 	s.deques = make([][]*executor.Runnable, n)
 	s.caches = make([]*executor.Runnable, n)
@@ -352,24 +352,16 @@ func (s *SimExecutor) mix(v uint64) {
 	s.hash = (s.hash ^ v) * 1099511628211
 }
 
-// Submit implements executor.Scheduler: enqueue on a seed-chosen
-// injection shard, wake, and — when called from outside a running step —
-// drive the simulation to quiescence before returning.
+// Submit implements executor.Scheduler: a batch of one.
 func (s *SimExecutor) Submit(r *executor.Runnable) error {
-	if s.stopped {
-		return executor.ErrShutdown
-	}
-	idx := s.pick(s.nshards)
-	s.shards[idx] = append(s.shards[idx], r)
-	s.st.Enqueued++
-	s.wakeOne()
-	s.drive()
-	return nil
+	return s.SubmitBatch([]*executor.Runnable{r})
 }
 
 // SubmitBatch implements executor.Scheduler: the whole batch lands on
-// one seed-chosen shard in order, like the real pool's one-lock batch
-// submit; drains and steals spread it.
+// one seed-chosen injection shard in order, like the real pool's one-lock
+// batch submit (drains and steals spread it), up to len(rs) workers are
+// woken, and — when called from outside a running step — the simulation is
+// driven to quiescence before returning.
 func (s *SimExecutor) SubmitBatch(rs []*executor.Runnable) error {
 	if len(rs) == 0 {
 		return nil
@@ -442,43 +434,46 @@ func (s *SimExecutor) drive() {
 	}
 }
 
-// anyWork reports whether any deque, injection shard or flow queue holds
-// a task — the published-work predicate park re-checks use (cache slots
-// are worker-private and excluded, as on the real pool). Flow queues
-// participate for the same reason they do in the real anyWork: a flow
-// submission publishes its backlog before waking, so a parking worker
-// that misses the notify must see the count here — excluding them would
-// make the liveness detector report false lost wakeups.
-func (s *SimExecutor) anyWork() bool {
+// queued counts the tasks in every deque, injection shard and flow queue:
+// the published work a park re-check looks for (cache slots are
+// worker-private and excluded, as on the real pool). Flow queues participate
+// for the same reason they do in the real anyWork: a flow submission
+// publishes its backlog before waking, so a parking worker that misses the
+// notify must see the count here — excluding them would make the liveness
+// detector report false lost wakeups.
+func (s *SimExecutor) queued() int {
+	n := s.flows.Backlog()
 	for _, dq := range s.deques {
-		if len(dq) > 0 {
-			return true
-		}
+		n += len(dq)
 	}
 	for _, sh := range s.shards {
-		if len(sh) > 0 {
-			return true
-		}
+		n += len(sh)
 	}
-	return s.flowBacklog() > 0
+	return n
 }
 
-// stealable reports whether worker w could steal from anywhere: another
-// worker's deque, an injection shard, or a flow queue.
-func (s *SimExecutor) stealable(w int) bool {
+func (s *SimExecutor) anyWork() bool { return s.queued() > 0 }
+
+// victims lists what worker w could steal from besides the flow queues, in
+// a fixed order: another worker's deque (its index), then an injection
+// shard (s.workers + its index). The list lives in a buffer the next call
+// reuses.
+func (s *SimExecutor) victims(w int) []int {
+	out := s.victimBuf[:0]
 	for v, dq := range s.deques {
 		if v != w && len(dq) > 0 {
-			return true
+			out = append(out, v)
 		}
 	}
 	if !s.injStallBug {
-		for _, sh := range s.shards {
+		for i, sh := range s.shards {
 			if len(sh) > 0 {
-				return true
+				out = append(out, s.workers+i)
 			}
 		}
 	}
-	return s.flowBacklog() > 0
+	s.victimBuf = out
+	return out
 }
 
 // step performs one seed-chosen scheduling action. It returns false at
@@ -500,7 +495,7 @@ func (s *SimExecutor) step() bool {
 			case len(s.deques[w]) > 0:
 				cands = append(cands, action{aPop, w})
 			default:
-				if s.stealable(w) {
+				if len(s.victims(w)) > 0 || s.flows.Backlog() > 0 {
 					cands = append(cands, action{aSteal, w})
 				}
 				if !s.lostWakeBug || !s.anyWork() {
@@ -534,7 +529,7 @@ func (s *SimExecutor) step() bool {
 			"sim: exceeded %d scheduling steps (livelocked graph?) — seed %d",
 			s.maxSteps, s.seed))
 	}
-	if s.stallWindow > 0 && s.st.Steps%s.stallWindow == 0 {
+	if s.stall != nil && s.st.Steps%s.stallWindow == 0 {
 		s.checkStall()
 	}
 	s.perform(c)
@@ -546,20 +541,24 @@ func (s *SimExecutor) step() bool {
 // still drains and waiters can observe the recorded failure instead of
 // hanging.
 func (s *SimExecutor) recoverLostWakeup() {
-	queued := s.flowBacklog()
-	for _, dq := range s.deques {
-		queued += len(dq)
-	}
-	for _, sh := range s.shards {
-		queued += len(sh)
-	}
-	s.failures = append(s.failures, fmt.Errorf(
-		"sim: lost wakeup at step %d: %d queued tasks with all %d workers parked (seed %d)",
-		s.st.Steps, queued, s.workers, s.seed))
-	if len(s.failures) > maxRecoveries {
-		panic(fmt.Sprintf("sim: %d lost-wakeup recoveries — model is not live (seed %d)",
+	s.fail("lost wakeup", fmt.Sprintf("%d queued tasks with all %d workers parked", s.queued(), s.workers))
+	s.unparkAll()
+}
+
+// fail records one liveness failure with the step and the seed that replay
+// it.
+func (s *SimExecutor) fail(what, detail string) {
+	s.failures = append(s.failures, fmt.Errorf("sim: %s at step %d: %s (seed %d)",
+		what, s.st.Steps, detail, s.seed))
+	if len(s.failures) > maxFailures {
+		panic(fmt.Sprintf("sim: %d liveness failures — model is not live (seed %d)",
 			len(s.failures), s.seed))
 	}
+}
+
+// unparkAll makes every worker active and drops the banked signals that
+// paired with their park states.
+func (s *SimExecutor) unparkAll() {
 	for w := range s.state {
 		s.state[w] = wActive
 	}
@@ -598,37 +597,33 @@ func (s *SimExecutor) perform(c action) {
 	}
 }
 
+// batch draws the size of one steal or drain from a queue showing n tasks:
+// 1 up to the steal quota, where the real worker takes the quota itself.
+func (s *SimExecutor) batch(n int) int {
+	return 1 + s.pick(int(wsq.StealQuota(int64(n))))
+}
+
 // steal moves a seed-chosen batch from a seed-chosen victim deque or
 // injection shard to worker w: the first task runs, the rest land on w's
 // deque — the half-backlog batch policy of the real pool with the batch
 // size itself under seed control.
 //
-// The multi-tenant drain order mirrors the real worker.steal exactly:
-// Interactive flow backlog outranks deques and shards; Batch and then
-// Background flows are tried only when no deque or shard has work.
+// The class order is worker.steal's (executor.DequeRank): flow classes that
+// outrank the deques and shards first; the others only when no deque or
+// shard has work.
 func (s *SimExecutor) steal(w int) {
-	if s.classBacklog(executor.Interactive) > 0 && s.drainFlows(w, executor.Interactive) {
-		return
-	}
-	// Enumerate sources deterministically: worker deques then shards.
-	var victims []int // worker index, or s.workers+shard index
-	for v, dq := range s.deques {
-		if v != w && len(dq) > 0 {
-			victims = append(victims, v)
-		}
-	}
-	if !s.injStallBug {
-		for i, sh := range s.shards {
-			if len(sh) > 0 {
-				victims = append(victims, s.workers+i)
-			}
-		}
-	}
-	if len(victims) == 0 {
-		if s.drainFlows(w, executor.Batch) {
+	for c := executor.PriorityClass(0); c < executor.DequeRank; c++ {
+		if s.drainFlows(w, c) {
 			return
 		}
-		s.drainFlows(w, executor.Background)
+	}
+	victims := s.victims(w)
+	if len(victims) == 0 {
+		for c := executor.DequeRank; c < executor.NumPriorityClasses; c++ {
+			if s.drainFlows(w, c) {
+				return
+			}
+		}
 		return
 	}
 	src := victims[s.pick(len(victims))]
@@ -638,11 +633,7 @@ func (s *SimExecutor) steal(w int) {
 	} else {
 		q = &s.shards[src-s.workers]
 	}
-	max := (len(*q) + 1) / 2
-	if max > maxStealBatch {
-		max = maxStealBatch
-	}
-	k := 1 + s.pick(max)
+	k := s.batch(len(*q))
 	grabbed := make([]*executor.Runnable, k)
 	copy(grabbed, (*q)[:k])
 	*q = append((*q)[:0], (*q)[k:]...)
@@ -740,7 +731,7 @@ func (s *SimExecutor) runTask(w int, r *executor.Runnable) {
 func (s *SimExecutor) safeRun(w int, r *executor.Runnable) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			if len(s.panics) < maxRecordedPanics {
+			if len(s.panics) < executor.MaxRecordedPanics {
 				s.panics = append(s.panics,
 					fmt.Errorf("sim: task panicked on worker %d: %v", w, rec))
 			}
@@ -782,13 +773,8 @@ func (c simCtx) target() int {
 	return c.s.pick(c.s.workers)
 }
 
-// Submit pushes onto a seed-chosen deque and wakes one idler.
-func (c simCtx) Submit(r *executor.Runnable) {
-	w := c.target()
-	c.s.deques[w] = append(c.s.deques[w], r)
-	c.s.st.Enqueued++
-	c.s.wakeOne()
-}
+// Submit is a batch of one.
+func (c simCtx) Submit(r *executor.Runnable) { c.SubmitBatch([]*executor.Runnable{r}) }
 
 // SubmitBatch pushes the batch onto one seed-chosen deque (one placement
 // choice per batch, like the real pool's one-publication batch push) and

@@ -1,44 +1,49 @@
 package sim
 
-// Deterministic model of the stall watchdog (internal/executor/watchdog.go).
+// The stall watchdog under simulation (internal/executor/watchdog.go).
 //
 // The real Watchdog samples wall-clock time and the metrics snapshot from
-// a supervisor goroutine: work queued while the executed counter stays
-// flat past StallAfter means the scheduler has stopped making progress —
-// deadlocked *or* livelocked. The simulation has no wall clock and no
-// second goroutine, so the same detector is expressed in scheduling
-// steps: every stallWindow steps, if any queue holds work and the
-// executed counter has not moved since the previous check, the model has
-// stalled. Steps are the sim's notion of elapsed scheduler effort, which
+// a supervisor goroutine and hands the samples to an executor.StallDetector.
+// The simulation has no wall clock and no second goroutine, so it feeds the
+// same detector from the step loop, with scheduling steps as the duration:
+// every stallWindow steps it passes (steps, executed, queued) and the flow
+// counters. Steps are the sim's notion of elapsed scheduler effort, which
 // is exactly what distinguishes a livelock (steps advance, executed flat)
 // from mere idleness (no steps at all — the lost-wakeup detector in
 // sim.go owns that case, because a fully-parked model schedules nothing).
 //
-// The injected bug that validates the detector, withInjectionStallBug,
-// re-creates a realistic failure shape: the steal sweep goes blind to the
-// injection shards while the park re-check (anyWork) still sees them.
-// Workers then cycle prewait → re-check → cancel forever — the model
-// burns scheduling steps without executing anything, the lost-wakeup
-// detector never fires (someone is always runnable), and only the
-// executed-progress check catches it. This mirrors how a real drain-order
-// regression would present: CPU busy, queues full, throughput zero.
+// The injected bug that validates the no-progress alarm,
+// withInjectionStallBug, re-creates a realistic failure shape: the steal
+// sweep goes blind to the injection shards while the park re-check
+// (anyWork) still sees them. Workers then cycle prewait → re-check → cancel
+// forever — the model burns scheduling steps without executing anything,
+// the lost-wakeup detector never fires (someone is always runnable), and
+// only the executed-progress check catches it. This mirrors how a real
+// drain-order regression would present: CPU busy, queues full, throughput
+// zero. The flow-starvation alarm is validated by withStrictDrainBug
+// (fairness_internal_test.go).
 
-import "fmt"
+import (
+	"time"
 
-// WithStallDetector arms an executed-progress watchdog checked every
-// window scheduling steps: if queued work is visible while the executed
-// counter has not moved across one full window, the simulation records a
-// stall failure (reported by Failure, with the seed for replay) and
-// recovers — the injected scheduling bug, if any, is cleared and every
-// worker unparked so the backlog still drains and the conservation law
-// (Enqueued == Executed) holds at quiescence. A window of 0 rounds up
+	"gotaskflow/internal/executor"
+)
+
+// WithStallDetector arms the executor's stall detector, sampled every
+// window scheduling steps (one step reads as one nanosecond). If queued
+// work is visible while the executed counter has not moved across one full
+// window, the simulation records a no-progress failure (reported by
+// Failure, with the seed for replay) and recovers — the injected scheduling
+// bug, if any, is cleared and every worker unparked so the backlog still
+// drains and the conservation law (Enqueued == Executed) holds at
+// quiescence. A backlogged flow left unserviced while its class drained
+// past the watchdog's default service-gap bound is recorded as a
+// flow-starvation failure; the schedule goes on. A window of 0 rounds up
 // to 1.
 func WithStallDetector(window uint64) Option {
 	return func(s *SimExecutor) {
-		if window == 0 {
-			window = 1
-		}
-		s.stallWindow = window
+		s.stallWindow = max(window, 1)
+		s.stall = executor.NewStallDetector(time.Duration(s.stallWindow), 0)
 	}
 }
 
@@ -54,42 +59,19 @@ func withInjectionStallBug() Option {
 	return func(s *SimExecutor) { s.injStallBug = true }
 }
 
-// checkStall runs once every stallWindow steps (from step). The detector
-// is armed by a check that observes queued work; it fires when the next
-// check still sees queued work and an unmoved executed counter. An empty
-// system disarms it, so idle stretches between workloads never count
-// toward a stall window.
+// checkStall runs once every stallWindow steps (from step).
 func (s *SimExecutor) checkStall() {
-	executed := s.st.Executed
-	if !s.anyWork() {
-		s.stallArmed = false
-		return
+	now := time.Duration(s.st.Steps)
+	if detail, fired := s.stall.Observe(now, s.st.Executed, s.queued()); fired {
+		s.fail(executor.ReasonNoProgress, detail)
+		// Recover: the sweep's job is to *detect* the stall
+		// deterministically; clearing the injected bug and unparking every
+		// worker keeps the graph completing, so the test harness can also
+		// verify conservation after the failure is recorded.
+		s.injStallBug = false
+		s.unparkAll()
 	}
-	if s.stallArmed && executed == s.stallMark {
-		s.failures = append(s.failures, fmt.Errorf(
-			"sim: stall at step %d: work queued but executed counter flat at %d across %d steps (seed %d)",
-			s.st.Steps, executed, s.stallWindow, s.seed))
-		if len(s.failures) > maxRecoveries {
-			panic(fmt.Sprintf("sim: %d stall recoveries — model is not making progress (seed %d)",
-				len(s.failures), s.seed))
-		}
-		s.recoverStall()
-		return
+	if detail, fired := s.stall.ObserveFlows(s.flows.Stats()); fired {
+		s.fail(executor.ReasonFlowStarved, detail)
 	}
-	s.stallMark, s.stallArmed = executed, true
-}
-
-// recoverStall clears the injected scheduling bug and unparks every
-// worker so the stalled backlog drains: the sweep's job is to *detect*
-// the stall deterministically, and recovery keeps the graph completing so
-// the test harness can also verify conservation after the failure is
-// recorded. Banked signals are reset along with the park states they
-// pair with.
-func (s *SimExecutor) recoverStall() {
-	s.injStallBug = false
-	for w := range s.state {
-		s.state[w] = wActive
-	}
-	s.signal = 0
-	s.stallArmed = false
 }

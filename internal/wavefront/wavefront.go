@@ -75,18 +75,6 @@ func Sequential(m, spin int) uint64 {
 func Taskflow(m, spin, workers int) (uint64, error) {
 	tf := core.New(workers)
 	defer tf.Close()
-	return taskflowOn(tf, m, spin)
-}
-
-// TaskflowShared runs the wavefront on an existing executor — used by the
-// scheduler ablation benchmarks, which compare executors built with
-// different Algorithm-1 heuristics.
-func TaskflowShared(m, spin int, e *executor.Executor) (uint64, error) {
-	tf := core.NewShared(e)
-	return taskflowOn(tf, m, spin)
-}
-
-func taskflowOn(tf *core.Taskflow, m, spin int) (uint64, error) {
 	g := Build(tf, m, spin)
 	if err := tf.WaitForAll(); err != nil {
 		return 0, err

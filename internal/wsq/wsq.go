@@ -221,6 +221,19 @@ func (d *Deque[T]) Steal() (*T, bool) {
 // a thief's time-to-first-task bounded and its scratch space on the stack.
 const MaxStealBatch = 16
 
+// StealQuota is how many items one steal or drain takes from a queue showing
+// n: half of it, rounded up, capped at MaxStealBatch, so a deep backlog is
+// left for the other thieves it will wake. It is the one definition of the
+// half-backlog policy: StealBatch, the executor's injection-shard and
+// flow-queue drains and the simulator all size their grab with it.
+func StealQuota(n int64) int64 {
+	if n <= 0 {
+		return 0
+	}
+	half := (n + 1) / 2
+	return min(half, MaxStealBatch)
+}
+
 // StealBatch steals up to half of the victim's visible items — capped at
 // MaxStealBatch — returning the first for immediate execution and pushing
 // the rest onto dst, the thief's own deque, as one batch publication. It
@@ -241,13 +254,9 @@ const MaxStealBatch = 16
 func (d *Deque[T]) StealBatch(dst *Deque[T]) (*T, int) {
 	t := d.top.Load()
 	b := d.bottom.Load()
-	n := b - t
-	if n <= 0 {
+	grab := StealQuota(b - t)
+	if grab == 0 {
 		return nil, 0
-	}
-	grab := (n + 1) / 2
-	if grab > MaxStealBatch {
-		grab = MaxStealBatch
 	}
 	var scratch [MaxStealBatch]*T
 	taken := int64(0)

@@ -826,3 +826,17 @@ func TestScrubClearsTakenSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestStealQuota pins the one definition of the half-backlog steal policy:
+// half of what the queue shows, rounded up, never more than MaxStealBatch,
+// nothing from a queue that shows nothing (or a transiently negative length).
+func TestStealQuota(t *testing.T) {
+	for _, c := range []struct{ n, want int64 }{
+		{-3, 0}, {0, 0}, {1, 1}, {2, 1}, {3, 2},
+		{31, 16}, {32, 16}, {33, 16}, {1 << 40, MaxStealBatch},
+	} {
+		if got := StealQuota(c.n); got != c.want {
+			t.Errorf("StealQuota(%d) = %d, want %d", c.n, got, c.want)
+		}
+	}
+}
