@@ -3,7 +3,14 @@
 
 GO ?= go
 
-.PHONY: all build test vet race chaos bench-pairs cover fuzz trace latency-smoke pipeline-bench
+# There are no smoke targets: what the self-checking binaries checked is
+# checked by `test` and `race`. A driver's -trace file (`make trace`):
+# TestObservedRunWritesValidTraces in internal/cli. Histograms, flight
+# recorder and watchdog armed on a mixed load: TestLatencyAndFlightEndpoints
+# in internal/debughttp. The streaming pipeline: TestPipelineRunNZeroAlloc,
+# TestLineTraceEndToEnd, TestWritePipeline, TestPipelineTokenLatencyRecorded,
+# and its throughput is the harness's pipeline_stream workload.
+.PHONY: all build test vet race chaos bench-pairs cover fuzz
 
 all: vet build test
 
@@ -60,39 +67,6 @@ bench-pairs:
 		done; \
 	done; \
 	$$b/change -compare $$b/parent.jsonl $$b/change.jsonl
-
-# trace is the tracing smoke: capture an event trace from an instrumented
-# wavefront and traversal run via the drivers' -trace flags, then validate
-# the Chrome trace-event JSON (required Perfetto fields, named task spans,
-# matched flow arrows, scheduler instants) with cmd/tracecheck.
-trace:
-	$(GO) run ./cmd/wavefront -metrics -size 64 -workers 4 -trace /tmp/wavefront_trace.json
-	$(GO) run ./cmd/traversal -metrics -size 5000 -workers 4 -trace /tmp/traversal_trace.json
-	$(GO) run ./cmd/tracecheck /tmp/wavefront_trace.json /tmp/traversal_trace.json
-
-# latency-smoke drives the always-on observability surface end to end:
-# cmd/latencysmoke runs a mixed interactive/batch workload with latency
-# histograms, the flight recorder and the stall watchdog all armed,
-# self-checks the per-flow quantiles (including a Prometheus-text
-# round-trip of p99) and that the watchdog stays quiet, dumps the flight
-# window, and cmd/tracecheck -flight validates the dump's structure and
-# drop accounting.
-latency-smoke:
-	$(GO) run ./cmd/latencysmoke -workers 4 -dur 1s -flight /tmp/flight_smoke.json
-	$(GO) run ./cmd/tracecheck -flight /tmp/flight_smoke.json
-
-# pipeline-bench is the pipeline throughput smoke: the zero-alloc
-# steady-state gate, a short benchmark pass over the stages × lines
-# matrix (tokens/sec must be reported; the number of record is the
-# harness's pipeline_stream workload, pipeline.tokens_per_s), and a
-# cmd/pipestream run that self-checks token counts, positive throughput,
-# the per-line trace and the Prometheus export.
-pipeline-bench:
-	$(GO) test -run 'TestPipelineRunNZeroAlloc' -v ./internal/pipeline/
-	$(GO) test -run '^$$' -bench 'BenchmarkPipeline' \
-		-benchmem -benchtime 200ms ./internal/pipeline/ | tee /tmp/bench_pipeline.txt
-	$(GO) run ./cmd/pipestream -workers 4 -lines 8 -stages 6 -tokens 5000 -runs 2 \
-		-trace /tmp/pipestream_lines.json -prom /tmp/pipestream.prom -latency
 
 # cover runs the full suite with atomic-mode coverage and prints the
 # per-function summary; coverage.out feeds `go tool cover -html`.

@@ -20,7 +20,6 @@ import (
 
 	"gotaskflow/internal/cli"
 	"gotaskflow/internal/core"
-	"gotaskflow/internal/debughttp"
 	"gotaskflow/internal/dnn"
 	"gotaskflow/internal/executor"
 	"gotaskflow/internal/experiments"
@@ -87,32 +86,15 @@ func main() {
 // observability attached: an event-trace capture written as Chrome
 // trace-event JSON (-trace) and/or the live /debug/taskflow/ endpoint
 // (-debug) served for the duration of training.
-func trainObserved(cfg dnn.Config, data *mnist.Dataset, workers int, tracePath, debugAddr string) (*dnn.MLP, []float64, error) {
+func trainObserved(cfg dnn.Config, data *mnist.Dataset, workers int, tracePath, debugAddr string) (net *dnn.MLP, losses []float64, err error) {
 	e := executor.New(workers, executor.WithMetrics(), executor.WithTracing(0))
 	defer e.Shutdown()
 	tf := core.NewShared(e).SetName("dnntrain")
-
-	if debugAddr != "" {
-		addr, stopSrv, err := debughttp.New(e).Register("dnntrain", tf).ListenAndServe(debugAddr)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer stopSrv() //nolint:errcheck
-		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s%s\n", addr, debughttp.Prefix)
-	}
-	var stopTrace func() error
-	if tracePath != "" {
-		var err error
-		if stopTrace, err = cli.StartTraceCapture(e, tracePath); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	net, losses, err := dnn.TrainTaskflowShared(cfg, data, workers, tf)
-	if stopTrace != nil {
-		if serr := stopTrace(); serr != nil && err == nil {
-			err = serr
-		}
-	}
+	err = cli.Observed{
+		Executor: e, Taskflow: tf, Name: "dnntrain", TracePath: tracePath, DebugAddr: debugAddr,
+	}.Run(func() (err error) {
+		net, losses, err = dnn.TrainTaskflowShared(cfg, data, workers, tf)
+		return err
+	})
 	return net, losses, err
 }

@@ -30,7 +30,6 @@ import (
 	"gotaskflow/internal/celllib"
 	"gotaskflow/internal/circuit"
 	"gotaskflow/internal/cli"
-	"gotaskflow/internal/debughttp"
 	"gotaskflow/internal/executor"
 	"gotaskflow/internal/experiments"
 	"gotaskflow/internal/sta"
@@ -181,29 +180,16 @@ func reportCircuit(ckt *circuit.Circuit, workers int, tracePath, debugAddr strin
 	defer a.Close()
 	tf := a.Taskflow(tm.FullUpdate())
 
-	if debugAddr != "" {
-		addr, stopSrv, err := debughttp.New(e).Register("timing_update", tf).ListenAndServe(debugAddr)
-		if err != nil {
-			log.Fatal(err)
+	err := cli.Observed{
+		Executor: e, Taskflow: tf, Name: "timing_update", TracePath: tracePath, DebugAddr: debugAddr,
+	}.Run(func() error {
+		if err := tf.WaitForAll(); err != nil {
+			return fmt.Errorf("timing update failed: %w", err)
 		}
-		defer stopSrv() //nolint:errcheck
-		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s%s\n", addr, debughttp.Prefix)
-	}
-	var stopTrace func() error
-	if tracePath != "" {
-		var err error
-		if stopTrace, err = cli.StartTraceCapture(e, tracePath); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if err := tf.WaitForAll(); err != nil {
-		log.Fatalf("timing update failed: %v", err)
-	}
-	if stopTrace != nil {
-		if err := stopTrace(); err != nil {
-			log.Fatal(err)
-		}
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	ws, at := tm.WorstSlack()
 	fmt.Printf("design %s: %d gates, %d timing arcs\n", ckt.Name, ckt.NumGates(), ckt.NumEdges())

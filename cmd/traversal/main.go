@@ -22,11 +22,9 @@ import (
 
 	"gotaskflow/internal/cli"
 	"gotaskflow/internal/core"
-	"gotaskflow/internal/debughttp"
 	"gotaskflow/internal/executor"
 	"gotaskflow/internal/experiments"
 	"gotaskflow/internal/graphgen"
-	"gotaskflow/internal/metrics"
 	"gotaskflow/internal/traversal"
 )
 
@@ -87,54 +85,15 @@ func runInstrumented(size, workers int, seed int64, prom bool, dotPath, tracePat
 	name := fmt.Sprintf("traversal_%d", d.N)
 	tf := core.NewShared(e).SetName(name).CollectRunStats(true)
 	val := traversal.Build(tf, d, traversal.Spin)
-
-	if debugAddr != "" {
-		addr, stopSrv, err := debughttp.New(e).Register(name, tf).ListenAndServe(debugAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stopSrv() //nolint:errcheck
-		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s%s\n", addr, debughttp.Prefix)
-	}
-	var stopTrace func() error
-	if tracePath != "" {
-		var err error
-		if stopTrace, err = cli.StartTraceCapture(e, tracePath); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if err := tf.Run(); err != nil {
+	err := cli.Observed{
+		Executor: e, Taskflow: tf, Name: name,
+		TracePath: tracePath, DebugAddr: debugAddr, Prom: prom, DotPath: dotPath,
+		Headline: func() string {
+			return fmt.Sprintf("traversal of %d nodes (%d edges, seed %d) on %d workers: checksum %#x",
+				size, d.NumEdges(), seed, workers, traversal.Checksum(val))
+		},
+	}.Run(tf.Run)
+	if err != nil {
 		log.Fatal(err)
-	}
-	if stopTrace != nil {
-		if err := stopTrace(); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	rs, _ := tf.LastRunStats()
-	snap, _ := e.MetricsSnapshot()
-	fmt.Fprintf(os.Stderr, "traversal of %d nodes (%d edges, seed %d) on %d workers: checksum %#x\n",
-		size, d.NumEdges(), seed, workers, traversal.Checksum(val))
-	if err := metrics.WriteRunSummary(os.Stderr, rs, snap); err != nil {
-		log.Fatal(err)
-	}
-	if prom {
-		if err := metrics.WritePrometheus(os.Stdout, metrics.Static(snap)); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if dotPath != "" {
-		f, err := os.Create(dotPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tf.DumpAnnotated(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
 	}
 }

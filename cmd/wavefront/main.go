@@ -23,10 +23,8 @@ import (
 
 	"gotaskflow/internal/cli"
 	"gotaskflow/internal/core"
-	"gotaskflow/internal/debughttp"
 	"gotaskflow/internal/executor"
 	"gotaskflow/internal/experiments"
-	"gotaskflow/internal/metrics"
 	"gotaskflow/internal/wavefront"
 )
 
@@ -84,53 +82,14 @@ func runInstrumented(size, workers int, prom bool, dotPath, tracePath, debugAddr
 	name := fmt.Sprintf("wavefront_%dx%d", size, size)
 	tf := core.NewShared(e).SetName(name).CollectRunStats(true)
 	g := wavefront.Build(tf, size, wavefront.Spin)
-
-	if debugAddr != "" {
-		addr, stopSrv, err := debughttp.New(e).Register(name, tf).ListenAndServe(debugAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stopSrv() //nolint:errcheck
-		fmt.Fprintf(os.Stderr, "debug endpoints on http://%s%s\n", addr, debughttp.Prefix)
-	}
-	var stopTrace func() error
-	if tracePath != "" {
-		var err error
-		if stopTrace, err = cli.StartTraceCapture(e, tracePath); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if err := tf.Run(); err != nil {
+	err := cli.Observed{
+		Executor: e, Taskflow: tf, Name: name,
+		TracePath: tracePath, DebugAddr: debugAddr, Prom: prom, DotPath: dotPath,
+		Headline: func() string {
+			return fmt.Sprintf("wavefront %dx%d on %d workers: checksum %#x", size, size, workers, g[size][size])
+		},
+	}.Run(tf.Run)
+	if err != nil {
 		log.Fatal(err)
-	}
-	if stopTrace != nil {
-		if err := stopTrace(); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	rs, _ := tf.LastRunStats()
-	snap, _ := e.MetricsSnapshot()
-	fmt.Fprintf(os.Stderr, "wavefront %dx%d on %d workers: checksum %#x\n", size, size, workers, g[size][size])
-	if err := metrics.WriteRunSummary(os.Stderr, rs, snap); err != nil {
-		log.Fatal(err)
-	}
-	if prom {
-		if err := metrics.WritePrometheus(os.Stdout, metrics.Static(snap)); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if dotPath != "" {
-		f, err := os.Create(dotPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tf.DumpAnnotated(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
 	}
 }

@@ -1,5 +1,5 @@
-// Package cli holds the small flag-parsing helpers shared by the cmd/
-// binaries.
+// Package cli holds what the cmd/ binaries share: flag-parsing helpers
+// and the one observed run behind their -trace and -debug flags.
 package cli
 
 import (

@@ -1,7 +1,6 @@
 package debughttp
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +9,7 @@ import (
 
 	"gotaskflow/internal/core"
 	"gotaskflow/internal/executor"
+	"gotaskflow/internal/testutil"
 )
 
 // get fetches path from the test server and returns status and body.
@@ -92,11 +92,12 @@ func TestDebugEndpointLifecycle(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("trace/stop status %d", status)
 	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
+	doc, err := testutil.ParseTrace([]byte(body))
+	if err == nil {
+		err = doc.Capture()
 	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("trace/stop body is not valid JSON: %v", err)
+	if err != nil {
+		t.Fatalf("trace/stop body: %v", err)
 	}
 	spans := map[string]bool{}
 	for _, ev := range doc.TraceEvents {

@@ -1,28 +1,45 @@
 package debughttp
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gotaskflow/internal/core"
 	"gotaskflow/internal/executor"
+	"gotaskflow/internal/testutil"
 )
 
+// spin busy-waits for d, the stand-in for CPU-bound task work.
+func spin(d time.Duration) {
+	for s := time.Now(); time.Since(s) < d; {
+	}
+}
+
 // TestLatencyAndFlightEndpoints is the integration gate for the always-on
-// observability surface: /latency renders the quantile table, /flight
-// streams a valid Chrome trace JSON dump of the armed recorder, and both
-// report their disabled state cleanly on a bare executor.
+// observability surface, all of it armed at once on a fairness-shaped load
+// (an interactive chain pinging through a standing batch flood, so the
+// interactive tasks see real queue wait): the watchdog stays quiet,
+// /latency renders the quantile table, the interactive p99 of LatencyStats
+// parses back out of the /metrics scrape's cumulative _bucket series,
+// /flight streams a structurally valid dump of the armed recorder whose
+// metadata accounts for every rendered event, and both endpoints report
+// their disabled state cleanly on a bare executor.
 func TestLatencyAndFlightEndpoints(t *testing.T) {
 	e := executor.New(2,
 		executor.WithMetrics(),
 		executor.WithLatencyHistograms(),
 		executor.WithFlightRecorder(0))
 	defer e.Shutdown()
+	wd, err := e.StartWatchdog(executor.WatchdogConfig{Interval: 5 * time.Millisecond, StallAfter: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tf := core.NewShared(e)
 	a := tf.Emplace1(func() {}).Name("first")
 	b := tf.Emplace1(func() {}).Name("second")
@@ -33,6 +50,44 @@ func TestLatencyAndFlightEndpoints(t *testing.T) {
 		}
 	}
 
+	const load = 200 * time.Millisecond
+	start := time.Now()
+	flood := make(chan error, 1)
+	go func() {
+		btf := core.NewShared(e).SetName("batch_flood").
+			SetFlow(e.NewFlow("batch", executor.FlowConfig{Class: executor.Batch, Weight: 1}))
+		bodies := make([]func(), 64)
+		for i := range bodies {
+			bodies[i] = func() { spin(20 * time.Microsecond) }
+		}
+		btf.Emplace(bodies...)
+		var err error
+		for err == nil && time.Since(start) < load {
+			err = btf.Run()
+		}
+		flood <- err
+	}()
+	itf := core.NewShared(e).SetName("interactive_ping").
+		SetFlow(e.NewFlow("interactive", executor.FlowConfig{Class: executor.Interactive, Weight: 4}))
+	work := func() { spin(50 * time.Microsecond) }
+	chain := itf.Emplace(work, work, work, work)
+	for i := 1; i < len(chain); i++ {
+		chain[i-1].Precede(chain[i])
+	}
+	for time.Since(start) < load {
+		if err := itf.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-flood; err != nil {
+		t.Fatal(err)
+	}
+	wd.Stop()
+	if n := wd.Firings(); n != 0 {
+		rep := wd.LastReport()
+		t.Fatalf("watchdog fired %d times on the healthy path (last: %s %s)", n, rep.Reason, rep.Detail)
+	}
+
 	srv := httptest.NewServer(New(e).Handler())
 	defer srv.Close()
 
@@ -40,7 +95,7 @@ func TestLatencyAndFlightEndpoints(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("latency status %d", status)
 	}
-	for _, want := range []string{"queue-wait", "exec", "end-to-end", "p99", "_unbound"} {
+	for _, want := range []string{"queue-wait", "exec", "end-to-end", "p99", "_unbound", "interactive", "batch"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("latency table lacks %q:\n%s", want, body)
 		}
@@ -62,22 +117,41 @@ func TestLatencyAndFlightEndpoints(t *testing.T) {
 		}
 	}
 
+	// The same p99 two ways: interpolated inside its bucket by LatencyStats,
+	// and as that bucket's upper bound from the scrape.
+	flows, _ := e.LatencyStats()
+	var p99 time.Duration
+	for i := range flows {
+		if flows[i].Flow == "interactive" {
+			p99 = flows[i].EndToEnd.Quantile(0.99)
+		}
+	}
+	if p99 <= 0 {
+		t.Fatalf("interactive end-to-end p99 = %v, want > 0 (summaries: %+v)", p99, flows)
+	}
+	promP99, err := testutil.PromQuantile(body, `gotaskflow_flow_latency_e2e_seconds_bucket{flow="interactive"`, 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := executor.LatencyBucketBounds()
+	want := bounds[len(bounds)-1]
+	if i := sort.Search(len(bounds), func(i int) bool { return bounds[i] >= p99 }); i < len(bounds) {
+		want = bounds[i]
+	}
+	if promP99 != want {
+		t.Fatalf("p99 from the _bucket series = %v, LatencyStats p99 = %v lands in the bucket bounded by %v", promP99, p99, want)
+	}
+
 	status, body = get(t, srv, "/debug/taskflow/flight")
 	if status != http.StatusOK {
 		t.Fatalf("flight status %d", status)
 	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-		OtherData   map[string]any   `json:"otherData"`
+	doc, err := testutil.ParseTrace([]byte(body))
+	if err == nil {
+		err = doc.Flight()
 	}
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("flight dump is not valid trace JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("flight dump holds no events")
-	}
-	if _, ok := doc.OtherData["droppedEvents"]; !ok {
-		t.Fatal("flight dump missing droppedEvents accounting")
+	if err != nil {
+		t.Fatalf("flight dump: %v", err)
 	}
 
 	// Disabled paths: friendly message for /latency, 409 for /flight.

@@ -210,7 +210,7 @@ func WriteTrace(w io.Writer, tr executor.Trace) error {
 	}
 
 	// droppedEvents and totalEvents are always present so dump validators
-	// (cmd/tracecheck -flight) can check the accounting: a wrapped flight
+	// (testutil.TraceDoc.Flight) can check the accounting: a wrapped flight
 	// ring legitimately reports large drop counts, and their absence is
 	// indistinguishable from zero otherwise.
 	doc := chromeTrace{TraceEvents: out, Metadata: map[string]any{

@@ -11,6 +11,7 @@ import (
 
 	"gotaskflow/internal/core"
 	"gotaskflow/internal/executor"
+	"gotaskflow/internal/testutil"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -76,14 +77,9 @@ func TestWriteTraceGolden(t *testing.T) {
 	}
 }
 
-// traceDoc is the unmarshalled shape used by the structural assertions.
-type traceDoc struct {
-	TraceEvents []map[string]any `json:"traceEvents"`
-}
-
 // exportForRun runs fn under an active capture on e and returns the
-// unmarshalled Chrome export.
-func exportForRun(t *testing.T, e *executor.Executor, fn func()) traceDoc {
+// Chrome export, parsed and structurally checked by the shared validator.
+func exportForRun(t *testing.T, e *executor.Executor, fn func()) *testutil.TraceDoc {
 	t.Helper()
 	if !e.StartTrace() {
 		t.Fatal("StartTrace failed")
@@ -100,9 +96,12 @@ func exportForRun(t *testing.T, e *executor.Executor, fn func()) traceDoc {
 	if err := WriteTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	var doc traceDoc
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
+	doc, err := testutil.ParseTrace(buf.Bytes())
+	if err == nil {
+		err = doc.Capture()
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 	return doc
 }
@@ -167,25 +166,6 @@ func TestWavefrontTraceChromeExport(t *testing.T) {
 		}
 	})
 
-	// Perfetto-schema sanity: required fields on every event.
-	for _, ev := range doc.TraceEvents {
-		for _, field := range []string{"name", "ph", "ts", "pid", "tid"} {
-			if _, ok := ev[field]; !ok {
-				t.Fatalf("event missing %q: %v", field, ev)
-			}
-		}
-		switch ev["ph"] {
-		case "i":
-			if ev["s"] != "t" {
-				t.Fatalf("instant without thread scope: %v", ev)
-			}
-		case "f":
-			if ev["bp"] != "e" {
-				t.Fatalf("flow finish without bp=e: %v", ev)
-			}
-		}
-	}
-
 	// Named task spans: one "X" per grid cell, carrying the flow name.
 	spanCount := map[string]int{}
 	for _, ev := range doc.TraceEvents {
@@ -205,15 +185,16 @@ func TestWavefrontTraceChromeExport(t *testing.T) {
 		}
 	}
 
-	// Scheduler instants: at least three distinct kinds.
-	instantKinds := map[string]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev["ph"] == "i" && ev["cat"] == "sched" {
-			instantKinds[ev["name"].(string)] = true
-		}
+	// Scheduler instants: at least three distinct kinds, among them the
+	// ones a submission onto a parked pool guarantees — whose shard, count
+	// and epoch args the validator has therefore checked.
+	if len(doc.Instants) < 3 {
+		t.Fatalf("only %d scheduler event kinds in export: %v", len(doc.Instants), doc.Instants)
 	}
-	if len(instantKinds) < 3 {
-		t.Fatalf("only %d scheduler event kinds in export: %v", len(instantKinds), instantKinds)
+	for _, kind := range []string{"inject_push", "inject_drain", "unpark"} {
+		if doc.Instants[kind] == 0 {
+			t.Fatalf("no %s instant in the export of a run submitted onto a parked pool: %v", kind, doc.Instants)
+		}
 	}
 
 	// Flow arrows: every non-source cell is released exactly once, along a
@@ -250,7 +231,7 @@ func TestWavefrontTraceChromeExport(t *testing.T) {
 	}
 }
 
-// TestStealBatchInstantExport pins the export contract tracecheck
+// TestStealBatchInstantExport pins the export contract testutil.ParseTrace
 // enforces: a steal_batch instant is a sched-category thread-scoped "i"
 // event whose args.arg carries the batch size (>= 2), emitted alongside
 // the plain steal instant for the first task of the batch.
@@ -268,8 +249,8 @@ func TestStealBatchInstantExport(t *testing.T) {
 	if err := WriteTrace(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	var doc traceDoc
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	doc, err := testutil.ParseTrace(buf.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
