@@ -2,7 +2,8 @@ package core
 
 import (
 	"runtime"
-	"sync/atomic"
+
+	"gotaskflow/internal/executor"
 )
 
 // This file implements the built-in algorithm collection of the paper
@@ -97,59 +98,6 @@ func chunkSize(n, chunk, workers int) int {
 	return c
 }
 
-// rangeCursor is the shared run-time state of a Dynamic or Guided
-// partition: claimant tasks carve [lo, hi) grants off it with a CAS loop.
-// It is allocated once at graph construction and reset by the pattern's
-// source placeholder, so re-running the flow (Taskflow.Run/RunN) replays
-// the whole range without allocating.
-type rangeCursor struct {
-	next  atomic.Int64
-	n     int64 // iteration-space size
-	grain int64 // minimum grant
-	div   int64 // guided: grant = max(grain, remaining/div); 0 = fixed grain
-}
-
-func newCursor(n, chunk, workers int, p Partitioner) *rangeCursor {
-	grain := chunk
-	if grain <= 0 {
-		grain = 1
-	}
-	c := &rangeCursor{n: int64(n), grain: int64(grain)}
-	if p == Guided {
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		c.div = int64(2 * workers)
-	}
-	return c
-}
-
-func (c *rangeCursor) reset() { c.next.Store(0) }
-
-// claim carves the next grant off the cursor, returning ok=false once the
-// range is drained. Safe for any number of concurrent claimants.
-func (c *rangeCursor) claim() (int, int, bool) {
-	for {
-		lo := c.next.Load()
-		if lo >= c.n {
-			return 0, 0, false
-		}
-		size := c.grain
-		if c.div > 0 {
-			if g := (c.n - lo) / c.div; g > size {
-				size = g
-			}
-		}
-		hi := lo + size
-		if hi > c.n {
-			hi = c.n
-		}
-		if c.next.CompareAndSwap(lo, hi) {
-			return int(lo), int(hi), true
-		}
-	}
-}
-
 // claimantCount returns how many claimant tasks a dynamic partition emits:
 // one per worker, but never more than the iteration space could occupy.
 func claimantCount(workers, total int) int {
@@ -165,13 +113,20 @@ func claimantCount(workers, total int) int {
 	return workers
 }
 
-// buildClaimants wires a dynamic partition between s and t: the cursor is
-// re-armed by s (so the pattern is re-runnable), and each of the slots
-// claimant tasks loops claiming ranges and passing them — with its own
-// claimant index — to body.
-func buildClaimants(fb FlowBuilder, s, t Task, cur *rangeCursor, slots int, rearm func(), body func(slot, lo, hi int)) {
+// buildClaimants wires a dynamic partition of [0, n) between s and t: one
+// executor.RangeCursor, allocated here and armed by s (so the pattern is
+// re-runnable without allocating), and slots claimant tasks, each looping
+// claiming ranges and passing them — with its own claimant index — to body.
+// chunk is the minimum grant.
+func buildClaimants(fb FlowBuilder, s, t Task, n, chunk int, p Partitioner, slots int, rearm func(), body func(slot, lo, hi int)) {
+	cur, guided := new(executor.RangeCursor), 0
+	if p == Guided {
+		if guided = fb.workerCount(); guided <= 0 {
+			guided = runtime.GOMAXPROCS(0)
+		}
+	}
 	s.Work(func() {
-		cur.reset()
+		cur.Arm(n, chunk, guided)
 		if rearm != nil {
 			rearm()
 		}
@@ -180,7 +135,7 @@ func buildClaimants(fb FlowBuilder, s, t Task, cur *rangeCursor, slots int, rear
 		slot := i
 		w := fb.Emplace(func() {
 			for {
-				lo, hi, ok := cur.claim()
+				lo, hi, ok := cur.Claim()
 				if !ok {
 					return
 				}
@@ -207,8 +162,7 @@ func ParallelFor[T any](fb FlowBuilder, items []T, fn func(T), chunk int, opts .
 		return s, t
 	}
 	if cfg := resolveOpts(opts); cfg.part != Static {
-		cur := newCursor(n, chunk, fb.workerCount(), cfg.part)
-		buildClaimants(fb, s, t, cur, claimantCount(fb.workerCount(), n), nil,
+		buildClaimants(fb, s, t, n, chunk, cfg.part, claimantCount(fb.workerCount(), n), nil,
 			func(_, lo, hi int) {
 				for _, item := range items[lo:hi] {
 					fn(item)
@@ -245,8 +199,7 @@ func ParallelForPtr[T any](fb FlowBuilder, items []T, fn func(*T), chunk int, op
 		return s, t
 	}
 	if cfg := resolveOpts(opts); cfg.part != Static {
-		cur := newCursor(n, chunk, fb.workerCount(), cfg.part)
-		buildClaimants(fb, s, t, cur, claimantCount(fb.workerCount(), n), nil,
+		buildClaimants(fb, s, t, n, chunk, cfg.part, claimantCount(fb.workerCount(), n), nil,
 			func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					fn(&items[i])
@@ -287,8 +240,7 @@ func ParallelForIndex(fb FlowBuilder, beg, end, step int, fn func(int), chunk in
 	}
 	total := (end - beg + step - 1) / step
 	if cfg := resolveOpts(opts); cfg.part != Static {
-		cur := newCursor(total, chunk, fb.workerCount(), cfg.part)
-		buildClaimants(fb, s, t, cur, claimantCount(fb.workerCount(), total), nil,
+		buildClaimants(fb, s, t, total, chunk, cfg.part, claimantCount(fb.workerCount(), total), nil,
 			func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					fn(beg + i*step)
@@ -342,8 +294,7 @@ func Reduce[T any](fb FlowBuilder, items []T, result *T, bop func(T, T) T, chunk
 		slots := claimantCount(fb.workerCount(), n)
 		partials = make([]T, slots)
 		have = make([]bool, slots)
-		cur := newCursor(n, chunk, fb.workerCount(), cfg.part)
-		buildClaimants(fb, s, t, cur, slots,
+		buildClaimants(fb, s, t, n, chunk, cfg.part, slots,
 			func() { clear(have) },
 			func(slot, lo, hi int) {
 				acc := items[lo]
@@ -401,8 +352,7 @@ func Transform[T, U any](fb FlowBuilder, src []T, dst []U, fn func(T) U, chunk i
 		return s, t
 	}
 	if cfg := resolveOpts(opts); cfg.part != Static {
-		cur := newCursor(n, chunk, fb.workerCount(), cfg.part)
-		buildClaimants(fb, s, t, cur, claimantCount(fb.workerCount(), n), nil,
+		buildClaimants(fb, s, t, n, chunk, cfg.part, claimantCount(fb.workerCount(), n), nil,
 			func(_, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					dst[i] = fn(src[i])
@@ -454,8 +404,7 @@ func TransformReduce[T, U any](fb FlowBuilder, items []T, result *U, bop func(U,
 		slots := claimantCount(fb.workerCount(), n)
 		partials = make([]U, slots)
 		have = make([]bool, slots)
-		cur := newCursor(n, chunk, fb.workerCount(), cfg.part)
-		buildClaimants(fb, s, t, cur, slots,
+		buildClaimants(fb, s, t, n, chunk, cfg.part, slots,
 			func() { clear(have) },
 			func(slot, lo, hi int) {
 				acc := uop(items[lo])

@@ -19,35 +19,44 @@ import (
 func findCycleError(g *graph) error {
 	for _, nd := range g.nodes {
 		if !nd.forward() {
-			return kahn(g)
+			_, err := kahn(g)
+			return err
 		}
 	}
 	return nil
 }
 
-// kahn is the one cycle detector: Kahn's algorithm over the strong edges,
-// for graphs with an edge against emplace order or a self-loop. The happy
-// path costs two O(V) pointer-free scratch slices and one O(V+E) sweep; the
-// error path allocates freely.
-func kahn(g *graph) error {
+// kahn is the one walk of the strong edges in dependency order: Kahn's
+// algorithm, carrying each node's depth — the longest strong chain ending
+// at it, in tasks. It returns the deepest (the unit-cost span RunStats
+// reports) and, when some node is never reached, the cycle error; it is the
+// cycle detector for graphs with an edge against emplace order or a
+// self-loop. The happy path costs two O(V) pointer-free scratch slices and
+// one O(V+E) sweep; the error path allocates freely.
+func kahn(g *graph) (span int, err error) {
 	n := g.len()
-	indeg := make([]int32, n)
+	scratch := make([]int32, 2*n)
+	indeg, depth := scratch[:n], scratch[n:]
 	stack := make([]int32, 0, n)
 	for _, nd := range g.nodes {
+		depth[nd.idx] = 1
 		if indeg[nd.idx] = nd.numDependents; nd.numDependents == 0 {
 			stack = append(stack, nd.idx)
 		}
 	}
 	visited := 0
 	for len(stack) > 0 {
-		nd := g.nodes[stack[len(stack)-1]]
+		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		visited++
+		span = max(span, int(depth[u]))
+		nd := g.nodes[u]
 		if nd.isCondition() {
 			continue // out-edges of condition tasks are weak
 		}
 		for _, succs := range [2][]*node{nd.inlineSuccs(), nd.succSpill} {
 			for _, s := range succs {
+				depth[s.idx] = max(depth[s.idx], depth[u]+1)
 				if indeg[s.idx]--; indeg[s.idx] == 0 {
 					stack = append(stack, s.idx)
 				}
@@ -55,9 +64,9 @@ func kahn(g *graph) error {
 		}
 	}
 	if visited == n {
-		return nil
+		return span, nil
 	}
-	return cycleError(g, indeg)
+	return span, cycleError(g, indeg)
 }
 
 // cycleError names the tasks on one strong cycle of the residual graph

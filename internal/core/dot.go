@@ -82,6 +82,7 @@ type dotDumper struct {
 	w    io.Writer
 	err  error
 	ids  map[*node]string
+	used map[string]bool // every id handed out
 	next int
 
 	// annotate labels each node with its execution count (and duration,
@@ -100,16 +101,18 @@ func (d *dotDumper) id(n *node) string {
 	if s, ok := d.ids[n]; ok {
 		return s
 	}
+	if d.used == nil {
+		d.used = map[string]bool{}
+	}
+	// Disambiguate duplicate user names: name_<counter>, counting on past
+	// any suffixed name that is itself taken.
 	s := n.label(d.next)
-	// Disambiguate duplicate user names.
-	for _, existing := range d.ids {
-		if existing == s {
-			s = fmt.Sprintf("%s_%d", s, d.next)
-			break
-		}
+	for base, k := s, d.next; d.used[s]; k++ {
+		s = fmt.Sprintf("%s_%d", base, k)
 	}
 	d.next++
 	d.ids[n] = s
+	d.used[s] = true
 	return s
 }
 

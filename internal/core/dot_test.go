@@ -60,6 +60,23 @@ func TestDumpDuplicateNamesDisambiguated(t *testing.T) {
 		t.Fatalf("duplicate names not disambiguated:\n%s", out)
 	}
 	tf.WaitForAll()
+
+	// The renamed duplicate must not take a name a user already gave: x,
+	// x_2, x is three nodes and a chain, not two nodes and a self-loop.
+	ts = tf.Emplace(func() {}, func() {}, func() {})
+	ts[0].Name("x").Precede(ts[1].Name("x_2"))
+	ts[1].Precede(ts[2].Name("x"))
+	sb.Reset()
+	if err := tf.Dump(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out = sb.String()
+	for _, want := range []string{`"x";`, `"x_2";`, `"x_3";`, `"x" -> "x_2";`, `"x_2" -> "x_3";`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("dump missing %q:\n%s", want, out)
+		}
+	}
+	tf.WaitForAll()
 }
 
 func TestDumpTopologiesWithSubflow(t *testing.T) {

@@ -226,7 +226,7 @@ func (tf *Taskflow) prepareRun() (*topology, error) {
 	// nodes it may run under conditions of its own, or twice.
 	t.sumNodeStats = t.stats != nil && (t.hasCond || dynamic)
 	if !ordered {
-		if err := kahn(g); err != nil {
+		if _, err := kahn(g); err != nil {
 			tf.invalidateRun()
 			return nil, err
 		}

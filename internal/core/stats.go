@@ -138,7 +138,7 @@ func (tf *Taskflow) LastRunStats() (RunStats, bool) {
 	if t == nil || t.stats == nil || t.stats.startNs == 0 {
 		return RunStats{}, false
 	}
-	return t.runStats(structuralSpan(t.graph)), true
+	return t.runStats(), true
 }
 
 // Stats returns the statistics of a finished dispatched topology. ok is
@@ -154,12 +154,14 @@ func (f *Future) Stats() (RunStats, bool) {
 	default:
 		return RunStats{}, false
 	}
-	return t.runStats(structuralSpan(t.graph)), true
+	return t.runStats(), true
 }
 
-// runStats assembles the RunStats view of the topology's counter block.
-func (t *topology) runStats(span int) RunStats {
+// runStats assembles the RunStats view of the topology's counter block. A
+// graph that ran has no strong cycle, so kahn returns only its span.
+func (t *topology) runStats() RunStats {
 	st := t.stats
+	span, _ := kahn(t.graph)
 	rs := RunStats{
 		Retries:   st.retries.Load(),
 		Skipped:   st.skipped.Load(),
@@ -213,48 +215,4 @@ func hotTasks(g *graph, k int) []HotTask {
 		out = out[:k]
 	}
 	return out
-}
-
-// structuralSpan computes the longest strong-edge dependency chain of g in
-// tasks (the unit-cost critical path), by dynamic programming over a Kahn
-// topological order. Weak (condition) edges are excluded, matching the
-// dispatch-time cycle check, so the strong subgraph is acyclic whenever
-// the graph was runnable.
-func structuralSpan(g *graph) int {
-	n := g.len()
-	if n == 0 {
-		return 0
-	}
-	indeg := make([]int32, n)
-	depth := make([]int32, n)
-	queue := make([]int32, 0, n)
-	for i, nd := range g.nodes {
-		indeg[i] = nd.numDependents
-		depth[i] = 1
-		if indeg[i] == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	span := int32(1)
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		nd := g.nodes[u]
-		if depth[u] > span {
-			span = depth[u]
-		}
-		if nd.isCondition() {
-			continue // out-edges are weak
-		}
-		nd.eachSuccessor(func(s *node) {
-			if d := depth[u] + 1; d > depth[s.idx] {
-				depth[s.idx] = d
-			}
-			indeg[s.idx]--
-			if indeg[s.idx] == 0 {
-				queue = append(queue, s.idx)
-			}
-		})
-	}
-	return int(span)
 }

@@ -290,8 +290,8 @@ func TestRunZeroAllocMetricsEnabled(t *testing.T) {
 }
 
 func TestStructuralSpanEmptyGraph(t *testing.T) {
-	if got := structuralSpan(&graph{}); got != 0 {
-		t.Fatalf("span of empty graph = %d, want 0", got)
+	if got, err := kahn(&graph{}); got != 0 || err != nil {
+		t.Fatalf("span of empty graph = %d, %v; want 0, nil", got, err)
 	}
 }
 

@@ -277,7 +277,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 	// a descriptive error instead of deadlocking the waiters. Edges that all
 	// follow emplace order cannot close one (findCycleError).
 	if !ordered {
-		if err := kahn(g); err != nil {
+		if _, err := kahn(g); err != nil {
 			t.addErr(err)
 			close(t.done)
 			return t

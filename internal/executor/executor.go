@@ -7,8 +7,8 @@
 //  1. pop a task from its own deque (LIFO, for locality);
 //  2. otherwise steal, first from its last victim, then from random victims
 //     and the external injection shards (FIFO per shard, home shard first);
-//  3. otherwise announce itself on the eventcount notifier, re-check every
-//     queue, and park until a task producer wakes it precisely.
+//  3. otherwise announce itself on the eventcount, re-check every queue,
+//     and park until a task producer wakes it precisely.
 //
 // The scheduling currency is *Runnable: a pointer to an interface slot that
 // lives inside a pre-built task object (an intrusive task). Graph nodes
@@ -180,6 +180,11 @@ type worker struct {
 	// dirty is the histogram shard holding records of this worker that no
 	// reader can see yet (histogram.go), nil when there are none.
 	dirty *latShard
+
+	// park is where this worker sleeps when the eventcount's CommitWait says
+	// park; a notify that pops the worker's slot sends to it. Buffered(1):
+	// each slot is returned once per push, so the send never blocks.
+	park chan struct{}
 }
 
 var _ Context = (*worker)(nil)
@@ -231,14 +236,14 @@ type Executor struct {
 	// pointer load per steal sweep and per anyWork re-check.
 	mt atomic.Pointer[FlowTable]
 
-	// no is the eventcount notifier parked workers wait on (notifier.go).
+	// ec is the eventcount parked workers wait on (notifier.go).
 	// idlerCount is a derived gauge of workers currently inside the park
 	// protocol (between prewait and unpark) — it plays no role in wakeup
 	// correctness, but bounds wakeUpTo's wake count and feeds tests and
 	// debugging. It is incremented BEFORE prewait, so a producer that reads
 	// 0 after publishing work is guaranteed the worker's post-prewait
 	// re-check will see that work.
-	no         *notifier
+	ec         *Eventcount
 	idlerCount atomic.Int64
 
 	stop atomic.Bool
@@ -345,7 +350,7 @@ func New(n int, opts ...Option) *Executor {
 	for i := range e.injShards {
 		e.injShards[i].ring.init(injInitialCap)
 	}
-	e.no = newNotifier(n)
+	e.ec = NewEventcount(n)
 	if e.metricsOn {
 		e.metrics = newMetricsState(n, shards)
 	}
@@ -363,6 +368,7 @@ func New(n int, opts ...Option) *Executor {
 			queue:  wsq.New[Runnable](256),
 			rng:    rand.New(rand.NewSource(e.seed + int64(i)*7919)),
 			victim: (i + 1) % n,
+			park:   make(chan struct{}, 1),
 		}
 		if e.metrics != nil {
 			w.queue.SetCounters(&e.metrics.deques[i].Counters)
@@ -518,7 +524,7 @@ func (e *Executor) injDepth() int {
 }
 
 // anyWork reports whether any queue appears non-empty. Parking workers call
-// it between prewait and commitWait: the eventcount's ordering guarantees
+// it between Prewait and CommitWait: the eventcount's ordering guarantees
 // that work published before a missed notify is visible to this re-check.
 // Flow backlogs participate for the same reason the shard lengths do: a
 // Flow.Submit publishes the backlog gauge before its wake, so a parking
@@ -544,9 +550,11 @@ func (e *Executor) anyWork() bool {
 // after one atomic load, with no lock and no store — when nobody is
 // waiting, which is the fast path on a busy pool.
 func (e *Executor) wakeOne() bool {
-	if !e.no.notifyOne() {
+	woke, id := e.ec.NotifyOne()
+	if !woke {
 		return false
 	}
+	e.unpark(id)
 	if m := e.metrics; m != nil {
 		m.wakes.Add(1)
 	}
@@ -566,9 +574,11 @@ func (e *Executor) wakeUpTo(n int) int {
 	}
 	woke := 0
 	for ; woke < n; woke++ {
-		if !e.no.notifyOne() {
+		ok, id := e.ec.NotifyOne()
+		if !ok {
 			break
 		}
+		e.unpark(id)
 	}
 	if woke > 0 {
 		if m := e.metrics; m != nil {
@@ -579,7 +589,15 @@ func (e *Executor) wakeUpTo(n int) int {
 }
 
 func (e *Executor) wakeAll() {
-	e.no.notifyAll()
+	e.ec.NotifyAll(e.unpark)
+}
+
+// unpark releases the worker of a slot a notify popped off the eventcount's
+// stack; id < 0 (a banked signal) has nobody to release.
+func (e *Executor) unpark(id int) {
+	if id >= 0 {
+		e.workers[id].park <- struct{}{}
+	}
 }
 
 // steal tries the last victim first, then sweeps the other workers and the
@@ -710,12 +728,12 @@ func (e *Executor) run(w *worker) {
 			// graphs of finished work reachable.
 			w.queue.Scrub()
 			e.idlerCount.Add(1)
-			e.no.prewait()
+			e.ec.Prewait()
 			if m := w.metrics; m != nil {
 				m.prewaits.Add(1)
 			}
 			if e.anyWork() || e.stop.Load() {
-				e.no.cancelWait()
+				e.ec.CancelWait()
 				e.idlerCount.Add(-1)
 				if m := w.metrics; m != nil {
 					m.waitCancels.Add(1)
@@ -725,10 +743,12 @@ func (e *Executor) run(w *worker) {
 			if m := w.metrics; m != nil {
 				m.parks.Add(1)
 			}
-			w.traceEvent(EvPark, e.no.epochOf(w.id))
-			e.no.commitWait(w.id)
+			w.traceEvent(EvPark, e.ec.epochOf(w.id))
+			if e.ec.CommitWait(w.id) {
+				<-w.park
+			}
 			e.idlerCount.Add(-1)
-			w.traceEvent(EvUnpark, e.no.epochOf(w.id))
+			w.traceEvent(EvUnpark, e.ec.epochOf(w.id))
 			continue
 		}
 

@@ -1,29 +1,36 @@
 package executor
 
-// Lock-free eventcount notifier — the structure Taskflow's successor
-// system adopted for its scheduler (arXiv:2004.10908 §V), here modeled on
-// the Eigen/Dekker eventcount design. It replaces the mutex-guarded
-// idlers list: producers wake workers without ever taking a lock, and the
-// fast path when nobody is parked is a single atomic load.
+// Lock-free eventcount — the structure Taskflow's successor system adopted
+// for its scheduler (arXiv:2004.10908 §V), here modeled on the Eigen/Dekker
+// eventcount design. It replaces the mutex-guarded idlers list: producers
+// wake workers without ever taking a lock, and the fast path when nobody is
+// parked is a single atomic load.
 //
 // The protocol is two-phase to close the classic lost-wakeup window of a
 // naive check-then-park loop:
 //
-//	waiter:   prewait()             // announce intent to sleep
+//	waiter:   Prewait()             // announce intent to sleep
 //	          if work visible:      // re-check AFTER announcing
-//	              cancelWait()      // never sleeps
-//	          else:
-//	              commitWait(id)    // park until notified
+//	              CancelWait()      // never sleeps
+//	          else if CommitWait(id):
+//	              park              // until a notify returns id
 //	producer: publish work          // queue push
-//	          notify()              // AFTER the work is visible
+//	          NotifyOne()           // AFTER the work is visible; unpark
+//	                                // the slot it returns
 //
-// Both the waiter's prewait and the producer's notify are sequentially
+// Both the waiter's Prewait and the producer's notify are sequentially
 // consistent atomics on one state word, so at least one side observes the
 // other: either the waiter's re-check sees the producer's work, or the
 // producer's notify sees the waiter's announcement and leaves it a signal
-// (consumed by commitWait without parking) or pops it off the waiter
-// stack and unparks it. There is no interleaving in which the work is
-// published, the notify is a no-op, and the waiter still parks.
+// (consumed by CommitWait, which then says not to park) or pops it off the
+// waiter stack and returns its slot for the caller to unpark. There is no
+// interleaving in which the work is published, the notify is a no-op, and
+// the waiter still parks.
+//
+// The eventcount itself never blocks: it decides who parks and who is
+// woken, and the caller parks and unparks. The worker pool parks a
+// goroutine on a per-worker channel; the simulator (internal/sim) steps the
+// same methods from one goroutine, flipping a modelled worker's state.
 //
 // All waiter bookkeeping is packed into one 64-bit state word:
 //
@@ -33,7 +40,7 @@ package executor
 //	bits 48..63  epoch    ABA stamp of the stack top (see below)
 //
 // Parked waiters form an intrusive LIFO stack threaded through per-worker
-// slots: commitWait CASes its own slot index (stamped with the slot's
+// slots: CommitWait CASes its own slot index (stamped with the slot's
 // current epoch) into the stack bits and stores the previous stack+epoch
 // bits into its slot's next word. The epoch stamp makes the CAS fail if
 // the same waiter was popped and re-pushed in between (the ABA hazard of
@@ -43,10 +50,9 @@ package executor
 // cycles and find the counts otherwise identical, the same odds the Eigen
 // implementation accepts.
 //
-// Parking itself uses one buffered(1) channel per waiter slot. Channel
-// sends and receives are exactly balanced by construction — a slot on the
-// stack is popped by exactly one notifier, which performs exactly one
-// send — so the buffered send never blocks and no tokens go stale.
+// A slot on the stack is popped by exactly one notify, which returns it
+// exactly once, so a caller that unparks each returned slot with one send
+// on a buffered(1) channel never blocks and leaves no stale tokens.
 
 import (
 	"sync/atomic"
@@ -85,9 +91,6 @@ type notifyWaiter struct {
 	// cycle. Owner-written between parks; notifiers read it only packed
 	// inside the state word.
 	epoch uint64
-	// ch is the park primitive: commitWait receives, the popping notifier
-	// sends. Buffered(1) so the send never blocks.
-	ch chan struct{}
 }
 
 // notifPad pads waiter slots to 128 bytes (two cache lines) so adjacent
@@ -99,42 +102,43 @@ type paddedNotifyWaiter struct {
 	_ [notifPad - unsafe.Sizeof(notifyWaiter{})%notifPad]byte
 }
 
-// notifier is the eventcount. Allocated once at executor construction;
-// never allocates afterwards.
-type notifier struct {
+// Eventcount is the park/wake protocol of Algorithm 1 (lines 5-15) for a
+// fixed set of waiter slots 0..n-1, one per worker. Allocated once; never
+// allocates afterwards.
+type Eventcount struct {
 	state   atomic.Uint64
 	waiters []paddedNotifyWaiter
 }
 
-func newNotifier(n int) *notifier {
+// NewEventcount returns an idle eventcount for n waiter slots.
+func NewEventcount(n int) *Eventcount {
 	if n > maxNotifyWaiters {
 		panic("executor: worker count exceeds notifier capacity")
 	}
-	no := &notifier{waiters: make([]paddedNotifyWaiter, n)}
-	no.state.Store(notifStackMask) // empty stack, no waiters, no signals
-	for i := range no.waiters {
-		no.waiters[i].ch = make(chan struct{}, 1)
-		no.waiters[i].next.Store(notifStackMask)
+	ec := &Eventcount{waiters: make([]paddedNotifyWaiter, n)}
+	ec.state.Store(notifStackMask) // empty stack, no waiters, no signals
+	for i := range ec.waiters {
+		ec.waiters[i].next.Store(notifStackMask)
 	}
-	return no
+	return ec
 }
 
-// prewait announces intent to park. The caller must re-check its work
-// sources afterwards and then call exactly one of commitWait or
-// cancelWait.
-func (no *notifier) prewait() {
-	no.state.Add(notifWaiterInc)
+// Prewait announces intent to park. The caller must re-check its work
+// sources afterwards and then call exactly one of CommitWait or
+// CancelWait.
+func (ec *Eventcount) Prewait() {
+	ec.state.Add(notifWaiterInc)
 }
 
-// commitWait completes the park of waiter slot id: it moves this thread
-// from the prewait count onto the waiter stack and blocks until a
-// notifier pops it — unless a notify that ran between prewait and now
-// banked a signal, in which case the signal is consumed and commitWait
-// returns immediately. Returns true if the waiter actually parked.
-func (no *notifier) commitWait(id int) bool {
-	w := &no.waiters[id].notifyWaiter
+// CommitWait completes the announcement of waiter slot id: it moves the
+// caller from the prewait count onto the waiter stack and reports true —
+// the caller must now park until a notify returns id — unless a notify
+// that ran between Prewait and now banked a signal, in which case the
+// signal is consumed and CommitWait reports false: do not park.
+func (ec *Eventcount) CommitWait(id int) (park bool) {
+	w := &ec.waiters[id].notifyWaiter
 	me := uint64(id) | w.epoch
-	state := no.state.Load()
+	state := ec.state.Load()
 	for {
 		var newState uint64
 		signaled := state&notifSignalMask != 0
@@ -148,25 +152,24 @@ func (no *notifier) commitWait(id int) bool {
 			newState = (state-notifWaiterInc)&^(notifStackMask|notifEpochMask) | me
 			w.next.Store(state & (notifStackMask | notifEpochMask))
 		}
-		if no.state.CompareAndSwap(state, newState) {
+		if ec.state.CompareAndSwap(state, newState) {
 			if signaled {
 				return false
 			}
 			w.epoch += notifEpochInc
-			<-w.ch
 			return true
 		}
-		state = no.state.Load()
+		state = ec.state.Load()
 	}
 }
 
-// cancelWait retracts a prewait: the caller found work on its re-check
+// CancelWait retracts a Prewait: the caller found work on its re-check
 // and will not park. If a notify has already banked one signal per
 // prewaiting thread, one of those signals was addressed to this thread
 // and is consumed with it (the work it advertised is being processed by
 // the canceller anyway).
-func (no *notifier) cancelWait() {
-	state := no.state.Load()
+func (ec *Eventcount) CancelWait() {
+	state := ec.state.Load()
 	for {
 		newState := state - notifWaiterInc
 		waiters := (state & notifWaiterMask) >> notifWaiterShift
@@ -174,67 +177,76 @@ func (no *notifier) cancelWait() {
 		if waiters == signals {
 			newState -= notifSignalInc
 		}
-		if no.state.CompareAndSwap(state, newState) {
+		if ec.state.CompareAndSwap(state, newState) {
 			return
 		}
-		state = no.state.Load()
+		state = ec.state.Load()
 	}
 }
 
-// notifyOne wakes one waiter: it unparks the top of the waiter stack, or
-// banks a signal for a thread still between prewait and commit. Returns
-// false — after a single atomic load, with no stores — when nobody is
+// NotifyOne wakes one waiter: it banks a signal for a thread still between
+// Prewait and CommitWait (unpark is -1), or pops the top of the waiter
+// stack and returns its slot, which the caller must unpark. It reports
+// woke false — after a single atomic load, with no stores — when nobody is
 // waiting, which is the producers' fast path on a busy pool.
-func (no *notifier) notifyOne() bool { return no.notify(false) }
-
-// notifyAll wakes every current waiter (parked or prewaiting). Returns
-// true if anyone was there to wake.
-func (no *notifier) notifyAll() bool { return no.notify(true) }
-
-func (no *notifier) notify(all bool) bool {
-	state := no.state.Load()
+func (ec *Eventcount) NotifyOne() (woke bool, unpark int) {
+	state := ec.state.Load()
 	for {
 		waiters := (state & notifWaiterMask) >> notifWaiterShift
 		signals := (state & notifSignalMask) >> notifSignalShift
 		stackTop := state & notifStackMask
 		if stackTop == notifStackMask && waiters == signals {
-			return false // fast path: nobody to wake
+			return false, -1 // fast path: nobody to wake
 		}
 		var newState uint64
-		if all {
-			// Bank one signal per prewaiter and take the whole stack.
-			newState = state&notifWaiterMask | waiters<<notifSignalShift | notifStackMask
-		} else if signals < waiters {
+		if signals < waiters {
 			// A thread is between prewait and commit: bank a signal its
-			// commitWait will consume. No unpark needed.
+			// CommitWait will consume. No unpark needed.
 			newState = state + notifSignalInc
 		} else {
 			// Pop the top parked waiter.
-			w := &no.waiters[stackTop].notifyWaiter
+			w := &ec.waiters[stackTop].notifyWaiter
 			newState = state&^(notifStackMask|notifEpochMask) | w.next.Load()
 		}
-		if no.state.CompareAndSwap(state, newState) {
-			if !all {
-				if signals < waiters {
-					return true
-				}
-				no.waiters[stackTop].ch <- struct{}{}
-				return true
+		if ec.state.CompareAndSwap(state, newState) {
+			if signals < waiters {
+				return true, -1
 			}
-			// Unpark the whole captured stack.
+			return true, int(stackTop)
+		}
+		state = ec.state.Load()
+	}
+}
+
+// NotifyAll wakes every current waiter: one signal is banked per
+// prewaiting thread and the whole stack is taken in one CAS, then unpark
+// is called once per popped slot. Reports whether anyone was there to
+// wake.
+func (ec *Eventcount) NotifyAll(unpark func(id int)) bool {
+	state := ec.state.Load()
+	for {
+		waiters := (state & notifWaiterMask) >> notifWaiterShift
+		signals := (state & notifSignalMask) >> notifSignalShift
+		stackTop := state & notifStackMask
+		if stackTop == notifStackMask && waiters == signals {
+			return false
+		}
+		newState := state&notifWaiterMask | waiters<<notifSignalShift | notifStackMask
+		if ec.state.CompareAndSwap(state, newState) {
 			for stackTop != notifStackMask {
-				w := &no.waiters[stackTop].notifyWaiter
+				w := &ec.waiters[stackTop].notifyWaiter
+				id := int(stackTop)
 				stackTop = w.next.Load() & notifStackMask
-				w.ch <- struct{}{}
+				unpark(id)
 			}
 			return true
 		}
-		state = no.state.Load()
+		state = ec.state.Load()
 	}
 }
 
 // epochOf returns slot id's park-cycle count — the epoch stamp traced on
 // park/unpark events. Owner-read only; it is exact for the calling worker.
-func (no *notifier) epochOf(id int) uint64 {
-	return no.waiters[id].epoch >> notifEpochShift
+func (ec *Eventcount) epochOf(id int) uint64 {
+	return ec.waiters[id].epoch >> notifEpochShift
 }

@@ -8,108 +8,164 @@ import (
 	"time"
 )
 
-// notifState unpacks the notifier state word for assertions.
-func notifState(no *notifier) (stackTop, waiters, signals uint64) {
-	s := no.state.Load()
+// notifState unpacks the eventcount state word for assertions.
+func notifState(ec *Eventcount) (stackTop, waiters, signals uint64) {
+	s := ec.state.Load()
 	return s & notifStackMask,
 		(s & notifWaiterMask) >> notifWaiterShift,
 		(s & notifSignalMask) >> notifSignalShift
 }
 
+// parker drives an eventcount the way the worker pool does: one buffered(1)
+// park channel per slot, received on when CommitWait says park and sent to
+// for every slot a notify returns.
+type parker struct {
+	ec *Eventcount
+	ch []chan struct{}
+}
+
+func newParker(n int) *parker {
+	p := &parker{ec: NewEventcount(n), ch: make([]chan struct{}, n)}
+	for i := range p.ch {
+		p.ch[i] = make(chan struct{}, 1)
+	}
+	return p
+}
+
+func (p *parker) commit(id int) {
+	if p.ec.CommitWait(id) {
+		<-p.ch[id]
+	}
+}
+
+func (p *parker) unpark(id int) { p.ch[id] <- struct{}{} }
+
+func (p *parker) notifyOne() bool {
+	woke, id := p.ec.NotifyOne()
+	if id >= 0 {
+		p.unpark(id)
+	}
+	return woke
+}
+
 // A notify racing into the prewait/commit window must bank a signal that
-// commitWait consumes without parking — the interleaving a naive
+// CommitWait consumes without parking — the interleaving a naive
 // check-then-park loop loses.
 func TestNotifierSignalBanking(t *testing.T) {
-	no := newNotifier(2)
-	no.prewait()
-	if !no.notifyOne() {
-		t.Fatal("notifyOne saw no waiter after prewait")
+	ec := NewEventcount(2)
+	ec.Prewait()
+	if woke, id := ec.NotifyOne(); !woke || id != -1 {
+		t.Fatalf("NotifyOne after prewait = (%v, %d), want a banked signal (true, -1)", woke, id)
 	}
-	if _, _, signals := notifState(no); signals != 1 {
+	if _, _, signals := notifState(ec); signals != 1 {
 		t.Fatalf("signals = %d after notify into prewait window, want 1", signals)
 	}
-	if no.commitWait(0) {
-		t.Fatal("commitWait parked despite a banked signal")
+	if ec.CommitWait(0) {
+		t.Fatal("CommitWait said park despite a banked signal")
 	}
-	if stack, waiters, signals := notifState(no); stack != notifStackMask || waiters != 0 || signals != 0 {
+	if stack, waiters, signals := notifState(ec); stack != notifStackMask || waiters != 0 || signals != 0 {
 		t.Fatalf("state not quiescent after banked-signal commit: stack=%#x waiters=%d signals=%d",
 			stack, waiters, signals)
 	}
 }
 
-// cancelWait must consume the signal addressed to it (when every prewaiter
-// has one banked), leaving no stale signal to falsify a later commitWait.
+// CancelWait must consume the signal addressed to it (when every prewaiter
+// has one banked), leaving no stale signal to falsify a later CommitWait.
 func TestNotifierCancelConsumesSignal(t *testing.T) {
-	no := newNotifier(2)
-	no.prewait()
-	no.notifyOne() // banks one signal for the one prewaiter
-	no.cancelWait()
-	if stack, waiters, signals := notifState(no); stack != notifStackMask || waiters != 0 || signals != 0 {
+	ec := NewEventcount(2)
+	ec.Prewait()
+	ec.NotifyOne() // banks one signal for the one prewaiter
+	ec.CancelWait()
+	if stack, waiters, signals := notifState(ec); stack != notifStackMask || waiters != 0 || signals != 0 {
 		t.Fatalf("state not quiescent after cancel: stack=%#x waiters=%d signals=%d",
 			stack, waiters, signals)
 	}
-	if no.notifyOne() {
-		t.Fatal("notifyOne woke someone on an idle notifier")
+	if woke, _ := ec.NotifyOne(); woke {
+		t.Fatal("NotifyOne woke someone on an idle eventcount")
 	}
 }
 
-// The producers' fast path: notify on an idle notifier is a single load
+// The producers' fast path: notify on an idle eventcount is a single load
 // that changes nothing.
 func TestNotifierNotifyIdleFastPath(t *testing.T) {
-	no := newNotifier(4)
-	before := no.state.Load()
-	if no.notifyOne() || no.notifyAll() {
-		t.Fatal("notify reported a wake on an idle notifier")
+	ec := NewEventcount(4)
+	before := ec.state.Load()
+	woke, _ := ec.NotifyOne()
+	if woke || ec.NotifyAll(func(int) { t.Fatal("NotifyAll unparked a slot of an idle eventcount") }) {
+		t.Fatal("notify reported a wake on an idle eventcount")
 	}
-	if after := no.state.Load(); after != before {
+	if after := ec.state.Load(); after != before {
 		t.Fatalf("idle notify mutated state: %#x -> %#x", before, after)
+	}
+}
+
+// Committed waiters come off the stack last in, first out, each returned
+// exactly once, with the slot's epoch bumped once per park.
+func TestNotifierStackPopsCommittedSlots(t *testing.T) {
+	ec := NewEventcount(3)
+	for id := 0; id < 3; id++ {
+		ec.Prewait()
+		if !ec.CommitWait(id) {
+			t.Fatalf("slot %d: CommitWait said do not park with no signal banked", id)
+		}
+		if got := ec.epochOf(id); got != 1 {
+			t.Fatalf("slot %d: epoch %d after one park, want 1", id, got)
+		}
+	}
+	for want := 2; want >= 0; want-- {
+		if woke, id := ec.NotifyOne(); !woke || id != want {
+			t.Fatalf("NotifyOne = (%v, %d), want (true, %d)", woke, id, want)
+		}
+	}
+	if woke, id := ec.NotifyOne(); woke || id != -1 {
+		t.Fatalf("NotifyOne on an emptied stack = (%v, %d), want (false, -1)", woke, id)
 	}
 }
 
 // parkedCount walks the intrusive stack. Safe only while every pusher is
 // parked (the stack is then stable).
-func parkedCount(no *notifier) int {
+func parkedCount(ec *Eventcount) int {
 	n := 0
-	top := no.state.Load() & notifStackMask
+	top := ec.state.Load() & notifStackMask
 	for top != notifStackMask {
 		n++
-		top = no.waiters[top].next.Load() & notifStackMask
+		top = ec.waiters[top].next.Load() & notifStackMask
 	}
 	return n
 }
 
-// notifyAll must capture and unpark the entire waiter stack in one CAS.
+// NotifyAll must capture and unpark the entire waiter stack in one CAS.
 func TestNotifierNotifyAllUnparksChain(t *testing.T) {
 	const n = 4
-	no := newNotifier(n)
+	p := newParker(n)
 	var wg sync.WaitGroup
 	for id := 0; id < n; id++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			no.prewait()
-			no.commitWait(id)
+			p.ec.Prewait()
+			p.commit(id)
 		}(id)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for parkedCount(no) != n {
+	for parkedCount(p.ec) != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d waiters parked", parkedCount(no), n)
+			t.Fatalf("only %d of %d waiters parked", parkedCount(p.ec), n)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if !no.notifyAll() {
-		t.Fatal("notifyAll found nobody despite a full stack")
+	if !p.ec.NotifyAll(p.unpark) {
+		t.Fatal("NotifyAll found nobody despite a full stack")
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("notifyAll left waiters parked")
+		t.Fatal("NotifyAll left waiters parked")
 	}
-	if stack, waiters, signals := notifState(no); stack != notifStackMask || waiters != 0 || signals != 0 {
-		t.Fatalf("state not quiescent after notifyAll: stack=%#x waiters=%d signals=%d",
+	if stack, waiters, signals := notifState(p.ec); stack != notifStackMask || waiters != 0 || signals != 0 {
+		t.Fatalf("state not quiescent after NotifyAll: stack=%#x waiters=%d signals=%d",
 			stack, waiters, signals)
 	}
 }
@@ -125,7 +181,7 @@ func TestNotifierLitmusNoLostWakeup(t *testing.T) {
 		producers   = 4
 		perProducer = 2000
 	)
-	no := newNotifier(consumers)
+	p := newParker(consumers)
 	var work, consumed atomic.Int64
 	var stop atomic.Bool
 	const total = int64(producers * perProducer)
@@ -145,22 +201,22 @@ func TestNotifierLitmusNoLostWakeup(t *testing.T) {
 				if stop.Load() {
 					return
 				}
-				no.prewait()
+				p.ec.Prewait()
 				if work.Load() > 0 || stop.Load() { // re-check AFTER announcing
-					no.cancelWait()
+					p.ec.CancelWait()
 					continue
 				}
-				no.commitWait(id)
+				p.commit(id)
 			}
 		}(id)
 	}
-	for p := 0; p < producers; p++ {
+	for i := 0; i < producers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				work.Add(1)    // publish...
-				no.notifyOne() // ...then notify
+				work.Add(1)   // publish...
+				p.notifyOne() // ...then notify
 				if i%64 == 0 {
 					runtime.Gosched() // shuffle interleavings on few cores
 				}
@@ -172,18 +228,18 @@ func TestNotifierLitmusNoLostWakeup(t *testing.T) {
 	for consumed.Load() != total {
 		if time.Now().After(deadline) {
 			t.Fatalf("lost wakeup or stuck consumer: consumed %d of %d (parked=%d)",
-				consumed.Load(), total, parkedCount(no))
+				consumed.Load(), total, parkedCount(p.ec))
 		}
 		time.Sleep(time.Millisecond)
 	}
 	stop.Store(true)
-	no.notifyAll()
+	p.ec.NotifyAll(p.unpark)
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("shutdown notifyAll left a consumer stuck")
+		t.Fatal("shutdown NotifyAll left a consumer stuck")
 	}
 }
 

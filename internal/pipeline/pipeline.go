@@ -18,7 +18,7 @@
 //
 //   - Data-parallel pipes (ForEach): one token fans out across the
 //     executor as claimant tasks pulling index ranges off a shared atomic
-//     cursor (dynamic or guided grants, mirroring the core partitioners),
+//     cursor (executor.RangeCursor, the one the core partitioners use),
 //     submitted in one SubmitBatch so the fan-out rides the sharded
 //     injection queue; a join barrier holds the token until the whole
 //     range completes.
@@ -229,11 +229,9 @@ type cell struct {
 	deferCount int64
 
 	// Data-parallel state (ForEach pipes only): the shared range cursor,
-	// this token's range end and effective grain, the claimant join
-	// counter, and the pre-built claimant tasks (one per worker).
-	cursor    atomic.Int64
-	dpEnd     int64
-	grainEff  int64
+	// armed per token, the claimant join counter, and the pre-built
+	// claimant tasks (one per worker).
+	cursor    executor.RangeCursor
 	pending   atomic.Int64
 	claims    []dpClaim
 	claimRefs []*executor.Runnable
@@ -707,20 +705,16 @@ func (p *Pipeline) fanOut(ctx executor.Context, c *cell, pipe *Pipe, tok int64) 
 		p.advance(ctx, c, tok) // empty range: the token advances untouched
 		return
 	}
-	grain := int64(pipe.dpGrain)
-	k := len(c.claims)
-	if pipe.dpPart == Static {
+	grain, k, guided := pipe.dpGrain, len(c.claims), 0
+	switch pipe.dpPart {
+	case Static:
 		// One even contiguous block per claimant (grain as a floor).
-		if even := (int64(n) + int64(k) - 1) / int64(k); even > grain {
-			grain = even
-		}
+		grain = max(grain, (n+k-1)/k)
+	case Guided:
+		guided = p.workers
 	}
-	if need := (int64(n) + grain - 1) / grain; int64(k) > need {
-		k = int(need)
-	}
-	c.cursor.Store(0)
-	c.dpEnd = int64(n)
-	c.grainEff = grain
+	k = min(k, (n+grain-1)/grain)
+	c.cursor.Arm(n, grain, guided)
 	c.pending.Store(int64(k))
 	p.outstanding.Add(int64(k))
 	ctx.Settle() // the claimants carry the token on, on any worker
@@ -734,35 +728,17 @@ func (p *Pipeline) fanOut(ctx executor.Context, c *cell, pipe *Pipe, tok int64) 
 	}
 }
 
-// runClaim is one claimant of a ForEach cell: claim grain-sized (or
-// guided) ranges off the shared cursor until it is exhausted; the last
-// claimant to retire advances the token.
+// runClaim is one claimant of a ForEach cell: claim ranges off the shared
+// cursor until it is exhausted; the last claimant to retire advances the
+// token.
 func (p *Pipeline) runClaim(ctx executor.Context, c *cell) {
 	pipe := &p.pipes[c.pipe]
-	guided := pipe.dpPart == Guided
-	twoW := 2 * int64(p.workers)
-	if twoW < 1 {
-		twoW = 1
-	}
 	for {
-		cur := c.cursor.Load()
-		if cur >= c.dpEnd {
+		lo, hi, ok := c.cursor.Claim()
+		if !ok {
 			break
 		}
-		g := c.grainEff
-		if guided {
-			if want := (c.dpEnd - cur) / twoW; want > g {
-				g = want
-			}
-		}
-		end := cur + g
-		if end > c.dpEnd {
-			end = c.dpEnd
-		}
-		if !c.cursor.CompareAndSwap(cur, end) {
-			continue
-		}
-		p.invokeBody(pipe, &c.pf, int(cur), int(end))
+		p.invokeBody(pipe, &c.pf, lo, hi)
 	}
 	if c.pending.Add(-1) == 0 {
 		p.advance(ctx, c, c.pf.token) // barrier reached: the token moves on

@@ -23,17 +23,17 @@
 // weighted wheel and its cursor walk, the queues and their counters), the
 // steal quota (wsq.StealQuota), the injection shard count
 // (executor.InjectionShards), the class order of a steal sweep
-// (executor.DequeRank), the stall detector (executor.StallDetector) and the
-// flow conservation laws (executor.CheckFlowLaws).
+// (executor.DequeRank), the park/wake protocol (executor.Eventcount — its
+// banked signals, waiter stack and notify choices), the stall detector
+// (executor.StallDetector) and the flow conservation laws
+// (executor.CheckFlowLaws).
 //
 // Modelled, one level up from the lock-free machinery: per-worker deques
 // and speculative cache slots and the injection shards as plain slices, and
-// a banked-signal park/wake protocol shaped like the eventcount notifier
-// (prewait → re-check → park, with notify banking a signal for workers
-// inside the prewait window) — the sim has no goroutines to park, and that
-// model is what the lost-wakeup detector tests. The simulation executes
-// every task inline on the driving goroutine. Each step the PRNG picks one
-// enabled action:
+// where each worker is in its park loop — the eventcount never blocks, so
+// where the pool parks a goroutine the sim marks a worker parked until a
+// notify pops its slot. The simulation executes every task inline on the
+// driving goroutine. Each step the PRNG picks one enabled action:
 //
 //   - an active worker runs its cached task, pops a task from its deque
 //     (any position — a superset of the owner-LIFO/thief-FIFO orders
@@ -46,9 +46,10 @@
 //     points are explicit choice steps, so the sweep explores spawn/join
 //     interleavings directly instead of only via later steals;
 //
-//   - a worker with nothing visible announces intent to park (prewait);
-//     on a later step it re-checks — consuming a banked signal or
-//     observing published work cancels the park, otherwise it parks;
+//   - a worker with nothing visible announces intent to park (Prewait);
+//     on a later step it re-checks, cancelling the park if work is
+//     published; on a later step still it commits, and parks unless a
+//     notify that landed in between banked a signal for it;
 //
 //   - an armed virtual timer fires (any armed timer, in seed-chosen
 //     order — real retry backoffs carry jitter, so their relative firing
@@ -60,13 +61,13 @@
 // # Liveness detection
 //
 // If no action is enabled while queued work remains — every worker
-// parked, no timer armed, tasks sitting in a queue — the model has lost
-// a wakeup. The simulation records the failure (see Failure) and
-// recovers by unparking every worker so the graph still drains and
-// waiters unblock; tests then fail with a one-line seed recipe. This is
-// exactly how a re-introduced notifier protocol bug (e.g. the pre-PR 6
-// re-check-before-announce ordering) surfaces: as a deterministic,
-// seed-replayable deadlock report instead of a hung -race run.
+// parked, no timer armed, tasks sitting in a queue — a wakeup was lost.
+// The simulation records the failure (see Failure) and recovers with
+// NotifyAll so the graph still drains and waiters unblock; tests then fail
+// with a one-line seed recipe. This is how a notifier protocol bug
+// surfaces — in the eventcount itself, or in the worker-side order such as
+// checking for work before announcing: as a deterministic, seed-replayable
+// deadlock report instead of a hung -race run.
 //
 // Deadlock is not the only way to lose progress: a scheduler can also
 // livelock, burning steps without ever executing a task. WithStallDetector
@@ -102,13 +103,14 @@ import (
 // before the simulation gives up; a correct model never records even one.
 const maxFailures = 100
 
-// wstate is a modeled worker's park-protocol state.
+// wstate is where a modelled worker is in its loop.
 type wstate uint8
 
 const (
 	wActive  wstate = iota // looking for or executing work
 	wPrewait               // announced intent to park, re-check pending
-	wParked                // blocked; only a wake makes it runnable
+	wCommit                // re-check found nothing, commit pending
+	wParked                // on the eventcount's stack until a notify pops it
 )
 
 // actionKind enumerates the schedulable step types.
@@ -119,6 +121,7 @@ const (
 	aPop
 	aSteal
 	aPrewait
+	aRecheck
 	aCommit
 	aTimer
 )
@@ -181,7 +184,7 @@ type SimExecutor struct {
 	caches []*executor.Runnable   // per-worker speculative slot
 	shards [][]*executor.Runnable // external injection, FIFO per shard
 	state  []wstate
-	signal int // banked wake signals for prewaiting workers
+	ec     *executor.Eventcount
 
 	timers []*simTimer
 	now    time.Duration
@@ -191,9 +194,9 @@ type SimExecutor struct {
 	stopped  bool
 	maxSteps uint64
 
-	// lostWakeBug re-introduces the pre-eventcount notifier ordering
-	// (re-check before announce, no signal banking) in the model, for
-	// tests that validate the liveness detector. See sim_internal_test.go.
+	// lostWakeBug re-introduces the pre-eventcount worker order (check for
+	// work, then announce and commit in one step), for tests that validate
+	// the liveness detector. See sim_internal_test.go.
 	lostWakeBug bool
 
 	// Multi-tenant flows (flow.go): the executor's own flow table with this
@@ -240,10 +243,11 @@ func WithMaxSteps(n uint64) Option {
 }
 
 // withLostWakeupBug re-introduces the seed notifier's lost-wakeup
-// ordering in the park/wake model: workers check for work before
-// announcing intent to park, commit blindly, and wakes are not banked
-// for workers inside the prewait window. Unexported — it exists so the
-// liveness detector itself is testable.
+// ordering on the worker side: a worker checks for work before it
+// announces intent to park, then announces and commits in one step, so a
+// notify that lands between the check and the announcement finds nobody to
+// wake. Unexported — it exists so the liveness detector itself is
+// testable.
 func withLostWakeupBug() Option {
 	return func(s *SimExecutor) { s.lostWakeBug = true }
 }
@@ -284,9 +288,13 @@ func New(n int, opts ...Option) *SimExecutor {
 	s.deques = make([][]*executor.Runnable, n)
 	s.caches = make([]*executor.Runnable, n)
 	s.shards = make([][]*executor.Runnable, s.nshards)
+	// An idle pool: everyone parked until work arrives.
 	s.state = make([]wstate, n)
-	for i := range s.state {
-		s.state[i] = wParked // an idle pool: everyone parked until work arrives
+	s.ec = executor.NewEventcount(n)
+	for w := range s.state {
+		s.ec.Prewait()
+		s.ec.CommitWait(w)
+		s.state[w] = wParked
 	}
 	s.hash = 14695981039346656037 // FNV-1a offset basis
 	return s
@@ -499,13 +507,14 @@ func (s *SimExecutor) step() bool {
 					cands = append(cands, action{aSteal, w})
 				}
 				if !s.lostWakeBug || !s.anyWork() {
-					// Correct protocol: announcing intent to park is always
-					// allowed; the commit step re-checks. Buggy protocol:
-					// the worker checks first and announces blindly.
+					// Under the injected bug the worker looks for work
+					// before it announces, here, and announces blindly.
 					cands = append(cands, action{aPrewait, w})
 				}
 			}
 		case wPrewait:
+			cands = append(cands, action{aRecheck, w})
+		case wCommit:
 			cands = append(cands, action{aCommit, w})
 		}
 	}
@@ -537,9 +546,8 @@ func (s *SimExecutor) step() bool {
 }
 
 // recoverLostWakeup records a liveness failure — queued work with every
-// worker parked and no timer armed — and unparks everyone so the graph
-// still drains and waiters can observe the recorded failure instead of
-// hanging.
+// worker parked and no timer armed — and wakes everyone so the graph still
+// drains and waiters can observe the recorded failure instead of hanging.
 func (s *SimExecutor) recoverLostWakeup() {
 	s.fail("lost wakeup", fmt.Sprintf("%d queued tasks with all %d workers parked", s.queued(), s.workers))
 	s.unparkAll()
@@ -556,13 +564,11 @@ func (s *SimExecutor) fail(what, detail string) {
 	}
 }
 
-// unparkAll makes every worker active and drops the banked signals that
-// paired with their park states.
+// unparkAll is the eventcount's NotifyAll: every parked worker is popped
+// and made active, and every worker between prewait and commit is left a
+// signal.
 func (s *SimExecutor) unparkAll() {
-	for w := range s.state {
-		s.state[w] = wActive
-	}
-	s.signal = 0
+	s.ec.NotifyAll(func(w int) { s.state[w] = wActive })
 }
 
 // perform executes one chosen action.
@@ -581,10 +587,17 @@ func (s *SimExecutor) perform(c action) {
 	case aSteal:
 		s.steal(c.w)
 	case aPrewait:
-		s.state[c.w] = wPrewait
 		s.st.Prewaits++
+		if s.lostWakeBug {
+			s.state[c.w] = wCommit // looked already, announces at commit
+			return
+		}
+		s.ec.Prewait()
+		s.state[c.w] = wPrewait
+	case aRecheck:
+		s.recheck(c.w)
 	case aCommit:
-		s.commitPark(c.w)
+		s.commit(c.w)
 	case aTimer:
 		i := s.pick(len(s.timers))
 		t := s.timers[i]
@@ -650,22 +663,26 @@ func (s *SimExecutor) steal(w int) {
 	s.runTask(w, grabbed[0])
 }
 
-// commitPark is the second phase of the park protocol for worker w:
-// consume a banked signal or observe published work (cancel), else park.
-// Under the injected bug the worker parks blindly.
-func (s *SimExecutor) commitPark(w int) {
+// recheck is worker w's look at the work sources after its prewait:
+// published work cancels the park, nothing moves it on to commit.
+func (s *SimExecutor) recheck(w int) {
+	if !s.anyWork() {
+		s.state[w] = wCommit
+		return
+	}
+	s.ec.CancelWait()
+	s.state[w] = wActive
+	s.st.WaitCancels++
+}
+
+// commit ends worker w's park protocol: it parks unless a notify since its
+// prewait banked a signal for it. Under the injected bug the worker
+// announces here, in the same step as it commits.
+func (s *SimExecutor) commit(w int) {
 	if s.lostWakeBug {
-		s.state[w] = wParked
-		s.st.Parks++
-		return
+		s.ec.Prewait()
 	}
-	if s.signal > 0 {
-		s.signal--
-		s.state[w] = wActive
-		s.st.WaitCancels++
-		return
-	}
-	if s.anyWork() {
+	if !s.ec.CommitWait(w) {
 		s.state[w] = wActive
 		s.st.WaitCancels++
 		return
@@ -674,48 +691,20 @@ func (s *SimExecutor) commitPark(w int) {
 	s.st.Parks++
 }
 
-// wakeOne delivers one wake: bank a signal for a prewaiting worker
-// (eventcount semantics — it cancels at commit), else unpark a
-// seed-chosen parked worker, else no-op (everyone is active and will
-// find the work). Reports whether a wake was delivered.
-func (s *SimExecutor) wakeOne() bool {
-	if !s.lostWakeBug {
-		prewaiters := 0
-		for _, st := range s.state {
-			if st == wPrewait {
-				prewaiters++
-			}
+// wakeUpTo is at most n NotifyOne calls, stopping at the first that finds
+// nobody waiting. Each banks a signal for a worker between prewait and
+// commit or makes active the worker whose slot the eventcount's stack pops.
+func (s *SimExecutor) wakeUpTo(n int) {
+	for ; n > 0; n-- {
+		woke, w := s.ec.NotifyOne()
+		if !woke {
+			return
 		}
-		if s.signal < prewaiters {
-			s.signal++
-			s.st.Wakes++
-			return true
+		if w >= 0 {
+			s.state[w] = wActive
 		}
+		s.st.Wakes++
 	}
-	var parked []int
-	for w, st := range s.state {
-		if st == wParked {
-			parked = append(parked, w)
-		}
-	}
-	if len(parked) == 0 {
-		return false
-	}
-	w := parked[s.pick(len(parked))]
-	s.state[w] = wActive
-	s.st.Wakes++
-	return true
-}
-
-// wakeUpTo delivers at most n wakes, stopping at the first failure.
-func (s *SimExecutor) wakeUpTo(n int) int {
-	woke := 0
-	for ; woke < n; woke++ {
-		if !s.wakeOne() {
-			break
-		}
-	}
-	return woke
 }
 
 // runTask executes one task inline on modeled worker w under panic

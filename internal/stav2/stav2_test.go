@@ -253,14 +253,12 @@ func TestSliceLaw(t *testing.T) {
 				a := New(tm, workers)
 				defer a.Close()
 				full := tm.FullUpdate()
-				checkSlices(t, a, full, a.Taskflow(full), true)
+				checkSlices(t, a, full, a.Taskflow(full))
 				rng, refRng := rand.New(rand.NewSource(61)), rand.New(rand.NewSource(61))
 				for i := 0; i < 50; i++ {
 					u := tm.PrepareUpdate(tm.RandomModifier(rng))
 					tf := a.Taskflow(u)
-					// A dump costs the square of the graph's size
-					// (dotDumper.id): one update in five pays for it.
-					checkSlices(t, a, u, tf, i%5 == 0)
+					checkSlices(t, a, u, tf)
 					if err := tf.Dispatch().Get(); err != nil {
 						t.Fatalf("edit %d: %v", i, err)
 					}
@@ -275,11 +273,11 @@ func TestSliceLaw(t *testing.T) {
 
 // checkSlices holds the graph tf, just built by a for u, to TestSliceLaw's
 // rules. Levels are recomputed here from the gates' fan-in lists. Every
-// task's successor and dependent counts are checked against the cone; with
-// dump set the edges themselves are read back from the DOT dump, where a
-// forward slice goes by its first gate's name and a backward one by that
-// name primed.
-func checkSlices(t *testing.T, a *Analyzer, u sta.Update, tf *core.Taskflow, dump bool) {
+// task's successor and dependent counts are checked against the cone, and
+// the edges themselves are read back from the DOT dump, where a forward
+// slice goes by its first gate's name and a backward one by that name
+// primed, and the tasks are listed in emplace order.
+func checkSlices(t *testing.T, a *Analyzer, u sta.Update, tf *core.Taskflow) {
 	t.Helper()
 	g := a.T.Ckt.Gates
 	level := make([]int, len(g))
@@ -379,14 +377,8 @@ func checkSlices(t *testing.T, a *Analyzer, u sta.Update, tf *core.Taskflow, dum
 			t.Fatalf("slice %d has %d successors and %d dependents, the cone asks for %d and %d", k, s, d, succ[k], deps[k])
 		}
 	}
-	if allocs := testing.AllocsPerRun(1, func() { _ = tf.Validate() }); allocs != 0 {
-		t.Fatalf("Validate allocates %v objects: an edge runs against emplace order", allocs)
-	}
 	if err := tf.Validate(); err != nil {
 		t.Fatal(err)
-	}
-	if !dump {
-		return
 	}
 
 	ordinal := map[string]int{"fwd_bwd_barrier": n}
@@ -401,11 +393,18 @@ func checkSlices(t *testing.T, a *Analyzer, u sta.Update, tf *core.Taskflow, dum
 	if err := tf.Dump(&sb); err != nil {
 		t.Fatal(err)
 	}
-	edges := 0
+	edges, emplaced := 0, map[string]int{}
 	for _, line := range strings.Split(sb.String(), "\n") {
-		from, to, ok := strings.Cut(strings.TrimSuffix(strings.TrimSpace(line), ";"), " -> ")
+		line = strings.TrimSuffix(strings.TrimSpace(line), ";")
+		from, to, ok := strings.Cut(line, " -> ")
 		if !ok {
+			if strings.HasPrefix(line, `"`) {
+				emplaced[line] = len(emplaced)
+			}
 			continue
+		}
+		if emplaced[from] >= emplaced[to] {
+			t.Fatalf("the edge %s -> %s runs against emplace order", from, to)
 		}
 		edges++
 		e := [2]int{ordinal[strings.Trim(from, `"`)], ordinal[strings.Trim(to, `"`)]}
