@@ -8,8 +8,8 @@ GO ?= go
 # TestObservedRunWritesValidTraces in internal/cli. Histograms, flight
 # recorder and watchdog armed on a mixed load: TestLatencyAndFlightEndpoints
 # in internal/debughttp. The streaming pipeline: TestPipelineRunNZeroAlloc,
-# TestLineTraceEndToEnd, TestWritePipeline, TestPipelineTokenLatencyRecorded,
-# and its throughput is the harness's pipeline_stream workload.
+# TestTracedCellsCarryLine, TestPipelineTokenLatencyRecorded, and its
+# throughput is the harness's pipeline_stream workload.
 .PHONY: all build test vet race chaos bench-pairs cover fuzz
 
 all: vet build test
@@ -27,7 +27,7 @@ vet:
 
 race:
 	$(GO) test -race ./internal/...
-	$(GO) test -race -count=3 -run 'Rerun|PendingNeverZero|HotColdLayout' ./internal/core/
+	$(GO) test -race -count=3 -run 'Rerun|PendingNeverZero|HotColdLayout|Launch' ./internal/core/
 	$(GO) test -race -count=3 -run 'Reclaim|Scrub|OrderedEdges|SliceLaw|OneLaw|StrictDrainStarvation|Notifier|CorrectModel|LostWakeup|Shrink' ./internal/core/ ./internal/wsq/ ./internal/executor/ ./internal/stav2/ ./internal/sim/
 	$(GO) test -race -count=3 -run 'Flight|Trace|Latency|Hammer|Settle|HandOff|SettledBeforeDone' ./internal/executor/ ./internal/core/ ./internal/debughttp/
 

@@ -111,42 +111,6 @@ func (sf *Subflow) EmplaceCtx(fn func(context.Context) error) Task {
 	return Task{sf.g.emplaceCtx(fn)}
 }
 
-// execSubmitter adapts a Scheduler to the submitter interface used by
-// semaphore admission and retry resubmission. Scheduler.Submit returns an
-// error only after Shutdown; admission hand-offs are best-effort there
-// (the topology is already unable to progress). The wrapper is two words
-// (an interface value), so it is boxed once per topology (topology.sub)
-// rather than per call.
-type execSubmitter struct{ e executor.Scheduler }
-
-func (s execSubmitter) Submit(r *executor.Runnable) { _ = s.e.Submit(r) }
-
-// flowSubmitter routes the same hand-offs through a multi-tenant flow's
-// priority queue instead of the plain injection shards, so a flow-bound
-// topology's retries and semaphore admissions inherit its priority class.
-// Flow.Submit never sheds pre-admitted work (it fails only at shutdown),
-// so a mid-graph resubmission cannot be dropped and strand the topology.
-type flowSubmitter struct{ f executor.Flow }
-
-func (s flowSubmitter) Submit(r *executor.Runnable) { _ = s.f.Submit(r) }
-
-// submitOne routes one external (off-worker) submission through the
-// topology's flow when bound, the plain injection queue otherwise.
-func (t *topology) submitOne(r *executor.Runnable) error {
-	if f := t.flow; f != nil {
-		return f.Submit(r)
-	}
-	return t.exec.Submit(r)
-}
-
-// submitBatch is submitOne for a source batch.
-func (t *topology) submitBatch(rs []*executor.Runnable) error {
-	if f := t.flow; f != nil {
-		return f.SubmitBatch(rs)
-	}
-	return t.exec.SubmitBatch(rs)
-}
-
 // resubmitAfter re-executes n after d through a scheduler timer and the
 // injection queue — the waiting task holds no worker. The execution stays
 // counted in pending, keeping the topology open until the retry resolves.
@@ -176,10 +140,10 @@ func (t *topology) resubmitAfter(d time.Duration, n *node) {
 		if t.lat != nil {
 			n.readyAtNs = executor.Nanos()
 		}
-		if n.hasAcquires() && !t.admit(t.sub, n) {
+		if n.hasAcquires() && !t.admit((*offPool)(t), n) {
 			return // parked; a semaphore release will submit it
 		}
-		if err := t.submitOne(n.ref()); err != nil {
+		if err := t.out.Submit(n.ref()); err != nil {
 			// The executor shut down between the check above and the
 			// submission: same resolution as the dead-pool path.
 			t.fail(fmt.Errorf("core: retry of task %q: %w", n.name, err))

@@ -5,14 +5,14 @@ package core
 // file owns the timestamps, because only the node lifecycle knows when an
 // execution became ready (queued) and when its body ran.
 //
-// The seam is cold by construction: prepareRun/dispatch type-assert the
-// scheduler to executor.LatencyProvider once per topology and cache the
-// returned sink on the topology. When the sink is nil — the executor was
-// built without WithLatencyHistograms, or the scheduler is internal/sim —
-// the per-execution cost is one flag check and readyAtNs is never written.
+// The seam is cold by construction: newTopology type-asserts the scheduler
+// to executor.LatencyProvider once per topology and caches the returned
+// sink on it. When the sink is nil — the executor was built without
+// WithLatencyHistograms, or the scheduler is internal/sim — the
+// per-execution cost is one flag check and readyAtNs is never written.
 //
 // Timing points: readyAtNs is stamped wherever an execution is queued
-// (run/dispatch sources, dependency release in notifySucc, condition
+// (the sources at launch, dependency release in notifySucc, condition
 // re-schedule, subflow spawn, retry resubmission), and the body start/end
 // are the executing worker's two stamps (Context.StartStamp / EndStamp) —
 // the readings its trace events carry, so core reads no clock on a worker

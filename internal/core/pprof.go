@@ -21,7 +21,7 @@ import (
 // chaining.
 func (tf *Taskflow) EnablePprofLabels(enable bool) *Taskflow {
 	tf.pprofLabels = enable
-	tf.invalidateRun() // the cached run state predates the setting
+	tf.runTopo = nil // the cached run state predates the setting
 	return tf
 }
 

@@ -310,7 +310,7 @@ func TestRerunLeavesCountersArmed(t *testing.T) {
 						t.Fatalf("run %d: %v", i, perr)
 					}
 					rt := tf.runTopo
-					if rt == nil || tf.runStale() || tf.mustSweep(rt) {
+					if tf.runStale() || rt.mustSweep() {
 						continue
 					}
 					// The next run will trust what this one left behind.

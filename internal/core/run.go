@@ -1,14 +1,16 @@
 package core
 
-// Synchronous re-run support — the Go counterpart of Cpp-Taskflow's
-// executor.run(taskflow, N) steady-state mode. Unlike Dispatch, Run does
-// not consume the present graph: the same graph executes again and again,
-// which is the shape of iterative workloads (timing propagation sweeps,
-// training epochs, simulation steps). Because every node carries its own
-// intrusive task slot and the reusable topology and source batch are built
-// once, steady-state re-runs allocate nothing — as long as the graph uses
-// no context/deadline features, which by nature materialize a fresh
-// context per run.
+// One way to launch a graph. Run (Cpp-Taskflow's executor.run(taskflow, N)
+// steady-state mode) and Dispatch (paper Listing 6) differ only in what
+// they keep: Run caches a reusable topology for the present graph and
+// blocks; Dispatch moves the graph into a one-shot topology and returns a
+// Future. Both build their run state with newTopology and start it with
+// launch, so admission, the context watcher, the sweep, ready stamping and
+// source submission exist once. Because every node carries its own
+// intrusive task slot and the reusable topology keeps its source batch,
+// steady-state re-runs allocate nothing — as long as the graph uses no
+// context/deadline features, which by nature materialize a fresh context
+// per run.
 
 import (
 	"context"
@@ -34,9 +36,6 @@ func (tf *Taskflow) Run() error {
 // their body context. A ctx that is already done fails the run without
 // executing anything.
 func (tf *Taskflow) RunContext(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	return tf.run(ctx)
 }
 
@@ -52,146 +51,53 @@ func (tf *Taskflow) RunN(n int) error {
 }
 
 func (tf *Taskflow) run(ctx context.Context) error {
-	g := tf.present
-	if g.len() == 0 {
-		return nil
+	if tf.runStale() {
+		t, err := tf.newTopology(tf.present, true)
+		if err != nil {
+			tf.runTopo = nil
+			return err
+		}
+		tf.runTopo = t
 	}
 	t := tf.runTopo
-	if t == nil || t.graph != g || len(tf.runSources)+len(tf.runSemSources) == 0 ||
-		tf.runStale() {
-		var err error
-		if t, err = tf.prepareRun(); err != nil {
-			return err
-		}
-	}
-
-	// Admission control: a flow-bound run reserves the graph's task count
-	// for the duration of this run; finish returns it before signalling
-	// done. A refused run (quota, watermark, shutdown) charged nothing and
-	// executed nothing — the caller owns the retry/backoff policy.
-	if f := t.flow; f != nil {
-		if err := f.Admit(t.flowReserved); err != nil {
-			return err
-		}
-	}
-
-	// Per-run reset. The run generation advances so a deadline callback
-	// left over from a previous run cannot cancel this one, and a fresh
-	// derived context is materialized when ctx tasks or a caller context
-	// need one.
-	t.errMu.Lock()
-	t.errs = t.errs[:0]
-	gen := t.gen.Add(1)
-	t.ctx, t.cancelCtx = nil, nil
-	if t.hasCtx || ctx != nil {
-		parent := ctx
-		if parent == nil {
-			parent = context.Background()
-		}
-		t.ctx, t.cancelCtx = context.WithCancel(parent)
-	}
-	t.errMu.Unlock()
-	t.cancelled.Store(false)
-
-	var stopWatch func() bool
-	if ctx != nil && ctx.Done() != nil {
-		stopWatch = context.AfterFunc(ctx, func() { t.cancelWith(gen, ctx.Err()) })
-	}
-
-	statsOn := t.stats != nil
-	if tf.mustSweep(t) {
-		for _, n := range g.nodes {
-			n.topo = t
-			n.parent = nil
-			n.join.Store(n.numDependents)
-			if statsOn {
-				n.execCount.Store(0)
-				n.execDurNs.Store(0)
-			}
-		}
-	}
-	if statsOn {
-		t.stats.reset()
-	}
-	if t.lat != nil {
-		// Sources are ready now; the rest are stamped when released.
-		readyNs := executor.Nanos()
-		for _, r := range tf.runSources {
-			(*r).(*node).readyAtNs = readyNs
-		}
-		for _, n := range tf.runSemSources {
-			n.readyAtNs = readyNs
-		}
-	}
-	t.pending.Store(int64(len(tf.runSources) + len(tf.runSemSources)))
-
-	// Semaphore-guarded sources are admitted or parked individually (rare
-	// path); the rest start as one batch.
-	for _, n := range tf.runSemSources {
-		if t.admit(t.sub, n) {
-			if err := t.submitOne(n.ref()); err != nil {
-				t.addErr(err)
-				if t.pending.Add(-1) == 0 {
-					t.finish()
-				}
-			}
-		}
-	}
-	if err := t.submitBatch(tf.runSources); err != nil {
-		// The executor was already shut down: the batch was rejected
-		// whole. Undo its pending charge so the run completes with the
-		// error instead of hanging.
-		t.addErr(err)
-		if t.pending.Add(-int64(len(tf.runSources))) == 0 {
-			t.finish()
-		}
+	if err := t.launch(ctx); err != nil {
+		return err
 	}
 	<-t.done
-	if stopWatch != nil {
-		stopWatch()
-	}
 	return t.joinedErr()
 }
 
-// mustSweep reports whether a run under t has to re-arm every node of the
-// present graph first. The release that takes a join counter to zero
-// re-arms it, and with run stats an execution overwrites its node's
-// counters, so a run in which every node executed — failed and cancelled
-// ones included: skipped nodes still drain the structure — leaves them all
-// armed and accounted, and the serial O(n) sweep, made while every worker
-// idles, is skipped. It is kept where counters can be short — the nodes
-// have not run under t (it is new, or a Composed parent ran the graph
-// since) or a condition task may leave a branch untaken — and where
-// executions add to their node's counters (topology.sumNodeStats).
-func (tf *Taskflow) mustSweep(t *topology) bool {
-	return t.hasCond || t.sumNodeStats || tf.present.nodes[0].topo != t
-}
-
-// runStale reports whether tasks or edges (node.precede) were added to the
-// present graph since the run state was built.
+// runStale reports whether the cached run state does not fit the present
+// graph: there is none, it was built for another graph, or tasks or edges
+// (node.precede) were added since.
 func (tf *Taskflow) runStale() bool {
-	return tf.runTopo == nil || tf.runTopo.builtLen != tf.present.len()
+	t := tf.runTopo
+	return t == nil || t.graph != tf.present || t.builtLen != tf.present.len()
 }
 
-// prepareRun (re)builds the reusable topology and the pre-partitioned
-// source lists for the present graph, refusing strongly cyclic graphs.
-func (tf *Taskflow) prepareRun() (*topology, error) {
-	g := tf.present
+// newTopology builds the run state of g: reusable for Run, one-shot for
+// Dispatch. It charges nothing and submits nothing. The error says why g
+// can never start — no source, or a strong cycle behind the sources — and
+// comes with the topology all the same, so a Future has one to resolve.
+func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 	t := &topology{
 		graph:       g,
 		exec:        tf.exec,
-		reusable:    true,
-		done:        make(chan struct{}, 1),
+		out:         tf.exec,
+		flow:        tf.flow,
+		reusable:    reusable,
 		builtLen:    g.len(),
 		flowName:    tf.name,
 		pprofLabels: tf.pprofLabels,
 		ready:       make([][releaseChunk]*executor.Runnable, tf.exec.NumWorkers()),
 	}
-	t.sub = execSubmitter{tf.exec}
+	if reusable {
+		t.done = make(chan struct{}, 1)
+	} else {
+		t.done = make(chan struct{})
+	}
 	if f := tf.flow; f != nil {
-		t.flow = f
-		t.flowReserved = g.len()
-		t.sub = flowSubmitter{f}
+		t.out, t.flowReserved = f, g.len()
 	}
 	if lp, ok := tf.exec.(executor.LatencyProvider); ok {
 		t.lat = lp.LatencySink(tf.flow)
@@ -200,45 +106,162 @@ func (tf *Taskflow) prepareRun() (*topology, error) {
 		t.stats = newTopoStats(tf)
 	}
 	t.timed = t.lat != nil || (tf.statsEnabled && tf.statsTiming)
-	tf.runSources = tf.runSources[:0]
-	tf.runSemSources = tf.runSemSources[:0]
+	nsrc, nsem := 0, 0
 	ordered, dynamic := true, false
 	for _, n := range g.nodes {
-		t.hasCtx = t.hasCtx || n.ctxWork != nil
 		t.hasCond = t.hasCond || n.condWork != nil
 		dynamic = dynamic || n.subflowWork != nil
 		ordered = ordered && n.forward()
-		if !n.isSource() {
-			continue
+		if n.isSource() {
+			nsrc++
+			if n.hasAcquires() {
+				nsem++
+			}
 		}
-		if n.hasAcquires() {
-			tf.runSemSources = append(tf.runSemSources, n)
-		} else {
-			tf.runSources = append(tf.runSources, n.ref())
-		}
-	}
-	if len(tf.runSources)+len(tf.runSemSources) == 0 {
-		tf.invalidateRun()
-		return nil, ErrNoSource
 	}
 	// A condition task may run a node any number of times, and a dynamic
 	// task may splice in a graph that outlives the run (Composed), whose
-	// nodes it may run under conditions of its own, or twice.
-	t.sumNodeStats = t.stats != nil && (t.hasCond || dynamic)
+	// nodes it may run under conditions of its own, or twice. A one-shot
+	// topology is swept at its only launch anyway.
+	t.sumNodeStats = t.stats != nil && (t.hasCond || dynamic || !reusable)
+	if nsrc == 0 && g.len() > 0 {
+		return t, ErrNoSource
+	}
+	// A strong cycle behind the sources would never drain; refuse it with
+	// a descriptive error instead of deadlocking the waiters. Edges that all
+	// follow emplace order cannot close one (findCycleError).
 	if !ordered {
 		if _, err := kahn(g); err != nil {
-			tf.invalidateRun()
-			return nil, err
+			return t, err
 		}
 	}
-	tf.runTopo = t
+	t.sources = make([]*executor.Runnable, 0, nsrc-nsem)
+	if nsem > 0 {
+		t.semSources = make([]*node, 0, nsem)
+	}
+	for _, n := range g.nodes {
+		switch {
+		case !n.isSource():
+		case n.hasAcquires():
+			t.semSources = append(t.semSources, n)
+		default:
+			t.sources = append(t.sources, n.ref())
+		}
+	}
 	return t, nil
 }
 
-// invalidateRun drops the cached run state (the present graph moved or
-// changed shape).
-func (tf *Taskflow) invalidateRun() {
-	tf.runTopo = nil
-	tf.runSources = tf.runSources[:0]
-	tf.runSemSources = tf.runSemSources[:0]
+// launch starts one execution of t bound to ctx (nil: none). A returned
+// error means nothing started and nothing was charged: ctx was already
+// done, or t's flow refused the admission.
+func (t *topology) launch(ctx context.Context) error {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+	}
+	// Admission control: a flow-bound execution reserves the graph's task
+	// count; finish returns it before signalling done. Admit is
+	// all-or-nothing, so a refusal (quota, watermark, shutdown) charged
+	// nothing — the caller owns the retry/backoff policy.
+	if f := t.flow; f != nil {
+		if err := f.Admit(t.flowReserved); err != nil {
+			return err
+		}
+	}
+
+	// Per-execution reset. A reusable topology advances its generation so
+	// a deadline callback left over from a previous run cannot cancel this
+	// one. The derived context starts fresh: from ctx here, else from the
+	// first ctx task that asks (taskContext).
+	t.errMu.Lock()
+	t.errs = t.errs[:0]
+	gen := t.gen.Load()
+	if t.reusable {
+		gen = t.gen.Add(1)
+	}
+	t.ctx, t.cancelCtx = nil, nil
+	if ctx != nil {
+		t.ctx, t.cancelCtx = context.WithCancel(ctx)
+	}
+	t.errMu.Unlock()
+	t.cancelled.Store(false)
+	t.stopWatch = nil
+	if ctx != nil && ctx.Done() != nil {
+		t.stopWatch = context.AfterFunc(ctx, func() { t.cancelWith(gen, ctx.Err()) })
+	}
+
+	if t.mustSweep() {
+		for _, n := range t.graph.nodes {
+			n.topo = t
+			n.parent = nil
+			n.join.Store(n.numDependents)
+			if t.stats != nil {
+				n.execCount.Store(0)
+				n.execDurNs.Store(0)
+			}
+		}
+	}
+	if t.stats != nil {
+		t.stats.reset()
+	}
+	if t.lat != nil {
+		// Sources are ready now; the rest are stamped when released.
+		readyNs := executor.Nanos()
+		for _, r := range t.sources {
+			(*r).(*node).readyAtNs = readyNs
+		}
+		for _, n := range t.semSources {
+			n.readyAtNs = readyNs
+		}
+	}
+	// pending counts outstanding executions; sources are pre-counted before
+	// submission so no execution can retire against a zero count.
+	nsrc := int64(len(t.sources) + len(t.semSources))
+	if nsrc == 0 { // the empty graph
+		t.finish()
+		return nil
+	}
+	t.pending.Store(nsrc)
+
+	// Semaphore-guarded sources are admitted or parked individually (rare
+	// path); the rest start as one batch. A submission the shut-down
+	// scheduler rejected undoes its pending charge, so the execution
+	// completes with the error instead of hanging (finish also returns the
+	// flow reservation, exactly once).
+	for _, n := range t.semSources {
+		if t.admit((*offPool)(t), n) {
+			if err := t.out.Submit(n.ref()); err != nil {
+				t.undoSubmit(err, 1)
+			}
+		}
+	}
+	if err := t.out.SubmitBatch(t.sources); err != nil {
+		t.undoSubmit(err, len(t.sources))
+	}
+	return nil
+}
+
+// undoSubmit records a rejected submission of k executions and takes them
+// off pending.
+func (t *topology) undoSubmit(err error, k int) {
+	t.addErr(err)
+	if t.pending.Add(-int64(k)) == 0 {
+		t.finish()
+	}
+}
+
+// mustSweep reports whether a launch of t has to re-arm every node of its
+// graph first. The release that takes a join counter to zero re-arms it,
+// and with run stats an execution overwrites its node's counters, so a run
+// in which every node executed — failed and cancelled ones included:
+// skipped nodes still drain the structure — leaves them all armed and
+// accounted, and the serial O(n) sweep, made while every worker idles, is
+// skipped. It is kept where counters can be short — the nodes have not run
+// under t (it is new, or a Composed parent ran the graph since) or a
+// condition task may leave a branch untaken — and where executions add to
+// their node's counters (topology.sumNodeStats).
+func (t *topology) mustSweep() bool {
+	nodes := t.graph.nodes
+	return t.hasCond || t.sumNodeStats || len(nodes) == 0 || nodes[0].topo != t
 }

@@ -103,13 +103,29 @@ func insertSem(list []*Semaphore, s *Semaphore) []*Semaphore {
 }
 
 // submitter abstracts "where a semaphore-admitted task goes": a worker's
-// scheduling Context during execution, or the scheduler's injection queue
-// at dispatch and retry time (through the execSubmitter adapter, boxed
-// once per topology as topology.sub). Admission paths pass them directly
+// scheduling Context during execution, or the topology's off-pool target
+// at launch and retry time (offPool). Admission paths pass them directly
 // instead of minting a method-value closure per call.
 type submitter interface {
 	Submit(r *executor.Runnable)
 }
+
+// target is a topology's off-pool destination (topology.out): an
+// executor.Flow or the executor.Scheduler itself. Both fail only after
+// shutdown; a flow never sheds pre-admitted work, so a mid-graph
+// resubmission cannot be dropped and strand the topology.
+type target interface {
+	Submit(r *executor.Runnable) error
+	SubmitBatch(rs []*executor.Runnable) error
+}
+
+// offPool adapts a topology's out to submitter. A hand-off there is
+// best-effort: it fails only after shutdown, when the topology can no
+// longer progress anyway. (*offPool)(t) is a pointer, so passing it as a
+// submitter boxes without allocating.
+type offPool topology
+
+func (o *offPool) Submit(r *executor.Runnable) { _ = o.out.Submit(r) }
 
 // admit obtains every semaphore of n or parks it on the first unavailable
 // one, rolling back units already taken (waking their waiters through

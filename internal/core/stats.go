@@ -126,7 +126,7 @@ func (st *topoStats) reset() {
 func (tf *Taskflow) CollectRunStats(timing bool) *Taskflow {
 	tf.statsEnabled = true
 	tf.statsTiming = timing
-	tf.invalidateRun() // the cached run state predates the stats block
+	tf.runTopo = nil // the cached run state predates the stats block
 	return tf
 }
 

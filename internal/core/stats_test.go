@@ -359,7 +359,7 @@ func TestRerunNodeStatsWithoutSweep(t *testing.T) {
 
 	want := func(run string, counts ...uint64) {
 		t.Helper()
-		if tf.mustSweep(tf.runTopo) {
+		if tf.runTopo.mustSweep() {
 			t.Fatalf("%s: the next run would sweep a static graph for its stats", run)
 		}
 		for i, n := range tf.present.nodes {

@@ -66,13 +66,12 @@ type Taskflow struct {
 	// present graph draws on; see graphStore.
 	store graphStore
 
-	// Reusable execution state behind Run/RunN: a topology whose done
-	// channel is signalled (not closed) at quiescence and a pre-built
-	// source batch, so steady-state re-runs of an unchanged graph are
-	// allocation-free.
-	runTopo       *topology
-	runSources    []*executor.Runnable
-	runSemSources []*node
+	// runTopo is the reusable execution state behind Run/RunN: a topology
+	// whose done channel is signalled (not closed) at quiescence and whose
+	// source batch is pre-built, so steady-state re-runs of an unchanged
+	// graph are allocation-free. Dropped when a setting it was built with
+	// changes or Dispatch takes the graph; rebuilt when runStale.
+	runTopo *topology
 
 	// statsEnabled/statsTiming configure per-run statistics collection for
 	// topologies created after CollectRunStats; see stats.go.
@@ -147,7 +146,7 @@ func (tf *Taskflow) SetName(name string) *Taskflow {
 // nil unbinds. Returns tf for chaining.
 func (tf *Taskflow) SetFlow(f executor.Flow) *Taskflow {
 	tf.flow = f
-	tf.invalidateRun()
+	tf.runTopo = nil // the cached run state is bound to the old flow
 	return tf
 }
 
@@ -216,7 +215,9 @@ func (tf *Taskflow) Dispatch() *Future {
 // deadline expires, the topology is cooperatively cancelled — tasks that
 // have not started are skipped, the graph drains, and Future.Get reports
 // ctx.Err() among the captured errors. Context-aware tasks observe the
-// cancellation mid-flight through their body context.
+// cancellation mid-flight through their body context. A ctx that is
+// already done resolves the Future at once with ctx.Err(), executing
+// nothing — as RunContext refuses it.
 func (tf *Taskflow) DispatchContext(ctx context.Context) *Future {
 	t := tf.dispatch(ctx)
 	return &Future{t}
@@ -231,117 +232,16 @@ func (tf *Taskflow) SilentDispatch() {
 func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 	g := tf.present
 	tf.present = tf.store.graph()
-	tf.invalidateRun()
-	t := &topology{
-		graph:       g,
-		exec:        tf.exec,
-		done:        make(chan struct{}),
-		flowName:    tf.name,
-		pprofLabels: tf.pprofLabels,
-		ready:       make([][releaseChunk]*executor.Runnable, tf.exec.NumWorkers()),
-	}
-	t.sub = execSubmitter{tf.exec}
-	if tf.statsEnabled {
-		// A dispatched graph's nodes are fresh: adding to their zeroed
-		// counters is right for every graph and needs no sweep.
-		t.stats, t.sumNodeStats = newTopoStats(tf), true
-	}
+	tf.runTopo = nil
+	t, err := tf.newTopology(g, false)
 	tf.topologies = append(tf.topologies, t)
-
-	if g.len() == 0 {
-		close(t.done)
-		return t
+	if err == nil {
+		err = t.launch(ctx)
 	}
-
-	numSources := 0
-	hasCtx := false
-	ordered := true
-	for _, n := range g.nodes {
-		n.topo = t
-		n.parent = nil
-		n.join.Store(n.numDependents)
-		if n.ctxWork != nil {
-			hasCtx = true
-		}
-		if n.isSource() {
-			numSources++
-		}
-		ordered = ordered && n.forward()
-	}
-	if numSources == 0 {
-		t.addErr(ErrNoSource)
-		close(t.done)
-		return t
-	}
-	// A strong cycle behind the sources would never drain; refuse it with
-	// a descriptive error instead of deadlocking the waiters. Edges that all
-	// follow emplace order cannot close one (findCycleError).
-	if !ordered {
-		if _, err := kahn(g); err != nil {
-			t.addErr(err)
-			close(t.done)
-			return t
-		}
-	}
-	// Admission control: a flow-bound topology reserves its task count
-	// before anything is submitted. Admit is all-or-nothing, so a refused
-	// dispatch charged nothing and finish (never reached on this path —
-	// done closes here) has nothing to release.
-	if f := tf.flow; f != nil {
-		if err := f.Admit(g.len()); err != nil {
-			t.addErr(err)
-			close(t.done)
-			return t
-		}
-		t.flow = f
-		t.flowReserved = g.len()
-		t.sub = flowSubmitter{f}
-	}
-	if lp, ok := tf.exec.(executor.LatencyProvider); ok {
-		t.lat = lp.LatencySink(tf.flow)
-	}
-	t.timed = t.lat != nil || (tf.statsEnabled && tf.statsTiming)
-	if ctx != nil || hasCtx {
-		t.ensureCtx(ctx)
-	}
-	if ctx != nil && ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() { t.cancelWith(0, ctx.Err()) })
-		go func() { <-t.done; stop() }()
-	}
-	if st := t.stats; st != nil {
-		st.startNs = executor.Nanos() // dispatched nodes are fresh; no counter reset needed
-	}
-	// pending counts outstanding executions; sources are pre-counted
-	// before submission so no execution can retire against a zero count.
-	t.pending.Store(int64(numSources))
-	// Sources guarded by semaphores are admitted or parked; the rest
-	// start as a batch.
-	var readyNs int64
-	if t.lat != nil {
-		readyNs = executor.Nanos()
-	}
-	runnable := make([]*executor.Runnable, 0, numSources)
-	for _, n := range g.nodes {
-		if !n.isSource() {
-			continue
-		}
-		if t.lat != nil {
-			n.readyAtNs = readyNs
-		}
-		if n.hasAcquires() && !t.admit(t.sub, n) {
-			continue
-		}
-		runnable = append(runnable, n.ref())
-	}
-	if err := t.submitBatch(runnable); err != nil {
-		// The executor was already shut down: nothing was accepted. Undo
-		// the batch's pending charge so the topology can complete and
-		// waiters observe the error instead of hanging (finish also
-		// returns the flow reservation, exactly once).
+	if err != nil {
+		// Refused: nothing started, so nothing else will resolve the Future.
 		t.addErr(err)
-		if t.pending.Add(-int64(len(runnable))) == 0 {
-			t.finish()
-		}
+		close(t.done)
 	}
 	return t
 }

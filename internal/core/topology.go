@@ -34,7 +34,7 @@ import (
 // re-arm where they are consumed — the release that takes one to zero
 // stores numDependents back, on a line it already owns — so a run in which
 // every node executed leaves them armed and the next does not sweep the
-// graph first; Taskflow.mustSweep lists the exceptions.
+// graph first; topology.mustSweep lists the exceptions.
 //
 // Layout (TestTopologyHotColdLayout): what every execution reads comes
 // first; pending, which every worker writes, has a cache line to itself, so
@@ -81,31 +81,35 @@ type topology struct {
 
 	done chan struct{}
 
-	// sub is exec pre-boxed into the submitter interface used by
-	// semaphore admission and retry resubmission. Since exec became an
-	// interface value the execSubmitter wrapper is two words, so boxing
-	// it per admit call would allocate; building it once per topology
-	// keeps the steady-state Run path allocation-free.
-	sub submitter
+	// out is where launch, retries and off-pool semaphore hand-offs submit:
+	// the flow when bound (so they inherit its priority class), else the
+	// scheduler's injection queue. sources and semSources are the graph's
+	// sources, split by whether they must pass semaphores first; built once
+	// by newTopology, they serve every launch.
+	out        target
+	sources    []*executor.Runnable
+	semSources []*node
 
 	// flowReserved is the number of in-flight task units Admit charged the
-	// flow at dispatch/run time; finish returns them through Release
-	// exactly once (including the failed-submission undo paths, which
-	// drain through finish).
+	// flow at launch; finish returns them through Release exactly once
+	// (including the failed-submission undo paths, which drain through
+	// finish).
 	flowReserved int
+
+	// stopWatch unregisters the launch context's watcher (nil: none);
+	// finish calls it, so a watcher lives exactly as long as its execution
+	// and needs no goroutine.
+	stopWatch func() bool
 
 	// reusable marks a topology driven by Taskflow.Run: completion is
 	// signalled with a token on the (buffered) done channel instead of a
 	// close, so the same topology object serves many runs without
 	// reallocating. builtLen records the graph size the cached run state
 	// was prepared for (-1 once an edge was added since), invalidating it
-	// when the graph changes. hasCtx records whether the graph contains
-	// context-aware tasks, so each run materializes a cancellable context
-	// for them; hasCond, whether it contains a condition task, so each run
-	// re-arms every node first.
+	// when the graph changes. hasCond records whether the graph contains a
+	// condition task, so each launch re-arms every node first.
 	reusable bool
 	builtLen int
-	hasCtx   bool
 	hasCond  bool
 
 	// errMu guards the captured-error list, the derived context, and the
@@ -115,12 +119,12 @@ type topology struct {
 	errs  []error
 
 	// ctx/cancelCtx is the topology's derived context, materialized only
-	// when a context feature is in use (ctx tasks, RunContext or
-	// DispatchContext). Failure and cancellation cancel it, signalling
-	// in-flight context-aware bodies. gen guards reusable topologies
-	// against stale deadline callbacks from a previous run; it is atomic
-	// because trace events read it from worker goroutines (TaskMeta.Gen)
-	// while the run loop advances it.
+	// when a context feature is in use: by launch under RunContext or
+	// DispatchContext, else by the first ctx task (taskContext). Failure and cancellation cancel it, signalling
+	// in-flight context-aware bodies. gen counts a reusable topology's runs
+	// (a one-shot topology keeps 0), guarding it against stale deadline
+	// callbacks from a previous run; it is atomic because trace events read
+	// it from worker goroutines (TaskMeta.Gen) while launch advances it.
 	ctx       context.Context
 	cancelCtx context.CancelFunc
 	gen       atomic.Uint64
@@ -135,13 +139,17 @@ type topology struct {
 const releaseChunk = 16
 
 // finish signals quiescence: close for one-shot (dispatched) topologies,
-// a token for reusable (Run) topologies. The derived context (if any) is
-// cancelled so deadline timers and ctx-task observers are released.
+// a token for reusable (Run) topologies. The context watcher is stopped and
+// the derived context (if any) cancelled, so deadline timers and ctx-task
+// observers are released.
 func (t *topology) finish() {
 	if st := t.stats; st != nil {
 		// Written by the single finishing worker; waiters read it after the
 		// done signal below, which provides the happens-before edge.
 		st.wall = time.Duration(executor.Nanos() - st.startNs)
+	}
+	if t.stopWatch != nil {
+		t.stopWatch()
 	}
 	t.cancelDerivedCtx()
 	if f := t.flow; f != nil && t.flowReserved > 0 {
@@ -275,31 +283,19 @@ func (t *topology) cancelWith(gen uint64, err error) {
 	}
 }
 
-// ensureCtx materializes the topology's derived context (parent nil means
-// Background). Safe for concurrent use; no-op once materialized.
-func (t *topology) ensureCtx(parent context.Context) {
+// taskContext returns the context handed to context-aware task bodies. An
+// execution launched without a caller context materializes it on first use,
+// already cancelled if the topology is.
+func (t *topology) taskContext() context.Context {
 	t.errMu.Lock()
+	defer t.errMu.Unlock()
 	if t.ctx == nil {
-		if parent == nil {
-			parent = context.Background()
-		}
-		t.ctx, t.cancelCtx = context.WithCancel(parent)
+		t.ctx, t.cancelCtx = context.WithCancel(context.Background())
 		if t.cancelled.Load() {
 			t.cancelCtx()
 		}
 	}
-	t.errMu.Unlock()
-}
-
-// taskContext returns the context handed to context-aware task bodies.
-func (t *topology) taskContext() context.Context {
-	t.errMu.Lock()
-	c := t.ctx
-	t.errMu.Unlock()
-	if c == nil {
-		return context.Background()
-	}
-	return c
+	return t.ctx
 }
 
 // cancelDerivedCtx cancels the derived context, if one was materialized.
@@ -513,7 +509,6 @@ func (t *topology) invoke(n *node, fn func()) {
 // and the caller must complete the parent itself.
 func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 	nsrc := 0
-	needCtx := false
 	var readyNs int64
 	if t.lat != nil {
 		readyNs = ctx.EndStamp()
@@ -522,9 +517,6 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 		c.topo = t
 		c.parent = parent
 		c.join.Store(c.numDependents)
-		if c.ctxWork != nil {
-			needCtx = true
-		}
 		if c.isSource() {
 			nsrc++
 			if t.lat != nil {
@@ -535,9 +527,6 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 	if nsrc == 0 {
 		t.addErr(ErrNoSource)
 		return false
-	}
-	if needCtx {
-		t.ensureCtx(nil)
 	}
 	// Pre-count all sources before submitting any, so an early-finishing
 	// child cannot observe a transiently zero counter.

@@ -11,16 +11,20 @@ import (
 )
 
 // TestDeferOrdersParallelPipe defers every even token to the preceding
-// odd token on a Parallel pipe and checks the completing invocation of
-// each deferring token really ran after its target completed.
+// odd token on a Parallel pipe. Defer guarantees that a token it parked is
+// invoked again only after its target completed; a target that completes
+// before the park check makes Defer a no-op, so the first invocation
+// promises nothing. Token 1 is held until some token has parked, so parks
+// are certain.
 func TestDeferOrdersParallelPipe(t *testing.T) {
 	e := executor.New(4)
 	defer e.Shutdown()
 	const n = 200
 	var mu sync.Mutex
-	done := make(map[int64]bool)      // tokens that completed pipe 1
-	sawTarget := make(map[int64]bool) // last-invocation view: target done?
-	p := New(e, 4,
+	done := make(map[int64]bool) // tokens that completed pipe 1
+	reinvoked, early := 0, []int64(nil)
+	var p *Pipeline
+	p = New(e, 4,
 		Pipe{Type: Serial, Fn: func(pf *Pipeflow) {
 			if pf.Token() >= n {
 				pf.Stop()
@@ -29,14 +33,23 @@ func TestDeferOrdersParallelPipe(t *testing.T) {
 		Pipe{Type: Parallel, Fn: func(pf *Pipeflow) {
 			tok := pf.Token()
 			if tok%2 == 0 && tok > 0 {
-				target := tok - 1
 				mu.Lock()
-				// Last write wins: the completing invocation records
-				// whether the target had finished by then.
-				sawTarget[tok] = done[target]
+				if pf.Deferrals() > 0 {
+					reinvoked++
+					if !done[tok-1] {
+						early = append(early, tok)
+					}
+				}
 				mu.Unlock()
-				pf.Defer(target)
+				pf.Defer(tok - 1)
 				return
+			}
+			if tok == 1 {
+				// Token 2 parks on token 1 unless Defer never parks; the
+				// deadline keeps that failure from hanging the run.
+				for deadline := time.Now().Add(time.Second); p.Stats().Deferrals == 0 && time.Now().Before(deadline); {
+					time.Sleep(100 * time.Microsecond)
+				}
 			}
 			mu.Lock()
 			done[tok] = true
@@ -52,10 +65,11 @@ func TestDeferOrdersParallelPipe(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for tok := int64(2); tok < n; tok += 2 {
-		if !sawTarget[tok] {
-			t.Fatalf("token %d completed pipe 1 before its deferred target %d", tok, tok-1)
-		}
+	if len(early) > 0 {
+		t.Fatalf("tokens %v were invoked again before their deferred targets completed", early)
+	}
+	if parks := p.Stats().Deferrals; reinvoked == 0 || int64(reinvoked) != parks {
+		t.Fatalf("%d re-invocations for %d parks, want as many and more than 0", reinvoked, parks)
 	}
 }
 

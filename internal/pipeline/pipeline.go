@@ -42,9 +42,8 @@
 // recorded through the LatencySink seam (exec and end-to-end series;
 // queue-wait is reported as zero, since generation is the token's birth).
 // Under executor.WithTracing, cells identify themselves (flow = the
-// pipeline's name, task = pipe, Idx = line), and tracing.WriteLineTrace
-// renders the capture with one Perfetto track per line so per-line
-// occupancy is visible directly.
+// pipeline's name, task = pipe, Idx = line), so a capture can be grouped
+// by line; Stats counts tokens per line.
 package pipeline
 
 import (
@@ -241,9 +240,8 @@ type cell struct {
 func (c *cell) Run(ctx executor.Context) { c.p.runCell(ctx, c) }
 
 // Describe implements executor.Described so traced cell executions carry
-// the pipeline's identity: Flow = pipeline name, Name = pipe, Idx = line
-// (the basis of tracing.WriteLineTrace's per-line tracks), Gen = the
-// 1-based run round.
+// the pipeline's identity: Flow = pipeline name, Name = pipe, Idx = line,
+// Gen = the 1-based run round.
 func (c *cell) Describe() executor.TaskMeta {
 	return executor.TaskMeta{
 		Flow: c.p.name, Name: c.name, ID: c.id,

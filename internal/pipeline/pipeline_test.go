@@ -203,6 +203,49 @@ func TestPipeflowMetadata(t *testing.T) {
 	}
 }
 
+// TestTracedCellsCarryLine: under executor tracing every cell span carries
+// the pipeline's name as Flow, its pipe as Name and its line as Idx, and
+// every line shows up — what a per-line view of a capture groups by.
+func TestTracedCellsCarryLine(t *testing.T) {
+	e := executor.New(2, executor.WithTracing(0))
+	defer e.Shutdown()
+	const n, lines = 32, 4
+	p := New(e, lines,
+		Pipe{Type: Serial, Fn: func(pf *Pipeflow) {
+			if pf.Token() >= n {
+				pf.Stop()
+			}
+		}},
+		Pipe{Type: Parallel, Fn: func(*Pipeflow) {}},
+	).Named("stream")
+	if !e.StartTrace() {
+		t.Fatal("StartTrace refused")
+	}
+	if got := p.Run(); got != n {
+		t.Fatalf("Run() = %d, want %d", got, n)
+	}
+	tr, ok := e.StopTrace()
+	if !ok {
+		t.Fatal("StopTrace: no capture")
+	}
+	spans := make([]int, lines)
+	for _, ev := range tr.Events {
+		if ev.Kind != executor.EvTaskStart {
+			continue
+		}
+		m := ev.Meta
+		if m.Flow != "stream" || (m.Name != "p0" && m.Name != "p1") || m.Idx < 0 || int(m.Idx) >= lines {
+			t.Fatalf("cell span %+v does not carry the pipeline, a pipe and a line", m)
+		}
+		spans[m.Idx]++
+	}
+	for l, c := range spans {
+		if c == 0 {
+			t.Fatalf("line %d has no traced cell span: spans per line %v", l, spans)
+		}
+	}
+}
+
 func TestPipePanicStopsAndReports(t *testing.T) {
 	e := executor.New(2)
 	defer e.Shutdown()

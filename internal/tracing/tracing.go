@@ -6,8 +6,7 @@
 // The executor records the events itself, lock-free, one ring per worker
 // (executor.StartTrace/StopTrace, FlightSnapshot). WriteTrace (chrome.go)
 // renders such an executor.Trace — named spans, scheduler instants and
-// dependency flow arrows — and WriteLineTrace (pipeline.go) the per-line
-// view of a pipeline run.
+// dependency flow arrows.
 package tracing
 
 import (
