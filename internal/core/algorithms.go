@@ -27,6 +27,11 @@ import (
 // min(workers, n) claimant tasks that carve ranges off a shared atomic
 // cursor at run time, so wide loops cost a handful of graph nodes and
 // skewed per-element work rebalances itself.
+//
+// The six constructors share one range splitter, forRange, which owns the
+// S/T pair, the partitioner and the graph shape; each constructor only
+// supplies the loop over one range. Reduce and TransformReduce add one
+// partial per slot on top (reduceRange).
 
 // Partitioner selects how the algorithm constructors split an iteration
 // space across workers.
@@ -66,14 +71,6 @@ func WithPartitioner(p Partitioner) AlgOption {
 	return func(c *algConfig) { c.part = p }
 }
 
-func resolveOpts(opts []AlgOption) algConfig {
-	var c algConfig
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
-
 // chunkSize resolves a user-provided chunk size: non-positive means
 // auto-partition into roughly 4 tasks per worker of the executor that will
 // actually run the flow (falling back to GOMAXPROCS when the worker count
@@ -98,53 +95,71 @@ func chunkSize(n, chunk, workers int) int {
 	return c
 }
 
-// claimantCount returns how many claimant tasks a dynamic partition emits:
-// one per worker, but never more than the iteration space could occupy.
-func claimantCount(workers, total int) int {
+// forRange emplaces the (source, target) pair of the pattern called name
+// and splits the index space [0, n) between them by the partitioner in
+// opts. Static emits one task per chunk, whose slot is the chunk index;
+// Dynamic and Guided emit min(workers, n) claimants over one
+// executor.RangeCursor, allocated here and armed by S so that a re-run
+// replays the range without allocating, whose slot is the claimant index.
+// Either way body(slot, lo, hi) runs once per range [lo, hi), the ranges
+// of one slot one at a time. slots, when not nil, learns the slot count
+// before any task runs; rearm, when not nil, runs in S before every run.
+func forRange(fb FlowBuilder, name string, n, chunk int, opts []AlgOption, slots func(int), rearm func(), body func(slot, lo, hi int)) (Task, Task) {
+	s := fb.Placeholder().Name(name + "_S")
+	t := fb.Placeholder().Name(name + "_T")
+	if n <= 0 {
+		s.Precede(t)
+		return s, t
+	}
+	var cfg algConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	workers := fb.workerCount()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > total {
-		workers = total
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// buildClaimants wires a dynamic partition of [0, n) between s and t: one
-// executor.RangeCursor, allocated here and armed by s (so the pattern is
-// re-runnable without allocating), and slots claimant tasks, each looping
-// claiming ranges and passing them — with its own claimant index — to body.
-// chunk is the minimum grant.
-func buildClaimants(fb FlowBuilder, s, t Task, n, chunk int, p Partitioner, slots int, rearm func(), body func(slot, lo, hi int)) {
-	cur, guided := new(executor.RangeCursor), 0
-	if p == Guided {
-		if guided = fb.workerCount(); guided <= 0 {
-			guided = runtime.GOMAXPROCS(0)
+	var k int
+	var task func(slot int) func()
+	if cfg.part == Static {
+		c := chunkSize(n, chunk, workers)
+		k = (n + c - 1) / c
+		task = func(slot int) func() {
+			lo, hi := slot*c, min(slot*c+c, n)
+			return func() { body(slot, lo, hi) }
 		}
-	}
-	s.Work(func() {
-		cur.Arm(n, chunk, guided)
 		if rearm != nil {
-			rearm()
+			s.Work(rearm)
 		}
-	})
-	for i := 0; i < slots; i++ {
-		slot := i
-		w := fb.Emplace(func() {
-			for {
-				lo, hi, ok := cur.Claim()
-				if !ok {
-					return
+	} else {
+		cur, guided := new(executor.RangeCursor), 0
+		if cfg.part == Guided {
+			guided = workers
+		}
+		k = min(workers, n)
+		task = func(slot int) func() {
+			return func() {
+				for lo, hi, ok := cur.Claim(); ok; lo, hi, ok = cur.Claim() {
+					body(slot, lo, hi)
 				}
-				body(slot, lo, hi)
 			}
-		})[0]
+		}
+		s.Work(func() {
+			cur.Arm(n, chunk, guided)
+			if rearm != nil {
+				rearm()
+			}
+		})
+	}
+	if slots != nil {
+		slots(k)
+	}
+	for i := 0; i < k; i++ {
+		w := fb.Emplace(task(i))[0]
 		s.Precede(w)
 		w.Precede(t)
 	}
+	return s, t
 }
 
 // ParallelFor applies fn to every element of items. With the default
@@ -154,188 +169,40 @@ func buildClaimants(fb FlowBuilder, s, t Task, n, chunk int, p Partitioner, slot
 // (chunk then sets the minimum grant). It returns the (source, target)
 // placeholder pair delimiting the pattern.
 func ParallelFor[T any](fb FlowBuilder, items []T, fn func(T), chunk int, opts ...AlgOption) (Task, Task) {
-	s := fb.Placeholder().Name("pfor_S")
-	t := fb.Placeholder().Name("pfor_T")
-	n := len(items)
-	if n == 0 {
-		s.Precede(t)
-		return s, t
-	}
-	if cfg := resolveOpts(opts); cfg.part != Static {
-		buildClaimants(fb, s, t, n, chunk, cfg.part, claimantCount(fb.workerCount(), n), nil,
-			func(_, lo, hi int) {
-				for _, item := range items[lo:hi] {
-					fn(item)
-				}
-			})
-		return s, t
-	}
-	c := chunkSize(n, chunk, fb.workerCount())
-	for beg := 0; beg < n; beg += c {
-		end := beg + c
-		if end > n {
-			end = n
+	return forRange(fb, "pfor", len(items), chunk, opts, nil, nil, func(_, lo, hi int) {
+		for _, item := range items[lo:hi] {
+			fn(item)
 		}
-		part := items[beg:end]
-		w := fb.Emplace(func() {
-			for _, item := range part {
-				fn(item)
-			}
-		})[0]
-		s.Precede(w)
-		w.Precede(t)
-	}
-	return s, t
+	})
 }
 
 // ParallelForPtr is ParallelFor with pointer access to each element, for
 // in-place mutation.
 func ParallelForPtr[T any](fb FlowBuilder, items []T, fn func(*T), chunk int, opts ...AlgOption) (Task, Task) {
-	s := fb.Placeholder().Name("pforp_S")
-	t := fb.Placeholder().Name("pforp_T")
-	n := len(items)
-	if n == 0 {
-		s.Precede(t)
-		return s, t
-	}
-	if cfg := resolveOpts(opts); cfg.part != Static {
-		buildClaimants(fb, s, t, n, chunk, cfg.part, claimantCount(fb.workerCount(), n), nil,
-			func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					fn(&items[i])
-				}
-			})
-		return s, t
-	}
-	c := chunkSize(n, chunk, fb.workerCount())
-	for beg := 0; beg < n; beg += c {
-		end := beg + c
-		if end > n {
-			end = n
+	return forRange(fb, "pforp", len(items), chunk, opts, nil, nil, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(&items[i])
 		}
-		part := items[beg:end]
-		w := fb.Emplace(func() {
-			for i := range part {
-				fn(&part[i])
-			}
-		})[0]
-		s.Precede(w)
-		w.Precede(t)
-	}
-	return s, t
+	})
 }
 
 // ParallelForIndex applies fn to every index in the arithmetic range
-// [beg, end) with the given positive step. Partitioning follows the same
-// rules as ParallelFor, over the iteration count of the range.
+// [beg, end) with the given positive step; a non-positive step panics
+// before anything is emplaced. Partitioning follows the same rules as
+// ParallelFor, over the iteration count of the range.
 func ParallelForIndex(fb FlowBuilder, beg, end, step int, fn func(int), chunk int, opts ...AlgOption) (Task, Task) {
-	s := fb.Placeholder().Name("pfori_S")
-	t := fb.Placeholder().Name("pfori_T")
 	if step <= 0 {
 		panic("core: ParallelForIndex requires a positive step")
 	}
-	if beg >= end {
-		s.Precede(t)
-		return s, t
+	n := 0
+	if beg < end {
+		n = (end - beg + step - 1) / step
 	}
-	total := (end - beg + step - 1) / step
-	if cfg := resolveOpts(opts); cfg.part != Static {
-		buildClaimants(fb, s, t, total, chunk, cfg.part, claimantCount(fb.workerCount(), total), nil,
-			func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					fn(beg + i*step)
-				}
-			})
-		return s, t
-	}
-	c := chunkSize(total, chunk, fb.workerCount())
-	for i := 0; i < total; i += c {
-		hi := i + c
-		if hi > total {
-			hi = total
+	return forRange(fb, "pfori", n, chunk, opts, nil, nil, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			fn(beg + i*step)
 		}
-		lo, up := beg+i*step, beg+hi*step
-		w := fb.Emplace(func() {
-			for j := lo; j < up && j < end; j += step {
-				fn(j)
-			}
-		})[0]
-		s.Precede(w)
-		w.Precede(t)
-	}
-	return s, t
-}
-
-// Reduce folds items into *result with the associative binary operator bop,
-// using partial-fold tasks (one per chunk, or one claimant per worker under
-// Dynamic/Guided) plus a final combine task. The value of *result when the
-// combine task executes seeds the fold, matching Cpp-Taskflow's
-// reduce(beg, end, result, bop) convention.
-func Reduce[T any](fb FlowBuilder, items []T, result *T, bop func(T, T) T, chunk int, opts ...AlgOption) (Task, Task) {
-	s := fb.Placeholder().Name("reduce_S")
-	t := fb.Placeholder().Name("reduce_T")
-	n := len(items)
-	if n == 0 {
-		s.Precede(t)
-		return s, t
-	}
-	var partials []T
-	var have []bool
-	combine := func() {
-		acc := *result
-		for i, p := range partials {
-			if have[i] {
-				acc = bop(acc, p)
-			}
-		}
-		*result = acc
-	}
-	if cfg := resolveOpts(opts); cfg.part != Static {
-		slots := claimantCount(fb.workerCount(), n)
-		partials = make([]T, slots)
-		have = make([]bool, slots)
-		buildClaimants(fb, s, t, n, chunk, cfg.part, slots,
-			func() { clear(have) },
-			func(slot, lo, hi int) {
-				acc := items[lo]
-				for _, item := range items[lo+1 : hi] {
-					acc = bop(acc, item)
-				}
-				if have[slot] {
-					acc = bop(partials[slot], acc)
-				}
-				partials[slot] = acc
-				have[slot] = true
-			})
-		t.Work(combine)
-		return s, t
-	}
-	c := chunkSize(n, chunk, fb.workerCount())
-	numChunks := (n + c - 1) / c
-	partials = make([]T, numChunks)
-	have = make([]bool, numChunks)
-	k := 0
-	for beg := 0; beg < n; beg += c {
-		end := beg + c
-		if end > n {
-			end = n
-		}
-		part := items[beg:end]
-		slot := k
-		w := fb.Emplace(func() {
-			acc := part[0]
-			for _, item := range part[1:] {
-				acc = bop(acc, item)
-			}
-			partials[slot] = acc
-			have[slot] = true
-		})[0]
-		s.Precede(w)
-		w.Precede(t)
-		k++
-	}
-	t.Work(combine)
-	return s, t
+	})
 }
 
 // Transform maps src through fn into dst (which must be at least as long as
@@ -344,106 +211,70 @@ func Transform[T, U any](fb FlowBuilder, src []T, dst []U, fn func(T) U, chunk i
 	if len(dst) < len(src) {
 		panic("core: Transform destination shorter than source")
 	}
-	s := fb.Placeholder().Name("transform_S")
-	t := fb.Placeholder().Name("transform_T")
-	n := len(src)
-	if n == 0 {
-		s.Precede(t)
-		return s, t
-	}
-	if cfg := resolveOpts(opts); cfg.part != Static {
-		buildClaimants(fb, s, t, n, chunk, cfg.part, claimantCount(fb.workerCount(), n), nil,
-			func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = fn(src[i])
-				}
-			})
-		return s, t
-	}
-	c := chunkSize(n, chunk, fb.workerCount())
-	for beg := 0; beg < n; beg += c {
-		end := beg + c
-		if end > n {
-			end = n
+	return forRange(fb, "transform", len(src), chunk, opts, nil, nil, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = fn(src[i])
 		}
-		in, out := src[beg:end], dst[beg:end]
-		w := fb.Emplace(func() {
-			for i := range in {
-				out[i] = fn(in[i])
-			}
-		})[0]
-		s.Precede(w)
-		w.Precede(t)
-	}
-	return s, t
+	})
+}
+
+// Reduce folds items into *result with the associative binary operator bop,
+// using partial-fold tasks (one per chunk, or one claimant per worker under
+// Dynamic/Guided) plus a final combine task. The value of *result when the
+// combine task executes seeds the fold, matching Cpp-Taskflow's
+// reduce(beg, end, result, bop) convention. Static folds in element order;
+// under Dynamic and Guided a claimant folds the ranges it claims, which need
+// not be adjacent, so there bop must be commutative as well.
+func Reduce[T any](fb FlowBuilder, items []T, result *T, bop func(T, T) T, chunk int, opts ...AlgOption) (Task, Task) {
+	return reduceRange(fb, "reduce", len(items), result, bop, func(lo, hi int) T {
+		acc := items[lo]
+		for _, item := range items[lo+1 : hi] {
+			acc = bop(acc, item)
+		}
+		return acc
+	}, chunk, opts)
 }
 
 // TransformReduce maps each element through uop and folds the mapped values
 // into *result with bop; the value of *result when the combine task
-// executes seeds the fold. Partitioning follows the same rules as Reduce.
+// executes seeds the fold. Partitioning, and the need for a commutative bop
+// under Dynamic and Guided, follow Reduce.
 func TransformReduce[T, U any](fb FlowBuilder, items []T, result *U, bop func(U, U) U, uop func(T) U, chunk int, opts ...AlgOption) (Task, Task) {
-	s := fb.Placeholder().Name("treduce_S")
-	t := fb.Placeholder().Name("treduce_T")
-	n := len(items)
-	if n == 0 {
-		s.Precede(t)
-		return s, t
-	}
+	return reduceRange(fb, "treduce", len(items), result, bop, func(lo, hi int) U {
+		acc := uop(items[lo])
+		for _, item := range items[lo+1 : hi] {
+			acc = bop(acc, uop(item))
+		}
+		return acc
+	}, chunk, opts)
+}
+
+// reduceRange is Reduce over [0, n) with fold(lo, hi) reducing one range:
+// every slot of forRange keeps one partial, the fold of the ranges it ran,
+// S clears them and T combines them into *result in slot order.
+func reduceRange[U any](fb FlowBuilder, name string, n int, result *U, bop func(U, U) U, fold func(lo, hi int) U, chunk int, opts []AlgOption) (Task, Task) {
 	var partials []U
 	var have []bool
-	combine := func() {
-		acc := *result
-		for i, p := range partials {
-			if have[i] {
-				acc = bop(acc, p)
+	s, t := forRange(fb, name, n, chunk, opts,
+		func(k int) { partials, have = make([]U, k), make([]bool, k) },
+		func() { clear(have) },
+		func(slot, lo, hi int) {
+			acc := fold(lo, hi)
+			if have[slot] {
+				acc = bop(partials[slot], acc)
 			}
-		}
-		*result = acc
-	}
-	if cfg := resolveOpts(opts); cfg.part != Static {
-		slots := claimantCount(fb.workerCount(), n)
-		partials = make([]U, slots)
-		have = make([]bool, slots)
-		buildClaimants(fb, s, t, n, chunk, cfg.part, slots,
-			func() { clear(have) },
-			func(slot, lo, hi int) {
-				acc := uop(items[lo])
-				for _, item := range items[lo+1 : hi] {
-					acc = bop(acc, uop(item))
+			partials[slot], have[slot] = acc, true
+		})
+	if n > 0 {
+		t.Work(func() {
+			acc := *result
+			for i, p := range partials {
+				if have[i] {
+					acc = bop(acc, p)
 				}
-				if have[slot] {
-					acc = bop(partials[slot], acc)
-				}
-				partials[slot] = acc
-				have[slot] = true
-			})
-		t.Work(combine)
-		return s, t
-	}
-	c := chunkSize(n, chunk, fb.workerCount())
-	numChunks := (n + c - 1) / c
-	partials = make([]U, numChunks)
-	have = make([]bool, numChunks)
-	k := 0
-	for beg := 0; beg < n; beg += c {
-		end := beg + c
-		if end > n {
-			end = n
-		}
-		part := items[beg:end]
-		slot := k
-		w := fb.Emplace(func() {
-			acc := uop(part[0])
-			for _, item := range part[1:] {
-				acc = bop(acc, uop(item))
 			}
-			partials[slot] = acc
-			have[slot] = true
-		})[0]
-		s.Precede(w)
-		w.Precede(t)
-		k++
+			*result = acc
+		})
 	}
-	t.Work(combine)
 	return s, t
 }

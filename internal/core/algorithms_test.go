@@ -82,15 +82,24 @@ func TestParallelForIndex(t *testing.T) {
 	}
 }
 
+// A refused step must leave nothing behind: an S and T emplaced before the
+// panic would be run by the next Run as dangling placeholders.
 func TestParallelForIndexBadStep(t *testing.T) {
 	tf := New(1)
 	defer tf.Close()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("non-positive step did not panic")
+	for _, step := range []int{0, -2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("step %d did not panic", step)
+				}
+			}()
+			ParallelForIndex(tf, 0, 10, step, func(int) {}, 1)
+		}()
+		if got := tf.NumNodes(); got != 0 {
+			t.Fatalf("step %d left %d tasks in the graph, want 0", step, got)
 		}
-	}()
-	ParallelForIndex(tf, 0, 10, 0, func(int) {}, 1)
+	}
 }
 
 func TestParallelForIndexEmptyRange(t *testing.T) {
@@ -320,7 +329,70 @@ func TestParallelForPartitioners(t *testing.T) {
 			if got := sum.Load(); got != 1000*999/2+1 {
 				t.Fatalf("sum = %d, want %d", got, 1000*999/2+1)
 			}
+			checkShape(t, pt.p)
 		})
+	}
+}
+
+// algorithms builds each of the six algorithm constructors over n elements
+// with chunk 2.
+var algorithms = []struct {
+	name  string
+	build func(fb FlowBuilder, n int, opt AlgOption)
+}{
+	{"ParallelFor", func(fb FlowBuilder, n int, opt AlgOption) {
+		ParallelFor(fb, make([]int, n), func(int) {}, 2, opt)
+	}},
+	{"ParallelForPtr", func(fb FlowBuilder, n int, opt AlgOption) {
+		ParallelForPtr(fb, make([]int, n), func(*int) {}, 2, opt)
+	}},
+	{"ParallelForIndex", func(fb FlowBuilder, n int, opt AlgOption) {
+		ParallelForIndex(fb, 0, 3*n, 3, func(int) {}, 2, opt)
+	}},
+	{"Reduce", func(fb FlowBuilder, n int, opt AlgOption) {
+		Reduce(fb, make([]int, n), new(int), func(a, b int) int { return a + b }, 2, opt)
+	}},
+	{"Transform", func(fb FlowBuilder, n int, opt AlgOption) {
+		Transform(fb, make([]int, n), make([]int, n), func(v int) int { return v }, 2, opt)
+	}},
+	{"TransformReduce", func(fb FlowBuilder, n int, opt AlgOption) {
+		TransformReduce(fb, make([]int, n), new(int), func(a, b int) int { return a + b },
+			func(v int) int { return v }, 2, opt)
+	}},
+}
+
+// checkShape pins the graph every constructor emits under p, on a Taskflow
+// and inside a Subflow: ceil(n/chunk)+2 tasks under Static, min(W, n)+2
+// under Dynamic and Guided, and the S/T pair alone for an empty range.
+func checkShape(t *testing.T, p Partitioner) {
+	const workers, chunk = 4, 2
+	tf := New(workers)
+	defer tf.Close()
+	for _, a := range algorithms {
+		for _, n := range []int{0, 3, 10} {
+			want := 2
+			switch {
+			case n == 0:
+			case p == Static:
+				want += (n + chunk - 1) / chunk
+			default:
+				want += min(workers, n)
+			}
+			g := NewShared(tf.Executor())
+			a.build(g, n, WithPartitioner(p))
+			got, inSubflow := g.NumNodes(), 0
+			g.EmplaceSubflow(func(sf *Subflow) {
+				a.build(sf, n, WithPartitioner(p))
+				inSubflow = sf.NumNodes()
+			})
+			if err := g.WaitForAll(); err != nil {
+				t.Fatal(err)
+			}
+			if got != want || inSubflow != want {
+				t.Errorf("%s over %d: %d tasks on a Taskflow, %d in a Subflow, want %d",
+					a.name, n, got, inSubflow, want)
+			}
+		}
 	}
 }
 
@@ -417,6 +489,28 @@ func TestReducePartitioners(t *testing.T) {
 			}
 		})
 	}
+	// Static folds in element order, so an associative operator that does
+	// not commute is fine there (Dynamic and Guided need both).
+	t.Run("StaticNonCommutative", func(t *testing.T) {
+		tf := New(4)
+		defer tf.Close()
+		items := make([]string, 64)
+		want := ""
+		for i := range items {
+			items[i] = string(rune('0' + i))
+			want += items[i]
+		}
+		for _, chunk := range []int{1, 0, 5} {
+			got := ""
+			Reduce(tf, items, &got, func(a, b string) string { return a + b }, chunk, WithPartitioner(Static))
+			if err := tf.WaitForAll(); err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("chunk %d: Reduce = %q, want %q", chunk, got, want)
+			}
+		}
+	})
 }
 
 func TestTransformPartitioners(t *testing.T) {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestComposedRunsChildGraph(t *testing.T) {
@@ -131,6 +134,47 @@ func TestComposedChildWithInternalParallelism(t *testing.T) {
 	}
 }
 
+// A taskflow composed into itself would respawn its own graph, module task
+// included, forever: the builder refuses it, and a subflow refuses the graph
+// of the topology it runs in with a task error.
+func TestComposedIntoItself(t *testing.T) {
+	t.Run("Taskflow", func(t *testing.T) {
+		tf := New(2)
+		defer tf.Close()
+		tf.Emplace1(func() {})
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "into itself") {
+				t.Fatalf("tf.Composed(tf) recovered %v, want a panic naming it", r)
+			}
+		}()
+		tf.Composed(tf)
+	})
+	t.Run("Subflow", func(t *testing.T) {
+		tf := New(2)
+		var spawns atomic.Int32
+		tf.EmplaceSubflow(func(sf *Subflow) {
+			spawns.Add(1)
+			sf.Composed(tf)
+		})
+		done := make(chan error, 1)
+		go func() { done <- tf.Run() }()
+		var err error
+		select {
+		case err = <-done:
+			tf.Close()
+		case <-time.After(5 * time.Second):
+			// Closing would wait on workers that never go idle.
+			t.Fatalf("Run still spinning after 5s: the subflow ran %d times", spawns.Load())
+		}
+		if err == nil || !strings.Contains(err.Error(), "own running topology") {
+			t.Fatalf("Run = %v, want the refusal as a task error", err)
+		}
+		if got := spawns.Load(); got != 1 {
+			t.Fatalf("subflow body ran %d times, want 1", got)
+		}
+	})
+}
+
 func TestSpawnGraphOnDirtySubflowPanics(t *testing.T) {
 	tf := New(2)
 	defer tf.Close()
@@ -143,7 +187,7 @@ func TestSpawnGraphOnDirtySubflowPanics(t *testing.T) {
 			}
 		}()
 		sf.Emplace1(func() {})
-		sf.spawnGraph(child.present)
+		sf.spawnGraph(child.g)
 	})
 	tf.WaitForAll()
 }

@@ -244,7 +244,7 @@ func TestWorkConditionAfterWiringPanics(t *testing.T) {
 	b := tf.Emplace1(func() {})
 	a.Precede(b)
 	defer func() {
-		tf.present = &graph{} // do not dispatch the half-mutated graph
+		tf.g = &graph{} // do not dispatch the half-mutated graph
 		if recover() == nil {
 			t.Fatal("WorkCondition after wiring did not panic")
 		}
@@ -259,7 +259,7 @@ func TestWorkAfterConditionWiringPanics(t *testing.T) {
 	b := tf.Emplace1(func() {})
 	c.Precede(b)
 	defer func() {
-		tf.present = &graph{}
+		tf.g = &graph{}
 		if recover() == nil {
 			t.Fatal("Work on wired condition task did not panic")
 		}
@@ -285,7 +285,7 @@ func TestConditionDumpDashedEdges(t *testing.T) {
 	if !strings.Contains(out, `"cond" -> "b" [style=dashed label="1"];`) {
 		t.Fatalf("weak edge 1 not dashed:\n%s", out)
 	}
-	tf.present = &graph{} // don't run the dangling graph
+	tf.g = &graph{} // don't run the dangling graph
 }
 
 func TestLongRunningLoopManyIterations(t *testing.T) {

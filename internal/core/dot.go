@@ -12,7 +12,7 @@ import (
 func (tf *Taskflow) Dump(w io.Writer) error {
 	d := dotDumper{w: w, ids: map[*node]string{}}
 	d.printf("digraph %s {\n", dotName(tf.name, "Taskflow"))
-	d.dumpGraph(tf.present, "")
+	d.dumpGraph(tf.g, "")
 	d.printf("}\n")
 	return d.err
 }
@@ -30,8 +30,8 @@ func (tf *Taskflow) Dump(w io.Writer) error {
 func (tf *Taskflow) DumpAnnotated(w io.Writer) error {
 	d := dotDumper{w: w, ids: map[*node]string{}, annotate: true}
 	d.printf("digraph %s {\n", dotName(tf.name, "Taskflow"))
-	d.dumpHot(tf.present)
-	d.dumpGraph(tf.present, "")
+	d.dumpHot(tf.g)
+	d.dumpGraph(tf.g, "")
 	d.printf("}\n")
 	return d.err
 }

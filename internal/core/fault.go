@@ -67,48 +67,14 @@ func (t Task) Retry(n int, backoff time.Duration) Task {
 // WorkErr assigns (or replaces) an error-returning callable: a non-nil
 // result fail-fast-cancels the topology (see EmplaceErr).
 func (t Task) WorkErr(fn func() error) Task {
-	t.must("WorkErr")
-	t.mustKeepKind("WorkErr", false)
-	t.node.errWork = fn
-	t.node.work, t.node.ctxWork, t.node.subflowWork, t.node.condWork = nil, nil, nil, nil
+	t.rebind("WorkErr", false).errWork = fn
 	return t
 }
 
 // WorkCtx assigns (or replaces) a context-aware callable (see EmplaceCtx).
 func (t Task) WorkCtx(fn func(context.Context) error) Task {
-	t.must("WorkCtx")
-	t.mustKeepKind("WorkCtx", false)
-	t.node.ctxWork = fn
-	t.node.work, t.node.errWork, t.node.subflowWork, t.node.condWork = nil, nil, nil, nil
+	t.rebind("WorkCtx", false).ctxWork = fn
 	return t
-}
-
-// EmplaceErr creates an error-returning task. A non-nil result (or a
-// panic) is recorded and fail-fast-cancels the topology: tasks that have
-// not started are skipped, the dependency structure drains so Wait and Get
-// never hang, and Future.Get reports every captured error via errors.Join.
-func (tf *Taskflow) EmplaceErr(fn func() error) Task {
-	return Task{tf.present.emplaceErr(fn)}
-}
-
-// EmplaceCtx creates a context-aware, error-returning task. The body
-// receives a context that is cancelled when the topology fails, is
-// cancelled, or exceeds the deadline of RunContext/DispatchContext, so
-// long-running bodies can stop cooperatively mid-flight.
-func (tf *Taskflow) EmplaceCtx(fn func(context.Context) error) Task {
-	return Task{tf.present.emplaceCtx(fn)}
-}
-
-// EmplaceErr creates an error-returning task in the subflow; see
-// Taskflow.EmplaceErr.
-func (sf *Subflow) EmplaceErr(fn func() error) Task {
-	return Task{sf.g.emplaceErr(fn)}
-}
-
-// EmplaceCtx creates a context-aware task in the subflow; see
-// Taskflow.EmplaceCtx.
-func (sf *Subflow) EmplaceCtx(fn func(context.Context) error) Task {
-	return Task{sf.g.emplaceCtx(fn)}
 }
 
 // resubmitAfter re-executes n after d through a scheduler timer and the

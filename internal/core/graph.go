@@ -389,53 +389,6 @@ func (g *graph) alloc() *node {
 	return n
 }
 
-func (g *graph) emplace(n *node) *node {
-	n.idx = int32(len(g.nodes))
-	g.nodes = append(g.nodes, n)
-	return n
-}
-
-// emplaceWork adds a node running fn.
-func (g *graph) emplaceWork(fn func()) *node {
-	n := g.alloc()
-	n.work = fn
-	return g.emplace(n)
-}
-
-// emplaceErr adds a node running the error-returning fn.
-func (g *graph) emplaceErr(fn func() error) *node {
-	n := g.alloc()
-	n.errWork = fn
-	return g.emplace(n)
-}
-
-// emplaceCtx adds a node running the context-aware fn.
-func (g *graph) emplaceCtx(fn func(context.Context) error) *node {
-	n := g.alloc()
-	n.ctxWork = fn
-	return g.emplace(n)
-}
-
-// emplaceSubflow adds a dynamic-tasking node.
-func (g *graph) emplaceSubflow(fn func(*Subflow)) *node {
-	n := g.alloc()
-	n.subflowWork = fn
-	return g.emplace(n)
-}
-
-// emplaceCondition adds a condition task whose result selects the
-// successor to signal.
-func (g *graph) emplaceCondition(fn func() int) *node {
-	n := g.alloc()
-	n.condWork = fn
-	return g.emplace(n)
-}
-
-// emplacePlaceholder adds a node with no work.
-func (g *graph) emplacePlaceholder() *node {
-	return g.emplace(g.alloc())
-}
-
 func (g *graph) len() int { return len(g.nodes) }
 
 // totalNodes counts the nodes of g plus all recursively spawned subgraphs.

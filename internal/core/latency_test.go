@@ -243,7 +243,7 @@ func TestOneTimestampLaw(t *testing.T) {
 	}
 	// The hand-off law. Ready stamps are raw clock readings, spans are
 	// offsets from the recorder's epoch; the first link gives the offset.
-	nodes := tf.present.nodes
+	nodes := tf.g.nodes
 	base := nodes[1].readyAtNs - int64(spans[nodes[0].traceID].end)
 	for i := 1; i < chain; i++ {
 		before, sp := spans[nodes[i-1].traceID], spans[nodes[i].traceID]
@@ -282,7 +282,7 @@ func TestHandOffLawFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	spans, _ := oneTimestampLaw(t, e, tf, width+1, width)
-	nodes := tf.present.nodes
+	nodes := tf.g.nodes
 	releaser := spans[nodes[0].traceID]
 	inherited := 0
 	for _, nd := range nodes[1:] {

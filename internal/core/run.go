@@ -52,7 +52,7 @@ func (tf *Taskflow) RunN(n int) error {
 
 func (tf *Taskflow) run(ctx context.Context) error {
 	if tf.runStale() {
-		t, err := tf.newTopology(tf.present, true)
+		t, err := tf.newTopology(tf.g, true)
 		if err != nil {
 			tf.runTopo = nil
 			return err
@@ -72,7 +72,7 @@ func (tf *Taskflow) run(ctx context.Context) error {
 // (node.precede) were added since.
 func (tf *Taskflow) runStale() bool {
 	t := tf.runTopo
-	return t == nil || t.graph != tf.present || t.builtLen != tf.present.len()
+	return t == nil || t.graph != tf.g || t.builtLen != tf.g.len()
 }
 
 // newTopology builds the run state of g: reusable for Run, one-shot for

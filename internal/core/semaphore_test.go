@@ -216,5 +216,5 @@ func TestSemaphoreInsertSorted(t *testing.T) {
 			t.Fatal("acquire list not sorted by id")
 		}
 	}
-	tf.present = &graph{} // the semaphores are not released; skip running
+	tf.g = &graph{} // the semaphores are not released; skip running
 }

@@ -362,7 +362,7 @@ func TestRerunNodeStatsWithoutSweep(t *testing.T) {
 		if tf.runTopo.mustSweep() {
 			t.Fatalf("%s: the next run would sweep a static graph for its stats", run)
 		}
-		for i, n := range tf.present.nodes {
+		for i, n := range tf.g.nodes {
 			if got := n.execCount.Load(); got != counts[i] {
 				t.Fatalf("%s: node %d counts %d executions, want %d", run, i, got, counts[i])
 			}

@@ -1,9 +1,9 @@
 package core
 
 // Subflow builds a dynamic task dependency graph from inside a running task
-// (paper Section III-D). It inherits all graph building blocks from static
-// tasking: the same Emplace / EmplaceSubflow / Placeholder / Precede calls
-// apply, so programmers need not learn a different API set.
+// (paper Section III-D). It embeds the same builder as Taskflow, so every
+// Emplace / EmplaceSubflow / Placeholder / Composed call is the one static
+// tasking uses, and programmers need not learn a different API set.
 //
 // By default a spawned subflow joins its parent task: the parent's
 // successors observe the completion of the entire child graph. Detach makes
@@ -13,45 +13,13 @@ package core
 // A Subflow is only valid during the invocation of the task it was passed
 // to; retaining it afterwards is a programming error.
 type Subflow struct {
-	g        *graph
+	builder
 	topo     *topology
 	parent   *node
 	detached bool
 }
 
 var _ FlowBuilder = (*Subflow)(nil)
-
-// Emplace creates one task per callable in the subflow and returns their
-// handles in order.
-func (sf *Subflow) Emplace(fns ...func()) []Task {
-	ts := make([]Task, len(fns))
-	for i, fn := range fns {
-		ts[i] = Task{sf.g.emplaceWork(fn)}
-	}
-	return ts
-}
-
-// Emplace1 creates a single task in the subflow.
-func (sf *Subflow) Emplace1(fn func()) Task {
-	return Task{sf.g.emplaceWork(fn)}
-}
-
-// EmplaceSubflow creates a nested dynamic task: subflows may recursively
-// spawn subflows of their own.
-func (sf *Subflow) EmplaceSubflow(fn func(*Subflow)) Task {
-	return Task{sf.g.emplaceSubflow(fn)}
-}
-
-// EmplaceCondition creates a condition task inside the subflow; see
-// FlowBuilder.EmplaceCondition.
-func (sf *Subflow) EmplaceCondition(fn func() int) Task {
-	return Task{sf.g.emplaceCondition(fn)}
-}
-
-// Placeholder creates a task with no work assigned.
-func (sf *Subflow) Placeholder() Task {
-	return Task{sf.g.emplacePlaceholder()}
-}
 
 // Detach severs the subflow from its parent task, letting its execution
 // flow independently of the parent's subsequent dependency constraints.
@@ -63,9 +31,6 @@ func (sf *Subflow) Join() { sf.detached = false }
 
 // IsDetached reports whether the subflow is currently detached.
 func (sf *Subflow) IsDetached() bool { return sf.detached }
-
-// NumNodes returns the number of tasks spawned so far.
-func (sf *Subflow) NumNodes() int { return sf.g.len() }
 
 // workerCount implements FlowBuilder: a subflow runs on the executor of
 // the topology that spawned it.

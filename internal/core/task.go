@@ -53,10 +53,7 @@ func (t Task) Succeed(others ...Task) Task {
 // that already has successors cannot change kind: its out-edges were wired
 // weak.
 func (t Task) Work(fn func()) Task {
-	t.must("Work")
-	t.mustKeepKind("Work", false)
-	t.node.work = fn
-	t.node.errWork, t.node.ctxWork, t.node.subflowWork, t.node.condWork = nil, nil, nil, nil
+	t.rebind("Work", false).work = fn
 	return t
 }
 
@@ -64,10 +61,7 @@ func (t Task) Work(fn func()) Task {
 // the task receives a *Subflow through which it spawns a child graph using
 // the same API as static tasking.
 func (t Task) WorkSubflow(fn func(*Subflow)) Task {
-	t.must("WorkSubflow")
-	t.mustKeepKind("WorkSubflow", false)
-	t.node.subflowWork = fn
-	t.node.work, t.node.errWork, t.node.ctxWork, t.node.condWork = nil, nil, nil, nil
+	t.rebind("WorkSubflow", false).subflowWork = fn
 	return t
 }
 
@@ -76,20 +70,22 @@ func (t Task) WorkSubflow(fn func(*Subflow)) Task {
 // Precede call wires successors; assigning condition work to a task that
 // already has successors panics.
 func (t Task) WorkCondition(fn func() int) Task {
-	t.must("WorkCondition")
-	t.mustKeepKind("WorkCondition", true)
-	t.node.condWork = fn
-	t.node.work, t.node.errWork, t.node.ctxWork, t.node.subflowWork = nil, nil, nil, nil
+	t.rebind("WorkCondition", true).condWork = fn
 	return t
 }
 
-// mustKeepKind rejects a work assignment that would flip the task between
-// condition and non-condition after successors were wired, which would
-// leave stale strong/weak edge accounting.
-func (t Task) mustKeepKind(op string, wantCondition bool) {
-	if t.node.succCount > 0 && t.node.isCondition() != wantCondition {
+// rebind readies the task's node for new work, of the condition kind or
+// not, and returns it with every body cleared. It refuses a dead handle,
+// and a flip between condition and non-condition once successors are wired,
+// which would leave stale strong/weak edge accounting.
+func (t Task) rebind(op string, condition bool) *node {
+	t.must(op)
+	n := t.node
+	if n.succCount > 0 && n.isCondition() != condition {
 		panic("core: " + op + " would change the condition-ness of a task that already has successors")
 	}
+	n.work, n.errWork, n.ctxWork, n.subflowWork, n.condWork = nil, nil, nil, nil, nil
+	return n
 }
 
 // IsPlaceholder reports whether the task currently has no work assigned.

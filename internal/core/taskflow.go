@@ -52,6 +52,86 @@ type FlowBuilder interface {
 	workerCount() int
 }
 
+// builder is the graph-construction half of both FlowBuilders, as in
+// Cpp-Taskflow's FlowBuilder base class: Taskflow embeds one over its present
+// graph and Subflow one over the graph it spawns, so every Emplace call,
+// Placeholder, Composed and NumNodes exist once.
+type builder struct {
+	g *graph
+}
+
+// add appends a fresh node to the graph.
+func (b *builder) add() *node {
+	n := b.g.alloc()
+	n.idx = int32(len(b.g.nodes))
+	b.g.nodes = append(b.g.nodes, n)
+	return n
+}
+
+// Emplace creates one task per callable and returns their handles in order.
+func (b *builder) Emplace(fns ...func()) []Task {
+	ts := make([]Task, len(fns))
+	for i, fn := range fns {
+		ts[i] = b.Emplace1(fn)
+	}
+	return ts
+}
+
+// Emplace1 creates a single task; a convenience over Emplace for the
+// common one-callable case.
+func (b *builder) Emplace1(fn func()) Task {
+	n := b.add()
+	n.work = fn
+	return Task{n}
+}
+
+// EmplaceSubflow creates a dynamic task (paper Section III-D): at runtime
+// fn receives a *Subflow through which it spawns a child graph, and
+// subflows may recursively spawn subflows of their own.
+func (b *builder) EmplaceSubflow(fn func(*Subflow)) Task {
+	n := b.add()
+	n.subflowWork = fn
+	return Task{n}
+}
+
+// EmplaceCondition creates a condition task whose result selects the
+// successor branch to run; see FlowBuilder.EmplaceCondition.
+func (b *builder) EmplaceCondition(fn func() int) Task {
+	n := b.add()
+	n.condWork = fn
+	return Task{n}
+}
+
+// EmplaceErr creates an error-returning task. A non-nil result (or a
+// panic) is recorded and fail-fast-cancels the topology: tasks that have
+// not started are skipped, the dependency structure drains so Wait and Get
+// never hang, and Future.Get reports every captured error via errors.Join.
+func (b *builder) EmplaceErr(fn func() error) Task {
+	n := b.add()
+	n.errWork = fn
+	return Task{n}
+}
+
+// EmplaceCtx creates a context-aware, error-returning task. The body
+// receives a context that is cancelled when the topology fails, is
+// cancelled, or exceeds the deadline of RunContext/DispatchContext, so
+// long-running bodies can stop cooperatively mid-flight.
+func (b *builder) EmplaceCtx(fn func(context.Context) error) Task {
+	n := b.add()
+	n.ctxWork = fn
+	return Task{n}
+}
+
+// Placeholder creates a task with no work assigned.
+func (b *builder) Placeholder() Task {
+	return Task{b.add()}
+}
+
+// NumNodes returns the number of tasks in the graph under construction: a
+// Taskflow's present (not yet dispatched) graph, or the tasks a Subflow has
+// spawned so far.
+func (b *builder) NumNodes() int { return b.g.len() }
+
 // Taskflow is the main entry of the library: the place to create task
 // dependency graphs and dispatch them to an executor (paper Section III-A).
 type Taskflow struct {
@@ -59,7 +139,9 @@ type Taskflow struct {
 	exec    executor.Scheduler
 	ownExec bool
 
-	present    *graph
+	// builder holds the present graph: the one under construction, which
+	// Run executes and Dispatch takes.
+	builder
 	topologies []*topology
 
 	// store is the free list of graph storage Reclaim fills and every
@@ -105,7 +187,7 @@ func New(n int) *Taskflow {
 // exploration. Close does not stop a shared scheduler.
 func NewShared(s executor.Scheduler) *Taskflow {
 	tf := &Taskflow{exec: s}
-	tf.present = tf.store.graph()
+	tf.g = tf.store.graph()
 	return tf
 }
 
@@ -150,42 +232,6 @@ func (tf *Taskflow) SetFlow(f executor.Flow) *Taskflow {
 	return tf
 }
 
-// Emplace creates one task per callable in the present graph and returns
-// their handles in order.
-func (tf *Taskflow) Emplace(fns ...func()) []Task {
-	ts := make([]Task, len(fns))
-	for i, fn := range fns {
-		ts[i] = Task{tf.present.emplaceWork(fn)}
-	}
-	return ts
-}
-
-// Emplace1 creates a single task; a convenience over Emplace for the
-// common one-callable case.
-func (tf *Taskflow) Emplace1(fn func()) Task {
-	return Task{tf.present.emplaceWork(fn)}
-}
-
-// EmplaceSubflow creates a dynamic task (paper Section III-D).
-func (tf *Taskflow) EmplaceSubflow(fn func(*Subflow)) Task {
-	return Task{tf.present.emplaceSubflow(fn)}
-}
-
-// EmplaceCondition creates a condition task whose result selects the
-// successor branch to run; see FlowBuilder.EmplaceCondition.
-func (tf *Taskflow) EmplaceCondition(fn func() int) Task {
-	return Task{tf.present.emplaceCondition(fn)}
-}
-
-// Placeholder creates a task with no work assigned.
-func (tf *Taskflow) Placeholder() Task {
-	return Task{tf.present.emplacePlaceholder()}
-}
-
-// NumNodes returns the number of tasks in the present (not yet dispatched)
-// graph.
-func (tf *Taskflow) NumNodes() int { return tf.present.len() }
-
 // NumTopologies returns the number of dispatched, not yet reclaimed
 // topologies.
 func (tf *Taskflow) NumTopologies() int { return len(tf.topologies) }
@@ -198,7 +244,7 @@ func (tf *Taskflow) NumTopologies() int { return len(tf.topologies) }
 // descriptive error instead of deadlocking the waiters. Returns nil or an
 // error naming the tasks on one cycle, wrapping ErrCyclic.
 func (tf *Taskflow) Validate() error {
-	return findCycleError(tf.present)
+	return findCycleError(tf.g)
 }
 
 // Dispatch moves the present graph into a topology, schedules it for
@@ -230,8 +276,8 @@ func (tf *Taskflow) SilentDispatch() {
 }
 
 func (tf *Taskflow) dispatch(ctx context.Context) *topology {
-	g := tf.present
-	tf.present = tf.store.graph()
+	g := tf.g
+	tf.g = tf.store.graph()
 	tf.runTopo = nil
 	t, err := tf.newTopology(g, false)
 	tf.topologies = append(tf.topologies, t)
@@ -271,7 +317,7 @@ func (tf *Taskflow) Reclaim() error {
 }
 
 func (tf *Taskflow) waitForAll(recycle bool) error {
-	if tf.present.len() > 0 {
+	if tf.g.len() > 0 {
 		tf.dispatch(nil)
 	}
 	var errs []error

@@ -364,7 +364,7 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("Validate() error does not name the cycle: %v", err)
 	}
 	// Do not dispatch the cyclic graph; rebuild.
-	tf.present = &graph{}
+	tf.g = &graph{}
 	tf.WaitForAll()
 }
 
