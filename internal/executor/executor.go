@@ -224,12 +224,12 @@ func (w *worker) SubmitCached(r *Runnable) {
 type Executor struct {
 	workers []*worker
 
-	// injection is the external submission queue used by non-worker
-	// goroutines (work sharing): lock-guarded ring shards (see inject.go).
-	// Producers hash to a shard; workers drain their home shard first. The
-	// shard count is a power of two, so injMask selects one.
-	injShards []paddedInjShard
-	injMask   int
+	// inj is the external submission queue used by non-worker goroutines
+	// (work sharing): one Queue per shard (see inject.go). Producers hash to
+	// a shard; workers drain their home shard first. The shard count is a
+	// power of two, so injMask selects one.
+	inj     []Queue
+	injMask int
 
 	// mt is the multi-tenancy state (flow.go), allocated lazily by the
 	// first NewFlow call. Pools that never register a flow pay one nil
@@ -344,15 +344,11 @@ func New(n int, opts ...Option) *Executor {
 		// identical victim-selection and wakeup sequences.
 		e.seed = rand.Int63()
 	}
-	shards := InjectionShards(n)
-	e.injMask = shards - 1
-	e.injShards = make([]paddedInjShard, shards)
-	for i := range e.injShards {
-		e.injShards[i].ring.init(injInitialCap)
-	}
+	e.inj = NewInjection((*queueHost)(e), n)
+	e.injMask = len(e.inj) - 1
 	e.ec = NewEventcount(n)
 	if e.metricsOn {
-		e.metrics = newMetricsState(n, shards)
+		e.metrics = newMetricsState(n)
 	}
 	if e.traceCap > 0 || e.flightCap > 0 {
 		e.spine = newSpine(n, e.traceCap, e.flightCap)
@@ -422,7 +418,9 @@ func (e *Executor) SubmitFunc(fn func(Context)) error {
 // min(len(rs), parked workers) idlers, stopping at the first failed wake.
 // The batch is accepted whole or rejected whole with ErrShutdown. The whole
 // batch lands on one shard (chosen by its first task) so the producer takes
-// one lock and the batch stays FIFO; batch drains and steals spread it.
+// one lock and the batch stays FIFO; batch drains and steals spread it. It is
+// the shard's own SubmitBatch with the host called directly, not through the
+// QueueHost interface: this is the pool's submit path.
 func (e *Executor) SubmitBatch(rs []*Runnable) error {
 	if len(rs) == 0 {
 		return nil
@@ -430,24 +428,30 @@ func (e *Executor) SubmitBatch(rs []*Runnable) error {
 	if e.stop.Load() {
 		return ErrShutdown
 	}
-	idx := e.injShardIdx(rs[0])
-	s := &e.injShards[idx].injShard
-	s.mu.Lock()
-	s.ring.pushBatch(rs)
-	s.mu.Unlock()
-	// Publish the length before the wake: a parking worker that our notify
-	// misses has not re-checked anyWork yet and will see this count.
-	s.len.Add(int64(len(rs)))
-	if m := e.metrics; m != nil {
-		m.injectionPushes.Add(uint64(len(rs)))
-		m.shards[idx].pushes.Add(uint64(len(rs)))
-	}
-	e.TraceExternal(EvInjectPush, TaskMeta{}, InjectArg(idx, uint64(len(rs))))
-	if woke := e.wakeUpTo(len(rs)); woke > 0 {
-		e.TraceExternal(EvWakePrecise, TaskMeta{}, uint64(woke))
-	}
+	q := &e.inj[e.injShardIdx(rs[0])]
+	q.push(rs)
+	e.published(q, len(rs))
 	return nil
 }
+
+// published is the one step after any push onto a shard or a flow: one
+// trace event and one computed wake count for the whole publication. A pool
+// built without a recorder makes no trace call at all.
+func (e *Executor) published(q *Queue, n int) {
+	tracing := e.spine != nil
+	if tracing {
+		e.TraceExternal(EvInjectPush, TaskMeta{Flow: q.name}, InjectArg(q.id, uint64(n)))
+	}
+	if woke := e.wakeUpTo(n); woke > 0 && tracing {
+		e.TraceExternal(EvWakePrecise, TaskMeta{}, uint64(woke))
+	}
+}
+
+// queueHost is the Executor as its queues see it.
+type queueHost Executor
+
+func (h *queueHost) Stopped() bool             { return h.stop.Load() }
+func (h *queueHost) Published(q *Queue, n int) { (*Executor)(h).published(q, n) }
 
 // Stopped reports whether Shutdown has begun.
 func (e *Executor) Stopped() bool { return e.stop.Load() }
@@ -468,59 +472,38 @@ func (e *Executor) Shutdown() {
 	e.fireArmedTimers()
 }
 
-// drainInjection sweeps the injection shards — this worker's home shard
-// first, then the others in index order — and removes up to half of the
-// first non-empty shard's backlog (capped at len(scratch)) into scratch
-// under one lock acquisition. It returns the number moved and the shard it
-// came from. The per-shard atomic length keeps empty shards lock-free to
-// skip. The grab is wsq.StealQuota, like every other steal.
-func (w *worker) drainInjection(scratch []*Runnable) (int, int) {
-	e := w.exec
-	home := w.id & e.injMask
-	for i := range e.injShards {
-		idx := (home + i) & e.injMask
-		s := &e.injShards[idx].injShard
-		// The length can be transiently negative: producers publish it after
-		// releasing the ring lock, so a drain can land in between.
-		grab := min(wsq.StealQuota(s.len.Load()), int64(len(scratch)))
-		if grab == 0 {
-			continue
-		}
-		s.mu.Lock()
-		k := s.ring.popN(scratch[:grab])
-		s.mu.Unlock()
-		if k > 0 {
-			s.len.Add(-int64(k))
-			return k, idx
-		}
+// take is one drain of q on behalf of this worker: up to the steal quota of
+// q's visible backlog leaves it under one lock acquisition, the first task is
+// returned for execution and the extras land on this worker's own deque. It
+// returns the number of tasks moved; a queue showing no backlog costs one
+// atomic load and no lock.
+func (w *worker) take(q *Queue) (*Runnable, int) {
+	grab := wsq.StealQuota(q.len.Load())
+	if grab == 0 {
+		return nil, 0
 	}
-	return 0, 0
+	var scratch [wsq.MaxStealBatch]*Runnable
+	k := q.Take(scratch[:grab])
+	if k == 0 {
+		return nil, 0
+	}
+	if k > 1 {
+		w.queue.PushBatch(scratch[1:k])
+	}
+	w.traceEvent(EvInjectDrain, InjectArg(q.id, uint64(k)))
+	return scratch[0], k
 }
 
 // injCap reports the largest injection shard ring capacity (for tests).
 func (e *Executor) injCap() int {
-	max := 0
-	for i := range e.injShards {
-		s := &e.injShards[i].injShard
-		s.mu.Lock()
-		if c := len(s.ring.buf); c > max {
-			max = c
-		}
-		s.mu.Unlock()
+	c := 0
+	for i := range e.inj {
+		q := &e.inj[i]
+		q.mu.Lock()
+		c = max(c, len(q.ring.buf))
+		q.mu.Unlock()
 	}
-	return max
-}
-
-// injDepth reports the total injection backlog across shards (gauge).
-func (e *Executor) injDepth() int {
-	var total int64
-	for i := range e.injShards {
-		total += e.injShards[i].len.Load()
-	}
-	if total < 0 {
-		total = 0
-	}
-	return int(total)
+	return c
 }
 
 // anyWork reports whether any queue appears non-empty. Parking workers call
@@ -530,8 +513,8 @@ func (e *Executor) injDepth() int {
 // Flow.Submit publishes the backlog gauge before its wake, so a parking
 // worker that misses the notify sees the count here.
 func (e *Executor) anyWork() bool {
-	for i := range e.injShards {
-		if e.injShards[i].len.Load() > 0 {
+	for i := range e.inj {
+		if e.inj[i].len.Load() > 0 {
 			return true
 		}
 	}
@@ -652,21 +635,17 @@ func (w *worker) steal() (*Runnable, bool) {
 			}
 		}
 	}
-	var scratch [wsq.MaxStealBatch]*Runnable
-	if k, shard := w.drainInjection(scratch[:]); k > 0 {
-		if k > 1 {
-			w.queue.PushBatch(scratch[1:k])
+	// The injection shards: this worker's home shard first, then the others
+	// in index order.
+	home := w.id & e.injMask
+	for i := range e.inj {
+		if r, k := w.take(&e.inj[(home+i)&e.injMask]); k > 0 {
+			if m != nil {
+				m.injectionDrains.Add(1)
+				m.injectionDrainedTasks.Add(uint64(k))
+			}
+			return r, true
 		}
-		if m != nil {
-			m.injectionDrains.Add(1)
-			m.injectionDrainedTasks.Add(uint64(k))
-		}
-		if em := e.metrics; em != nil {
-			em.shards[shard].drains.Add(1)
-			em.shards[shard].drainedTasks.Add(uint64(k))
-		}
-		w.traceEvent(EvInjectDrain, InjectArg(shard, uint64(k)))
-		return scratch[0], true
 	}
 	if mt != nil {
 		for c := DequeRank; c < NumPriorityClasses; c++ {

@@ -40,18 +40,15 @@ package executor
 //
 // The policy lives in FlowTable and FlowQueue and exists once: the worker
 // pool and internal/sim's single-threaded simulator register and drain the
-// same objects (atomics are correct on one goroutine). What differs between
-// the two is behind FlowHost: how a scheduler learns that it has shut down
-// and what it does when tasks were published — wake and trace workers here,
-// advance the simulation there.
+// same objects (atomics are correct on one goroutine). A FlowQueue is a Queue
+// (inject.go) with admission state on top, so a flow's ring, gauges, counters
+// and QueueHost seam are the injection shards' own.
 
 import (
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"gotaskflow/internal/wsq"
 )
 
 // ErrAdmission is returned by Flow.Admit when accepting n more in-flight
@@ -199,18 +196,6 @@ type Flow interface {
 	Stats() FlowStats
 }
 
-// FlowHost is the scheduler a FlowTable is registered on: the two facts
-// about a flow submission that belong to the scheduler and not to the policy.
-type FlowHost interface {
-	// Stopped reports whether the scheduler has shut down; Admit, Submit and
-	// SubmitBatch then refuse with ErrShutdown.
-	Stopped() bool
-	// FlowPublished runs after n tasks entered f's ring and its backlog
-	// gauges were published: the host wakes up to n workers (and records
-	// what it records about a submission).
-	FlowPublished(f *FlowQueue, n int)
-}
-
 // classState is the per-priority-class scheduling state: an atomic
 // backlog gauge (published like the injection shards' len, after the ring
 // unlock and before the wake, so parking workers see flow work without a
@@ -228,7 +213,7 @@ type classState struct {
 // the per-class wheels a drain walks. The executor allocates it on the first
 // NewFlow, so flow-free pools pay only a nil check.
 type FlowTable struct {
-	host    FlowHost
+	host    QueueHost
 	classes [NumPriorityClasses]classState
 
 	mu  sync.Mutex
@@ -236,21 +221,15 @@ type FlowTable struct {
 }
 
 // NewFlowTable returns an empty table whose flows report to host.
-func NewFlowTable(host FlowHost) *FlowTable { return &FlowTable{host: host} }
+func NewFlowTable(host QueueHost) *FlowTable { return &FlowTable{host: host} }
 
-// FlowQueue is the Flow both schedulers hand out: a lock-guarded task ring
-// (the same shrink-on-drain ring as the injection shards) plus always-on
-// atomic accounting.
+// FlowQueue is the Flow both schedulers hand out: a Queue whose pushes and
+// drains also move its class's backlog gauge, plus always-on atomic
+// admission accounting.
 type FlowQueue struct {
-	host FlowHost
-	cs   *classState
-	name string
-	cfg  FlowConfig
-	idx  int // registration index; the real pool's trace shard id
-
-	mu   sync.Mutex
-	ring taskRing
-	qlen atomic.Int64
+	Queue
+	cfg FlowConfig
+	idx int // registration index
 
 	inflight atomic.Int64
 	peak     atomic.Int64
@@ -258,11 +237,7 @@ type FlowQueue struct {
 	released atomic.Uint64
 	rejected atomic.Uint64
 	shed     atomic.Uint64
-
-	pushes       atomic.Uint64
-	drains       atomic.Uint64
-	drainedTasks atomic.Uint64
-	executed     atomic.Uint64
+	executed atomic.Uint64
 
 	// lat is the flow's latency histogram set, non-nil only when the
 	// executor was built WithLatencyHistograms (histogram.go).
@@ -291,10 +266,11 @@ func (t *FlowTable) NewFlow(name string, cfg FlowConfig) *FlowQueue {
 
 func (t *FlowTable) register(name string, cfg FlowConfig, lat *flowLatency) *FlowQueue {
 	cfg = normalizeFlowConfig(cfg)
-	f := &FlowQueue{host: t.host, cs: &t.classes[cfg.Class], name: name, cfg: cfg, lat: lat}
-	f.ring.init(injInitialCap)
+	f := &FlowQueue{cfg: cfg, lat: lat}
+	cs := &t.classes[cfg.Class]
 	t.mu.Lock()
 	f.idx = len(t.all)
+	f.init(t.host, &cs.backlog, name, flowTraceShardBase|(f.idx&0x7f))
 	t.all = append(t.all, f)
 	// Rebuild the class wheel copy-on-write: each flow appears Weight
 	// times, block-repeated in registration order. Readers (drain walks)
@@ -305,7 +281,7 @@ func (t *FlowTable) register(name string, cfg FlowConfig, lat *flowLatency) *Flo
 			wheel = append(wheel, g)
 		}
 	}
-	f.cs.wheel.Store(&wheel)
+	cs.wheel.Store(&wheel)
 	t.mu.Unlock()
 	return f
 }
@@ -347,7 +323,7 @@ func (t *FlowTable) Backlog() int {
 func (e *Executor) NewFlow(name string, cfg FlowConfig) Flow {
 	mt := e.mt.Load()
 	if mt == nil {
-		mt = NewFlowTable((*flowHost)(e))
+		mt = NewFlowTable((*queueHost)(e))
 		if !e.mt.CompareAndSwap(nil, mt) {
 			mt = e.mt.Load()
 		}
@@ -370,39 +346,17 @@ func (e *Executor) FlowStats() []FlowStats {
 	return mt.Stats()
 }
 
-// flowHost is the Executor as its flow table sees it.
-type flowHost Executor
-
-func (h *flowHost) Stopped() bool { return h.stop.Load() }
-
-// FlowPublished implements FlowHost: one trace event and one computed wake
-// count for the whole publication.
-func (h *flowHost) FlowPublished(f *FlowQueue, n int) {
-	e := (*Executor)(h)
-	e.TraceExternal(EvInjectPush, TaskMeta{Flow: f.name}, InjectArg(f.traceShard(), uint64(n)))
-	if woke := e.wakeUpTo(n); woke > 0 {
-		e.TraceExternal(EvWakePrecise, TaskMeta{}, uint64(woke))
-	}
-}
-
 // flowTraceShardBase offsets flow indices into the shard byte of
 // EvInjectPush/EvInjectDrain trace args (see InjectArg), so flow queue
 // traffic shares the injection event kinds while staying distinguishable
 // from the plain shards (which are < flowTraceShardBase).
 const flowTraceShardBase = 0x80
 
-func (f *FlowQueue) traceShard() int {
-	return flowTraceShardBase | (f.idx & 0x7f)
-}
-
 func (f *FlowQueue) Name() string         { return f.name }
 func (f *FlowQueue) Class() PriorityClass { return f.cfg.Class }
 
 // Index returns the flow's registration index on its table.
 func (f *FlowQueue) Index() int { return f.idx }
-
-// Backlog returns the flow's queued task count (a gauge, never negative).
-func (f *FlowQueue) Backlog() int { return int(max(f.qlen.Load(), 0)) }
 
 // Admit implements Flow: an all-or-nothing reservation of n in-flight
 // task units. The watermark check comes first (nothing to undo), then the
@@ -414,7 +368,7 @@ func (f *FlowQueue) Admit(n int) error {
 	if f.host.Stopped() {
 		return ErrShutdown
 	}
-	if wm := int64(f.cfg.MaxBacklog); wm > 0 && f.qlen.Load() >= wm {
+	if wm := int64(f.cfg.MaxBacklog); wm > 0 && f.len.Load() >= wm {
 		f.shed.Add(uint64(n))
 		return ErrOverloaded
 	}
@@ -458,48 +412,20 @@ func (f *FlowQueue) NoteExecuted(n int) {
 	f.executed.Add(uint64(n))
 }
 
-// Submit implements Flow: enqueue one pre-admitted task, a batch of one.
-func (f *FlowQueue) Submit(r *Runnable) error {
-	rs := [1]*Runnable{r}
-	return f.SubmitBatch(rs[:])
-}
-
-// SubmitBatch implements Flow: one lock, one publication, one computed
-// wake count for the whole batch. The backlog gauges are published after
-// the ring unlock and before the host's wake, the same lost-wakeup-free
-// protocol as the injection shards: a parking worker that misses the notify
-// re-checks anyWork and sees the count.
-func (f *FlowQueue) SubmitBatch(rs []*Runnable) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	if f.host.Stopped() {
-		return ErrShutdown
-	}
-	f.mu.Lock()
-	f.ring.pushBatch(rs)
-	f.mu.Unlock()
-	n := len(rs)
-	f.qlen.Add(int64(n))
-	f.cs.backlog.Add(int64(n))
-	f.pushes.Add(uint64(n))
-	f.host.FlowPublished(f, n)
-	return nil
-}
-
 // Stats implements Flow.
 func (f *FlowQueue) Stats() FlowStats {
 	var lat *FlowLatencyStats
 	if f.lat != nil {
 		lat = f.lat.stats()
 	}
+	q := f.Queue.Stats()
 	return FlowStats{
 		Name:             f.name,
 		Class:            f.cfg.Class,
 		Weight:           f.cfg.Weight,
-		Pushes:           f.pushes.Load(),
-		DrainOps:         f.drains.Load(),
-		DrainedTasks:     f.drainedTasks.Load(),
+		Pushes:           q.Pushes,
+		DrainOps:         q.Drains,
+		DrainedTasks:     q.DrainedTasks,
 		Executed:         f.executed.Load(),
 		AdmittedTasks:    f.admitted.Load(),
 		ReleasedTasks:    f.released.Load(),
@@ -507,7 +433,7 @@ func (f *FlowQueue) Stats() FlowStats {
 		OverloadSheds:    f.shed.Load(),
 		InFlight:         f.inflight.Load(),
 		PeakInFlight:     f.peak.Load(),
-		Backlog:          f.Backlog(),
+		Backlog:          q.Depth,
 		MaxInFlight:      f.cfg.MaxInFlight,
 		MaxBacklog:       f.cfg.MaxBacklog,
 		Latency:          lat,
@@ -546,75 +472,40 @@ func (w *FlowWalk) Next() *FlowQueue {
 			w.at = 0
 		}
 		w.left--
-		if f.qlen.Load() > 0 {
+		if f.len.Load() > 0 {
 			return f
 		}
 	}
 	return nil
 }
 
-// Take removes up to len(dst) of the flow's oldest tasks into dst and
-// accounts for them as one drain operation. It returns the number moved; 0
-// means the ring was empty by the time the lock was held. The policy size of
-// dst is wsq.StealQuota(f.Backlog()).
-func (f *FlowQueue) Take(dst []*Runnable) int {
-	f.mu.Lock()
-	k := f.ring.popN(dst)
-	f.mu.Unlock()
-	if k == 0 {
-		return 0
-	}
-	f.qlen.Add(-int64(k))
-	f.cs.backlog.Add(-int64(k))
-	f.drains.Add(1)
-	f.drainedTasks.Add(uint64(k))
-	return k
-}
-
-// drainFlows gives class c one service turn on behalf of this worker: up to
-// the steal quota of the first backlogged flow's tasks leave its ring, the
-// first is returned for execution and the extras land on this worker's own
-// deque. Returns (nil, false) when the class has no visible work.
+// drainFlows gives class c one service turn on behalf of this worker: the
+// first backlogged flow on the walk that take finds work in. Returns
+// (nil, false) when the class has no visible work.
 func (w *worker) drainFlows(mt *FlowTable, c PriorityClass) (*Runnable, bool) {
 	walk := mt.Walk(c)
-	f := walk.Next()
-	if f == nil {
-		return nil, false
-	}
-	var scratch [wsq.MaxStealBatch]*Runnable
-	for ; f != nil; f = walk.Next() {
-		k := f.Take(scratch[:wsq.StealQuota(f.qlen.Load())])
-		if k == 0 {
-			continue
+	for f := walk.Next(); f != nil; f = walk.Next() {
+		if r, k := w.take(&f.Queue); k > 0 {
+			if m := w.metrics; m != nil {
+				m.flowDrains.Add(1)
+				m.flowDrainedTasks.Add(uint64(k))
+			}
+			return r, true
 		}
-		if k > 1 {
-			w.queue.PushBatch(scratch[1:k])
-		}
-		if m := w.metrics; m != nil {
-			m.flowDrains.Add(1)
-			m.flowDrainedTasks.Add(uint64(k))
-		}
-		w.traceEvent(EvInjectDrain, InjectArg(f.traceShard(), uint64(k)))
-		return scratch[0], true
 	}
 	return nil, false
 }
 
 // CheckFlowLaws checks the per-flow conservation laws at quiescence (no
-// admitted topology open, no task queued): every pushed task was drained,
-// every reservation returned, no quota ceiling exceeded, and the flows' own
-// drain counters sum to the scheduler-side ones (drain operations that found
-// work, and the tasks they moved). It is the one statement of these laws:
-// Snapshot.Reconcile holds the worker pool to it and sim's CheckFlows the
-// simulator.
+// admitted topology open, no task queued): every reservation returned, no
+// quota ceiling exceeded, and each flow's queue held to CheckQueueLaws. It is
+// the one statement of these laws: Snapshot.Reconcile holds the worker pool
+// to it and sim's CheckQueues the simulator.
 func CheckFlowLaws(flows []FlowStats, drainOps, drainedTasks uint64) error {
-	var ops, drained uint64
+	qs := make([]ShardStats, len(flows))
 	for i := range flows {
 		f := &flows[i]
-		if f.Pushes != f.DrainedTasks || f.Backlog != 0 {
-			return fmt.Errorf("flow %q pushes %d != drained tasks %d (backlog %d)",
-				f.Name, f.Pushes, f.DrainedTasks, f.Backlog)
-		}
+		qs[i] = ShardStats{Pushes: f.Pushes, Drains: f.DrainOps, DrainedTasks: f.DrainedTasks, Depth: f.Backlog}
 		if f.AdmittedTasks != f.ReleasedTasks {
 			return fmt.Errorf("flow %q admitted %d != released %d (leaked reservation)",
 				f.Name, f.AdmittedTasks, f.ReleasedTasks)
@@ -627,14 +518,6 @@ func CheckFlowLaws(flows []FlowStats, drainOps, drainedTasks uint64) error {
 			return fmt.Errorf("flow %q peak in-flight %d > quota %d",
 				f.Name, f.PeakInFlight, f.MaxInFlight)
 		}
-		ops += f.DrainOps
-		drained += f.DrainedTasks
 	}
-	if ops != drainOps {
-		return fmt.Errorf("flow drain ops %d != scheduler flow drain ops %d", ops, drainOps)
-	}
-	if drained != drainedTasks {
-		return fmt.Errorf("flow drained tasks %d != scheduler flow drained tasks %d", drained, drainedTasks)
-	}
-	return nil
+	return CheckQueueLaws("flow", qs, drainOps, drainedTasks)
 }

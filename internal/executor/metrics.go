@@ -102,41 +102,22 @@ type paddedDequeCounters struct {
 	_ [metricsPad - unsafe.Sizeof(wsq.Counters{})%metricsPad]byte
 }
 
-// shardMetrics counts one injection shard's traffic. Pushes are written by
-// producers (already serialized per shard by the shard lock's cache
-// traffic); drains by whichever worker swept the shard.
-type shardMetrics struct {
-	pushes       atomic.Uint64
-	drains       atomic.Uint64
-	drainedTasks atomic.Uint64
-}
-
-type paddedShardMetrics struct {
-	shardMetrics
-	_ [metricsPad - unsafe.Sizeof(shardMetrics{})%metricsPad]byte
-}
-
 // metricsState is the executor's counter storage, allocated once at
-// construction when WithMetrics is given.
+// construction when WithMetrics is given. The injection shards count their
+// own traffic (Queue.Stats), with or without it.
 type metricsState struct {
 	deques  []paddedDequeCounters
 	workers []paddedWorkerMetrics
-	shards  []paddedShardMetrics
 
-	// injectionPushes counts tasks submitted from outside the pool
-	// (Executor.Submit/SubmitBatch); written alongside the shard lock's
-	// cache traffic anyway, so a shared atomic costs nothing extra.
-	injectionPushes atomic.Uint64
 	// wakes counts every successful wakeup (precise and probabilistic).
 	// Precise wakeups are derived: wakes − Σ probWakes.
 	wakes atomic.Uint64
 }
 
-func newMetricsState(n, shards int) *metricsState {
+func newMetricsState(n int) *metricsState {
 	return &metricsState{
 		deques:  make([]paddedDequeCounters, n),
 		workers: make([]paddedWorkerMetrics, n),
-		shards:  make([]paddedShardMetrics, shards),
 	}
 }
 
@@ -181,7 +162,8 @@ type WorkerStats struct {
 	Executed              uint64 // tasks invoked
 }
 
-// ShardStats is one injection shard's counters at a snapshot instant.
+// ShardStats is one injection shard's counters at a snapshot instant (and,
+// as Queue.Stats, any Queue's).
 type ShardStats struct {
 	Pushes       uint64 // tasks producers hashed onto this shard
 	Drains       uint64 // drain operations that found work here
@@ -191,8 +173,8 @@ type ShardStats struct {
 
 // Snapshot is a point-in-time reading of every scheduler counter. Taking a
 // snapshot while the executor runs is safe; the values are per-counter
-// atomic reads, so cross-counter invariants (Reconcile) are only exact at
-// quiescence.
+// atomic reads (per-shard locked reads), so cross-counter invariants
+// (Reconcile) are only exact at quiescence.
 type Snapshot struct {
 	Workers []WorkerStats
 
@@ -201,9 +183,9 @@ type Snapshot struct {
 	Shards []ShardStats
 
 	// InjectionPushes/Drains count external-submission traffic in tasks
-	// (Drains sums the per-worker drained-task counts, so it balances
-	// Pushes at quiescence); Depth is the total backlog across shards at
-	// the snapshot instant (gauge).
+	// (Pushes sums the shards' pushes, Drains the per-worker drained-task
+	// counts, so the two balance at quiescence); Depth is the total backlog
+	// across shards at the snapshot instant (gauge).
 	InjectionPushes uint64
 	InjectionDrains uint64
 	InjectionDepth  int
@@ -258,18 +240,18 @@ func (s *Snapshot) Total() WorkerStats {
 //
 //	deque pushes            == deque pops + deque steals
 //	stolen tasks (thieves)  == deque steals (victims)
-//	injection pushes        == injection drained tasks
 //	executed                == pops + steal ops + injection drain ops + flow drain ops + cache hits
-//	Σ shard pushes          == injection pushes
-//	Σ shard drained tasks   == Σ worker injection drained tasks
-//	Σ shard drain ops       == Σ worker injection drain ops
 //	parks + wait cancels    ≤ prewaits ≤ parks + wait cancels + workers
 //
-// and, per multi-tenant flow (flow.go):
+// and, per queue — injection shard and multi-tenant flow alike
+// (CheckQueueLaws):
 //
-//	flow pushes             == flow drained tasks  (each flow's queue drains)
-//	Σ flow drain ops        == Σ worker flow drain ops
-//	Σ flow drained tasks    == Σ worker flow drained tasks
+//	pushes                  == drained tasks, backlog 0
+//	Σ queue drain ops       == Σ worker drain ops of that kind
+//	Σ queue drained tasks   == Σ worker drained tasks of that kind
+//
+// and per flow (CheckFlowLaws):
+//
 //	admitted tasks          == released tasks      (no leaked reservation)
 //	in-flight gauge         == 0
 //	peak in-flight          ≤ MaxInFlight when a quota is set
@@ -309,17 +291,9 @@ func (s *Snapshot) Reconcile() error {
 		return fmt.Errorf("executor metrics: steal batches %d > steal operations %d",
 			t.StealBatches, t.Steals)
 	}
-	if s.InjectionPushes != t.InjectionDrainedTasks {
-		return fmt.Errorf("executor metrics: injection pushes %d != drained tasks %d",
-			s.InjectionPushes, t.InjectionDrainedTasks)
-	}
 	if t.InjectionDrainedTasks < t.InjectionDrains {
 		return fmt.Errorf("executor metrics: injection drained tasks %d < drain operations %d",
 			t.InjectionDrainedTasks, t.InjectionDrains)
-	}
-	if s.InjectionDrains != t.InjectionDrainedTasks {
-		return fmt.Errorf("executor metrics: snapshot injection drains %d != per-worker drained-task sum %d",
-			s.InjectionDrains, t.InjectionDrainedTasks)
 	}
 	if t.Executed != t.Pops+t.Steals+t.InjectionDrains+t.FlowDrains+t.CacheHits {
 		return fmt.Errorf("executor metrics: executed %d != pops %d + steal ops %d + injection drain ops %d + flow drain ops %d + cache hits %d",
@@ -329,28 +303,13 @@ func (s *Snapshot) Reconcile() error {
 		return fmt.Errorf("executor metrics: flow drained tasks %d < flow drain operations %d",
 			t.FlowDrainedTasks, t.FlowDrains)
 	}
-	var shardPushes, shardDrains, shardDrained uint64
-	for i := range s.Shards {
-		shardPushes += s.Shards[i].Pushes
-		shardDrains += s.Shards[i].Drains
-		shardDrained += s.Shards[i].DrainedTasks
-	}
-	if shardPushes != s.InjectionPushes {
-		return fmt.Errorf("executor metrics: shard pushes %d != injection pushes %d",
-			shardPushes, s.InjectionPushes)
-	}
-	if shardDrained != t.InjectionDrainedTasks {
-		return fmt.Errorf("executor metrics: shard drained tasks %d != per-worker drained tasks %d",
-			shardDrained, t.InjectionDrainedTasks)
-	}
-	if shardDrains != t.InjectionDrains {
-		return fmt.Errorf("executor metrics: shard drain ops %d != per-worker drain ops %d",
-			shardDrains, t.InjectionDrains)
-	}
 	resolved := t.Parks + t.WaitCancels
 	if t.Prewaits < resolved || t.Prewaits > resolved+uint64(len(s.Workers)) {
 		return fmt.Errorf("executor metrics: prewaits %d outside [parks %d + cancels %d, +%d workers]",
 			t.Prewaits, t.Parks, t.WaitCancels, len(s.Workers))
+	}
+	if err := CheckQueueLaws("shard", s.Shards, t.InjectionDrains, t.InjectionDrainedTasks); err != nil {
+		return fmt.Errorf("executor metrics: %w", err)
 	}
 	if err := CheckFlowLaws(s.Flows, t.FlowDrains, t.FlowDrainedTasks); err != nil {
 		return fmt.Errorf("executor metrics: %w", err)
@@ -400,21 +359,12 @@ func (e *Executor) MetricsSnapshot() (Snapshot, bool) {
 		probTotal += ws.ProbabilisticWakes
 		s.InjectionDrains += ws.InjectionDrainedTasks
 	}
-	s.Shards = make([]ShardStats, len(m.shards))
-	for i := range m.shards {
-		sm := &m.shards[i].shardMetrics
-		s.Shards[i] = ShardStats{
-			Pushes:       sm.pushes.Load(),
-			Drains:       sm.drains.Load(),
-			DrainedTasks: sm.drainedTasks.Load(),
-			Depth:        int(e.injShards[i].len.Load()),
-		}
-		if s.Shards[i].Depth < 0 {
-			s.Shards[i].Depth = 0
-		}
+	s.Shards = make([]ShardStats, len(e.inj))
+	for i := range e.inj {
+		s.Shards[i] = e.inj[i].Stats()
+		s.InjectionPushes += s.Shards[i].Pushes
+		s.InjectionDepth += s.Shards[i].Depth
 	}
-	s.InjectionPushes = m.injectionPushes.Load()
-	s.InjectionDepth = e.injDepth()
 	s.Flows = e.FlowStats()
 	wakes := m.wakes.Load()
 	s.ProbabilisticWakes = probTotal

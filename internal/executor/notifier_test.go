@@ -243,39 +243,13 @@ func TestNotifierLitmusNoLostWakeup(t *testing.T) {
 	}
 }
 
-// Each injection shard must be FIFO: interleaved pushes and batch pops
-// yield tasks in exact submission order.
-func TestInjectionShardFIFO(t *testing.T) {
-	var s injShard
-	s.ring.init(injInitialCap)
-	tasks := make([]*Runnable, 500)
-	for i := range tasks {
-		tasks[i] = NewTask(func(Context) {})
-	}
-	dst := make([]*Runnable, 7)
-	pushed, popped := 0, 0
-	for popped < len(tasks) {
-		for k := 0; k < 3 && pushed < len(tasks); k++ {
-			s.ring.pushBatch(tasks[pushed : pushed+1])
-			pushed++
-		}
-		n := s.ring.popN(dst)
-		for i := 0; i < n; i++ {
-			if dst[i] != tasks[popped] {
-				t.Fatalf("pop %d returned task %p, want %p (FIFO violated)", popped, dst[i], tasks[popped])
-			}
-			popped++
-		}
-	}
-}
-
 // Tasks hashed across multiple shards by concurrent producers must each
 // execute exactly once, and the per-shard counters must account for every
 // push and drain.
 func TestInjectionShardsExactlyOnce(t *testing.T) {
 	e := New(16, WithMetrics(), withSpin(0))
-	if len(e.injShards) < 2 {
-		t.Fatalf("16 workers built %d injection shards, want >= 2", len(e.injShards))
+	if len(e.inj) < 2 {
+		t.Fatalf("16 workers built %d injection shards, want >= 2", len(e.inj))
 	}
 	const producers = 4
 	const perProducer = 200
@@ -357,8 +331,8 @@ func TestParkUnparkCycleZeroAlloc(t *testing.T) {
 func TestShardedInjectionSubmitZeroAlloc(t *testing.T) {
 	e := New(16, withSpin(0), withWakeProbability(0))
 	defer e.Shutdown()
-	if len(e.injShards) < 2 {
-		t.Fatalf("16 workers built %d injection shards, want >= 2", len(e.injShards))
+	if len(e.inj) < 2 {
+		t.Fatalf("16 workers built %d injection shards, want >= 2", len(e.inj))
 	}
 	const fan = 8
 	var remaining atomic.Int64

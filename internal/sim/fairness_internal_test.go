@@ -75,7 +75,7 @@ func runStarvationWorkload(t *testing.T, seed int64, bug bool) (gap int, bound i
 			}
 		}
 	}
-	if err := s.CheckFlows(); err != nil {
+	if err := s.CheckQueues(); err != nil {
 		t.Fatalf("seed %d bug=%v: %v", seed, bug, err)
 	}
 	lightIdx := light.(*executor.FlowQueue).Index()
@@ -180,7 +180,7 @@ func TestServiceGapScalesWithWeight(t *testing.T) {
 				t.Fatalf("weight %d: %v", weight, err)
 			}
 		}
-		if err := s.CheckFlows(); err != nil {
+		if err := s.CheckQueues(); err != nil {
 			t.Fatalf("weight %d: %v", weight, err)
 		}
 		lightIdx := light.(*executor.FlowQueue).Index()

@@ -103,7 +103,7 @@ func runFairScenario(t *testing.T, seed int64) fairOutcome {
 	if err := s.Stats().Check(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	if err := s.CheckFlows(); err != nil {
+	if err := s.CheckQueues(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 
@@ -158,7 +158,7 @@ func runFairScenario(t *testing.T, seed int64) fairOutcome {
 }
 
 // TestPropertyFlowFairnessSweep sweeps 120 seeds and asserts, per seed:
-// liveness, conservation (CheckFlows), exact admission outcomes, quota
+// liveness, conservation (CheckQueues), exact admission outcomes, quota
 // ceilings, the weighted-round-robin service-gap bound, and bit-identical
 // replay of the whole scenario. Replay one seed with
 //

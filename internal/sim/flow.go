@@ -2,35 +2,22 @@ package sim
 
 // Multi-tenant flows under simulation. The policy is not modelled: flows
 // register on an executor.FlowTable and are the executor's own FlowQueue
-// objects, so admission (shed before quota, all-or-nothing), the queues and
-// their counters, and the weighted-round-robin wheel with its cursor walk
-// are the code the worker pool runs. What is the simulation's own is here:
-// what a publication does to the model (flowHost), the seed-chosen batch
-// size of a drain, the service log the fairness properties are read from,
-// and the injected strict-drain bug. The fairness properties proved here —
-// bounded service gap, quota ceilings, conservation — therefore hold for
-// the real executor up to memory-model effects, which the -race tests own.
+// objects — each an executor.Queue, like the injection shards — so
+// admission (shed before quota, all-or-nothing), the queues and their
+// counters, and the weighted-round-robin wheel with its cursor walk are the
+// code the worker pool runs, and a publication goes through the same
+// queueHost as a shard's (sim.go). What is the simulation's own is here: the
+// seed-chosen batch size of a drain, the service log the fairness properties
+// are read from, and the injected strict-drain bug. The fairness properties
+// proved here — bounded service gap, quota ceilings, conservation —
+// therefore hold for the real executor up to memory-model effects, which the
+// -race tests own.
 
 import (
 	"fmt"
 
 	"gotaskflow/internal/executor"
 )
-
-// flowHost is the simulation as its flow table sees it.
-type flowHost SimExecutor
-
-func (h *flowHost) Stopped() bool { return h.stopped }
-
-// FlowPublished implements executor.FlowHost: count the tasks, wake, and
-// (outside a running step) drive to quiescence.
-func (h *flowHost) FlowPublished(f *executor.FlowQueue, n int) {
-	s := (*SimExecutor)(h)
-	s.st.Enqueued += uint64(n)
-	s.mix(1<<62 | uint64(f.Index())<<16 | uint64(n))
-	s.wakeUpTo(n)
-	s.drive()
-}
 
 // NewFlow registers a multi-tenant flow, as Executor.NewFlow does.
 func (s *SimExecutor) NewFlow(name string, cfg executor.FlowConfig) executor.Flow {
@@ -158,11 +145,21 @@ func (s *SimExecutor) drainFlows(w int, class executor.PriorityClass) bool {
 	return true
 }
 
-// CheckFlows holds the simulator to the flow laws the worker pool's
-// Snapshot.Reconcile checks: queues drained, reservations returned, quota
-// ceilings respected, flow-side and scheduler-side drain counts equal.
-func (s *SimExecutor) CheckFlows() error {
-	if err := executor.CheckFlowLaws(s.FlowStats(), s.st.FlowDrains, s.st.FlowDrainedTasks); err != nil {
+// CheckQueues holds the simulator, at quiescence, to the queue and flow laws
+// the worker pool's Snapshot.Reconcile checks: every injection shard and
+// flow queue drained, queue-side and scheduler-side drain counts equal
+// (Stats.Drains/DrainedTasks for the shards, FlowDrains/FlowDrainedTasks for
+// the flows), reservations returned, quota ceilings respected.
+func (s *SimExecutor) CheckQueues() error {
+	shards := make([]executor.ShardStats, len(s.inj))
+	for i := range s.inj {
+		shards[i] = s.inj[i].Stats()
+	}
+	err := executor.CheckQueueLaws("shard", shards, s.st.Drains, s.st.DrainedTasks)
+	if err == nil {
+		err = executor.CheckFlowLaws(s.FlowStats(), s.st.FlowDrains, s.st.FlowDrainedTasks)
+	}
+	if err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
 	return nil

@@ -199,6 +199,9 @@ func runSchedule(t *testing.T, p schedParams) schedResult {
 	if cerr := res.stats.Check(); cerr != nil {
 		t.Fatalf("%v\n%s", cerr, p.recipe())
 	}
+	if qerr := s.CheckQueues(); qerr != nil {
+		t.Fatalf("%v\n%s", qerr, p.recipe())
+	}
 	for i, a := range attempts {
 		if a > 1+retryBudget {
 			t.Fatalf("task %d attempted %d times, budget %d\n%s", i, a, 1+retryBudget, p.recipe())

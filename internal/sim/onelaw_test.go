@@ -9,8 +9,9 @@ package sim_test
 // nothing draining meanwhile, a pure function of the job list. Both drivers
 // must then give every job the same answer and every flow the same
 // admission counters, refuse in the same order (a backlog at its watermark
-// sheds before the quota is even looked at), and satisfy the same flow-law
-// function, executor.CheckFlowLaws, at quiescence.
+// sheds before the quota is even looked at), and satisfy the same queue and
+// flow laws, executor.CheckQueueLaws and executor.CheckFlowLaws, over the
+// injection shards and the flows alike at quiescence.
 
 import (
 	"errors"
@@ -197,6 +198,9 @@ func onPool(t *testing.T, c lawCase, seed int64) lawOutcome {
 	out := runLawCase(t, e, hold, c, seed)
 	snap, _ := e.MetricsSnapshot()
 	total := snap.Total()
+	if err := executor.CheckQueueLaws("shard", snap.Shards, total.InjectionDrains, total.InjectionDrainedTasks); err != nil {
+		t.Fatalf("%s seed %d: worker pool: %v", c.name, seed, err)
+	}
 	if err := executor.CheckFlowLaws(snap.Flows, total.FlowDrains, total.FlowDrainedTasks); err != nil {
 		t.Fatalf("%s seed %d: worker pool: %v", c.name, seed, err)
 	}
@@ -226,8 +230,7 @@ func onSim(t *testing.T, c lawCase, seed, schedule int64) lawOutcome {
 	if err := s.Stats().Check(); err != nil {
 		t.Fatalf("%s seed %d schedule %d: %v", c.name, seed, schedule, err)
 	}
-	st := s.Stats()
-	if err := executor.CheckFlowLaws(s.FlowStats(), st.FlowDrains, st.FlowDrainedTasks); err != nil {
+	if err := s.CheckQueues(); err != nil {
 		t.Fatalf("%s seed %d schedule %d: simulator: %v", c.name, seed, schedule, err)
 	}
 	return out

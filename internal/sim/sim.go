@@ -18,22 +18,23 @@
 //
 // Every scheduling decision the real pool takes by rule is the real pool's
 // own code, called from here; only what the real pool leaves to the machine
-// is modelled. Shared with internal/executor and internal/wsq: the flow
-// table (executor.FlowTable — registration, admission, the per-class
-// weighted wheel and its cursor walk, the queues and their counters), the
-// steal quota (wsq.StealQuota), the injection shard count
-// (executor.InjectionShards), the class order of a steal sweep
+// is modelled. Shared with internal/executor and internal/wsq: the external
+// queues (executor.Queue — the injection shards from executor.NewInjection
+// and every flow's queue, their rings, gauges and counters, behind the
+// executor.QueueHost seam), the flow table (executor.FlowTable —
+// registration, admission, the per-class weighted wheel and its cursor
+// walk), the steal quota (wsq.StealQuota), the class order of a steal sweep
 // (executor.DequeRank), the park/wake protocol (executor.Eventcount — its
 // banked signals, waiter stack and notify choices), the stall detector
-// (executor.StallDetector) and the flow conservation laws
-// (executor.CheckFlowLaws).
+// (executor.StallDetector) and the queue and flow conservation laws
+// (executor.CheckQueueLaws, executor.CheckFlowLaws).
 //
 // Modelled, one level up from the lock-free machinery: per-worker deques
-// and speculative cache slots and the injection shards as plain slices, and
-// where each worker is in its park loop — the eventcount never blocks, so
-// where the pool parks a goroutine the sim marks a worker parked until a
-// notify pops its slot. The simulation executes every task inline on the
-// driving goroutine. Each step the PRNG picks one enabled action:
+// and speculative cache slots as plain slices, and where each worker is in
+// its park loop — the eventcount never blocks, so where the pool parks a
+// goroutine the sim marks a worker parked until a notify pops its slot. The
+// simulation executes every task inline on the driving goroutine. Each step
+// the PRNG picks one enabled action:
 //
 //   - an active worker runs its cached task, pops a task from its deque
 //     (any position — a superset of the owner-LIFO/thief-FIFO orders
@@ -176,13 +177,12 @@ func (st Stats) Check() error {
 // hand to core.NewShared, and drive Run/Dispatch from one goroutine.
 type SimExecutor struct {
 	workers int
-	nshards int
 	seed    int64
 	rng     *rand.Rand
 
 	deques [][]*executor.Runnable // per-worker, newest at the end
 	caches []*executor.Runnable   // per-worker speculative slot
-	shards [][]*executor.Runnable // external injection, FIFO per shard
+	inj    []executor.Queue       // the injection shards, the pool's own type
 	state  []wstate
 	ec     *executor.Eventcount
 
@@ -282,12 +282,11 @@ func New(n int, opts ...Option) *SimExecutor {
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.nshards = executor.InjectionShards(n)
-	s.flows = executor.NewFlowTable((*flowHost)(s))
+	s.inj = executor.NewInjection((*queueHost)(s), n)
+	s.flows = executor.NewFlowTable((*queueHost)(s))
 	s.rng = rand.New(rand.NewSource(s.seed))
 	s.deques = make([][]*executor.Runnable, n)
 	s.caches = make([]*executor.Runnable, n)
-	s.shards = make([][]*executor.Runnable, s.nshards)
 	// An idle pool: everyone parked until work arrives.
 	s.state = make([]wstate, n)
 	s.ec = executor.NewEventcount(n)
@@ -367,22 +366,33 @@ func (s *SimExecutor) Submit(r *executor.Runnable) error {
 
 // SubmitBatch implements executor.Scheduler: the whole batch lands on
 // one seed-chosen injection shard in order, like the real pool's one-lock
-// batch submit (drains and steals spread it), up to len(rs) workers are
-// woken, and — when called from outside a running step — the simulation is
-// driven to quiescence before returning.
+// batch submit (drains and steals spread it); the shard's publication does
+// the rest (queueHost.Published).
 func (s *SimExecutor) SubmitBatch(rs []*executor.Runnable) error {
+	// A batch the shard would refuse costs no draw.
 	if len(rs) == 0 {
 		return nil
 	}
 	if s.stopped {
 		return executor.ErrShutdown
 	}
-	idx := s.pick(s.nshards)
-	s.shards[idx] = append(s.shards[idx], rs...)
-	s.st.Enqueued += uint64(len(rs))
-	s.wakeUpTo(len(rs))
+	return s.inj[s.pick(len(s.inj))].SubmitBatch(rs)
+}
+
+// queueHost is the simulation as its queues — shards and flows — see it.
+type queueHost SimExecutor
+
+func (h *queueHost) Stopped() bool { return h.stopped }
+
+// Published implements executor.QueueHost: count the tasks, fold the push
+// (and which queue got it) into the fingerprint, wake up to n workers, and —
+// when called from outside a running step — drive to quiescence.
+func (h *queueHost) Published(q *executor.Queue, n int) {
+	s := (*SimExecutor)(h)
+	s.st.Enqueued += uint64(n)
+	s.mix(1<<62 | uint64(q.TraceID())<<16 | uint64(n))
+	s.wakeUpTo(n)
 	s.drive()
-	return nil
 }
 
 // AfterFunc implements executor.Scheduler: arm a virtual-clock timer.
@@ -454,8 +464,8 @@ func (s *SimExecutor) queued() int {
 	for _, dq := range s.deques {
 		n += len(dq)
 	}
-	for _, sh := range s.shards {
-		n += len(sh)
+	for i := range s.inj {
+		n += s.inj[i].Backlog()
 	}
 	return n
 }
@@ -474,8 +484,8 @@ func (s *SimExecutor) victims(w int) []int {
 		}
 	}
 	if !s.injStallBug {
-		for i, sh := range s.shards {
-			if len(sh) > 0 {
+		for i := range s.inj {
+			if s.inj[i].Backlog() > 0 {
 				out = append(out, s.workers+i)
 			}
 		}
@@ -640,26 +650,21 @@ func (s *SimExecutor) steal(w int) {
 		return
 	}
 	src := victims[s.pick(len(victims))]
-	var q *[]*executor.Runnable
+	var grabbed []*executor.Runnable
 	if src < s.workers {
-		q = &s.deques[src]
-	} else {
-		q = &s.shards[src-s.workers]
-	}
-	k := s.batch(len(*q))
-	grabbed := make([]*executor.Runnable, k)
-	copy(grabbed, (*q)[:k])
-	*q = append((*q)[:0], (*q)[k:]...)
-	if src < s.workers {
+		dq := s.deques[src]
+		grabbed = append(grabbed, dq[:s.batch(len(dq))]...)
+		s.deques[src] = append(dq[:0], dq[len(grabbed):]...)
 		s.st.Steals++
-		s.st.StolenTasks += uint64(k)
+		s.st.StolenTasks += uint64(len(grabbed))
 	} else {
+		q := &s.inj[src-s.workers]
+		grabbed = make([]*executor.Runnable, s.batch(q.Backlog()))
+		q.Take(grabbed)
 		s.st.Drains++
-		s.st.DrainedTasks += uint64(k)
+		s.st.DrainedTasks += uint64(len(grabbed))
 	}
-	if k > 1 {
-		s.deques[w] = append(s.deques[w], grabbed[1:]...)
-	}
+	s.deques[w] = append(s.deques[w], grabbed[1:]...)
 	s.runTask(w, grabbed[0])
 }
 
