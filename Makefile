@@ -20,10 +20,13 @@ build:
 test:
 	$(GO) test ./...
 
-# vet also fails on any file gofmt would rewrite.
+# vet also fails on any file gofmt would rewrite, and on an exported name
+# of an internal/ package that no other package calls (the allowlist and
+# its reasons are in internal/sloc/callers_test.go).
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+	$(GO) test -run '^(TestExportedHaveCallers|TestUnreachedRules)$$' ./internal/sloc/
 
 race:
 	$(GO) test -race ./internal/...

@@ -81,9 +81,6 @@ func (t *Table) Row(cells ...any) *Table {
 	return t
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Fprint writes the table with aligned columns.
 func (t *Table) Fprint(w io.Writer) error {
 	widths := make([]int, len(t.Header))

@@ -57,8 +57,8 @@ func TestTable(t *testing.T) {
 	tb := NewTable("Figure X: demo", "size", "taskflow_ms", "tbb_ms")
 	tb.Row(100, 3*time.Millisecond, 5*time.Millisecond)
 	tb.Row(200, 1.5, "x")
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	var sb strings.Builder
 	if err := tb.Fprint(&sb); err != nil {

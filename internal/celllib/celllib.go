@@ -206,9 +206,6 @@ func NewNanGate45Like() *Library {
 // Cell returns the named cell or nil.
 func (l *Library) Cell(name string) *Cell { return l.Cells[name] }
 
-// Family returns the drive variants of a family in ascending drive order.
-func (l *Library) Family(name string) []*Cell { return l.families[name] }
-
 // Resize returns the variant of c's family with the next drive strength in
 // the given direction (+1 up, -1 down), or c itself at the range ends.
 func (l *Library) Resize(c *Cell, dir int) *Cell {

@@ -15,7 +15,7 @@ func TestLibraryContents(t *testing.T) {
 	if lib.Cell("NAND3_X1") != nil {
 		t.Fatal("unexpected cell")
 	}
-	if got := len(lib.Family("INV")); got != 3 {
+	if got := len(lib.families["INV"]); got != 3 {
 		t.Fatalf("INV family has %d variants, want 3", got)
 	}
 	inv := lib.Cell("INV_X1")
@@ -145,7 +145,7 @@ func TestUnateness(t *testing.T) {
 		"AOI21": NegativeUnate, "BUF": PositiveUnate, "AND2": PositiveUnate,
 		"OR2": PositiveUnate, "XOR2": NonUnate, "DFF": PositiveUnate,
 	} {
-		for _, c := range lib.Family(family) {
+		for _, c := range lib.families[family] {
 			if c.Unate != want {
 				t.Fatalf("%s unateness = %d, want %d", c.Name, c.Unate, want)
 			}

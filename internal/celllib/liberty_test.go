@@ -47,8 +47,8 @@ func TestLibertyRoundTrip(t *testing.T) {
 		}
 	}
 	// Family index must work after parsing.
-	if len(got.Family("INV")) != 3 {
-		t.Fatalf("INV family = %d variants", len(got.Family("INV")))
+	if len(got.families["INV"]) != 3 {
+		t.Fatalf("INV family = %d variants", len(got.families["INV"]))
 	}
 	if got.Resize(got.Cell("INV_X1"), +1) != got.Cell("INV_X2") {
 		t.Fatal("Resize broken after round-trip")

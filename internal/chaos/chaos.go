@@ -171,12 +171,6 @@ func (in *Injector) Wrap(name string, fn func()) func() error {
 	}
 }
 
-// WrapErr is Wrap for bodies that already return an error.
-func (in *Injector) WrapErr(name string, fn func() error) func() error {
-	f := in.plan(name)
-	return func() error { return in.apply(f, fn) }
-}
-
 // Planned returns a copy of the fault plan in Wrap order.
 func (in *Injector) Planned() []Fault {
 	in.mu.Lock()

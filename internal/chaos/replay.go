@@ -12,20 +12,20 @@ import (
 	"strconv"
 )
 
-// SeedEnv is the environment variable that pins the chaos suite to a
+// seedEnv is the environment variable that pins the chaos suite to a
 // single seed: `CHAOS_SEED=17 go test ./internal/chaos -run <case>`
 // replays the fault plan and scheduler seeding of seed 17 only.
-const SeedEnv = "CHAOS_SEED"
+const seedEnv = "CHAOS_SEED"
 
 // Seeds returns the seed sweep for a stress case: 0..n-1 by default, or
 // just the pinned seed when the CHAOS_SEED environment variable is set.
 // A malformed CHAOS_SEED panics rather than silently sweeping — a replay
 // run must never fan back out.
 func Seeds(n int) []int64 {
-	if v := os.Getenv(SeedEnv); v != "" {
+	if v := os.Getenv(seedEnv); v != "" {
 		seed, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			panic(fmt.Sprintf("chaos: %s=%q is not an int64: %v", SeedEnv, v, err))
+			panic(fmt.Sprintf("chaos: %s=%q is not an int64: %v", seedEnv, v, err))
 		}
 		return []int64{seed}
 	}
@@ -43,5 +43,5 @@ func Seeds(n int) []int64 {
 func Recipe(testPattern string, pkg string, seed int64, workers int, graph string) string {
 	return fmt.Sprintf(
 		"replay: seed=%d workers=%d graph=%s → %s=%d go test %s -run '%s' -count=1",
-		seed, workers, graph, SeedEnv, seed, pkg, testPattern)
+		seed, workers, graph, seedEnv, seed, pkg, testPattern)
 }

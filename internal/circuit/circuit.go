@@ -102,11 +102,11 @@ func (c *Circuit) NumEdges() int {
 	return n
 }
 
-// Validate checks the structural invariants the timing engine relies on:
+// validate checks the structural invariants the timing engine relies on:
 // every edge goes from a lower to a higher index (index order is
 // topological), fanin/fanout lists are mutually consistent, and
 // combinational fanin counts match the mapped cell.
-func (c *Circuit) Validate() error {
+func (c *Circuit) validate() error {
 	for u, g := range c.Gates {
 		if g.ID != u {
 			return fmt.Errorf("circuit %s: gate %d has ID %d", c.Name, u, g.ID)

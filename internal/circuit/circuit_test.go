@@ -149,7 +149,7 @@ func TestFigure8Topology(t *testing.T) {
 	if _, err := levelize.Levels(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,14 +159,14 @@ func TestValidateCatchesBackwardEdge(t *testing.T) {
 	// Manufacture a backward edge.
 	c.Gates[5].Fanout = append(c.Gates[5].Fanout, 1)
 	c.Gates[1].Fanin = append(c.Gates[1].Fanin, 5)
-	if err := c.Validate(); err == nil {
+	if err := c.validate(); err == nil {
 		t.Fatal("Validate missed backward edge")
 	}
 }
 
 func TestGenerateValidates(t *testing.T) {
 	c := Generate("t", Config{Gates: 1200, Seed: 19})
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		t.Fatal(err)
 	}
 }

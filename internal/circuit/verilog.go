@@ -110,7 +110,7 @@ func writeDecl(w *bufio.Writer, kind string, names []string) {
 
 // ParseVerilog reads a flat gate-level module written by WriteVerilog (or
 // hand-written in the same subset) into a Circuit over lib. Gates are
-// re-indexed into topological order, so the result satisfies Validate.
+// re-indexed into topological order, so the result satisfies validate.
 func ParseVerilog(r io.Reader, lib *celllib.Library) (*Circuit, error) {
 	src, err := io.ReadAll(r)
 	if err != nil {
@@ -290,7 +290,7 @@ func ParseVerilog(r io.Reader, lib *celllib.Library) (*Circuit, error) {
 			c.connect(newID[d], newID[old])
 		}
 	}
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	return c, nil

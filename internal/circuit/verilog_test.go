@@ -74,7 +74,7 @@ func TestVerilogRoundTripFigure8(t *testing.T) {
 	c := Figure8()
 	got := roundTrip(t, c)
 	compareCircuits(t, c, got)
-	if err := got.Validate(); err != nil {
+	if err := got.validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,7 +158,7 @@ endmodule
 	if g["g2"].Cell.Name != "INV_X2" {
 		t.Fatal("cell mapping lost")
 	}
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		t.Fatal(err)
 	}
 }

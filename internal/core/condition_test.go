@@ -220,12 +220,12 @@ func TestWorkConditionOnPlaceholder(t *testing.T) {
 	defer tf.Close()
 	var ran atomic.Bool
 	p := tf.Placeholder()
-	if p.IsCondition() {
+	if p.node.isCondition() {
 		t.Fatal("placeholder is condition")
 	}
 	exit := tf.Emplace1(func() { ran.Store(true) })
 	p.WorkCondition(func() int { return 0 })
-	if !p.IsCondition() {
+	if !p.node.isCondition() {
 		t.Fatal("WorkCondition did not mark the task")
 	}
 	p.Precede(exit)

@@ -56,8 +56,8 @@
 //
 // # Algorithms and debugging
 //
-// ParallelFor, ParallelForIndex, Reduce, Transform, TransformReduce and
-// Sort build common parallel patterns as spliceable task subgraphs (paper
+// ParallelFor, ParallelForIndex, Reduce, Transform and TransformReduce
+// build common parallel patterns as spliceable task subgraphs (paper
 // Section III-F). Dump writes the (possibly nested) task graph in GraphViz
 // DOT format (Section III-G).
 //

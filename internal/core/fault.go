@@ -9,7 +9,6 @@ package core
 // pay nothing on the scheduling hot path beyond two nil checks per task.
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -61,19 +60,6 @@ func (t Task) Retry(n int, backoff time.Duration) Task {
 		panic("core: negative retry count")
 	}
 	t.node.extra().retry = &retryPolicy{max: n, backoff: backoff}
-	return t
-}
-
-// WorkErr assigns (or replaces) an error-returning callable: a non-nil
-// result fail-fast-cancels the topology (see EmplaceErr).
-func (t Task) WorkErr(fn func() error) Task {
-	t.rebind("WorkErr", false).errWork = fn
-	return t
-}
-
-// WorkCtx assigns (or replaces) a context-aware callable (see EmplaceCtx).
-func (t Task) WorkCtx(fn func(context.Context) error) Task {
-	t.rebind("WorkCtx", false).ctxWork = fn
 	return t
 }
 

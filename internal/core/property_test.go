@@ -34,7 +34,7 @@ func TestPropertyRandomDAGExactlyOnceAndReconciled(t *testing.T) {
 
 func checkRandomDAG(t *testing.T, workers, n int, seed int64) {
 	d := graphgen.Random(n, graphgen.Config{Seed: seed})
-	e := executor.New(workers, executor.WithMetrics(), executor.WithSeed(seed))
+	e := executor.New(workers, executor.WithMetrics())
 	defer e.Shutdown()
 	tf := NewShared(e).CollectRunStats(false)
 

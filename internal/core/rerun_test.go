@@ -459,15 +459,14 @@ func TestTopologyHotColdLayout(t *testing.T) {
 	// What runNode and finishNode read on every execution sits together
 	// ahead of pending, within two lines.
 	hot := map[string][2]uintptr{
-		"cancelled":   {unsafe.Offsetof(topo.cancelled), unsafe.Sizeof(topo.cancelled)},
-		"lat":         {unsafe.Offsetof(topo.lat), unsafe.Sizeof(topo.lat)},
-		"timed":       {unsafe.Offsetof(topo.timed), unsafe.Sizeof(topo.timed)},
-		"pprofLabels": {unsafe.Offsetof(topo.pprofLabels), unsafe.Sizeof(topo.pprofLabels)},
-		"stats":       {unsafe.Offsetof(topo.stats), unsafe.Sizeof(topo.stats)},
-		"flow":        {unsafe.Offsetof(topo.flow), unsafe.Sizeof(topo.flow)},
-		"ready":       {unsafe.Offsetof(topo.ready), unsafe.Sizeof(topo.ready)},
-		"graph":       {unsafe.Offsetof(topo.graph), unsafe.Sizeof(topo.graph)},
-		"exec":        {unsafe.Offsetof(topo.exec), unsafe.Sizeof(topo.exec)},
+		"cancelled": {unsafe.Offsetof(topo.cancelled), unsafe.Sizeof(topo.cancelled)},
+		"lat":       {unsafe.Offsetof(topo.lat), unsafe.Sizeof(topo.lat)},
+		"timed":     {unsafe.Offsetof(topo.timed), unsafe.Sizeof(topo.timed)},
+		"stats":     {unsafe.Offsetof(topo.stats), unsafe.Sizeof(topo.stats)},
+		"flow":      {unsafe.Offsetof(topo.flow), unsafe.Sizeof(topo.flow)},
+		"ready":     {unsafe.Offsetof(topo.ready), unsafe.Sizeof(topo.ready)},
+		"graph":     {unsafe.Offsetof(topo.graph), unsafe.Sizeof(topo.graph)},
+		"exec":      {unsafe.Offsetof(topo.exec), unsafe.Sizeof(topo.exec)},
 	}
 	var span uintptr
 	for name, f := range hot {

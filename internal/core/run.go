@@ -81,15 +81,14 @@ func (tf *Taskflow) runStale() bool {
 // comes with the topology all the same, so a Future has one to resolve.
 func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 	t := &topology{
-		graph:       g,
-		exec:        tf.exec,
-		out:         tf.exec,
-		flow:        tf.flow,
-		reusable:    reusable,
-		builtLen:    g.len(),
-		flowName:    tf.name,
-		pprofLabels: tf.pprofLabels,
-		ready:       make([][releaseChunk]*executor.Runnable, tf.exec.NumWorkers()),
+		graph:    g,
+		exec:     tf.exec,
+		out:      tf.exec,
+		flow:     tf.flow,
+		reusable: reusable,
+		builtLen: g.len(),
+		flowName: tf.name,
+		ready:    make([][releaseChunk]*executor.Runnable, tf.exec.NumWorkers()),
 	}
 	if reusable {
 		t.done = make(chan struct{}, 1)

@@ -129,7 +129,7 @@ func TestSemaphoreCancelRetryReal(t *testing.T) {
 				replay := fmt.Sprintf(
 					"go test -race ./internal/core -run 'TestSemaphoreCancelRetryReal/w%d' -count=1 (failing seed %d)",
 					workers, seed)
-				e := executor.New(workers, executor.WithSeed(seed))
+				e := executor.New(workers)
 				tf := NewShared(e)
 				sem := NewSemaphore(1)
 				perm := int(seed) % semRetryTasks

@@ -57,14 +57,6 @@ func (t Task) Work(fn func()) Task {
 	return t
 }
 
-// WorkSubflow assigns (or replaces) a dynamic-tasking callable: at runtime
-// the task receives a *Subflow through which it spawns a child graph using
-// the same API as static tasking.
-func (t Task) WorkSubflow(fn func(*Subflow)) Task {
-	t.rebind("WorkSubflow", false).subflowWork = fn
-	return t
-}
-
 // WorkCondition assigns (or replaces) a condition callable. Because edges
 // leaving a condition task are weak, the kind must be decided before any
 // Precede call wires successors; assigning condition work to a task that
@@ -93,12 +85,6 @@ func (t Task) IsPlaceholder() bool {
 	t.must("IsPlaceholder")
 	return t.node.work == nil && t.node.errWork == nil && t.node.ctxWork == nil &&
 		t.node.subflowWork == nil && t.node.condWork == nil
-}
-
-// IsCondition reports whether the task is a condition task.
-func (t Task) IsCondition() bool {
-	t.must("IsCondition")
-	return t.node.isCondition()
 }
 
 // NumSuccessors returns the number of outgoing dependency edges.

@@ -42,7 +42,7 @@ type FlowBuilder interface {
 	// what lets condition tasks express branches and loops.
 	EmplaceCondition(fn func() int) Task
 	// Placeholder creates a task with no work assigned; work can be bound
-	// later through Task.Work or Task.WorkSubflow.
+	// later through Task.Work or Task.WorkCondition.
 	Placeholder() Task
 
 	// workerCount reports the worker count of the executor that will run
@@ -159,10 +159,6 @@ type Taskflow struct {
 	// topologies created after CollectRunStats; see stats.go.
 	statsEnabled bool
 	statsTiming  bool
-
-	// pprofLabels configures runtime/pprof label propagation around task
-	// bodies for subsequently created topologies; see pprof.go.
-	pprofLabels bool
 
 	// flow is the multi-tenant flow subsequently dispatched/run topologies
 	// bind to (nil = unbound); see SetFlow.

@@ -48,11 +48,8 @@ type topology struct {
 	// flow, non-nil only when the scheduler implements
 	// executor.LatencyProvider with histograms enabled (see latency.go).
 	// timed is set when lat or the stats block wants task bodies timed.
-	// pprofLabels enables runtime/pprof label propagation around task
-	// bodies (see Taskflow.EnablePprofLabels).
-	lat         executor.LatencySink
-	timed       bool
-	pprofLabels bool
+	lat   executor.LatencySink
+	timed bool
 
 	// sumNodeStats says how an execution accounts itself on its node when
 	// stats are collected: set, it adds to the node's per-run counters,
@@ -130,7 +127,7 @@ type topology struct {
 	gen       atomic.Uint64
 
 	// flowName is the owning Taskflow's display name at dispatch time,
-	// carried into trace spans and pprof labels.
+	// carried into trace spans.
 	flowName string
 }
 
@@ -465,21 +462,6 @@ func (t *topology) captureErr(n *node) (err error) {
 			err = fmt.Errorf("task panicked: %v", r)
 		}
 	}()
-	if t.pprofLabels {
-		// Cold profiling path: the closure allocation is acceptable here
-		// and only here (see EnablePprofLabels).
-		t.labeled(n, func() {
-			switch {
-			case n.errWork != nil:
-				err = n.errWork()
-			case n.ctxWork != nil:
-				err = n.ctxWork(t.taskContext())
-			case n.work != nil:
-				n.work()
-			}
-		})
-		return err
-	}
 	switch {
 	case n.errWork != nil:
 		return n.errWork()
@@ -499,7 +481,7 @@ func (t *topology) invoke(n *node, fn func()) {
 			t.addErr(fmt.Errorf("core: task %q panicked: %v", n.name, r))
 		}
 	}()
-	t.labeled(n, fn)
+	fn()
 }
 
 // spawn schedules a freshly built subflow graph. parent is non-nil for

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"errors"
-	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -210,10 +208,8 @@ func TestTraceCancelAndSkip(t *testing.T) {
 	e := executor.New(2, executor.WithTracing(1<<12))
 	defer e.Shutdown()
 	tf := NewShared(e)
-	ts := tf.Emplace(func() {}, func() {})
-	ts[0].Name("boom").WorkErr(func() error { return errors.New("boom") })
-	ts[1].Name("skipped")
-	ts[0].Precede(ts[1])
+	boom := tf.EmplaceErr(func() error { return errors.New("boom") }).Name("boom")
+	boom.Precede(tf.Emplace1(func() {}).Name("skipped"))
 
 	tr := collectTrace(t, e, func() {
 		if err := tf.Run(); err == nil {
@@ -231,59 +227,6 @@ func TestTraceCancelAndSkip(t *testing.T) {
 		if ev.Kind == executor.EvSkip && ev.Meta.Name != "skipped" {
 			t.Fatalf("skip event names %q, want skipped", ev.Meta.Name)
 		}
-	}
-}
-
-func TestPprofLabelsAroundTaskBodies(t *testing.T) {
-	tf := New(2).SetName("labeledflow").EnablePprofLabels(true)
-	defer tf.Close()
-
-	block := make(chan struct{})
-	entered := make(chan struct{})
-	tf.Emplace1(func() {
-		close(entered)
-		<-block
-	}).Name("blocker")
-	fut := tf.Dispatch()
-	<-entered
-
-	// The goroutine profile (debug=1) prints each goroutine's pprof
-	// labels; the blocked task body must carry ours.
-	var buf bytes.Buffer
-	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	prof := buf.String()
-	if !strings.Contains(prof, `"taskflow":"labeledflow"`) ||
-		!strings.Contains(prof, `"task":"blocker"`) {
-		t.Fatalf("goroutine profile lacks task labels:\n%s", prof)
-	}
-	close(block)
-	if err := fut.Get(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Off by default: without EnablePprofLabels no labels appear.
-	tf2 := New(1)
-	defer tf2.Close()
-	block2 := make(chan struct{})
-	entered2 := make(chan struct{})
-	tf2.Emplace1(func() {
-		close(entered2)
-		<-block2
-	})
-	fut2 := tf2.Dispatch()
-	<-entered2
-	buf.Reset()
-	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), `"taskflow":`) {
-		t.Fatal("labels leaked into a flow without EnablePprofLabels")
-	}
-	close(block2)
-	if err := fut2.Get(); err != nil {
-		t.Fatal(err)
 	}
 }
 

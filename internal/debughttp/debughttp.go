@@ -141,15 +141,13 @@ func (r *Registry) index(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-func (r *Registry) serveMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+func (r *Registry) serveMetrics(w http.ResponseWriter, req *http.Request) {
 	if !r.exec.MetricsEnabled() {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		fmt.Fprintln(w, "# scheduler metrics disabled: build the executor with executor.WithMetrics()")
 		return
 	}
-	if err := metrics.WritePrometheus(w, r.exec); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	metrics.Handler(r.exec).ServeHTTP(w, req)
 }
 
 // serveFlows renders the multi-tenant flow table. Flow counters are

@@ -45,12 +45,12 @@ type MLP struct {
 	B     []*matrix.Matrix // B[l] is 1 × Sizes[l+1]
 }
 
-// NumLayers returns the number of weight layers (the paper's "3-layer" and
+// numLayers returns the number of weight layers (the paper's "3-layer" and
 // "5-layer" counts).
-func (n *MLP) NumLayers() int { return len(n.W) }
+func (n *MLP) numLayers() int { return len(n.W) }
 
-// NewMLP builds a deterministic Xavier-initialized network.
-func NewMLP(sizes []int, seed int64) *MLP {
+// newMLP builds a deterministic Xavier-initialized network.
+func newMLP(sizes []int, seed int64) *MLP {
 	if len(sizes) < 2 {
 		panic("dnn: need at least input and output sizes")
 	}
@@ -75,7 +75,7 @@ func (n *MLP) Clone() *MLP {
 
 // Equal reports whether two networks have identical parameters within eps.
 func (n *MLP) Equal(o *MLP, eps float64) bool {
-	if n.NumLayers() != o.NumLayers() {
+	if n.numLayers() != o.numLayers() {
 		return false
 	}
 	for l := range n.W {
@@ -86,11 +86,11 @@ func (n *MLP) Equal(o *MLP, eps float64) bool {
 	return true
 }
 
-// Trainer owns the per-batch scratch buffers for one network. The task
+// trainer owns the per-batch scratch buffers for one network. The task
 // decomposition serializes batches (each batch's updates precede the next
 // batch's forward pass), so one scratch set suffices and is reused, as in
 // the paper's implementation.
-type Trainer struct {
+type trainer struct {
 	Net   *MLP
 	LR    float64
 	Batch int
@@ -103,16 +103,16 @@ type Trainer struct {
 	dB     []*matrix.Matrix
 }
 
-// NewTrainer allocates scratch for the given batch size.
-func NewTrainer(net *MLP, lr float64, batch int) *Trainer {
-	tr := &Trainer{
+// newTrainer allocates scratch for the given batch size.
+func newTrainer(net *MLP, lr float64, batch int) *trainer {
+	tr := &trainer{
 		Net:    net,
 		LR:     lr,
 		Batch:  batch,
 		X:      matrix.New(batch, net.Sizes[0]),
 		labels: make([]uint8, batch),
 	}
-	for l := 0; l < net.NumLayers(); l++ {
+	for l := 0; l < net.numLayers(); l++ {
 		tr.A = append(tr.A, matrix.New(batch, net.Sizes[l+1]))
 		tr.delta = append(tr.delta, matrix.New(batch, net.Sizes[l+1]))
 		tr.dW = append(tr.dW, matrix.New(net.Sizes[l], net.Sizes[l+1]))
@@ -121,21 +121,21 @@ func NewTrainer(net *MLP, lr float64, batch int) *Trainer {
 	return tr
 }
 
-// LoadBatch copies rows [beg, beg+Batch) of the (already shuffled) images
+// loadBatch copies rows [beg, beg+Batch) of the (already shuffled) images
 // and labels into the input buffer.
-func (tr *Trainer) LoadBatch(images [][]float64, labels []uint8, beg int) {
+func (tr *trainer) loadBatch(images [][]float64, labels []uint8, beg int) {
 	for i := 0; i < tr.Batch; i++ {
 		copy(tr.X.Row(i), images[beg+i])
 		tr.labels[i] = labels[beg+i]
 	}
 }
 
-// Forward runs the forward pass on the loaded batch, returns the mean
+// forward runs the forward pass on the loaded batch, returns the mean
 // cross-entropy loss, and seeds the output-layer delta — the paper's
 // per-batch forward task F.
-func (tr *Trainer) Forward() float64 {
+func (tr *trainer) forward() float64 {
 	in := tr.X
-	last := tr.Net.NumLayers() - 1
+	last := tr.Net.numLayers() - 1
 	for l := 0; l <= last; l++ {
 		matrix.MulTo(tr.A[l], in, tr.Net.W[l])
 		tr.A[l].AddRowVec(tr.Net.B[l])
@@ -152,11 +152,11 @@ func (tr *Trainer) Forward() float64 {
 	return loss
 }
 
-// Gradient computes layer l's weight/bias gradients from delta[l] and
+// gradient computes layer l's weight/bias gradients from delta[l] and
 // back-propagates delta[l-1] — the paper's task Gi. It must run for layers
 // in descending order; it reads W[l] (pre-update), so the matching Update
 // may run concurrently with Gradient(l-1).
-func (tr *Trainer) Gradient(l int) {
+func (tr *trainer) gradient(l int) {
 	aIn := tr.X
 	if l > 0 {
 		aIn = tr.A[l-1]
@@ -169,36 +169,36 @@ func (tr *Trainer) Gradient(l int) {
 	}
 }
 
-// Update applies the SGD step to layer l — the paper's task Ui.
-func (tr *Trainer) Update(l int) {
+// update applies the SGD step to layer l — the paper's task Ui.
+func (tr *trainer) update(l int) {
 	tr.Net.W[l].AddScaled(-tr.LR, tr.dW[l])
 	tr.Net.B[l].AddScaled(-tr.LR, tr.dB[l])
 }
 
-// TrainBatch runs one full batch sequentially: forward, all gradients,
+// trainBatch runs one full batch sequentially: forward, all gradients,
 // all updates. This is the semantics every task decomposition must match.
-func (tr *Trainer) TrainBatch(images [][]float64, labels []uint8, beg int) float64 {
-	tr.LoadBatch(images, labels, beg)
-	loss := tr.Forward()
-	for l := tr.Net.NumLayers() - 1; l >= 0; l-- {
-		tr.Gradient(l)
+func (tr *trainer) trainBatch(images [][]float64, labels []uint8, beg int) float64 {
+	tr.loadBatch(images, labels, beg)
+	loss := tr.forward()
+	for l := tr.Net.numLayers() - 1; l >= 0; l-- {
+		tr.gradient(l)
 	}
-	for l := tr.Net.NumLayers() - 1; l >= 0; l-- {
-		tr.Update(l)
+	for l := tr.Net.numLayers() - 1; l >= 0; l-- {
+		tr.update(l)
 	}
 	return loss
 }
 
-// Predict returns the argmax class for each row of a dataset slice using a
+// predict returns the argmax class for each row of a dataset slice using a
 // throwaway forward pass.
-func Predict(net *MLP, images [][]float64) []uint8 {
+func predict(net *MLP, images [][]float64) []uint8 {
 	out := make([]uint8, len(images))
-	tr := NewTrainer(net, 0, 1)
+	tr := newTrainer(net, 0, 1)
 	for i, img := range images {
 		copy(tr.X.Row(0), img)
 		tr.labels[0] = 0
-		tr.Forward()
-		probs := tr.A[net.NumLayers()-1].Row(0)
+		tr.forward()
+		probs := tr.A[net.numLayers()-1].Row(0)
 		best := 0
 		for j, p := range probs {
 			if p > probs[best] {
@@ -212,7 +212,7 @@ func Predict(net *MLP, images [][]float64) []uint8 {
 
 // Accuracy scores a network against a dataset.
 func Accuracy(net *MLP, d *mnist.Dataset) float64 {
-	pred := Predict(net, d.Images)
+	pred := predict(net, d.Images)
 	correct := 0
 	for i := range pred {
 		if pred[i] == d.Labels[i] {
@@ -261,8 +261,8 @@ func (cfg Config) NumTasksPerEpoch(datasetLen int) int {
 // TrainSequential is the single-threaded reference implementation.
 // It returns the trained network and the mean loss per epoch.
 func TrainSequential(cfg Config, d *mnist.Dataset) (*MLP, []float64) {
-	net := NewMLP(cfg.Sizes, cfg.Seed)
-	tr := NewTrainer(net, cfg.LR, cfg.BatchSize)
+	net := newMLP(cfg.Sizes, cfg.Seed)
+	tr := newTrainer(net, cfg.LR, cfg.BatchSize)
 	batches := d.Len() / cfg.BatchSize
 	losses := make([]float64, cfg.Epochs)
 	imgs := make([][]float64, d.Len())
@@ -271,7 +271,7 @@ func TrainSequential(cfg Config, d *mnist.Dataset) (*MLP, []float64) {
 		shuffled(d, cfg.Seed, e, imgs, labels)
 		var sum float64
 		for b := 0; b < batches; b++ {
-			sum += tr.TrainBatch(imgs, labels, b*cfg.BatchSize)
+			sum += tr.trainBatch(imgs, labels, b*cfg.BatchSize)
 		}
 		losses[e] = sum / float64(batches)
 	}

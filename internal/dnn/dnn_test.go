@@ -19,15 +19,15 @@ func smallCfg() Config {
 }
 
 func TestNewMLPShapes(t *testing.T) {
-	net := NewMLP(Arch3, 1)
-	if net.NumLayers() != 3 {
-		t.Fatalf("Arch3 has %d layers, want 3", net.NumLayers())
+	net := newMLP(Arch3, 1)
+	if net.numLayers() != 3 {
+		t.Fatalf("Arch3 has %d layers, want 3", net.numLayers())
 	}
-	net5 := NewMLP(Arch5, 1)
-	if net5.NumLayers() != 5 {
-		t.Fatalf("Arch5 has %d layers, want 5", net5.NumLayers())
+	net5 := newMLP(Arch5, 1)
+	if net5.numLayers() != 5 {
+		t.Fatalf("Arch5 has %d layers, want 5", net5.numLayers())
 	}
-	for l := 0; l < net.NumLayers(); l++ {
+	for l := 0; l < net.numLayers(); l++ {
 		if net.W[l].Rows != net.Sizes[l] || net.W[l].Cols != net.Sizes[l+1] {
 			t.Fatalf("W[%d] shape %dx%d", l, net.W[l].Rows, net.W[l].Cols)
 		}
@@ -38,18 +38,18 @@ func TestNewMLPShapes(t *testing.T) {
 }
 
 func TestNewMLPDeterministic(t *testing.T) {
-	a, b := NewMLP(Arch3, 5), NewMLP(Arch3, 5)
+	a, b := newMLP(Arch3, 5), newMLP(Arch3, 5)
 	if !a.Equal(b, 0) {
 		t.Fatal("same seed, different weights")
 	}
-	c := NewMLP(Arch3, 6)
+	c := newMLP(Arch3, 6)
 	if a.Equal(c, 0) {
 		t.Fatal("different seed, same weights")
 	}
 }
 
 func TestCloneIndependent(t *testing.T) {
-	a := NewMLP(Arch3, 1)
+	a := newMLP(Arch3, 1)
 	b := a.Clone()
 	b.W[0].Data[0] += 1
 	if a.Equal(b, 0) {
@@ -61,9 +61,9 @@ func TestCloneIndependent(t *testing.T) {
 // differences on a tiny network.
 func TestGradientCheck(t *testing.T) {
 	sizes := []int{6, 5, 4}
-	net := NewMLP(sizes, 3)
+	net := newMLP(sizes, 3)
 	batch := 3
-	tr := NewTrainer(net, 0, batch)
+	tr := newTrainer(net, 0, batch)
 	// Synthetic batch.
 	for i := 0; i < batch; i++ {
 		for j := 0; j < 6; j++ {
@@ -74,7 +74,7 @@ func TestGradientCheck(t *testing.T) {
 	lossAt := func() float64 {
 		// Forward without touching delta state beyond what Forward does.
 		in := tr.X
-		last := net.NumLayers() - 1
+		last := net.numLayers() - 1
 		for l := 0; l <= last; l++ {
 			matrix.MulTo(tr.A[l], in, net.W[l])
 			tr.A[l].AddRowVec(net.B[l])
@@ -87,12 +87,12 @@ func TestGradientCheck(t *testing.T) {
 		}
 		return matrix.CrossEntropy(tr.A[last], tr.labels)
 	}
-	tr.Forward()
-	for l := net.NumLayers() - 1; l >= 0; l-- {
-		tr.Gradient(l)
+	tr.forward()
+	for l := net.numLayers() - 1; l >= 0; l-- {
+		tr.gradient(l)
 	}
 	const h = 1e-6
-	for l := 0; l < net.NumLayers(); l++ {
+	for l := 0; l < net.numLayers(); l++ {
 		for _, probe := range []struct {
 			m, g *matrix.Matrix
 		}{{net.W[l], tr.dW[l]}, {net.B[l], tr.dB[l]}} {
@@ -130,7 +130,7 @@ func TestAccuracyImproves(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Epochs = 12
 	cfg.LR = 0.2
-	before := Accuracy(NewMLP(cfg.Sizes, cfg.Seed), test)
+	before := Accuracy(newMLP(cfg.Sizes, cfg.Seed), test)
 	net, _ := TrainSequential(cfg, train)
 	after := Accuracy(net, test)
 	if after <= before+0.1 {
@@ -220,9 +220,9 @@ func TestSlotCount(t *testing.T) {
 }
 
 func TestPredictShapes(t *testing.T) {
-	net := NewMLP([]int{mnist.Pixels, 8, 10}, 1)
+	net := newMLP([]int{mnist.Pixels, 8, 10}, 1)
 	d := mnist.Synthetic(10, 1)
-	pred := Predict(net, d.Images)
+	pred := predict(net, d.Images)
 	if len(pred) != 10 {
 		t.Fatalf("Predict returned %d labels", len(pred))
 	}

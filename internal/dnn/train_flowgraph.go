@@ -10,10 +10,10 @@ import (
 // the whole run, explicit edges, and explicit TryPut on the source shuffle
 // nodes — mirroring the paper's TBB implementation (Listing 8 style).
 func TrainFlowGraph(cfg Config, d *mnist.Dataset, workers int) (*MLP, []float64) {
-	net := NewMLP(cfg.Sizes, cfg.Seed)
-	tr := NewTrainer(net, cfg.LR, cfg.BatchSize)
+	net := newMLP(cfg.Sizes, cfg.Seed)
+	tr := newTrainer(net, cfg.LR, cfg.BatchSize)
 	batches := d.Len() / cfg.BatchSize
-	layers := net.NumLayers()
+	layers := net.numLayers()
 	losses := make([]float64, cfg.Epochs)
 	slots := numSlots(workers, cfg.Epochs)
 	store := newSlotStore(slots, d.Len())
@@ -38,8 +38,8 @@ func TrainFlowGraph(cfg Config, d *mnist.Dataset, workers int) (*MLP, []float64)
 		for b := 0; b < batches; b++ {
 			b := b
 			f := flowgraph.NewContinueNode(g, func(flowgraph.ContinueMsg) {
-				tr.LoadBatch(store.imgs[slot], store.labels[slot], b*cfg.BatchSize)
-				losses[e] += tr.Forward()
+				tr.loadBatch(store.imgs[slot], store.labels[slot], b*cfg.BatchSize)
+				losses[e] += tr.forward()
 			})
 			flowgraph.MakeEdge(shuffle, f)
 			for _, u := range prevUs {
@@ -49,9 +49,9 @@ func TrainFlowGraph(cfg Config, d *mnist.Dataset, workers int) (*MLP, []float64)
 			prevUs = prevUs[:0]
 			for l := layers - 1; l >= 0; l-- {
 				l := l
-				grad := flowgraph.NewContinueNode(g, func(flowgraph.ContinueMsg) { tr.Gradient(l) })
+				grad := flowgraph.NewContinueNode(g, func(flowgraph.ContinueMsg) { tr.gradient(l) })
 				flowgraph.MakeEdge(prev, grad)
-				upd := flowgraph.NewContinueNode(g, func(flowgraph.ContinueMsg) { tr.Update(l) })
+				upd := flowgraph.NewContinueNode(g, func(flowgraph.ContinueMsg) { tr.update(l) })
 				flowgraph.MakeEdge(grad, upd)
 				prevUs = append(prevUs, upd)
 				prev = grad

@@ -13,10 +13,10 @@ import (
 // explicit dependency token on both sides of every constraint, specific to
 // the DNN architecture — the productivity cost Table III quantifies.
 func TrainOMP(cfg Config, d *mnist.Dataset, workers int) (*MLP, []float64) {
-	net := NewMLP(cfg.Sizes, cfg.Seed)
-	tr := NewTrainer(net, cfg.LR, cfg.BatchSize)
+	net := newMLP(cfg.Sizes, cfg.Seed)
+	tr := newTrainer(net, cfg.LR, cfg.BatchSize)
 	batches := d.Len() / cfg.BatchSize
-	layers := net.NumLayers()
+	layers := net.numLayers()
 	losses := make([]float64, cfg.Epochs)
 	slots := numSlots(workers, cfg.Epochs)
 	store := newSlotStore(slots, d.Len())
@@ -64,8 +64,8 @@ func TrainOMP(cfg Config, d *mnist.Dataset, workers int) (*MLP, []float64) {
 				}
 				fDeps = append(fDeps, omp.Out(outs...))
 				s.Task(func() {
-					tr.LoadBatch(store.imgs[slot], store.labels[slot], b*cfg.BatchSize)
-					losses[e] += tr.Forward()
+					tr.loadBatch(store.imgs[slot], store.labels[slot], b*cfg.BatchSize)
+					losses[e] += tr.forward()
 				}, fDeps...)
 
 				// Gradient chain and updates, declared in sequential
@@ -79,8 +79,8 @@ func TrainOMP(cfg Config, d *mnist.Dataset, workers int) (*MLP, []float64) {
 						gDeps = append(gDeps, omp.In(gTok(e, b, l+1)))
 					}
 					gDeps = append(gDeps, omp.Out(gTok(e, b, l)))
-					s.Task(func() { tr.Gradient(l) }, gDeps...)
-					s.Task(func() { tr.Update(l) },
+					s.Task(func() { tr.gradient(l) }, gDeps...)
+					s.Task(func() { tr.update(l) },
 						omp.In(gTok(e, b, l)), omp.Out(uTok(e, b, l)))
 				}
 			}

@@ -57,10 +57,10 @@ func TrainTaskflow(cfg Config, d *mnist.Dataset, workers int) (*MLP, []float64, 
 // endpoint). workers still sizes the paper's bounded shuffle storage
 // (2×workers slots) and should match the executor's worker count.
 func TrainTaskflowShared(cfg Config, d *mnist.Dataset, workers int, tf *core.Taskflow) (*MLP, []float64, error) {
-	net := NewMLP(cfg.Sizes, cfg.Seed)
-	tr := NewTrainer(net, cfg.LR, cfg.BatchSize)
+	net := newMLP(cfg.Sizes, cfg.Seed)
+	tr := newTrainer(net, cfg.LR, cfg.BatchSize)
 	batches := d.Len() / cfg.BatchSize
-	layers := net.NumLayers()
+	layers := net.numLayers()
 	losses := make([]float64, cfg.Epochs)
 	slots := numSlots(workers, cfg.Epochs)
 	store := newSlotStore(slots, d.Len())
@@ -94,8 +94,8 @@ func TrainTaskflowShared(cfg Config, d *mnist.Dataset, workers int, tf *core.Tas
 		for b := 0; b < batches; b++ {
 			b := b
 			f := tf.Emplace1(func() {
-				tr.LoadBatch(store.imgs[slot], store.labels[slot], b*cfg.BatchSize)
-				losses[e] += tr.Forward()
+				tr.loadBatch(store.imgs[slot], store.labels[slot], b*cfg.BatchSize)
+				losses[e] += tr.forward()
 			})
 			f.Succeed(shuffle)
 			f.Succeed(prevUs...)
@@ -103,9 +103,9 @@ func TrainTaskflowShared(cfg Config, d *mnist.Dataset, workers int, tf *core.Tas
 			prevUs = prevUs[:0]
 			for l := layers - 1; l >= 0; l-- {
 				l := l
-				g := tf.Emplace1(func() { tr.Gradient(l) })
+				g := tf.Emplace1(func() { tr.gradient(l) })
 				g.Succeed(prev)
-				u := tf.Emplace1(func() { tr.Update(l) })
+				u := tf.Emplace1(func() { tr.update(l) })
 				u.Succeed(g)
 				prevUs = append(prevUs, u)
 				prev = g

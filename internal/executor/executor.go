@@ -279,12 +279,6 @@ type Executor struct {
 	wakeDen int
 	spin    int
 
-	// seed drives the per-worker RNGs (victim selection, probabilistic
-	// wakeup). Unless WithSeed pins it, every executor draws its own seed so
-	// two pools in one process never follow identical scheduling sequences.
-	seed    int64
-	seedSet bool
-
 	// Panic containment: a task that panics past its own recovery (e.g. a
 	// bare one-shot NewTask) is caught at the worker loop and recorded here
 	// instead of killing the process. panicHandler, when set, observes the
@@ -300,13 +294,6 @@ const MaxRecordedPanics = 64
 
 // Option configures an Executor.
 type Option func(*Executor)
-
-// WithSeed fixes the seed of the per-worker random number generators used
-// for victim selection and probabilistic wakeup, making scheduling decisions
-// reproducible in tests. Without it each executor draws a fresh seed.
-func WithSeed(seed int64) Option {
-	return func(e *Executor) { e.seed, e.seedSet = seed, true }
-}
 
 // withWakeProbability sets the denominator of the probabilistic
 // load-balancing wakeup (Algorithm 1 lines 26-28): a worker wakes one
@@ -339,11 +326,10 @@ func New(n int, opts ...Option) *Executor {
 	for _, opt := range opts {
 		opt(e)
 	}
-	if !e.seedSet {
-		// Per-instance seed: two executors in one process must not follow
-		// identical victim-selection and wakeup sequences.
-		e.seed = rand.Int63()
-	}
+	// The per-worker RNGs (victim selection, probabilistic wakeup) draw from
+	// a per-instance seed: two executors in one process must not follow
+	// identical scheduling sequences.
+	seed := rand.Int63()
 	e.inj = NewInjection((*queueHost)(e), n)
 	e.injMask = len(e.inj) - 1
 	e.ec = NewEventcount(n)
@@ -362,7 +348,7 @@ func New(n int, opts ...Option) *Executor {
 			id:     i,
 			exec:   e,
 			queue:  wsq.New[Runnable](256),
-			rng:    rand.New(rand.NewSource(e.seed + int64(i)*7919)),
+			rng:    rand.New(rand.NewSource(seed + int64(i)*7919)),
 			victim: (i + 1) % n,
 			park:   make(chan struct{}, 1),
 		}
@@ -440,7 +426,7 @@ func (e *Executor) SubmitBatch(rs []*Runnable) error {
 func (e *Executor) published(q *Queue, n int) {
 	tracing := e.spine != nil
 	if tracing {
-		e.TraceExternal(EvInjectPush, TaskMeta{Flow: q.name}, InjectArg(q.id, uint64(n)))
+		e.TraceExternal(EvInjectPush, TaskMeta{Flow: q.name}, injectArg(q.id, uint64(n)))
 	}
 	if woke := e.wakeUpTo(n); woke > 0 && tracing {
 		e.TraceExternal(EvWakePrecise, TaskMeta{}, uint64(woke))
@@ -490,7 +476,7 @@ func (w *worker) take(q *Queue) (*Runnable, int) {
 	if k > 1 {
 		w.queue.PushBatch(scratch[1:k])
 	}
-	w.traceEvent(EvInjectDrain, InjectArg(q.id, uint64(k)))
+	w.traceEvent(EvInjectDrain, injectArg(q.id, uint64(k)))
 	return scratch[0], k
 }
 

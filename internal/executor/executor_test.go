@@ -222,7 +222,7 @@ func TestStealingHappens(t *testing.T) {
 	// each other: they can only complete by running concurrently on two
 	// different workers, both of which must have stolen from the
 	// producer's local queue.
-	e := New(4, WithSeed(42))
+	e := New(4)
 	defer e.Shutdown()
 	var n atomic.Int64
 	workers := make(map[int]bool)

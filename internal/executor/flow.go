@@ -347,7 +347,7 @@ func (e *Executor) FlowStats() []FlowStats {
 }
 
 // flowTraceShardBase offsets flow indices into the shard byte of
-// EvInjectPush/EvInjectDrain trace args (see InjectArg), so flow queue
+// EvInjectPush/EvInjectDrain trace args (see injectArg), so flow queue
 // traffic shares the injection event kinds while staying distinguishable
 // from the plain shards (which are < flowTraceShardBase).
 const flowTraceShardBase = 0x80

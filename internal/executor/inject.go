@@ -90,7 +90,7 @@ type Queue struct {
 	host    QueueHost
 	backlog *atomic.Int64 // the class gauge of a flow's queue; nil for a shard
 	name    string        // the flow's name; empty for a shard
-	id      int           // trace id: the shard byte of InjectArg
+	id      int           // trace id: the shard byte of injectArg
 	_       [16]byte      // to a whole number of lines: no two shards share one
 }
 

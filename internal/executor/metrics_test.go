@@ -32,7 +32,7 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 }
 
 func TestMetricsCountAndReconcile(t *testing.T) {
-	e := New(4, WithMetrics(), WithSeed(7))
+	e := New(4, WithMetrics())
 	drain(t, e, 500)
 
 	// Fan-out from inside the pool so worker deques see pushes too.
@@ -104,7 +104,7 @@ func TestMetricsCountParksAndWakes(t *testing.T) {
 
 func TestMetricsStealAccounting(t *testing.T) {
 	// A single long fan-out from one worker forces the others to steal.
-	e := New(4, WithMetrics(), WithSeed(3))
+	e := New(4, WithMetrics())
 	var wg sync.WaitGroup
 	const kids = 2000
 	wg.Add(kids)
@@ -151,7 +151,7 @@ func TestMetricsStealAccounting(t *testing.T) {
 // small pool so the batch injection drain fires, and checks the
 // operation/task split the batch counters promise.
 func TestMetricsBatchDrainAccounting(t *testing.T) {
-	e := New(2, WithMetrics(), WithSeed(11), withSpin(0))
+	e := New(2, WithMetrics(), withSpin(0))
 	const rounds, burst = 10, 256
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup

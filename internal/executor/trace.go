@@ -60,10 +60,10 @@ const (
 	// EvSteal records a successful steal by this worker (Arg = victim id).
 	EvSteal
 	// EvInjectDrain records a drain from an external injection shard
-	// (Arg packs the shard index and task count; see InjectArg).
+	// (Arg packs the shard index and task count; see injectArg).
 	EvInjectDrain
 	// EvInjectPush records an external submission (Arg packs the shard
-	// index and batch size; see InjectArg).
+	// index and batch size; see injectArg).
 	EvInjectPush
 	// EvPark/EvUnpark bracket a worker blocking on the eventcount notifier
 	// (Arg = the worker's park-cycle epoch, so a timeline shows which park
@@ -139,11 +139,11 @@ func (k EventKind) String() string {
 // an EvInjectPush/EvInjectDrain arg; the low 56 bits carry the task count.
 const injectArgShardShift = 56
 
-// InjectArg packs an injection shard index and task count into one trace
+// injectArg packs an injection shard index and task count into one trace
 // event arg (shard in the top byte, count below). The exporters decode it
 // with InjectArgShard/InjectArgCount so Perfetto shows which shard a push
 // landed on and which shard woke a worker.
-func InjectArg(shard int, count uint64) uint64 {
+func injectArg(shard int, count uint64) uint64 {
 	return uint64(shard)<<injectArgShardShift | count&(uint64(1)<<injectArgShardShift-1)
 }
 

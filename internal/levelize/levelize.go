@@ -3,8 +3,10 @@
 // Levelization is the classic parallelization idiom of OpenMP-based VLSI
 // timing analyzers (paper Section II-D): partition the DAG into levels such
 // that every edge goes from a lower to a strictly higher level, then apply
-// a parallel-for with a barrier level by level. It is used here by the
-// OpenMP traversal baseline and by the OpenTimer-v1-style timing driver.
+// a parallel-for with a barrier level by level. circuit.ParseVerilog uses
+// it to put a parsed netlist in topological order (stav1 buckets its own
+// cone levels per update), and Levels is the reference the tests of four
+// packages check level partitions against.
 package levelize
 
 import "fmt"

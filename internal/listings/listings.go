@@ -15,8 +15,8 @@ type Listing struct {
 	Source string // a complete Go file
 }
 
-// Figure2Taskflow is the paper's Listing 3 translated to this library.
-const Figure2Taskflow = `package snippet
+// figure2Taskflow is the paper's Listing 3 translated to this library.
+const figure2Taskflow = `package snippet
 
 import "gotaskflow/internal/core"
 
@@ -38,10 +38,10 @@ func BuildFigure2(body func(string) func()) {
 }
 `
 
-// Figure2OpenMP is the paper's Listing 4 translated to the omp model:
+// figure2OpenMP is the paper's Listing 4 translated to the omp model:
 // every constraint needs a token on both sides and a declaration order
 // consistent with sequential execution.
-const Figure2OpenMP = `package snippet
+const figure2OpenMP = `package snippet
 
 import "gotaskflow/internal/omp"
 
@@ -60,9 +60,9 @@ func BuildFigure2(body func(string) func()) {
 }
 `
 
-// Figure2TBB is the paper's Listing 5 translated to the flowgraph model:
+// figure2TBB is the paper's Listing 5 translated to the flowgraph model:
 // explicit node objects, explicit edges, and explicit source try_puts.
-const Figure2TBB = `package snippet
+const figure2TBB = `package snippet
 
 import fg "gotaskflow/internal/flowgraph"
 
@@ -94,9 +94,9 @@ func BuildFigure2(body func(string) func()) {
 }
 `
 
-// Figure4Taskflow is the paper's Listing 7: dynamic tasking through the
+// figure4Taskflow is the paper's Listing 7: dynamic tasking through the
 // unified Subflow interface.
-const Figure4Taskflow = `package snippet
+const figure4Taskflow = `package snippet
 
 import "gotaskflow/internal/core"
 
@@ -118,9 +118,9 @@ func BuildFigure4(body func(string) func()) {
 }
 `
 
-// Figure4TBB is the paper's Listing 8: TBB needs a separate inner graph
+// figure4TBB is the paper's Listing 8: TBB needs a separate inner graph
 // object created and drained inside the node body.
-const Figure4TBB = `package snippet
+const figure4TBB = `package snippet
 
 import fg "gotaskflow/internal/flowgraph"
 
@@ -159,16 +159,16 @@ func BuildFigure4(body func(string) func()) {
 // Static returns the Figure-2 snippets in paper order (Listings 3, 4, 5).
 func Static() []Listing {
 	return []Listing{
-		{Name: "Cpp-Taskflow", Figure: "Figure 2", Source: Figure2Taskflow},
-		{Name: "OpenMP", Figure: "Figure 2", Source: Figure2OpenMP},
-		{Name: "TBB", Figure: "Figure 2", Source: Figure2TBB},
+		{Name: "Cpp-Taskflow", Figure: "Figure 2", Source: figure2Taskflow},
+		{Name: "OpenMP", Figure: "Figure 2", Source: figure2OpenMP},
+		{Name: "TBB", Figure: "Figure 2", Source: figure2TBB},
 	}
 }
 
 // Dynamic returns the Figure-4 snippets (Listings 7 and 8).
 func Dynamic() []Listing {
 	return []Listing{
-		{Name: "Cpp-Taskflow", Figure: "Figure 4", Source: Figure4Taskflow},
-		{Name: "TBB", Figure: "Figure 4", Source: Figure4TBB},
+		{Name: "Cpp-Taskflow", Figure: "Figure 4", Source: figure4Taskflow},
+		{Name: "TBB", Figure: "Figure 4", Source: figure4TBB},
 	}
 }

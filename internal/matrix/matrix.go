@@ -36,8 +36,8 @@ func Randn(rows, cols int, std float64, seed int64) *Matrix {
 	return m
 }
 
-// At returns m[i,j].
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+// at returns m[i,j].
+func (m *Matrix) at(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns m[i,j] = v.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
@@ -60,8 +60,8 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 	copy(m.Data, src.Data)
 }
 
-// Zero clears all entries.
-func (m *Matrix) Zero() {
+// zero clears all entries.
+func (m *Matrix) zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
@@ -79,7 +79,7 @@ func MulTo(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("matrix: MulTo shapes %dx%d · %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
+	dst.zero()
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
@@ -102,7 +102,7 @@ func MulATBTo(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("matrix: MulATBTo shapes %dx%d ᵀ· %dx%d -> %dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	dst.Zero()
+	dst.zero()
 	for r := 0; r < a.Rows; r++ {
 		arow := a.Row(r)
 		brow := b.Row(r)
@@ -166,7 +166,7 @@ func ColSumTo(dst, m *Matrix) {
 	if dst.Rows != 1 || dst.Cols != m.Cols {
 		panic(shapeErr("ColSumTo", dst, m))
 	}
-	dst.Zero()
+	dst.zero()
 	for i := 0; i < m.Rows; i++ {
 		row := m.Row(i)
 		for j := range row {
@@ -220,7 +220,7 @@ func (m *Matrix) SoftmaxRows() {
 func CrossEntropy(probs *Matrix, labels []uint8) float64 {
 	var loss float64
 	for i := 0; i < probs.Rows; i++ {
-		p := probs.At(i, int(labels[i]))
+		p := probs.at(i, int(labels[i]))
 		if p < 1e-15 {
 			p = 1e-15
 		}

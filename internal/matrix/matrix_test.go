@@ -12,7 +12,7 @@ func naiveMul(a, b *Matrix) *Matrix {
 		for j := 0; j < b.Cols; j++ {
 			var s float64
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s += a.at(i, k) * b.at(k, j)
 			}
 			d.Set(i, j, s)
 		}
@@ -61,7 +61,7 @@ func TestMulATB(t *testing.T) {
 	at := New(4, 6)
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 4; j++ {
-			at.Set(j, i, a.At(i, j))
+			at.Set(j, i, a.at(i, j))
 		}
 	}
 	if !Equal(d, naiveMul(at, b), 1e-12) {
@@ -77,7 +77,7 @@ func TestMulABT(t *testing.T) {
 	bt := New(4, 7)
 	for i := 0; i < 7; i++ {
 		for j := 0; j < 4; j++ {
-			bt.Set(j, i, b.At(i, j))
+			bt.Set(j, i, b.at(i, j))
 		}
 	}
 	if !Equal(d, naiveMul(a, bt), 1e-12) {
@@ -128,7 +128,7 @@ func TestAddRowVecAndColSum(t *testing.T) {
 	b.Data[0], b.Data[1] = 10, 20
 	m.AddRowVec(b)
 	for i := 0; i < 3; i++ {
-		if m.At(i, 0) != 10 || m.At(i, 1) != 20 {
+		if m.at(i, 0) != 10 || m.at(i, 1) != 20 {
 			t.Fatal("AddRowVec wrong")
 		}
 	}
@@ -166,7 +166,7 @@ func TestSoftmaxRows(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		var sum float64
 		for j := 0; j < 3; j++ {
-			v := m.At(i, j)
+			v := m.at(i, j)
 			if v <= 0 || v >= 1.0000001 {
 				t.Fatalf("softmax out of range: %v", v)
 			}
@@ -176,10 +176,10 @@ func TestSoftmaxRows(t *testing.T) {
 			t.Fatalf("row %d sums to %v", i, sum)
 		}
 	}
-	if !(m.At(0, 2) > m.At(0, 1) && m.At(0, 1) > m.At(0, 0)) {
+	if !(m.at(0, 2) > m.at(0, 1) && m.at(0, 1) > m.at(0, 0)) {
 		t.Fatal("softmax not monotone")
 	}
-	if math.Abs(m.At(1, 0)-1.0/3) > 1e-12 {
+	if math.Abs(m.at(1, 0)-1.0/3) > 1e-12 {
 		t.Fatal("uniform row not uniform after softmax")
 	}
 }
@@ -195,7 +195,7 @@ func TestQuickSoftmaxNormalized(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			var sum float64
 			for j := 0; j < 3; j++ {
-				sum += m.At(i, j)
+				sum += m.at(i, j)
 			}
 			if math.Abs(sum-1) > 1e-9 {
 				return false
@@ -219,11 +219,11 @@ func TestCrossEntropyAndGrad(t *testing.T) {
 	}
 	g := p.Clone()
 	g.SoftmaxCrossEntropyGrad(labels)
-	if math.Abs(g.At(0, 0)-(0.7-1)/2) > 1e-12 {
-		t.Fatalf("grad[0,0] = %v", g.At(0, 0))
+	if math.Abs(g.at(0, 0)-(0.7-1)/2) > 1e-12 {
+		t.Fatalf("grad[0,0] = %v", g.at(0, 0))
 	}
-	if math.Abs(g.At(1, 2)-0.1/2) > 1e-12 {
-		t.Fatalf("grad[1,2] = %v", g.At(1, 2))
+	if math.Abs(g.at(1, 2)-0.1/2) > 1e-12 {
+		t.Fatalf("grad[1,2] = %v", g.at(1, 2))
 	}
 }
 

@@ -28,20 +28,13 @@ type Source interface {
 	MetricsSnapshot() (executor.Snapshot, bool)
 }
 
-// LatencySource provides the per-flow latency histograms —
+// latencySource provides the per-flow latency histograms —
 // *executor.Executor implements it (WithLatencyHistograms). Sources that
 // also implement it get gotaskflow_flow_latency_* histogram series in the
-// Prometheus export and latency digests in the flow expvar, even when the
-// scheduler counters (WithMetrics) are off.
-type LatencySource interface {
+// Prometheus export, even when the scheduler counters (WithMetrics) are
+// off.
+type latencySource interface {
 	LatencyStats() ([]executor.FlowLatencySummary, bool)
-}
-
-// FlowSource provides the always-on per-flow counters —
-// *executor.Executor implements it. Unlike Source it needs no option: the
-// flow counters double as admission-control state.
-type FlowSource interface {
-	FlowStats() []executor.FlowStats
 }
 
 // promCounter and promGauge describe one exported series.
@@ -142,7 +135,7 @@ var exported = []series{
 // WritePrometheus writes the source's current counters in the Prometheus
 // text exposition format (version 0.0.4). Counter series require the
 // source to have been built with metrics; latency histogram series
-// (LatencySource) render independently, so a histogram-only executor
+// (latencySource) render independently, so a histogram-only executor
 // still exports them. A source with neither writes nothing and returns
 // nil.
 func WritePrometheus(w io.Writer, src Source) error {
@@ -169,7 +162,7 @@ func WritePrometheus(w io.Writer, src Source) error {
 			}
 		}
 	}
-	if ls, ok := src.(LatencySource); ok {
+	if ls, ok := src.(latencySource); ok {
 		writeLatencySeries(&b, ls)
 	}
 	_, err := io.WriteString(w, b.String())
@@ -206,7 +199,7 @@ func flowLabels(f *executor.FlowLatencySummary) string {
 // writeLatencySeries renders the per-flow latency histograms as
 // Prometheus histogram series: cumulative _bucket counts with le bounds
 // in seconds, plus _sum (seconds) and _count.
-func writeLatencySeries(b *strings.Builder, ls LatencySource) {
+func writeLatencySeries(b *strings.Builder, ls latencySource) {
 	flows, ok := ls.LatencyStats()
 	if !ok {
 		return
@@ -295,8 +288,8 @@ func Publish(name string, src Source) {
 	}))
 }
 
-// LatencyDigest is the compact per-flow latency summary published to
-// expvar (and rendered by /debug/taskflow/latency): quantiles
+// LatencyDigest is the compact per-flow latency summary rendered by
+// /debug/taskflow/latency: quantiles
 // interpolated from the histogram rather than the raw bucket arrays.
 type LatencyDigest struct {
 	Flow    string
@@ -346,24 +339,4 @@ func Digest(flows []executor.FlowLatencySummary) []LatencyDigest {
 		out[i] = d
 	}
 	return out
-}
-
-// PublishFlows registers the per-flow counters (and, when the source
-// collects them, the latency digests) under name as an expvar variable —
-// the flow-level complement of Publish, which exports only the scheduler
-// counters. The flow counters are always on, so this works without
-// WithMetrics.
-func PublishFlows(name string, src FlowSource) {
-	expvar.Publish(name, expvar.Func(func() any {
-		v := struct {
-			Flows   []executor.FlowStats
-			Latency []LatencyDigest `json:",omitempty"`
-		}{Flows: src.FlowStats()}
-		if ls, ok := src.(LatencySource); ok {
-			if lat, lok := ls.LatencyStats(); lok {
-				v.Latency = Digest(lat)
-			}
-		}
-		return v
-	}))
 }

@@ -23,8 +23,8 @@ const ImageSize = 28
 // Pixels is the flattened image dimensionality (784).
 const Pixels = ImageSize * ImageSize
 
-// NumClasses is the number of digit classes.
-const NumClasses = 10
+// numClasses is the number of digit classes.
+const numClasses = 10
 
 // Dataset holds images as float64 rows in [0,1] and their labels.
 type Dataset struct {
@@ -45,7 +45,7 @@ func Synthetic(n int, seed int64) *Dataset {
 		Labels: make([]uint8, n),
 	}
 	for i := 0; i < n; i++ {
-		label := uint8(rng.Intn(NumClasses))
+		label := uint8(rng.Intn(numClasses))
 		d.Labels[i] = label
 		img := make([]float64, Pixels)
 		// Background noise.

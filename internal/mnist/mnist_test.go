@@ -21,7 +21,7 @@ func TestSyntheticShapes(t *testing.T) {
 				t.Fatalf("image %d pixel %d = %v out of [0,1]", i, p, v)
 			}
 		}
-		if d.Labels[i] >= NumClasses {
+		if d.Labels[i] >= numClasses {
 			t.Fatalf("label %d out of range", d.Labels[i])
 		}
 		classes[d.Labels[i]] = true
@@ -62,8 +62,8 @@ func TestSyntheticClassesAreSeparable(t *testing.T) {
 	// margin, or the DNN experiment would be meaningless.
 	train := Synthetic(500, 3)
 	test := Synthetic(200, 4)
-	centroids := make([][]float64, NumClasses)
-	counts := make([]int, NumClasses)
+	centroids := make([][]float64, numClasses)
+	counts := make([]int, numClasses)
 	for c := range centroids {
 		centroids[c] = make([]float64, Pixels)
 	}

@@ -833,23 +833,18 @@ func (p *Pipeline) Err() error {
 	return errors.Join(joined...)
 }
 
-// DroppedErrs returns how many errors were discarded beyond the
-// recording cap during the current (or last) run.
-func (p *Pipeline) DroppedErrs() int64 {
-	p.errMu.Lock()
-	defer p.errMu.Unlock()
-	return p.dropped
-}
-
 // Stats snapshots the pipeline's cumulative counters. Safe to call while
 // the pipeline runs (counters are monotone; the snapshot may lag
 // in-flight completions).
 func (p *Pipeline) Stats() Stats {
+	p.errMu.Lock()
+	dropped := p.dropped
+	p.errMu.Unlock()
 	st := Stats{
 		Runs:        p.rounds.Load(),
 		Tokens:      p.total.Load(),
 		Deferrals:   p.deferrals.Load(),
-		DroppedErrs: p.DroppedErrs(),
+		DroppedErrs: dropped,
 		PerLine:     make([]int64, p.lines),
 	}
 	for l := range p.lineTokens {
@@ -857,12 +852,3 @@ func (p *Pipeline) Stats() Stats {
 	}
 	return st
 }
-
-// Tokens returns the cumulative number of tokens completed across runs.
-func (p *Pipeline) Tokens() int64 { return p.total.Load() }
-
-// NumLines returns the line count.
-func (p *Pipeline) NumLines() int { return p.lines }
-
-// NumPipes returns the pipe count.
-func (p *Pipeline) NumPipes() int { return len(p.pipes) }

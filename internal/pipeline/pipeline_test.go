@@ -71,7 +71,7 @@ func runPipeline(t *testing.T, workers, lines int, n int64, types []Type) *recor
 		}}
 	}
 	p := New(e, lines, pipes...)
-	if p.NumLines() != lines || p.NumPipes() != len(types) {
+	if p.lines != lines || len(p.pipes) != len(types) {
 		t.Fatal("pipeline metadata wrong")
 	}
 	got := p.Run()
@@ -288,7 +288,7 @@ func TestConstructorValidation(t *testing.T) {
 		}()
 	}
 	p := New(e, 0, Pipe{Type: Serial, Fn: func(pf *Pipeflow) { pf.Stop() }})
-	if p.NumLines() != 1 {
+	if p.lines != 1 {
 		t.Fatal("lines not clamped to 1")
 	}
 	// Runs are reusable in v2: back-to-back Run calls must both work.

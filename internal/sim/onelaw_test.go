@@ -179,7 +179,7 @@ func runLawCase(t *testing.T, sched flowScheduler, hold func(func()), c lawCase,
 func onPool(t *testing.T, c lawCase, seed int64) lawOutcome {
 	t.Helper()
 	const workers = 2
-	e := executor.New(workers, executor.WithMetrics(), executor.WithSeed(seed))
+	e := executor.New(workers, executor.WithMetrics())
 	defer e.Shutdown()
 	hold := func(fn func()) {
 		started := make(chan struct{}, workers)

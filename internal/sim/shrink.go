@@ -2,7 +2,7 @@ package sim
 
 // Sim-backed failure shrinking. A failing seed from the sweep or fuzzer
 // names a whole random graph — often dozens of nodes, most irrelevant to
-// the failure. Shrink greedily deletes nodes and edges while a
+// the failure. The shrinker greedily deletes nodes and edges while a
 // caller-supplied predicate confirms the failure still reproduces under
 // the same seed, and the minimized GraphSpec plus its one-line SIM_REPLAY
 // recipe is what goes into the bug report. Determinism makes this sound:
@@ -24,7 +24,7 @@ type GraphSpec struct {
 	Edges [][2]int
 }
 
-// String renders the spec in the compact "N:u>v,u>v" form ParseSpec
+// String renders the spec in the compact "N:u>v,u>v" form parseSpec
 // reads — the payload of a SIM_REPLAY recipe.
 func (g GraphSpec) String() string {
 	var b strings.Builder
@@ -38,9 +38,9 @@ func (g GraphSpec) String() string {
 	return b.String()
 }
 
-// ParseSpec parses the String form back into a spec ("12:0>3,1>4"; edges
+// parseSpec parses the String form back into a spec ("12:0>3,1>4"; edges
 // may be empty: "5:").
-func ParseSpec(s string) (GraphSpec, error) {
+func parseSpec(s string) (GraphSpec, error) {
 	head, tail, ok := strings.Cut(s, ":")
 	if !ok {
 		return GraphSpec{}, fmt.Errorf("sim: spec %q: missing ':'", s)
@@ -97,7 +97,7 @@ func (g GraphSpec) dropEdge(j int) GraphSpec {
 	return out
 }
 
-// Shrink greedily minimizes a failing graph spec: repeatedly try to drop
+// shrink greedily minimizes a failing graph spec: repeatedly try to drop
 // one node (highest index first, so survivor renumbering is cheap) or
 // one edge, keep any candidate for which fails still returns true, and
 // stop at a fixpoint where no single deletion reproduces the failure.
@@ -105,7 +105,7 @@ func (g GraphSpec) dropEdge(j int) GraphSpec {
 // from the seed, so the same spec always answers the same way. The
 // result is 1-minimal: removing any single node or edge loses the
 // failure.
-func Shrink(spec GraphSpec, fails func(GraphSpec) bool) GraphSpec {
+func shrink(spec GraphSpec, fails func(GraphSpec) bool) GraphSpec {
 	for {
 		shrunk := false
 		// Node pass, highest index first: dropping late nodes does not

@@ -94,7 +94,7 @@ func TestShrinkMinimizesLostWakeupFailure(t *testing.T) {
 		// An empty graph cannot schedule anything, so it cannot fail.
 		return g.N > 0 && firstLostWakeSeed(t, g, 1, 50) >= 0
 	}
-	min := Shrink(spec, fails)
+	min := shrink(spec, fails)
 	seed := firstLostWakeSeed(t, min, 1, 50)
 
 	if !fails(min) {
@@ -116,7 +116,7 @@ func TestShrinkMinimizesLostWakeupFailure(t *testing.T) {
 	}
 
 	// Round-trip: the printed form replays to the identical spec.
-	parsed, err := ParseSpec(min.String())
+	parsed, err := parseSpec(min.String())
 	if err != nil {
 		t.Fatalf("minimized spec does not re-parse: %v", err)
 	}
@@ -150,7 +150,7 @@ func TestReplayShrunkSpec(t *testing.T) {
 	if err != nil || workers < 1 {
 		t.Fatalf("%s workers %q: must be a positive integer", shrinkReplayEnv, fields[1])
 	}
-	spec, err := ParseSpec(fields[2])
+	spec, err := parseSpec(fields[2])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -235,13 +235,6 @@ func WithSeed(seed int64) Option {
 	return func(s *SimExecutor) { s.seed = seed }
 }
 
-// WithMaxSteps overrides the scheduling-step budget (default 5,000,000)
-// after which the simulation panics, converting a livelocked graph
-// (e.g. a condition-task loop that never exits) into a visible failure.
-func WithMaxSteps(n uint64) Option {
-	return func(s *SimExecutor) { s.maxSteps = n }
-}
-
 // withLostWakeupBug re-introduces the seed notifier's lost-wakeup
 // ordering on the worker side: a worker checks for work before it
 // announces intent to park, then announces and commits in one step, so a

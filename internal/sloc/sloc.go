@@ -36,9 +36,9 @@ type FileMetrics struct {
 	Funcs []FuncMetrics
 }
 
-// MaxCC returns the maximum cyclomatic complexity over the file's
+// maxCC returns the maximum cyclomatic complexity over the file's
 // functions (the paper's MCC column), or 0 for a function-free file.
-func (f *FileMetrics) MaxCC() int {
+func (f *FileMetrics) maxCC() int {
 	m := 0
 	for _, fn := range f.Funcs {
 		if fn.CC > m {
@@ -119,7 +119,7 @@ func AnalyzeDir(dir string) ([]*FileMetrics, error) {
 func Totals(files []*FileMetrics) (loc, maxCC int) {
 	for _, f := range files {
 		loc += f.LOC
-		if m := f.MaxCC(); m > maxCC {
+		if m := f.maxCC(); m > maxCC {
 			maxCC = m
 		}
 	}

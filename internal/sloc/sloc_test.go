@@ -65,8 +65,8 @@ func TestAnalyzeSource(t *testing.T) {
 	if got := byName["T.Method"].CC; got != 4 {
 		t.Fatalf("T.Method CC = %d, want 4", got)
 	}
-	if fm.MaxCC() != 7 {
-		t.Fatalf("MaxCC = %d, want 7", fm.MaxCC())
+	if fm.maxCC() != 7 {
+		t.Fatalf("maxCC = %d, want 7", fm.maxCC())
 	}
 	if byName["Simple"].LOC != 3 {
 		t.Fatalf("Simple LOC = %d, want 3", byName["Simple"].LOC)

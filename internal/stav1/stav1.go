@@ -42,9 +42,6 @@ func New(t *sta.Timing, threads int) *Analyzer {
 // Close stops the thread team.
 func (a *Analyzer) Close() { a.team.Close() }
 
-// NumThreads returns the team size.
-func (a *Analyzer) NumThreads() int { return a.team.NumThreads() }
-
 // minLevelGrain keeps per-task work reasonable when a level is wide.
 const minLevelGrain = 16
 

@@ -77,8 +77,8 @@ func TestSingleThread(t *testing.T) {
 	ref := sta.New(ckt, clock)
 	ref.FullUpdateSequential()
 	compare(t, tm, ref, "1-thread")
-	if a.NumThreads() != 1 {
-		t.Fatalf("NumThreads = %d", a.NumThreads())
+	if a.team.NumThreads() != 1 {
+		t.Fatalf("NumThreads = %d", a.team.NumThreads())
 	}
 }
 

@@ -87,8 +87,9 @@ func NewShared(t *sta.Timing, e *executor.Executor) *Analyzer {
 		sliceOf:  make([]int32, n),
 		bwdName:  make([]string, n),
 	}
-	// Index order is topological (circuit.Validate): when the sweep
-	// reaches v, every fan-in of v has already pushed its level up.
+	// Index order is topological (circuit.Generate and ParseVerilog
+	// guarantee it): when the sweep reaches v, every fan-in of v has
+	// already pushed its level up.
 	depth := int32(0)
 	off, adj := t.Fanouts()
 	for v := range a.level {

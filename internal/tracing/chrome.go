@@ -33,10 +33,10 @@ type chromeTrace struct {
 }
 
 // tidOf maps a trace worker index to a Chrome thread id. Workers keep
-// their index; the external ring (Worker = -1) renders as one extra
-// thread after the workers.
+// their index; the external ring (executor.ExternalWorker) renders as one
+// extra thread after the workers.
 func tidOf(worker int32, workers int) int {
-	if worker < 0 {
+	if worker == executor.ExternalWorker {
 		return workers
 	}
 	return int(worker)
@@ -130,7 +130,7 @@ func WriteTrace(w io.Writer, tr executor.Trace) error {
 			args["gen"] = sp.meta.Gen
 		}
 		out = append(out, chromeEvent{
-			Name: SpanName(sp.meta),
+			Name: spanName(sp.meta),
 			Cat:  "task",
 			Ph:   "X",
 			Ts:   sp.start,
@@ -164,8 +164,8 @@ func WriteTrace(w io.Writer, tr executor.Trace) error {
 					Tid: tidOf(ev.Worker, workers),
 					ID:  flowID,
 					Args: map[string]any{
-						"from": SpanName(ev.Meta),
-						"to":   SpanName(spans[dst].meta),
+						"from": spanName(ev.Meta),
+						"to":   spanName(spans[dst].meta),
 					},
 				},
 				chromeEvent{
@@ -180,7 +180,7 @@ func WriteTrace(w io.Writer, tr executor.Trace) error {
 			switch ev.Kind {
 			case executor.EvInjectPush, executor.EvInjectDrain:
 				// The packed arg carries shard and count (see
-				// executor.InjectArg); decode so Perfetto shows which shard
+				// executor.InjectArgShard); decode so Perfetto shows which shard
 				// a push landed on and which shard a drain emptied.
 				args["arg"] = executor.InjectArgCount(ev.Arg)
 				args["shard"] = executor.InjectArgShard(ev.Arg)
@@ -191,7 +191,7 @@ func WriteTrace(w io.Writer, tr executor.Trace) error {
 				args["epoch"] = ev.Arg
 			}
 			if ev.Meta.ID != 0 || ev.Meta.Name != "" {
-				args["task"] = SpanName(ev.Meta)
+				args["task"] = spanName(ev.Meta)
 			}
 			if ev.Meta.Flow != "" {
 				args["taskflow"] = ev.Meta.Flow

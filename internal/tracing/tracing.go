@@ -15,10 +15,10 @@ import (
 	"gotaskflow/internal/executor"
 )
 
-// SpanName returns the display name for a task's trace span: the task's
+// spanName returns the display name for a task's trace span: the task's
 // own name, else the positional fallback used by the DOT dumps (p + hex
 // emplacement index), else "task" for anonymous one-shots.
-func SpanName(m executor.TaskMeta) string {
+func spanName(m executor.TaskMeta) string {
 	if m.Name != "" {
 		return m.Name
 	}

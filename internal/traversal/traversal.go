@@ -13,10 +13,8 @@ package traversal
 
 import (
 	"fmt"
-	"io"
 
 	"gotaskflow/internal/core"
-	"gotaskflow/internal/executor"
 	"gotaskflow/internal/flowgraph"
 	"gotaskflow/internal/graphgen"
 	"gotaskflow/internal/omp"
@@ -115,29 +113,6 @@ func Build(tf *core.Taskflow, d *graphgen.DAG, spin int) []uint64 {
 		}
 	}
 	return val
-}
-
-// TaskflowStats runs one instrumented traversal of d: the executor counts
-// scheduler events (WithMetrics) and the taskflow collects timed run
-// statistics. It returns the checksum, the run's RunStats, and the
-// executor's counter snapshot at quiescence. When dotw is non-nil the
-// annotated task graph is written to it after the run.
-func TaskflowStats(d *graphgen.DAG, spin, workers int, dotw io.Writer) (uint64, core.RunStats, executor.Snapshot, error) {
-	e := executor.New(workers, executor.WithMetrics())
-	defer e.Shutdown()
-	tf := core.NewShared(e).SetName(fmt.Sprintf("traversal_%d", d.N)).CollectRunStats(true)
-	val := Build(tf, d, spin)
-	if err := tf.Run(); err != nil {
-		return 0, core.RunStats{}, executor.Snapshot{}, err
-	}
-	rs, _ := tf.LastRunStats()
-	snap, _ := e.MetricsSnapshot()
-	if dotw != nil {
-		if err := tf.DumpAnnotated(dotw); err != nil {
-			return 0, core.RunStats{}, executor.Snapshot{}, err
-		}
-	}
-	return Checksum(val), rs, snap, nil
 }
 
 // FlowGraph traverses d on the TBB FlowGraph model. All sources must be

@@ -15,10 +15,8 @@ package wavefront
 
 import (
 	"fmt"
-	"io"
 
 	"gotaskflow/internal/core"
-	"gotaskflow/internal/executor"
 	"gotaskflow/internal/flowgraph"
 	"gotaskflow/internal/omp"
 )
@@ -119,16 +117,16 @@ func Build(tf *core.Taskflow, m, spin int) [][]uint64 {
 func TaskflowLevelized(m, spin, workers int, p core.Partitioner) (uint64, error) {
 	tf := core.New(workers)
 	defer tf.Close()
-	g := BuildLevelized(tf, m, spin, p)
+	g := buildLevelized(tf, m, spin, p)
 	if err := tf.WaitForAll(); err != nil {
 		return 0, err
 	}
 	return g[m][m], nil
 }
 
-// BuildLevelized emplaces the levelized wavefront — a chain of partitioned
+// buildLevelized emplaces the levelized wavefront — a chain of partitioned
 // anti-diagonal loops — on tf and returns the value grid.
-func BuildLevelized(tf *core.Taskflow, m, spin int, p core.Partitioner) [][]uint64 {
+func buildLevelized(tf *core.Taskflow, m, spin int, p core.Partitioner) [][]uint64 {
 	g := grid(m)
 	first := true
 	var prevT core.Task
@@ -152,30 +150,6 @@ func BuildLevelized(tf *core.Taskflow, m, spin int, p core.Partitioner) [][]uint
 		first = false
 	}
 	return g
-}
-
-// TaskflowStats runs one instrumented m×m wavefront: the executor counts
-// scheduler events (WithMetrics) and the taskflow collects timed run
-// statistics. It returns the checksum, the run's RunStats, and the
-// executor's counter snapshot at quiescence. When dotw is non-nil the
-// annotated task graph (per-task execution counts and durations) is
-// written to it after the run.
-func TaskflowStats(m, spin, workers int, dotw io.Writer) (uint64, core.RunStats, executor.Snapshot, error) {
-	e := executor.New(workers, executor.WithMetrics())
-	defer e.Shutdown()
-	tf := core.NewShared(e).SetName(fmt.Sprintf("wavefront_%dx%d", m, m)).CollectRunStats(true)
-	g := Build(tf, m, spin)
-	if err := tf.Run(); err != nil {
-		return 0, core.RunStats{}, executor.Snapshot{}, err
-	}
-	rs, _ := tf.LastRunStats()
-	snap, _ := e.MetricsSnapshot()
-	if dotw != nil {
-		if err := tf.DumpAnnotated(dotw); err != nil {
-			return 0, core.RunStats{}, executor.Snapshot{}, err
-		}
-	}
-	return g[m][m], rs, snap, nil
 }
 
 // FlowGraph runs the wavefront on the TBB FlowGraph model.

@@ -329,8 +329,3 @@ func (d *Deque[T]) Len() int {
 	}
 	return int(n)
 }
-
-// Capacity returns the current capacity of the backing ring.
-func (d *Deque[T]) Capacity() int {
-	return int(d.array.Load().cap())
-}

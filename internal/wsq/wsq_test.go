@@ -9,6 +9,9 @@ import (
 
 // ints returns stable pointers to the values 0..n-1, the way a scheduler
 // owns stable pre-built task objects.
+// capacity returns the current capacity of d's backing ring.
+func capacity[T any](d *Deque[T]) int { return int(d.array.Load().cap()) }
+
 func ints(n int) []*int {
 	backing := make([]int, n)
 	ptrs := make([]*int, n)
@@ -94,8 +97,8 @@ func TestPushBatchGrowsOnce(t *testing.T) {
 	if d.Len() != 1000 {
 		t.Fatalf("Len() = %d, want 1000", d.Len())
 	}
-	if d.Capacity() < 1000 {
-		t.Fatalf("Capacity() = %d, want >= 1000", d.Capacity())
+	if capacity(d) < 1000 {
+		t.Fatalf("capacity = %d, want >= 1000", capacity(d))
 	}
 	for i := 0; i < 1000; i++ {
 		v, ok := d.Steal()
@@ -131,14 +134,14 @@ func TestEmptyAndLen(t *testing.T) {
 
 func TestGrowth(t *testing.T) {
 	d := New[int](1)
-	start := d.Capacity()
+	start := capacity(d)
 	n := start * 8
 	items := ints(n)
 	for _, p := range items {
 		d.Push(p)
 	}
-	if d.Capacity() < n {
-		t.Fatalf("Capacity() = %d after %d pushes, want >= %d", d.Capacity(), n, n)
+	if capacity(d) < n {
+		t.Fatalf("capacity = %d after %d pushes, want >= %d", capacity(d), n, n)
 	}
 	// Items must survive growth, oldest first when stolen.
 	for i := 0; i < n; i++ {
@@ -748,13 +751,13 @@ func TestGrowHook(t *testing.T) {
 	if len(caps) != 2 || caps[1] < 1065 {
 		t.Fatalf("after PushBatch growth caps = %v, want one more entry >= 1065", caps)
 	}
-	if caps[1] != d.Capacity() {
-		t.Fatalf("hook reported %d, Capacity() = %d", caps[1], d.Capacity())
+	if caps[1] != capacity(d) {
+		t.Fatalf("hook reported %d, capacity = %d", caps[1], capacity(d))
 	}
 
 	d.SetGrowHook(nil) // detaching stops callbacks
-	for d.Capacity() < 8192 {
-		d.PushBatch(ints(int(d.Capacity())))
+	for capacity(d) < 8192 {
+		d.PushBatch(ints(int(capacity(d))))
 	}
 	if len(caps) != 2 {
 		t.Fatalf("detached hook still fired: %v", caps)
@@ -811,8 +814,8 @@ func TestScrubClearsTakenSlots(t *testing.T) {
 			t.Fatalf("Steal after Scrub = (%v, %v), want (%v, true)", v, ok, p)
 		}
 	}
-	if d.Capacity() != 64 {
-		t.Fatalf("ring grew to %d", d.Capacity())
+	if capacity(d) != 64 {
+		t.Fatalf("ring grew to %d", capacity(d))
 	}
 	d.Scrub()
 	if got := heldSlots(d); got != 0 {
