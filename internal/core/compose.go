@@ -5,7 +5,11 @@ package core
 // goal of building large parallel programs from smaller, structurally
 // correct patterns. The child keeps ownership of its graph; the module
 // task spawns it as a joined subflow at runtime, so the parent's
-// successors wait for the whole child graph.
+// successors wait for the whole child graph. A module task (EmplaceModule)
+// embeds work that is not a graph the same way: it counts the executions it
+// starts on the task, and the last to retire completes it.
+
+import "gotaskflow/internal/executor"
 
 // Composed creates a module task that runs the present graph of child when
 // executed, in a Taskflow or inside a Subflow alike. The child graph is
@@ -42,3 +46,61 @@ func (sf *Subflow) spawnGraph(g *graph) {
 	}
 	sf.g.nodes = append(sf.g.nodes, g.nodes...)
 }
+
+// Module is what a module task runs: work that goes on as executions of its
+// own — a streaming pipeline's cells — rather than as one body, and ends
+// the task when the last of them retires.
+type Module interface {
+	// Start begins one execution of the module on the worker running its
+	// task. The count j keeps holds one unit, Start's: Start retires it
+	// with j.Done, or hands it on to work it runs or submits. Every
+	// further execution is counted (j.Add) before it is submitted and
+	// retires with j.Done.
+	Start(ctx executor.Context, j Join)
+}
+
+// EmplaceModule creates a task that runs m. The task completes — its
+// successors start — when the last execution m counted retires, so no
+// worker waits for it; m's failures, cancellation, flow and latency sink
+// are those of the task's topology, reached through the Join.
+func (b *builder) EmplaceModule(m Module) Task {
+	n := b.add()
+	n.extra().module = m
+	return Task{n}
+}
+
+// Join is a module task's completion handle for one execution of it. It
+// counts the module's executions on the task's children word, as a joined
+// subflow counts its nodes, while the task's own pending unit holds the
+// topology open: an execution pays one atomic to retire.
+type Join struct{ n *node }
+
+// Add counts k more executions of the module.
+func (j Join) Add(k int) { j.n.children.Add(int32(k)) }
+
+// Done retires one execution. The worker settles its records first, for a
+// waiter may be released by the last Done, which completes the task and
+// hands its successors to this worker.
+func (j Join) Done(ctx executor.Context) {
+	ctx.Settle()
+	if j.n.children.Add(-1) == 0 {
+		j.n.topo.finishNode(ctx, j.n)
+	}
+}
+
+// Busy reports whether the module execution j counts is still running.
+func (j Join) Busy() bool { return j.n.children.Load() > 0 }
+
+// Cancelled reports whether the topology was cancelled — by a failure, a
+// context or Future.Cancel.
+func (j Join) Cancelled() bool { return j.n.topo.cancelled.Load() }
+
+// Fail records err against the topology and fail-fast-cancels it.
+func (j Join) Fail(err error) { j.n.topo.fail(err) }
+
+// Gen returns the topology's run generation (TaskMeta.Gen).
+func (j Join) Gen() uint64 { return j.n.topo.gen.Load() }
+
+// Latency returns the topology's latency sink, bound to its flow; nil when
+// the scheduler records no histograms.
+func (j Join) Latency() executor.LatencySink { return j.n.topo.lat }

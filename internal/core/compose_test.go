@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gotaskflow/internal/executor"
 )
 
 func TestComposedRunsChildGraph(t *testing.T) {
@@ -190,4 +193,64 @@ func TestSpawnGraphOnDirtySubflowPanics(t *testing.T) {
 		sf.spawnGraph(child.g)
 	})
 	tf.WaitForAll()
+}
+
+// fanModule starts n executions of its own, on whichever workers take them;
+// fail, when set, fails the module's topology instead.
+type fanModule struct {
+	n    int
+	fail error
+	ran  atomic.Int64
+}
+
+func (m *fanModule) Start(ctx executor.Context, j Join) {
+	if m.fail != nil {
+		j.Fail(m.fail)
+		j.Done(ctx)
+		return
+	}
+	j.Add(m.n)
+	for i := 0; i < m.n; i++ {
+		ctx.Submit(executor.NewTask(func(ctx executor.Context) {
+			m.ran.Add(1)
+			j.Done(ctx)
+		}))
+	}
+	j.Done(ctx) // Start's own unit
+}
+
+// TestModuleTaskJoinsItsExecutions: a module task completes when the last
+// execution it counted retires — its successor sees all of them, run after
+// run — a module's failure is its topology's, and Work turns a module task
+// into a plain one.
+func TestModuleTaskJoinsItsExecutions(t *testing.T) {
+	for _, w := range []int{1, 2, 4} {
+		tf := New(w)
+		m := &fanModule{n: 64}
+		seen := int64(-1)
+		mod := tf.EmplaceModule(m)
+		if mod.IsPlaceholder() {
+			t.Fatal("a module task reports no work")
+		}
+		mod.Precede(tf.Emplace1(func() { seen = m.ran.Load() }))
+		for run := 0; run < 3; run++ {
+			m.ran.Store(0)
+			if err := tf.Run(); err != nil || seen != int64(m.n) {
+				t.Fatalf("W=%d run %d: Run = %v, successor saw %d of %d executions", w, run, err, seen, m.n)
+			}
+		}
+
+		boom := errors.New("boom")
+		m.fail, seen = boom, -1
+		if err := tf.Run(); !errors.Is(err, boom) || seen != -1 {
+			t.Fatalf("W=%d: failing module: Run = %v, successor ran: %v", w, err, seen != -1)
+		}
+
+		mod.Work(func() {})
+		m.ran.Store(0)
+		if err := tf.Run(); err != nil || seen != 0 {
+			t.Fatalf("W=%d: after Work: Run = %v, successor saw %d", w, err, seen)
+		}
+		tf.Close()
+	}
 }

@@ -122,6 +122,9 @@ type nodeExt struct {
 	// it, which are strictly ordered.
 	retry    *retryPolicy
 	attempts int
+
+	// module is what a module task runs (EmplaceModule); nil otherwise.
+	module Module
 }
 
 // extra returns the node's cold-field block, allocating it on first use.

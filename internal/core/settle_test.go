@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gotaskflow/internal/executor"
-	"gotaskflow/internal/pipeline"
 )
 
 // everythingOn is the README's production-monitoring executor with a flight
@@ -358,42 +357,4 @@ func TestSettledBeforeDoneWorkerMovesOn(t *testing.T) {
 	}
 	rs, _ := short.LastRunStats()
 	assertSettled(t, e, "short", rs, bodies.Load(), new(settledWant))
-}
-
-// TestSettledBeforeDonePipeline: a pipeline's Run returns to one latency
-// record per token and an end for every cell's start.
-func TestSettledBeforeDonePipeline(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		e := everythingOn(workers)
-		const tokens = 300
-		p := pipeline.New(e, 4,
-			pipeline.Pipe{Type: pipeline.Serial, Fn: func(pf *pipeline.Pipeflow) {
-				if pf.Token() == tokens {
-					pf.Stop()
-				}
-			}},
-			pipeline.Pipe{Type: pipeline.Parallel, Fn: func(pf *pipeline.Pipeflow) {
-				if pf.Token()%7 == 3 && pf.Deferrals() == 0 {
-					pf.Defer(pf.Token() - 1)
-				}
-			}},
-			pipeline.ForEach(pipeline.Parallel, func(*pipeline.Pipeflow) int { return 8 }, 1, pipeline.Dynamic,
-				func(*pipeline.Pipeflow, int, int) {}),
-			pipeline.Pipe{Type: pipeline.Serial, Fn: func(*pipeline.Pipeflow) {}},
-		).Named("pipe")
-		for run := 1; run <= 3; run++ {
-			if got := p.Run(); got != tokens {
-				t.Fatalf("pipeline processed %d tokens, want %d", got, tokens)
-			}
-			lat := flowLatency(t, e, "")
-			fl := readFlight(t, e, "pipe")
-			if lat.EndToEnd.Count != uint64(run*tokens) {
-				t.Fatalf("W=%d run %d: %d token latency records, want %d", workers, run, lat.EndToEnd.Count, run*tokens)
-			}
-			if fl.starts != fl.ends || fl.starts < run*tokens*4 {
-				t.Fatalf("W=%d run %d: flight holds %d cell starts and %d ends", workers, run, fl.starts, fl.ends)
-			}
-		}
-		e.Shutdown()
-	}
 }

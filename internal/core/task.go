@@ -77,6 +77,9 @@ func (t Task) rebind(op string, condition bool) *node {
 		panic("core: " + op + " would change the condition-ness of a task that already has successors")
 	}
 	n.work, n.errWork, n.ctxWork, n.subflowWork, n.condWork = nil, nil, nil, nil, nil
+	if n.ext != nil {
+		n.ext.module = nil
+	}
 	return n
 }
 
@@ -84,7 +87,7 @@ func (t Task) rebind(op string, condition bool) *node {
 func (t Task) IsPlaceholder() bool {
 	t.must("IsPlaceholder")
 	return t.node.work == nil && t.node.errWork == nil && t.node.ctxWork == nil &&
-		t.node.subflowWork == nil && t.node.condWork == nil
+		t.node.subflowWork == nil && t.node.condWork == nil && (t.node.ext == nil || t.node.ext.module == nil)
 }
 
 // NumSuccessors returns the number of outgoing dependency edges.

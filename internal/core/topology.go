@@ -393,6 +393,14 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 				t.spawn(ctx, sf.g, nil)
 			}
 		}
+	case n.ext != nil && n.ext.module != nil:
+		// A module task completes when the last execution it counts
+		// retires (Join.Done), as a joined subflow does; its start holds
+		// the first unit. Its executions record their own latency.
+		t.releaseSems(ctx, n)
+		n.children.Store(1)
+		n.ext.module.Start(ctx, Join{n})
+		return
 	case n.isFallible():
 		if !t.runFallible(ctx, n, start) {
 			return // retry scheduled; the execution is still outstanding

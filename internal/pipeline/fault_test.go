@@ -8,8 +8,20 @@ import (
 	"testing"
 	"time"
 
+	"gotaskflow/internal/core"
 	"gotaskflow/internal/executor"
 )
+
+// runContext runs p as the one task of a fresh taskflow on e bound to ctx,
+// and returns the tokens the run processed with its error: a pipeline's
+// deadline and cancellation are those of the taskflow it runs in.
+func runContext(ctx context.Context, e executor.Scheduler, p *Pipeline) (int64, error) {
+	tf := core.NewShared(e)
+	tf.EmplaceModule(p)
+	before := p.Stats().Tokens
+	err := tf.RunContext(ctx)
+	return p.Stats().Tokens - before, err
+}
 
 func TestPipeflowFailStopsGeneration(t *testing.T) {
 	e := executor.New(4)
@@ -80,7 +92,7 @@ func TestPipelineRunContextCancel(t *testing.T) {
 		}},
 	)
 	go func() { <-started; cancel() }()
-	n, err := p.RunContext(ctx)
+	n, err := runContext(ctx, e, p)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext = %v, want context.Canceled", err)
 	}
@@ -96,7 +108,7 @@ func TestPipelineRunContextAlreadyCancelled(t *testing.T) {
 	p := New(e, 2, Pipe{Type: Serial, Fn: func(pf *Pipeflow) { ran.Add(1); pf.Stop() }})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	n, err := p.RunContext(ctx)
+	n, err := runContext(ctx, e, p)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext = %v, want Canceled", err)
 	}
@@ -113,7 +125,7 @@ func TestPipelineRunContextDeadline(t *testing.T) {
 	p := New(e, 2,
 		Pipe{Type: Serial, Fn: func(pf *Pipeflow) { time.Sleep(time.Millisecond) }},
 	)
-	_, err := p.RunContext(ctx)
+	_, err := runContext(ctx, e, p)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RunContext = %v, want DeadlineExceeded", err)
 	}

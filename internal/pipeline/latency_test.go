@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"gotaskflow/internal/core"
 	"gotaskflow/internal/executor"
 )
 
@@ -43,7 +44,8 @@ func TestPipelineTokenLatencyRecorded(t *testing.T) {
 	}
 }
 
-// BindFlow routes token latencies into a named flow's histogram set.
+// A pipeline composed into a flow-bound taskflow records its token
+// latencies into that flow's histogram set.
 func TestPipelineBindFlow(t *testing.T) {
 	e := executor.New(2, executor.WithLatencyHistograms())
 	defer e.Shutdown()
@@ -57,9 +59,13 @@ func TestPipelineBindFlow(t *testing.T) {
 		}},
 		Pipe{Type: Serial, Fn: func(*Pipeflow) {}},
 	)
-	p.BindFlow(f)
-	if got := p.Run(); got != n {
-		t.Fatalf("Run() = %d, want %d", got, n)
+	tf := core.NewShared(e).SetFlow(f)
+	tf.EmplaceModule(p)
+	if err := tf.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().Tokens; got != n {
+		t.Fatalf("Run processed %d tokens, want %d", got, n)
 	}
 	sums, _ := e.LatencyStats()
 	var found bool

@@ -14,6 +14,9 @@ package sim_test
 //   - ForEach pipes visit every index of every token exactly once before
 //     the token reaches the next pipe;
 //   - sim Stats conservation (Enqueued == Executed) and liveness;
+//   - composed shapes run the pipeline as a module task between two tasks:
+//     no pipe runs before the predecessor, and the successor starts only
+//     after the last cell retired — every token complete, no pipe after;
 //   - identical cases re-execute bit-identical schedules (ScheduleHash).
 //
 // Failures print a one-line SIM_PIPE_REPLAY recipe;
@@ -30,6 +33,7 @@ import (
 	"strings"
 	"testing"
 
+	"gotaskflow/internal/core"
 	"gotaskflow/internal/pipeline"
 	"gotaskflow/internal/sim"
 )
@@ -72,14 +76,19 @@ func (p pipeParams) recipe() string {
 // pipeShape derives the pipe row from the shape seed: 2–5 pipes after the
 // serial head, each serial, parallel, or (at most one) data-parallel;
 // plus a deferral pattern on one parallel pipe (every third token defers
-// to token−gap).
+// to token−gap). The composedBit of the shape seed runs the same row as a
+// module task between two tasks of a taskflow.
 type pipeShape struct {
 	types    []pipeline.Type // len = pipe count; types[0] == Serial
 	dpPipe   int             // index of the ForEach pipe, -1 if none
 	dpRange  int
 	deferOn  int // index of the deferring parallel pipe, -1 if none
 	deferGap int64
+	composed bool
 }
+
+// composedBit marks a composed shape; the rest of the seed picks the row.
+const composedBit = 1 << 20
 
 func shapeOf(p pipeParams) pipeShape {
 	s := p.shapeSeed
@@ -89,8 +98,10 @@ func shapeOf(p pipeParams) pipeShape {
 	if s < 0 {
 		s = 0
 	}
+	composed := s&composedBit != 0
+	s &^= composedBit
 	numPipes := 3 + int(s%4) // 3..6 pipes total
-	sh := pipeShape{types: make([]pipeline.Type, numPipes), dpPipe: -1, deferOn: -1}
+	sh := pipeShape{types: make([]pipeline.Type, numPipes), dpPipe: -1, deferOn: -1, composed: composed}
 	bits := s / 4
 	for i := 1; i < numPipes; i++ {
 		if bits&1 == 1 {
@@ -139,6 +150,19 @@ func runPipelineSchedule(t *testing.T, p pipeParams) pipeResult {
 	}
 	sawTarget := map[int64]bool{} // deferring token → target done at last invocation
 	dpVisits := map[int64][]int{} // token → per-index visit count at the dp pipe
+	// Composed shapes: whether the predecessor and the successor ran, and
+	// the first ordering violation against them.
+	var predRan, succRan bool
+	var misorder string
+	body := func(pipe int, tok int64) {
+		switch {
+		case !sh.composed:
+		case !predRan && misorder == "":
+			misorder = fmt.Sprintf("pipe %d ran token %d before the predecessor", pipe, tok)
+		case succRan && misorder == "":
+			misorder = fmt.Sprintf("pipe %d ran token %d after the successor started", pipe, tok)
+		}
+	}
 
 	pipes := make([]pipeline.Pipe, len(sh.types))
 	for i := range pipes {
@@ -148,6 +172,7 @@ func runPipelineSchedule(t *testing.T, p pipeParams) pipeResult {
 				func(*pipeline.Pipeflow) int { return sh.dpRange },
 				3, pipeline.Guided,
 				func(pf *pipeline.Pipeflow, begin, end int) {
+					body(i, pf.Token())
 					c := dpVisits[pf.Token()]
 					if c == nil {
 						c = make([]int, sh.dpRange)
@@ -161,6 +186,7 @@ func runPipelineSchedule(t *testing.T, p pipeParams) pipeResult {
 		}
 		pipes[i] = pipeline.Pipe{Type: sh.types[i], Fn: func(pf *pipeline.Pipeflow) {
 			tok := pf.Token()
+			body(i, tok)
 			if i == 0 {
 				if tok >= n {
 					pf.Stop()
@@ -190,13 +216,33 @@ func runPipelineSchedule(t *testing.T, p pipeParams) pipeResult {
 	}
 
 	pl := pipeline.New(s, p.lines, pipes...)
-	processed := pl.Run()
+	var processed int64
+	var err error
+	if sh.composed {
+		tf := core.NewShared(s)
+		pred := tf.Emplace1(func() { predRan = true })
+		succ := tf.Emplace1(func() {
+			succRan = true
+			if got := pl.Stats().Tokens; got != n && misorder == "" {
+				misorder = fmt.Sprintf("the successor started with %d of %d tokens retired", got, n)
+			}
+		})
+		pred.Precede(tf.EmplaceModule(pl).Precede(succ))
+		err = tf.Run()
+		processed = pl.Stats().Tokens
+		if !succRan && err == nil {
+			misorder = "the successor never ran"
+		}
+	} else {
+		processed = pl.Run()
+		err = pl.Err()
+	}
 	res := pipeResult{
 		hash:      s.ScheduleHash(),
 		processed: processed,
 		stats:     s.Stats(),
 	}
-	if err := pl.Err(); err != nil {
+	if err != nil {
 		res.errText = err.Error()
 	}
 
@@ -213,6 +259,9 @@ func runPipelineSchedule(t *testing.T, p pipeParams) pipeResult {
 	}
 	if processed != n {
 		t.Fatalf("processed %d tokens, want %d\n%s", processed, n, p.recipe())
+	}
+	if misorder != "" {
+		t.Fatalf("composed pipeline: %s\n%s", misorder, p.recipe())
 	}
 
 	// Every pipe sees every token; serial pipes in strictly ascending
@@ -272,12 +321,13 @@ func runPipelineSchedule(t *testing.T, p pipeParams) pipeResult {
 }
 
 func FuzzPipelineSchedule(f *testing.F) {
-	f.Add(int64(1), int64(0), int64(3), int64(3), int64(40))  // dp pipe, 3 pipes
-	f.Add(int64(2), int64(7), int64(1), int64(0), int64(25))  // 1 line: pure serial threading
-	f.Add(int64(3), int64(12), int64(7), int64(7), int64(90)) // dp + defer, 8 lines
-	f.Add(int64(4), int64(5), int64(2), int64(3), int64(64))  // wrap boundary: tokens % lines == 0
-	f.Add(int64(5), int64(23), int64(4), int64(1), int64(0))  // zero tokens
-	f.Add(int64(6), int64(46), int64(5), int64(5), int64(77)) // parallel-heavy row
+	f.Add(int64(1), int64(0), int64(3), int64(3), int64(40))              // dp pipe, 3 pipes
+	f.Add(int64(2), int64(7), int64(1), int64(0), int64(25))              // 1 line: pure serial threading
+	f.Add(int64(3), int64(12), int64(7), int64(7), int64(90))             // dp + defer, 8 lines
+	f.Add(int64(4), int64(5), int64(2), int64(3), int64(64))              // wrap boundary: tokens % lines == 0
+	f.Add(int64(5), int64(23), int64(4), int64(1), int64(0))              // zero tokens
+	f.Add(int64(6), int64(46), int64(5), int64(5), int64(77))             // parallel-heavy row
+	f.Add(int64(7), int64(12|composedBit), int64(3), int64(3), int64(50)) // dp + defer, between two tasks
 	f.Fuzz(func(t *testing.T, schedSeed, shapeSeed, workersRaw, linesRaw, tokensRaw int64) {
 		p := normalizePipe(schedSeed, shapeSeed, workersRaw, linesRaw, tokensRaw)
 		a := runPipelineSchedule(t, p)
@@ -294,14 +344,15 @@ func FuzzPipelineSchedule(f *testing.F) {
 }
 
 // TestPropertyPipelineSimSweep is the deterministic always-on slice of
-// the fuzz space: 120 seeds across worker counts, line counts and shape
-// seeds, every invariant from runPipelineSchedule checked on each.
+// the fuzz space: 240 seeds across worker counts, line counts and shape
+// seeds, alone and composed between two tasks, every invariant from
+// runPipelineSchedule checked on each.
 func TestPropertyPipelineSimSweep(t *testing.T) {
 	count := 0
 	for schedSeed := int64(0); schedSeed < 10; schedSeed++ {
 		for _, workers := range []int{1, 3, 8} {
 			for _, lines := range []int{1, 4} {
-				for _, shapeSeed := range []int64{0, 9} {
+				for _, shapeSeed := range []int64{0, 9, composedBit, 9 | composedBit} {
 					p := pipeParams{
 						schedSeed: schedSeed,
 						shapeSeed: shapeSeed,

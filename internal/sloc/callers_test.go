@@ -60,7 +60,6 @@ var callerless = map[string]string{
 	"internal/bench Ms":                              testOnly + ": its own tests",
 	"internal/circuit Gate.IsStart":                  "the pair of IsEnd; " + testOnly,
 	"internal/core Future.Cancel":                    "cooperative cancellation (DESIGN.md, Failure model); " + testOnly,
-	"internal/core Future.Cancelled":                 "cooperative cancellation (DESIGN.md, Failure model); " + testOnly,
 	"internal/core NewSemaphore":                     "tf::Semaphore (DESIGN.md, Semaphores); " + testOnly,
 	"internal/core ParallelFor":                      paperAPI + " (parallel_for)",
 	"internal/core ParallelForPtr":                   "ParallelFor with in-place element access; " + testOnly,
@@ -96,10 +95,6 @@ var callerless = map[string]string{
 	"internal/mnist ReadIDXLabels":                   "the real MNIST file codec; no driver reads real files, " + testOnly,
 	"internal/mnist WriteIDXImages":                  "the real MNIST file codec; no driver reads real files, " + testOnly,
 	"internal/mnist WriteIDXLabels":                  "the real MNIST file codec; no driver reads real files, " + testOnly,
-	"internal/pipeline Pipeflow.Fail":                "a pipe body's error path; " + testOnly,
-	"internal/pipeline Pipeflow.Pipe":                "tf::Pipeflow's pipe() beside Line and Token; " + testOnly,
-	"internal/pipeline Pipeline.BindFlow":            "latency binding beside SetFlow; " + testOnly,
-	"internal/pipeline Pipeline.RunContext":          "context-bound Run; " + testOnly,
 	"internal/sta Timing.WorstHoldSlack":             "the hold-slack report; " + testOnly,
 	"internal/wavefront TaskflowLevelized":           "the levelized wavefront per partitioner; TestLevelizedAgrees only",
 }
