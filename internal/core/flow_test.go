@@ -57,7 +57,7 @@ func TestFlowShedExactlyOnce(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	e.SubmitFunc(func(executor.Context) { close(started); <-release })
+	e.Submit(executor.NewTask(func(executor.Context) { close(started); <-release }))
 	<-started
 
 	f := e.NewFlow("wm", executor.FlowConfig{MaxBacklog: 2})

@@ -232,7 +232,7 @@ func TestRunLinearChainZeroAlloc(t *testing.T) {
 }
 
 // Steady-state re-runs of a wide random DAG must be allocation-free too:
-// every Run batches ~1600 sources onto one injection shard, and the ring
+// every Run batches ~1600 sources onto the injection queue, and the ring
 // that grew for the first batch must still be that size for the next one
 // (it used to shrink behind every drain and regrow on every Run).
 func TestRunTraversalZeroAlloc(t *testing.T) {

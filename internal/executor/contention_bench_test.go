@@ -25,7 +25,7 @@ package executor
 //   - InjectionFlood: GOMAXPROCS external producers submitting distinct
 //     task objects as fast as they can while the pool drains — the
 //     Pipeflow-style streaming shape that hammers the injection queue
-//     lock (sharded per worker group after the eventcount PR).
+//     lock.
 
 import (
 	"fmt"

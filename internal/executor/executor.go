@@ -6,7 +6,7 @@
 //
 //  1. pop a task from its own deque (LIFO, for locality);
 //  2. otherwise steal, first from its last victim, then from random victims
-//     and the external injection shards (FIFO per shard, home shard first);
+//     and the external injection queue (FIFO);
 //  3. otherwise announce itself on the eventcount, re-check every queue,
 //     and park until a task producer wakes it precisely.
 //
@@ -49,12 +49,11 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"gotaskflow/internal/wsq"
 )
 
-// ErrShutdown is returned by Submit, SubmitBatch and SubmitFunc after
+// ErrShutdown is returned by Submit and SubmitBatch after
 // Shutdown: the workers have exited, so an accepted task could never run
 // and its producer would hang waiting for completion.
 var ErrShutdown = errors.New("executor: submit after Shutdown")
@@ -225,11 +224,8 @@ type Executor struct {
 	workers []*worker
 
 	// inj is the external submission queue used by non-worker goroutines
-	// (work sharing): one Queue per shard (see inject.go). Producers hash to
-	// a shard; workers drain their home shard first. The shard count is a
-	// power of two, so injMask selects one.
-	inj     []Queue
-	injMask int
+	// (work sharing; see inject.go).
+	inj *Queue
 
 	// mt is the multi-tenancy state (flow.go), allocated lazily by the
 	// first NewFlow call. Pools that never register a flow pay one nil
@@ -330,8 +326,7 @@ func New(n int, opts ...Option) *Executor {
 	// a per-instance seed: two executors in one process must not follow
 	// identical scheduling sequences.
 	seed := rand.Int63()
-	e.inj = NewInjection((*queueHost)(e), n)
-	e.injMask = len(e.inj) - 1
+	e.inj = NewInjection((*queueHost)(e))
 	e.ec = NewEventcount(n)
 	if e.metricsOn {
 		e.metrics = newMetricsState(n)
@@ -386,27 +381,13 @@ func (e *Executor) Submit(r *Runnable) error {
 	return e.SubmitBatch(rs[:])
 }
 
-// injShardIdx hashes a task reference to its injection shard. Task objects
-// are long-lived and word-aligned, so a Fibonacci hash of the pointer
-// spreads unrelated producers across shards while one producer
-// resubmitting the same task stays on one shard (keeping its tasks FIFO).
-func (e *Executor) injShardIdx(r *Runnable) int {
-	h := (uint64(uintptr(unsafe.Pointer(r))) >> 3) * 0x9E3779B97F4A7C15
-	return int(h>>32) & e.injMask
-}
-
-// SubmitFunc boxes fn and submits it — a convenience for one-shot jobs.
-func (e *Executor) SubmitFunc(fn func(Context)) error {
-	return e.Submit(NewTask(fn))
-}
-
 // SubmitBatch schedules several tasks at once and wakes at most
 // min(len(rs), parked workers) idlers, stopping at the first failed wake.
-// The batch is accepted whole or rejected whole with ErrShutdown. The whole
-// batch lands on one shard (chosen by its first task) so the producer takes
-// one lock and the batch stays FIFO; batch drains and steals spread it. It is
-// the shard's own SubmitBatch with the host called directly, not through the
-// QueueHost interface: this is the pool's submit path.
+// The batch is accepted whole or rejected whole with ErrShutdown, and lands
+// on the injection queue under one lock, in order; batch drains and steals
+// spread it. It is the queue's own SubmitBatch with the host called
+// directly, not through the QueueHost interface: this is the pool's submit
+// path.
 func (e *Executor) SubmitBatch(rs []*Runnable) error {
 	if len(rs) == 0 {
 		return nil
@@ -414,13 +395,12 @@ func (e *Executor) SubmitBatch(rs []*Runnable) error {
 	if e.stop.Load() {
 		return ErrShutdown
 	}
-	q := &e.inj[e.injShardIdx(rs[0])]
-	q.push(rs)
-	e.published(q, len(rs))
+	e.inj.push(rs)
+	e.published(e.inj, len(rs))
 	return nil
 }
 
-// published is the one step after any push onto a shard or a flow: one
+// published is the one step after any push onto a queue: one
 // trace event and one computed wake count for the whole publication. A pool
 // built without a recorder makes no trace call at all.
 func (e *Executor) published(q *Queue, n int) {
@@ -480,29 +460,22 @@ func (w *worker) take(q *Queue) (*Runnable, int) {
 	return scratch[0], k
 }
 
-// injCap reports the largest injection shard ring capacity (for tests).
+// injCap reports the injection queue's ring capacity (for tests).
 func (e *Executor) injCap() int {
-	c := 0
-	for i := range e.inj {
-		q := &e.inj[i]
-		q.mu.Lock()
-		c = max(c, len(q.ring.buf))
-		q.mu.Unlock()
-	}
-	return c
+	e.inj.mu.Lock()
+	defer e.inj.mu.Unlock()
+	return len(e.inj.ring.buf)
 }
 
 // anyWork reports whether any queue appears non-empty. Parking workers call
 // it between Prewait and CommitWait: the eventcount's ordering guarantees
 // that work published before a missed notify is visible to this re-check.
-// Flow backlogs participate for the same reason the shard lengths do: a
-// Flow.Submit publishes the backlog gauge before its wake, so a parking
+// Flow backlogs participate for the same reason the injection length does:
+// a Flow.Submit publishes the backlog gauge before its wake, so a parking
 // worker that misses the notify sees the count here.
 func (e *Executor) anyWork() bool {
-	for i := range e.inj {
-		if e.inj[i].len.Load() > 0 {
-			return true
-		}
+	if e.inj.len.Load() > 0 {
+		return true
 	}
 	if mt := e.mt.Load(); mt != nil && mt.Backlog() > 0 {
 		return true
@@ -582,7 +555,7 @@ func (e *Executor) unpark(id int) {
 // Multi-tenant drain order (flow.go, DequeRank): Interactive flow backlog
 // outranks everything — it is checked before deque stealing, so
 // request-shaped work preempts in-flight graph expansion at the next steal
-// point. Batch flows rank below the deques and the plain injection shards
+// point. Batch flows rank below the deques and the plain injection queue
 // (active graphs keep priority over new bulk admissions), and Background
 // flows come last. Within a class, drainFlows walks the weighted
 // round-robin wheel.
@@ -621,17 +594,12 @@ func (w *worker) steal() (*Runnable, bool) {
 			}
 		}
 	}
-	// The injection shards: this worker's home shard first, then the others
-	// in index order.
-	home := w.id & e.injMask
-	for i := range e.inj {
-		if r, k := w.take(&e.inj[(home+i)&e.injMask]); k > 0 {
-			if m != nil {
-				m.injectionDrains.Add(1)
-				m.injectionDrainedTasks.Add(uint64(k))
-			}
-			return r, true
+	if r, k := w.take(e.inj); k > 0 {
+		if m != nil {
+			m.injectionDrains.Add(1)
+			m.injectionDrainedTasks.Add(uint64(k))
 		}
+		return r, true
 	}
 	if mt != nil {
 		for c := DequeRank; c < NumPriorityClasses; c++ {

@@ -26,7 +26,7 @@ func TestSubmitRunsAllTasks(t *testing.T) {
 	var n atomic.Int64
 	const total = 10000
 	for i := 0; i < total; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
+		e.Submit(NewTask(func(Context) { n.Add(1) }))
 	}
 	waitCounter(t, &n, total)
 }
@@ -129,11 +129,11 @@ func TestSubmitCachedFallsBackWhenOccupied(t *testing.T) {
 	e := New(1)
 	defer e.Shutdown()
 	var n atomic.Int64
-	e.SubmitFunc(func(ctx Context) {
+	e.Submit(NewTask(func(ctx Context) {
 		ctx.SubmitCached(NewTask(func(Context) { n.Add(1) }))
 		ctx.SubmitCached(NewTask(func(Context) { n.Add(1) })) // slot taken -> queued
 		ctx.SubmitCached(NewTask(func(Context) { n.Add(1) }))
-	})
+	}))
 	waitCounter(t, &n, 3)
 }
 
@@ -142,14 +142,14 @@ func TestContextSubmitBatch(t *testing.T) {
 	defer e.Shutdown()
 	var n atomic.Int64
 	const fanout = 128
-	e.SubmitFunc(func(ctx Context) {
+	e.Submit(NewTask(func(ctx Context) {
 		batch := make([]*Runnable, fanout)
 		for i := range batch {
 			batch[i] = NewTask(func(Context) { n.Add(1) })
 		}
 		ctx.SubmitBatch(batch)
 		ctx.SubmitBatch(nil) // no-op
-	})
+	}))
 	waitCounter(t, &n, fanout)
 }
 
@@ -158,12 +158,12 @@ func TestWorkerID(t *testing.T) {
 	defer e.Shutdown()
 	seen := make(chan int, 100)
 	for i := 0; i < 100; i++ {
-		e.SubmitFunc(func(ctx Context) {
+		e.Submit(NewTask(func(ctx Context) {
 			if ctx.Executor() != e {
 				t.Error("ctx.Executor() mismatch")
 			}
 			seen <- ctx.WorkerID()
-		})
+		}))
 	}
 	for i := 0; i < 100; i++ {
 		id := <-seen
@@ -190,7 +190,7 @@ func TestShutdownIdempotent(t *testing.T) {
 	e := New(2)
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
+		e.Submit(NewTask(func(Context) { n.Add(1) }))
 	}
 	waitCounter(t, &n, 100)
 	e.Shutdown()
@@ -209,7 +209,7 @@ func TestManyProducers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				e.SubmitFunc(func(Context) { n.Add(1) })
+				e.Submit(NewTask(func(Context) { n.Add(1) }))
 			}
 		}()
 	}
@@ -229,7 +229,7 @@ func TestStealingHappens(t *testing.T) {
 	var mu sync.Mutex
 	block := make(chan struct{})
 	chA, chB := make(chan struct{}), make(chan struct{})
-	e.SubmitFunc(func(ctx Context) {
+	e.Submit(NewTask(func(ctx Context) {
 		ctx.Submit(NewTask(func(c Context) {
 			mu.Lock()
 			workers[c.WorkerID()] = true
@@ -247,7 +247,7 @@ func TestStealingHappens(t *testing.T) {
 			n.Add(1)
 		}))
 		<-block // keep the producer busy so others must steal
-	})
+	}))
 	waitCounter(t, &n, 2)
 	close(block)
 	mu.Lock()
@@ -262,11 +262,11 @@ func TestIdleWakeupLatency(t *testing.T) {
 	e := New(4)
 	defer e.Shutdown()
 	var n atomic.Int64
-	e.SubmitFunc(func(Context) { n.Add(1) })
+	e.Submit(NewTask(func(Context) { n.Add(1) }))
 	waitCounter(t, &n, 1)
 	time.Sleep(50 * time.Millisecond) // let workers park
 	for i := 0; i < 10; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
+		e.Submit(NewTask(func(Context) { n.Add(1) }))
 		waitCounter(t, &n, int64(2+i))
 	}
 }
@@ -313,10 +313,10 @@ func TestSubmitBatchNoIdlersNoWake(t *testing.T) {
 	release := make(chan struct{})
 	started := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
-		e.SubmitFunc(func(Context) {
+		e.Submit(NewTask(func(Context) {
 			started <- struct{}{}
 			<-release
-		})
+		}))
 	}
 	<-started
 	<-started
@@ -371,7 +371,7 @@ func TestInjectionShrinksAfterBurst(t *testing.T) {
 	// injection ring instead of draining as it is produced.
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	e.SubmitFunc(func(Context) { close(started); <-gate })
+	e.Submit(NewTask(func(Context) { close(started); <-gate }))
 	<-started
 
 	const burst = 1 << 15
@@ -429,7 +429,7 @@ func BenchmarkSubmitThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
+		e.Submit(NewTask(func(Context) { n.Add(1) }))
 	}
 	for n.Load() != int64(b.N) {
 		time.Sleep(10 * time.Microsecond)
@@ -464,13 +464,13 @@ func TestParkScrubsDeque(t *testing.T) {
 	defer e.Shutdown()
 	const tasks = 300 // past the 256-slot ring, so the scrub range is clamped too
 	var ran, freed atomic.Int64
-	if err := e.SubmitFunc(func(ctx Context) {
+	if err := e.Submit(NewTask(func(ctx Context) {
 		for i := 0; i < tasks; i++ {
 			r := NewTask(func(Context) { ran.Add(1) })
 			runtime.SetFinalizer(r, func(*Runnable) { freed.Add(1) })
 			ctx.Submit(r) // onto the worker's own deque; the other worker steals
 		}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	waitCounter(t, &ran, tasks)

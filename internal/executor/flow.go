@@ -11,7 +11,7 @@ package executor
 // Scheduling policy (see worker.steal in executor.go):
 //
 //   - Strict class priority on the drain path: Interactive flow backlog is
-//     drained before deque stealing and the plain injection shards, which
+//     drained before deque stealing and the plain injection queue, which
 //     in turn are drained before Batch flows, then Background flows
 //     (DequeRank). Small high-priority flows never wait behind bulk work.
 //
@@ -42,7 +42,7 @@ package executor
 // pool and internal/sim's single-threaded simulator register and drain the
 // same objects (atomics are correct on one goroutine). A FlowQueue is a Queue
 // (inject.go) with admission state on top, so a flow's ring, gauges, counters
-// and QueueHost seam are the injection shards' own.
+// and QueueHost seam are the injection queue's own.
 
 import (
 	"errors"
@@ -70,7 +70,7 @@ const (
 	// deque stealing: request-shaped work that wants latency.
 	Interactive PriorityClass = iota
 	// Batch flows are drained after deques and the plain injection
-	// shards: throughput work that tolerates waiting behind active graphs.
+	// queue: throughput work that tolerates waiting behind active graphs.
 	Batch
 	// Background flows are drained last: work that should only soak idle
 	// capacity.
@@ -80,7 +80,7 @@ const (
 	NumPriorityClasses = 3
 )
 
-// DequeRank is where the worker deques and the plain injection shards sit in
+// DequeRank is where the worker deques and the plain injection queue sit in
 // the class order of one steal sweep: flow classes below it are drained
 // before them, DequeRank and the classes above it after them, in class
 // order. Both drivers of the policy (worker.steal, sim's steal) walk it.
@@ -197,7 +197,7 @@ type Flow interface {
 }
 
 // classState is the per-priority-class scheduling state: an atomic
-// backlog gauge (published like the injection shards' len, after the ring
+// backlog gauge (published like the injection queue's len, after the ring
 // unlock and before the wake, so parking workers see flow work without a
 // lock), the weight-expanded wheel, and the shared round-robin cursor.
 type classState struct {
@@ -270,7 +270,7 @@ func (t *FlowTable) register(name string, cfg FlowConfig, lat *flowLatency) *Flo
 	cs := &t.classes[cfg.Class]
 	t.mu.Lock()
 	f.idx = len(t.all)
-	f.init(t.host, &cs.backlog, name, flowTraceShardBase|(f.idx&0x7f))
+	f.init(t.host, &cs.backlog, name, flowTraceBase+f.idx)
 	t.all = append(t.all, f)
 	// Rebuild the class wheel copy-on-write: each flow appears Weight
 	// times, block-repeated in registration order. Readers (drain walks)
@@ -346,11 +346,11 @@ func (e *Executor) FlowStats() []FlowStats {
 	return mt.Stats()
 }
 
-// flowTraceShardBase offsets flow indices into the shard byte of
+// flowTraceBase offsets flow indices into the queue id of
 // EvInjectPush/EvInjectDrain trace args (see injectArg), so flow queue
 // traffic shares the injection event kinds while staying distinguishable
-// from the plain shards (which are < flowTraceShardBase).
-const flowTraceShardBase = 0x80
+// from the injection queue (id 0).
+const flowTraceBase = 0x80
 
 func (f *FlowQueue) Name() string         { return f.name }
 func (f *FlowQueue) Class() PriorityClass { return f.cfg.Class }
@@ -502,10 +502,10 @@ func (w *worker) drainFlows(mt *FlowTable, c PriorityClass) (*Runnable, bool) {
 // the one statement of these laws: Snapshot.Reconcile holds the worker pool
 // to it and sim's CheckQueues the simulator.
 func CheckFlowLaws(flows []FlowStats, drainOps, drainedTasks uint64) error {
-	qs := make([]ShardStats, len(flows))
+	qs := make([]QueueStats, len(flows))
 	for i := range flows {
 		f := &flows[i]
-		qs[i] = ShardStats{Pushes: f.Pushes, Drains: f.DrainOps, DrainedTasks: f.DrainedTasks, Depth: f.Backlog}
+		qs[i] = QueueStats{Pushes: f.Pushes, Drains: f.DrainOps, DrainedTasks: f.DrainedTasks, Depth: f.Backlog}
 		if f.AdmittedTasks != f.ReleasedTasks {
 			return fmt.Errorf("flow %q admitted %d != released %d (leaked reservation)",
 				f.Name, f.AdmittedTasks, f.ReleasedTasks)

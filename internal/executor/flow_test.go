@@ -38,7 +38,7 @@ func TestFlowPriorityDrainOrder(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	e.SubmitFunc(func(Context) { close(started); <-release })
+	e.Submit(NewTask(func(Context) { close(started); <-release }))
 	<-started
 
 	const perFlow = 20
@@ -90,7 +90,7 @@ func TestFlowAdmissionErrors(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	e.SubmitFunc(func(Context) { close(started); <-release })
+	e.Submit(NewTask(func(Context) { close(started); <-release }))
 	<-started
 
 	f := e.NewFlow("f", FlowConfig{MaxInFlight: 2, MaxBacklog: 1})
@@ -253,4 +253,43 @@ func TestFlowSubmitAllocBound(t *testing.T) {
 	if allocs > 0.5 {
 		t.Fatalf("flow submit round trip allocates %v objects/op, want 0", allocs)
 	}
+}
+
+// TestFlowTraceIDsDistinct: every flow keeps a trace id of its own past the
+// first 128 registrations, and a traced submission on a late flow carries
+// that id and its batch size through the packed injection arg.
+func TestFlowTraceIDsDistinct(t *testing.T) {
+	e := New(1, WithTracing(1024))
+	defer e.Shutdown()
+	flows := make([]*FlowQueue, 300)
+	seen := make(map[int]int, len(flows))
+	for i := range flows {
+		flows[i] = e.NewFlow("f", FlowConfig{Class: Batch}).(*FlowQueue)
+		id := flows[i].TraceID()
+		if j, dup := seen[id]; dup {
+			t.Fatalf("flows %d and %d share trace id %#x", j, i, id)
+		}
+		seen[id] = i
+	}
+
+	var n atomic.Int64
+	body := func(Context) { n.Add(1) }
+	if !e.StartTrace() {
+		t.Fatal("StartTrace failed")
+	}
+	if err := flows[200].SubmitBatch([]*Runnable{NewTask(body), NewTask(body), NewTask(body)}); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, &n, 3)
+	tr, _ := e.StopTrace()
+	for _, ev := range tr.Events {
+		if ev.Kind != EvInjectPush {
+			continue
+		}
+		if id, count := InjectArgShard(ev.Arg), InjectArgCount(ev.Arg); id != flowTraceBase+200 || count != 3 {
+			t.Fatalf("push on flow 200 decodes to id %#x count %d, want %#x and 3", id, count, flowTraceBase+200)
+		}
+		return
+	}
+	t.Fatal("no inject_push event in the capture")
 }

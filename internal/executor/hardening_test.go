@@ -16,8 +16,8 @@ func TestSubmitAfterShutdownReturnsErrShutdown(t *testing.T) {
 	if err := e.Submit(NewTask(func(Context) {})); !errors.Is(err, ErrShutdown) {
 		t.Fatalf("Submit after Shutdown = %v, want ErrShutdown", err)
 	}
-	if err := e.SubmitFunc(func(Context) {}); !errors.Is(err, ErrShutdown) {
-		t.Fatalf("SubmitFunc after Shutdown = %v, want ErrShutdown", err)
+	if err := e.Submit(NewTask(func(Context) {})); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("Submit after Shutdown = %v, want ErrShutdown", err)
 	}
 	batch := []*Runnable{NewTask(func(Context) {}), NewTask(func(Context) {})}
 	if err := e.SubmitBatch(batch); !errors.Is(err, ErrShutdown) {
@@ -28,10 +28,10 @@ func TestSubmitAfterShutdownReturnsErrShutdown(t *testing.T) {
 func TestPanicContainedAndRecorded(t *testing.T) {
 	e := New(2)
 	var n atomic.Int64
-	e.SubmitFunc(func(Context) { panic("task exploded") })
+	e.Submit(NewTask(func(Context) { panic("task exploded") }))
 	// The pool survives the panic: later tasks still run.
 	for i := 0; i < 100; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
+		e.Submit(NewTask(func(Context) { n.Add(1) }))
 	}
 	waitCounter(t, &n, 100)
 	e.Shutdown()
@@ -50,8 +50,8 @@ func TestPanicHandlerOverridesRecording(t *testing.T) {
 		got.Store(recovered)
 	}))
 	var n atomic.Int64
-	e.SubmitFunc(func(Context) { panic("routed") })
-	e.SubmitFunc(func(Context) { n.Add(1) })
+	e.Submit(NewTask(func(Context) { panic("routed") }))
+	e.Submit(NewTask(func(Context) { n.Add(1) }))
 	waitCounter(t, &n, 1)
 	e.Shutdown()
 	if got.Load() != "routed" {
@@ -66,7 +66,7 @@ func TestPanicRecordingIsBounded(t *testing.T) {
 	e := New(4)
 	var n atomic.Int64
 	for i := 0; i < MaxRecordedPanics+50; i++ {
-		e.SubmitFunc(func(Context) { defer n.Add(1); panic("again") })
+		e.Submit(NewTask(func(Context) { defer n.Add(1); panic("again") }))
 	}
 	waitCounter(t, &n, MaxRecordedPanics+50)
 	e.Shutdown()

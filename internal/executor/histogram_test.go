@@ -23,11 +23,11 @@ func onWorker(t *testing.T, e *Executor, fn func(ctx Context)) {
 	t.Helper()
 	var wg sync.WaitGroup
 	wg.Add(1)
-	err := e.SubmitFunc(func(ctx Context) {
+	err := e.Submit(NewTask(func(ctx Context) {
 		fn(ctx)
 		ctx.Settle()
 		wg.Done()
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

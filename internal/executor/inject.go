@@ -1,10 +1,10 @@
 package executor
 
 // The work-sharing half of Algorithm 1: the queue for tasks submitted from
-// outside the pool. It is one type, Queue, behind the injection shards and
+// outside the pool. It is one type, Queue, behind the injection queue and
 // behind every multi-tenant flow (a FlowQueue is a Queue plus admission
 // state), and both drivers use it: the worker pool and internal/sim build the
-// shards with NewInjection and the flows with a FlowTable, push with
+// injection queue with NewInjection and the flows with a FlowTable, push with
 // SubmitBatch and drain with Take. What differs between the two is behind
 // QueueHost.
 
@@ -23,34 +23,14 @@ const injInitialCap = 64
 // injShrinkCap is the capacity floor below which a ring never shrinks.
 const injShrinkCap = 1024
 
-// injMaxShards caps the injection shard count: beyond ~16 shards the
-// sweep cost of an idle worker checking every shard outweighs the
-// contention relief.
-const injMaxShards = 16
-
-// injectionShards sizes the injection queue for n workers: one shard per
-// four-worker group, rounded up to a power of two (so shard selection is a
-// mask), capped at injMaxShards. Small pools keep a single ring and pay
-// nothing for the sharding.
-func injectionShards(n int) int {
-	s := 1
-	for s*4 < n && s < injMaxShards {
-		s <<= 1
-	}
-	return s
-}
-
-// NewInjection builds the injection shards of a scheduler with n workers.
-// External producers hash their task pointer to a shard; each worker drains
-// its home shard (worker id mod shards) first and sweeps the others only when
-// home is empty, so at high core counts producer groups and worker groups
-// meet on different locks instead of one.
-func NewInjection(host QueueHost, n int) []Queue {
-	qs := make([]Queue, injectionShards(n))
-	for i := range qs {
-		qs[i].init(host, nil, "", i)
-	}
-	return qs
+// NewInjection builds a scheduler's injection queue: the one FIFO every
+// external producer pushes onto and every worker drains (Algorithm 1's
+// shared queue). It is its own allocation, so its lock line shares no cache
+// line with the scheduler's read-mostly fields.
+func NewInjection(host QueueHost) *Queue {
+	q := new(Queue)
+	q.init(host, nil, "", 0)
+	return q
 }
 
 // QueueHost is the scheduler a Queue is registered on: the two facts about a
@@ -88,10 +68,10 @@ type Queue struct {
 	_   [cacheLine - 8]byte
 
 	host    QueueHost
-	backlog *atomic.Int64 // the class gauge of a flow's queue; nil for a shard
-	name    string        // the flow's name; empty for a shard
-	id      int           // trace id: the shard byte of injectArg
-	_       [16]byte      // to a whole number of lines: no two shards share one
+	backlog *atomic.Int64 // the class gauge of a flow's queue; nil for injection
+	name    string        // the flow's name; empty for injection
+	id      int           // trace id: the queue field of injectArg
+	_       [16]byte      // to a whole number of lines: a flow's admission state starts a line
 }
 
 func (q *Queue) init(host QueueHost, backlog *atomic.Int64, name string, id int) {
@@ -99,8 +79,9 @@ func (q *Queue) init(host QueueHost, backlog *atomic.Int64, name string, id int)
 	q.ring.init(injInitialCap)
 }
 
-// TraceID returns the queue's id in EvInjectPush/EvInjectDrain args: the
-// shard index, or flowTraceShardBase plus the registration index of a flow.
+// TraceID returns the queue's id in EvInjectPush/EvInjectDrain args: 0 for
+// the injection queue, flowTraceBase plus the registration index for a
+// flow.
 func (q *Queue) TraceID() int { return q.id }
 
 // Backlog returns the queue's published task count (a gauge, never negative).
@@ -164,10 +145,10 @@ func (q *Queue) Take(dst []*Runnable) int {
 }
 
 // Stats reads the queue's counters under its lock: one consistent reading.
-func (q *Queue) Stats() ShardStats {
+func (q *Queue) Stats() QueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return ShardStats{
+	return QueueStats{
 		Pushes:       uint64(q.ring.tail),
 		Drains:       q.drains,
 		DrainedTasks: uint64(q.ring.head),
@@ -179,10 +160,10 @@ func (q *Queue) Stats() ShardStats {
 // queued, no drain in progress): every task pushed was drained and nothing is
 // left, and the queues' own drain counters sum to the scheduler-side ones
 // (drain operations that found work, and the tasks they moved). It is the
-// one statement of these laws, for the injection shards and the flows alike:
+// one statement of these laws, for the injection queue and the flows alike:
 // Snapshot.Reconcile holds the worker pool to it and sim's CheckQueues the
 // simulator. kind names the queues in an error.
-func CheckQueueLaws(kind string, qs []ShardStats, drainOps, drainedTasks uint64) error {
+func CheckQueueLaws(kind string, qs []QueueStats, drainOps, drainedTasks uint64) error {
 	var ops, drained uint64
 	for i, q := range qs {
 		if q.Pushes != q.DrainedTasks || q.Depth != 0 {

@@ -19,18 +19,12 @@ type stubHost struct {
 func (h *stubHost) Stopped() bool             { return h.stopped }
 func (h *stubHost) Published(_ *Queue, n int) { h.published.Add(int64(n)) }
 
-func newTestQueue(host QueueHost) *Queue {
-	q := new(Queue)
-	q.init(host, nil, "", 0)
-	return q
-}
-
-// Each injection shard must be FIFO: interleaved submissions and batch takes
+// The injection queue must be FIFO: interleaved submissions and batch takes
 // yield tasks in exact submission order, and every submission is published
 // to the host once.
-func TestInjectionShardFIFO(t *testing.T) {
+func TestInjectionFIFO(t *testing.T) {
 	host := &stubHost{}
-	q := newTestQueue(host)
+	q := NewInjection(host)
 	tasks := make([]*Runnable, 500)
 	for i := range tasks {
 		tasks[i] = NewTask(func(Context) {})
@@ -56,7 +50,7 @@ func TestInjectionShardFIFO(t *testing.T) {
 		t.Fatalf("host saw %d published tasks, want %d", got, len(tasks))
 	}
 	st := q.Stats()
-	if err := CheckQueueLaws("shard", []ShardStats{st}, st.Drains, uint64(len(tasks))); err != nil {
+	if err := CheckQueueLaws("injection", []QueueStats{st}, st.Drains, uint64(len(tasks))); err != nil {
 		t.Fatal(err)
 	}
 	host.stopped = true
@@ -68,7 +62,7 @@ func TestInjectionShardFIFO(t *testing.T) {
 // A Take with no room — a flow drained between FlowWalk.Next and Take sizes
 // dst by a quota of 0 — must not touch the lock.
 func TestQueueTakeEmptyDstSkipsLock(t *testing.T) {
-	q := newTestQueue(&stubHost{})
+	q := NewInjection(&stubHost{})
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	done := make(chan int)
@@ -91,7 +85,7 @@ func TestQueueTakeEmptyDstSkipsLock(t *testing.T) {
 // hold against the consumers' own counts.
 func TestQueueStatsConcurrent(t *testing.T) {
 	const producers, consumers, perProducer = 2, 2, 2000
-	q := newTestQueue(&stubHost{})
+	q := NewInjection(&stubHost{})
 	r := NewTask(func(Context) {})
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -149,7 +143,7 @@ func TestQueueStatsConcurrent(t *testing.T) {
 	consumersWG.Wait()
 	close(stop)
 	<-readerDone
-	if err := CheckQueueLaws("shard", []ShardStats{q.Stats()}, drains.Load(), drained.Load()); err != nil {
+	if err := CheckQueueLaws("queue", []QueueStats{q.Stats()}, drains.Load(), drained.Load()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -157,8 +151,8 @@ func TestQueueStatsConcurrent(t *testing.T) {
 // TestQueueLayout pins the queue's line layout: the lock, the ring and the
 // drain count (what a push or a drain writes under the lock) in the first
 // 64-byte line, the published length on a line of its own, and the whole
-// struct a whole number of lines, so shards side by side in a slice never
-// share one.
+// struct a whole number of lines, so the admission state a FlowQueue keeps
+// after its Queue starts a line of its own.
 func TestQueueLayout(t *testing.T) {
 	const line = 64
 	var q Queue

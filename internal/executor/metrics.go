@@ -103,7 +103,7 @@ type paddedDequeCounters struct {
 }
 
 // metricsState is the executor's counter storage, allocated once at
-// construction when WithMetrics is given. The injection shards count their
+// construction when WithMetrics is given. The injection queue counts its
 // own traffic (Queue.Stats), with or without it.
 type metricsState struct {
 	deques  []paddedDequeCounters
@@ -162,33 +162,25 @@ type WorkerStats struct {
 	Executed              uint64 // tasks invoked
 }
 
-// ShardStats is one injection shard's counters at a snapshot instant (and,
-// as Queue.Stats, any Queue's).
-type ShardStats struct {
-	Pushes       uint64 // tasks producers hashed onto this shard
+// QueueStats is one Queue's counters at a snapshot instant (Queue.Stats).
+type QueueStats struct {
+	Pushes       uint64 // tasks producers pushed onto the queue
 	Drains       uint64 // drain operations that found work here
-	DrainedTasks uint64 // tasks taken from this shard (incl. batch extras)
+	DrainedTasks uint64 // tasks taken from the queue (incl. batch extras)
 	Depth        int    // resident tasks at the snapshot instant (gauge)
 }
 
 // Snapshot is a point-in-time reading of every scheduler counter. Taking a
 // snapshot while the executor runs is safe; the values are per-counter
-// atomic reads (per-shard locked reads), so cross-counter invariants
-// (Reconcile) are only exact at quiescence.
+// atomic reads (one locked read of the injection queue), so cross-counter
+// invariants (Reconcile) are only exact at quiescence.
 type Snapshot struct {
 	Workers []WorkerStats
 
-	// Shards carries per-injection-shard traffic; its sums balance the
-	// per-worker injection counters at quiescence (Reconcile).
-	Shards []ShardStats
-
-	// InjectionPushes/Drains count external-submission traffic in tasks
-	// (Pushes sums the shards' pushes, Drains the per-worker drained-task
-	// counts, so the two balance at quiescence); Depth is the total backlog
-	// across shards at the snapshot instant (gauge).
-	InjectionPushes uint64
-	InjectionDrains uint64
-	InjectionDepth  int
+	// Injection is the external-submission traffic of the injection queue;
+	// it balances the per-worker injection counters at quiescence
+	// (Reconcile).
+	Injection QueueStats
 
 	// PreciseWakes counts wakeups issued because new work arrived
 	// (Algorithm 1's targeted notify); ProbabilisticWakes counts the
@@ -243,7 +235,7 @@ func (s *Snapshot) Total() WorkerStats {
 //	executed                == pops + steal ops + injection drain ops + flow drain ops + cache hits
 //	parks + wait cancels    ≤ prewaits ≤ parks + wait cancels + workers
 //
-// and, per queue — injection shard and multi-tenant flow alike
+// and, per queue — the injection queue and every multi-tenant flow alike
 // (CheckQueueLaws):
 //
 //	pushes                  == drained tasks, backlog 0
@@ -308,7 +300,7 @@ func (s *Snapshot) Reconcile() error {
 		return fmt.Errorf("executor metrics: prewaits %d outside [parks %d + cancels %d, +%d workers]",
 			t.Prewaits, t.Parks, t.WaitCancels, len(s.Workers))
 	}
-	if err := CheckQueueLaws("shard", s.Shards, t.InjectionDrains, t.InjectionDrainedTasks); err != nil {
+	if err := CheckQueueLaws("injection", []QueueStats{s.Injection}, t.InjectionDrains, t.InjectionDrainedTasks); err != nil {
 		return fmt.Errorf("executor metrics: %w", err)
 	}
 	if err := CheckFlowLaws(s.Flows, t.FlowDrains, t.FlowDrainedTasks); err != nil {
@@ -357,14 +349,8 @@ func (e *Executor) MetricsSnapshot() (Snapshot, bool) {
 		ws.ProbabilisticWakes = wm.probWakes.Load()
 		ws.Executed = wm.executed.Load()
 		probTotal += ws.ProbabilisticWakes
-		s.InjectionDrains += ws.InjectionDrainedTasks
 	}
-	s.Shards = make([]ShardStats, len(e.inj))
-	for i := range e.inj {
-		s.Shards[i] = e.inj[i].Stats()
-		s.InjectionPushes += s.Shards[i].Pushes
-		s.InjectionDepth += s.Shards[i].Depth
-	}
+	s.Injection = e.inj.Stats()
 	s.Flows = e.FlowStats()
 	wakes := m.wakes.Load()
 	s.ProbabilisticWakes = probTotal

@@ -13,7 +13,7 @@ func drain(t *testing.T, e *Executor, n int) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		if err := e.SubmitFunc(func(Context) { wg.Done() }); err != nil {
+		if err := e.Submit(NewTask(func(Context) { wg.Done() })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,7 +38,7 @@ func TestMetricsCountAndReconcile(t *testing.T) {
 	// Fan-out from inside the pool so worker deques see pushes too.
 	var wg sync.WaitGroup
 	wg.Add(1)
-	err := e.SubmitFunc(func(ctx Context) {
+	err := e.Submit(NewTask(func(ctx Context) {
 		var inner atomic.Int64
 		const kids = 200
 		inner.Store(kids)
@@ -49,7 +49,7 @@ func TestMetricsCountAndReconcile(t *testing.T) {
 				}
 			}))
 		}
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,8 +64,8 @@ func TestMetricsCountAndReconcile(t *testing.T) {
 	if got := total.Executed; got != 701 {
 		t.Fatalf("executed = %d, want 701", got)
 	}
-	if snap.InjectionPushes != 501 {
-		t.Fatalf("injection pushes = %d, want 501", snap.InjectionPushes)
+	if snap.Injection.Pushes != 501 {
+		t.Fatalf("injection pushes = %d, want 501", snap.Injection.Pushes)
 	}
 	// At least the 200 fan-out children are pushed on worker deques; batch
 	// steals and batch injection drains re-push their extras onto the
@@ -77,9 +77,9 @@ func TestMetricsCountAndReconcile(t *testing.T) {
 	if err := snap.Reconcile(); err != nil {
 		t.Fatal(err)
 	}
-	if total.QueueDepth != 0 || snap.InjectionDepth != 0 {
+	if total.QueueDepth != 0 || snap.Injection.Depth != 0 {
 		t.Fatalf("queues not drained in snapshot: depth=%d inj=%d",
-			total.QueueDepth, snap.InjectionDepth)
+			total.QueueDepth, snap.Injection.Depth)
 	}
 	if len(snap.Workers) != 4 {
 		t.Fatalf("snapshot has %d workers, want 4", len(snap.Workers))
@@ -108,7 +108,7 @@ func TestMetricsStealAccounting(t *testing.T) {
 	var wg sync.WaitGroup
 	const kids = 2000
 	wg.Add(kids)
-	err := e.SubmitFunc(func(ctx Context) {
+	err := e.Submit(NewTask(func(ctx Context) {
 		batch := make([]*Runnable, kids)
 		for i := range batch {
 			batch[i] = NewTask(func(Context) {
@@ -119,7 +119,7 @@ func TestMetricsStealAccounting(t *testing.T) {
 			})
 		}
 		ctx.SubmitBatch(batch)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,11 +169,11 @@ func TestMetricsBatchDrainAccounting(t *testing.T) {
 	e.Shutdown()
 	snap, _ := e.MetricsSnapshot()
 	total := snap.Total()
-	if snap.InjectionPushes != rounds*burst {
-		t.Fatalf("injection pushes = %d, want %d", snap.InjectionPushes, rounds*burst)
+	if snap.Injection.Pushes != rounds*burst {
+		t.Fatalf("injection pushes = %d, want %d", snap.Injection.Pushes, rounds*burst)
 	}
-	if total.InjectionDrainedTasks != snap.InjectionPushes {
-		t.Fatalf("drained tasks %d != pushes %d", total.InjectionDrainedTasks, snap.InjectionPushes)
+	if total.InjectionDrainedTasks != snap.Injection.Pushes {
+		t.Fatalf("drained tasks %d != pushes %d", total.InjectionDrainedTasks, snap.Injection.Pushes)
 	}
 	// A 256-task burst against a 2-worker pool must produce at least one
 	// multi-task drain, so the task count strictly exceeds the op count.

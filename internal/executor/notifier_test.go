@@ -243,16 +243,13 @@ func TestNotifierLitmusNoLostWakeup(t *testing.T) {
 	}
 }
 
-// Tasks hashed across multiple shards by concurrent producers must each
-// execute exactly once, and the per-shard counters must account for every
-// push and drain.
-func TestInjectionShardsExactlyOnce(t *testing.T) {
+// Tasks submitted by concurrent producers onto the injection queue of a
+// wide pool must each execute exactly once, and the queue's counters must
+// account for every push and drain.
+func TestInjectionExactlyOnce(t *testing.T) {
 	e := New(16, WithMetrics(), withSpin(0))
-	if len(e.inj) < 2 {
-		t.Fatalf("16 workers built %d injection shards, want >= 2", len(e.inj))
-	}
-	const producers = 4
-	const perProducer = 200
+	const producers = 8
+	const perProducer = 100
 	const total = producers * perProducer
 	ran := make([]atomic.Int64, total)
 	var done atomic.Int64
@@ -292,12 +289,8 @@ func TestInjectionShardsExactlyOnce(t *testing.T) {
 	}
 	e.Shutdown()
 	snap, _ := e.MetricsSnapshot()
-	var shardPushes uint64
-	for _, sh := range snap.Shards {
-		shardPushes += sh.Pushes
-	}
-	if shardPushes != total {
-		t.Fatalf("shard pushes sum to %d, want %d", shardPushes, total)
+	if snap.Injection.Pushes != total {
+		t.Fatalf("injection pushes = %d, want %d", snap.Injection.Pushes, total)
 	}
 	if err := snap.Reconcile(); err != nil {
 		t.Fatal(err)
@@ -326,14 +319,11 @@ func TestParkUnparkCycleZeroAlloc(t *testing.T) {
 	}
 }
 
-// Submitting prebuilt tasks through the sharded injection queue must not
-// allocate in steady state, shards and wakes included.
-func TestShardedInjectionSubmitZeroAlloc(t *testing.T) {
+// Submitting prebuilt tasks through the injection queue of a wide pool must
+// not allocate in steady state, wakes included.
+func TestInjectionSubmitZeroAlloc(t *testing.T) {
 	e := New(16, withSpin(0), withWakeProbability(0))
 	defer e.Shutdown()
-	if len(e.inj) < 2 {
-		t.Fatalf("16 workers built %d injection shards, want >= 2", len(e.inj))
-	}
 	const fan = 8
 	var remaining atomic.Int64
 	done := make(chan struct{})
@@ -355,6 +345,6 @@ func TestShardedInjectionSubmitZeroAlloc(t *testing.T) {
 	run()
 	run()
 	if allocs := testing.AllocsPerRun(50, run); allocs > 1 {
-		t.Fatalf("sharded submit allocates %v objects per %d-task round, want ~0", allocs, fan)
+		t.Fatalf("injection submit allocates %v objects per %d-task round, want ~0", allocs, fan)
 	}
 }

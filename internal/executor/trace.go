@@ -59,11 +59,11 @@ const (
 	EvTaskEnd
 	// EvSteal records a successful steal by this worker (Arg = victim id).
 	EvSteal
-	// EvInjectDrain records a drain from an external injection shard
-	// (Arg packs the shard index and task count; see injectArg).
+	// EvInjectDrain records a drain from the injection queue or a flow's
+	// queue (Arg packs the queue's trace id and task count; see injectArg).
 	EvInjectDrain
-	// EvInjectPush records an external submission (Arg packs the shard
-	// index and batch size; see injectArg).
+	// EvInjectPush records an external submission (Arg packs the queue's
+	// trace id and batch size; see injectArg).
 	EvInjectPush
 	// EvPark/EvUnpark bracket a worker blocking on the eventcount notifier
 	// (Arg = the worker's park-cycle epoch, so a timeline shows which park
@@ -135,19 +135,21 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// injectArgShardShift packs the injection shard index into the top byte of
-// an EvInjectPush/EvInjectDrain arg; the low 56 bits carry the task count.
-const injectArgShardShift = 56
+// injectArgShardShift packs a queue's trace id (Queue.TraceID) into the top
+// 24 bits of an EvInjectPush/EvInjectDrain arg; the low 40 bits carry the
+// task count.
+const injectArgShardShift = 40
 
-// injectArg packs an injection shard index and task count into one trace
-// event arg (shard in the top byte, count below). The exporters decode it
-// with InjectArgShard/InjectArgCount so Perfetto shows which shard a push
-// landed on and which shard woke a worker.
-func injectArg(shard int, count uint64) uint64 {
-	return uint64(shard)<<injectArgShardShift | count&(uint64(1)<<injectArgShardShift-1)
+// injectArg packs a queue's trace id and a task count into one trace event
+// arg (id on top, count below). The exporters decode it with
+// InjectArgShard/InjectArgCount so Perfetto shows which queue a push landed
+// on and which queue a drain emptied.
+func injectArg(id int, count uint64) uint64 {
+	return uint64(id)<<injectArgShardShift | count&(uint64(1)<<injectArgShardShift-1)
 }
 
-// InjectArgShard extracts the shard index from a packed injection arg.
+// InjectArgShard extracts the queue's trace id from a packed injection arg:
+// 0 for the injection queue, 0x80 and up for flows.
 func InjectArgShard(arg uint64) int { return int(arg >> injectArgShardShift) }
 
 // InjectArgCount extracts the task count from a packed injection arg.
@@ -174,7 +176,7 @@ type TaskMeta struct {
 }
 
 // Described is implemented by Runnables that can identify themselves —
-// graph nodes do. Anonymous tasks (NewTask, SubmitFunc) trace with a zero
+// graph nodes do. Anonymous tasks (NewTask) trace with a zero
 // TaskMeta.
 type Described interface {
 	Describe() TaskMeta

@@ -37,7 +37,7 @@ func TestTraceDisabledWithoutOption(t *testing.T) {
 	}
 	// Instrumentation points must be inert.
 	var n atomic.Int64
-	e.SubmitFunc(func(Context) { n.Add(1) })
+	e.Submit(NewTask(func(Context) { n.Add(1) }))
 	waitCounter(t, &n, 1)
 }
 
@@ -68,7 +68,7 @@ func TestTraceCaptureLifecycle(t *testing.T) {
 	d := newDescribedTask(meta, body)
 	e.Submit(&d.rbox)
 	for i := 0; i < 9; i++ {
-		e.SubmitFunc(body)
+		e.Submit(NewTask(body))
 	}
 	waitCounter(t, &n, 10)
 
@@ -128,7 +128,7 @@ func TestTraceWindowKeepsNewest(t *testing.T) {
 	}
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
+		e.Submit(NewTask(func(Context) { n.Add(1) }))
 	}
 	waitCounter(t, &n, 100)
 	tr, ok := e.StopTrace()
@@ -156,7 +156,7 @@ func TestTraceSchedulerEvents(t *testing.T) {
 	}
 	var n atomic.Int64
 	for i := 0; i < 20; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
+		e.Submit(NewTask(func(Context) { n.Add(1) }))
 	}
 	waitCounter(t, &n, 20)
 	tr, _ := e.StopTrace()

@@ -6,7 +6,7 @@ package executor
 // scheduler counters on a fixed interval and detects two no-progress
 // shapes:
 //
-//   - Executor stall: work is visibly queued (deques, injection shards or
+//   - Executor stall: work is visibly queued (deques, injection queue or
 //     flow backlogs) but the executed counter has been flat for longer
 //     than StallAfter. This is the signature of a lost wakeup, a livelock
 //     in the steal loop, or every worker blocked inside a task body.
@@ -83,7 +83,7 @@ type StallReport struct {
 	At time.Time
 	// Executed and Queued are the counter readings that tripped the
 	// detector: total tasks invoked, and total visibly queued work
-	// (deques + injection shards + flow backlogs).
+	// (deques + injection queue + flow backlogs).
 	Executed uint64
 	Queued   int
 	// Flows is the per-flow counter snapshot (nil when no flows).
@@ -282,7 +282,7 @@ func progressSample(s *Snapshot) (executed uint64, queued int) {
 		executed += s.Workers[i].Executed
 		queued += s.Workers[i].QueueDepth
 	}
-	queued += s.InjectionDepth
+	queued += s.Injection.Depth
 	for i := range s.Flows {
 		queued += s.Flows[i].Backlog
 	}

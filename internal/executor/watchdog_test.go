@@ -150,11 +150,11 @@ func TestWatchdogFiresOnBlockedWorkers(t *testing.T) {
 	started.Add(workers)
 	blocked.Add(workers)
 	for i := 0; i < workers; i++ {
-		if err := e.SubmitFunc(func(Context) {
+		if err := e.Submit(NewTask(func(Context) {
 			started.Done()
 			<-release
 			blocked.Done()
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +163,7 @@ func TestWatchdogFiresOnBlockedWorkers(t *testing.T) {
 	var drained sync.WaitGroup
 	drained.Add(4)
 	for i := 0; i < 4; i++ {
-		if err := e.SubmitFunc(func(Context) { drained.Done() }); err != nil {
+		if err := e.Submit(NewTask(func(Context) { drained.Done() })); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,97 +39,86 @@ type latencySource interface {
 
 // promCounter and promGauge describe one exported series.
 type series struct {
-	name     string
-	help     string
-	typ      string // "counter" or "gauge"
-	per      func(*executor.WorkerStats) float64
-	perShard func(*executor.ShardStats) float64
-	perFlow  func(*executor.FlowStats) float64
-	total    func(*executor.Snapshot) float64
+	name    string
+	help    string
+	typ     string // "counter" or "gauge"
+	per     func(*executor.WorkerStats) float64
+	perFlow func(*executor.FlowStats) float64
+	total   func(*executor.Snapshot) float64
 }
 
 // exported is the schema of the Prometheus export: per-worker series carry
-// a worker="<i>" label, per-injection-shard series a shard="<i>" label,
-// per-flow series flow="<name>" and class="<class>" labels;
-// executor-wide series carry none.
+// a worker="<i>" label, per-flow series flow="<name>" and class="<class>"
+// labels; executor-wide series carry none.
 var exported = []series{
 	{"gotaskflow_deque_pushes_total", "Tasks pushed to the worker's deque", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.Pushes) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.Pushes) }, nil, nil},
 	{"gotaskflow_deque_pops_total", "Tasks the owner popped back out", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.Pops) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.Pops) }, nil, nil},
 	{"gotaskflow_deque_stolen_from_total", "Tasks thieves stole out of the deque", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.StolenFrom) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.StolenFrom) }, nil, nil},
 	{"gotaskflow_deque_grows_total", "Deque ring reallocations", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.QueueGrows) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.QueueGrows) }, nil, nil},
 	{"gotaskflow_deque_max_depth", "Push-time high watermark of resident tasks", "gauge",
-		func(w *executor.WorkerStats) float64 { return float64(w.MaxQueueDepth) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.MaxQueueDepth) }, nil, nil},
 	{"gotaskflow_deque_depth", "Resident tasks at scrape time", "gauge",
-		func(w *executor.WorkerStats) float64 { return float64(w.QueueDepth) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.QueueDepth) }, nil, nil},
 	{"gotaskflow_steal_attempts_total", "Steal sweeps over victims and the injection queue", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.StealAttempts) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.StealAttempts) }, nil, nil},
 	{"gotaskflow_steals_total", "Successful steal operations by the worker", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.Steals) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.Steals) }, nil, nil},
 	{"gotaskflow_stolen_tasks_total", "Tasks moved out of other deques, incl. batch extras", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.StolenTasks) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.StolenTasks) }, nil, nil},
 	{"gotaskflow_steal_batches_total", "Steal operations that moved more than one task", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.StealBatches) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.StealBatches) }, nil, nil},
 	{"gotaskflow_injection_drains_total", "Drain operations on the external injection queue", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.InjectionDrains) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.InjectionDrains) }, nil, nil},
 	{"gotaskflow_injection_drained_tasks_total", "Tasks taken from the injection queue, incl. batch extras", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.InjectionDrainedTasks) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.InjectionDrainedTasks) }, nil, nil},
 	{"gotaskflow_cache_hits_total", "Tasks run through the speculative cache slot", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.CacheHits) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.CacheHits) }, nil, nil},
 	{"gotaskflow_prewaits_total", "Park announcements on the eventcount (prewait)", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.Prewaits) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.Prewaits) }, nil, nil},
 	{"gotaskflow_wait_cancels_total", "Prewaits cancelled because the re-check found work", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.WaitCancels) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.WaitCancels) }, nil, nil},
 	{"gotaskflow_parks_total", "Committed parks on the eventcount", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.Parks) }, nil, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.Parks) }, nil, nil},
 	{"gotaskflow_executed_total", "Tasks invoked by the worker", "counter",
-		func(w *executor.WorkerStats) float64 { return float64(w.Executed) }, nil, nil, nil},
-
-	{"gotaskflow_injection_shard_pushes_total", "Tasks hashed onto the injection shard", "counter",
-		nil, func(sh *executor.ShardStats) float64 { return float64(sh.Pushes) }, nil, nil},
-	{"gotaskflow_injection_shard_drains_total", "Drain operations on the injection shard", "counter",
-		nil, func(sh *executor.ShardStats) float64 { return float64(sh.Drains) }, nil, nil},
-	{"gotaskflow_injection_shard_drained_tasks_total", "Tasks taken from the injection shard", "counter",
-		nil, func(sh *executor.ShardStats) float64 { return float64(sh.DrainedTasks) }, nil, nil},
-	{"gotaskflow_injection_shard_depth", "Injection shard residents at scrape time", "gauge",
-		nil, func(sh *executor.ShardStats) float64 { return float64(sh.Depth) }, nil, nil},
+		func(w *executor.WorkerStats) float64 { return float64(w.Executed) }, nil, nil},
 
 	{"gotaskflow_flow_pushes_total", "Tasks pushed onto the flow's priority queue", "counter",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.Pushes) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.Pushes) }, nil},
 	{"gotaskflow_flow_drains_total", "Drain operations on the flow's queue", "counter",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.DrainOps) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.DrainOps) }, nil},
 	{"gotaskflow_flow_drained_tasks_total", "Tasks taken from the flow's queue, incl. batch extras", "counter",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.DrainedTasks) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.DrainedTasks) }, nil},
 	{"gotaskflow_flow_executed_total", "Flow-bound task executions retired", "counter",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.Executed) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.Executed) }, nil},
 	{"gotaskflow_flow_admitted_total", "Executions charged against the flow's in-flight quota", "counter",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.AdmittedTasks) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.AdmittedTasks) }, nil},
 	{"gotaskflow_flow_released_total", "Quota charges returned at topology completion", "counter",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.ReleasedTasks) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.ReleasedTasks) }, nil},
 	{"gotaskflow_flow_admission_rejects_total", "Executions refused by the in-flight quota", "counter",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.AdmissionRejects) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.AdmissionRejects) }, nil},
 	{"gotaskflow_flow_overload_sheds_total", "Executions shed at the backlog watermark", "counter",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.OverloadSheds) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.OverloadSheds) }, nil},
 	{"gotaskflow_flow_in_flight", "Admitted executions not yet released", "gauge",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.InFlight) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.InFlight) }, nil},
 	{"gotaskflow_flow_peak_in_flight", "High watermark of admitted executions", "gauge",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.PeakInFlight) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.PeakInFlight) }, nil},
 	{"gotaskflow_flow_backlog", "Flow queue residents at scrape time", "gauge",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.Backlog) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.Backlog) }, nil},
 	{"gotaskflow_flow_weight", "Weighted-round-robin share within the class", "gauge",
-		nil, nil, func(f *executor.FlowStats) float64 { return float64(f.Weight) }, nil},
+		nil, func(f *executor.FlowStats) float64 { return float64(f.Weight) }, nil},
 
 	{"gotaskflow_injection_pushes_total", "Tasks submitted from outside the pool", "counter",
-		nil, nil, nil, func(s *executor.Snapshot) float64 { return float64(s.InjectionPushes) }},
+		nil, nil, func(s *executor.Snapshot) float64 { return float64(s.Injection.Pushes) }},
 	{"gotaskflow_injection_depth", "Injection queue residents at scrape time", "gauge",
-		nil, nil, nil, func(s *executor.Snapshot) float64 { return float64(s.InjectionDepth) }},
+		nil, nil, func(s *executor.Snapshot) float64 { return float64(s.Injection.Depth) }},
 	{"gotaskflow_wakes_precise_total", "Wakeups issued because new work arrived", "counter",
-		nil, nil, nil, func(s *executor.Snapshot) float64 { return float64(s.PreciseWakes) }},
+		nil, nil, func(s *executor.Snapshot) float64 { return float64(s.PreciseWakes) }},
 	{"gotaskflow_wakes_probabilistic_total", "1/wakeDen load-balancing wakeups", "counter",
-		nil, nil, nil, func(s *executor.Snapshot) float64 { return float64(s.ProbabilisticWakes) }},
+		nil, nil, func(s *executor.Snapshot) float64 { return float64(s.ProbabilisticWakes) }},
 }
 
 // WritePrometheus writes the source's current counters in the Prometheus
@@ -147,10 +136,6 @@ func WritePrometheus(w io.Writer, src Source) error {
 			case s.per != nil:
 				for i := range snap.Workers {
 					fmt.Fprintf(&b, "%s{worker=\"%d\"} %g\n", s.name, i, s.per(&snap.Workers[i]))
-				}
-			case s.perShard != nil:
-				for i := range snap.Shards {
-					fmt.Fprintf(&b, "%s{shard=\"%d\"} %g\n", s.name, i, s.perShard(&snap.Shards[i]))
 				}
 			case s.perFlow != nil:
 				for i := range snap.Flows {
@@ -254,11 +239,11 @@ func WriteRunSummary(w io.Writer, rs core.RunStats, snap executor.Snapshot) erro
 	t := snap.Total()
 	_, err := fmt.Fprintf(w,
 		"run:   tasks=%d span=%d parallelism=%.2f wall=%v busy=%v achieved=%.2f retries=%d skipped=%d\n"+
-			"sched: executed=%d pops=%d stolen=%d-tasks/%d-steals/%d-batches/%d-attempts drained=%d-tasks/%d-drains/%d-shards cache-hits=%d parks=%d/%d-prewaits/%d-cancels wakes=%d-precise/%d-prob max-depth=%d\n",
+			"sched: executed=%d pops=%d stolen=%d-tasks/%d-steals/%d-batches/%d-attempts drained=%d-tasks/%d-drains cache-hits=%d parks=%d/%d-prewaits/%d-cancels wakes=%d-precise/%d-prob max-depth=%d\n",
 		rs.Tasks, rs.Span, rs.Parallelism, rs.Wall, rs.Busy, rs.AchievedParallelism,
 		rs.Retries, rs.Skipped,
 		t.Executed, t.Pops, t.StolenTasks, t.Steals, t.StealBatches, t.StealAttempts,
-		t.InjectionDrainedTasks, t.InjectionDrains, len(snap.Shards),
+		t.InjectionDrainedTasks, t.InjectionDrains,
 		t.CacheHits, t.Parks, t.Prewaits, t.WaitCancels,
 		snap.PreciseWakes, snap.ProbabilisticWakes,
 		t.MaxQueueDepth)

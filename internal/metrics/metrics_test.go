@@ -16,7 +16,7 @@ func runSome(t *testing.T, e *executor.Executor, n int) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		if err := e.SubmitFunc(func(executor.Context) { wg.Done() }); err != nil {
+		if err := e.Submit(executor.NewTask(func(executor.Context) { wg.Done() })); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -43,9 +43,9 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE gotaskflow_prewaits_total counter",
 		`gotaskflow_prewaits_total{worker="0"}`,
 		`gotaskflow_wait_cancels_total{worker="1"}`,
-		"# TYPE gotaskflow_injection_shard_depth gauge",
-		`gotaskflow_injection_shard_pushes_total{shard="0"} 100`,
-		`gotaskflow_injection_shard_drained_tasks_total{shard="0"}`,
+		"# TYPE gotaskflow_injection_depth gauge",
+		"gotaskflow_injection_depth 0",
+		`gotaskflow_injection_drained_tasks_total{worker="0"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
@@ -106,8 +106,8 @@ func TestPublishExpvar(t *testing.T) {
 	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
 		t.Fatalf("expvar value is not a Snapshot: %v\n%s", err, v.String())
 	}
-	if snap.InjectionPushes != 50 {
-		t.Fatalf("expvar snapshot InjectionPushes = %d, want 50", snap.InjectionPushes)
+	if snap.Injection.Pushes != 50 {
+		t.Fatalf("expvar snapshot Injection.Pushes = %d, want 50", snap.Injection.Pushes)
 	}
 	if len(snap.Workers) != 2 {
 		t.Fatalf("expvar snapshot has %d workers, want 2", len(snap.Workers))

@@ -2,11 +2,11 @@ package sim
 
 // Multi-tenant flows under simulation. The policy is not modelled: flows
 // register on an executor.FlowTable and are the executor's own FlowQueue
-// objects — each an executor.Queue, like the injection shards — so
+// objects — each an executor.Queue, like the injection queue — so
 // admission (shed before quota, all-or-nothing), the queues and their
 // counters, and the weighted-round-robin wheel with its cursor walk are the
 // code the worker pool runs, and a publication goes through the same
-// queueHost as a shard's (sim.go). What is the simulation's own is here: the
+// queueHost as the injection queue's (sim.go). What is the simulation's own is here: the
 // seed-chosen batch size of a drain, the service log the fairness properties
 // are read from, and the injected strict-drain bug. The fairness properties
 // proved here — bounded service gap, quota ceilings, conservation —
@@ -146,16 +146,12 @@ func (s *SimExecutor) drainFlows(w int, class executor.PriorityClass) bool {
 }
 
 // CheckQueues holds the simulator, at quiescence, to the queue and flow laws
-// the worker pool's Snapshot.Reconcile checks: every injection shard and
+// the worker pool's Snapshot.Reconcile checks: the injection queue and every
 // flow queue drained, queue-side and scheduler-side drain counts equal
-// (Stats.Drains/DrainedTasks for the shards, FlowDrains/FlowDrainedTasks for
+// (Stats.Drains/DrainedTasks for injection, FlowDrains/FlowDrainedTasks for
 // the flows), reservations returned, quota ceilings respected.
 func (s *SimExecutor) CheckQueues() error {
-	shards := make([]executor.ShardStats, len(s.inj))
-	for i := range s.inj {
-		shards[i] = s.inj[i].Stats()
-	}
-	err := executor.CheckQueueLaws("shard", shards, s.st.Drains, s.st.DrainedTasks)
+	err := executor.CheckQueueLaws("injection", []executor.QueueStats{s.inj.Stats()}, s.st.Drains, s.st.DrainedTasks)
 	if err == nil {
 		err = executor.CheckFlowLaws(s.FlowStats(), s.st.FlowDrains, s.st.FlowDrainedTasks)
 	}

@@ -22,6 +22,7 @@ import (
 
 	"gotaskflow/internal/chaos"
 	"gotaskflow/internal/core"
+	"gotaskflow/internal/executor"
 	"gotaskflow/internal/graphgen"
 	"gotaskflow/internal/sim"
 )
@@ -93,8 +94,45 @@ func subflowShape(graphSeed int64) int {
 // isSpawner reports whether task i is a subflow spawner under shape.
 func isSpawner(shape, i int) bool { return shape > 0 && i%4 == 2 }
 
-// spawnKids is the child count of spawner i.
+// spawnKids is the child count of spawner i, and the execution count of
+// module i.
 func spawnKids(i int) int { return 2 + i%3 }
+
+// isModule reports whether task i is a module task: with bit 5 of the graph
+// seed set, every fourth task (never a spawner) runs as EmplaceModule. A
+// seed without the bit builds the graph it built before modules existed.
+func isModule(graphSeed int64, i int) bool { return graphSeed&32 != 0 && i%4 == 1 }
+
+// fuzzModule is a module task of the fuzz graph: Start counts its
+// executions, submits them as one batch through the worker's context and
+// retires its own unit; each execution does its work and then retires.
+type fuzzModule struct {
+	started func()
+	j       core.Join
+	runs    []int32 // per execution
+	retired int     // executions that called Done
+	execs   []*executor.Runnable
+}
+
+func newFuzzModule(k int, started func()) *fuzzModule {
+	m := &fuzzModule{started: started, runs: make([]int32, k)}
+	for x := 0; x < k; x++ {
+		m.execs = append(m.execs, executor.NewTask(func(ctx executor.Context) {
+			m.runs[x]++
+			m.retired++
+			m.j.Done(ctx)
+		}))
+	}
+	return m
+}
+
+func (m *fuzzModule) Start(ctx executor.Context, j core.Join) {
+	m.started()
+	m.j = j
+	j.Add(len(m.execs))
+	ctx.SubmitBatch(m.execs)
+	j.Done(ctx)
+}
 
 // runSchedule executes one simulated schedule under p: a graphgen DAG
 // with chaos faults injected per p.fault, retries sprinkled from the
@@ -122,16 +160,43 @@ func runSchedule(t *testing.T, p schedParams) schedResult {
 	attempts := make([]int32, p.n)
 	bodies := make([]int32, p.n)
 	var childRuns int32
+	modules := make([]*fuzzModule, p.n)
+	// early records each task that started while a module it succeeds still
+	// had executions out: a module completes at its last Join.Done.
+	var early []string
+	preds := make([][]int, p.n)
+	for u := 0; u < p.n; u++ {
+		if isModule(p.graphSeed, u) {
+			d.Successors(u, func(v int) { preds[v] = append(preds[v], u) })
+		}
+	}
+	checkPreds := func(v int) {
+		for _, u := range preds[v] {
+			if m := modules[u]; m.retired != len(m.execs) {
+				early = append(early, fmt.Sprintf("task %d started with module %d at %d of %d executions", v, u, m.retired, len(m.execs)))
+			}
+		}
+	}
 	retryPick := rand.New(rand.NewSource(p.graphSeed + 1))
 	tasks := make([]core.Task, p.n)
 	for i := 0; i < p.n; i++ {
 		i := i
-		if isSpawner(shape, i) {
+		if isModule(p.graphSeed, i) {
+			// Module task: kept chaos-free like a spawner, so its start and
+			// execution counts stay exact.
+			modules[i] = newFuzzModule(spawnKids(i), func() {
+				checkPreds(i)
+				attempts[i]++
+				bodies[i]++
+			})
+			tasks[i] = tf.EmplaceModule(modules[i])
+		} else if isSpawner(shape, i) {
 			// Dynamic task: the body spawns a child graph at runtime. Kept
 			// chaos-free so the fault-free child-count invariant below stays
 			// exact; the spawn placement itself is a seed choice step.
 			kids := spawnKids(i)
 			tasks[i] = tf.EmplaceSubflow(func(sf *core.Subflow) {
+				checkPreds(i)
 				attempts[i]++
 				bodies[i]++
 				var prev core.Task
@@ -147,7 +212,7 @@ func runSchedule(t *testing.T, p schedParams) schedResult {
 				}
 			})
 		} else {
-			inner := func() { bodies[i]++ }
+			inner := func() { checkPreds(i); bodies[i]++ }
 			var body func() error
 			if in != nil {
 				body = in.Wrap(fmt.Sprintf("t%d", i), inner)
@@ -202,6 +267,19 @@ func runSchedule(t *testing.T, p schedParams) schedResult {
 	if qerr := s.CheckQueues(); qerr != nil {
 		t.Fatalf("%v\n%s", qerr, p.recipe())
 	}
+	if len(early) > 0 {
+		t.Fatalf("%s\n%s", early[0], p.recipe())
+	}
+	for i, m := range modules {
+		if m == nil {
+			continue
+		}
+		for x, r := range m.runs {
+			if r != bodies[i] {
+				t.Fatalf("module %d execution %d ran %d times in %d starts\n%s", i, x, r, bodies[i], p.recipe())
+			}
+		}
+	}
 	for i, a := range attempts {
 		if a > 1+retryBudget {
 			t.Fatalf("task %d attempted %d times, budget %d\n%s", i, a, 1+retryBudget, p.recipe())
@@ -248,6 +326,7 @@ func FuzzSchedule(f *testing.F) {
 	f.Add(int64(99), int64(0), int64(0), int64(0), int64(1))
 	f.Add(int64(5), int64(14), int64(3), int64(24), int64(0)) // shape 2: chained + detached subflows
 	f.Add(int64(6), int64(19), int64(2), int64(30), int64(1)) // shape 1: independent spawns under faults
+	f.Add(int64(8), int64(37), int64(2), int64(40), int64(0)) // shape 1 with module tasks
 	f.Fuzz(func(t *testing.T, schedSeed, graphSeed, workersRaw, nRaw, faultRaw int64) {
 		p := normalize(schedSeed, graphSeed, workersRaw, nRaw, faultRaw)
 		a := runSchedule(t, p)

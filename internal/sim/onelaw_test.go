@@ -11,7 +11,7 @@ package sim_test
 // admission counters, refuse in the same order (a backlog at its watermark
 // sheds before the quota is even looked at), and satisfy the same queue and
 // flow laws, executor.CheckQueueLaws and executor.CheckFlowLaws, over the
-// injection shards and the flows alike at quiescence.
+// injection queue and the flows alike at quiescence.
 
 import (
 	"errors"
@@ -185,7 +185,7 @@ func onPool(t *testing.T, c lawCase, seed int64) lawOutcome {
 		started := make(chan struct{}, workers)
 		release := make(chan struct{})
 		for i := 0; i < workers; i++ {
-			if err := e.SubmitFunc(func(executor.Context) { started <- struct{}{}; <-release }); err != nil {
+			if err := e.Submit(executor.NewTask(func(executor.Context) { started <- struct{}{}; <-release })); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -198,7 +198,7 @@ func onPool(t *testing.T, c lawCase, seed int64) lawOutcome {
 	out := runLawCase(t, e, hold, c, seed)
 	snap, _ := e.MetricsSnapshot()
 	total := snap.Total()
-	if err := executor.CheckQueueLaws("shard", snap.Shards, total.InjectionDrains, total.InjectionDrainedTasks); err != nil {
+	if err := executor.CheckQueueLaws("injection", []executor.QueueStats{snap.Injection}, total.InjectionDrains, total.InjectionDrainedTasks); err != nil {
 		t.Fatalf("%s seed %d: worker pool: %v", c.name, seed, err)
 	}
 	if err := executor.CheckFlowLaws(snap.Flows, total.FlowDrains, total.FlowDrainedTasks); err != nil {

@@ -4,8 +4,8 @@
 // graphs as the real work-stealing pool while a single seeded PRNG
 // permutes every scheduling choice the real executor makes
 // nondeterministically — ready-queue pop order, steal-victim selection,
-// batch-steal sizes, injection-shard targeting and drain order,
-// retry-timer firing order, and park/wake interleavings.
+// batch-steal sizes, drain order, retry-timer firing order, and park/wake
+// interleavings.
 //
 // The point is replay. The chaos harness (internal/chaos) can inject
 // faults deterministically, but on the real pool the *interleaving* that
@@ -19,7 +19,7 @@
 // Every scheduling decision the real pool takes by rule is the real pool's
 // own code, called from here; only what the real pool leaves to the machine
 // is modelled. Shared with internal/executor and internal/wsq: the external
-// queues (executor.Queue — the injection shards from executor.NewInjection
+// queues (executor.Queue — the injection queue from executor.NewInjection
 // and every flow's queue, their rings, gauges and counters, behind the
 // executor.QueueHost seam), the flow table (executor.FlowTable —
 // registration, admission, the per-class weighted wheel and its cursor
@@ -40,7 +40,7 @@
 //     (any position — a superset of the owner-LIFO/thief-FIFO orders
 //     reachable on the real pool), or steals a batch of seed-chosen size
 //     (1 up to the steal quota, where the real worker takes the quota) from
-//     a seed-chosen victim deque or injection shard;
+//     a seed-chosen victim deque or the injection queue;
 //
 //   - a task that makes successors ready or spawns a subflow places them
 //     on a seed-chosen deque (simCtx.target): spawn and successor-release
@@ -182,7 +182,7 @@ type SimExecutor struct {
 
 	deques [][]*executor.Runnable // per-worker, newest at the end
 	caches []*executor.Runnable   // per-worker speculative slot
-	inj    []executor.Queue       // the injection shards, the pool's own type
+	inj    *executor.Queue        // the injection queue, the pool's own type
 	state  []wstate
 	ec     *executor.Eventcount
 
@@ -275,7 +275,7 @@ func New(n int, opts ...Option) *SimExecutor {
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.inj = executor.NewInjection((*queueHost)(s), n)
+	s.inj = executor.NewInjection((*queueHost)(s))
 	s.flows = executor.NewFlowTable((*queueHost)(s))
 	s.rng = rand.New(rand.NewSource(s.seed))
 	s.deques = make([][]*executor.Runnable, n)
@@ -357,22 +357,15 @@ func (s *SimExecutor) Submit(r *executor.Runnable) error {
 	return s.SubmitBatch([]*executor.Runnable{r})
 }
 
-// SubmitBatch implements executor.Scheduler: the whole batch lands on
-// one seed-chosen injection shard in order, like the real pool's one-lock
-// batch submit (drains and steals spread it); the shard's publication does
-// the rest (queueHost.Published).
+// SubmitBatch implements executor.Scheduler: the whole batch lands on the
+// injection queue in order, like the real pool's one-lock batch submit
+// (drains and steals spread it); the queue's publication does the rest
+// (queueHost.Published).
 func (s *SimExecutor) SubmitBatch(rs []*executor.Runnable) error {
-	// A batch the shard would refuse costs no draw.
-	if len(rs) == 0 {
-		return nil
-	}
-	if s.stopped {
-		return executor.ErrShutdown
-	}
-	return s.inj[s.pick(len(s.inj))].SubmitBatch(rs)
+	return s.inj.SubmitBatch(rs)
 }
 
-// queueHost is the simulation as its queues — shards and flows — see it.
+// queueHost is the simulation as its queues — injection and flows — see it.
 type queueHost SimExecutor
 
 func (h *queueHost) Stopped() bool { return h.stopped }
@@ -445,20 +438,17 @@ func (s *SimExecutor) drive() {
 	}
 }
 
-// queued counts the tasks in every deque, injection shard and flow queue:
-// the published work a park re-check looks for (cache slots are
+// queued counts the tasks in every deque, the injection queue and every flow
+// queue: the published work a park re-check looks for (cache slots are
 // worker-private and excluded, as on the real pool). Flow queues participate
 // for the same reason they do in the real anyWork: a flow submission
 // publishes its backlog before waking, so a parking worker that misses the
 // notify must see the count here — excluding them would make the liveness
 // detector report false lost wakeups.
 func (s *SimExecutor) queued() int {
-	n := s.flows.Backlog()
+	n := s.flows.Backlog() + s.inj.Backlog()
 	for _, dq := range s.deques {
 		n += len(dq)
-	}
-	for i := range s.inj {
-		n += s.inj[i].Backlog()
 	}
 	return n
 }
@@ -466,9 +456,8 @@ func (s *SimExecutor) queued() int {
 func (s *SimExecutor) anyWork() bool { return s.queued() > 0 }
 
 // victims lists what worker w could steal from besides the flow queues, in
-// a fixed order: another worker's deque (its index), then an injection
-// shard (s.workers + its index). The list lives in a buffer the next call
-// reuses.
+// a fixed order: another worker's deque (its index), then the injection
+// queue (s.workers). The list lives in a buffer the next call reuses.
 func (s *SimExecutor) victims(w int) []int {
 	out := s.victimBuf[:0]
 	for v, dq := range s.deques {
@@ -476,12 +465,8 @@ func (s *SimExecutor) victims(w int) []int {
 			out = append(out, v)
 		}
 	}
-	if !s.injStallBug {
-		for i := range s.inj {
-			if s.inj[i].Backlog() > 0 {
-				out = append(out, s.workers+i)
-			}
-		}
+	if !s.injStallBug && s.inj.Backlog() > 0 {
+		out = append(out, s.workers)
 	}
 	s.victimBuf = out
 	return out
@@ -619,14 +604,14 @@ func (s *SimExecutor) batch(n int) int {
 	return 1 + s.pick(int(wsq.StealQuota(int64(n))))
 }
 
-// steal moves a seed-chosen batch from a seed-chosen victim deque or
-// injection shard to worker w: the first task runs, the rest land on w's
+// steal moves a seed-chosen batch from a seed-chosen victim deque or the
+// injection queue to worker w: the first task runs, the rest land on w's
 // deque — the half-backlog batch policy of the real pool with the batch
 // size itself under seed control.
 //
 // The class order is worker.steal's (executor.DequeRank): flow classes that
-// outrank the deques and shards first; the others only when no deque or
-// shard has work.
+// outrank the deques and the injection queue first; the others only when
+// none of those has work.
 func (s *SimExecutor) steal(w int) {
 	for c := executor.PriorityClass(0); c < executor.DequeRank; c++ {
 		if s.drainFlows(w, c) {
@@ -651,9 +636,8 @@ func (s *SimExecutor) steal(w int) {
 		s.st.Steals++
 		s.st.StolenTasks += uint64(len(grabbed))
 	} else {
-		q := &s.inj[src-s.workers]
-		grabbed = make([]*executor.Runnable, s.batch(q.Backlog()))
-		q.Take(grabbed)
+		grabbed = make([]*executor.Runnable, s.batch(s.inj.Backlog()))
+		s.inj.Take(grabbed)
 		s.st.Drains++
 		s.st.DrainedTasks += uint64(len(grabbed))
 	}

@@ -14,7 +14,7 @@ package sim
 //
 // The injected bug that validates the no-progress alarm,
 // withInjectionStallBug, re-creates a realistic failure shape: the steal
-// sweep goes blind to the injection shards while the park re-check
+// sweep goes blind to the injection queue while the park re-check
 // (anyWork) still sees them. Workers then cycle prewait → re-check → cancel
 // forever — the model burns scheduling steps without executing anything,
 // the lost-wakeup detector never fires (someone is always runnable), and
@@ -48,8 +48,8 @@ func WithStallDetector(window uint64) Option {
 }
 
 // withInjectionStallBug makes the steal sweep ignore the injection
-// shards while anyWork still counts them: stealable and steal skip
-// shard sources, so externally submitted work is visible to the park
+// queue while anyWork still counts it: victims leaves it out, so
+// externally submitted work is visible to the park
 // re-check but unreachable by any worker. The model livelocks —
 // prewait/cancel cycles advance the step counter while the executed
 // counter stays flat — which is the failure shape WithStallDetector

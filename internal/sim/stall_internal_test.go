@@ -1,7 +1,7 @@
 package sim
 
 // White-box validation of the stall detector (stall.go): inject the
-// shard-blind steal sweep — externally submitted work visible to the park
+// injection-blind steal sweep — externally submitted work visible to the park
 // re-check but unreachable by any worker, a livelock — and prove the seed
 // sweep detects it with a deterministic one-line replay. This is the sim
 // half of the watchdog acceptance criterion: the same no-progress
@@ -31,7 +31,7 @@ func newStallSim(seed int64) *SimExecutor {
 }
 
 // runFanoutWorkload drives a source → 4-successor fan-out graph: the
-// source enters through Submit, i.e. an injection shard — exactly the
+// source enters through Submit, i.e. the injection queue — exactly the
 // work the injected bug makes unreachable.
 func runFanoutWorkload(t *testing.T, s *SimExecutor) error {
 	t.Helper()

@@ -47,7 +47,7 @@ func field[T any](i int, m map[string]any, key string) (T, error) {
 // instantArgs lists, per scheduler instant, the numeric args the exporter
 // promises and the least value of each: a steal_batch carries a batch size
 // of at least 2 (single steals emit only "steal"), injection traffic the
-// shard index and task count unpacked from the wire arg, park/unpark the
+// queue's trace id and task count unpacked from the wire arg, park/unpark the
 // eventcount epoch that pairs a park with the unpark that resolved it.
 var instantArgs = map[string]map[string]float64{
 	"steal_batch":  {"arg": 2},

@@ -179,9 +179,10 @@ func WriteTrace(w io.Writer, tr executor.Trace) error {
 			args := map[string]any{"arg": ev.Arg}
 			switch ev.Kind {
 			case executor.EvInjectPush, executor.EvInjectDrain:
-				// The packed arg carries shard and count (see
-				// executor.InjectArgShard); decode so Perfetto shows which shard
-				// a push landed on and which shard a drain emptied.
+				// The packed arg carries the queue's trace id and the count
+				// (see executor.InjectArgShard); decode so Perfetto shows
+				// which queue a push landed on and which queue a drain
+				// emptied: 0 for injection, 0x80 and up for flows.
 				args["arg"] = executor.InjectArgCount(ev.Arg)
 				args["shard"] = executor.InjectArgShard(ev.Arg)
 			case executor.EvPark, executor.EvUnpark:

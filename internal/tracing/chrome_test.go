@@ -186,7 +186,7 @@ func TestWavefrontTraceChromeExport(t *testing.T) {
 	}
 
 	// Scheduler instants: at least three distinct kinds, among them the
-	// ones a submission onto a parked pool guarantees — whose shard, count
+	// ones a submission onto a parked pool guarantees — whose queue id, count
 	// and epoch args the validator has therefore checked.
 	if len(doc.Instants) < 3 {
 		t.Fatalf("only %d scheduler event kinds in export: %v", len(doc.Instants), doc.Instants)

@@ -224,7 +224,7 @@ const MaxStealBatch = 16
 // StealQuota is how many items one steal or drain takes from a queue showing
 // n: half of it, rounded up, capped at MaxStealBatch, so a deep backlog is
 // left for the other thieves it will wake. It is the one definition of the
-// half-backlog policy: StealBatch, the executor's injection-shard and
+// half-backlog policy: StealBatch, the executor's injection-queue and
 // flow-queue drains and the simulator all size their grab with it.
 func StealQuota(n int64) int64 {
 	if n <= 0 {
