@@ -34,24 +34,6 @@ func Best(reps int, fn func()) time.Duration {
 	return best
 }
 
-// Avg runs fn reps times and returns the mean duration.
-func Avg(reps int, fn func()) time.Duration {
-	if reps < 1 {
-		reps = 1
-	}
-	var total time.Duration
-	for i := 0; i < reps; i++ {
-		total += Measure(fn)
-	}
-	return total / time.Duration(reps)
-}
-
-// Ms formats a duration as fractional milliseconds, the unit of the
-// paper's runtime plots.
-func Ms(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000.0)
-}
-
 // Table accumulates rows and prints them with aligned columns.
 type Table struct {
 	Title  string
@@ -64,13 +46,14 @@ func NewTable(title string, header ...string) *Table {
 	return &Table{Title: title, Header: header}
 }
 
-// Row appends a row; values are formatted with %v.
+// Row appends a row; durations are formatted as fractional milliseconds,
+// the unit of the paper's runtime plots, other values with %v.
 func (t *Table) Row(cells ...any) *Table {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
 		case time.Duration:
-			row[i] = Ms(v)
+			row[i] = fmt.Sprintf("%.2f", float64(v.Microseconds())/1000.0)
 		case float64:
 			row[i] = fmt.Sprintf("%.3f", v)
 		default:

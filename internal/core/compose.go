@@ -4,20 +4,30 @@ package core
 // task (Cpp-Taskflow's composed_of), promoting the paper's Section III-F
 // goal of building large parallel programs from smaller, structurally
 // correct patterns. The child keeps ownership of its graph; the module
-// task spawns it as a joined subflow at runtime, so the parent's
-// successors wait for the whole child graph. A module task (EmplaceModule)
-// embeds work that is not a graph the same way: it counts the executions it
-// starts on the task, and the last to retire completes it.
+// task spawns it in place as its joined children at runtime, so the
+// parent's successors wait for the whole child graph. A module task
+// (EmplaceModule) embeds work that is not a graph the same way: it counts
+// the executions it starts on the task, and the last to retire completes it.
 
-import "gotaskflow/internal/executor"
+import (
+	"errors"
+	"fmt"
+
+	"gotaskflow/internal/executor"
+)
+
+// ErrComposedInUse fails a Composed task whose child graph is already
+// running: as the topology itself, or under another Composed task — an
+// indirect composition cycle, or one child composed into two running graphs.
+var ErrComposedInUse = errors.New("core: composed graph already running")
 
 // Composed creates a module task that runs the present graph of child when
 // executed, in a Taskflow or inside a Subflow alike. The child graph is
 // shared, not copied: it must stay unmodified and must not be dispatched on
-// its own (or composed a second time into a concurrently running graph)
-// while a topology containing the module task is executing — the same
-// aliasing rule as Cpp-Taskflow's composed_of. Composing a taskflow into
-// itself panics.
+// its own while a topology containing the module task is executing — the
+// same aliasing rule as Cpp-Taskflow's composed_of. Composing a taskflow
+// into itself panics; a composition already in flight fails the task with
+// ErrComposedInUse.
 func (b *builder) Composed(child *Taskflow) Task {
 	if child.g == b.g {
 		panic("core: Composed of a taskflow into itself")
@@ -26,25 +36,33 @@ func (b *builder) Composed(child *Taskflow) Task {
 	if name == "" {
 		name = "module"
 	}
-	return b.EmplaceSubflow(func(sf *Subflow) {
-		sf.spawnGraph(child.g)
-	}).Name(name)
+	n := b.add()
+	n.work = child
+	return Task{n}.Name(name)
 }
 
-// spawnGraph splices a prebuilt graph into the subflow's spawn slot so it
-// executes as this subflow's child graph. It may be called at most once
-// per Subflow and must not be mixed with Emplace calls on the same
-// subflow. The graph of the subflow's own running topology is refused —
-// it holds the spawning task, so the splice would recurse forever — with
-// a panic the task records as its error.
-func (sf *Subflow) spawnGraph(g *graph) {
-	if sf.g.len() > 0 {
-		panic("core: spawnGraph on a non-empty subflow")
+// compose spawns g, the present graph of n's Composed child, as n's joined
+// children, and reports whether it did; false means n completes now. g is
+// claimed until they drain (settle), so a composition already in flight
+// fails the task instead of re-arming join counters in use. A refused
+// graph is not recorded as n's spawn: the DOT dump and hotTasks walk it.
+func (t *topology) compose(ctx executor.Context, n *node, g *graph) bool {
+	ext := n.extra()
+	ext.subgraph = nil
+	switch {
+	case g.len() == 0:
+	case g == t.graph:
+		t.addErr(fmt.Errorf("core: task %q: Composed module would spawn the graph of its own running topology: %w", n.name, ErrComposedInUse))
+	case !g.composing.CompareAndSwap(false, true):
+		t.addErr(fmt.Errorf("core: task %q: %w", n.name, ErrComposedInUse))
+	default:
+		ext.subgraph = g
+		if t.spawn(ctx, n, g, true) {
+			return true
+		}
+		g.composing.Store(false) // no source: nothing runs it
 	}
-	if g == sf.topo.graph {
-		panic("core: Composed module would spawn the graph of its own running topology")
-	}
-	sf.g.nodes = append(sf.g.nodes, g.nodes...)
+	return false
 }
 
 // Module is what a module task runs: work that goes on as executions of its
@@ -65,7 +83,7 @@ type Module interface {
 // are those of the task's topology, reached through the Join.
 func (b *builder) EmplaceModule(m Module) Task {
 	n := b.add()
-	n.extra().module = m
+	n.work = m
 	return Task{n}
 }
 

@@ -178,21 +178,93 @@ func TestComposedIntoItself(t *testing.T) {
 	})
 }
 
-func TestSpawnGraphOnDirtySubflowPanics(t *testing.T) {
+// TestRunComposedZeroAlloc: a Composed task spawns its child's graph in
+// place, so re-running the parent allocates nothing.
+func TestRunComposedZeroAlloc(t *testing.T) {
 	tf := New(2)
 	defer tf.Close()
+	var n atomic.Int64
 	child := NewShared(tf.Executor())
-	child.Emplace1(func() {})
-	tf.EmplaceSubflow(func(sf *Subflow) {
-		defer func() {
-			if recover() == nil {
-				t.Error("spawnGraph on dirty subflow did not panic")
-			}
-		}()
-		sf.Emplace1(func() {})
-		sf.spawnGraph(child.g)
+	child.Emplace1(func() { n.Add(1) })
+	tf.Composed(child)
+	if err := tf.Run(); err != nil { // build run state outside measurement
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
 	})
-	tf.WaitForAll()
+	if allocs != 0 {
+		t.Fatalf("Run of a composed child allocates %v objects/run, want 0", allocs)
+	}
+	if got := n.Load(); got != 102 {
+		t.Fatalf("child ran %d times in 102 runs", got)
+	}
+}
+
+// runWithin runs tf, failing the test if it has not returned after 5s.
+func runWithin(t *testing.T, tf *Taskflow) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- tf.Run() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		// Closing would wait on workers that never go idle.
+		t.Fatal("Run still going after 5s")
+		return nil
+	}
+}
+
+// A composition already in flight fails the composing task with
+// ErrComposedInUse instead of re-arming join counters that are in use.
+func TestComposedInUse(t *testing.T) {
+	t.Run("Indirect", func(t *testing.T) {
+		// X composes A, A composes B, B composes A.
+		x := New(2)
+		a, b := NewShared(x.Executor()), NewShared(x.Executor())
+		var ran atomic.Int32
+		a.Emplace1(func() { ran.Add(1) }).Precede(a.Composed(b))
+		b.Composed(a)
+		x.Composed(a)
+		err := runWithin(t, x)
+		x.Close()
+		if !errors.Is(err, ErrComposedInUse) {
+			t.Fatalf("Run = %v, want ErrComposedInUse", err)
+		}
+		if got := ran.Load(); got != 1 {
+			t.Fatalf("A's task ran %d times, want 1", got)
+		}
+	})
+	t.Run("Concurrent", func(t *testing.T) {
+		// The second Composed(c) runs while c's body blocks under the
+		// first; the task after it releases that body.
+		tf := New(2)
+		c := NewShared(tf.Executor())
+		started, release := make(chan struct{}), make(chan struct{})
+		var ran atomic.Int32
+		c.Emplace1(func() {
+			ran.Add(1)
+			close(started)
+			<-release
+		})
+		var after atomic.Bool
+		first := tf.Composed(c)
+		second := tf.Composed(c)
+		tf.Emplace1(func() { <-started }).Precede(second)
+		second.Precede(tf.Emplace1(func() { close(release) }))
+		first.Precede(tf.Emplace1(func() { after.Store(true) }))
+		err := runWithin(t, tf)
+		tf.Close()
+		if !errors.Is(err, ErrComposedInUse) {
+			t.Fatalf("Run = %v, want ErrComposedInUse", err)
+		}
+		if got := ran.Load(); got != 1 || !after.Load() {
+			t.Fatalf("c's body ran %d times, want 1; first's successor ran: %v", got, after.Load())
+		}
+	})
 }
 
 // fanModule starts n executions of its own, on whichever workers take them;

@@ -1,31 +1,25 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
 	"gotaskflow/internal/executor"
 )
 
-// node is one vertex of a task dependency graph. It stores a general-purpose
-// work callable (static work or a subflow spawner — the Go counterpart of
-// the paper's std::variant-based polymorphic function wrapper), its
-// successor list, and the runtime join counter used during execution.
+// node is one vertex of a task dependency graph. It stores one polymorphic
+// work value — the Go counterpart of the paper's std::variant-based function
+// wrapper, whose alternative is the task kind — its successor list, and the
+// runtime join counter used during execution.
 type node struct {
-	// At most one of work/errWork/ctxWork/subflowWork/condWork is non-nil
-	// for a runnable node; all nil means a placeholder that acts as a
-	// synchronization point. condWork marks a condition task: its integer
-	// result selects which successor to signal, and its out-edges are weak
-	// (they do not count toward successors' join counters), enabling
-	// branches and loops in the task graph. errWork and ctxWork are the
-	// fallible variants: a non-nil returned error fail-fast-cancels the
-	// topology (see topology.runFallible).
-	work        func()
-	errWork     func() error
-	ctxWork     func(context.Context) error
-	subflowWork func(*Subflow)
-	condWork    func() int
+	// work is what the task runs, and its dynamic type is the kind: func()
+	// static work; func() error or func(context.Context) error fallible, an
+	// error fail-fast-cancels the topology; func(*Subflow) a dynamic task;
+	// func() int a condition task, whose result picks the one successor to
+	// signal over weak out-edges (not counted by join counters: branches and
+	// loops); a Module (EmplaceModule); a *Taskflow (Composed), whose present
+	// graph is spawned in place. nil is a placeholder, a synchronization point.
+	work any
 
 	// Successor edges: the first four live inline (most task graphs —
 	// wavefronts, circuit netlists, training pipelines, and the paper's
@@ -122,9 +116,6 @@ type nodeExt struct {
 	// it, which are strictly ordered.
 	retry    *retryPolicy
 	attempts int
-
-	// module is what a module task runs (EmplaceModule); nil otherwise.
-	module Module
 }
 
 // extra returns the node's cold-field block, allocating it on first use.
@@ -150,13 +141,6 @@ func (n *node) retryPolicy() *retryPolicy {
 		return n.ext.retry
 	}
 	return nil
-}
-
-// isFallible reports whether the node's body can report failure: an
-// error-returning or context-aware work kind, or any work kind with a
-// retry policy attached.
-func (n *node) isFallible() bool {
-	return n.errWork != nil || n.ctxWork != nil || n.retryPolicy() != nil
 }
 
 // semAcquires returns the node's acquisition list (nil when absent).
@@ -199,7 +183,10 @@ func (n *node) precede(m *node) {
 	}
 }
 
-func (n *node) isCondition() bool { return n.condWork != nil }
+func (n *node) isCondition() bool {
+	_, ok := n.work.(func() int)
+	return ok
+}
 
 // Run implements executor.Runnable: one execution of the node under its
 // current topology. The executor invokes it through the node's intrusive
@@ -316,6 +303,10 @@ type graph struct {
 	// worth is reserved from traceIDCounter with the block, so alloc does
 	// not pay for an atomic per node.
 	lastID uint64
+
+	// composing is set while a Composed task runs the graph as its joined
+	// children (topology.compose); a second composition fails meanwhile.
+	composing atomic.Bool
 }
 
 // graphStore is a Taskflow's free list of graph storage, filled by Reclaim
@@ -393,15 +384,3 @@ func (g *graph) alloc() *node {
 }
 
 func (g *graph) len() int { return len(g.nodes) }
-
-// totalNodes counts the nodes of g plus all recursively spawned subgraphs.
-// Only meaningful after execution completes.
-func (g *graph) totalNodes() int {
-	total := len(g.nodes)
-	for _, n := range g.nodes {
-		if sg := n.spawned(); sg != nil {
-			total += sg.totalNodes()
-		}
-	}
-	return total
-}

@@ -31,10 +31,16 @@ package core
 import "gotaskflow/internal/executor"
 
 // bodyEnd accounts one body execution of n that began at the worker's
-// start stamp: its duration to the worker's end stamp is busy time for
-// RunStats timing and, when the execution resolved, one histogram record.
-// Callers have checked t.timed.
+// start stamp when the topology times its bodies: its duration to the
+// worker's end stamp is busy time for RunStats timing and, when the
+// execution resolved, one histogram record.
 func (t *topology) bodyEnd(ctx executor.Context, n *node, start int64, resolved bool) {
+	if t.timed {
+		t.recordBody(ctx, n, start, resolved)
+	}
+}
+
+func (t *topology) recordBody(ctx executor.Context, n *node, start int64, resolved bool) {
 	d := ctx.EndStamp() - start
 	w := ctx.WorkerID()
 	if st := t.stats; st != nil && st.timing {

@@ -392,12 +392,13 @@ func TestDispatchOrderedEdgesSkipKahn(t *testing.T) {
 	})
 }
 
-// TestNodeSize pins the node at 208 bytes: the display name moved in from
-// nodeExt and the four 32-bit counts were packed together to make room.
-// Every node of every graph is zeroed, scanned and walked at this size.
+// TestNodeSize pins the node at 184 bytes: the display name moved in from
+// nodeExt, the four 32-bit counts were packed together to make room, and
+// one work value replaced five body closures. Every node of every graph is
+// zeroed, scanned and walked at this size.
 func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(node{}); got != 208 {
-		t.Fatalf("unsafe.Sizeof(node{}) = %d, want 208", got)
+	if got := unsafe.Sizeof(node{}); got != 184 {
+		t.Fatalf("unsafe.Sizeof(node{}) = %d, want 184", got)
 	}
 }
 

@@ -108,8 +108,12 @@ func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 	nsrc, nsem := 0, 0
 	ordered, dynamic := true, false
 	for _, n := range g.nodes {
-		t.hasCond = t.hasCond || n.condWork != nil
-		dynamic = dynamic || n.subflowWork != nil
+		switch n.work.(type) {
+		case func() int:
+			t.hasCond = true
+		case func(*Subflow), *Taskflow:
+			dynamic = true
+		}
 		ordered = ordered && n.forward()
 		if n.isSource() {
 			nsrc++
@@ -119,8 +123,8 @@ func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 		}
 	}
 	// A condition task may run a node any number of times, and a dynamic
-	// task may splice in a graph that outlives the run (Composed), whose
-	// nodes it may run under conditions of its own, or twice. A one-shot
+	// task may spawn a graph that outlives the run (Composed), whose nodes
+	// it may run under conditions of its own, or twice. A one-shot
 	// topology is swept at its only launch anyway.
 	t.sumNodeStats = t.stats != nil && (t.hasCond || dynamic || !reusable)
 	if nsrc == 0 && g.len() > 0 {

@@ -15,7 +15,6 @@ package core
 type Subflow struct {
 	builder
 	topo     *topology
-	parent   *node
 	detached bool
 }
 

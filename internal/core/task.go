@@ -62,23 +62,19 @@ func (t Task) Work(fn func()) Task {
 // Precede call wires successors; assigning condition work to a task that
 // already has successors panics.
 func (t Task) WorkCondition(fn func() int) Task {
-	t.rebind("WorkCondition", true).condWork = fn
+	t.rebind("WorkCondition", true).work = fn
 	return t
 }
 
-// rebind readies the task's node for new work, of the condition kind or
-// not, and returns it with every body cleared. It refuses a dead handle,
-// and a flip between condition and non-condition once successors are wired,
-// which would leave stale strong/weak edge accounting.
+// rebind returns the task's node for its work to be replaced by work of the
+// condition kind or not. It refuses a dead handle, and a flip between
+// condition and non-condition once successors are wired, which would leave
+// stale strong/weak edge accounting.
 func (t Task) rebind(op string, condition bool) *node {
 	t.must(op)
 	n := t.node
 	if n.succCount > 0 && n.isCondition() != condition {
 		panic("core: " + op + " would change the condition-ness of a task that already has successors")
-	}
-	n.work, n.errWork, n.ctxWork, n.subflowWork, n.condWork = nil, nil, nil, nil, nil
-	if n.ext != nil {
-		n.ext.module = nil
 	}
 	return n
 }
@@ -86,8 +82,7 @@ func (t Task) rebind(op string, condition bool) *node {
 // IsPlaceholder reports whether the task currently has no work assigned.
 func (t Task) IsPlaceholder() bool {
 	t.must("IsPlaceholder")
-	return t.node.work == nil && t.node.errWork == nil && t.node.ctxWork == nil &&
-		t.node.subflowWork == nil && t.node.condWork == nil && (t.node.ext == nil || t.node.ext.module == nil)
+	return t.node.work == nil
 }
 
 // NumSuccessors returns the number of outgoing dependency edges.

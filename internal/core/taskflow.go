@@ -90,7 +90,7 @@ func (b *builder) Emplace1(fn func()) Task {
 // subflows may recursively spawn subflows of their own.
 func (b *builder) EmplaceSubflow(fn func(*Subflow)) Task {
 	n := b.add()
-	n.subflowWork = fn
+	n.work = fn
 	return Task{n}
 }
 
@@ -98,7 +98,7 @@ func (b *builder) EmplaceSubflow(fn func(*Subflow)) Task {
 // successor branch to run; see FlowBuilder.EmplaceCondition.
 func (b *builder) EmplaceCondition(fn func() int) Task {
 	n := b.add()
-	n.condWork = fn
+	n.work = fn
 	return Task{n}
 }
 
@@ -108,7 +108,7 @@ func (b *builder) EmplaceCondition(fn func() int) Task {
 // never hang, and Future.Get reports every captured error via errors.Join.
 func (b *builder) EmplaceErr(fn func() error) Task {
 	n := b.add()
-	n.errWork = fn
+	n.work = fn
 	return Task{n}
 }
 
@@ -118,7 +118,7 @@ func (b *builder) EmplaceErr(fn func() error) Task {
 // long-running bodies can stop cooperatively mid-flight.
 func (b *builder) EmplaceCtx(fn func(context.Context) error) Task {
 	n := b.add()
-	n.ctxWork = fn
+	n.work = fn
 	return Task{n}
 }
 

@@ -305,9 +305,10 @@ func (t *topology) cancelDerivedCtx() {
 	}
 }
 
-// runNode executes one node: invoke its work, spawn its subflow if it is a
-// dynamic task, signal the selected branch if it is a condition task, then
-// (unless deferred by a joined subflow) complete it.
+// runNode executes one node: invoke its work, spawn its subflow or
+// composed graph if it is a dynamic task, signal the selected branch if it
+// is a condition task, then (unless deferred by joined children) complete
+// it.
 func (t *topology) runNode(ctx executor.Context, n *node) {
 	if t.cancelled.Load() {
 		// Cooperative cancellation: skip the body but keep draining the
@@ -323,7 +324,7 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		}
 		ctx.Trace(executor.EvSkip, n, 0)
 		t.releaseSems(ctx, n)
-		if n.condWork != nil {
+		if n.isCondition() {
 			t.complete(ctx, n, nil)
 			return
 		}
@@ -345,13 +346,21 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 	if t.timed {
 		start = ctx.StartStamp()
 	}
-	switch {
-	case n.condWork != nil:
-		idx := -1
-		t.invoke(n, func() { idx = n.condWork() })
-		if t.timed {
+	// func() comes first: a plain task is decided before the interface
+	// case (Module) is tried.
+	switch w := n.work.(type) {
+	case func():
+		if n.retryPolicy() == nil {
+			t.invoke(n, w)
 			t.bodyEnd(ctx, n, start, true)
+			t.releaseSems(ctx, n)
+		} else if !t.runFallible(ctx, n, start) {
+			return // retry scheduled; the execution is still outstanding
 		}
+	case func() int:
+		idx := -1
+		t.invoke(n, func() { idx = w() })
+		t.bodyEnd(ctx, n, start, true)
 		t.releaseSems(ctx, n)
 		// Signal exactly the chosen successor; an out-of-range index
 		// (including the -1 left by a panic) signals nothing, which is
@@ -366,53 +375,33 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		t.arm(ctx, n, s)
 		t.complete(ctx, n, []*node{s})
 		return
-	case n.subflowWork != nil:
-		sf := &Subflow{topo: t, parent: n}
-		sf.g = &graph{}
+	case func(*Subflow):
+		sf := &Subflow{builder: builder{&graph{}}, topo: t}
 		n.extra().subgraph = sf.g
-		t.invoke(n, func() { n.subflowWork(sf) })
-		if t.timed {
-			t.bodyEnd(ctx, n, start, true)
-		}
+		t.invoke(n, func() { w(sf) })
+		t.bodyEnd(ctx, n, start, true)
 		t.releaseSems(ctx, n)
-		if sf.g.len() > 0 {
-			ctx.Trace(executor.EvSubflowSpawn, n, uint64(sf.g.len()))
-			if !sf.detached {
-				// Joined subflow: the parent completes only after every
-				// spawned execution (recursively) finishes — maybe on another
-				// worker, before this one runs anything else of the topology.
-				n.ext.detached = false
-				ctx.Settle()
-				if t.spawn(ctx, sf.g, n) {
-					return
-				}
-			} else {
-				// Detached subflow: flows independently but holds the
-				// enclosing topology open until it drains.
-				n.ext.detached = true
-				t.spawn(ctx, sf.g, nil)
-			}
+		if sf.g.len() > 0 && t.spawn(ctx, n, sf.g, !sf.detached) {
+			return
 		}
-	case n.ext != nil && n.ext.module != nil:
+	case *Taskflow:
+		t.bodyEnd(ctx, n, start, true)
+		t.releaseSems(ctx, n)
+		if t.compose(ctx, n, w.g) {
+			return
+		}
+	case Module:
 		// A module task completes when the last execution it counts
 		// retires (Join.Done), as a joined subflow does; its start holds
 		// the first unit. Its executions record their own latency.
 		t.releaseSems(ctx, n)
 		n.children.Store(1)
-		n.ext.module.Start(ctx, Join{n})
+		w.Start(ctx, Join{n})
 		return
-	case n.isFallible():
+	default: // error-returning, context-aware, or a placeholder
 		if !t.runFallible(ctx, n, start) {
 			return // retry scheduled; the execution is still outstanding
 		}
-	default:
-		if n.work != nil {
-			t.invoke(n, n.work)
-		}
-		if t.timed {
-			t.bodyEnd(ctx, n, start, true)
-		}
-		t.releaseSems(ctx, n)
 	}
 	t.finishNode(ctx, n)
 }
@@ -424,21 +413,19 @@ func (t *topology) addsNodeStats(n *node) bool {
 	return t.sumNodeStats || (n.ext != nil && n.ext.attempts > 0)
 }
 
-// runFallible executes the body of an error-returning, context-aware or
-// retryable task that started at start. It reports whether the execution
-// resolved (success or final failure) — false means a retry was scheduled
-// and the execution remains outstanding. A final failure fail-fast-cancels
-// the topology.
+// runFallible executes the body of an error-returning, context-aware,
+// retryable or placeholder task that started at start. It reports whether
+// the execution resolved (success or final failure) — false means a retry
+// was scheduled and the execution remains outstanding. A final failure
+// fail-fast-cancels the topology.
 func (t *topology) runFallible(ctx executor.Context, n *node, start int64) bool {
 	err := t.captureErr(n)
 	rp := n.retryPolicy()
 	retry := err != nil && rp != nil && n.ext.attempts < rp.max && !t.cancelled.Load()
-	if t.timed {
-		// An attempt that arms a retry is busy time but no resolved
-		// execution; the resolving attempt's timing spans from the last
-		// (re)submission, not the first — see latency.go.
-		t.bodyEnd(ctx, n, start, !retry)
-	}
+	// An attempt that arms a retry is busy time but no resolved execution;
+	// the resolving attempt's timing spans from the last (re)submission,
+	// not the first — see latency.go.
+	t.bodyEnd(ctx, n, start, !retry)
 	if retry {
 		n.ext.attempts++
 		if st := t.stats; st != nil {
@@ -470,13 +457,13 @@ func (t *topology) captureErr(n *node) (err error) {
 			err = fmt.Errorf("task panicked: %v", r)
 		}
 	}()
-	switch {
-	case n.errWork != nil:
-		return n.errWork()
-	case n.ctxWork != nil:
-		return n.ctxWork(t.taskContext())
-	case n.work != nil:
-		n.work()
+	switch w := n.work.(type) {
+	case func() error:
+		return w()
+	case func(context.Context) error:
+		return w(t.taskContext())
+	case func():
+		w()
 	}
 	return nil
 }
@@ -492,12 +479,20 @@ func (t *topology) invoke(n *node, fn func()) {
 	fn()
 }
 
-// spawn schedules a freshly built subflow graph. parent is non-nil for
-// joined subflows (its completion is deferred until the children drain) and
-// nil for detached ones. It reports whether any child execution was
-// actually started; false means the subflow could not start (no source)
-// and the caller must complete the parent itself.
-func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
+// spawn starts g, the child graph an execution of n spawned. Joined, n
+// completes only after every child execution (recursively) finishes — maybe
+// on another worker, before this one runs anything else of the topology;
+// detached, the children flow independently but hold the topology open
+// until they drain. It reports whether joined children started; false means
+// the caller completes n itself (detached, or g has no source).
+func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) bool {
+	ctx.Trace(executor.EvSubflowSpawn, n, uint64(g.len()))
+	n.ext.detached = !joined
+	var parent *node
+	if joined {
+		parent = n
+		ctx.Settle()
+	}
 	nsrc := 0
 	var readyNs int64
 	if t.lat != nil {
@@ -538,7 +533,7 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 		k++
 	}
 	t.publish(ctx, buf[:k])
-	return true
+	return joined
 }
 
 // finishNode completes an execution of n: take one dependency off each
@@ -610,6 +605,7 @@ func (t *topology) settle(ctx executor.Context, n *node, delta int) {
 	}
 	if p := n.parent; p != nil && p.children.Add(int32(delta)) == 0 {
 		ctx.Trace(executor.EvSubflowJoin, p, 0)
+		p.ext.subgraph.composing.Store(false) // a Composed task's claim (compose)
 		t.finishNode(ctx, p)
 	}
 	if t.pending.Add(int64(delta)) == 0 {

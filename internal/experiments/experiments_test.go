@@ -219,10 +219,3 @@ func TestDesignBuildScaling(t *testing.T) {
 		t.Fatal("minimum gate clamp broken")
 	}
 }
-
-func TestMeasureOnce(t *testing.T) {
-	wf, tv := MeasureOnce(2)
-	if wf <= 0 || tv <= 0 {
-		t.Fatal("MeasureOnce returned non-positive durations")
-	}
-}

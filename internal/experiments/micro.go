@@ -3,7 +3,6 @@ package experiments
 import (
 	"io"
 	"path/filepath"
-	"time"
 
 	"gotaskflow/internal/bench"
 	"gotaskflow/internal/graphgen"
@@ -112,13 +111,4 @@ func Fig7CPUSweep(w io.Writer, workerCounts []int, wavefrontSize, traversalSize,
 		t2.Row(n, tf, fg)
 	}
 	return t2.Fprint(w)
-}
-
-// MeasureOnce is a tiny helper for smoke tests: runs and times one
-// backend invocation of each micro-benchmark.
-func MeasureOnce(workers int) (wfTaskflow, tvTaskflow time.Duration) {
-	wfTaskflow = bench.Measure(func() { wavefront.Taskflow(16, wavefront.Spin, workers) })
-	d := graphgen.Random(1000, graphgen.Config{Seed: 1})
-	tvTaskflow = bench.Measure(func() { traversal.Taskflow(d, traversal.Spin, workers) })
-	return
 }

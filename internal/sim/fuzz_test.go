@@ -103,6 +103,12 @@ func spawnKids(i int) int { return 2 + i%3 }
 // seed without the bit builds the graph it built before modules existed.
 func isModule(graphSeed int64, i int) bool { return graphSeed&32 != 0 && i%4 == 1 }
 
+// isComposed reports whether task i is a Composed task: with bit 6 of the
+// graph seed set, every fourth task that is not a module or spawner composes
+// a child taskflow of its own, spawnKids(i) chained nodes. A seed without
+// the bit builds the graph it built before.
+func isComposed(graphSeed int64, i int) bool { return graphSeed&64 != 0 && i%4 == 3 }
+
 // fuzzModule is a module task of the fuzz graph: Start counts its
 // executions, submits them as one batch through the worker's context and
 // retires its own unit; each execution does its work and then retires.
@@ -161,19 +167,25 @@ func runSchedule(t *testing.T, p schedParams) schedResult {
 	bodies := make([]int32, p.n)
 	var childRuns int32
 	modules := make([]*fuzzModule, p.n)
+	// composed[i] counts the runs of each node of Composed task i's child.
+	composed := make([][]int32, p.n)
 	// early records each task that started while a module it succeeds still
-	// had executions out: a module completes at its last Join.Done.
+	// had executions out, or before the last node of a Composed task's
+	// child ran: both complete only when the work they started is done.
 	var early []string
 	preds := make([][]int, p.n)
 	for u := 0; u < p.n; u++ {
-		if isModule(p.graphSeed, u) {
+		if isModule(p.graphSeed, u) || isComposed(p.graphSeed, u) {
 			d.Successors(u, func(v int) { preds[v] = append(preds[v], u) })
 		}
 	}
 	checkPreds := func(v int) {
 		for _, u := range preds[v] {
-			if m := modules[u]; m.retired != len(m.execs) {
+			if m := modules[u]; m != nil && m.retired != len(m.execs) {
 				early = append(early, fmt.Sprintf("task %d started with module %d at %d of %d executions", v, u, m.retired, len(m.execs)))
+			}
+			if c := composed[u]; c != nil && c[len(c)-1] == 0 {
+				early = append(early, fmt.Sprintf("task %d started before the last node of composed task %d's child ran", v, u))
 			}
 		}
 	}
@@ -190,6 +202,28 @@ func runSchedule(t *testing.T, p schedParams) schedResult {
 				bodies[i]++
 			})
 			tasks[i] = tf.EmplaceModule(modules[i])
+		} else if isComposed(p.graphSeed, i) {
+			// Composed task: a chaos-free chain of its own, whose first node
+			// stands for the task's body.
+			kids := spawnKids(i)
+			composed[i] = make([]int32, kids)
+			child := core.NewShared(s)
+			var prev core.Task
+			for k := 0; k < kids; k++ {
+				c := child.Emplace1(func() {
+					if k == 0 {
+						checkPreds(i)
+						attempts[i]++
+						bodies[i]++
+					}
+					composed[i][k]++
+				})
+				if k > 0 {
+					prev.Precede(c)
+				}
+				prev = c
+			}
+			tasks[i] = tf.Composed(child)
 		} else if isSpawner(shape, i) {
 			// Dynamic task: the body spawns a child graph at runtime. Kept
 			// chaos-free so the fault-free child-count invariant below stays
@@ -277,6 +311,15 @@ func runSchedule(t *testing.T, p schedParams) schedResult {
 		for x, r := range m.runs {
 			if r != bodies[i] {
 				t.Fatalf("module %d execution %d ran %d times in %d starts\n%s", i, x, r, bodies[i], p.recipe())
+			}
+		}
+	}
+	for i, runs := range composed {
+		// One entry per run: a node runs once, or — cancelled in the
+		// middle of the child — neither it nor the rest of the chain does.
+		for k, r := range runs {
+			if r > 1 || (k > 0 && r > runs[k-1]) || (res.hardFaults == 0 && r != 1) {
+				t.Fatalf("composed task %d: child node runs %v\n%s", i, runs, p.recipe())
 			}
 		}
 	}

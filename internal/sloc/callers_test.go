@@ -56,8 +56,6 @@ const (
 // why it stays without a caller. It may only shrink. An entry whose name
 // gained a caller or was deleted fails the test until it is removed.
 var callerless = map[string]string{
-	"internal/bench Avg":                             testOnly + ": its own tests",
-	"internal/bench Ms":                              testOnly + ": its own tests",
 	"internal/circuit Gate.IsStart":                  "the pair of IsEnd; " + testOnly,
 	"internal/core Future.Cancel":                    "cooperative cancellation (DESIGN.md, Failure model); " + testOnly,
 	"internal/core NewSemaphore":                     "tf::Semaphore (DESIGN.md, Semaphores); " + testOnly,
@@ -87,7 +85,6 @@ var callerless = map[string]string{
 	"internal/executor Watchdog.Firings":             "the watchdog (DESIGN.md, Observability); " + testOnly,
 	"internal/executor Watchdog.LastReport":          "the watchdog (DESIGN.md, Observability); " + testOnly,
 	"internal/executor WithPanicHandler":             "the panic-containment hook; " + testOnly,
-	"internal/experiments MeasureOnce":               testOnly + ": TestMeasureOnce",
 	"internal/levelize Levels":                       "LevelOf's bucket form, the reference four packages' tests check levels against",
 	"internal/metrics Publish":                       "the expvar export; no driver serves /debug/vars, " + testOnly,
 	"internal/mnist ReadIDXImages":                   "the real MNIST file codec; no driver reads real files, " + testOnly,
