@@ -4,7 +4,8 @@
 GO ?= go
 
 # There are no smoke targets: what the self-checking binaries checked is
-# checked by `test` and `race`. A driver's -trace file (`make trace`):
+# checked by `test` and `race`. The trace, DOT and Prometheus output of
+# `repro -observe`: TestObserveWritesEveryArtifact in cmd/repro and
 # TestObservedRunWritesValidTraces in internal/cli. Histograms, flight
 # recorder and watchdog armed on a mixed load: TestLatencyAndFlightEndpoints
 # in internal/debughttp. The streaming pipeline: TestPipelineRunNZeroAlloc,

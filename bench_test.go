@@ -1,7 +1,7 @@
 // Benchmarks regenerating the data points of every table and figure in
 // the Cpp-Taskflow paper's evaluation (Section IV). Each benchmark times
-// one backend at one representative configuration; the cmd/ binaries
-// sweep the full axes. Sizes here are laptop-budget; see EXPERIMENTS.md
+// one backend at one representative configuration; cmd/repro sweeps the
+// full axes. Sizes here are laptop-budget; see EXPERIMENTS.md
 // for paper-scale runs and shape comparisons.
 package gotaskflow_test
 

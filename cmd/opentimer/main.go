@@ -1,9 +1,8 @@
-// Command opentimer drives the VLSI static timing analysis experiments of
-// the Cpp-Taskflow paper (Section IV-B): incremental timing iterations on
-// tv80- and vga_lcd-scale circuits comparing the OpenTimer-v1-style
-// levelized driver against the v2-style taskflow driver (Figure 9), full
-// timing scalability and CPU utilization on million-gate-scale designs
-// (Figure 10), plus a one-shot timing report.
+// Command opentimer is the static timing analysis application of the
+// Cpp-Taskflow paper (Section IV-B): a one-shot timing report of a
+// synthetic tv80-, vga_lcd-, netcard- or leon3mp-scale design, timed by the
+// v2-style taskflow driver. The paper's Figures 9 and 10 are
+// `repro fig9 fig10`.
 //
 // The tool also speaks the standard interchange formats: it can emit the
 // synthetic designs as gate-level Verilog plus a Liberty library, and time
@@ -11,9 +10,6 @@
 //
 // Usage:
 //
-//	opentimer -fig 9 -design tv80 -iters 30 -workers 8
-//	opentimer -fig 10 -scale 20 -maxworkers 8
-//	opentimer -fig 10 -utilization -scale 20
 //	opentimer -report -design tv80
 //	opentimer -report -design tv80 -trace sta.json   # report run with a Chrome/Perfetto event trace
 //	opentimer -report -design tv80 -debug localhost:6060
@@ -40,21 +36,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("opentimer: ")
 	var (
-		fig          = flag.Int("fig", 9, "figure to regenerate: 9 or 10")
 		design       = flag.String("design", "tv80", "design: tv80, vga_lcd, netcard, leon3mp")
 		scale        = flag.Int("scale", 1, "divide the paper's gate count by this factor")
-		iters        = flag.Int("iters", 30, "incremental iterations (figure 9)")
-		workers      = flag.Int("workers", experiments.DefaultWorkers(16), "worker count (figure 9)")
-		maxWorkers   = flag.Int("maxworkers", experiments.DefaultWorkers(8), "largest worker count (figure 10)")
-		reps         = flag.Int("reps", 2, "repetitions per point")
-		utilization  = flag.Bool("utilization", false, "emit the CPU-utilization profile instead (figure 10 right)")
+		workers      = flag.Int("workers", experiments.DefaultWorkers(16), "worker count of the timing update")
 		report       = flag.Bool("report", false, "print a one-shot timing report for -design or -read-verilog")
 		writeVerilog = flag.String("write-verilog", "", "write the design's netlist to this Verilog file")
 		writeLiberty = flag.String("write-liberty", "", "write the cell library to this Liberty file")
 		readVerilog  = flag.String("read-verilog", "", "time a netlist read from this Verilog file instead of a synthetic design")
 		libertyFile  = flag.String("liberty", "", "Liberty file for -read-verilog (default: built-in synthetic library)")
-		tracePath    = flag.String("trace", "", "with -report: capture an event trace of the timing update and write Chrome trace-event JSON to this file")
-		debugAddr    = flag.String("debug", "", "with -report: serve /debug/taskflow/ on this address during the update")
+		tracePath    = flag.String("trace", "", "with a report: capture an event trace of the timing update and write Chrome trace-event JSON to this file")
+		debugAddr    = flag.String("debug", "", "with a report: serve /debug/taskflow/ on this address during the update")
 	)
 	flag.Parse()
 
@@ -62,52 +53,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *writeVerilog != "" || *writeLiberty != "" {
-		exportDesign(d, *scale, *writeVerilog, *writeLiberty)
-		if !*report {
-			return
-		}
-	}
-	if *readVerilog != "" {
-		ckt := importDesign(*readVerilog, *libertyFile)
-		reportCircuit(ckt, *workers, *tracePath, *debugAddr)
-		return
-	}
-
+	reporting := *report || *readVerilog != ""
+	exporting := *writeVerilog != "" || *writeLiberty != ""
 	switch {
+	case !reporting && !exporting:
+		log.Fatal("nothing to do: pass -report, -read-verilog, -write-verilog or -write-liberty")
+	case !reporting && (*tracePath != "" || *debugAddr != ""):
+		log.Fatal("-trace and -debug apply only to a report (-report or -read-verilog)")
+	}
+
+	if exporting {
+		exportDesign(d, *scale, *writeVerilog, *writeLiberty)
+	}
+	switch {
+	case *readVerilog != "":
+		reportCircuit(importDesign(*readVerilog, *libertyFile), *workers, *tracePath, *debugAddr)
 	case *report:
-		runReport(d, *scale, *workers, *tracePath, *debugAddr)
-	case *fig == 9:
-		if err := experiments.Fig9Incremental(os.Stdout, d, *scale, *iters, *workers); err != nil {
-			log.Fatal(err)
-		}
-	case *fig == 10 && *utilization:
-		counts := experiments.WorkerSweep(*maxWorkers)
-		if err := experiments.Fig10Utilization(os.Stdout, d, *scale, counts, 3); err != nil {
-			log.Fatal(err)
-		}
-	case *fig == 10:
-		designs := []experiments.Design{experiments.Netcard, experiments.Leon3mp}
-		counts := experiments.WorkerSweep(*maxWorkers)
-		if err := experiments.Fig10Scalability(os.Stdout, designs, *scale, counts, *reps); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatalf("unknown -fig %d (want 9 or 10)", *fig)
+		reportCircuit(d.Build(*scale), *workers, *tracePath, *debugAddr)
 	}
 }
 
 func pick(name string) (experiments.Design, error) {
-	switch name {
-	case "tv80":
-		return experiments.TV80, nil
-	case "vga_lcd":
-		return experiments.VGALCD, nil
-	case "netcard":
-		return experiments.Netcard, nil
-	case "leon3mp":
-		return experiments.Leon3mp, nil
+	for _, d := range []experiments.Design{experiments.TV80, experiments.VGALCD, experiments.Netcard, experiments.Leon3mp} {
+		if d.Name == name {
+			return d, nil
+		}
 	}
 	return experiments.Design{}, fmt.Errorf("unknown design %q", name)
 }
@@ -163,10 +133,6 @@ func importDesign(verilogPath, libertyPath string) *circuit.Circuit {
 	return ckt
 }
 
-func runReport(d experiments.Design, scale, workers int, tracePath, debugAddr string) {
-	reportCircuit(d.Build(scale), workers, tracePath, debugAddr)
-}
-
 // reportCircuit performs one full timing update and prints the report.
 // The update's task graph — one task per level slice, named after the first
 // gate it relaxes — runs with scheduler metrics and event tracing armed, so
@@ -203,15 +169,7 @@ func reportCircuit(ckt *circuit.Circuit, workers int, tracePath, debugAddr strin
 			cell = g.Cell.Name
 		}
 		// Report the later (worse) transition of each quantity.
-		arr := tm.Arrival[0][v]
-		if tm.Arrival[1][v] > arr {
-			arr = tm.Arrival[1][v]
-		}
-		slack := tm.Slack[0][v]
-		if tm.Slack[1][v] < slack {
-			slack = tm.Slack[1][v]
-		}
-		fmt.Printf("  %-12s %-5s %-10s arrival %9.3f  slack %9.3f\n",
-			g.Name, g.Kind, cell, arr, slack)
+		fmt.Printf("  %-12s %-5s %-10s arrival %9.3f  slack %9.3f\n", g.Name, g.Kind, cell,
+			max(tm.Arrival[0][v], tm.Arrival[1][v]), min(tm.Slack[0][v], tm.Slack[1][v]))
 	}
 }

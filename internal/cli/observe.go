@@ -1,3 +1,5 @@
+// Package cli holds the one observed run behind the cmd/ binaries' -trace,
+// -debug, -prom and -dot flags.
 package cli
 
 import (
@@ -24,8 +26,8 @@ type Observed struct {
 	TracePath string // -trace: write the run's Chrome trace-event JSON here
 	DebugAddr string // -debug: serve /debug/taskflow/ here while it runs
 
-	// The micro drivers' -metrics report, switched on by Headline: after the
-	// run its line and the run summary (Taskflow must CollectRunStats) go to
+	// The instrumented report, switched on by Headline: after the run its
+	// line and the run summary (Taskflow must CollectRunStats) go to
 	// Stderr, then the Prometheus text to Stdout (-prom) and the annotated
 	// task graph to DotPath (-dot).
 	Headline func() string
@@ -35,12 +37,15 @@ type Observed struct {
 	Stdout, Stderr io.Writer // nil: os.Stdout, os.Stderr
 }
 
-// Run executes run observed: the debug server is listening and the trace
-// file exists before run is called — a bad address or path fails here, not
-// after the experiment — and the capture brackets run alone. The trace
-// (load it in https://ui.perfetto.dev or chrome://tracing) is written even
-// when run fails; run's error is the one returned.
-func (o Observed) Run(run func() error) error {
+// Run executes run observed: the debug server is listening and the DOT and
+// trace files exist before run is called — a bad address or path fails
+// here, not after the experiment — and the capture brackets run alone. A
+// stall watchdog is armed while run executes and prints "reason: detail"
+// to Stderr when the executor stops making progress. The trace (load it in
+// https://ui.perfetto.dev or chrome://tracing) is written even when run
+// fails; run's error is the one returned. The DOT file is kept only when
+// the graph was written to it.
+func (o Observed) Run(run func() error) (err error) {
 	o.Stdout = cmp.Or(o.Stdout, io.Writer(os.Stdout))
 	o.Stderr = cmp.Or(o.Stderr, io.Writer(os.Stderr))
 	if o.DebugAddr != "" {
@@ -51,7 +56,25 @@ func (o Observed) Run(run func() error) error {
 		defer stop() //nolint:errcheck
 		fmt.Fprintf(o.Stderr, "debug endpoints on http://%s%s\n", addr, debughttp.Prefix)
 	}
-	err := o.traced(run)
+	var dot *os.File
+	if o.DotPath != "" {
+		if dot, err = os.Create(o.DotPath); err != nil {
+			return err
+		}
+		defer func() {
+			if err = errors.Join(err, dot.Close()); err != nil {
+				os.Remove(o.DotPath)
+			}
+		}()
+	}
+	wd, err := o.Executor.StartWatchdog(executor.WatchdogConfig{OnStall: func(r *executor.StallReport) {
+		fmt.Fprintf(o.Stderr, "%s: %s\n", r.Reason, r.Detail)
+	}})
+	if err != nil {
+		return err
+	}
+	err = o.traced(run)
+	wd.Stop()
 	if err != nil || o.Headline == nil {
 		return err
 	}
@@ -67,12 +90,8 @@ func (o Observed) Run(run func() error) error {
 			return err
 		}
 	}
-	if o.DotPath != "" {
-		f, err := os.Create(o.DotPath)
-		if err != nil {
-			return err
-		}
-		return errors.Join(o.Taskflow.DumpAnnotated(f), f.Close())
+	if dot != nil {
+		return o.Taskflow.DumpAnnotated(dot)
 	}
 	return nil
 }

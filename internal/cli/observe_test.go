@@ -2,11 +2,14 @@ package cli
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"gotaskflow/internal/core"
 	"gotaskflow/internal/executor"
@@ -16,8 +19,8 @@ import (
 	"gotaskflow/internal/wavefront"
 )
 
-// observed builds what a micro driver's -metrics pass builds: a traced,
-// counted executor and a named taskflow collecting timed run statistics.
+// observed builds what `repro -observe` builds: a traced, counted executor
+// and a named taskflow collecting timed run statistics.
 func observed(t *testing.T, name string) (Observed, *bytes.Buffer, *bytes.Buffer) {
 	e := executor.New(4, executor.WithMetrics(), executor.WithTracing(0))
 	t.Cleanup(e.Shutdown)
@@ -28,10 +31,11 @@ func observed(t *testing.T, name string) (Observed, *bytes.Buffer, *bytes.Buffer
 	}, &stdout, &stderr
 }
 
-// TestObservedRunWritesValidTraces drives Observed.Run the way `wavefront
-// -metrics -size 64 -workers 4 -trace f` and `traversal -metrics -size 5000
-// -workers 4 -trace f` do and holds each trace file to the structural
-// promises of a capture, then the report to the drivers' output order.
+// TestObservedRunWritesValidTraces drives Observed.Run the way `repro
+// -observe wavefront -trace f` and `repro -observe traversal -trace f` do,
+// on a 64x64 wavefront and a 5000-node traversal with 4 workers, and holds
+// each trace file to the structural promises of a capture, then the report
+// to the driver's output order.
 func TestObservedRunWritesValidTraces(t *testing.T) {
 	testutil.NoLeaks(t)
 	dir := t.TempDir()
@@ -75,7 +79,7 @@ func TestObservedRunWritesValidTraces(t *testing.T) {
 			t.Fatalf("%s: %d task spans with nothing dropped, want %d", name, doc.Spans, tasks)
 		}
 
-		// stderr, in the drivers' order; Prometheus text alone on stdout.
+		// stderr, in the driver's order; Prometheus text alone on stdout.
 		at := -1
 		for _, want := range []string{
 			"debug endpoints on http://127.0.0.1:",
@@ -100,25 +104,80 @@ func TestObservedRunWritesValidTraces(t *testing.T) {
 	}
 }
 
-// TestObservedRunFailsBeforeTheRun: a -trace path that cannot be created
-// and a -debug address that cannot be listened on are reported before the
-// experiment runs, not after it, and leave no capture behind.
+// TestObservedRunFailsBeforeTheRun: a -trace or -dot path that cannot be
+// created and a -debug address that cannot be listened on are reported
+// before the experiment runs, not after it, and leave no capture and no
+// file behind.
 func TestObservedRunFailsBeforeTheRun(t *testing.T) {
 	testutil.NoLeaks(t)
+	missing := filepath.Join(t.TempDir(), "no", "such", "dir")
 	for _, bad := range []Observed{
-		{TracePath: filepath.Join(t.TempDir(), "no", "such", "dir", "x.json")},
+		{TracePath: filepath.Join(missing, "x.json")},
+		{DotPath: filepath.Join(missing, "x.dot")},
+		{TracePath: filepath.Join(missing, "x.json"), DotPath: filepath.Join(t.TempDir(), "x.dot")},
 		{TracePath: filepath.Join(t.TempDir(), "x.json"), DebugAddr: "not-an-address"},
 	} {
 		o, _, _ := observed(t, "unrun")
-		o.TracePath, o.DebugAddr = bad.TracePath, bad.DebugAddr
+		o.TracePath, o.DotPath, o.DebugAddr = bad.TracePath, bad.DotPath, bad.DebugAddr
 		ran := false
 		err := o.Run(func() error { ran = true; return nil })
 		if err == nil || ran {
 			t.Fatalf("Run(%+v) = %v, run callback invoked: %v; want an error and no run", bad, err, ran)
 		}
-		if _, statErr := os.Stat(bad.TracePath); o.Executor.TraceActive() || statErr == nil {
-			t.Fatalf("Run(%+v) left a capture active (%v) or a trace file behind (stat: %v)", bad, o.Executor.TraceActive(), statErr)
+		if bad.DebugAddr == "" && !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("Run(%+v) = %v, want the open error", bad, err)
 		}
+		if o.Executor.TraceActive() {
+			t.Fatalf("Run(%+v) left a capture active", bad)
+		}
+		for _, path := range []string{bad.TracePath, bad.DotPath} {
+			if _, statErr := os.Stat(path); path != "" && statErr == nil {
+				t.Fatalf("Run(%+v) left %s behind", bad, path)
+			}
+		}
+	}
+}
+
+// chanWriter hands each write to a channel, so a test can wait for a line
+// the watchdog goroutine prints.
+type chanWriter chan string
+
+func (w chanWriter) Write(p []byte) (int, error) {
+	w <- string(p)
+	return len(p), nil
+}
+
+// TestObservedRunReportsAStall: while run is stuck — the one worker blocked
+// inside a task with more work queued behind it — the watchdog prints the
+// stall's reason and detail to Stderr, and it is stopped when Run returns.
+func TestObservedRunReportsAStall(t *testing.T) {
+	testutil.NoLeaks(t)
+	e := executor.New(1, executor.WithMetrics(), executor.WithTracing(0))
+	defer e.Shutdown()
+	lines := make(chanWriter, 16) // room for every report, so a firing never blocks wd.Stop
+	o := Observed{Executor: e, Stderr: lines}
+	var report string
+	err := o.Run(func() error {
+		release, done := make(chan struct{}), make(chan struct{}, 2)
+		for _, body := range []func(){func() { <-release }, func() {}} {
+			if err := e.Submit(executor.NewTask(func(executor.Context) { body(); done <- struct{}{} })); err != nil {
+				return err
+			}
+		}
+		select {
+		case report = <-lines:
+		case <-time.After(10 * time.Second):
+		}
+		close(release)
+		<-done
+		<-done
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(report, executor.ReasonNoProgress+": ") {
+		t.Fatalf("stderr during the stall: %q, want a %q report", report, executor.ReasonNoProgress)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the
 // Cpp-Taskflow paper's evaluation (Section IV) from this repository's
 // implementations. Each experiment is a library function that writes a
-// paper-style table to an io.Writer; the cmd/ binaries are thin wrappers,
+// paper-style table to an io.Writer; cmd/repro is the one driver over them,
 // and EXPERIMENTS.md records a captured run against the paper's numbers.
 package experiments
 

@@ -231,8 +231,8 @@ func (s staticSource) MetricsSnapshot() (executor.Snapshot, bool) { return s.sna
 
 // WriteRunSummary writes a compact human-readable digest of one
 // instrumented run — the graph-level RunStats and the executor's scheduler
-// counter totals — the form the benchmark drivers print behind their
-// -metrics flags. A timed run (CollectRunStats(true)) appends the
+// counter totals — the form `repro -observe` prints for a wavefront or
+// traversal run. A timed run (CollectRunStats(true)) appends the
 // hot-task ranking: the top tasks by summed body time, under the same
 // names the trace spans and DOT dumps use.
 func WriteRunSummary(w io.Writer, rs core.RunStats, snap executor.Snapshot) error {

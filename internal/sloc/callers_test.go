@@ -81,7 +81,6 @@ var callerless = map[string]string{
 	"internal/dnn MLP.Equal":                         "the cross-backend weight check of the dnn and root integration tests",
 	"internal/executor Executor.ArmedTimers":         "the timer-leak check of the executor and core retry tests",
 	"internal/executor Executor.PanicError":          "the contained-panic log; " + testOnly,
-	"internal/executor Executor.StartWatchdog":       "the watchdog (DESIGN.md, Observability); no driver arms it, " + testOnly,
 	"internal/executor Watchdog.Firings":             "the watchdog (DESIGN.md, Observability); " + testOnly,
 	"internal/executor Watchdog.LastReport":          "the watchdog (DESIGN.md, Observability); " + testOnly,
 	"internal/executor WithPanicHandler":             "the panic-containment hook; " + testOnly,
