@@ -11,12 +11,12 @@ package executor
 //
 //   - ThunderingHerd: all workers parked, one external batch of exactly
 //     one task per worker — the all-park/all-wake pattern. Dominated by
-//     the wake path (wakeUpTo popping every waiter) and the re-park path.
+//     the wake path (one wake popping every waiter) and the re-park path.
 //
 //   - EmptyStealStorm: a single self-resubmitting chain on a full pool.
 //     Only one task exists at any instant, so every other worker loops
 //     steal sweeps over empty deques, parks, and is woken again by the
-//     chain's per-submit wakeOne — the notifier fast path under fire.
+//     chain's per-submit wake — the notifier fast path under fire.
 //
 //   - CrossWorkerFanout: one source floods 8×workers tasks in a batch;
 //     thieves spread them, the last finisher re-arms. Exercises wake
@@ -71,7 +71,7 @@ func livenessWatchdog(e *Executor) (stop func()) {
 				return
 			case <-t.C:
 				if e.anyWork() {
-					e.wakeUpTo(e.NumWorkers())
+					e.wake(e.NumWorkers())
 				}
 			}
 		}
@@ -85,7 +85,7 @@ func livenessWatchdog(e *Executor) (stop func()) {
 // herd followed by an all-park stampede.
 func BenchmarkContentionThunderingHerd(b *testing.B) {
 	ladderRun(b, func(b *testing.B, w int) {
-		e := New(w, withSpin(0), withWakeProbability(0))
+		e := New(w, withSpin(0))
 		defer e.Shutdown()
 		defer livenessWatchdog(e)()
 		var remaining atomic.Int64
@@ -119,12 +119,12 @@ func BenchmarkContentionThunderingHerd(b *testing.B) {
 }
 
 // BenchmarkContentionEmptyStealStorm runs one self-resubmitting task chain
-// through a full pool: every hop is one Submit (and its wakeOne attempt)
+// through a full pool: every hop is one Submit (and its wake attempt)
 // while the other workers sweep empty deques, park and get woken. ns/op is
 // the per-hop cost of the wake path under an empty-steal storm.
 func BenchmarkContentionEmptyStealStorm(b *testing.B) {
 	ladderRun(b, func(b *testing.B, w int) {
-		e := New(w, withWakeProbability(0))
+		e := New(w)
 		defer e.Shutdown()
 		defer livenessWatchdog(e)()
 		done := make(chan struct{})
@@ -156,7 +156,7 @@ func BenchmarkContentionEmptyStealStorm(b *testing.B) {
 // wakes, and the children spread across the pool through batch steals.
 func BenchmarkContentionCrossWorkerFanout(b *testing.B) {
 	ladderRun(b, func(b *testing.B, w int) {
-		e := New(w, withWakeProbability(0))
+		e := New(w)
 		defer e.Shutdown()
 		defer livenessWatchdog(e)()
 		fanout := 8 * w
@@ -194,7 +194,7 @@ func BenchmarkContentionCrossWorkerFanout(b *testing.B) {
 // submission-side contention.
 func BenchmarkContentionInjectionFlood(b *testing.B) {
 	ladderRun(b, func(b *testing.B, w int) {
-		e := New(w, withWakeProbability(0))
+		e := New(w)
 		defer e.Shutdown()
 		defer livenessWatchdog(e)()
 		var done atomic.Int64

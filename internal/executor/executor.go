@@ -17,7 +17,7 @@
 // allocation: no closures are minted per execution and the deques store the
 // pointers without any boxing layer.
 //
-// Two heuristics from the paper are implemented faithfully:
+// Two heuristics from the paper are implemented:
 //
 //   - Per-worker task cache: a task that finishes and makes exactly one
 //     successor ready places that successor in the worker's cache slot; the
@@ -26,16 +26,18 @@
 //     Algorithm 1 lines 16-25).
 //
 //   - Precise wakeup: blocked workers park on a lock-free eventcount
-//     (notifier.go) instead of the paper's mutex-guarded idlers list, so
-//     producers wake exactly one spare worker per new batch of work without
-//     broadcasting — and without taking any lock: when nobody is parked the
-//     wake is a single atomic load. Additionally, after each task batch a
-//     worker wakes one idler with small probability to rebalance load
-//     (lines 26-28).
+//     (notifier.go) instead of the paper's mutex-guarded idlers list, and
+//     every publication of n tasks wakes up to n of them through one
+//     Eventcount.Notify, without broadcasting and without taking any lock:
+//     when nobody is waiting the wake is a single atomic load. This is the
+//     one wake rule. The paper's second one — after each task batch, wake
+//     an idler with probability 1/16 (lines 26-28) — is not run: on every
+//     benchmark workload of a 2-vCPU host it issued under 0.03 wakes per
+//     thousand tasks (DESIGN.md, "Scheduler ablations").
 //
 // Producers that make several tasks ready at once submit them as a batch
-// (SubmitBatch) with a single computed wake count — min(batch size, parked
-// workers) — instead of one wake attempt per task.
+// (SubmitBatch) with one wake of up to the batch size, instead of one wake
+// attempt per task.
 //
 // The executor is pluggable and shareable: multiple Taskflow instances can
 // dispatch graphs to one executor, avoiding thread over-subscription
@@ -132,13 +134,8 @@ type Context interface {
 	Settle()
 }
 
-// defaultWakeDen is the default denominator of the probabilistic
-// load-balancing wakeup: after finishing a task batch, a worker wakes one
-// idler with probability 1/defaultWakeDen (Algorithm 1, lines 26-28).
-const defaultWakeDen = 16
-
 // spinSteals is the number of steal rounds a worker attempts before parking
-// on the idlers list. Spinning bounds the futex ping-pong that fine-grained
+// on the eventcount. Spinning bounds the futex ping-pong that fine-grained
 // task graphs (sub-microsecond bodies) would otherwise trigger on every
 // parallelism dip; workers yield the processor between rounds so spinning
 // does not starve the producing worker on small machines.
@@ -193,9 +190,7 @@ func (w *worker) Executor() Scheduler { return w.exec }
 
 func (w *worker) Submit(r *Runnable) {
 	w.queue.Push(r)
-	if w.exec.wakeOne() {
-		w.traceEvent(EvWakePrecise, 1)
-	}
+	w.wake(1)
 }
 
 func (w *worker) SubmitBatch(rs []*Runnable) {
@@ -203,7 +198,13 @@ func (w *worker) SubmitBatch(rs []*Runnable) {
 		return
 	}
 	w.queue.PushBatch(rs)
-	if woke := w.exec.wakeUpTo(len(rs)); woke > 0 {
+	w.wake(len(rs))
+}
+
+// wake follows a push of n tasks onto this worker's deque: up to n waiting
+// workers are woken, and the wake is traced.
+func (w *worker) wake(n int) {
+	if woke := w.exec.wake(n); woke > 0 {
 		w.traceEvent(EvWakePrecise, uint64(woke))
 	}
 }
@@ -233,14 +234,7 @@ type Executor struct {
 	mt atomic.Pointer[FlowTable]
 
 	// ec is the eventcount parked workers wait on (notifier.go).
-	// idlerCount is a derived gauge of workers currently inside the park
-	// protocol (between prewait and unpark) — it plays no role in wakeup
-	// correctness, but bounds wakeUpTo's wake count and feeds tests and
-	// debugging. It is incremented BEFORE prewait, so a producer that reads
-	// 0 after publishing work is guaranteed the worker's post-prewait
-	// re-check will see that work.
-	ec         *Eventcount
-	idlerCount atomic.Int64
+	ec *Eventcount
 
 	stop atomic.Bool
 	wg   sync.WaitGroup
@@ -268,12 +262,10 @@ type Executor struct {
 	latencyOn bool
 	lat       *flowLatency
 
-	// The Algorithm-1 heuristics' constants, fields so that in-package tests
-	// can force deterministic parks (withSpin, withWakeProbability). To
-	// ablate one, edit defaultWakeDen or spinSteals and run
-	// `make bench-pairs PARENT=HEAD`.
-	wakeDen int
-	spin    int
+	// spin is the spinSteals constant, a field so that in-package tests can
+	// force deterministic parks (withSpin). To ablate it, edit spinSteals
+	// and run `make bench-pairs PARENT=HEAD`.
+	spin int
 
 	// Panic containment: a task that panics past its own recovery (e.g. a
 	// bare one-shot NewTask) is caught at the worker loop and recorded here
@@ -291,16 +283,8 @@ const MaxRecordedPanics = 64
 // Option configures an Executor.
 type Option func(*Executor)
 
-// withWakeProbability sets the denominator of the probabilistic
-// load-balancing wakeup (Algorithm 1 lines 26-28): a worker wakes one
-// idler with probability 1/den after each task batch. den <= 0 disables
-// the heuristic.
-func withWakeProbability(den int) Option {
-	return func(e *Executor) { e.wakeDen = den }
-}
-
 // withSpin sets the number of steal rounds a worker attempts before
-// parking on the idlers list. Zero parks immediately.
+// parking on the eventcount. Zero parks immediately.
 func withSpin(rounds int) Option {
 	return func(e *Executor) { e.spin = rounds }
 }
@@ -318,13 +302,13 @@ func New(n int, opts ...Option) *Executor {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	e := &Executor{wakeDen: defaultWakeDen, spin: spinSteals}
+	e := &Executor{spin: spinSteals}
 	for _, opt := range opts {
 		opt(e)
 	}
-	// The per-worker RNGs (victim selection, probabilistic wakeup) draw from
-	// a per-instance seed: two executors in one process must not follow
-	// identical scheduling sequences.
+	// The per-worker RNGs (victim selection) draw from a per-instance seed:
+	// two executors in one process must not follow identical scheduling
+	// sequences.
 	seed := rand.Int63()
 	e.inj = NewInjection((*queueHost)(e))
 	e.ec = NewEventcount(n)
@@ -381,9 +365,8 @@ func (e *Executor) Submit(r *Runnable) error {
 	return e.SubmitBatch(rs[:])
 }
 
-// SubmitBatch schedules several tasks at once and wakes at most
-// min(len(rs), parked workers) idlers, stopping at the first failed wake.
-// The batch is accepted whole or rejected whole with ErrShutdown, and lands
+// SubmitBatch schedules several tasks at once and wakes up to len(rs)
+// waiting workers. The batch is accepted whole or rejected whole with ErrShutdown, and lands
 // on the injection queue under one lock, in order; batch drains and steals
 // spread it. It is the queue's own SubmitBatch with the host called
 // directly, not through the QueueHost interface: this is the pool's submit
@@ -408,7 +391,7 @@ func (e *Executor) published(q *Queue, n int) {
 	if tracing {
 		e.TraceExternal(EvInjectPush, TaskMeta{Flow: q.name}, injectArg(q.id, uint64(n)))
 	}
-	if woke := e.wakeUpTo(n); woke > 0 && tracing {
+	if woke := e.wake(n); woke > 0 && tracing {
 		e.TraceExternal(EvWakePrecise, TaskMeta{}, uint64(woke))
 	}
 }
@@ -433,7 +416,7 @@ func (e *Executor) Shutdown() {
 		e.wg.Wait()
 		return
 	}
-	e.wakeAll()
+	e.ec.NotifyAll(e.unpark)
 	e.wg.Wait()
 	e.fireArmedTimers()
 }
@@ -488,40 +471,13 @@ func (e *Executor) anyWork() bool {
 	return false
 }
 
-// wakeOne wakes one waiting worker through the eventcount. Returns false —
-// after one atomic load, with no lock and no store — when nobody is
-// waiting, which is the fast path on a busy pool.
-func (e *Executor) wakeOne() bool {
-	woke, id := e.ec.NotifyOne()
-	if !woke {
-		return false
-	}
-	e.unpark(id)
-	if m := e.metrics; m != nil {
-		m.wakes.Add(1)
-	}
-	return true
-}
-
-// wakeUpTo wakes at most min(n, waiting workers) idlers and returns the
-// number woken. One bounded wake pass per ready batch replaces a wake
-// attempt per task: a spinning worker that will drain the batch anyway is
-// never displaced by futile wakeups. The idlerCount bound is a snapshot —
-// a worker it misses is one that had not yet prewaited when we read it, and
-// such a worker's re-check is guaranteed to see the work published before
-// this call.
-func (e *Executor) wakeUpTo(n int) int {
-	if c := int(e.idlerCount.Load()); c < n {
-		n = c
-	}
-	woke := 0
-	for ; woke < n; woke++ {
-		ok, id := e.ec.NotifyOne()
-		if !ok {
-			break
-		}
-		e.unpark(id)
-	}
+// wake wakes up to n waiting workers through the eventcount and returns
+// the number woken: the one wake rule, run after every publication of n
+// tasks. One bounded wake per ready batch replaces a wake attempt per task,
+// and when nobody is waiting it costs one atomic load, with no lock and no
+// store — the fast path on a busy pool.
+func (e *Executor) wake(n int) int {
+	woke := e.ec.Notify(n, e.unpark)
 	if woke > 0 {
 		if m := e.metrics; m != nil {
 			m.wakes.Add(uint64(woke))
@@ -530,16 +486,10 @@ func (e *Executor) wakeUpTo(n int) int {
 	return woke
 }
 
-func (e *Executor) wakeAll() {
-	e.ec.NotifyAll(e.unpark)
-}
-
 // unpark releases the worker of a slot a notify popped off the eventcount's
-// stack; id < 0 (a banked signal) has nobody to release.
+// stack.
 func (e *Executor) unpark(id int) {
-	if id >= 0 {
-		e.workers[id].park <- struct{}{}
-	}
+	e.workers[id].park <- struct{}{}
 }
 
 // steal tries the last victim first, then sweeps the other workers and the
@@ -655,19 +605,16 @@ func (e *Executor) run(w *worker) {
 			// Lines 5-15: two-phase park on the eventcount. prewait
 			// announces intent, the anyWork re-check races any producer's
 			// publish-then-notify — the eventcount guarantees one side sees
-			// the other, so no lost wakeup without any lock. The idlerCount
-			// gauge is raised before prewait (see its field comment). The
-			// deque is scrubbed first: asleep, it must not be what keeps the
-			// graphs of finished work reachable.
+			// the other, so no lost wakeup without any lock. The deque is
+			// scrubbed first: asleep, it must not be what keeps the graphs of
+			// finished work reachable.
 			w.queue.Scrub()
-			e.idlerCount.Add(1)
 			e.ec.Prewait()
 			if m := w.metrics; m != nil {
 				m.prewaits.Add(1)
 			}
 			if e.anyWork() || e.stop.Load() {
 				e.ec.CancelWait()
-				e.idlerCount.Add(-1)
 				if m := w.metrics; m != nil {
 					m.waitCancels.Add(1)
 				}
@@ -680,7 +627,6 @@ func (e *Executor) run(w *worker) {
 			if e.ec.CommitWait(w.id) {
 				<-w.park
 			}
-			e.idlerCount.Add(-1)
 			w.traceEvent(EvUnpark, e.ec.epochOf(w.id))
 			continue
 		}
@@ -692,17 +638,8 @@ func (e *Executor) run(w *worker) {
 			r = w.cache
 			w.cache = nil
 		}
-
-		// Lines 26-28: probabilistic wakeup for load balancing; no draw
-		// when nobody is in the park protocol, for the wake would fail.
-		if e.wakeDen > 0 && e.idlerCount.Load() > 0 && w.rng.Intn(e.wakeDen) == 0 {
-			if e.wakeOne() {
-				if m := w.metrics; m != nil {
-					m.probWakes.Add(1)
-				}
-				w.traceEvent(EvWakeProb, 1)
-			}
-		}
+		// Lines 26-28, the probabilistic wakeup, are not run: every push
+		// wakes through wake (DESIGN.md, "Scheduler ablations").
 	}
 }
 

@@ -271,45 +271,46 @@ func TestIdleWakeupLatency(t *testing.T) {
 	}
 }
 
-// parkAll waits until all workers of e are parked on the idlers list.
+// parkAll waits until all workers of e are parked on the eventcount's
+// waiter stack.
 func parkAll(t *testing.T, e *Executor) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for int(e.idlerCount.Load()) != e.NumWorkers() {
+	for parkedCount(e.ec) != e.NumWorkers() {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d workers parked (timeout)", e.idlerCount.Load(), e.NumWorkers())
+			t.Fatalf("only %d/%d workers parked (timeout)", parkedCount(e.ec), e.NumWorkers())
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 }
 
-// wakeUpTo must wake exactly min(n, parked) workers — no over-waking.
+// wake must wake exactly min(n, parked) workers — no over-waking.
 func TestWakeUpToExact(t *testing.T) {
-	e := New(4, withWakeProbability(0), withSpin(0))
+	e := New(4, withSpin(0))
 	defer e.Shutdown()
 	parkAll(t, e)
 
 	// More parked workers than the request: wake exactly n.
-	if woke := e.wakeUpTo(2); woke != 2 {
-		t.Fatalf("wakeUpTo(2) woke %d with 4 parked, want 2", woke)
+	if woke := e.wake(2); woke != 2 {
+		t.Fatalf("wake(2) woke %d with 4 parked, want 2", woke)
 	}
 	// Fewer parked workers than the request: wake only what exists. The
 	// two woken workers find no work and re-park eventually, so bound the
 	// remaining count instead of racing them.
-	if woke := e.wakeUpTo(100); woke > 4 {
-		t.Fatalf("wakeUpTo(100) woke %d, want <= 4", woke)
+	if woke := e.wake(100); woke > 4 {
+		t.Fatalf("wake(100) woke %d, want <= 4", woke)
 	}
-	if woke := e.wakeUpTo(0); woke != 0 {
-		t.Fatalf("wakeUpTo(0) woke %d, want 0", woke)
+	if woke := e.wake(0); woke != 0 {
+		t.Fatalf("wake(0) woke %d, want 0", woke)
 	}
 }
 
 // SubmitBatch must not attempt more wakes than there are parked workers:
-// with zero idlers the batch publication is the only cost.
+// with nobody waiting the batch publication is the only cost.
 func TestSubmitBatchNoIdlersNoWake(t *testing.T) {
-	e := New(2, withWakeProbability(0))
+	e := New(2)
 	defer e.Shutdown()
-	// Occupy both workers so the idlers list is empty.
+	// Occupy both workers so nobody waits on the eventcount.
 	release := make(chan struct{})
 	started := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
@@ -320,8 +321,8 @@ func TestSubmitBatchNoIdlersNoWake(t *testing.T) {
 	}
 	<-started
 	<-started
-	if got := e.wakeUpTo(100); got != 0 {
-		t.Fatalf("wakeUpTo with no idlers woke %d, want 0", got)
+	if got := e.wake(100); got != 0 {
+		t.Fatalf("wake with nobody waiting woke %d, want 0", got)
 	}
 	var n atomic.Int64
 	batch := make([]*Runnable, 50)
@@ -395,7 +396,7 @@ func TestInjectionShrinksAfterBurst(t *testing.T) {
 // Steady-state execution of pre-built tasks must not allocate: an intrusive
 // task resubmitting itself through the local deque, measured end to end.
 func TestIntrusiveResubmitZeroAlloc(t *testing.T) {
-	e := New(1, withWakeProbability(0))
+	e := New(1)
 	defer e.Shutdown()
 	done := make(chan struct{})
 	var rounds int

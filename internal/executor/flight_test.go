@@ -11,7 +11,7 @@ import (
 func waitParked(t *testing.T, e *Executor) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for int(e.idlerCount.Load()) != len(e.workers) {
+	for parkedCount(e.ec) != len(e.workers) {
 		if time.Now().After(deadline) {
 			t.Fatal("workers never parked")
 		}

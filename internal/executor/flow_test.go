@@ -286,7 +286,7 @@ func TestFlowTraceIDsDistinct(t *testing.T) {
 		if ev.Kind != EvInjectPush {
 			continue
 		}
-		if id, count := InjectArgShard(ev.Arg), InjectArgCount(ev.Arg); id != flowTraceBase+200 || count != 3 {
+		if id, count := InjectArgQueue(ev.Arg), InjectArgCount(ev.Arg); id != flowTraceBase+200 || count != 3 {
 			t.Fatalf("push on flow 200 decodes to id %#x count %d, want %#x and 3", id, count, flowTraceBase+200)
 		}
 		return

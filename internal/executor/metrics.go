@@ -2,7 +2,7 @@ package executor
 
 // Scheduler observability: lock-free per-worker counters over the events of
 // Algorithm 1 that are otherwise invisible — pushes, pops, steals, task-cache
-// hits, parks, precise vs. probabilistic wakeups, injection-queue traffic.
+// hits, parks, wakeups, injection-queue traffic.
 //
 // The design rules:
 //
@@ -74,9 +74,6 @@ type workerMetrics struct {
 	// parks counts committed waits on the eventcount (the worker pushed
 	// itself onto the waiter stack; the complement of waitCancels).
 	parks atomic.Uint64
-	// probWakes counts successful probabilistic load-balancing wakeups this
-	// worker issued (lines 26-28).
-	probWakes atomic.Uint64
 	// executed counts tasks this worker invoked.
 	executed atomic.Uint64
 	// flowDrains counts drain operations on multi-tenant flow queues
@@ -109,8 +106,7 @@ type metricsState struct {
 	deques  []paddedDequeCounters
 	workers []paddedWorkerMetrics
 
-	// wakes counts every successful wakeup (precise and probabilistic).
-	// Precise wakeups are derived: wakes − Σ probWakes.
+	// wakes counts every successful wakeup.
 	wakes atomic.Uint64
 }
 
@@ -158,7 +154,7 @@ type WorkerStats struct {
 	Prewaits              uint64 // entries into the eventcount wait protocol
 	WaitCancels           uint64 // prewaits retracted because the re-check found work
 	Parks                 uint64 // committed waits on the eventcount
-	ProbabilisticWakes    uint64 // successful 1/wakeDen load-balancing wakeups issued
+	ProbabilisticWakes    uint64 // always 0: the probabilistic wakeup is not run (Snapshot)
 	Executed              uint64 // tasks invoked
 }
 
@@ -183,8 +179,10 @@ type Snapshot struct {
 	Injection QueueStats
 
 	// PreciseWakes counts wakeups issued because new work arrived
-	// (Algorithm 1's targeted notify); ProbabilisticWakes counts the
-	// 1/wakeDen load-balancing wakeups (lines 26-28).
+	// (Algorithm 1's targeted notify), the pool's one wake rule.
+	// ProbabilisticWakes is always 0: the 1/16 load-balancing wakeup of
+	// lines 26-28 is not run. It stays, beside WorkerStats' field of the
+	// same name, for readers written against both rules.
 	PreciseWakes       uint64
 	ProbabilisticWakes uint64
 
@@ -221,7 +219,6 @@ func (s *Snapshot) Total() WorkerStats {
 		t.Prewaits += w.Prewaits
 		t.WaitCancels += w.WaitCancels
 		t.Parks += w.Parks
-		t.ProbabilisticWakes += w.ProbabilisticWakes
 		t.Executed += w.Executed
 	}
 	return t
@@ -319,7 +316,6 @@ func (e *Executor) MetricsSnapshot() (Snapshot, bool) {
 		return Snapshot{}, false
 	}
 	s := Snapshot{Workers: make([]WorkerStats, len(e.workers))}
-	var probTotal uint64
 	for i, w := range e.workers {
 		d := &m.deques[i].Counters
 		wm := &m.workers[i].workerMetrics
@@ -346,16 +342,10 @@ func (e *Executor) MetricsSnapshot() (Snapshot, bool) {
 		ws.WaitCancels = wm.waitCancels.Load()
 		ws.Parks = wm.parks.Load()
 		ws.Prewaits = wm.prewaits.Load()
-		ws.ProbabilisticWakes = wm.probWakes.Load()
 		ws.Executed = wm.executed.Load()
-		probTotal += ws.ProbabilisticWakes
 	}
 	s.Injection = e.inj.Stats()
 	s.Flows = e.FlowStats()
-	wakes := m.wakes.Load()
-	s.ProbabilisticWakes = probTotal
-	if wakes >= probTotal {
-		s.PreciseWakes = wakes - probTotal
-	}
+	s.PreciseWakes = m.wakes.Load()
 	return s, true
 }

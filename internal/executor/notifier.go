@@ -15,15 +15,15 @@ package executor
 //	          else if CommitWait(id):
 //	              park              // until a notify returns id
 //	producer: publish work          // queue push
-//	          NotifyOne()           // AFTER the work is visible; unpark
-//	                                // the slot it returns
+//	          Notify(n, unpark)     // AFTER the work is visible; it
+//	                                // unparks each slot it pops
 //
 // Both the waiter's Prewait and the producer's notify are sequentially
 // consistent atomics on one state word, so at least one side observes the
 // other: either the waiter's re-check sees the producer's work, or the
 // producer's notify sees the waiter's announcement and leaves it a signal
 // (consumed by CommitWait, which then says not to park) or pops it off the
-// waiter stack and returns its slot for the caller to unpark. There is no
+// waiter stack and hands its slot to the caller's unpark. There is no
 // interleaving in which the work is published, the notify is a no-op, and
 // the waiter still parks.
 //
@@ -50,9 +50,9 @@ package executor
 // cycles and find the counts otherwise identical, the same odds the Eigen
 // implementation accepts.
 //
-// A slot on the stack is popped by exactly one notify, which returns it
-// exactly once, so a caller that unparks each returned slot with one send
-// on a buffered(1) channel never blocks and leaves no stale tokens.
+// A slot on the stack is popped by exactly one notify, which hands it to
+// unpark exactly once, so an unpark that is one send on the slot's
+// buffered(1) channel never blocks and leaves no stale tokens.
 
 import (
 	"sync/atomic"
@@ -184,38 +184,41 @@ func (ec *Eventcount) CancelWait() {
 	}
 }
 
-// NotifyOne wakes one waiter: it banks a signal for a thread still between
-// Prewait and CommitWait (unpark is -1), or pops the top of the waiter
-// stack and returns its slot, which the caller must unpark. It reports
-// woke false — after a single atomic load, with no stores — when nobody is
-// waiting, which is the producers' fast path on a busy pool.
-func (ec *Eventcount) NotifyOne() (woke bool, unpark int) {
+// Notify wakes up to n waiters and returns how many it woke. Each wake
+// first banks a signal for a thread still between Prewait and CommitWait
+// (its CommitWait will consume it: no unpark), and once every prewaiter
+// holds one pops the top of the waiter stack and calls unpark with its
+// slot. It stops early — after a single atomic load, with no stores — when
+// nobody is left to wake, which is the producers' fast path on a busy pool.
+func (ec *Eventcount) Notify(n int, unpark func(id int)) int {
+	woke := 0
 	state := ec.state.Load()
-	for {
+	for woke < n {
 		waiters := (state & notifWaiterMask) >> notifWaiterShift
 		signals := (state & notifSignalMask) >> notifSignalShift
 		stackTop := state & notifStackMask
 		if stackTop == notifStackMask && waiters == signals {
-			return false, -1 // fast path: nobody to wake
+			break // nobody (left) to wake
 		}
+		banked := signals < waiters
 		var newState uint64
-		if signals < waiters {
-			// A thread is between prewait and commit: bank a signal its
-			// CommitWait will consume. No unpark needed.
+		if banked {
 			newState = state + notifSignalInc
 		} else {
-			// Pop the top parked waiter.
 			w := &ec.waiters[stackTop].notifyWaiter
 			newState = state&^(notifStackMask|notifEpochMask) | w.next.Load()
 		}
-		if ec.state.CompareAndSwap(state, newState) {
-			if signals < waiters {
-				return true, -1
-			}
-			return true, int(stackTop)
+		if !ec.state.CompareAndSwap(state, newState) {
+			state = ec.state.Load()
+			continue
 		}
-		state = ec.state.Load()
+		woke++
+		if !banked {
+			unpark(int(stackTop))
+		}
+		state = newState
 	}
+	return woke
 }
 
 // NotifyAll wakes every current waiter: one signal is banked per

@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,13 +41,10 @@ func (p *parker) commit(id int) {
 
 func (p *parker) unpark(id int) { p.ch[id] <- struct{}{} }
 
-func (p *parker) notifyOne() bool {
-	woke, id := p.ec.NotifyOne()
-	if id >= 0 {
-		p.unpark(id)
-	}
-	return woke
-}
+// unparked records the slots a notify hands to unpark, in order.
+type unparked []int
+
+func (u *unparked) unpark(id int) { *u = append(*u, id) }
 
 // A notify racing into the prewait/commit window must bank a signal that
 // CommitWait consumes without parking — the interleaving a naive
@@ -54,8 +52,9 @@ func (p *parker) notifyOne() bool {
 func TestNotifierSignalBanking(t *testing.T) {
 	ec := NewEventcount(2)
 	ec.Prewait()
-	if woke, id := ec.NotifyOne(); !woke || id != -1 {
-		t.Fatalf("NotifyOne after prewait = (%v, %d), want a banked signal (true, -1)", woke, id)
+	var got unparked
+	if woke := ec.Notify(1, got.unpark); woke != 1 || len(got) != 0 {
+		t.Fatalf("Notify(1) after prewait woke %d and unparked %v, want a banked signal (1, none)", woke, got)
 	}
 	if _, _, signals := notifState(ec); signals != 1 {
 		t.Fatalf("signals = %d after notify into prewait window, want 1", signals)
@@ -67,6 +66,40 @@ func TestNotifierSignalBanking(t *testing.T) {
 		t.Fatalf("state not quiescent after banked-signal commit: stack=%#x waiters=%d signals=%d",
 			stack, waiters, signals)
 	}
+
+	// With j prewaiting and k committed, Notify(n) wakes min(n, j+k): the j
+	// signals are banked before any slot is popped, and unpark is called
+	// once per popped slot, top of the stack first.
+	for j := 0; j <= 2; j++ {
+		for k := 0; k <= 2; k++ {
+			for n := 0; n <= j+k+1; n++ {
+				ec := NewEventcount(j + k)
+				for id := 0; id < k; id++ {
+					ec.Prewait()
+					ec.CommitWait(id)
+				}
+				for i := 0; i < j; i++ {
+					ec.Prewait()
+				}
+				var got unparked
+				woke := ec.Notify(n, got.unpark)
+				want := min(n, j+k)
+				banked := min(n, j)
+				if woke != want || len(got) != want-banked {
+					t.Fatalf("j=%d k=%d: Notify(%d) woke %d and unparked %v, want %d woken, %d unparked",
+						j, k, n, woke, got, want, want-banked)
+				}
+				for i, id := range got {
+					if id != k-1-i {
+						t.Fatalf("j=%d k=%d: Notify(%d) unparked %v, want the stack top first", j, k, n, got)
+					}
+				}
+				if _, _, signals := notifState(ec); signals != uint64(banked) {
+					t.Fatalf("j=%d k=%d: Notify(%d) banked %d signals, want %d", j, k, n, signals, banked)
+				}
+			}
+		}
+	}
 }
 
 // CancelWait must consume the signal addressed to it (when every prewaiter
@@ -74,14 +107,15 @@ func TestNotifierSignalBanking(t *testing.T) {
 func TestNotifierCancelConsumesSignal(t *testing.T) {
 	ec := NewEventcount(2)
 	ec.Prewait()
-	ec.NotifyOne() // banks one signal for the one prewaiter
+	noUnpark := func(int) { t.Fatal("unpark called with no slot on the stack") }
+	ec.Notify(1, noUnpark) // banks one signal for the one prewaiter
 	ec.CancelWait()
 	if stack, waiters, signals := notifState(ec); stack != notifStackMask || waiters != 0 || signals != 0 {
 		t.Fatalf("state not quiescent after cancel: stack=%#x waiters=%d signals=%d",
 			stack, waiters, signals)
 	}
-	if woke, _ := ec.NotifyOne(); woke {
-		t.Fatal("NotifyOne woke someone on an idle eventcount")
+	if woke := ec.Notify(1, noUnpark); woke != 0 {
+		t.Fatal("Notify woke someone on an idle eventcount")
 	}
 }
 
@@ -90,20 +124,25 @@ func TestNotifierCancelConsumesSignal(t *testing.T) {
 func TestNotifierNotifyIdleFastPath(t *testing.T) {
 	ec := NewEventcount(4)
 	before := ec.state.Load()
-	woke, _ := ec.NotifyOne()
-	if woke || ec.NotifyAll(func(int) { t.Fatal("NotifyAll unparked a slot of an idle eventcount") }) {
-		t.Fatal("notify reported a wake on an idle eventcount")
+	noUnpark := func(int) { t.Fatal("notify unparked a slot of an idle eventcount") }
+	for _, n := range []int{1, 4, 100} {
+		if woke := ec.Notify(n, noUnpark); woke != 0 {
+			t.Fatalf("Notify(%d) woke %d on an idle eventcount, want 0", n, woke)
+		}
+	}
+	if ec.NotifyAll(noUnpark) {
+		t.Fatal("NotifyAll reported a wake on an idle eventcount")
 	}
 	if after := ec.state.Load(); after != before {
 		t.Fatalf("idle notify mutated state: %#x -> %#x", before, after)
 	}
 }
 
-// Committed waiters come off the stack last in, first out, each returned
-// exactly once, with the slot's epoch bumped once per park.
+// Committed waiters come off the stack last in, first out, each handed to
+// unpark exactly once, with the slot's epoch bumped once per park.
 func TestNotifierStackPopsCommittedSlots(t *testing.T) {
-	ec := NewEventcount(3)
-	for id := 0; id < 3; id++ {
+	ec := NewEventcount(4)
+	for id := 0; id < 4; id++ {
 		ec.Prewait()
 		if !ec.CommitWait(id) {
 			t.Fatalf("slot %d: CommitWait said do not park with no signal banked", id)
@@ -112,22 +151,30 @@ func TestNotifierStackPopsCommittedSlots(t *testing.T) {
 			t.Fatalf("slot %d: epoch %d after one park, want 1", id, got)
 		}
 	}
-	for want := 2; want >= 0; want-- {
-		if woke, id := ec.NotifyOne(); !woke || id != want {
-			t.Fatalf("NotifyOne = (%v, %d), want (true, %d)", woke, id, want)
-		}
+	var got unparked
+	if woke := ec.Notify(1, got.unpark); woke != 1 || fmt.Sprint(got) != "[3]" {
+		t.Fatalf("Notify(1) woke %d and unparked %v, want 1 and [3]", woke, got)
 	}
-	if woke, id := ec.NotifyOne(); woke || id != -1 {
-		t.Fatalf("NotifyOne on an emptied stack = (%v, %d), want (false, -1)", woke, id)
+	if woke := ec.Notify(2, got.unpark); woke != 2 || fmt.Sprint(got) != "[3 2 1]" {
+		t.Fatalf("Notify(2) woke %d, unparked so far %v, want 2 and [3 2 1]", woke, got)
+	}
+	// More than is parked: only what exists comes off.
+	if woke := ec.Notify(5, got.unpark); woke != 1 || fmt.Sprint(got) != "[3 2 1 0]" {
+		t.Fatalf("Notify(5) woke %d, unparked so far %v, want 1 and [3 2 1 0]", woke, got)
+	}
+	if woke := ec.Notify(1, got.unpark); woke != 0 || len(got) != 4 {
+		t.Fatalf("Notify on an emptied stack woke %d, unparked so far %v, want 0 and no more", woke, got)
 	}
 }
 
-// parkedCount walks the intrusive stack. Safe only while every pusher is
-// parked (the stack is then stable).
+// parkedCount walks the intrusive stack: the number of committed waiters,
+// which tests poll to wait for a pool to park. Exact while every pusher is
+// parked (the stack is then stable); a walk that races a push or pop may
+// miscount, and is cut at the slot count so it always ends.
 func parkedCount(ec *Eventcount) int {
 	n := 0
 	top := ec.state.Load() & notifStackMask
-	for top != notifStackMask {
+	for top != notifStackMask && n < len(ec.waiters) {
 		n++
 		top = ec.waiters[top].next.Load() & notifStackMask
 	}
@@ -215,8 +262,8 @@ func TestNotifierLitmusNoLostWakeup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				work.Add(1)   // publish...
-				p.notifyOne() // ...then notify
+				work.Add(1)              // publish...
+				p.ec.Notify(1, p.unpark) // ...then notify
 				if i%64 == 0 {
 					runtime.Gosched() // shuffle interleavings on few cores
 				}
@@ -300,7 +347,7 @@ func TestInjectionExactlyOnce(t *testing.T) {
 // A full park/unpark cycle through the armed eventcount must not allocate:
 // external submit -> wake -> run -> re-park, measured end to end.
 func TestParkUnparkCycleZeroAlloc(t *testing.T) {
-	e := New(1, withSpin(0), withWakeProbability(0))
+	e := New(1, withSpin(0))
 	defer e.Shutdown()
 	done := make(chan struct{})
 	task := NewTask(func(Context) { done <- struct{}{} })
@@ -309,7 +356,7 @@ func TestParkUnparkCycleZeroAlloc(t *testing.T) {
 		<-done
 		// Wait until the worker is back inside the park protocol so every
 		// measured iteration includes a real unpark.
-		for e.idlerCount.Load() != 1 {
+		for parkedCount(e.ec) != 1 {
 			runtime.Gosched()
 		}
 	}
@@ -322,7 +369,7 @@ func TestParkUnparkCycleZeroAlloc(t *testing.T) {
 // Submitting prebuilt tasks through the injection queue of a wide pool must
 // not allocate in steady state, wakes included.
 func TestInjectionSubmitZeroAlloc(t *testing.T) {
-	e := New(16, withSpin(0), withWakeProbability(0))
+	e := New(16, withSpin(0))
 	defer e.Shutdown()
 	const fan = 8
 	var remaining atomic.Int64

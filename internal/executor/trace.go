@@ -71,10 +71,8 @@ const (
 	EvPark
 	EvUnpark
 	// EvWakePrecise records wakeups issued because new work arrived
-	// (Arg = workers woken); EvWakeProb records the 1/wakeDen
-	// load-balancing wake (Algorithm 1 lines 26-28).
+	// (Arg = workers woken).
 	EvWakePrecise
-	EvWakeProb
 	// EvQueueGrow records a deque ring reallocation (Arg = new capacity).
 	EvQueueGrow
 	// EvDepRelease records the dependency edge that made a task ready:
@@ -114,7 +112,6 @@ var eventKindNames = [numEventKinds]string{
 	EvPark:         "park",
 	EvUnpark:       "unpark",
 	EvWakePrecise:  "wake_precise",
-	EvWakeProb:     "wake_prob",
 	EvQueueGrow:    "queue_grow",
 	EvDepRelease:   "dep_release",
 	EvRetryArm:     "retry_arm",
@@ -135,25 +132,25 @@ func (k EventKind) String() string {
 	return "unknown"
 }
 
-// injectArgShardShift packs a queue's trace id (Queue.TraceID) into the top
+// injectArgQueueShift packs a queue's trace id (Queue.TraceID) into the top
 // 24 bits of an EvInjectPush/EvInjectDrain arg; the low 40 bits carry the
 // task count.
-const injectArgShardShift = 40
+const injectArgQueueShift = 40
 
 // injectArg packs a queue's trace id and a task count into one trace event
 // arg (id on top, count below). The exporters decode it with
-// InjectArgShard/InjectArgCount so Perfetto shows which queue a push landed
+// InjectArgQueue/InjectArgCount so Perfetto shows which queue a push landed
 // on and which queue a drain emptied.
 func injectArg(id int, count uint64) uint64 {
-	return uint64(id)<<injectArgShardShift | count&(uint64(1)<<injectArgShardShift-1)
+	return uint64(id)<<injectArgQueueShift | count&(uint64(1)<<injectArgQueueShift-1)
 }
 
-// InjectArgShard extracts the queue's trace id from a packed injection arg:
+// InjectArgQueue extracts the queue's trace id from a packed injection arg:
 // 0 for the injection queue, 0x80 and up for flows.
-func InjectArgShard(arg uint64) int { return int(arg >> injectArgShardShift) }
+func InjectArgQueue(arg uint64) int { return int(arg >> injectArgQueueShift) }
 
 // InjectArgCount extracts the task count from a packed injection arg.
-func InjectArgCount(arg uint64) uint64 { return arg & (uint64(1)<<injectArgShardShift - 1) }
+func InjectArgCount(arg uint64) uint64 { return arg & (uint64(1)<<injectArgQueueShift - 1) }
 
 // TaskMeta identifies a task in trace events. Producing a TaskMeta copies
 // two string headers and three integers — no allocation — so carrying

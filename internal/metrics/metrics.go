@@ -117,8 +117,6 @@ var exported = []series{
 		nil, nil, func(s *executor.Snapshot) float64 { return float64(s.Injection.Depth) }},
 	{"gotaskflow_wakes_precise_total", "Wakeups issued because new work arrived", "counter",
 		nil, nil, func(s *executor.Snapshot) float64 { return float64(s.PreciseWakes) }},
-	{"gotaskflow_wakes_probabilistic_total", "1/wakeDen load-balancing wakeups", "counter",
-		nil, nil, func(s *executor.Snapshot) float64 { return float64(s.ProbabilisticWakes) }},
 }
 
 // WritePrometheus writes the source's current counters in the Prometheus
@@ -239,13 +237,13 @@ func WriteRunSummary(w io.Writer, rs core.RunStats, snap executor.Snapshot) erro
 	t := snap.Total()
 	_, err := fmt.Fprintf(w,
 		"run:   tasks=%d span=%d parallelism=%.2f wall=%v busy=%v achieved=%.2f retries=%d skipped=%d\n"+
-			"sched: executed=%d pops=%d stolen=%d-tasks/%d-steals/%d-batches/%d-attempts drained=%d-tasks/%d-drains cache-hits=%d parks=%d/%d-prewaits/%d-cancels wakes=%d-precise/%d-prob max-depth=%d\n",
+			"sched: executed=%d pops=%d stolen=%d-tasks/%d-steals/%d-batches/%d-attempts drained=%d-tasks/%d-drains cache-hits=%d parks=%d/%d-prewaits/%d-cancels wakes=%d max-depth=%d\n",
 		rs.Tasks, rs.Span, rs.Parallelism, rs.Wall, rs.Busy, rs.AchievedParallelism,
 		rs.Retries, rs.Skipped,
 		t.Executed, t.Pops, t.StolenTasks, t.Steals, t.StealBatches, t.StealAttempts,
 		t.InjectionDrainedTasks, t.InjectionDrains,
 		t.CacheHits, t.Parks, t.Prewaits, t.WaitCancels,
-		snap.PreciseWakes, snap.ProbabilisticWakes,
+		snap.PreciseWakes,
 		t.MaxQueueDepth)
 	if err != nil || len(rs.HotTasks) == 0 {
 		return err

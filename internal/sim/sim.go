@@ -25,7 +25,10 @@
 // registration, admission, the per-class weighted wheel and its cursor
 // walk), the steal quota (wsq.StealQuota), the class order of a steal sweep
 // (executor.DequeRank), the park/wake protocol (executor.Eventcount — its
-// banked signals, waiter stack and notify choices), the stall detector
+// banked signals, waiter stack and notify choices), the one wake rule (every
+// publication of n tasks wakes up to n waiters through Eventcount.Notify,
+// the call the pool's wake makes; the paper's probabilistic wakeup runs in
+// neither), the stall detector
 // (executor.StallDetector) and the queue and flow conservation laws
 // (executor.CheckQueueLaws, executor.CheckFlowLaws).
 //
@@ -377,7 +380,7 @@ func (h *queueHost) Published(q *executor.Queue, n int) {
 	s := (*SimExecutor)(h)
 	s.st.Enqueued += uint64(n)
 	s.mix(1<<62 | uint64(q.TraceID())<<16 | uint64(n))
-	s.wakeUpTo(n)
+	s.wake(n)
 	s.drive()
 }
 
@@ -556,8 +559,12 @@ func (s *SimExecutor) fail(what, detail string) {
 // and made active, and every worker between prewait and commit is left a
 // signal.
 func (s *SimExecutor) unparkAll() {
-	s.ec.NotifyAll(func(w int) { s.state[w] = wActive })
+	s.ec.NotifyAll(s.unpark)
 }
+
+// unpark makes active the worker whose slot a notify popped off the
+// eventcount's stack.
+func (s *SimExecutor) unpark(w int) { s.state[w] = wActive }
 
 // perform executes one chosen action.
 func (s *SimExecutor) perform(c action) {
@@ -673,20 +680,10 @@ func (s *SimExecutor) commit(w int) {
 	s.st.Parks++
 }
 
-// wakeUpTo is at most n NotifyOne calls, stopping at the first that finds
-// nobody waiting. Each banks a signal for a worker between prewait and
-// commit or makes active the worker whose slot the eventcount's stack pops.
-func (s *SimExecutor) wakeUpTo(n int) {
-	for ; n > 0; n-- {
-		woke, w := s.ec.NotifyOne()
-		if !woke {
-			return
-		}
-		if w >= 0 {
-			s.state[w] = wActive
-		}
-		s.st.Wakes++
-	}
+// wake is the pool's wake rule: up to n waiters, each banked a signal
+// between prewait and commit or popped off the stack and made active.
+func (s *SimExecutor) wake(n int) {
+	s.st.Wakes += uint64(s.ec.Notify(n, s.unpark))
 }
 
 // runTask executes one task inline on modeled worker w under panic
@@ -749,7 +746,7 @@ func (c simCtx) Submit(r *executor.Runnable) { c.SubmitBatch([]*executor.Runnabl
 
 // SubmitBatch pushes the batch onto one seed-chosen deque (one placement
 // choice per batch, like the real pool's one-publication batch push) and
-// wakes up to len(rs) idlers.
+// wakes up to len(rs) waiters.
 func (c simCtx) SubmitBatch(rs []*executor.Runnable) {
 	if len(rs) == 0 {
 		return
@@ -757,7 +754,7 @@ func (c simCtx) SubmitBatch(rs []*executor.Runnable) {
 	w := c.target()
 	c.s.deques[w] = append(c.s.deques[w], rs...)
 	c.s.st.Enqueued += uint64(len(rs))
-	c.s.wakeUpTo(len(rs))
+	c.s.wake(len(rs))
 }
 
 // SubmitCached places the task in this worker's cache slot (it runs next

@@ -51,8 +51,8 @@ func field[T any](i int, m map[string]any, key string) (T, error) {
 // eventcount epoch that pairs a park with the unpark that resolved it.
 var instantArgs = map[string]map[string]float64{
 	"steal_batch":  {"arg": 2},
-	"inject_push":  {"shard": 0, "arg": 1},
-	"inject_drain": {"shard": 0, "arg": 1},
+	"inject_push":  {"queue": 0, "arg": 1},
+	"inject_drain": {"queue": 0, "arg": 1},
 	"park":         {"epoch": 0},
 	"unpark":       {"epoch": 0},
 }

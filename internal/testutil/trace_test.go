@@ -39,8 +39,8 @@ func TestParseTraceMalformed(t *testing.T) {
 		{"process-scoped instant", string(doc(`{"name":"steal","ph":"i","cat":"sched","s":"p","ts":0,"pid":0,"tid":0}`)), "without thread scope"},
 		{"steal_batch without args", string(doc(sched(`"steal_batch"`, ""))), `field "args" is <nil>`},
 		{"steal_batch of one", string(doc(sched(`"steal_batch"`, `,"args":{"arg":1}`))), "steal_batch with args.arg = 1, want a number >= 2"},
-		{"inject_push without shard", string(doc(sched(`"inject_push"`, `,"args":{"arg":1}`))), "inject_push with args.shard = <nil>"},
-		{"inject_drain of nothing", string(doc(sched(`"inject_drain"`, `,"args":{"arg":0,"shard":0}`))), "inject_drain with args.arg = 0, want a number >= 1"},
+		{"inject_push without queue", string(doc(sched(`"inject_push"`, `,"args":{"arg":1}`))), "inject_push with args.queue = <nil>"},
+		{"inject_drain of nothing", string(doc(sched(`"inject_drain"`, `,"args":{"arg":0,"queue":0}`))), "inject_drain with args.arg = 0, want a number >= 1"},
 		{"park with string epoch", string(doc(sched(`"park"`, `,"args":{"epoch":"3"}`))), "park with args.epoch = 3, want a number"},
 		{"unpark with args of the wrong type", string(doc(sched(`"unpark"`, `,"args":[1]`))), `field "args" is []interface {}`},
 	} {
@@ -84,8 +84,8 @@ func TestTraceDocCaptureAndFlight(t *testing.T) {
 		flight  string // "" = Flight passes
 	}{
 		{"one kind of instant", doc(span, arrow, instant("steal", "4")), "two kinds of instant", ""},
-		{"no arrows", doc(span, instant("steal", "4"), instant("wake_prob", "5")), "0 flow arrows", ""},
-		{"no spans", doc(instant("steal", "4"), instant("wake_prob", "5")), "0 task spans", ""},
+		{"no arrows", doc(span, instant("steal", "4"), instant("wake_precise", "5")), "0 flow arrows", ""},
+		{"no spans", doc(instant("steal", "4"), instant("wake_precise", "5")), "0 task spans", ""},
 		{"instants out of order", doc(span, arrow, instant("steal", "5"), instant("wake_precise", "4")), "", "out of timestamp order"},
 		{"no instants", doc(span, arrow), "two kinds of instant", "no scheduler instants"},
 		{"no metadata", meta(`{}`, instant("steal", "4")), "0 task spans", "lacks numeric droppedEvents and totalEvents"},

@@ -180,11 +180,11 @@ func WriteTrace(w io.Writer, tr executor.Trace) error {
 			switch ev.Kind {
 			case executor.EvInjectPush, executor.EvInjectDrain:
 				// The packed arg carries the queue's trace id and the count
-				// (see executor.InjectArgShard); decode so Perfetto shows
+				// (see executor.InjectArgQueue); decode so Perfetto shows
 				// which queue a push landed on and which queue a drain
 				// emptied: 0 for injection, 0x80 and up for flows.
 				args["arg"] = executor.InjectArgCount(ev.Arg)
-				args["shard"] = executor.InjectArgShard(ev.Arg)
+				args["queue"] = executor.InjectArgQueue(ev.Arg)
 			case executor.EvPark, executor.EvUnpark:
 				// The arg is the worker's eventcount park-cycle epoch:
 				// matching epochs pair a park with the unpark that resolved
