@@ -42,11 +42,12 @@ func (b *builder) Composed(child *Taskflow) Task {
 }
 
 // compose spawns g, the present graph of n's Composed child, as n's joined
-// children, and reports whether it did; false means n completes now. g is
+// children, and reports whether it did, returning the child this worker
+// continues with (spawn); false means n completes now. g is
 // claimed until they drain (settle), so a composition already in flight
 // fails the task instead of re-arming join counters in use. A refused
 // graph is not recorded as n's spawn: the DOT dump and hotTasks walk it.
-func (t *topology) compose(ctx executor.Context, n *node, g *graph) bool {
+func (t *topology) compose(ctx executor.Context, n *node, g *graph) (*node, bool) {
 	ext := n.extra()
 	ext.subgraph = nil
 	switch {
@@ -57,12 +58,12 @@ func (t *topology) compose(ctx executor.Context, n *node, g *graph) bool {
 		t.addErr(fmt.Errorf("core: task %q: %w", n.name, ErrComposedInUse))
 	default:
 		ext.subgraph = g
-		if t.spawn(ctx, n, g, true) {
-			return true
+		if next, ok := t.spawn(ctx, n, g, true); ok {
+			return next, true
 		}
 		g.composing.Store(false) // no source: nothing runs it
 	}
-	return false
+	return nil, false
 }
 
 // Module is what a module task runs: work that goes on as executions of its
@@ -98,11 +99,16 @@ func (j Join) Add(k int) { j.n.children.Add(int32(k)) }
 
 // Done retires one execution. The worker settles its records first, for a
 // waiter may be released by the last Done, which completes the task and
-// hands its successors to this worker.
+// hands its successors to this worker. The one a completion keeps back is
+// queued, not continued: Done returns into the module's frame — Start's,
+// when the module retires within it — and a condition loop over the task
+// would otherwise nest a frame per iteration.
 func (j Join) Done(ctx executor.Context) {
 	ctx.Settle()
 	if j.n.children.Add(-1) == 0 {
-		j.n.topo.finishNode(ctx, j.n)
+		if next := j.n.topo.finishNode(ctx, j.n); next != nil {
+			ctx.Submit(next.ref())
+		}
 	}
 }
 

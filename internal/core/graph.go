@@ -189,9 +189,17 @@ func (n *node) isCondition() bool {
 }
 
 // Run implements executor.Runnable: one execution of the node under its
-// current topology. The executor invokes it through the node's intrusive
-// rbox slot.
-func (n *node) Run(ctx executor.Context) { n.topo.runNode(ctx, n) }
+// current topology, and then, for as long as the worker takes them as
+// continuations, the execution each one hands on — Algorithm 1's task
+// cache as a loop in this frame. The executor invokes it through the
+// node's intrusive rbox slot.
+func (n *node) Run(ctx executor.Context) {
+	for n != nil {
+		if n = n.topo.runNode(ctx, n); n != nil && !ctx.Continue(n.ref()) {
+			return
+		}
+	}
+}
 
 // ref returns the node's submit-ready task reference.
 func (n *node) ref() *executor.Runnable { return &n.rbox }

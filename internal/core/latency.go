@@ -17,8 +17,8 @@ package core
 // are the executing worker's two stamps (Context.StartStamp / EndStamp) —
 // the readings its trace events carry, so core reads no clock on a worker
 // and a successor released by this task is ready at this task's end
-// stamp. The successor the worker takes along in its cache slot also
-// starts at that stamp: its queue wait is zero by construction, and the
+// stamp. The successor the worker continues with (node.Run) also starts
+// at that stamp: its queue wait is zero by construction, and the
 // bookkeeping between the two bodies is part of its execution time. One
 // bodyEnd call per execution feeds RunStats timing and, per resolved
 // execution, the three histogram series — into words the worker owns,

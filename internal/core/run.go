@@ -88,7 +88,7 @@ func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 		reusable: reusable,
 		builtLen: g.len(),
 		flowName: tf.name,
-		ready:    make([][releaseChunk]*executor.Runnable, tf.exec.NumWorkers()),
+		ready:    make([]releaseScratch, tf.exec.NumWorkers()),
 	}
 	if reusable {
 		t.done = make(chan struct{}, 1)

@@ -66,10 +66,14 @@ type topology struct {
 	// unbound topologies — the pre-multi-tenancy behavior).
 	flow executor.Flow
 
-	// ready is one buffer per worker for the batch publish hands over. It
-	// cannot live on the stack (an argument of an interface call escapes)
-	// and needs no lock: SubmitBatch copies it out before it returns.
-	ready [][releaseChunk]*executor.Runnable
+	// ready is one scratch per worker for what a completion releases
+	// beyond the node it continues with, and for the batch handOver builds
+	// of them. Neither lives on the stack — zeroed on every completion, and
+	// an argument of an interface call escapes — and neither needs a lock:
+	// a worker completes one execution of t at a time (a parent completed
+	// inside settle is one whose child released nothing), and SubmitBatch
+	// copies the batch out before it returns.
+	ready []releaseScratch
 
 	// 56 bytes either side keep pending's line clear at any 8-byte alignment.
 	_       [56]byte
@@ -134,6 +138,12 @@ type topology struct {
 // releaseChunk is the most released successors published at once; wider
 // fan-outs go out in chunks of this size.
 const releaseChunk = 16
+
+// releaseScratch is one worker's entry of topology.ready.
+type releaseScratch struct {
+	nodes [releaseChunk]*node
+	refs  [releaseChunk]*executor.Runnable
+}
 
 // finish signals quiescence: close for one-shot (dispatched) topologies,
 // a token for reusable (Run) topologies. The context watcher is stopped and
@@ -308,8 +318,9 @@ func (t *topology) cancelDerivedCtx() {
 // runNode executes one node: invoke its work, spawn its subflow or
 // composed graph if it is a dynamic task, signal the selected branch if it
 // is a condition task, then (unless deferred by joined children) complete
-// it.
-func (t *topology) runNode(ctx executor.Context, n *node) {
+// it. It returns the execution it released for this worker to continue
+// with (node.Run), nil for none.
+func (t *topology) runNode(ctx executor.Context, n *node) *node {
 	if t.cancelled.Load() {
 		// Cooperative cancellation: skip the body but keep draining the
 		// dependency structure so waiters unblock (including semaphore
@@ -325,11 +336,9 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		ctx.Trace(executor.EvSkip, n, 0)
 		t.releaseSems(ctx, n)
 		if n.isCondition() {
-			t.complete(ctx, n, nil)
-			return
+			return t.complete(ctx, n, released{})
 		}
-		t.finishNode(ctx, n)
-		return
+		return t.finishNode(ctx, n)
 	}
 	if st := t.stats; st != nil {
 		// Count every non-skipped execution — retry attempts and condition-
@@ -355,7 +364,7 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 			t.bodyEnd(ctx, n, start, true)
 			t.releaseSems(ctx, n)
 		} else if !t.runFallible(ctx, n, start) {
-			return // retry scheduled; the execution is still outstanding
+			return nil // retry scheduled; the execution is still outstanding
 		}
 	case func() int:
 		idx := -1
@@ -366,29 +375,29 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		// (including the -1 left by a panic) signals nothing, which is
 		// how a branch terminates.
 		if idx < 0 || idx >= int(n.succCount) {
-			t.complete(ctx, n, nil)
-			return
+			return t.complete(ctx, n, released{})
 		}
 		// A taken condition branch releases its target exactly like a
 		// final join-decrement releases a strong successor.
 		s := n.successor(idx)
 		t.arm(ctx, n, s)
-		t.complete(ctx, n, []*node{s})
-		return
+		return t.complete(ctx, n, released{first: s})
 	case func(*Subflow):
 		sf := &Subflow{builder: builder{&graph{}}, topo: t}
 		n.extra().subgraph = sf.g
 		t.invoke(n, func() { w(sf) })
 		t.bodyEnd(ctx, n, start, true)
 		t.releaseSems(ctx, n)
-		if sf.g.len() > 0 && t.spawn(ctx, n, sf.g, !sf.detached) {
-			return
+		if sf.g.len() > 0 {
+			if next, joined := t.spawn(ctx, n, sf.g, !sf.detached); joined {
+				return next
+			}
 		}
 	case *Taskflow:
 		t.bodyEnd(ctx, n, start, true)
 		t.releaseSems(ctx, n)
-		if t.compose(ctx, n, w.g) {
-			return
+		if next, joined := t.compose(ctx, n, w.g); joined {
+			return next
 		}
 	case Module:
 		// A module task completes when the last execution it counts
@@ -397,13 +406,13 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		t.releaseSems(ctx, n)
 		n.children.Store(1)
 		w.Start(ctx, Join{n})
-		return
+		return nil
 	default: // error-returning, context-aware, or a placeholder
 		if !t.runFallible(ctx, n, start) {
-			return // retry scheduled; the execution is still outstanding
+			return nil // retry scheduled; the execution is still outstanding
 		}
 	}
-	t.finishNode(ctx, n)
+	return t.finishNode(ctx, n)
 }
 
 // addsNodeStats reports whether an execution of n adds to n's per-run
@@ -483,9 +492,10 @@ func (t *topology) invoke(n *node, fn func()) {
 // completes only after every child execution (recursively) finishes — maybe
 // on another worker, before this one runs anything else of the topology;
 // detached, the children flow independently but hold the topology open
-// until they drain. It reports whether joined children started; false means
-// the caller completes n itself (detached, or g has no source).
-func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) bool {
+// until they drain. It reports whether joined children started, and then
+// returns one of them for this worker to continue with; false means the
+// caller completes n itself (detached, or g has no source).
+func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) (*node, bool) {
 	ctx.Trace(executor.EvSubflowSpawn, n, uint64(g.len()))
 	n.ext.detached = !joined
 	var parent *node
@@ -511,7 +521,7 @@ func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) b
 	}
 	if nsrc == 0 {
 		t.addErr(ErrNoSource)
-		return false
+		return nil, false
 	}
 	// Pre-count all sources before submitting any, so an early-finishing
 	// child cannot observe a transiently zero counter.
@@ -519,74 +529,117 @@ func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) b
 	if parent != nil {
 		parent.children.Store(int32(nsrc))
 	}
-	var buf [releaseChunk]*node
-	k := 0
+	// Detached, every source goes out (a next in hand keeps handOver from
+	// holding one back): the caller completes n, and this worker continues
+	// with what that releases.
+	next := n
+	if joined {
+		next = nil
+	}
+	srcs := t.ready[ctx.WorkerID()].nodes[:0]
 	for _, c := range g.nodes {
 		if !c.isSource() {
 			continue
 		}
-		if k == len(buf) {
-			t.publish(ctx, buf[:])
-			k = 0
+		if len(srcs) == releaseChunk {
+			next = t.handOver(ctx, next, srcs)
+			srcs = srcs[:0]
 		}
-		buf[k] = c
-		k++
+		srcs = append(srcs, c)
 	}
-	t.publish(ctx, buf[:k])
-	return joined
+	next = t.handOver(ctx, next, srcs)
+	if !joined {
+		return nil, false
+	}
+	return next, true
+}
+
+// released is what one completion made ready: the first, which the worker
+// may continue with, and the rest, gathered in the worker's scratch
+// (topology.ready) from the second on.
+type released struct {
+	first *node
+	rest  []*node
 }
 
 // finishNode completes an execution of n: take one dependency off each
-// strong successor, gather those that released, settle, hand them over.
-func (t *topology) finishNode(ctx executor.Context, n *node) {
-	var buf [releaseChunk]*node
-	k := 0
+// strong successor, settle, hand over those that released — all but one,
+// which it returns for this worker to continue with.
+func (t *topology) finishNode(ctx executor.Context, n *node) *node {
+	var rs released
 	for _, s := range n.inlineSuccs() {
-		k = t.notifySucc(ctx, n, s, &buf, k)
+		t.notifySucc(ctx, n, s, &rs)
 	}
 	for _, s := range n.succSpill {
-		k = t.notifySucc(ctx, n, s, &buf, k)
+		t.notifySucc(ctx, n, s, &rs)
 	}
-	t.complete(ctx, n, buf[:k])
+	return t.complete(ctx, n, rs)
 }
 
-// notifySucc decrements s's join counter on behalf of the finishing node
-// src and, when that was s's last dependency, adds s to the released set
-// buf[:k], returning the new k. A full buf goes out first, charged whole:
-// src keeps its own unit, for whether anything follows is not known yet.
-func (t *topology) notifySucc(ctx executor.Context, src, s *node, buf *[releaseChunk]*node, k int) int {
-	if s.join.Add(-1) != 0 {
-		return k
+// notifySucc takes one dependency off s on behalf of the finishing node
+// src and, when that was s's last, adds s to the released set rs. A
+// successor with one strong predecessor skips its join counter: src is the
+// last arriver by construction, and the counter stays armed. A full scratch
+// goes out first, charged whole: src keeps its own unit, for whether
+// anything follows is not known yet, and rs.first stays for the end.
+func (t *topology) notifySucc(ctx executor.Context, src, s *node, rs *released) {
+	if s.numDependents != 1 && s.join.Add(-1) != 0 {
+		return
 	}
 	t.arm(ctx, src, s)
-	if k == len(buf) {
-		t.settle(ctx, src, k)
-		t.publish(ctx, buf[:])
-		k = 0
+	switch {
+	case rs.first == nil:
+		rs.first = s
+		return
+	case rs.rest == nil:
+		rs.rest = t.ready[ctx.WorkerID()].nodes[:0]
+	case len(rs.rest) == releaseChunk:
+		t.settle(ctx, src, releaseChunk)
+		t.handOver(ctx, rs.first, rs.rest)
+		rs.rest = rs.rest[:0]
 	}
-	buf[k] = s
-	return k + 1
+	rs.rest = append(rs.rest, s)
 }
 
 // arm prepares the execution of s that src just released: the release is
 // traced along the edge that gated s this run (drawn as a flow arrow), the
-// join counter re-armed for a later iteration or run, the wait clock set.
+// join counter re-armed for a later iteration or run — one that a single
+// strong predecessor releases was never taken down — and the wait clock
+// set.
 func (t *topology) arm(ctx executor.Context, src, s *node) {
 	ctx.Trace(executor.EvDepRelease, src, s.traceID)
-	s.join.Store(s.numDependents)
+	if s.numDependents != 1 {
+		s.join.Store(s.numDependents)
+	}
 	if t.lat != nil {
 		s.readyAtNs = ctx.EndStamp()
 	}
 }
 
-// complete ends an execution of n that released the given executions: the
-// counts move by the net first, then the worker gets them (see topology).
-func (t *topology) complete(ctx executor.Context, n *node, released []*node) {
+// complete ends an execution of n that released rs: the counts move by the
+// net first, then the worker gets them (see topology), and the one it
+// continues with is returned.
+func (t *topology) complete(ctx executor.Context, n *node, rs released) *node {
 	if f := t.flow; f != nil {
 		f.NoteExecuted(1)
 	}
-	t.settle(ctx, n, len(released)-1)
-	t.publish(ctx, released)
+	// The net is the released count less the one n's unit passes to.
+	next, delta := rs.first, len(rs.rest)
+	if next == nil {
+		delta = -1
+	}
+	if delta != 0 {
+		if p := t.settle(ctx, n, delta); p != nil {
+			return p
+		}
+	}
+	if next != nil && !t.admitted(ctx, next) {
+		next = nil
+	}
+	if len(rs.rest) > 0 {
+		next = t.handOver(ctx, next, rs.rest)
+	}
+	return next
 }
 
 // settle moves the outstanding-execution counts — pending, and a joined
@@ -595,46 +648,51 @@ func (t *topology) complete(ctx executor.Context, n *node, released []*node) {
 // means n handed this worker nothing to go on with: the worker settles its
 // records first (Context.Settle), so that whoever the zero releases finds
 // those of every execution. An execution that did hand something over
-// leaves that to the execution it put in the worker's cache slot.
-func (t *topology) settle(ctx executor.Context, n *node, delta int) {
-	if delta == 0 {
-		return
-	}
+// leaves that to the execution it continues with. A parent completed here
+// hands its one next execution back, for n's worker to continue with.
+func (t *topology) settle(ctx executor.Context, n *node, delta int) *node {
 	if delta < 0 {
 		ctx.Settle()
 	}
+	var next *node
 	if p := n.parent; p != nil && p.children.Add(int32(delta)) == 0 {
 		ctx.Trace(executor.EvSubflowJoin, p, 0)
 		p.ext.subgraph.composing.Store(false) // a Composed task's claim (compose)
-		t.finishNode(ctx, p)
+		next = t.finishNode(ctx, p)
 	}
 	if t.pending.Add(int64(delta)) == 0 {
 		t.finish()
 	}
+	return next
 }
 
-// publish hands released, already settled executions to the worker: the
-// first to its speculative cache slot so linear chains run back-to-back
-// (Algorithm 1), the rest onto its deque as one batch with one computed
-// wake count. One that must wait for a semaphore is parked instead.
-func (t *topology) publish(ctx executor.Context, released []*node) {
+// admitted reports whether s, released and settled, may run now. One that
+// must wait for a semaphore is parked instead, for whichever worker frees
+// the semaphore to pick up: nothing says this one runs it, so the worker's
+// records go out first.
+func (t *topology) admitted(ctx executor.Context, s *node) bool {
+	return !s.hasAcquires() || t.settleAndAdmit(ctx, s)
+}
+
+// settleAndAdmit is admitted's path for a node with semaphores to take.
+func (t *topology) settleAndAdmit(ctx executor.Context, s *node) bool {
+	ctx.Settle()
+	return t.admit(ctx, s)
+}
+
+// handOver publishes released, already settled executions onto the
+// worker's deque as one batch with one computed wake count — but for one,
+// which it returns for the worker to continue with when next is nil.
+// Semaphores park the executions that must wait for them.
+func (t *topology) handOver(ctx executor.Context, next *node, rest []*node) *node {
 	var batch []*executor.Runnable
-	cached := false
-	for _, s := range released {
-		if s.hasAcquires() {
-			// s may park here, for whichever worker frees the semaphore to
-			// pick up: nothing says this one runs it.
-			ctx.Settle()
-			if !t.admit(ctx, s) {
-				continue
-			}
-		}
+	for _, s := range rest {
 		switch {
-		case !cached:
-			ctx.SubmitCached(s.ref())
-			cached = true
+		case !t.admitted(ctx, s):
+		case next == nil:
+			next = s
 		case batch == nil:
-			batch = append(t.ready[ctx.WorkerID()][:0], s.ref())
+			batch = append(t.ready[ctx.WorkerID()].refs[:0], s.ref())
 		default:
 			batch = append(batch, s.ref())
 		}
@@ -642,4 +700,5 @@ func (t *topology) publish(ctx executor.Context, released []*node) {
 	if len(batch) > 0 {
 		ctx.SubmitBatch(batch)
 	}
+	return next
 }

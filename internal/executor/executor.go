@@ -19,11 +19,14 @@
 //
 // Two heuristics from the paper are implemented:
 //
-//   - Per-worker task cache: a task that finishes and makes exactly one
-//     successor ready places that successor in the worker's cache slot; the
-//     worker executes it immediately without any queue traffic, so linear
-//     task chains run without scheduling overhead ("speculative execution",
-//     Algorithm 1 lines 16-25).
+//   - Per-worker task cache: a task that finishes and makes a successor
+//     ready hands one of them to its own worker, which runs it next without
+//     any queue traffic, so linear task chains run without scheduling
+//     overhead ("speculative execution", Algorithm 1 lines 16-25). The
+//     hand-off is a continuation (Context.Continue): the successor runs in
+//     the releasing task's frame, with no return to the worker loop in
+//     between, while the worker books the boundary as it books one of its
+//     loop. The cache slot the loop drains (SubmitCached) is the fallback.
 //
 //   - Precise wakeup: blocked workers park on a lock-free eventcount
 //     (notifier.go) instead of the paper's mutex-guarded idlers list, and
@@ -100,6 +103,15 @@ type Context interface {
 	// runs immediately after the current task, bypassing all queues. If the
 	// slot is occupied the task is submitted normally instead.
 	SubmitCached(r *Runnable)
+	// Continue hands r to this worker as the calling task's continuation
+	// and reports whether the caller runs it next itself, in its own frame
+	// and before it returns: the worker has booked the boundary between the
+	// two tasks as it books one between two tasks of its loop — r counts as
+	// executed and as a cache hit, and it starts at the end stamp of the
+	// task before it. False means the worker took r as SubmitCached takes
+	// it, and the caller must not run it. The pool declines only while its
+	// cache slot is occupied.
+	Continue(r *Runnable) bool
 	// WorkerID returns the executing worker's index in [0, NumWorkers).
 	WorkerID() int
 	// Executor returns the owning scheduler (the real executor, or the
@@ -110,11 +122,11 @@ type Context interface {
 	// taken by whichever consumer asks first — the task's owner calls it
 	// right after the body. While a recorder or the latency histograms are
 	// armed each is read at most once per task and shared, by the task's
-	// start/end trace events too, and a task that came through the cache
-	// slot starts at the end stamp of the task that put it there: the two
-	// share the boundary's one reading, so what the worker did between the
-	// two bodies counts as the later task's. Otherwise each call reads the
-	// clock.
+	// start/end trace events too, and a task that continues another
+	// (Continue, or the cache slot) starts at the end stamp of the task that
+	// handed it over: the two share the boundary's one reading, so what the
+	// worker did between the two bodies counts as the later task's.
+	// Otherwise each call reads the clock.
 	StartStamp() int64
 	EndStamp() int64
 	// Trace records an event about task, attributed to this worker and
@@ -149,8 +161,8 @@ type worker struct {
 	exec   *Executor
 	queue  *wsq.Deque[Runnable]
 	cache  *Runnable
-	rng    *rand.Rand
-	victim int // last successful steal victim
+	rng    uint64 // splitmix64 state of the steal sweep's start (sweepStart)
+	victim int    // last successful steal victim
 
 	// metrics points at this worker's padded counter block when the
 	// executor was built WithMetrics, nil otherwise. Every instrumentation
@@ -160,7 +172,7 @@ type worker struct {
 	// spine is the executor's event-recording state and ring this worker's
 	// ring in it (trace.go), nil unless built WithTracing or
 	// WithFlightRecorder. The rest is the running task's record state, live
-	// while stamping is set (see invoke): its two shared clock readings (0:
+	// while stamping is set (see begin): its two shared clock readings (0:
 	// not taken yet; between tasks start holds the boundary stamp a
 	// handed-over task inherits), whether its start event still lacks its end
 	// event and, when events are wanted, its identity (cur nil and meta zero
@@ -172,6 +184,11 @@ type worker struct {
 	start, end int64
 	cur        Described
 	meta       TaskMeta
+
+	// quiet is set when nothing books this worker's tasks — no counters,
+	// no recorder, no histograms — so a continuation has no boundary to
+	// book (Continue).
+	quiet bool
 
 	// dirty is the histogram shard holding records of this worker that no
 	// reader can see yet (histogram.go), nil when there are none.
@@ -218,6 +235,25 @@ func (w *worker) SubmitCached(r *Runnable) {
 		return
 	}
 	w.Submit(r)
+}
+
+// Continue is Algorithm 1's task cache without the trip back to the run
+// loop: the task in hand ends here and r begins, booked through the same
+// finish and begin as two tasks of the loop, and the caller runs r's body.
+// An occupied cache slot runs first, so r goes the SubmitCached way.
+func (w *worker) Continue(r *Runnable) bool {
+	if w.cache != nil {
+		w.Submit(r)
+		return false
+	}
+	if !w.quiet {
+		if m := w.metrics; m != nil {
+			m.cacheHits.Add(1)
+		}
+		w.finish(true)
+		w.begin(r)
+	}
+	return true
 }
 
 // Executor schedules Runnables over a fixed set of worker goroutines.
@@ -306,10 +342,10 @@ func New(n int, opts ...Option) *Executor {
 	for _, opt := range opts {
 		opt(e)
 	}
-	// The per-worker RNGs (victim selection) draw from a per-instance seed:
-	// two executors in one process must not follow identical scheduling
+	// The per-worker sweep starts draw from a per-instance seed: two
+	// executors in one process must not follow identical scheduling
 	// sequences.
-	seed := rand.Int63()
+	seed := uint64(rand.Int63())
 	e.inj = NewInjection((*queueHost)(e))
 	e.ec = NewEventcount(n)
 	if e.metricsOn {
@@ -327,7 +363,7 @@ func New(n int, opts ...Option) *Executor {
 			id:     i,
 			exec:   e,
 			queue:  wsq.New[Runnable](256),
-			rng:    rand.New(rand.NewSource(seed + int64(i)*7919)),
+			rng:    seed + uint64(i)*7919,
 			victim: (i + 1) % n,
 			park:   make(chan struct{}, 1),
 		}
@@ -344,6 +380,7 @@ func New(n int, opts ...Option) *Executor {
 				w.traceEvent(EvQueueGrow, uint64(newCap))
 			})
 		}
+		w.quiet = w.metrics == nil && w.spine == nil && e.lat == nil
 		e.workers[i] = w
 	}
 	e.wg.Add(n)
@@ -531,7 +568,7 @@ func (w *worker) steal() (*Runnable, bool) {
 				return r, true
 			}
 		}
-		start := w.rng.Intn(n)
+		start := w.sweepStart(n)
 		for i := 0; i < n; i++ {
 			v := (start + i) % n
 			if v == w.id {
@@ -559,6 +596,17 @@ func (w *worker) steal() (*Runnable, bool) {
 		}
 	}
 	return nil, false
+}
+
+// sweepStart draws the first worker of a steal sweep, uniform in [0, n):
+// one splitmix64 step of the worker's state, scaled by multiply-shift.
+func (w *worker) sweepStart(n int) int {
+	w.rng += 0x9e3779b97f4a7c15
+	z := w.rng
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return int((z >> 32) * uint64(n) >> 32)
 }
 
 // noteSteal records one successful steal operation against victim v that
@@ -631,8 +679,10 @@ func (e *Executor) run(w *worker) {
 			continue
 		}
 
-		// Lines 16-25: invoke, then drain the speculative cache so linear
-		// chains run without queue operations.
+		// Lines 16-25: invoke, then drain the speculative cache. Library
+		// tasks keep their chains out of it: a successor they release runs
+		// as a continuation (Continue) inside the invocation, and only
+		// what goes through SubmitCached comes back here.
 		for r != nil {
 			e.invoke(w, r)
 			r = w.cache
@@ -644,24 +694,32 @@ func (e *Executor) run(w *worker) {
 }
 
 func (e *Executor) invoke(w *worker, r *Runnable) {
+	w.begin(r)
+	e.safeRun(w, r)
+	w.finish(w.cache != nil)
+}
+
+// begin books the start of r on w: it counts as executed and, while
+// something records it, its stamps are shared from here to finish
+// (stamping) and its start event is written.
+func (w *worker) begin(r *Runnable) {
 	if m := w.metrics; m != nil {
 		m.executed.Add(1)
 	}
-	tracing := false
+	tracing, timed := false, w.exec.lat != nil
 	if sp := w.spine; sp != nil {
-		if tracing = sp.recording(); !tracing && e.lat == nil {
+		if tracing = sp.recording(); !tracing && !timed {
 			// Nothing may be recording any more: a hand-off stamp carried
 			// for the capture that stopped must not outlive the tasks that
-			// run unrecorded (see the tail).
+			// run unrecorded (see finish).
 			w.start = 0
 		}
 	}
-	if !tracing && e.lat == nil {
-		e.safeRun(w, r)
+	if !tracing && !timed {
 		return
 	}
-	// Something records this task: from here to the reset below its
-	// consumers share the worker's two stamps instead of reading the clock.
+	// Something records this task: from here to finish its consumers share
+	// the worker's two stamps instead of reading the clock.
 	w.stamping = true
 	// The start event is published at once: a task that never returns must
 	// still be seen.
@@ -673,13 +731,19 @@ func (e *Executor) invoke(w *worker, r *Runnable) {
 		w.ring.publish()
 		w.spanOpen = true
 	}
-	e.safeRun(w, r)
+}
+
+// finish books the end of the task begin booked. handOff says a task follows
+// on this worker with nothing in between but the bookkeeping that released
+// it — a continuation, or the cache slot's — so this task's end stamp is
+// its start stamp: one clock reading per hand-off.
+func (w *worker) finish(handOff bool) {
+	if !w.stamping {
+		return
+	}
 	w.endSpan()
-	// A task waiting in the cache slot runs next with nothing in between
-	// but the bookkeeping that released it, so this task's end stamp is its
-	// start stamp: one clock reading per hand-off.
 	w.start = 0
-	if w.cache != nil {
+	if handOff {
 		w.start = w.end
 	}
 	w.stamping, w.end = false, 0

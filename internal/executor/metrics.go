@@ -23,7 +23,8 @@ package executor
 //     Snapshot.Reconcile and property-tested end to end against randomized
 //     DAGs in internal/core: every task that enters a queue leaves it
 //     exactly once, and every executed task was obtained from exactly one
-//     place (local pop, steal, injection drain, or the task cache).
+//     place (local pop, steal, injection drain, or the task cache — a
+//     continuation or the cache slot).
 
 import (
 	"fmt"
@@ -60,8 +61,9 @@ type workerMetrics struct {
 	// injection queue, including the extras of batch drains that were
 	// re-pushed onto its own deque.
 	injectionDrainedTasks atomic.Uint64
-	// cacheHits counts tasks placed in the speculative task-cache slot
-	// (Algorithm 1 lines 16-25) instead of a queue.
+	// cacheHits counts tasks handed to their worker through the task cache
+	// (Algorithm 1 lines 16-25) instead of a queue: continuations
+	// (Continue) and tasks placed in the cache slot.
 	cacheHits atomic.Uint64
 	// prewaits counts entries into the eventcount's two-phase wait protocol
 	// (lines 5-15): each is resolved by exactly one committed park or one
@@ -150,7 +152,7 @@ type WorkerStats struct {
 	InjectionDrainedTasks uint64 // tasks taken from the injection queue (incl. batch extras)
 	FlowDrains            uint64 // successful multi-tenant flow-queue drain operations
 	FlowDrainedTasks      uint64 // tasks taken from flow queues (incl. batch extras)
-	CacheHits             uint64 // tasks run through the speculative cache slot
+	CacheHits             uint64 // tasks run as continuations or through the cache slot
 	Prewaits              uint64 // entries into the eventcount wait protocol
 	WaitCancels           uint64 // prewaits retracted because the re-check found work
 	Parks                 uint64 // committed waits on the eventcount

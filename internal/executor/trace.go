@@ -14,8 +14,9 @@ package executor
 // end (EndStamp). The task's start/end events, every event its owner
 // traces, internal/core's histogram record, RunStats busy time and the
 // successors' ready stamps share those two readings to the nanosecond —
-// and a task handed over through the cache slot starts at its releaser's
-// end stamp (invoke), so a chain reads the clock once per task.
+// and a task handed over as a continuation (or through the cache slot)
+// starts at its releaser's end stamp (worker.finish), so a chain reads the
+// clock once per task.
 //
 // One ring, two readers. Each worker owns one ring (one more, mutex-
 // guarded, takes events from outside the pool — cold by construction). A

@@ -416,15 +416,24 @@ func (p *Pipeline) release(l, q int) *cell {
 	return c
 }
 
-// runCell is one activation of cell c: generate (head), invoke or fan out
-// its token, then advance it unless a deferral parks it.
+// runCell runs cell c and then, for as long as the worker takes them as
+// continuations, the cell each activation hands on along its line.
 func (p *Pipeline) runCell(ctx executor.Context, c *cell) {
+	for c != nil {
+		c = p.activate(ctx, c)
+	}
+}
+
+// activate is one activation of cell c: generate (head), invoke or fan out
+// its token, then advance it unless a deferral parks it. It returns the
+// cell this worker continues with, nil for none.
+func (p *Pipeline) activate(ctx executor.Context, c *cell) *cell {
 	l, q := c.line, c.pipe
 	var tok int64
 	if q == 0 { // token generation at the serial head
 		if p.stopped.Load() || p.j.Cancelled() {
 			p.j.Done(ctx) // token order along the first pipe ends here
-			return
+			return nil
 		}
 		tok = p.nextToken.Add(1) - 1
 		if p.j.Latency() != nil {
@@ -437,8 +446,7 @@ func (p *Pipeline) runCell(ctx executor.Context, c *cell) {
 	pf.line, pf.pipe, pf.token, pf.stop, pf.deferTo = l, q, tok, false, -1
 	pipe := &p.pipes[q]
 	if pipe.dp {
-		p.fanOut(ctx, c, pipe, tok)
-		return
+		return p.fanOut(ctx, c, pipe, tok)
 	}
 	p.invoke(pipe, pf)
 	switch {
@@ -449,15 +457,16 @@ func (p *Pipeline) runCell(ctx executor.Context, c *cell) {
 		// Parked with its unit, resubmitted when the target completes. (At
 		// the serial head Defer never parks; park checks all the same.)
 	default:
-		p.advance(ctx, c, tok)
+		return p.advance(ctx, c, tok)
 	}
+	return nil
 }
 
 // advance completes token tok at cell c: wake deferral waiters, hand token
 // order to the next line (serial pipes), move the token on or finish it.
-// c's unit goes to the cell this worker takes along in its cache slot, or
-// retires.
-func (p *Pipeline) advance(ctx executor.Context, c *cell, tok int64) {
+// c's unit goes to the line's next cell, which this worker continues with
+// (returned; nil when the worker took it the cache-slot way), or retires.
+func (p *Pipeline) advance(ctx executor.Context, c *cell, tok int64) *cell {
 	l, q := c.line, c.pipe
 	c.deferCount = 0
 	c.completed.Store(tok)
@@ -476,10 +485,13 @@ func (p *Pipeline) advance(ctx executor.Context, c *cell, tok int64) {
 		next = 0 // line becomes free: wrap to the head
 	}
 	if s := p.release(l, next); s != nil {
-		ctx.SubmitCached(&s.self)
-	} else {
-		p.j.Done(ctx)
+		if ctx.Continue(&s.self) {
+			return s
+		}
+		return nil
 	}
+	p.j.Done(ctx)
+	return nil
 }
 
 // completeToken accounts one token that finished the last pipe on line l
@@ -547,8 +559,9 @@ func (p *Pipeline) wakeWaiters(ctx executor.Context, tc *cell, tok int64) {
 
 // fanOut runs one token of a ForEach pipe: evaluate the range, arm the
 // cursor and submit the claimants as one batch. The cell's unit goes to
-// the claimants; the last to finish advances the token.
-func (p *Pipeline) fanOut(ctx executor.Context, c *cell, pipe *Pipe, tok int64) {
+// the claimants; the last to finish advances the token. An empty range
+// advances it here, returning the cell to continue with as advance does.
+func (p *Pipeline) fanOut(ctx executor.Context, c *cell, pipe *Pipe, tok int64) *cell {
 	n := 0
 	func() {
 		defer func() {
@@ -560,8 +573,7 @@ func (p *Pipeline) fanOut(ctx executor.Context, c *cell, pipe *Pipe, tok int64) 
 		n = pipe.dpN(&c.pf)
 	}()
 	if n <= 0 {
-		p.advance(ctx, c, tok) // empty range: the token advances untouched
-		return
+		return p.advance(ctx, c, tok) // empty range: the token advances untouched
 	}
 	grain, k, guided := pipe.dpGrain, len(c.claims), 0
 	switch pipe.dpPart {
@@ -580,8 +592,9 @@ func (p *Pipeline) fanOut(ctx executor.Context, c *cell, pipe *Pipe, tok int64) 
 		// Rejected whole (shut down): take the units back and advance.
 		p.j.Fail(err)
 		p.j.Add(1 - k)
-		p.advance(ctx, c, tok)
+		return p.advance(ctx, c, tok)
 	}
+	return nil
 }
 
 // runClaim is one claimant of a ForEach cell: it claims ranges until the
@@ -596,7 +609,7 @@ func (p *Pipeline) runClaim(ctx executor.Context, c *cell) {
 		p.invokeBody(pipe, &c.pf, lo, hi)
 	}
 	if c.pending.Add(-1) == 0 {
-		p.advance(ctx, c, c.pf.token) // barrier reached: the token moves on
+		p.runCell(ctx, p.advance(ctx, c, c.pf.token)) // barrier reached: the token moves on
 		return
 	}
 	p.j.Done(ctx)

@@ -39,6 +39,10 @@
 // simulation executes every task inline on the driving goroutine. Each step
 // the PRNG picks one enabled action:
 //
+//   - a task that hands a successor on as its continuation
+//     (Context.Continue) runs it in the same step, or has it declined into
+//     its worker's cache slot, by seed;
+//
 //   - an active worker runs its cached task, pops a task from its deque
 //     (any position — a superset of the owner-LIFO/thief-FIFO orders
 //     reachable on the real pool), or steals a batch of seed-chosen size
@@ -149,8 +153,9 @@ func (t *simTimer) Stop() bool { return t.s.stopTimer(t) }
 type Stats struct {
 	// Steps counts scheduling decisions; Executed counts task-body
 	// invocations; Enqueued counts tasks accepted into any queue or
-	// cache slot (external submissions and worker-context submissions).
-	Steps, Executed, Enqueued uint64
+	// cache slot (external submissions and worker-context submissions)
+	// or granted as a continuation. Continued counts the grants.
+	Steps, Executed, Enqueued, Continued uint64
 	// Steals/StolenTasks and Drains/DrainedTasks split operations from
 	// tasks moved, mirroring the real executor's metrics.
 	Steals, StolenTasks, Drains, DrainedTasks uint64
@@ -767,4 +772,20 @@ func (c simCtx) SubmitCached(r *executor.Runnable) {
 		return
 	}
 	c.Submit(r)
+}
+
+// Continue grants or declines by seed, so a sweep explores both ways a
+// hand-off goes: granted, the caller runs r within this step, as the pool's
+// worker runs it in the releasing task's frame; declined, r takes the cache
+// slot — a later aRunCache step, other workers interleaving — or, while
+// that is taken, the queues.
+func (c simCtx) Continue(r *executor.Runnable) bool {
+	if c.s.caches[c.w] == nil && c.s.pick(2) == 0 {
+		c.s.st.Enqueued++
+		c.s.st.Executed++
+		c.s.st.Continued++
+		return true
+	}
+	c.SubmitCached(r)
+	return false
 }
