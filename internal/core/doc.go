@@ -54,6 +54,15 @@
 // idlers list). Executors are pluggable and shareable across Taskflow
 // instances via NewShared, avoiding thread over-subscription.
 //
+// A successor that a completion releases runs as the completing task's
+// continuation, in the same frame — the task cache without the trip back to
+// the worker loop. Plain tasks (func(), or func() error without a retry
+// policy) run in one loop under one panic net, and a chain of them is a run
+// of fused links: each link's successor, whose only predecessor it is, is
+// released with no join counter and no completion bookkeeping beyond its
+// trace event, and its body runs next. Accounting, traces, run stats,
+// histograms and errors are per task all the same.
+//
 // # Algorithms and debugging
 //
 // ParallelFor, ParallelForIndex, Reduce, Transform and TransformReduce

@@ -1,0 +1,307 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gotaskflow/internal/executor"
+)
+
+// fuseWorkers are the pool sizes the fused-link tests run at.
+var fuseWorkers = []int{1, 2, 4}
+
+// countedChain builds an n-link chain of plain tasks named "k<i>"; link i
+// adds one to hits[i] and then runs body(i).
+func countedChain(tf *Taskflow, hits []atomic.Int32, body func(i int)) {
+	var prev Task
+	for i := range hits {
+		task := tf.Emplace1(func() {
+			hits[i].Add(1)
+			body(i)
+		}).Name(fmt.Sprintf("k%d", i))
+		if i > 0 {
+			prev.Precede(task)
+		}
+		prev = task
+	}
+}
+
+// checkHits fails unless hits[i] == want(i) for every link.
+func checkHits(t *testing.T, hits []atomic.Int32, want func(i int) int32) {
+	t.Helper()
+	for i := range hits {
+		if got := hits[i].Load(); got != want(i) {
+			t.Fatalf("link %d ran %d times, want %d", i, got, want(i))
+		}
+	}
+}
+
+// TestFusePanicAtLink: a plain link that panics inside a fused run is
+// recorded under its own name, and the run completes it — its successor's
+// release is traced as every other — and goes on, so every body runs
+// exactly once. A re-Run reports the same.
+func TestFusePanicAtLink(t *testing.T) {
+	const n, k = 64, 23
+	want := fmt.Sprintf("core: task %q panicked: boom", fmt.Sprintf("k%d", k))
+	for _, workers := range fuseWorkers {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			e := executor.New(workers, executor.WithTracing(1<<12))
+			defer e.Shutdown()
+			tf := NewShared(e)
+			hits := make([]atomic.Int32, n)
+			countedChain(tf, hits, func(i int) {
+				if i == k {
+					panic("boom")
+				}
+			})
+			for run := int32(1); run <= 2; run++ {
+				var err error
+				kinds := kindCounts(collectTrace(t, e, func() { err = tf.Run() }))
+				if err == nil || err.Error() != want {
+					t.Fatalf("run %d: error %v, want %q", run, err, want)
+				}
+				checkHits(t, hits, func(int) int32 { return run })
+				if kinds[executor.EvTaskStart] != n || kinds[executor.EvDepRelease] != n-1 {
+					t.Fatalf("run %d: %d task starts, %d releases traced; want %d and %d",
+						run, kinds[executor.EvTaskStart], kinds[executor.EvDepRelease], n, n-1)
+				}
+			}
+		})
+	}
+}
+
+// TestFusePanicAtFallibleLink: a func() error link that panics fails the
+// topology with the error its execution outside a fused run reports, and
+// the links after it are skipped.
+func TestFusePanicAtFallibleLink(t *testing.T) {
+	const n, k = 32, 9
+	want := fmt.Sprintf("core: task %q failed: task panicked: boom", "k9")
+	for _, workers := range fuseWorkers {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			e := executor.New(workers)
+			defer e.Shutdown()
+			tf := NewShared(e)
+			tf.CollectRunStats(false)
+			var hits [n]atomic.Int32
+			var prev Task
+			for i := 0; i < n; i++ {
+				task := tf.EmplaceErr(func() error {
+					hits[i].Add(1)
+					if i == k {
+						panic("boom")
+					}
+					return nil
+				}).Name(fmt.Sprintf("k%d", i))
+				if i > 0 {
+					prev.Precede(task)
+				}
+				prev = task
+			}
+			for run := int32(1); run <= 2; run++ {
+				err := tf.Run()
+				if err == nil || err.Error() != want {
+					t.Fatalf("run %d: error %v, want %q", run, err, want)
+				}
+				checkHits(t, hits[:], func(i int) int32 {
+					if i > k {
+						return 0
+					}
+					return run
+				})
+				if rs, _ := tf.LastRunStats(); rs.Tasks != k+1 || rs.Skipped != n-k-1 {
+					t.Fatalf("run %d: %d tasks, %d skipped; want %d and %d", run, rs.Tasks, rs.Skipped, k+1, n-k-1)
+				}
+			}
+		})
+	}
+}
+
+// TestFuseCancelInsideLink: Future.Cancel from inside link k of a fused run
+// skips every later link, and Get reports ErrCancelled.
+func TestFuseCancelInsideLink(t *testing.T) {
+	const n, k = 64, 17
+	for _, workers := range fuseWorkers {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			e := executor.New(workers)
+			defer e.Shutdown()
+			tf := NewShared(e)
+			hits := make([]atomic.Int32, n)
+			var fut atomic.Pointer[Future]
+			dispatched := make(chan struct{})
+			countedChain(tf, hits, func(i int) {
+				switch i {
+				case 0:
+					<-dispatched
+				case k:
+					fut.Load().Cancel()
+				}
+			})
+			fut.Store(tf.Dispatch())
+			close(dispatched)
+			if err := fut.Load().Get(); !errors.Is(err, ErrCancelled) {
+				t.Fatalf("Get = %v, want ErrCancelled", err)
+			}
+			checkHits(t, hits, func(i int) int32 {
+				if i > k {
+					return 0
+				}
+				return 1
+			})
+		})
+	}
+}
+
+// doneModule is a module that counts its starts and retires within Start.
+type doneModule struct{ starts atomic.Int32 }
+
+func (m *doneModule) Start(ctx executor.Context, j Join) {
+	m.starts.Add(1)
+	j.Done(ctx)
+}
+
+// TestFuseDeclinedLinks: a plain task whose successor is a condition-loop
+// target, takes a semaphore, has a retry policy, or is a module or a
+// subflow does not form a fused link with it, and every body still runs
+// exactly as often as the graph says.
+func TestFuseDeclinedLinks(t *testing.T) {
+	const runs = 3
+	cases := []struct {
+		name  string
+		build func(tf *Taskflow) (succ Task, count func() int32, perRun int32)
+	}{
+		{"condition-loop-target", func(tf *Taskflow) (Task, func() int32, int32) {
+			const trips = 5
+			var body atomic.Int32
+			i := 0
+			loop := tf.Emplace1(func() { body.Add(1); i++ })
+			cond := tf.EmplaceCondition(func() int {
+				if i < trips {
+					return 0
+				}
+				return 1
+			})
+			loop.Precede(cond)
+			cond.Precede(loop, tf.Emplace1(func() { i = 0 }))
+			return loop, body.Load, trips
+		}},
+		{"semaphore", func(tf *Taskflow) (Task, func() int32, int32) {
+			var body atomic.Int32
+			sem := NewSemaphore(1)
+			s := tf.Emplace1(func() { body.Add(1) }).Acquire(sem).Release(sem)
+			return s, body.Load, 1
+		}},
+		{"retry", func(tf *Taskflow) (Task, func() int32, int32) {
+			var body atomic.Int32
+			s := tf.EmplaceErr(func() error {
+				if body.Add(1)%2 == 1 {
+					return errors.New("first attempt fails")
+				}
+				return nil
+			}).Retry(1, time.Microsecond)
+			return s, body.Load, 2
+		}},
+		{"module", func(tf *Taskflow) (Task, func() int32, int32) {
+			m := &doneModule{}
+			return tf.EmplaceModule(m), m.starts.Load, 1
+		}},
+		{"subflow", func(tf *Taskflow) (Task, func() int32, int32) {
+			var kids atomic.Int32
+			s := tf.EmplaceSubflow(func(sf *Subflow) {
+				sf.Emplace(func() { kids.Add(1) }, func() { kids.Add(1) })
+			})
+			return s, kids.Load, 2
+		}},
+	}
+	for _, c := range cases {
+		for _, workers := range fuseWorkers {
+			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
+				e := executor.New(workers)
+				defer e.Shutdown()
+				tf := NewShared(e)
+				var heads atomic.Int32
+				a := tf.Emplace1(func() { heads.Add(1) })
+				s, count, perRun := c.build(tf)
+				a.Precede(s)
+				if a.node.link() != nil {
+					t.Fatalf("%s successor forms a fused link", c.name)
+				}
+				for run := int32(1); run <= runs; run++ {
+					if err := tf.Run(); err != nil {
+						t.Fatalf("run %d: %v", run, err)
+					}
+					if got := count(); got != run*perRun {
+						t.Fatalf("run %d: successor body ran %d times, want %d", run, got, run*perRun)
+					}
+				}
+				if heads.Load() != runs {
+					t.Fatalf("head ran %d times, want %d", heads.Load(), runs)
+				}
+			})
+		}
+	}
+}
+
+// TestFuseStatsAndHistograms: fused links account themselves as any
+// execution does — under timed run stats with latency histograms every
+// node counts one execution with a nonzero duration, and the histograms
+// hold one record per link.
+func TestFuseStatsAndHistograms(t *testing.T) {
+	const n = 256
+	e := executor.New(2, executor.WithLatencyHistograms())
+	defer e.Shutdown()
+	tf := NewShared(e).CollectRunStats(true)
+	hits := make([]atomic.Int32, n)
+	countedChain(tf, hits, func(int) {
+		// Let the clock tick inside every body.
+		for start := executor.Nanos(); executor.Nanos() == start; {
+		}
+	})
+	for run := uint64(1); run <= 2; run++ {
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for i, nd := range tf.g.nodes {
+			if c, d := nd.execCount.Load(), nd.execDurNs.Load(); c != 1 || d <= 0 {
+				t.Fatalf("run %d: node %d counts %d executions of %d ns, want 1 of more than 0", run, i, c, d)
+			}
+		}
+		if rs, _ := tf.LastRunStats(); rs.Tasks != n || rs.Busy <= 0 {
+			t.Fatalf("run %d: %d tasks, busy %v; want %d and more than 0", run, rs.Tasks, rs.Busy, n)
+		}
+		flows, ok := e.LatencyStats()
+		if !ok || len(flows) == 0 || flows[0].Exec.Count != run*n || flows[0].EndToEnd.Count != run*n {
+			t.Fatalf("run %d: latency stats %+v, want %d records", run, flows, run*n)
+		}
+	}
+}
+
+// TestFuseStackFlat: a fused run is a loop, not a recursion — the body of
+// the 100 000th link runs at the stack depth of the first.
+func TestFuseStackFlat(t *testing.T) {
+	const n = 100_000
+	tf := New(1)
+	defer tf.Close()
+	var depth [2]int
+	depthAt := func() int {
+		var pcs [1024]uintptr
+		return runtime.Callers(0, pcs[:])
+	}
+	countedChain(tf, make([]atomic.Int32, n), func(i int) {
+		switch i {
+		case 0:
+			depth[0] = depthAt()
+		case n - 1:
+			depth[1] = depthAt()
+		}
+	})
+	if err := tf.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if depth[0] == 0 || depth[0] != depth[1] {
+		t.Fatalf("link 1 ran at depth %d, link %d at %d", depth[0], n, depth[1])
+	}
+}

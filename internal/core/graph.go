@@ -191,14 +191,45 @@ func (n *node) isCondition() bool {
 // Run implements executor.Runnable: one execution of the node under its
 // current topology, and then, for as long as the worker takes them as
 // continuations, the execution each one hands on — Algorithm 1's task
-// cache as a loop in this frame. The executor invokes it through the
-// node's intrusive rbox slot.
+// cache as a loop in this frame. Static bodies run in runLinks' loop,
+// every other kind, and a skipped execution, through runNode. The executor
+// invokes it through the node's intrusive rbox slot.
 func (n *node) Run(ctx executor.Context) {
 	for n != nil {
-		if n = n.topo.runNode(ctx, n); n != nil && !ctx.Continue(n.ref()) {
+		t := n.topo
+		if n.static() && !t.cancelled.Load() {
+			n = t.runLinks(ctx, n)
+		} else if n = t.runNode(ctx, n); n != nil && !ctx.Continue(n.ref()) {
 			return
 		}
 	}
+}
+
+// static reports whether n's body is one runLinks runs: func(), or
+// func() error, without a retry policy.
+func (n *node) static() bool {
+	switch n.work.(type) {
+	case func(), func() error:
+		return n.retryPolicy() == nil
+	}
+	return false
+}
+
+// link returns n's successor s when n→s is a fused link, nil otherwise: n
+// has that one successor and no cold fields (no semaphore to release); s has
+// n as its one predecessor, no condition task beside it, no cold fields (no
+// semaphore to take) and a static body. Releasing s is then its arm and
+// nothing else — no join counter, no count to settle, nothing to admit or
+// hand over — and its body runs next in the same loop (runLinks).
+func (n *node) link() *node {
+	if n.succCount != 1 || n.ext != nil {
+		return nil
+	}
+	s := n.succInline[0]
+	if s.numDependents != 1 || s.numWeakPreds != 0 || s.ext != nil || !s.static() {
+		return nil
+	}
+	return s
 }
 
 // ref returns the node's submit-ready task reference.

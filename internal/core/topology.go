@@ -315,11 +315,12 @@ func (t *topology) cancelDerivedCtx() {
 	}
 }
 
-// runNode executes one node: invoke its work, spawn its subflow or
-// composed graph if it is a dynamic task, signal the selected branch if it
-// is a condition task, then (unless deferred by joined children) complete
-// it. It returns the execution it released for this worker to continue
-// with (node.Run), nil for none.
+// runNode executes one node whose body runLinks does not run — one of
+// another kind, a retryable one, or any in a cancelled topology: invoke its
+// work, spawn its subflow or composed graph if it is a dynamic task, signal
+// the selected branch if it is a condition task, then (unless deferred by
+// joined children) complete it. It returns the execution it released for
+// this worker to continue with (node.Run), nil for none.
 func (t *topology) runNode(ctx executor.Context, n *node) *node {
 	if t.cancelled.Load() {
 		// Cooperative cancellation: skip the body but keep draining the
@@ -340,32 +341,8 @@ func (t *topology) runNode(ctx executor.Context, n *node) *node {
 		}
 		return t.finishNode(ctx, n)
 	}
-	if st := t.stats; st != nil {
-		// Count every non-skipped execution — retry attempts and condition-
-		// loop iterations included — and mirror it on the node for the
-		// annotated DOT dump.
-		st.workers[ctx.WorkerID()].tasks++
-		if t.addsNodeStats(n) {
-			n.execCount.Add(1)
-		} else if n.execCount.Load() != 1 { // a re-run finds the 1 it left
-			n.execCount.Store(1)
-		}
-	}
-	var start int64
-	if t.timed {
-		start = ctx.StartStamp()
-	}
-	// func() comes first: a plain task is decided before the interface
-	// case (Module) is tried.
+	start := t.bodyStart(ctx, n)
 	switch w := n.work.(type) {
-	case func():
-		if n.retryPolicy() == nil {
-			t.invoke(n, w)
-			t.bodyEnd(ctx, n, start, true)
-			t.releaseSems(ctx, n)
-		} else if !t.runFallible(ctx, n, start) {
-			return nil // retry scheduled; the execution is still outstanding
-		}
 	case func() int:
 		idx := -1
 		t.invoke(n, func() { idx = w() })
@@ -407,12 +384,93 @@ func (t *topology) runNode(ctx executor.Context, n *node) *node {
 		n.children.Store(1)
 		w.Start(ctx, Join{n})
 		return nil
-	default: // error-returning, context-aware, or a placeholder
+	default: // retryable, context-aware, or a placeholder
 		if !t.runFallible(ctx, n, start) {
 			return nil // retry scheduled; the execution is still outstanding
 		}
 	}
 	return t.finishNode(ctx, n)
+}
+
+// runLinks runs static bodies (node.static) from n on, one after another in
+// this frame and under one panic net — Algorithm 1's task cache as a jump
+// back to the top of the loop. After a fused link (node.link) the release
+// of the successor is its arm alone; after any other body finishNode
+// completes the execution. The next node is continued (Context.Continue)
+// and runs here if it is static and the topology not cancelled; else it is
+// returned, granted, for runNode. nil means the worker has nothing to go on
+// with. A panic ends the run: recoverLink completes the link that panicked,
+// and the caller starts a new run from what that released.
+func (t *topology) runLinks(ctx executor.Context, n *node) (next *node) {
+	var start int64
+	defer func() {
+		if r := recover(); r != nil {
+			next = t.recoverLink(ctx, n, start, r)
+		}
+	}()
+	for {
+		start = t.bodyStart(ctx, n)
+		if w, ok := n.work.(func()); ok {
+			w()
+		} else if err := n.work.(func() error)(); err != nil {
+			t.failTask(n, err)
+		}
+		t.bodyEnd(ctx, n, start, true)
+		s := n.link()
+		if s != nil {
+			t.arm(ctx, n, s)
+			if f := t.flow; f != nil {
+				f.NoteExecuted(1)
+			}
+		} else {
+			t.releaseSems(ctx, n)
+			s = t.finishNode(ctx, n)
+		}
+		if s == nil || !ctx.Continue(s.ref()) {
+			return nil
+		}
+		if n = s; !n.static() || t.cancelled.Load() {
+			return n
+		}
+	}
+}
+
+// recoverLink completes n, whose static body panicked in runLinks, as its
+// execution outside a fused run would have: the panic is recorded as the
+// task's error — a fallible body's fails the topology — and finishNode
+// releases its successors. It returns the granted node to go on with.
+func (t *topology) recoverLink(ctx executor.Context, n *node, start int64, r any) *node {
+	if _, ok := n.work.(func() error); ok {
+		t.failTask(n, fmt.Errorf("task panicked: %v", r))
+	} else {
+		t.panicked(n, r)
+	}
+	t.bodyEnd(ctx, n, start, true)
+	t.releaseSems(ctx, n)
+	if s := t.finishNode(ctx, n); s != nil && ctx.Continue(s.ref()) {
+		return s
+	}
+	return nil
+}
+
+// bodyStart accounts an execution of n whose body is about to run and
+// returns the stamp bodyEnd measures it from (zero when nothing times it).
+// Every non-skipped execution counts — retry attempts and condition-loop
+// iterations included — and is mirrored on the node for the annotated DOT
+// dump.
+func (t *topology) bodyStart(ctx executor.Context, n *node) int64 {
+	if st := t.stats; st != nil {
+		st.workers[ctx.WorkerID()].tasks++
+		if t.addsNodeStats(n) {
+			n.execCount.Add(1)
+		} else if n.execCount.Load() != 1 { // a re-run finds the 1 it left
+			n.execCount.Store(1)
+		}
+	}
+	if t.timed {
+		return ctx.StartStamp()
+	}
+	return 0
 }
 
 // addsNodeStats reports whether an execution of n adds to n's per-run
@@ -453,7 +511,7 @@ func (t *topology) runFallible(ctx executor.Context, n *node, start int64) bool 
 		n.ext.attempts = 0
 	}
 	if err != nil {
-		t.fail(fmt.Errorf("core: task %q failed: %w", n.name, err))
+		t.failTask(n, err)
 	}
 	t.releaseSems(ctx, n)
 	return true
@@ -482,10 +540,22 @@ func (t *topology) captureErr(n *node) (err error) {
 func (t *topology) invoke(n *node, fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			t.addErr(fmt.Errorf("core: task %q panicked: %v", n.name, r))
+			t.panicked(n, r)
 		}
 	}()
 	fn()
+}
+
+// panicked records r, a panic of n's body, as a topology error; unlike a
+// failure it cancels nothing, and the graph drains as it would have.
+func (t *topology) panicked(n *node, r any) {
+	t.addErr(fmt.Errorf("core: task %q panicked: %v", n.name, r))
+}
+
+// failTask records err as the failure of n's body and fail-fast-cancels
+// the topology.
+func (t *topology) failTask(n *node, err error) {
+	t.fail(fmt.Errorf("core: task %q failed: %w", n.name, err))
 }
 
 // spawn starts g, the child graph an execution of n spawned. Joined, n
