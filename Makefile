@@ -33,7 +33,7 @@ race:
 	$(GO) test -race . ./internal/...
 	$(GO) test -race -count=3 -run 'Rerun|PendingNeverZero|HotColdLayout|Launch|Partition|Reduce|Compose' ./internal/core/
 	$(GO) test -race -count=3 -run 'Reclaim|Scrub|OrderedEdges|SliceLaw|OneLaw|StrictDrainStarvation|Notifier|CorrectModel|LostWakeup|IdleWakeup|ParkScrubs|Shrink|Queue|Injection' ./internal/core/ ./internal/wsq/ ./internal/executor/ ./internal/stav2/ ./internal/sim/
-	$(GO) test -race -count=3 -run 'Flight|Trace|Latency|Hammer|Settle|HandOff|SettledBeforeDone|Module|Composed|Continue|SinglePred|Fuse' ./internal/executor/ ./internal/core/ ./internal/debughttp/ ./internal/pipeline/
+	$(GO) test -race -count=3 -run 'Flight|Trace|Latency|Hammer|Settle|HandOff|SettledBeforeDone|Module|Composed|Continue|SinglePred|Fuse|Quiet' ./internal/executor/ ./internal/core/ ./internal/debughttp/ ./internal/pipeline/
 
 # chaos runs the fault-injection stress suite under the race detector:
 # deterministic seeded panics/failures/delays over wavefront- and

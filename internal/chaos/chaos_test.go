@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -152,6 +153,68 @@ func TestChaosTraversalQuiesces(t *testing.T) {
 			buildTraversal(tf, in, seed, 12, 8)
 			assertCoherent(t, in, waitQuiesce(t, tf, recipe), recipe)
 		})
+	}
+}
+
+// TestChaosChainsQuiesces: forests of chains, whose links run fused — on
+// core.New's quiet pool each link is its body and its successor check —
+// under seeded faults. Every run drains and its error is coherent with the
+// faults that fired. Plain links take panics and delays: a panic is
+// recorded and cancels nothing, so every link runs, each panicking one
+// short of its body. Fallible links take failures too, which
+// fail-fast-cancel the forest; a run in which none fired ran every link.
+func TestChaosChainsQuiesces(t *testing.T) {
+	const chains, links = 8, 64
+	forests := []struct {
+		name     string
+		fallible bool
+		cfg      chaos.Config
+	}{
+		{"plain", false, chaos.Config{PPanic: 0.01, PDelay: 0.05, MaxDelay: 500 * time.Microsecond}},
+		{"fallible", true, chaos.Config{PPanic: 0.002, PFail: 0.004, PDelay: 0.05, MaxDelay: 500 * time.Microsecond}},
+	}
+	for _, seed := range chaos.Seeds(8) {
+		for _, f := range forests {
+			seed, f := seed, f
+			t.Run(fmt.Sprintf("seed%d/%s", seed, f.name), func(t *testing.T) {
+				recipe := chaos.Recipe(fmt.Sprintf("TestChaosChainsQuiesces/seed%d/%s", seed, f.name),
+					"./internal/chaos", seed, 4, "chains8x64")
+				f.cfg.Seed = seed
+				in := chaos.New(f.cfg)
+				tf := core.New(4)
+				defer tf.Close()
+				var ran atomic.Int64
+				for c := 0; c < chains; c++ {
+					var prev core.Task
+					for l := 0; l < links; l++ {
+						name := fmt.Sprintf("c%d_%d", c, l)
+						body := in.Wrap(name, func() { ran.Add(1) })
+						var task core.Task
+						if f.fallible {
+							task = tf.EmplaceErr(body)
+						} else {
+							task = tf.Emplace1(func() { _ = body() })
+						}
+						task.Name(name)
+						if l > 0 {
+							prev.Precede(task)
+						}
+						prev = task
+					}
+				}
+				err := waitQuiesce(t, tf, recipe)
+				assertCoherent(t, in, err, recipe)
+				want := int64(chains * links)
+				if !f.fallible {
+					want -= int64(in.CountPlanned(chaos.Panic))
+				} else if err != nil {
+					return
+				}
+				if ran.Load() != want {
+					t.Fatalf("%d link bodies ran, want %d\n%s", ran.Load(), want, recipe)
+				}
+			})
+		}
 	}
 }
 

@@ -60,8 +60,11 @@
 // policy) run in one loop under one panic net, and a chain of them is a run
 // of fused links: each link's successor, whose only predecessor it is, is
 // released with no join counter and no completion bookkeeping beyond its
-// trace event, and its body runs next. Accounting, traces, run stats,
-// histograms and errors are per task all the same.
+// trace event, and its body runs next. On a pool that books nothing
+// (executor.Executor's Quiet) and a topology bound to no flow, there is no
+// trace event either: a fused link is its body and its successor check.
+// Accounting, traces, run stats, histograms and errors are per task all
+// the same.
 //
 // # Algorithms and debugging
 //

@@ -9,10 +9,38 @@ import (
 	"time"
 
 	"gotaskflow/internal/executor"
+	"gotaskflow/internal/sim"
 )
 
 // fuseWorkers are the pool sizes the fused-link tests run at.
 var fuseWorkers = []int{1, 2, 4}
+
+// fusePools are the pools the fused-link tests run on: a quiet one, on
+// which a fused link is its body and its successor check, and one whose
+// metrics book every link, which arms and continues each.
+var fusePools = []struct {
+	name string
+	opts []executor.Option
+}{
+	{"plain", nil},
+	{"metrics", []executor.Option{executor.WithMetrics()}},
+}
+
+// eachFusePool runs test as the subtests w<workers>/<pool>, on a fresh pool
+// of every size in fuseWorkers and every kind in fusePools.
+func eachFusePool(t *testing.T, test func(t *testing.T, e *executor.Executor)) {
+	for _, workers := range fuseWorkers {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			for _, p := range fusePools {
+				t.Run(p.name, func(t *testing.T) {
+					e := executor.New(workers, p.opts...)
+					defer e.Shutdown()
+					test(t, e)
+				})
+			}
+		})
+	}
+}
 
 // countedChain builds an n-link chain of plain tasks named "k<i>"; link i
 // adds one to hits[i] and then runs body(i).
@@ -80,79 +108,71 @@ func TestFusePanicAtLink(t *testing.T) {
 func TestFusePanicAtFallibleLink(t *testing.T) {
 	const n, k = 32, 9
 	want := fmt.Sprintf("core: task %q failed: task panicked: boom", "k9")
-	for _, workers := range fuseWorkers {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			e := executor.New(workers)
-			defer e.Shutdown()
-			tf := NewShared(e)
-			tf.CollectRunStats(false)
-			var hits [n]atomic.Int32
-			var prev Task
-			for i := 0; i < n; i++ {
-				task := tf.EmplaceErr(func() error {
-					hits[i].Add(1)
-					if i == k {
-						panic("boom")
-					}
-					return nil
-				}).Name(fmt.Sprintf("k%d", i))
-				if i > 0 {
-					prev.Precede(task)
+	eachFusePool(t, func(t *testing.T, e *executor.Executor) {
+		tf := NewShared(e)
+		tf.CollectRunStats(false)
+		var hits [n]atomic.Int32
+		var prev Task
+		for i := 0; i < n; i++ {
+			task := tf.EmplaceErr(func() error {
+				hits[i].Add(1)
+				if i == k {
+					panic("boom")
 				}
-				prev = task
+				return nil
+			}).Name(fmt.Sprintf("k%d", i))
+			if i > 0 {
+				prev.Precede(task)
 			}
-			for run := int32(1); run <= 2; run++ {
-				err := tf.Run()
-				if err == nil || err.Error() != want {
-					t.Fatalf("run %d: error %v, want %q", run, err, want)
-				}
-				checkHits(t, hits[:], func(i int) int32 {
-					if i > k {
-						return 0
-					}
-					return run
-				})
-				if rs, _ := tf.LastRunStats(); rs.Tasks != k+1 || rs.Skipped != n-k-1 {
-					t.Fatalf("run %d: %d tasks, %d skipped; want %d and %d", run, rs.Tasks, rs.Skipped, k+1, n-k-1)
-				}
+			prev = task
+		}
+		for run := int32(1); run <= 2; run++ {
+			err := tf.Run()
+			if err == nil || err.Error() != want {
+				t.Fatalf("run %d: error %v, want %q", run, err, want)
 			}
-		})
-	}
+			checkHits(t, hits[:], func(i int) int32 {
+				if i > k {
+					return 0
+				}
+				return run
+			})
+			if rs, _ := tf.LastRunStats(); rs.Tasks != k+1 || rs.Skipped != n-k-1 {
+				t.Fatalf("run %d: %d tasks, %d skipped; want %d and %d", run, rs.Tasks, rs.Skipped, k+1, n-k-1)
+			}
+		}
+	})
 }
 
 // TestFuseCancelInsideLink: Future.Cancel from inside link k of a fused run
 // skips every later link, and Get reports ErrCancelled.
 func TestFuseCancelInsideLink(t *testing.T) {
 	const n, k = 64, 17
-	for _, workers := range fuseWorkers {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			e := executor.New(workers)
-			defer e.Shutdown()
-			tf := NewShared(e)
-			hits := make([]atomic.Int32, n)
-			var fut atomic.Pointer[Future]
-			dispatched := make(chan struct{})
-			countedChain(tf, hits, func(i int) {
-				switch i {
-				case 0:
-					<-dispatched
-				case k:
-					fut.Load().Cancel()
-				}
-			})
-			fut.Store(tf.Dispatch())
-			close(dispatched)
-			if err := fut.Load().Get(); !errors.Is(err, ErrCancelled) {
-				t.Fatalf("Get = %v, want ErrCancelled", err)
+	eachFusePool(t, func(t *testing.T, e *executor.Executor) {
+		tf := NewShared(e)
+		hits := make([]atomic.Int32, n)
+		var fut atomic.Pointer[Future]
+		dispatched := make(chan struct{})
+		countedChain(tf, hits, func(i int) {
+			switch i {
+			case 0:
+				<-dispatched
+			case k:
+				fut.Load().Cancel()
 			}
-			checkHits(t, hits, func(i int) int32 {
-				if i > k {
-					return 0
-				}
-				return 1
-			})
 		})
-	}
+		fut.Store(tf.Dispatch())
+		close(dispatched)
+		if err := fut.Load().Get(); !errors.Is(err, ErrCancelled) {
+			t.Fatalf("Get = %v, want ErrCancelled", err)
+		}
+		checkHits(t, hits, func(i int) int32 {
+			if i > k {
+				return 0
+			}
+			return 1
+		})
+	})
 }
 
 // doneModule is a module that counts its starts and retires within Start.
@@ -217,10 +237,8 @@ func TestFuseDeclinedLinks(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		for _, workers := range fuseWorkers {
-			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
-				e := executor.New(workers)
-				defer e.Shutdown()
+		t.Run(c.name, func(t *testing.T) {
+			eachFusePool(t, func(t *testing.T, e *executor.Executor) {
 				tf := NewShared(e)
 				var heads atomic.Int32
 				a := tf.Emplace1(func() { heads.Add(1) })
@@ -241,7 +259,7 @@ func TestFuseDeclinedLinks(t *testing.T) {
 					t.Fatalf("head ran %d times, want %d", heads.Load(), runs)
 				}
 			})
-		}
+		})
 	}
 }
 
@@ -276,6 +294,150 @@ func TestFuseStatsAndHistograms(t *testing.T) {
 		if !ok || len(flows) == 0 || flows[0].Exec.Count != run*n || flows[0].EndToEnd.Count != run*n {
 			t.Fatalf("run %d: latency stats %+v, want %d records", run, flows, run*n)
 		}
+	}
+}
+
+// TestFuseFlowCountsEveryLink: a flow counts its executions, so a chain
+// bound to one keeps its fused links on the booked branch even on a quiet
+// pool — the flow's Executed grows by exactly the chain's length per Run.
+func TestFuseFlowCountsEveryLink(t *testing.T) {
+	const n = 128
+	for _, workers := range fuseWorkers {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			e := executor.New(workers)
+			defer e.Shutdown()
+			f := e.NewFlow("chain", executor.FlowConfig{})
+			tf := NewShared(e).SetFlow(f)
+			hits := make([]atomic.Int32, n)
+			countedChain(tf, hits, func(int) {})
+			for run := int32(1); run <= 3; run++ {
+				before := f.Stats().Executed
+				if err := tf.Run(); err != nil {
+					t.Fatalf("run %d: %v", run, err)
+				}
+				if got := f.Stats().Executed - before; got != n {
+					t.Fatalf("run %d: flow counts %d executions, want %d", run, got, n)
+				}
+				checkHits(t, hits, func(int) int32 { return run })
+			}
+		})
+	}
+}
+
+// TestQuietTopology: a topology is quiet exactly when its scheduler books
+// nothing and no flow counts its executions. Run stats, timed or not, keep
+// it quiet; any recorder, a flow or the simulator does not; and toggling
+// between runs rebuilds the bit with the run state.
+func TestQuietTopology(t *testing.T) {
+	quietAfterRun := func(t *testing.T, tf *Taskflow) bool {
+		t.Helper()
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return tf.runTopo.quiet
+	}
+	chain := func(s executor.Scheduler) *Taskflow {
+		tf := NewShared(s)
+		countedChain(tf, make([]atomic.Int32, 16), func(int) {})
+		return tf
+	}
+	t.Run("plain", func(t *testing.T) {
+		e := executor.New(2)
+		defer e.Shutdown()
+		tf := chain(e)
+		for _, c := range []struct {
+			name  string
+			setup func()
+		}{
+			{"bare", func() {}},
+			{"stats", func() { tf.CollectRunStats(false) }},
+			{"timed-stats", func() { tf.CollectRunStats(true) }},
+		} {
+			c.setup()
+			if !quietAfterRun(t, tf) {
+				t.Fatalf("%s: topology on a plain pool is not quiet", c.name)
+			}
+		}
+	})
+	recorders := []struct {
+		name string
+		opt  executor.Option
+	}{
+		{"metrics", executor.WithMetrics()},
+		{"tracing", executor.WithTracing(64)},
+		{"flight", executor.WithFlightRecorder(64)},
+		{"histograms", executor.WithLatencyHistograms()},
+	}
+	for _, r := range recorders {
+		t.Run(r.name, func(t *testing.T) {
+			e := executor.New(2, r.opt)
+			defer e.Shutdown()
+			if quietAfterRun(t, chain(e)) {
+				t.Fatalf("topology on a pool built with %s is quiet", r.name)
+			}
+		})
+	}
+	t.Run("sim", func(t *testing.T) {
+		if quietAfterRun(t, chain(sim.New(2, sim.WithSeed(1)))) {
+			t.Fatal("topology under the simulator is quiet")
+		}
+	})
+	t.Run("toggle", func(t *testing.T) {
+		e := executor.New(2)
+		defer e.Shutdown()
+		f := e.NewFlow("toggle", executor.FlowConfig{})
+		tf := chain(e)
+		steps := []struct {
+			name  string
+			setup func()
+			want  bool
+		}{
+			{"bare", func() {}, true},
+			{"flow", func() { tf.SetFlow(f) }, false},
+			{"flow+stats", func() { tf.CollectRunStats(true) }, false},
+			{"unbound", func() { tf.SetFlow(nil) }, true},
+			{"rebound", func() { tf.SetFlow(f) }, false},
+			{"unbound again", func() { tf.SetFlow(nil) }, true},
+		}
+		for _, st := range steps {
+			st.setup()
+			if got := quietAfterRun(t, tf); got != st.want {
+				t.Fatalf("%s: quiet = %v, want %v", st.name, got, st.want)
+			}
+		}
+	})
+}
+
+// TestFuseQuietTimedStats: on a quiet pool a fused link skips its release,
+// not its accounting — under timed run stats every node counts one
+// execution with a nonzero duration, run after run.
+func TestFuseQuietTimedStats(t *testing.T) {
+	const n = 256
+	e := executor.New(2)
+	defer e.Shutdown()
+	tf := NewShared(e).CollectRunStats(true)
+	hits := make([]atomic.Int32, n)
+	countedChain(tf, hits, func(int) {
+		// Let the clock tick inside every body.
+		for start := executor.Nanos(); executor.Nanos() == start; {
+		}
+	})
+	for run := int32(1); run <= 2; run++ {
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !tf.runTopo.quiet {
+			t.Fatal("topology on a plain pool is not quiet")
+		}
+		for i, nd := range tf.g.nodes {
+			if c, d := nd.execCount.Load(), nd.execDurNs.Load(); c != 1 || d <= 0 {
+				t.Fatalf("run %d: node %d counts %d executions of %d ns, want 1 of more than 0", run, i, c, d)
+			}
+		}
+		if rs, _ := tf.LastRunStats(); rs.Tasks != n || rs.Busy <= 0 {
+			t.Fatalf("run %d: %d tasks, busy %v; want %d and more than 0", run, rs.Tasks, rs.Busy, n)
+		}
+		checkHits(t, hits, func(int) int32 { return run })
 	}
 }
 

@@ -462,6 +462,7 @@ func TestTopologyHotColdLayout(t *testing.T) {
 		"cancelled": {unsafe.Offsetof(topo.cancelled), unsafe.Sizeof(topo.cancelled)},
 		"lat":       {unsafe.Offsetof(topo.lat), unsafe.Sizeof(topo.lat)},
 		"timed":     {unsafe.Offsetof(topo.timed), unsafe.Sizeof(topo.timed)},
+		"quiet":     {unsafe.Offsetof(topo.quiet), unsafe.Sizeof(topo.quiet)},
 		"stats":     {unsafe.Offsetof(topo.stats), unsafe.Sizeof(topo.stats)},
 		"flow":      {unsafe.Offsetof(topo.flow), unsafe.Sizeof(topo.flow)},
 		"ready":     {unsafe.Offsetof(topo.ready), unsafe.Sizeof(topo.ready)},

@@ -105,6 +105,9 @@ func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 		t.stats = newTopoStats(tf)
 	}
 	t.timed = t.lat != nil || (tf.statsEnabled && tf.statsTiming)
+	if q, ok := tf.exec.(interface{ Quiet() bool }); ok {
+		t.quiet = q.Quiet() && t.flow == nil
+	}
 	nsrc, nsem := 0, 0
 	ordered, dynamic := true, false
 	for _, n := range g.nodes {

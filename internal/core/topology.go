@@ -48,8 +48,12 @@ type topology struct {
 	// flow, non-nil only when the scheduler implements
 	// executor.LatencyProvider with histograms enabled (see latency.go).
 	// timed is set when lat or the stats block wants task bodies timed.
+	// quiet is set when the scheduler books nothing (executor.Executor's
+	// Quiet) and no flow counts executions: a fused link's release is then
+	// nothing at all, and runLinks jumps straight to its successor's body.
 	lat   executor.LatencySink
 	timed bool
+	quiet bool
 
 	// sumNodeStats says how an execution accounts itself on its node when
 	// stats are collected: set, it adds to the node's per-run counters,
@@ -393,14 +397,17 @@ func (t *topology) runNode(ctx executor.Context, n *node) *node {
 }
 
 // runLinks runs static bodies (node.static) from n on, one after another in
-// this frame and under one panic net — Algorithm 1's task cache as a jump
-// back to the top of the loop. After a fused link (node.link) the release
-// of the successor is its arm alone; after any other body finishNode
-// completes the execution. The next node is continued (Context.Continue)
-// and runs here if it is static and the topology not cancelled; else it is
+// this frame and under one panic net — Algorithm 1's task cache as a jump back
+// to the top of the loop. After a fused link (node.link) the release of the
+// successor is its arm alone, and on a quiet topology nothing: no event to
+// trace, no counter to re-arm, no wait clock, and no Continue, which would
+// grant without booking anything, for nothing in a fused run fills the worker's
+// cache slot (executor.Executor's Quiet). After any other body finishNode
+// completes the execution. The next node is continued (Context.Continue) and
+// runs here if it is static and the topology not cancelled; else it is
 // returned, granted, for runNode. nil means the worker has nothing to go on
-// with. A panic ends the run: recoverLink completes the link that panicked,
-// and the caller starts a new run from what that released.
+// with. A panic ends the run: recoverLink completes the link that panicked, and
+// the caller starts a new run from what that released.
 func (t *topology) runLinks(ctx executor.Context, n *node) (next *node) {
 	var start int64
 	defer func() {
@@ -417,6 +424,12 @@ func (t *topology) runLinks(ctx executor.Context, n *node) (next *node) {
 		}
 		t.bodyEnd(ctx, n, start, true)
 		s := n.link()
+		if s != nil && t.quiet {
+			if n = s; t.cancelled.Load() {
+				return n
+			}
+			continue
+		}
 		if s != nil {
 			t.arm(ctx, n, s)
 			if f := t.flow; f != nil {

@@ -190,3 +190,35 @@ func TestSweepStartCoversEveryWorker(t *testing.T) {
 		t.Fatalf("%d workers drew only %d distinct sweep sequences", n, len(seqs))
 	}
 }
+
+// TestQuietTruthTable: a pool is quiet exactly when it was built with none
+// of the booking options, and every worker copies the executor's answer.
+func TestQuietTruthTable(t *testing.T) {
+	cases := []struct {
+		name string
+		opts []Option
+		want bool
+	}{
+		{"plain", nil, true},
+		{"panic-handler", []Option{WithPanicHandler(func(int, any) {})}, true},
+		{"metrics", []Option{WithMetrics()}, false},
+		{"tracing", []Option{WithTracing(64)}, false},
+		{"flight", []Option{WithFlightRecorder(64)}, false},
+		{"histograms", []Option{WithLatencyHistograms()}, false},
+		{"all", []Option{WithMetrics(), WithTracing(64), WithFlightRecorder(64), WithLatencyHistograms()}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New(2, c.opts...)
+			defer e.Shutdown()
+			if e.Quiet() != c.want {
+				t.Fatalf("Quiet() = %v, want %v", e.Quiet(), c.want)
+			}
+			for _, w := range e.workers {
+				if w.quiet != c.want {
+					t.Fatalf("worker %d quiet = %v, want %v", w.id, w.quiet, c.want)
+				}
+			}
+		})
+	}
+}

@@ -110,7 +110,10 @@ type Context interface {
 	// executed and as a cache hit, and it starts at the end stamp of the
 	// task before it. False means the worker took r as SubmitCached takes
 	// it, and the caller must not run it. The pool declines only while its
-	// cache slot is occupied.
+	// cache slot is occupied, and on a quiet pool (Executor.Quiet) a
+	// granted Continue books nothing: a caller whose slot is empty — one
+	// that never calls SubmitCached and hands no Context to code that may —
+	// may skip the call there and run r.
 	Continue(r *Runnable) bool
 	// WorkerID returns the executing worker's index in [0, NumWorkers).
 	WorkerID() int
@@ -185,9 +188,8 @@ type worker struct {
 	cur        Described
 	meta       TaskMeta
 
-	// quiet is set when nothing books this worker's tasks — no counters,
-	// no recorder, no histograms — so a continuation has no boundary to
-	// book (Continue).
+	// quiet is the executor's (Executor.Quiet): nothing books this
+	// worker's tasks, so a continuation has no boundary to book (Continue).
 	quiet bool
 
 	// dirty is the histogram shard holding records of this worker that no
@@ -298,6 +300,10 @@ type Executor struct {
 	latencyOn bool
 	lat       *flowLatency
 
+	// quiet is set by New when metrics, spine and lat are all nil: nothing
+	// books the pool's tasks (Quiet). Every worker copies it.
+	quiet bool
+
 	// spin is the spinSteals constant, a field so that in-package tests can
 	// force deterministic parks (withSpin). To ablate it, edit spinSteals
 	// and run `make bench-pairs PARENT=HEAD`.
@@ -358,6 +364,7 @@ func New(n int, opts ...Option) *Executor {
 	if e.latencyOn {
 		e.lat = newFlowLatency(n, e.workers)
 	}
+	e.quiet = e.metrics == nil && e.spine == nil && e.lat == nil
 	for i := 0; i < n; i++ {
 		w := &worker{
 			id:     i,
@@ -380,7 +387,7 @@ func New(n int, opts ...Option) *Executor {
 				w.traceEvent(EvQueueGrow, uint64(newCap))
 			})
 		}
-		w.quiet = w.metrics == nil && w.spine == nil && e.lat == nil
+		w.quiet = e.quiet
 		e.workers[i] = w
 	}
 	e.wg.Add(n)
@@ -392,6 +399,16 @@ func New(n int, opts ...Option) *Executor {
 
 // NumWorkers returns the number of worker goroutines.
 func (e *Executor) NumWorkers() int { return len(e.workers) }
+
+// Quiet reports whether the pool books nothing of the tasks it runs: it was
+// built with none of WithMetrics, WithTracing, WithFlightRecorder and
+// WithLatencyHistograms. On a quiet pool Context.Trace records nothing, and
+// Context.Continue books nothing and declines only while the worker's cache
+// slot is occupied, so a caller that knows the slot empty may run its
+// continuation without the call. internal/core's fused links know it: core
+// never calls SubmitCached, a static body gets no Context, and Join.Done
+// submits what it releases rather than continuing it.
+func (e *Executor) Quiet() bool { return e.quiet }
 
 // Submit schedules a task from outside the worker pool via the injection
 // queue (work sharing): a batch of one. Tasks running inside the pool should
