@@ -119,6 +119,32 @@ func TestContinueReconciles(t *testing.T) {
 	}
 }
 
+// TestContinueReconcilesRecorded: on a pool that records, a worker batches
+// the cache hits of its continuations and settles them before it lets the
+// run's waiter go, so right after Run returns CacheHits is exact, Executed
+// — derived from it — equals the bodies that ran, and the laws hold.
+func TestContinueReconcilesRecorded(t *testing.T) {
+	const chain, runs = 40, 6
+	e := executor.New(2, executor.WithMetrics(), executor.WithFlightRecorder(0))
+	defer e.Shutdown()
+	tf := NewShared(e)
+	var hits int
+	chainOf(tf, chain, &hits)
+	for i := 1; i <= runs; i++ {
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+		snap, _ := e.MetricsSnapshot()
+		tot := snap.Total()
+		if tot.Executed != uint64(hits) || tot.CacheHits != uint64(i*(chain-1)) {
+			t.Fatalf("run %d: executed %d, cache hits %d; want the %d bodies run and %d", i, tot.Executed, tot.CacheHits, hits, i*(chain-1))
+		}
+		if err := snap.Reconcile(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+}
+
 // TestContinueGrantedAndDeclinedBySeed: under simulation Continue is a
 // seed choice, so a sweep runs hand-offs both ways — in the releaser's
 // step and through the cache slot — and every schedule executes each task

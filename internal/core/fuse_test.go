@@ -410,16 +410,27 @@ func TestQuietTopology(t *testing.T) {
 
 // TestFuseQuietTimedStats: on a quiet pool a fused link skips its release,
 // not its accounting — under timed run stats every node counts one
-// execution with a nonzero duration, run after run.
+// execution with a nonzero duration, run after run — and reads the clock
+// once: a link starts at the end stamp of the link before it, so the
+// links' durations tile the run and sum to no less than the time from the
+// first body's entry to the last body's exit. Two readings per link would
+// leave the gap between them out of every link.
 func TestFuseQuietTimedStats(t *testing.T) {
 	const n = 256
 	e := executor.New(2)
 	defer e.Shutdown()
 	tf := NewShared(e).CollectRunStats(true)
 	hits := make([]atomic.Int32, n)
-	countedChain(tf, hits, func(int) {
+	var entry, exit int64
+	countedChain(tf, hits, func(i int) {
+		if i == 0 {
+			entry = executor.Nanos()
+		}
 		// Let the clock tick inside every body.
 		for start := executor.Nanos(); executor.Nanos() == start; {
+		}
+		if i == n-1 {
+			exit = executor.Nanos()
 		}
 	})
 	for run := int32(1); run <= 2; run++ {
@@ -434,8 +445,12 @@ func TestFuseQuietTimedStats(t *testing.T) {
 				t.Fatalf("run %d: node %d counts %d executions of %d ns, want 1 of more than 0", run, i, c, d)
 			}
 		}
-		if rs, _ := tf.LastRunStats(); rs.Tasks != n || rs.Busy <= 0 {
+		rs, _ := tf.LastRunStats()
+		if rs.Tasks != n || rs.Busy <= 0 {
 			t.Fatalf("run %d: %d tasks, busy %v; want %d and more than 0", run, rs.Tasks, rs.Busy, n)
+		}
+		if span := time.Duration(exit - entry); rs.Busy < span {
+			t.Fatalf("run %d: links busy %v, less than the %v from the first body's entry to the last body's exit", run, rs.Busy, span)
 		}
 		checkHits(t, hits, func(int) int32 { return run })
 	}
@@ -465,5 +480,47 @@ func TestFuseStackFlat(t *testing.T) {
 	}
 	if depth[0] == 0 || depth[0] != depth[1] {
 		t.Fatalf("link 1 ran at depth %d, link %d at %d", depth[0], n, depth[1])
+	}
+}
+
+// TestFuseFlightShowsBlockedLink: the k-th link of a fused chain on a
+// recording pool is a continuation whose start the worker publishes as it
+// begins, so a flight snapshot taken while the link is stuck in its body
+// shows its start — and the end and release of the link before it — and no
+// end of its own.
+func TestFuseFlightShowsBlockedLink(t *testing.T) {
+	const n, stuck = 32, 21
+	e := executor.New(2, executor.WithFlightRecorder(0))
+	defer e.Shutdown()
+	tf := NewShared(e)
+	inside, release := make(chan struct{}), make(chan struct{})
+	countedChain(tf, make([]atomic.Int32, n), func(i int) {
+		if i == stuck {
+			close(inside)
+			<-release
+		}
+	})
+	done := make(chan error)
+	go func() { done <- tf.Run() }()
+	<-inside
+	fl, _ := e.FlightSnapshot()
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	nodes := tf.g.nodes
+	var got [3]int // its starts, its ends, releases of it by the link before
+	for _, ev := range fl.Events {
+		switch {
+		case ev.Kind == executor.EvTaskStart && ev.Meta.ID == nodes[stuck].traceID:
+			got[0]++
+		case ev.Kind == executor.EvTaskEnd && ev.Meta.ID == nodes[stuck].traceID:
+			got[1]++
+		case ev.Kind == executor.EvDepRelease && ev.Meta.ID == nodes[stuck-1].traceID && ev.Arg == nodes[stuck].traceID:
+			got[2]++
+		}
+	}
+	if got != [3]int{1, 0, 1} {
+		t.Fatalf("blocked link %d: %d starts, %d ends, %d releases in the flight window; want 1, 0, 1", stuck, got[0], got[1], got[2])
 	}
 }

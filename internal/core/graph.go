@@ -301,16 +301,11 @@ var traceIDCounter atomic.Uint64
 // trace events. Building it copies string headers and integers — no
 // allocation on the traced hot path.
 func (n *node) Describe() executor.TaskMeta {
-	m := executor.TaskMeta{
-		Name: n.name,
-		ID:   n.traceID,
-		Idx:  n.idx,
+	t := n.topo
+	if t == nil {
+		return executor.TaskMeta{Name: n.name, ID: n.traceID, Idx: n.idx}
 	}
-	if t := n.topo; t != nil {
-		m.Flow = t.flowName
-		m.Gen = t.gen.Load()
-	}
-	return m
+	return executor.TaskMeta{Flow: t.flowName, Name: n.name, ID: n.traceID, Idx: n.idx, Gen: t.gen.Load()}
 }
 
 // arenaChunk is the node-arena block size: nodes are allocated in blocks

@@ -30,18 +30,21 @@ package core
 
 import "gotaskflow/internal/executor"
 
-// bodyEnd accounts one body execution of n that began at the worker's
-// start stamp when the topology times its bodies: its duration to the
-// worker's end stamp is busy time for RunStats timing and, when the
-// execution resolved, one histogram record.
-func (t *topology) bodyEnd(ctx executor.Context, n *node, start int64, resolved bool) {
+// bodyEnd accounts one body execution of n that began at start (bodyStart)
+// when the topology times its bodies: its duration to the worker's end
+// stamp is busy time for RunStats timing and, when the execution resolved,
+// one histogram record. It returns that end stamp, 0 when nothing times
+// the body.
+func (t *topology) bodyEnd(ctx executor.Context, n *node, start int64, resolved bool) int64 {
 	if t.timed {
-		t.recordBody(ctx, n, start, resolved)
+		return t.recordBody(ctx, n, start, resolved)
 	}
+	return 0
 }
 
-func (t *topology) recordBody(ctx executor.Context, n *node, start int64, resolved bool) {
-	d := ctx.EndStamp() - start
+func (t *topology) recordBody(ctx executor.Context, n *node, start int64, resolved bool) int64 {
+	end := ctx.EndStamp()
+	d := end - start
 	w := ctx.WorkerID()
 	if st := t.stats; st != nil && st.timing {
 		st.workers[w].busyNs += d
@@ -54,4 +57,5 @@ func (t *topology) recordBody(ctx executor.Context, n *node, start int64, resolv
 	if resolved && t.lat != nil {
 		t.lat.RecordLatency(w, start-n.readyAtNs, d)
 	}
+	return end
 }

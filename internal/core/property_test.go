@@ -32,9 +32,28 @@ func TestPropertyRandomDAGExactlyOnceAndReconciled(t *testing.T) {
 	}
 }
 
-func checkRandomDAG(t *testing.T, workers, n int, seed int64) {
+// TestPropertyRandomDAGReconciledRecorded is the same sweep on pools with
+// the flight recorder on, whose workers batch their continuations' cache
+// hits: Executed, derived from them, must still equal the bodies run.
+func TestPropertyRandomDAGReconciledRecorded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("property sweep skipped in -short mode")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, n := range []int{17, 200} {
+			for seed := int64(0); seed < 3; seed++ {
+				name := fmt.Sprintf("w%d/n%d/seed%d", workers, n, seed)
+				t.Run(name, func(t *testing.T) {
+					checkRandomDAG(t, workers, n, seed, executor.WithFlightRecorder(0))
+				})
+			}
+		}
+	}
+}
+
+func checkRandomDAG(t *testing.T, workers, n int, seed int64, opts ...executor.Option) {
 	d := graphgen.Random(n, graphgen.Config{Seed: seed})
-	e := executor.New(workers, executor.WithMetrics())
+	e := executor.New(workers, append(opts, executor.WithMetrics())...)
 	defer e.Shutdown()
 	tf := NewShared(e).CollectRunStats(false)
 

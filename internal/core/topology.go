@@ -345,7 +345,7 @@ func (t *topology) runNode(ctx executor.Context, n *node) *node {
 		}
 		return t.finishNode(ctx, n)
 	}
-	start := t.bodyStart(ctx, n)
+	start := t.bodyStart(ctx, n, 0)
 	switch w := n.work.(type) {
 	case func() int:
 		idx := -1
@@ -406,23 +406,25 @@ func (t *topology) runNode(ctx executor.Context, n *node) *node {
 // completes the execution. The next node is continued (Context.Continue) and
 // runs here if it is static and the topology not cancelled; else it is
 // returned, granted, for runNode. nil means the worker has nothing to go on
-// with. A panic ends the run: recoverLink completes the link that panicked, and
-// the caller starts a new run from what that released.
+// with. A body after another starts at its end stamp (bodyStart), so a timed
+// run reads the clock once per body whatever the pool books. A panic ends the
+// run: recoverLink completes the link that panicked, and the caller starts a
+// new run from what that released.
 func (t *topology) runLinks(ctx executor.Context, n *node) (next *node) {
-	var start int64
+	var start, end int64
 	defer func() {
 		if r := recover(); r != nil {
 			next = t.recoverLink(ctx, n, start, r)
 		}
 	}()
 	for {
-		start = t.bodyStart(ctx, n)
+		start = t.bodyStart(ctx, n, end)
 		if w, ok := n.work.(func()); ok {
 			w()
 		} else if err := n.work.(func() error)(); err != nil {
 			t.failTask(n, err)
 		}
-		t.bodyEnd(ctx, n, start, true)
+		end = t.bodyEnd(ctx, n, start, true)
 		s := n.link()
 		if s != nil && t.quiet {
 			if n = s; t.cancelled.Load() {
@@ -467,11 +469,13 @@ func (t *topology) recoverLink(ctx executor.Context, n *node, start int64, r any
 }
 
 // bodyStart accounts an execution of n whose body is about to run and
-// returns the stamp bodyEnd measures it from (zero when nothing times it).
-// Every non-skipped execution counts — retry attempts and condition-loop
-// iterations included — and is mirrored on the node for the annotated DOT
-// dump.
-func (t *topology) bodyStart(ctx executor.Context, n *node) int64 {
+// returns the stamp bodyEnd measures it from (zero when nothing times it):
+// from, the end stamp of the body this frame ran before it, when the caller
+// has one — one clock reading per boundary, on a worker that stamps nothing
+// too — else the worker's start stamp. Every non-skipped execution counts
+// — retry attempts and condition-loop iterations included — and is
+// mirrored on the node for the annotated DOT dump.
+func (t *topology) bodyStart(ctx executor.Context, n *node, from int64) int64 {
 	if st := t.stats; st != nil {
 		st.workers[ctx.WorkerID()].tasks++
 		if t.addsNodeStats(n) {
@@ -480,10 +484,13 @@ func (t *topology) bodyStart(ctx executor.Context, n *node) int64 {
 			n.execCount.Store(1)
 		}
 	}
-	if t.timed {
-		return ctx.StartStamp()
+	if !t.timed {
+		return 0
 	}
-	return 0
+	if from != 0 {
+		return from
+	}
+	return ctx.StartStamp()
 }
 
 // addsNodeStats reports whether an execution of n adds to n's per-run

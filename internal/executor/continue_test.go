@@ -114,8 +114,23 @@ func TestContinueDeclinesWhileCacheOccupied(t *testing.T) {
 // when it begins, not when the frame it runs in returns, so a chain of
 // slow links beside queued work is progress to the stall watchdog.
 func TestContinueAdvancesExecutedPerLink(t *testing.T) {
+	continueAdvancesExecuted(t, WithMetrics())
+}
+
+// TestContinueAdvancesExecutedPerLinkRecorded is the same law on a worker
+// that records its continuations and batches their cache hits: a batch
+// goes out at the first continuation a millisecond after the last one did,
+// so links slower than that still advance Executed one by one.
+func TestContinueAdvancesExecutedPerLinkRecorded(t *testing.T) {
+	continueAdvancesExecuted(t, WithMetrics(), WithFlightRecorder(0))
+}
+
+// continueAdvancesExecuted runs 20 links of 5 ms on a one-worker pool built
+// with opts, a task queued behind them, under a watchdog that calls 60 ms
+// without progress a stall: it must stay silent.
+func continueAdvancesExecuted(t *testing.T, opts ...Option) {
 	const links, link = 20, 5 * time.Millisecond
-	e := New(1, WithMetrics())
+	e := New(1, opts...)
 	defer e.Shutdown()
 	wd, err := e.StartWatchdog(WatchdogConfig{
 		Interval:   link / 2,

@@ -139,7 +139,8 @@ type Context interface {
 	Trace(kind EventKind, task Described, arg uint64)
 	// Settle makes everything this worker has recorded readable by others:
 	// it ends the running task's span at EndStamp, publishes the worker's
-	// trace events and adds its pending latency records to their histogram.
+	// trace events and adds its pending latency records to their histogram
+	// and its batched cache hits to their counter (WorkerStats.CacheHits).
 	// A worker keeps its records to itself while it has a next task in
 	// hand, and settles by itself when it runs out of local work; the
 	// running task's owner calls Settle, after the body, before it does
@@ -187,6 +188,16 @@ type worker struct {
 	start, end int64
 	cur        Described
 	meta       TaskMeta
+
+	// held says the running task's release of the task heldArg names is
+	// not written yet (Trace): the next record writes it, or folds it in.
+	held    bool
+	heldArg uint64
+
+	// hits counts continuations booked by handOff and not yet added to
+	// metrics.cacheHits; hitsAt is the stamp at which it last added them.
+	hits   uint64
+	hitsAt int64
 
 	// quiet is the executor's (Executor.Quiet): nothing books this
 	// worker's tasks, so a continuation has no boundary to book (Continue).
@@ -241,14 +252,20 @@ func (w *worker) SubmitCached(r *Runnable) {
 
 // Continue is Algorithm 1's task cache without the trip back to the run
 // loop: the task in hand ends here and r begins, booked through the same
-// finish and begin as two tasks of the loop, and the caller runs r's body.
-// An occupied cache slot runs first, so r goes the SubmitCached way.
+// finish and begin as two tasks of the loop — or, while the task's span is
+// recorded, as one hand-off record (handOff) — and the caller runs r's
+// body. A quiet pool books nothing. An occupied cache slot runs first, so
+// r goes the SubmitCached way.
 func (w *worker) Continue(r *Runnable) bool {
 	if w.cache != nil {
 		w.Submit(r)
 		return false
 	}
-	if !w.quiet {
+	switch {
+	case w.quiet:
+	case w.spanOpen && w.spine.recording():
+		w.handOff(r)
+	default:
 		if m := w.metrics; m != nil {
 			m.cacheHits.Add(1)
 		}
@@ -716,13 +733,9 @@ func (e *Executor) invoke(w *worker, r *Runnable) {
 	w.finish(w.cache != nil)
 }
 
-// begin books the start of r on w: it counts as executed and, while
-// something records it, its stamps are shared from here to finish
-// (stamping) and its start event is written.
+// begin books the start of r on w: while something records it, its stamps
+// are shared from here to finish (stamping) and its start event is written.
 func (w *worker) begin(r *Runnable) {
-	if m := w.metrics; m != nil {
-		m.executed.Add(1)
-	}
 	tracing, timed := false, w.exec.lat != nil
 	if sp := w.spine; sp != nil {
 		if tracing = sp.recording(); !tracing && !timed {

@@ -16,7 +16,10 @@ package executor
 const defaultFlightCapacity = 1 << 12
 
 // WithFlightRecorder arms continuous event recording with a per-worker
-// window of capacity events (<= 0 selects the default). Unlike WithTracing
+// window of capacity ring records (<= 0 selects the default): a record is
+// one event, or a continuation's hand-off record, which stands for up to
+// three (its task's release and end and the next task's start), so the
+// window holds capacity events or more. Unlike WithTracing
 // there is no Start/Stop: FlightSnapshot returns the recent window at any
 // moment. Composes with WithTracing — a capture session and the black box
 // are two readers of the same rings, sized for the larger of the two.
@@ -31,12 +34,12 @@ func WithFlightRecorder(capacity int) Option {
 // WithFlightRecorder.
 func (e *Executor) FlightEnabled() bool { return e.flightCap > 0 }
 
-// FlightSnapshot copies each ring's newest capacity events into a merged,
-// time-ordered Trace without stopping recording. ok is false when the
-// executor was built without WithFlightRecorder. Trace.Dropped counts
-// exactly the events recorded before the window, so Dropped > 0 simply
-// means the box has been running longer than its window — expected in
-// steady state.
+// FlightSnapshot copies each ring's newest capacity records, expanded into
+// their events, into a merged, time-ordered Trace without stopping
+// recording. ok is false when the executor was built without
+// WithFlightRecorder. Trace.Dropped counts exactly the events recorded
+// that the window does not return, so Dropped > 0 simply means the box has
+// been running longer than its window — expected in steady state.
 func (e *Executor) FlightSnapshot() (Trace, bool) {
 	if e.flightCap <= 0 {
 		return Trace{}, false

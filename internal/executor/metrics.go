@@ -63,7 +63,8 @@ type workerMetrics struct {
 	injectionDrainedTasks atomic.Uint64
 	// cacheHits counts tasks handed to their worker through the task cache
 	// (Algorithm 1 lines 16-25) instead of a queue: continuations
-	// (Continue) and tasks placed in the cache slot.
+	// (Continue) and tasks placed in the cache slot. A recording worker
+	// adds its continuations in batches (worker.hits).
 	cacheHits atomic.Uint64
 	// prewaits counts entries into the eventcount's two-phase wait protocol
 	// (lines 5-15): each is resolved by exactly one committed park or one
@@ -76,8 +77,6 @@ type workerMetrics struct {
 	// parks counts committed waits on the eventcount (the worker pushed
 	// itself onto the waiter stack; the complement of waitCancels).
 	parks atomic.Uint64
-	// executed counts tasks this worker invoked.
-	executed atomic.Uint64
 	// flowDrains counts drain operations on multi-tenant flow queues
 	// (flow.go): sweeps of a priority class that came back with at least
 	// one task.
@@ -152,12 +151,23 @@ type WorkerStats struct {
 	InjectionDrainedTasks uint64 // tasks taken from the injection queue (incl. batch extras)
 	FlowDrains            uint64 // successful multi-tenant flow-queue drain operations
 	FlowDrainedTasks      uint64 // tasks taken from flow queues (incl. batch extras)
-	CacheHits             uint64 // tasks run as continuations or through the cache slot
-	Prewaits              uint64 // entries into the eventcount wait protocol
-	WaitCancels           uint64 // prewaits retracted because the re-check found work
-	Parks                 uint64 // committed waits on the eventcount
-	ProbabilisticWakes    uint64 // always 0: the probabilistic wakeup is not run (Snapshot)
-	Executed              uint64 // tasks invoked
+	// CacheHits counts tasks run as continuations (Context.Continue) or
+	// through the cache slot. A worker recording events (WithTracing during
+	// a capture, WithFlightRecorder) books its continuations in a word of
+	// its own and adds them here every 64 of them, at the first one a
+	// millisecond after it last did, and when it settles (Context.Settle):
+	// a live reading may lag by that much, one at quiescence — and one
+	// taken after a Run returns — is exact.
+	CacheHits          uint64
+	Prewaits           uint64 // entries into the eventcount wait protocol
+	WaitCancels        uint64 // prewaits retracted because the re-check found work
+	Parks              uint64 // committed waits on the eventcount
+	ProbabilisticWakes uint64 // always 0: the probabilistic wakeup is not run (Snapshot)
+	// Executed counts the tasks this worker ran. It is not counted but
+	// derived: every task a worker runs was got from exactly one place, so
+	// Executed is Pops + Steals + InjectionDrains + FlowDrains + CacheHits,
+	// and lags with CacheHits.
+	Executed uint64
 }
 
 // QueueStats is one Queue's counters at a snapshot instant (Queue.Stats).
@@ -247,7 +257,10 @@ func (s *Snapshot) Total() WorkerStats {
 //	in-flight gauge         == 0
 //	peak in-flight          ≤ MaxInFlight when a quota is set
 //
-// The executed law counts operations, not tasks: each successful steal or
+// The executed law holds by construction, for Executed is derived from the
+// other five (WorkerStats.Executed); what witnesses it is a count of the
+// bodies that actually ran, which the property tests of internal/core
+// compare Executed with. It counts operations, not tasks: each successful steal or
 // drain operation hands exactly one task straight to the thief for
 // execution; the batch extras it also moved re-enter the thief's own deque
 // as pushes and are later popped or re-stolen, so they surface through the
@@ -344,7 +357,7 @@ func (e *Executor) MetricsSnapshot() (Snapshot, bool) {
 		ws.WaitCancels = wm.waitCancels.Load()
 		ws.Parks = wm.parks.Load()
 		ws.Prewaits = wm.prewaits.Load()
-		ws.Executed = wm.executed.Load()
+		ws.Executed = ws.Pops + ws.Steals + ws.InjectionDrains + ws.FlowDrains + ws.CacheHits
 	}
 	s.Injection = e.inj.Stats()
 	s.Flows = e.FlowStats()

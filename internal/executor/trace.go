@@ -20,9 +20,12 @@ package executor
 //
 // One ring, two readers. Each worker owns one ring (one more, mutex-
 // guarded, takes events from outside the pool — cold by construction). A
-// capture session is a [start, stop) window of event numbers on it, the
-// flight recorder (flight.go) its trailing window; an event is written
-// once however many readers are armed.
+// capture session is a [start, stop) window of record numbers on it, the
+// flight recorder (flight.go) its trailing window; a record is written
+// once however many readers are armed. A record is one event, or the
+// hand-off record of a continuation (evHandOff): the end of one task and
+// the start of the next at one stamp, with the release between them
+// folded in, which the readers expand into those two or three events.
 //
 // No per-event lock, one publication per task. The owner fills slots with
 // plain stores and publishes them with one atomic store of head, so a
@@ -30,7 +33,9 @@ package executor
 // private until somebody else could need it: head moves at a task's start
 // event (the task a worker is inside, or stuck inside, is always visible),
 // at scheduler lifecycle events, at Settle and on entering a segment; a
-// task's release and end events ride with the next of those. Slots are
+// task's release and end events ride with the next of those, and a
+// continuation's hand-off record, which starts a task, is published as it
+// is written. Slots are
 // reused a segment (ringSegLen) at a time:
 // the owner closes the segment (pins 0 -> -1), advances its base event
 // number and reopens it; a reader pins the one segment it copies, checks
@@ -103,6 +108,13 @@ const (
 
 	numEventKinds
 )
+
+// evHandOff is the ring record of a continuation (worker.handOff), never
+// returned to readers: spine.read expands it into the EvTaskEnd of the
+// span before it and the EvTaskStart of the task it names (Meta), preceded
+// by that span's EvDepRelease of the task when Arg is 1 (the release was
+// folded into the record), all at the record's Ts.
+const evHandOff = numEventKinds
 
 var eventKindNames = [numEventKinds]string{
 	EvTaskStart:    "task_start",
@@ -205,8 +217,9 @@ type Trace struct {
 	Epoch time.Time
 	// Events is the merged stream, sorted by Ts.
 	Events []TraceEvent
-	// Dropped counts the window's events the rings no longer held: the
-	// oldest ones, overwritten by wrap-around.
+	// Dropped counts the window's events that Events lacks: the oldest
+	// ones, overwritten by wrap-around, and the end and release a
+	// continuation implied of a span that started before the window.
 	Dropped uint64
 	// Workers is the executor's worker count at capture time.
 	Workers int
@@ -228,26 +241,30 @@ const ringSegLen = 64
 
 // ringSeg is the reuse gate of one segment. pins counts readers copying
 // it, or is -1 while the writer moves it to its next generation; base is
-// the sequence number of the event in its first slot.
+// the sequence number of the record in its first slot, and extra the
+// ring's extra events (eventRing.extra) before that record.
 type ringSeg struct {
-	pins atomic.Int32
-	base atomic.Int64
+	pins  atomic.Int32
+	base  atomic.Int64
+	extra atomic.Int64
 }
 
-// eventRing is one wrapping event buffer with a single writer at a time:
+// eventRing is one wrapping record buffer with a single writer at a time:
 // its owning worker, or for the external ring the holder of spine.extMu.
-// Event number i lives in slot i mod len(buf). Readers see the events below
-// head; the writer's own count runs ahead of it by the events it has not
-// published yet, fewer than ringSegLen. See the file comment for the
-// publication and segment-pin protocol.
+// Record number i lives in slot i mod len(buf). A record is one event,
+// or a hand-off record (evHandOff) that stands for two or three. Readers
+// see the records below head; the writer's own count runs ahead of it by
+// the records it has not published yet, fewer than ringSegLen. See the
+// file comment for the publication and segment-pin protocol.
 type eventRing struct {
-	buf  []TraceEvent
-	segs []ringSeg
-	head atomic.Int64
-	n    int64 // writer-private: events written
-	pos  int   // writer-private: the slot of event number n
+	buf   []TraceEvent
+	segs  []ringSeg
+	head  atomic.Int64
+	n     int64 // writer-private: records written
+	pos   int   // writer-private: the slot of record number n
+	extra int64 // writer-private: events written beyond one per record
 
-	_ [metricsPad - 72]byte // rings sit side by side: keep each writer's head on its own lines
+	_ [metricsPad - 80]byte // rings sit side by side: keep each writer's head on its own lines
 }
 
 // newEventRing sizes a ring so that the newest capacity published events
@@ -272,6 +289,7 @@ func (r *eventRing) write(worker int32, kind EventKind, ts int64, meta *TaskMeta
 			runtime.Gosched() // a reader is copying this segment's last generation
 		}
 		seg.base.Store(r.n)
+		seg.extra.Store(r.extra)
 		seg.pins.Store(0)
 		r.head.Store(r.n)
 	}
@@ -288,6 +306,14 @@ func (r *eventRing) write(worker int32, kind EventKind, ts int64, meta *TaskMeta
 	r.n++
 }
 
+// writeHandOff records the continuation of the open span into the task
+// meta names, at ts: one record for two events, three when the span's
+// release of that task was folded into it (folded 1; see evHandOff).
+func (r *eventRing) writeHandOff(worker int32, ts int64, meta *TaskMeta, folded uint64) {
+	r.write(worker, evHandOff, ts, meta, folded)
+	r.extra += 1 + int64(folded)
+}
+
 // publish makes every event written so far visible to readers.
 func (r *eventRing) publish() {
 	if r.head.Load() != r.n {
@@ -295,11 +321,17 @@ func (r *eventRing) publish() {
 	}
 }
 
-// window appends to dst the events numbered [lo, hi) that the ring still
-// holds, oldest first, with base subtracted from their timestamps. hi
-// must not exceed a value loaded from head. Events the writer has since
-// overwritten are skipped; the caller counts them as dropped.
-func (r *eventRing) window(dst []TraceEvent, lo, hi, base int64) []TraceEvent {
+// window appends to dst, oldest first, the events of the records numbered
+// [lo, hi) that the ring still holds, with base subtracted from their
+// timestamps and each hand-off record expanded (evHandOff). hi must not
+// exceed a value loaded from head. A hand-off record whose previous span
+// did not start in the window — before lo, or in a segment the writer has
+// since reused — expands to its start alone. It also returns the ring's
+// extra count at hi (eventRing.extra once record hi-1 was written), ok
+// false when the ring no longer holds record hi-1; the caller counts what
+// the window left out as dropped.
+func (r *eventRing) window(dst []TraceEvent, lo, hi, base int64) (_ []TraceEvent, extra int64, ok bool) {
+	prev := -1 // dst index of the window's last span start
 	for lo < hi {
 		first := lo - lo%ringSegLen
 		end := min(first+ringSegLen, hi)
@@ -312,17 +344,50 @@ func (r *eventRing) window(dst []TraceEvent, lo, hi, base int64) []TraceEvent {
 			}
 			runtime.Gosched() // the writer is between generations: a few instructions
 		}
-		if seg.base.Load() == first {
-			from := len(dst)
-			dst = append(dst, r.buf[s*ringSegLen+int(lo-first):s*ringSegLen+int(end-first)]...)
-			for i := from; i < len(dst); i++ {
-				dst[i].Ts = max(dst[i].Ts-time.Duration(base), 0)
+		if ok = seg.base.Load() == first; ok {
+			extra = seg.extra.Load()
+			for i, ev := range r.buf[s*ringSegLen : s*ringSegLen+int(end-first)] {
+				if ev.Kind == evHandOff {
+					extra += 1 + int64(ev.Arg)
+				}
+				if first+int64(i) < lo {
+					continue
+				}
+				ev.Ts = max(ev.Ts-time.Duration(base), 0)
+				switch ev.Kind {
+				case evHandOff:
+					dst, prev = expandHandOff(dst, prev, ev)
+				case EvTaskStart:
+					prev = len(dst)
+					fallthrough
+				default:
+					dst = append(dst, ev)
+				}
 			}
+		} else {
+			prev = -1
 		}
 		seg.pins.Add(-1)
 		lo = end
 	}
-	return dst
+	return dst, extra, ok
+}
+
+// expandHandOff appends the events of hand-off record h to dst: when the
+// span before it started at dst[prev] (prev >= 0), that span's release of
+// h's task if folded and its end, then h's start, whose index it returns.
+func expandHandOff(dst []TraceEvent, prev int, h TraceEvent) ([]TraceEvent, int) {
+	if prev >= 0 {
+		ev := TraceEvent{Ts: h.Ts, Worker: h.Worker, Meta: dst[prev].Meta}
+		if h.Arg == 1 {
+			ev.Kind, ev.Arg = EvDepRelease, h.Meta.ID
+			dst = append(dst, ev)
+		}
+		ev.Kind, ev.Arg = EvTaskEnd, 0
+		dst = append(dst, ev)
+	}
+	h.Kind, h.Arg = EvTaskStart, 0
+	return append(dst, h), len(dst)
 }
 
 // spine is the executor's event-recording state; it exists iff the
@@ -345,11 +410,11 @@ type spine struct {
 
 // captureSession is the start of a reader's window: the instant (wall
 // clock and Nanos) timestamps are rebased to, and where each ring's head
-// stood then (nil: at zero).
+// and extra count stood then (nil: at zero).
 type captureSession struct {
-	epoch time.Time
-	base  int64
-	marks []int64
+	epoch         time.Time
+	base          int64
+	marks, extras []int64
 }
 
 func newSpine(workers int, traceCap, flightCap int) *spine {
@@ -371,20 +436,33 @@ func (sp *spine) recording() bool {
 	return sp.flightCap > 0 || sp.capture.Load() != nil
 }
 
-// read merges the newest limit events each ring recorded since c into a
-// time-sorted Trace.
+// read merges the newest limit records each ring wrote since c, expanded
+// into their events, into a time-sorted Trace. Dropped is what the window
+// stands for less what it returned: the records the ring no longer held,
+// each with every event it stood for, and the end and release a hand-off
+// record implied of a span that started before the window.
 func (sp *spine) read(c *captureSession, limit int64) Trace {
 	tr := Trace{Epoch: c.epoch, Workers: len(sp.rings) - 1}
 	for i := range sp.rings {
 		r := &sp.rings[i]
-		var lo int64
+		var lo, xlo int64
 		if c.marks != nil {
-			lo = c.marks[i]
+			lo, xlo = c.marks[i], c.extras[i]
 		}
 		hi := r.head.Load()
 		before := len(tr.Events)
-		tr.Events = r.window(tr.Events, max(lo, hi-limit), hi, c.base)
-		tr.Dropped += uint64(hi-lo) - uint64(len(tr.Events)-before)
+		var xhi int64
+		var ok bool
+		tr.Events, xhi, ok = r.window(tr.Events, max(lo, hi-limit), hi, c.base)
+		if !ok {
+			// The writer lapped the ring while this reader copied it: what
+			// the lost records stood for is gone with them, so each counts
+			// once.
+			xhi = xlo
+		}
+		if d := hi - lo + xhi - xlo - int64(len(tr.Events)-before); d > 0 {
+			tr.Dropped += uint64(d)
+		}
 	}
 	sort.SliceStable(tr.Events, func(i, j int) bool {
 		return tr.Events[i].Ts < tr.Events[j].Ts
@@ -393,11 +471,13 @@ func (sp *spine) read(c *captureSession, limit int64) Trace {
 }
 
 // defaultTraceCapacity is the per-ring capture window when WithTracing is
-// given a non-positive capacity: 16K events ≈ 1.3 MiB per worker.
+// given a non-positive capacity: 16K records ≈ 1.3 MiB per worker.
 const defaultTraceCapacity = 1 << 14
 
 // WithTracing enables capture sessions over the event rings, each keeping
-// up to capacity events per worker (<= 0 selects the default). Tracing is
+// up to capacity ring records per worker (<= 0 selects the default): a
+// record is one event, or a continuation's hand-off record, which stands
+// for up to three (see WithFlightRecorder). Tracing is
 // armed but idle until StartTrace; the idle cost per instrumentation point
 // is one atomic pointer load, and executors built without this option pay
 // only a nil check.
@@ -425,24 +505,32 @@ func (e *Executor) StartTrace() bool {
 		return false
 	}
 	sp := e.spine
-	c := &captureSession{epoch: time.Now(), base: Nanos(), marks: make([]int64, len(sp.rings))}
+	n := len(sp.rings)
+	c := &captureSession{epoch: time.Now(), base: Nanos(), marks: make([]int64, n), extras: make([]int64, n)}
 	for i := range sp.rings {
-		c.marks[i] = sp.rings[i].head.Load()
+		r := &sp.rings[i]
+		c.marks[i] = r.head.Load()
+		if m := c.marks[i]; m > 0 { // the ring's extra count at the mark
+			_, c.extras[i], _ = r.window(nil, m-1, m, 0)
+		}
 	}
 	return sp.capture.CompareAndSwap(nil, c)
 }
 
 // StopTrace ends the capture and returns the merged, time-ordered events
 // recorded since StartTrace. A capture is a window on wrapping rings: when
-// a worker recorded more than the WithTracing capacity the newest events
-// are kept and the older ones counted in Dropped. ok is false when tracing
-// was not built in or no capture is active. The window is made of what the
-// workers have published: everything a worker recorded before it let a
-// waiter go (Context.Settle) — so a capture around a finished Run holds all
-// of the run's events — and each task's start event from the moment it
-// started. Of a task running across StartTrace or StopTrace, at most that
-// one task's trailing events (its releases and its end) per worker may fall
-// on the wrong side of the window; events already published are never torn.
+// a worker wrote more than the WithTracing capacity of records the newest
+// are kept and the older ones' events counted in Dropped. ok is false when
+// tracing was not built in or no capture is active. The window is made of
+// what the workers have published: everything a worker recorded before it
+// let a waiter go (Context.Settle) — so a capture around a finished Run
+// holds all of the run's events — and each task's start event from the
+// moment it started (a continuation's hand-off record expands to its start
+// alone when the span it ends began before StartTrace; the end and release
+// it implied are counted in Dropped). Of a task running across StartTrace
+// or StopTrace, at most that one task's trailing events (its releases and
+// its end) per worker may fall on the wrong side of the window; events
+// already published are never torn.
 func (e *Executor) StopTrace() (Trace, bool) {
 	if e.traceCap <= 0 {
 		return Trace{}, false
@@ -503,11 +591,16 @@ func (w *worker) EndStamp() int64 {
 // Trace implements Context: record an event about task at the current
 // task's end stamp. The running task's identity was resolved when it
 // started (invoke); any other task is asked for its own. The event is
-// published with the worker's next publication (see Settle).
+// published with the worker's next publication (see Settle). The running
+// task's release of a successor is held back instead (held): the next
+// record writes it out first, unless it is the hand-off record of that
+// successor, which folds it in (handOff).
 func (w *worker) Trace(kind EventKind, task Described, arg uint64) {
 	if !w.tracing() {
 		return
 	}
+	ts := w.EndStamp()
+	w.writeHeld()
 	meta := &w.meta
 	if task != w.cur {
 		var m TaskMeta
@@ -515,8 +608,58 @@ func (w *worker) Trace(kind EventKind, task Described, arg uint64) {
 			m = task.Describe()
 		}
 		meta = &m
+	} else if kind == EvDepRelease && w.spanOpen {
+		w.held, w.heldArg = true, arg
+		return
 	}
-	w.ring.write(int32(w.id), kind, w.EndStamp(), meta, arg)
+	w.ring.write(int32(w.id), kind, ts, meta, arg)
+}
+
+// writeHeld writes out the release Trace held back, if there is one.
+func (w *worker) writeHeld() {
+	if w.held {
+		w.held = false
+		w.ring.write(int32(w.id), EvDepRelease, w.end, &w.meta, w.heldArg)
+	}
+}
+
+// A recording worker adds its continuations to the cacheHits counter in
+// batches (handOff): after hitBatch of them, or at the first one hitLag
+// after its last batch.
+const (
+	hitBatch = 64
+	hitLag   = int64(time.Millisecond)
+)
+
+// handOff books Continue's boundary while the running task's span is open
+// and events are wanted: one clock reading, the task's end stamp, is both
+// the end of its span and the start of r's, which opens at once — one
+// hand-off record (evHandOff), published, with the task's release of r
+// folded in when that is what Trace holds. r counts as a cache hit in the
+// worker's own word (hits), which goes out to the counter every hitBatch
+// hand-offs, hitLag after the last time it did, and at Settle.
+func (w *worker) handOff(r *Runnable) {
+	end := w.EndStamp()
+	d, _ := (*r).(Described)
+	var meta TaskMeta
+	if d != nil {
+		meta = d.Describe()
+	}
+	var folded uint64
+	if w.held && w.heldArg == meta.ID {
+		w.held, folded = false, 1
+	}
+	w.writeHeld()
+	w.cur, w.meta = d, meta
+	w.ring.writeHandOff(int32(w.id), end, &w.meta, folded)
+	w.ring.publish()
+	w.start, w.end = end, 0
+	if w.metrics != nil {
+		if w.hits++; w.hits == hitBatch || end-w.hitsAt >= hitLag {
+			w.flushHits()
+			w.hitsAt = end
+		}
+	}
 }
 
 // traceEvent records a scheduler lifecycle event, which has no task
@@ -524,6 +667,7 @@ func (w *worker) Trace(kind EventKind, task Described, arg uint64) {
 // published at once — what follows may be a park.
 func (w *worker) traceEvent(kind EventKind, arg uint64) {
 	if w.tracing() {
+		w.writeHeld()
 		w.ring.write(int32(w.id), kind, Nanos(), nil, arg)
 		w.ring.publish()
 	}
@@ -533,18 +677,30 @@ func (w *worker) traceEvent(kind EventKind, arg uint64) {
 // task's owner settles, from invoke otherwise.
 func (w *worker) endSpan() {
 	if w.spanOpen {
+		w.writeHeld()
 		w.spanOpen = false
 		w.ring.write(int32(w.id), EvTaskEnd, w.EndStamp(), &w.meta, 0)
 	}
 }
 
+// flushHits adds the continuations handOff counted to the cacheHits
+// counter.
+func (w *worker) flushHits() {
+	if w.hits != 0 {
+		w.metrics.cacheHits.Add(w.hits)
+		w.hits = 0
+	}
+}
+
 // Settle implements Context: everything this worker has recorded becomes
 // readable — the running task's span is closed at its end stamp, the ring
-// published, the pending histogram records added to their shard.
+// published, the pending cache hits and histogram records added to their
+// counter and shard.
 func (w *worker) Settle() {
 	if r := w.ring; r != nil {
 		w.endSpan()
 		r.publish()
+		w.flushHits()
 	}
 	if s := w.dirty; s != nil {
 		w.dirty = nil
