@@ -145,13 +145,11 @@ func TestContinueReconcilesRecorded(t *testing.T) {
 	}
 }
 
-// TestContinueGrantedAndDeclinedBySeed: under simulation Continue is a
-// seed choice, so a sweep runs hand-offs both ways — in the releaser's
-// step and through the cache slot — and every schedule executes each task
-// exactly once per run.
-func TestContinueGrantedAndDeclinedBySeed(t *testing.T) {
+// TestContinueExactlyOnceBySeed: under simulation, as on the pool, every
+// hand-off of a chain is a continuation, run in its releaser's step, and
+// every schedule executes each task exactly once per run.
+func TestContinueExactlyOnceBySeed(t *testing.T) {
 	const chain, runs = 64, 2
-	someGranted, someDeclined := false, false
 	for _, workers := range []int{1, 2, 4} {
 		for seed := int64(0); seed < 50; seed++ {
 			s := sim.New(workers, sim.WithSeed(seed))
@@ -173,13 +171,10 @@ func TestContinueGrantedAndDeclinedBySeed(t *testing.T) {
 			if hits != chain*runs || st.Executed != chain*runs {
 				t.Fatalf("w%d seed %d: %d bodies ran, sim executed %d; want %d", workers, seed, hits, st.Executed, chain*runs)
 			}
-			handOffs := uint64((chain - 1) * runs)
-			someGranted = someGranted || st.Continued > 0
-			someDeclined = someDeclined || st.Continued < handOffs
+			if handOffs := uint64((chain - 1) * runs); st.Continued != handOffs {
+				t.Fatalf("w%d seed %d: %d continuations, want one per hand-off, %d", workers, seed, st.Continued, handOffs)
+			}
 		}
-	}
-	if !someGranted || !someDeclined {
-		t.Fatalf("across the sweep: some continuation granted %v, some declined %v; want both", someGranted, someDeclined)
 	}
 }
 

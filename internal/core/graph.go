@@ -189,18 +189,18 @@ func (n *node) isCondition() bool {
 }
 
 // Run implements executor.Runnable: one execution of the node under its
-// current topology, and then, for as long as the worker takes them as
-// continuations, the execution each one hands on — Algorithm 1's task
-// cache as a loop in this frame. Static bodies run in runLinks' loop,
-// every other kind, and a skipped execution, through runNode. The executor
-// invokes it through the node's intrusive rbox slot.
+// current topology, and then the execution each one hands on as its
+// continuation — Algorithm 1's task cache as a loop in this frame. Static
+// bodies run in runLinks' loop, every other kind, and a skipped execution,
+// through runNode. The executor invokes it through the node's intrusive
+// rbox slot.
 func (n *node) Run(ctx executor.Context) {
 	for n != nil {
 		t := n.topo
 		if n.static() && !t.cancelled.Load() {
 			n = t.runLinks(ctx, n)
-		} else if n = t.runNode(ctx, n); n != nil && !ctx.Continue(n.ref()) {
-			return
+		} else if n = t.runNode(ctx, n); n != nil {
+			ctx.Continue(n.ref())
 		}
 	}
 }

@@ -214,7 +214,7 @@ func TestRunLinearChainZeroAllocFlightOn(t *testing.T) {
 // the task spans of the flight recorder are three readers of the same
 // stamps, so they agree to the nanosecond — and a dependency release is
 // stamped with its releasing task's own end stamp. On a chain, where every
-// task is handed over through the cache slot, that end stamp is also the
+// task is handed over as a continuation, that end stamp is also the
 // next task's start stamp: one reading per hand-off, and no queue wait but
 // the source's.
 func TestOneTimestampLaw(t *testing.T) {
@@ -295,7 +295,7 @@ func TestHandOffLawFanOut(t *testing.T) {
 		}
 	}
 	if inherited < 1 {
-		t.Fatal("no task inherited the releaser's end stamp through the cache slot")
+		t.Fatal("no task inherited the releaser's end stamp as a continuation")
 	}
 }
 

@@ -559,8 +559,8 @@ func TestScrubIdleExecutorFreesFinishedGraphs(t *testing.T) {
 		payload := new([1 << 10]byte)
 		runtime.SetFinalizer(payload, func(*[1 << 10]byte) { freed.Add(1) })
 		body := func() { _ = payload[0] }
-		// A fan, so that tasks go through the deques and not only through
-		// the workers' cache slots.
+		// A fan, so that tasks go through the deques and not only as
+		// continuations.
 		src, sink := tf.Emplace1(body), tf.Emplace1(body)
 		for i := 0; i < 8; i++ {
 			mid := tf.Emplace1(body)

@@ -400,16 +400,15 @@ func (t *topology) runNode(ctx executor.Context, n *node) *node {
 // this frame and under one panic net — Algorithm 1's task cache as a jump back
 // to the top of the loop. After a fused link (node.link) the release of the
 // successor is its arm alone, and on a quiet topology nothing: no event to
-// trace, no counter to re-arm, no wait clock, and no Continue, which would
-// grant without booking anything, for nothing in a fused run fills the worker's
-// cache slot (executor.Executor's Quiet). After any other body finishNode
-// completes the execution. The next node is continued (Context.Continue) and
-// runs here if it is static and the topology not cancelled; else it is
-// returned, granted, for runNode. nil means the worker has nothing to go on
-// with. A body after another starts at its end stamp (bodyStart), so a timed
-// run reads the clock once per body whatever the pool books. A panic ends the
-// run: recoverLink completes the link that panicked, and the caller starts a
-// new run from what that released.
+// trace, no counter to re-arm, no wait clock, and no Continue, which books
+// nothing on a quiet pool (executor.Executor's Quiet). After any other body
+// finishNode completes the execution. The next node is continued
+// (Context.Continue) and runs here if it is static and the topology not
+// cancelled; else it is returned, continued, for runNode. nil means the
+// worker has nothing to go on with. A body after another starts at its end
+// stamp (bodyStart), so a timed run reads the clock once per body whatever
+// the pool books. A panic ends the run: recoverLink completes the link that
+// panicked, and the caller starts a new run from what that released.
 func (t *topology) runLinks(ctx executor.Context, n *node) (next *node) {
 	var start, end int64
 	defer func() {
@@ -441,9 +440,10 @@ func (t *topology) runLinks(ctx executor.Context, n *node) (next *node) {
 			t.releaseSems(ctx, n)
 			s = t.finishNode(ctx, n)
 		}
-		if s == nil || !ctx.Continue(s.ref()) {
+		if s == nil {
 			return nil
 		}
+		ctx.Continue(s.ref())
 		if n = s; !n.static() || t.cancelled.Load() {
 			return n
 		}
@@ -453,7 +453,7 @@ func (t *topology) runLinks(ctx executor.Context, n *node) (next *node) {
 // recoverLink completes n, whose static body panicked in runLinks, as its
 // execution outside a fused run would have: the panic is recorded as the
 // task's error — a fallible body's fails the topology — and finishNode
-// releases its successors. It returns the granted node to go on with.
+// releases its successors. It returns the continued node to go on with.
 func (t *topology) recoverLink(ctx executor.Context, n *node, start int64, r any) *node {
 	if _, ok := n.work.(func() error); ok {
 		t.failTask(n, fmt.Errorf("task panicked: %v", r))
@@ -462,10 +462,11 @@ func (t *topology) recoverLink(ctx executor.Context, n *node, start int64, r any
 	}
 	t.bodyEnd(ctx, n, start, true)
 	t.releaseSems(ctx, n)
-	if s := t.finishNode(ctx, n); s != nil && ctx.Continue(s.ref()) {
-		return s
+	s := t.finishNode(ctx, n)
+	if s != nil {
+		ctx.Continue(s.ref())
 	}
-	return nil
+	return s
 }
 
 // bodyStart accounts an execution of n whose body is about to run and

@@ -1,15 +1,14 @@
 package executor
 
 import (
-	"sync"
-	"sync/atomic"
+	"strings"
 	"testing"
 	"time"
 )
 
 // continueChain returns n links; link i runs body(i) and then takes link
-// i+1 as its continuation, running it in its own frame when the worker
-// grants it — the loop node.Run makes of it in internal/core.
+// i+1 as its continuation, running it in its own frame — the loop node.Run
+// makes of it in internal/core.
 func continueChain(n int, body func(i int)) []*Runnable {
 	links := make([]*Runnable, n)
 	for i := range links {
@@ -17,9 +16,10 @@ func continueChain(n int, body func(i int)) []*Runnable {
 		links[i] = NewTask(func(ctx Context) {
 			for {
 				body(i)
-				if i++; i == n || !ctx.Continue(links[i]) {
+				if i++; i == n {
 					return
 				}
+				ctx.Continue(links[i])
 			}
 		})
 	}
@@ -76,38 +76,38 @@ func quiesce(t *testing.T, e *Executor) {
 	}
 }
 
-// TestContinueDeclinesWhileCacheOccupied: with the cache slot taken the
-// worker declines and takes the task the SubmitCached way — queued — so
-// the caller must not run it; everything still runs exactly once.
-func TestContinueDeclinesWhileCacheOccupied(t *testing.T) {
+// TestContinueGrantsAfterSubmitCached: a task that pushed x with
+// SubmitCached still continues y, which it runs in its own frame before it
+// returns; x runs afterwards, popped off the worker's deque. Each runs
+// once, and the counters reconcile.
+func TestContinueGrantsAfterSubmitCached(t *testing.T) {
 	e := New(1, WithMetrics())
 	defer e.Shutdown()
-	var ran sync.WaitGroup
-	ran.Add(3)
-	var granted, declined atomic.Bool
+	var order []string
+	done := make(chan struct{})
+	x := NewTask(func(Context) {
+		order = append(order, "x")
+		close(done)
+	})
+	y := NewTask(func(Context) { order = append(order, "y") })
 	err := e.Submit(NewTask(func(ctx Context) {
-		ctx.SubmitCached(NewTask(func(Context) { ran.Done() }))
-		declined.Store(!ctx.Continue(NewTask(func(Context) { ran.Done() })))
+		ctx.SubmitCached(x)
+		ctx.Continue(y)
+		(*y).Run(ctx)
+		order = append(order, "returned")
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The cached task has run by the time this one does: the slot is free.
-	err = e.Submit(NewTask(func(ctx Context) {
-		next := NewTask(func(Context) { ran.Done() })
-		if ctx.Continue(next) {
-			granted.Store(true)
-			(*next).Run(ctx)
-		}
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran.Wait()
-	if !declined.Load() || !granted.Load() {
-		t.Fatalf("declined %v with the slot taken, granted %v with it free", declined.Load(), granted.Load())
-	}
+	<-done
 	quiesce(t, e)
+	if got := strings.Join(order, " "); got != "y returned x" {
+		t.Fatalf("ran %q, want y in the caller's frame, then x", got)
+	}
+	snap, _ := e.MetricsSnapshot()
+	if tot := snap.Total(); tot.Executed != 3 || tot.CacheHits != 1 || tot.Pops != 1 {
+		t.Fatalf("executed %d, cache hits %d, pops %d; want 3, 1 and 1", tot.Executed, tot.CacheHits, tot.Pops)
+	}
 }
 
 // TestContinueAdvancesExecutedPerLink: a continuation counts as executed
@@ -168,41 +168,46 @@ func continueAdvancesExecuted(t *testing.T, opts ...Option) {
 // TestSweepStartCoversEveryWorker: the steal sweep's first victim, the
 // worker after a drawn start (self skipped), is every other worker in
 // turn, near uniformly, and two workers of a pool draw different
-// sequences.
+// sequences. The pool's seeds come from a fixed table, each worker's state
+// derived from it as New derives it, so a failure replays.
 func TestSweepStartCoversEveryWorker(t *testing.T) {
-	const n, draws = 5, 5000
+	const n, draws, seqLen = 5, 5000, 8
+	const lo, hi = draws / (n - 1) / 2, 2 * draws / (n - 1)
 	e := New(n)
 	defer e.Shutdown()
 	e.Shutdown() // the workers exit: their states are the test's alone
-	seqs := map[[8]int]bool{}
-	for _, w := range e.workers {
-		var hits [n]int
-		var seq [8]int
-		for d := 0; d < draws; d++ {
-			v := w.sweepStart(n)
-			if v < 0 || v >= n {
-				t.Fatalf("worker %d drew start %d outside [0, %d)", w.id, v, n)
+	for _, seed := range []uint64{0, 1, 42, 0x9e3779b97f4a7c15, 1<<63 - 1} {
+		seqs := map[[seqLen]int]bool{}
+		for _, w := range e.workers {
+			w.rng = seed + uint64(w.id)*7919
+			var hits [n]int
+			var seq [seqLen]int
+			for d := 0; d < draws; d++ {
+				v := w.sweepStart(n)
+				if v < 0 || v >= n {
+					t.Fatalf("seed %#x: worker %d drew start %d outside [0, %d)", seed, w.id, v, n)
+				}
+				if v == w.id {
+					v = (v + 1) % n
+				}
+				hits[v]++
+				if d < len(seq) {
+					seq[d] = v
+				}
 			}
-			if v == w.id {
-				v = (v + 1) % n
+			for v, h := range hits {
+				switch {
+				case v == w.id && h != 0:
+					t.Fatalf("seed %#x: worker %d swept itself first %d times, want 0", seed, w.id, h)
+				case v != w.id && (h < lo || h > hi):
+					t.Fatalf("seed %#x: worker %d: first victims %v, worker %d outside the uniformity bound [%d, %d]", seed, w.id, hits, v, lo, hi)
+				}
 			}
-			hits[v]++
-			if d < len(seq) {
-				seq[d] = v
-			}
+			seqs[seq] = true
 		}
-		for v, h := range hits {
-			switch {
-			case v == w.id && h != 0:
-				t.Fatalf("worker %d swept itself first %d times", w.id, h)
-			case v != w.id && (h < draws/(n-1)/2 || h > 2*draws/(n-1)):
-				t.Fatalf("worker %d: first victims %v, not near uniform over the others", w.id, hits)
-			}
+		if len(seqs) != n {
+			t.Fatalf("seed %#x: %d workers drew only %d distinct sweep sequences of %d draws, want %d", seed, n, len(seqs), seqLen, n)
 		}
-		seqs[seq] = true
-	}
-	if len(seqs) != n {
-		t.Fatalf("%d workers drew only %d distinct sweep sequences", n, len(seqs))
 	}
 }
 

@@ -23,10 +23,10 @@
 //     ready hands one of them to its own worker, which runs it next without
 //     any queue traffic, so linear task chains run without scheduling
 //     overhead ("speculative execution", Algorithm 1 lines 16-25). The
-//     hand-off is a continuation (Context.Continue): the successor runs in
-//     the releasing task's frame, with no return to the worker loop in
-//     between, while the worker books the boundary as it books one of its
-//     loop. The cache slot the loop drains (SubmitCached) is the fallback.
+//     hand-off is a continuation (Context.Continue), and there is no other:
+//     the successor runs in the releasing task's frame, with no return to
+//     the worker loop in between, while the worker books the boundary as
+//     it books one of its loop.
 //
 //   - Precise wakeup: blocked workers park on a lock-free eventcount
 //     (notifier.go) instead of the paper's mutex-guarded idlers list, and
@@ -99,22 +99,19 @@ type Context interface {
 	// SubmitBatch schedules all tasks onto this worker's local deque with
 	// one queue publication and wakes at most min(len(rs), idle workers).
 	SubmitBatch(rs []*Runnable)
-	// SubmitCached places the task in this worker's cache slot so that it
-	// runs immediately after the current task, bypassing all queues. If the
-	// slot is occupied the task is submitted normally instead.
+	// SubmitCached pushes the task onto this worker's own deque and wakes
+	// nobody: the worker pops it next, unless a thief takes it first.
+	//
+	// Deprecated: use Continue, which runs the task in the caller's frame.
 	SubmitCached(r *Runnable)
-	// Continue hands r to this worker as the calling task's continuation
-	// and reports whether the caller runs it next itself, in its own frame
-	// and before it returns: the worker has booked the boundary between the
-	// two tasks as it books one between two tasks of its loop — r counts as
-	// executed and as a cache hit, and it starts at the end stamp of the
-	// task before it. False means the worker took r as SubmitCached takes
-	// it, and the caller must not run it. The pool declines only while its
-	// cache slot is occupied, and on a quiet pool (Executor.Quiet) a
-	// granted Continue books nothing: a caller whose slot is empty — one
-	// that never calls SubmitCached and hands no Context to code that may —
+	// Continue hands r to this worker as the calling task's continuation,
+	// which the caller then runs itself, in its own frame and before it
+	// returns: the worker has booked the boundary between the two tasks as
+	// it books one between two tasks of its loop — r counts as executed and
+	// as a cache hit, and it starts at the end stamp of the task before it.
+	// On a quiet pool (Executor.Quiet) Continue books nothing, so a caller
 	// may skip the call there and run r.
-	Continue(r *Runnable) bool
+	Continue(r *Runnable)
 	// WorkerID returns the executing worker's index in [0, NumWorkers).
 	WorkerID() int
 	// Executor returns the owning scheduler (the real executor, or the
@@ -126,9 +123,9 @@ type Context interface {
 	// right after the body. While a recorder or the latency histograms are
 	// armed each is read at most once per task and shared, by the task's
 	// start/end trace events too, and a task that continues another
-	// (Continue, or the cache slot) starts at the end stamp of the task that
-	// handed it over: the two share the boundary's one reading, so what the
-	// worker did between the two bodies counts as the later task's.
+	// (Continue) starts at the end stamp of the task that handed it over:
+	// the two share the boundary's one reading, so what the worker did
+	// between the two bodies counts as the later task's.
 	// Otherwise each call reads the clock.
 	StartStamp() int64
 	EndStamp() int64
@@ -164,7 +161,6 @@ type worker struct {
 	id     int
 	exec   *Executor
 	queue  *wsq.Deque[Runnable]
-	cache  *Runnable
 	rng    uint64 // splitmix64 state of the steal sweep's start (sweepStart)
 	victim int    // last successful steal victim
 
@@ -239,28 +235,16 @@ func (w *worker) wake(n int) {
 	}
 }
 
-func (w *worker) SubmitCached(r *Runnable) {
-	if w.cache == nil {
-		w.cache = r
-		if m := w.metrics; m != nil {
-			m.cacheHits.Add(1)
-		}
-		return
-	}
-	w.Submit(r)
-}
+// SubmitCached pushes without a wake: the worker is running and pops r
+// next.
+func (w *worker) SubmitCached(r *Runnable) { w.queue.Push(r) }
 
 // Continue is Algorithm 1's task cache without the trip back to the run
 // loop: the task in hand ends here and r begins, booked through the same
 // finish and begin as two tasks of the loop — or, while the task's span is
 // recorded, as one hand-off record (handOff) — and the caller runs r's
-// body. A quiet pool books nothing. An occupied cache slot runs first, so
-// r goes the SubmitCached way.
-func (w *worker) Continue(r *Runnable) bool {
-	if w.cache != nil {
-		w.Submit(r)
-		return false
-	}
+// body. A quiet pool books nothing.
+func (w *worker) Continue(r *Runnable) {
 	switch {
 	case w.quiet:
 	case w.spanOpen && w.spine.recording():
@@ -272,7 +256,6 @@ func (w *worker) Continue(r *Runnable) bool {
 		w.finish(true)
 		w.begin(r)
 	}
-	return true
 }
 
 // Executor schedules Runnables over a fixed set of worker goroutines.
@@ -419,12 +402,9 @@ func (e *Executor) NumWorkers() int { return len(e.workers) }
 
 // Quiet reports whether the pool books nothing of the tasks it runs: it was
 // built with none of WithMetrics, WithTracing, WithFlightRecorder and
-// WithLatencyHistograms. On a quiet pool Context.Trace records nothing, and
-// Context.Continue books nothing and declines only while the worker's cache
-// slot is occupied, so a caller that knows the slot empty may run its
-// continuation without the call. internal/core's fused links know it: core
-// never calls SubmitCached, a static body gets no Context, and Join.Done
-// submits what it releases rather than continuing it.
+// WithLatencyHistograms. On a quiet pool Context.Trace and Context.Continue
+// book nothing, so a caller may run its continuation without the call, as
+// internal/core's fused links do.
 func (e *Executor) Quiet() bool { return e.quiet }
 
 // Submit schedules a task from outside the worker pool via the injection
@@ -713,15 +693,9 @@ func (e *Executor) run(w *worker) {
 			continue
 		}
 
-		// Lines 16-25: invoke, then drain the speculative cache. Library
-		// tasks keep their chains out of it: a successor they release runs
-		// as a continuation (Continue) inside the invocation, and only
-		// what goes through SubmitCached comes back here.
-		for r != nil {
-			e.invoke(w, r)
-			r = w.cache
-			w.cache = nil
-		}
+		// Lines 16-25, the speculative cache, run inside the invocation: a
+		// successor the task releases runs as its continuation (Continue).
+		e.invoke(w, r)
 		// Lines 26-28, the probabilistic wakeup, are not run: every push
 		// wakes through wake (DESIGN.md, "Scheduler ablations").
 	}
@@ -730,7 +704,7 @@ func (e *Executor) run(w *worker) {
 func (e *Executor) invoke(w *worker, r *Runnable) {
 	w.begin(r)
 	e.safeRun(w, r)
-	w.finish(w.cache != nil)
+	w.finish(false)
 }
 
 // begin books the start of r on w: while something records it, its stamps
@@ -765,8 +739,8 @@ func (w *worker) begin(r *Runnable) {
 
 // finish books the end of the task begin booked. handOff says a task follows
 // on this worker with nothing in between but the bookkeeping that released
-// it — a continuation, or the cache slot's — so this task's end stamp is
-// its start stamp: one clock reading per hand-off.
+// it — a continuation — so this task's end stamp is its start stamp: one
+// clock reading per hand-off.
 func (w *worker) finish(handOff bool) {
 	if !w.stamping {
 		return

@@ -125,18 +125,6 @@ func TestSubmitCachedLinearChain(t *testing.T) {
 	}
 }
 
-func TestSubmitCachedFallsBackWhenOccupied(t *testing.T) {
-	e := New(1)
-	defer e.Shutdown()
-	var n atomic.Int64
-	e.Submit(NewTask(func(ctx Context) {
-		ctx.SubmitCached(NewTask(func(Context) { n.Add(1) }))
-		ctx.SubmitCached(NewTask(func(Context) { n.Add(1) })) // slot taken -> queued
-		ctx.SubmitCached(NewTask(func(Context) { n.Add(1) }))
-	}))
-	waitCounter(t, &n, 3)
-}
-
 func TestContextSubmitBatch(t *testing.T) {
 	e := New(4)
 	defer e.Shutdown()

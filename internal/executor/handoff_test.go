@@ -4,8 +4,7 @@ import "testing"
 
 // describedChain returns n described tasks (IDs 1..n, named by index); task
 // i runs body(i), traces its release of task i+1 and continues it, running
-// it in its own frame when the worker grants it — what a fused chain of
-// internal/core does.
+// it in its own frame — what a fused chain of internal/core does.
 func describedChain(n int, body func(i int)) []*describedTask {
 	tasks := make([]*describedTask, n)
 	for i := range tasks {
@@ -17,9 +16,7 @@ func describedChain(n int, body func(i int)) []*describedTask {
 					return
 				}
 				ctx.Trace(EvDepRelease, tasks[j], tasks[j+1].meta.ID)
-				if !ctx.Continue(&tasks[j+1].rbox) {
-					return
-				}
+				ctx.Continue(&tasks[j+1].rbox)
 			}
 		})
 	}
@@ -63,9 +60,8 @@ func TestHandOffRecordFoldsOnlyItsOwnRelease(t *testing.T) {
 			ta = newDescribedTask(a, func(ctx Context) {
 				ctx.Trace(EvDepRelease, nil, 7) // about no task: never held
 				ctx.Trace(EvDepRelease, ta, c.releases)
-				if ctx.Continue(&tb.rbox) {
-					tb.Run(ctx)
-				}
+				ctx.Continue(&tb.rbox)
+				tb.Run(ctx)
 			})
 			if err := e.Submit(&ta.rbox); err != nil {
 				t.Fatal(err)
@@ -238,9 +234,8 @@ func TestHeldReleaseSettles(t *testing.T) {
 		got = spanEvents(fl)
 	})
 	onWorker(t, e, func(ctx Context) {
-		if ctx.Continue(&ta.rbox) {
-			ta.Run(ctx)
-		}
+		ctx.Continue(&ta.rbox)
+		ta.Run(ctx)
 	})
 	if len(got) < 3 {
 		t.Fatalf("settled events %+v, want a's start, release and end", got)

@@ -24,7 +24,7 @@ package executor
 //     DAGs in internal/core: every task that enters a queue leaves it
 //     exactly once, and every executed task was obtained from exactly one
 //     place (local pop, steal, injection drain, or the task cache — a
-//     continuation or the cache slot).
+//     continuation).
 
 import (
 	"fmt"
@@ -63,8 +63,7 @@ type workerMetrics struct {
 	injectionDrainedTasks atomic.Uint64
 	// cacheHits counts tasks handed to their worker through the task cache
 	// (Algorithm 1 lines 16-25) instead of a queue: continuations
-	// (Continue) and tasks placed in the cache slot. A recording worker
-	// adds its continuations in batches (worker.hits).
+	// (Continue). A recording worker adds them in batches (worker.hits).
 	cacheHits atomic.Uint64
 	// prewaits counts entries into the eventcount's two-phase wait protocol
 	// (lines 5-15): each is resolved by exactly one committed park or one
@@ -151,11 +150,11 @@ type WorkerStats struct {
 	InjectionDrainedTasks uint64 // tasks taken from the injection queue (incl. batch extras)
 	FlowDrains            uint64 // successful multi-tenant flow-queue drain operations
 	FlowDrainedTasks      uint64 // tasks taken from flow queues (incl. batch extras)
-	// CacheHits counts tasks run as continuations (Context.Continue) or
-	// through the cache slot. A worker recording events (WithTracing during
-	// a capture, WithFlightRecorder) books its continuations in a word of
-	// its own and adds them here every 64 of them, at the first one a
-	// millisecond after it last did, and when it settles (Context.Settle):
+	// CacheHits counts tasks run as continuations (Context.Continue),
+	// Algorithm 1's task cache. A worker recording events (WithTracing
+	// during a capture, WithFlightRecorder) books its continuations in a
+	// word of its own and adds them here every 64 of them, at the first one
+	// a millisecond after it last did, and when it settles (Context.Settle):
 	// a live reading may lag by that much, one at quiescence — and one
 	// taken after a Run returns — is exact.
 	CacheHits          uint64

@@ -14,9 +14,8 @@ package executor
 // end (EndStamp). The task's start/end events, every event its owner
 // traces, internal/core's histogram record, RunStats busy time and the
 // successors' ready stamps share those two readings to the nanosecond —
-// and a task handed over as a continuation (or through the cache slot)
-// starts at its releaser's end stamp (worker.finish), so a chain reads the
-// clock once per task.
+// and a task handed over as a continuation starts at its releaser's end
+// stamp (worker.finish), so a chain reads the clock once per task.
 //
 // One ring, two readers. Each worker owns one ring (one more, mutex-
 // guarded, takes events from outside the pool — cold by construction). A
@@ -565,7 +564,7 @@ func (w *worker) tracing() bool {
 
 // StartStamp implements Context: the clock reading at which the worker
 // began the current task — taken on first use, or inherited from the task
-// that handed this one over (invoke).
+// that handed this one over (Continue).
 func (w *worker) StartStamp() int64 {
 	if !w.stamping {
 		return Nanos()

@@ -187,11 +187,11 @@ func TestEventKindStrings(t *testing.T) {
 	}
 }
 
-// TestHandOffStampDiesWithCapture: the end stamp a task leaves for the task
-// in its cache slot must not survive recording being switched off. A stops
-// the capture it runs under and hands B over; B runs unrecorded, starts a
-// new capture and hands C over. C's start stamp is then a reading of its
-// own — not A's end stamp, carried past B.
+// TestHandOffStampDiesWithCapture: the end stamp a task leaves for its
+// continuation must not survive recording being switched off. A stops the
+// capture it runs under and continues B; B runs unrecorded, starts a new
+// capture and continues C. C's start stamp is then a reading of its own —
+// not A's end stamp, carried past B.
 func TestHandOffStampDiesWithCapture(t *testing.T) {
 	e := New(1, WithTracing(64))
 	defer e.Shutdown()
@@ -204,11 +204,13 @@ func TestHandOffStampDiesWithCapture(t *testing.T) {
 	b := NewTask(func(ctx Context) {
 		e.StartTrace()
 		bEnd = Nanos()
-		ctx.SubmitCached(c)
+		ctx.Continue(c)
+		(*c).Run(ctx)
 	})
 	a := NewTask(func(ctx Context) {
 		e.StopTrace()
-		ctx.SubmitCached(b)
+		ctx.Continue(b)
+		(*b).Run(ctx)
 	})
 	if !e.StartTrace() {
 		t.Fatal("StartTrace failed")

@@ -75,7 +75,7 @@ var exported = []series{
 		func(w *executor.WorkerStats) float64 { return float64(w.InjectionDrains) }, nil, nil},
 	{"gotaskflow_injection_drained_tasks_total", "Tasks taken from the injection queue, incl. batch extras", "counter",
 		func(w *executor.WorkerStats) float64 { return float64(w.InjectionDrainedTasks) }, nil, nil},
-	{"gotaskflow_cache_hits_total", "Tasks run through the speculative cache slot", "counter",
+	{"gotaskflow_cache_hits_total", "Tasks run as continuations (Algorithm 1's task cache)", "counter",
 		func(w *executor.WorkerStats) float64 { return float64(w.CacheHits) }, nil, nil},
 	{"gotaskflow_prewaits_total", "Park announcements on the eventcount (prewait)", "counter",
 		func(w *executor.WorkerStats) float64 { return float64(w.Prewaits) }, nil, nil},

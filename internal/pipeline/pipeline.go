@@ -416,8 +416,8 @@ func (p *Pipeline) release(l, q int) *cell {
 	return c
 }
 
-// runCell runs cell c and then, for as long as the worker takes them as
-// continuations, the cell each activation hands on along its line.
+// runCell runs cell c and then the cell each activation hands on along its
+// line as its continuation.
 func (p *Pipeline) runCell(ctx executor.Context, c *cell) {
 	for c != nil {
 		c = p.activate(ctx, c)
@@ -465,7 +465,7 @@ func (p *Pipeline) activate(ctx executor.Context, c *cell) *cell {
 // advance completes token tok at cell c: wake deferral waiters, hand token
 // order to the next line (serial pipes), move the token on or finish it.
 // c's unit goes to the line's next cell, which this worker continues with
-// (returned; nil when the worker took it the cache-slot way), or retires.
+// (returned), or retires (nil).
 func (p *Pipeline) advance(ctx executor.Context, c *cell, tok int64) *cell {
 	l, q := c.line, c.pipe
 	c.deferCount = 0
@@ -485,10 +485,8 @@ func (p *Pipeline) advance(ctx executor.Context, c *cell, tok int64) *cell {
 		next = 0 // line becomes free: wrap to the head
 	}
 	if s := p.release(l, next); s != nil {
-		if ctx.Continue(&s.self) {
-			return s
-		}
-		return nil
+		ctx.Continue(&s.self)
+		return s
 	}
 	p.j.Done(ctx)
 	return nil

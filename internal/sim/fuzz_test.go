@@ -112,8 +112,7 @@ func isComposed(graphSeed int64, i int) bool { return graphSeed&64 != 0 && i%4 =
 // isChains reports whether the case's graph is a forest of chains: with bit 7
 // of the graph seed set, every task has at most one predecessor and one
 // successor, so its plain links run fused (core's runLinks) and chaos
-// faults, retries and the simulator's declined continuations land inside
-// fused runs. A seed without the bit builds the graph it built before.
+// faults and retries land inside fused runs. A seed without the bit builds the graph it built before.
 func isChains(graphSeed int64) bool { return graphSeed&128 != 0 }
 
 // fuzzModule is a module task of the fuzz graph: Start counts its

@@ -33,19 +33,17 @@
 // (executor.CheckQueueLaws, executor.CheckFlowLaws).
 //
 // Modelled, one level up from the lock-free machinery: per-worker deques
-// and speculative cache slots as plain slices, and where each worker is in
-// its park loop — the eventcount never blocks, so where the pool parks a
-// goroutine the sim marks a worker parked until a notify pops its slot. The
-// simulation executes every task inline on the driving goroutine. Each step
-// the PRNG picks one enabled action:
+// as plain slices, and where each worker is in its park loop — the
+// eventcount never blocks, so where the pool parks a goroutine the sim
+// marks a worker parked until a notify pops its slot. The simulation
+// executes every task inline on the driving goroutine. A task that hands a
+// successor on as its continuation (Context.Continue) runs it in the same
+// step, so a continuation chain is one step, as it is one invocation on the
+// pool. Each step the PRNG picks one enabled action:
 //
-//   - a task that hands a successor on as its continuation
-//     (Context.Continue) runs it in the same step, or has it declined into
-//     its worker's cache slot, by seed;
-//
-//   - an active worker runs its cached task, pops a task from its deque
-//     (any position — a superset of the owner-LIFO/thief-FIFO orders
-//     reachable on the real pool), or steals a batch of seed-chosen size
+//   - an active worker pops a task from its deque (any position — a
+//     superset of the owner-LIFO/thief-FIFO orders reachable on the real
+//     pool), or steals a batch of seed-chosen size
 //     (1 up to the steal quota, where the real worker takes the quota) from
 //     a seed-chosen victim deque or the injection queue;
 //
@@ -125,8 +123,7 @@ const (
 type actionKind uint8
 
 const (
-	aRunCache actionKind = iota
-	aPop
+	aPop actionKind = iota
 	aSteal
 	aPrewait
 	aRecheck
@@ -152,9 +149,9 @@ func (t *simTimer) Stop() bool { return t.s.stopTimer(t) }
 // Stats is a snapshot of the simulation's scheduling counters.
 type Stats struct {
 	// Steps counts scheduling decisions; Executed counts task-body
-	// invocations; Enqueued counts tasks accepted into any queue or
-	// cache slot (external submissions and worker-context submissions)
-	// or granted as a continuation. Continued counts the grants.
+	// invocations; Enqueued counts tasks accepted into any queue (external
+	// submissions and worker-context submissions) or run as a continuation.
+	// Continued counts the continuations.
 	Steps, Executed, Enqueued, Continued uint64
 	// Steals/StolenTasks and Drains/DrainedTasks split operations from
 	// tasks moved, mirroring the real executor's metrics.
@@ -189,7 +186,6 @@ type SimExecutor struct {
 	rng     *rand.Rand
 
 	deques [][]*executor.Runnable // per-worker, newest at the end
-	caches []*executor.Runnable   // per-worker speculative slot
 	inj    *executor.Queue        // the injection queue, the pool's own type
 	state  []wstate
 	ec     *executor.Eventcount
@@ -287,7 +283,6 @@ func New(n int, opts ...Option) *SimExecutor {
 	s.flows = executor.NewFlowTable((*queueHost)(s))
 	s.rng = rand.New(rand.NewSource(s.seed))
 	s.deques = make([][]*executor.Runnable, n)
-	s.caches = make([]*executor.Runnable, n)
 	// An idle pool: everyone parked until work arrives.
 	s.state = make([]wstate, n)
 	s.ec = executor.NewEventcount(n)
@@ -447,12 +442,11 @@ func (s *SimExecutor) drive() {
 }
 
 // queued counts the tasks in every deque, the injection queue and every flow
-// queue: the published work a park re-check looks for (cache slots are
-// worker-private and excluded, as on the real pool). Flow queues participate
-// for the same reason they do in the real anyWork: a flow submission
-// publishes its backlog before waking, so a parking worker that misses the
-// notify must see the count here — excluding them would make the liveness
-// detector report false lost wakeups.
+// queue: the published work a park re-check looks for. Flow queues
+// participate for the same reason they do in the real anyWork: a flow
+// submission publishes its backlog before waking, so a parking worker that
+// misses the notify must see the count here — excluding them would make the
+// liveness detector report false lost wakeups.
 func (s *SimExecutor) queued() int {
 	n := s.flows.Backlog() + s.inj.Backlog()
 	for _, dq := range s.deques {
@@ -490,15 +484,9 @@ func (s *SimExecutor) step() bool {
 	for w := 0; w < s.workers; w++ {
 		switch s.state[w] {
 		case wActive:
-			switch {
-			case s.caches[w] != nil:
-				// The speculative cache is not a choice point: the real
-				// worker always runs it next, with nothing in between on
-				// that worker (other workers still interleave freely).
-				cands = append(cands, action{aRunCache, w})
-			case len(s.deques[w]) > 0:
+			if len(s.deques[w]) > 0 {
 				cands = append(cands, action{aPop, w})
-			default:
+			} else {
 				if len(s.victims(w)) > 0 || s.flows.Backlog() > 0 {
 					cands = append(cands, action{aSteal, w})
 				}
@@ -574,10 +562,6 @@ func (s *SimExecutor) unpark(w int) { s.state[w] = wActive }
 // perform executes one chosen action.
 func (s *SimExecutor) perform(c action) {
 	switch c.kind {
-	case aRunCache:
-		r := s.caches[c.w]
-		s.caches[c.w] = nil
-		s.runTask(c.w, r)
 	case aPop:
 		dq := s.deques[c.w]
 		i := s.pick(len(dq))
@@ -762,30 +746,17 @@ func (c simCtx) SubmitBatch(rs []*executor.Runnable) {
 	c.s.wake(len(rs))
 }
 
-// SubmitCached places the task in this worker's cache slot (it runs next
-// on this worker, queues bypassed) or falls back to Submit when the slot
-// is taken.
+// SubmitCached pushes onto this worker's own deque and wakes nobody, as on
+// the pool.
 func (c simCtx) SubmitCached(r *executor.Runnable) {
-	if c.s.caches[c.w] == nil {
-		c.s.caches[c.w] = r
-		c.s.st.Enqueued++
-		return
-	}
-	c.Submit(r)
+	c.s.deques[c.w] = append(c.s.deques[c.w], r)
+	c.s.st.Enqueued++
 }
 
-// Continue grants or declines by seed, so a sweep explores both ways a
-// hand-off goes: granted, the caller runs r within this step, as the pool's
-// worker runs it in the releasing task's frame; declined, r takes the cache
-// slot — a later aRunCache step, other workers interleaving — or, while
-// that is taken, the queues.
-func (c simCtx) Continue(r *executor.Runnable) bool {
-	if c.s.caches[c.w] == nil && c.s.pick(2) == 0 {
-		c.s.st.Enqueued++
-		c.s.st.Executed++
-		c.s.st.Continued++
-		return true
-	}
-	c.SubmitCached(r)
-	return false
+// Continue counts r run: the caller runs it within this step, as the pool's
+// worker runs it in the releasing task's frame.
+func (c simCtx) Continue(*executor.Runnable) {
+	c.s.st.Enqueued++
+	c.s.st.Executed++
+	c.s.st.Continued++
 }
