@@ -32,15 +32,18 @@ vet:
 race:
 	$(GO) test -race . ./internal/...
 	$(GO) test -race -count=3 -run 'Rerun|PendingNeverZero|HotColdLayout|Launch|Partition|Reduce|Compose' ./internal/core/
-	$(GO) test -race -count=3 -run 'Reclaim|Scrub|OrderedEdges|SliceLaw|OneLaw|StrictDrainStarvation|Notifier|CorrectModel|LostWakeup|IdleWakeup|ParkScrubs|Shrink|Queue|Injection' ./internal/core/ ./internal/wsq/ ./internal/executor/ ./internal/stav2/ ./internal/sim/
+	$(GO) test -race -count=3 -run 'Reclaim|Scrub|OrderedEdges|SliceLaw|OneLaw|WeightedDrain|Notifier|CorrectModel|LostWakeup|IdleWakeup|ParkScrubs|Shrink|Queue|Injection' ./internal/core/ ./internal/wsq/ ./internal/executor/ ./internal/stav2/ ./internal/sim/
 	$(GO) test -race -count=3 -run 'Flight|Trace|Latency|Hammer|Settle|HandOff|SettledBeforeDone|Module|Composed|Continue|SinglePred|Fuse|Quiet|Watchdog|Reconcile' ./internal/executor/ ./internal/core/ ./internal/debughttp/ ./internal/pipeline/
 
 # chaos runs the fault-injection stress suite under the race detector:
 # deterministic seeded panics/failures/delays over wavefront- and
 # traversal-shaped graphs, asserting the executor always quiesces with a
-# coherent aggregated error and no goroutine leaks.
+# coherent aggregated error and no goroutine leaks. Then it runs the
+# mutation kill table (internal/mutants), one mutant at a time on a copy of
+# the module, and prints the table with its wall time.
 chaos:
 	$(GO) test -race -count=5 ./internal/chaos/
+	$(GO) test -count=1 -v -timeout 30m -run '^TestKillTable$$' ./internal/mutants/ -args -mutants
 
 # bench-pairs is the procedure behind a claimed gain (benchmark/README.md,
 # "Steadiness"): build the benchmark program from PARENT and from the

@@ -164,8 +164,8 @@ func (d *dotDumper) dumpGraph(g *graph, indent string) {
 // timing was on (execDurNs stays zero otherwise, keeping count-only dumps
 // deterministic for golden tests).
 func (d *dotDumper) annotation(n *node) string {
-	s := fmt.Sprintf("%s\n×%d", d.id(n), n.execCount.Load())
-	if dur := n.execDurNs.Load(); dur > 0 {
+	s := fmt.Sprintf("%s\n×%d", d.id(n), n.execCount)
+	if dur := n.execDurNs; dur > 0 {
 		s += fmt.Sprintf(" (%s)", time.Duration(dur).Round(time.Microsecond))
 	}
 	return s

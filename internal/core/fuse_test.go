@@ -283,7 +283,7 @@ func TestFuseStatsAndHistograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, nd := range tf.g.nodes {
-			if c, d := nd.execCount.Load(), nd.execDurNs.Load(); c != 1 || d <= 0 {
+			if c, d := nd.execCount, nd.execDurNs; c != 1 || d <= 0 {
 				t.Fatalf("run %d: node %d counts %d executions of %d ns, want 1 of more than 0", run, i, c, d)
 			}
 		}
@@ -441,7 +441,7 @@ func TestFuseQuietTimedStats(t *testing.T) {
 			t.Fatal("topology on a plain pool is not quiet")
 		}
 		for i, nd := range tf.g.nodes {
-			if c, d := nd.execCount.Load(), nd.execDurNs.Load(); c != 1 || d <= 0 {
+			if c, d := nd.execCount, nd.execDurNs; c != 1 || d <= 0 {
 				t.Fatalf("run %d: node %d counts %d executions of %d ns, want 1 of more than 0", run, i, c, d)
 			}
 		}

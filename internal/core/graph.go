@@ -57,10 +57,15 @@ type node struct {
 
 	// execCount/execDurNs record the node's body executions and their
 	// summed duration within the current run. Written only when the
-	// topology collects run stats (see stats.go); the annotated DOT dump
-	// reads them. execDurNs stays zero unless timing was requested.
-	execCount atomic.Uint64
-	execDurNs atomic.Int64
+	// topology collects run stats (see stats.go); execDurNs stays zero
+	// unless timing was requested. Plain words: launch zeroes them before
+	// any source is submitted, one node's executions (retries, loop
+	// iterations, re-runs) are ordered by the release chain that queues
+	// each one after the last, and the readers (hotTasks, the annotated
+	// DOT dump) run after the topology's done signal — all but a debug
+	// endpoint's mid-run scrape, which is best-effort (debughttp).
+	execCount uint64
+	execDurNs int64
 
 	// readyAtNs is the monotonic instant (executor.Nanos, latency.go) the
 	// node's current execution became ready, i.e. was queued. Written by

@@ -49,9 +49,9 @@ func (t *topology) recordBody(ctx executor.Context, n *node, start int64, resolv
 	if st := t.stats; st != nil && st.timing {
 		st.workers[w].busyNs += d
 		if t.addsNodeStats(n) {
-			n.execDurNs.Add(d)
+			n.execDurNs += d
 		} else {
-			n.execDurNs.Store(d)
+			n.execDurNs = d
 		}
 	}
 	if resolved && t.lat != nil {

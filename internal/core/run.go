@@ -203,8 +203,7 @@ func (t *topology) launch(ctx context.Context) error {
 			n.parent = nil
 			n.join.Store(n.numDependents)
 			if t.stats != nil {
-				n.execCount.Store(0)
-				n.execDurNs.Store(0)
+				n.execCount, n.execDurNs = 0, 0
 			}
 		}
 	}

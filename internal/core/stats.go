@@ -197,10 +197,10 @@ func hotTasks(g *graph, k int) []HotTask {
 	var walk func(*graph)
 	walk = func(g *graph) {
 		for _, n := range g.nodes {
-			if d := n.execDurNs.Load(); d > 0 {
+			if d := n.execDurNs; d > 0 {
 				out = append(out, HotTask{
 					Name:  n.label(int(n.idx)),
-					Count: n.execCount.Load(),
+					Count: n.execCount,
 					Total: time.Duration(d),
 				})
 			}

@@ -363,10 +363,10 @@ func TestRerunNodeStatsWithoutSweep(t *testing.T) {
 			t.Fatalf("%s: the next run would sweep a static graph for its stats", run)
 		}
 		for i, n := range tf.g.nodes {
-			if got := n.execCount.Load(); got != counts[i] {
+			if got := n.execCount; got != counts[i] {
 				t.Fatalf("%s: node %d counts %d executions, want %d", run, i, got, counts[i])
 			}
-			if d := n.execDurNs.Load(); (d > 0) != (counts[i] > 0) {
+			if d := n.execDurNs; (d > 0) != (counts[i] > 0) {
 				t.Fatalf("%s: node %d executed %d times in %dns", run, i, counts[i], d)
 			}
 		}

@@ -334,8 +334,7 @@ func (t *topology) runNode(ctx executor.Context, n *node) *node {
 		if st := t.stats; st != nil {
 			st.skipped.Add(1)
 			if !t.addsNodeStats(n) {
-				n.execCount.Store(0)
-				n.execDurNs.Store(0)
+				n.execCount, n.execDurNs = 0, 0
 			}
 		}
 		ctx.Trace(executor.EvSkip, n, 0)
@@ -480,9 +479,9 @@ func (t *topology) bodyStart(ctx executor.Context, n *node, from int64) int64 {
 	if st := t.stats; st != nil {
 		st.workers[ctx.WorkerID()].tasks++
 		if t.addsNodeStats(n) {
-			n.execCount.Add(1)
-		} else if n.execCount.Load() != 1 { // a re-run finds the 1 it left
-			n.execCount.Store(1)
+			n.execCount++
+		} else {
+			n.execCount = 1
 		}
 	}
 	if !t.timed {

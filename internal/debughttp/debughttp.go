@@ -56,8 +56,10 @@ func New(e *executor.Executor) *Registry {
 // previous taskflow. Returns r for chaining.
 //
 // The dump walks the graph without synchronizing against a concurrent
-// Run, so mid-run snapshots are best-effort: counts may be mid-update,
-// but the structure is stable once construction has finished.
+// Run, so mid-run snapshots are best-effort: the per-node counts are plain
+// words the running workers write (a scrape during a run is a data race
+// the race detector reports, and may read them mid-update), but the
+// structure is stable once construction has finished.
 func (r *Registry) Register(name string, tf *core.Taskflow) *Registry {
 	r.mu.Lock()
 	r.flows[name] = tf

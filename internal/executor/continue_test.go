@@ -220,7 +220,6 @@ func TestQuietTruthTable(t *testing.T) {
 		want bool
 	}{
 		{"plain", nil, true},
-		{"panic-handler", []Option{WithPanicHandler(func(int, any) {})}, true},
 		{"metrics", []Option{WithMetrics()}, false},
 		{"tracing", []Option{WithTracing(64)}, false},
 		{"flight", []Option{WithFlightRecorder(64)}, false},

@@ -311,11 +311,9 @@ type Executor struct {
 
 	// Panic containment: a task that panics past its own recovery (e.g. a
 	// bare one-shot NewTask) is caught at the worker loop and recorded here
-	// instead of killing the process. panicHandler, when set, observes the
-	// recovered value instead of the default recording.
-	panicHandler func(worker int, recovered any)
-	panicMu      sync.Mutex
-	panics       []error
+	// instead of killing the process.
+	panicMu sync.Mutex
+	panics  []error
 }
 
 // MaxRecordedPanics bounds the contained-panic log so a pathological
@@ -329,13 +327,6 @@ type Option func(*Executor)
 // parking on the eventcount. Zero parks immediately.
 func withSpin(rounds int) Option {
 	return func(e *Executor) { e.spin = rounds }
-}
-
-// WithPanicHandler routes panics contained at the worker level to fn
-// instead of the executor's internal panic log. fn runs on the worker
-// goroutine and must not panic itself.
-func WithPanicHandler(fn func(worker int, recovered any)) Option {
-	return func(e *Executor) { e.panicHandler = fn }
 }
 
 // New creates an executor with n workers and starts them. If n <= 0 it
@@ -772,10 +763,6 @@ func (e *Executor) safeRun(w *worker, r *Runnable) {
 }
 
 func (e *Executor) containPanic(worker int, rec any) {
-	if e.panicHandler != nil {
-		e.panicHandler(worker, rec)
-		return
-	}
 	e.panicMu.Lock()
 	if len(e.panics) < MaxRecordedPanics {
 		e.panics = append(e.panics, fmt.Errorf("executor: task panicked on worker %d: %v", worker, rec))

@@ -44,24 +44,6 @@ func TestPanicContainedAndRecorded(t *testing.T) {
 	}
 }
 
-func TestPanicHandlerOverridesRecording(t *testing.T) {
-	var got atomic.Value
-	e := New(2, WithPanicHandler(func(worker int, recovered any) {
-		got.Store(recovered)
-	}))
-	var n atomic.Int64
-	e.Submit(NewTask(func(Context) { panic("routed") }))
-	e.Submit(NewTask(func(Context) { n.Add(1) }))
-	waitCounter(t, &n, 1)
-	e.Shutdown()
-	if got.Load() != "routed" {
-		t.Fatalf("handler saw %v, want the panic value", got.Load())
-	}
-	if err := e.PanicError(); err != nil {
-		t.Fatalf("PanicError() = %v, want nil when a handler is installed", err)
-	}
-}
-
 func TestPanicRecordingIsBounded(t *testing.T) {
 	e := New(4)
 	var n atomic.Int64

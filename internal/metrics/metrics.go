@@ -3,16 +3,13 @@
 // only the standard library:
 //
 //   - WritePrometheus renders the Prometheus text exposition format;
-//   - Handler serves it over HTTP (mount under /metrics);
-//   - Publish registers the snapshot as an expvar variable, appearing as
-//     JSON under the process's /debug/vars.
+//   - Handler serves it over HTTP (mount under /metrics).
 //
 // All exports read a fresh MetricsSnapshot per scrape: they are safe while
 // the executor runs and cost nothing between scrapes.
 package metrics
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -256,19 +253,6 @@ func WriteRunSummary(w io.Writer, rs core.RunStats, snap executor.Snapshot) erro
 	b.WriteByte('\n')
 	_, err = io.WriteString(w, b.String())
 	return err
-}
-
-// Publish registers the source under name as an expvar variable whose
-// value is the full Snapshot marshalled as JSON, visible at /debug/vars.
-// expvar panics on duplicate names, so publish each name once per process.
-func Publish(name string, src Source) {
-	expvar.Publish(name, expvar.Func(func() any {
-		snap, ok := src.MetricsSnapshot()
-		if !ok {
-			return nil
-		}
-		return snap
-	}))
 }
 
 // LatencyDigest is the compact per-flow latency summary rendered by

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
-	"expvar"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -89,28 +87,6 @@ func TestHandler(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "gotaskflow_executed_total") {
 		t.Fatalf("handler body missing counters:\n%s", rec.Body.String())
-	}
-}
-
-func TestPublishExpvar(t *testing.T) {
-	e := executor.New(2, executor.WithMetrics())
-	defer e.Shutdown()
-	runSome(t, e, 50)
-
-	Publish("taskflow_sched_test", e)
-	v := expvar.Get("taskflow_sched_test")
-	if v == nil {
-		t.Fatal("expvar variable not registered")
-	}
-	var snap executor.Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
-		t.Fatalf("expvar value is not a Snapshot: %v\n%s", err, v.String())
-	}
-	if snap.Injection.Pushes != 50 {
-		t.Fatalf("expvar snapshot Injection.Pushes = %d, want 50", snap.Injection.Pushes)
-	}
-	if len(snap.Workers) != 2 {
-		t.Fatalf("expvar snapshot has %d workers, want 2", len(snap.Workers))
 	}
 }
 

@@ -6,12 +6,11 @@ package sim
 // admission (shed before quota, all-or-nothing), the queues and their
 // counters, and the weighted-round-robin wheel with its cursor walk are the
 // code the worker pool runs, and a publication goes through the same
-// queueHost as the injection queue's (sim.go). What is the simulation's own is here: the
-// seed-chosen batch size of a drain, the service log the fairness properties
-// are read from, and the injected strict-drain bug. The fairness properties
-// proved here — bounded service gap, quota ceilings, conservation —
-// therefore hold for the real executor up to memory-model effects, which the
-// -race tests own.
+// queueHost as the injection queue's (sim.go). What is the simulation's own
+// is here: the seed-chosen batch size of a drain and the service log the
+// fairness properties are read from. The fairness properties proved here —
+// bounded service gap, quota ceilings, conservation — therefore hold for
+// the real executor up to memory-model effects, which the -race tests own.
 
 import (
 	"fmt"
@@ -65,9 +64,9 @@ func (s *SimExecutor) ServiceLog() []FlowService { return s.services }
 // consecutive same-class drains that bypassed flow idx while it had
 // backlog the whole time. With the weighted-round-robin wheel this is
 // bounded by WheelSize(class) − 1: every wheel rotation services each
-// backlogged flow at least once. The strict-drain bug (registration-order
-// scan, no wheel) breaks the bound as soon as an earlier flow keeps its
-// queue non-empty.
+// backlogged flow at least once. A registration-order scan (every walk from
+// slot 0, the kill table's strict-drain row) breaks the bound as soon as an
+// earlier flow keeps its queue non-empty.
 func MaxServiceGap(log []FlowService, class executor.PriorityClass, idx int) int {
 	gap, max := 0, 0
 	for i := range log {
@@ -118,21 +117,10 @@ func (s *SimExecutor) drainFlows(w int, class executor.PriorityClass) bool {
 	if f == nil {
 		return false
 	}
-	var standing []*executor.FlowQueue
-	if s.strictDrainBug || s.logServices {
-		standing = s.backlogged(class)
-	}
-	if s.strictDrainBug {
-		// Injected starvation bug: always the first backlogged flow in
-		// registration order — no weighted share, so a class-mate ahead of
-		// you with a standing backlog starves you indefinitely. The
-		// fairness sweep catches this as a MaxServiceGap violation.
-		f = standing[0]
-	}
 	grabbed := make([]*executor.Runnable, s.batch(f.Backlog()))
 	if s.logServices {
 		sv := FlowService{Class: class, FlowIdx: f.Index(), Flow: f.Name(), Tasks: len(grabbed)}
-		for _, g := range standing {
+		for _, g := range s.backlogged(class) {
 			sv.Backlogged = append(sv.Backlogged, g.Index())
 		}
 		s.services = append(s.services, sv)

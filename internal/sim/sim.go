@@ -80,7 +80,15 @@
 // (stall.go) feeds the real executor's stall detector every N steps — the
 // executed counter must have moved whenever queued work is visible, and no
 // backlogged flow may go unserviced while its class drains — and reports a
-// seed-replayable failure otherwise.
+// seed-replayable failure otherwise; a livelock ends the schedule.
+//
+// How much each detector catches is measured against the code, not against
+// bugs compiled into the model: the mutation kill table (internal/mutants)
+// breaks the shared policy or this package's own steal sweep in a copy of
+// the module and names the sweep that must catch it, with the seeds it
+// caught.
+// One injected bug stays here, withLostWakeupBug: it breaks the park loop,
+// which only this package models.
 //
 // # What is and is not modeled
 //
@@ -163,9 +171,10 @@ type Stats struct {
 	// FlowDrains/FlowDrainedTasks count multi-tenant flow-queue drains,
 	// mirroring the real executor's per-worker flow counters.
 	FlowDrains, FlowDrainedTasks uint64
-	// Recoveries counts the liveness failures recorded (lost wakeups and
-	// stalls recovered from, flow starvations reported) — nonzero only
-	// when the model or an injected bug lost progress; see Failure.
+	// Recoveries counts the liveness failures recorded (lost wakeups
+	// recovered from, stalls, flow starvations reported) — nonzero only
+	// when the model or a fault in the shared policy lost progress; see
+	// Failure.
 	Recoveries int
 }
 
@@ -205,20 +214,15 @@ type SimExecutor struct {
 
 	// Multi-tenant flows (flow.go): the executor's own flow table with this
 	// simulation as its host, and the optional per-drain service log the
-	// fairness property tests analyze. strictDrainBug overrides the wheel's
-	// pick with a registration-order scan — the injected starvation bug the
-	// fairness sweep must catch.
-	flows          *executor.FlowTable
-	strictDrainBug bool
-	logServices    bool
-	services       []FlowService
+	// fairness property tests analyze.
+	flows       *executor.FlowTable
+	logServices bool
+	services    []FlowService
 
 	// Stall watchdog (stall.go): the executor's detector, fed every
-	// stallWindow steps, plus the injected injection-stall bug used to
-	// validate its detection power.
+	// stallWindow steps.
 	stall       *executor.StallDetector
 	stallWindow uint64
-	injStallBug bool
 
 	st       Stats
 	hash     uint64 // FNV-1a over every PRNG decision: the schedule fingerprint
@@ -247,15 +251,6 @@ func WithSeed(seed int64) Option {
 // testable.
 func withLostWakeupBug() Option {
 	return func(s *SimExecutor) { s.lostWakeBug = true }
-}
-
-// withStrictDrainBug overrides the weighted-round-robin flow wheel with a
-// strict registration-order scan: the first backlogged flow of a class
-// always wins, so later flows starve behind a standing backlog.
-// Unexported — it exists so the fairness sweep's detection power is
-// itself testable (see fairness_internal_test.go).
-func withStrictDrainBug() Option {
-	return func(s *SimExecutor) { s.strictDrainBug = true }
 }
 
 // WithServiceLog records one FlowService entry per flow-queue drain so
@@ -467,7 +462,7 @@ func (s *SimExecutor) victims(w int) []int {
 			out = append(out, v)
 		}
 	}
-	if !s.injStallBug && s.inj.Backlog() > 0 {
+	if s.inj.Backlog() > 0 {
 		out = append(out, s.workers)
 	}
 	s.victimBuf = out
@@ -523,7 +518,7 @@ func (s *SimExecutor) step() bool {
 			s.maxSteps, s.seed))
 	}
 	if s.stall != nil && s.st.Steps%s.stallWindow == 0 {
-		s.checkStall()
+		s.checkStall() // a livelock ends the schedule after this step
 	}
 	s.perform(c)
 	return true

@@ -12,16 +12,15 @@ package sim
 // from mere idleness (no steps at all — the lost-wakeup detector in
 // sim.go owns that case, because a fully-parked model schedules nothing).
 //
-// The injected bug that validates the no-progress alarm,
-// withInjectionStallBug, re-creates a realistic failure shape: the steal
-// sweep goes blind to the injection queue while the park re-check
-// (anyWork) still sees them. Workers then cycle prewait → re-check → cancel
-// forever — the model burns scheduling steps without executing anything,
-// the lost-wakeup detector never fires (someone is always runnable), and
-// only the executed-progress check catches it. This mirrors how a real
-// drain-order regression would present: CPU busy, queues full, throughput
-// zero. The flow-starvation alarm is validated by withStrictDrainBug
-// (fairness_internal_test.go).
+// The detection power of both alarms is a row of the mutation kill table
+// (internal/mutants), run against the code itself. The no-progress row
+// makes the steal sweep blind to the injection queue while the park
+// re-check (anyWork) still sees it: workers cycle prewait → re-check →
+// cancel forever, the model burns scheduling steps without executing
+// anything, the lost-wakeup detector never fires (someone is always
+// runnable), and only the executed-progress check catches it — CPU busy,
+// queues full, throughput zero. The flow-starvation row starts every wheel
+// walk of the executor's flow table at slot 0, a registration-order scan.
 
 import (
 	"time"
@@ -33,13 +32,13 @@ import (
 // window scheduling steps (one step reads as one nanosecond). If queued
 // work is visible while the executed counter has not moved across one full
 // window, the simulation records a no-progress failure (reported by
-// Failure, with the seed for replay) and recovers — the injected scheduling
-// bug, if any, is cleared and every worker unparked so the backlog still
-// drains and the conservation law (Enqueued == Executed) holds at
-// quiescence. A backlogged flow left unserviced while its class drained
-// past the watchdog's default service-gap bound is recorded as a
-// flow-starvation failure; the schedule goes on. A window of 0 rounds up
-// to 1.
+// Failure, with the seed for replay) and ends the schedule as Shutdown
+// does: a livelock is a policy fault no wake can cure, so the queued work
+// is discarded and a Run waiting on it would not return — drive a workload
+// that may livelock through Dispatch. A backlogged flow left unserviced
+// while its class drained past the watchdog's default service-gap bound is
+// recorded as a flow-starvation failure; the schedule goes on. A window of
+// 0 rounds up to 1.
 func WithStallDetector(window uint64) Option {
 	return func(s *SimExecutor) {
 		s.stallWindow = max(window, 1)
@@ -47,29 +46,13 @@ func WithStallDetector(window uint64) Option {
 	}
 }
 
-// withInjectionStallBug makes the steal sweep ignore the injection
-// queue while anyWork still counts it: victims leaves it out, so
-// externally submitted work is visible to the park
-// re-check but unreachable by any worker. The model livelocks —
-// prewait/cancel cycles advance the step counter while the executed
-// counter stays flat — which is the failure shape WithStallDetector
-// exists to catch. Unexported: it exists so the stall detector's
-// detection power is itself testable (see stall_internal_test.go).
-func withInjectionStallBug() Option {
-	return func(s *SimExecutor) { s.injStallBug = true }
-}
-
 // checkStall runs once every stallWindow steps (from step).
 func (s *SimExecutor) checkStall() {
 	now := time.Duration(s.st.Steps)
 	if detail, fired := s.stall.Observe(now, s.st.Executed, s.queued()); fired {
 		s.fail(executor.ReasonNoProgress, detail)
-		// Recover: the sweep's job is to *detect* the stall
-		// deterministically; clearing the injected bug and unparking every
-		// worker keeps the graph completing, so the test harness can also
-		// verify conservation after the failure is recorded.
-		s.injStallBug = false
-		s.unparkAll()
+		s.Shutdown()
+		return
 	}
 	if detail, fired := s.stall.ObserveFlows(s.flows.Stats()); fired {
 		s.fail(executor.ReasonFlowStarved, detail)

@@ -1,94 +1,75 @@
 package sim
 
-// White-box validation of the stall detector (stall.go): inject the
-// injection-blind steal sweep — externally submitted work visible to the park
-// re-check but unreachable by any worker, a livelock — and prove the seed
-// sweep detects it with a deterministic one-line replay. This is the sim
-// half of the watchdog acceptance criterion: the same no-progress
-// predicate the real executor.Watchdog polls (work queued, executed
-// counter flat) catches an injected scheduler bug across seeds, recovery
-// still drains the graph, and the healthy control never fires.
+// White-box checks of the stall detector (stall.go): the same no-progress
+// predicate the real executor.Watchdog polls (work queued, executed counter
+// flat) stays silent on faithful schedules, and fires — with a
+// deterministic one-line replay — when the policy livelocks. The livelock
+// itself is a row of the mutation kill table (internal/mutants): the steal
+// sweep blind to the injection queue, which TestStallDetectorQuietOnInjectionFanOut
+// must catch.
 
 import (
-	"os"
-	"strconv"
+	"fmt"
 	"testing"
 
 	"gotaskflow/internal/core"
 )
 
-// stallReplayEnv carries a seed into TestStallReplay, so a sweep failure
-// is replayable with one shell line.
-const stallReplayEnv = "SIM_STALL_SEED"
-
-// stallWindow is the step budget per progress check used by the tests.
-// Small enough to fire long before the maxSteps livelock backstop, large
-// enough that a healthy schedule always executes something in between.
+// stallWindowSteps is the step budget per progress check of the fan-out
+// sweep. Small enough to fire long before the maxSteps livelock backstop,
+// large enough that a healthy schedule always executes something in
+// between.
 const stallWindowSteps = 256
 
-func newStallSim(seed int64) *SimExecutor {
-	return New(2, WithSeed(seed), WithStallDetector(stallWindowSteps), withInjectionStallBug())
-}
-
-// runFanoutWorkload drives a source → 4-successor fan-out graph: the
-// source enters through Submit, i.e. the injection queue — exactly the
-// work the injected bug makes unreachable.
-func runFanoutWorkload(t *testing.T, s *SimExecutor) error {
-	t.Helper()
+// dispatchFanout dispatches a source → 4-successor fan-out onto a fresh
+// two-worker sim armed with the stall detector. The source enters through
+// Dispatch, i.e. the injection queue. A stall ends the schedule with the
+// graph unfinished, so the caller must not wait on the future then.
+func dispatchFanout(seed int64) (*SimExecutor, *core.Future) {
+	s := New(2, WithSeed(seed), WithStallDetector(stallWindowSteps))
 	tf := core.NewShared(s)
 	src := tf.Emplace(func() {})[0]
 	for i := 0; i < 4; i++ {
 		src.Precede(tf.Emplace(func() {})[0])
 	}
-	return tf.Run()
+	return s, tf.Dispatch()
 }
 
-func TestStallDetectorCatchesInjectedBug(t *testing.T) {
+// TestStallDetectorQuietOnInjectionFanOut sweeps 100 seeds of the
+// injection fan-out under an armed stall detector: every schedule drains,
+// conserves its tasks and reports nothing. A failure reports how many
+// seeds stalled and whether the first one replays with the same schedule
+// fingerprint and report.
+func TestStallDetectorQuietOnInjectionFanOut(t *testing.T) {
 	const seeds = 100
-	detected := 0
+	stalled := 0
 	var firstSeed int64 = -1
 	for seed := int64(0); seed < seeds; seed++ {
-		s := newStallSim(seed)
-		if err := runFanoutWorkload(t, s); err != nil {
-			t.Fatalf("seed %d: recovery did not drain the graph: %v", seed, err)
-		}
-		if err := s.Stats().Check(); err != nil {
-			t.Fatalf("seed %d: conservation violated after stall recovery: %v", seed, err)
-		}
+		s, fut := dispatchFanout(seed)
 		if s.Failure() != nil {
-			detected++
-			if firstSeed < 0 {
+			if stalled++; firstSeed < 0 {
 				firstSeed = seed
 			}
+			continue
+		}
+		if err := fut.Get(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := s.Stats().Check(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
-	if detected == 0 {
-		t.Fatalf("injected injection-stall bug never detected across %d seeds", seeds)
+	if stalled == 0 {
+		return
 	}
-	t.Logf("stall detected on %d/%d seeds; first at seed %d", detected, seeds, firstSeed)
-	t.Logf("replay: %s=%d go test ./internal/sim -run '^TestStallReplay$' -v",
-		stallReplayEnv, firstSeed)
-
-	// Replay determinism: the first detecting seed detects again, with an
-	// identical schedule fingerprint and failure report.
-	a, b := newStallSim(firstSeed), newStallSim(firstSeed)
-	if err := runFanoutWorkload(t, a); err != nil {
-		t.Fatal(err)
+	a, _ := dispatchFanout(firstSeed)
+	b, _ := dispatchFanout(firstSeed)
+	replay := "replays identically"
+	if a.ScheduleHash() != b.ScheduleHash() || fmt.Sprint(a.Failure()) != fmt.Sprint(b.Failure()) {
+		replay = fmt.Sprintf("replay diverges: hash %#x vs %#x", a.ScheduleHash(), b.ScheduleHash())
 	}
-	if err := runFanoutWorkload(t, b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Failure() == nil || b.Failure() == nil {
-		t.Fatalf("seed %d did not re-detect on replay", firstSeed)
-	}
-	if a.ScheduleHash() != b.ScheduleHash() {
-		t.Fatalf("seed %d: schedule hashes differ across replays: %#x vs %#x",
-			firstSeed, a.ScheduleHash(), b.ScheduleHash())
-	}
-	if a.Failure().Error() != b.Failure().Error() {
-		t.Fatalf("seed %d: failure reports differ across replays:\n%v\nvs\n%v",
-			firstSeed, a.Failure(), b.Failure())
-	}
+	t.Fatalf("stall reported on %d/%d seeds of the injection fan-out; first seed %d %s: %v",
+		stalled, seeds, firstSeed, replay, a.Failure())
 }
 
 // TestStallDetectorQuietOnHealthySchedules is the control: armed detector,
@@ -106,28 +87,5 @@ func TestStallDetectorQuietOnHealthySchedules(t *testing.T) {
 				t.Fatalf("w%d seed %d: false stall firing: %v", workers, seed, err)
 			}
 		}
-	}
-}
-
-// TestStallReplay re-runs the injected-stall workload from the
-// SIM_STALL_SEED environment variable — the one-line replay for sweep
-// failures. Without the variable it skips.
-func TestStallReplay(t *testing.T) {
-	v := os.Getenv(stallReplayEnv)
-	if v == "" {
-		t.Skipf("%s not set; set it to a seed from a stall-sweep failure", stallReplayEnv)
-	}
-	seed, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		t.Fatalf("%s=%q: %v", stallReplayEnv, v, err)
-	}
-	s := newStallSim(seed)
-	if err := runFanoutWorkload(t, s); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("replayed stall schedule: seed=%d hash=%#x steps=%d executed=%d failure=%v",
-		seed, s.ScheduleHash(), s.Stats().Steps, s.Stats().Executed, s.Failure())
-	if s.Failure() == nil {
-		t.Fatalf("seed %d did not reproduce the stall", seed)
 	}
 }

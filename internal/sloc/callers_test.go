@@ -83,9 +83,7 @@ var callerless = map[string]string{
 	"internal/executor Executor.PanicError":          "the contained-panic log; " + testOnly,
 	"internal/executor Watchdog.Firings":             "the watchdog (DESIGN.md, Observability); " + testOnly,
 	"internal/executor Watchdog.LastReport":          "the watchdog (DESIGN.md, Observability); " + testOnly,
-	"internal/executor WithPanicHandler":             "the panic-containment hook; " + testOnly,
 	"internal/levelize Levels":                       "LevelOf's bucket form, the reference four packages' tests check levels against",
-	"internal/metrics Publish":                       "the expvar export; no driver serves /debug/vars, " + testOnly,
 	"internal/mnist ReadIDXImages":                   "the real MNIST file codec; no driver reads real files, " + testOnly,
 	"internal/mnist ReadIDXLabels":                   "the real MNIST file codec; no driver reads real files, " + testOnly,
 	"internal/mnist WriteIDXImages":                  "the real MNIST file codec; no driver reads real files, " + testOnly,
