@@ -11,7 +11,10 @@ package sim
 // counters, so a starving policy must also be reported as flow-starvation.
 // The sweep runs the faithful policy and counts the seeds on which either
 // instrument fires; the mutation kill table (internal/mutants) breaks the
-// flow table's wheel walk and requires this sweep to catch it.
+// flow table's wheel walk and requires this sweep to catch it. The
+// instruments themselves are checked against the starvation policy too:
+// strictDrain is a registration-order drain written here, in the test, and
+// both must catch it on the same workload and seeds.
 
 import (
 	"fmt"
@@ -26,9 +29,11 @@ import (
 // of a light one, pre-fills both queues from an orchestrator task (so
 // nothing drains until both backlogs exist), runs to quiescence, and
 // returns the light flow's worst service gap, its bound, the schedule hash
-// and what the stall detector reported. Any liveness failure but
-// flow-starvation is fatal.
-func runStarvationWorkload(t *testing.T, seed int64) (gap int, bound int, hash uint64, starved error) {
+// and what the stall detector reported. With strict set, the orchestrator
+// then empties both queues itself with strictDrain instead of leaving them
+// to the flow table's wheel. Any liveness failure but flow-starvation is
+// fatal.
+func runStarvationWorkload(t *testing.T, seed int64, strict bool) (gap int, bound int, hash uint64, starved error) {
 	t.Helper()
 	s := New(1, WithSeed(seed), WithServiceLog(), WithStallDetector(64))
 	heavy := s.NewFlow("heavy", executor.FlowConfig{Class: executor.Batch, Weight: 1})
@@ -52,6 +57,9 @@ func runStarvationWorkload(t *testing.T, seed int64) (gap int, bound int, hash u
 		// drain picks a flow.
 		futs = append(futs, dispatch(heavy, 200)...)
 		futs = append(futs, dispatch(light, 6)...)
+		if strict {
+			strictDrain(s, executor.Batch)
+		}
 	})
 	if err := orch.Run(); err != nil {
 		t.Fatalf("seed %d: orchestrator failed: %v", seed, err)
@@ -75,6 +83,81 @@ func runStarvationWorkload(t *testing.T, seed int64) (gap int, bound int, hash u
 	return MaxServiceGap(s.ServiceLog(), executor.Batch, lightIdx), s.WheelSize(executor.Batch) - 1, s.ScheduleHash(), starved
 }
 
+// strictDrain is the classic multi-tenant starvation policy, run from
+// inside a task on the sim's current worker: it drains a class's flows
+// strictly in registration order, always the first one with backlog, with
+// no weighted share. It is the test's policy, not the sim's — each drain
+// takes a seed-chosen batch through the flow's own Take, is logged as the
+// sim logs a drain, feeds the sim's armed stall detector, and leaves its
+// tasks on the worker's deque for the schedule to run.
+func strictDrain(s *SimExecutor, class executor.PriorityClass) {
+	w := s.cur
+	s.checkStall() // mark every flow before the first drain
+	for {
+		bl := s.backlogged(class)
+		if len(bl) == 0 {
+			return
+		}
+		f := bl[0]
+		grabbed := make([]*executor.Runnable, s.batch(f.Backlog()))
+		sv := FlowService{Class: class, FlowIdx: f.Index(), Flow: f.Name(), Tasks: len(grabbed)}
+		for _, g := range bl {
+			sv.Backlogged = append(sv.Backlogged, g.Index())
+		}
+		s.services = append(s.services, sv)
+		f.Take(grabbed)
+		s.st.FlowDrains++
+		s.st.FlowDrainedTasks += uint64(len(grabbed))
+		s.deques[w] = append(s.deques[w], grabbed...)
+		s.checkStall()
+	}
+}
+
+// TestStrictDrainStarvationCaught sweeps 100 seeds under strictDrain and
+// requires the service-gap bound to be violated on most of them, with a
+// deterministic replay of the first violating seed, and the stall detector
+// to report flow-starvation on some.
+func TestStrictDrainStarvationCaught(t *testing.T) {
+	const seeds = 100
+	violations, reported := 0, 0
+	var firstSeed int64 = -1
+	var firstReport error
+	for seed := int64(0); seed < seeds; seed++ {
+		gap, bound, _, starved := runStarvationWorkload(t, seed, true)
+		if gap > bound {
+			if violations++; firstSeed < 0 {
+				firstSeed = seed
+			}
+		}
+		if starved != nil {
+			if reported++; firstReport == nil {
+				firstReport = starved
+			}
+		}
+	}
+	if reported == 0 {
+		t.Fatalf("the stall detector never reported %s under a strict registration-order drain across %d seeds",
+			executor.ReasonFlowStarved, seeds)
+	}
+	t.Logf("stall detector reported %s on %d/%d seeds; first: %v", executor.ReasonFlowStarved, reported, seeds, firstReport)
+	if violations < seeds/2 {
+		t.Fatalf("a strict registration-order drain broke the service-gap bound on only %d/%d seeds — instrument too weak",
+			violations, seeds)
+	}
+	t.Logf("starvation detected on %d/%d seeds; first at seed %d", violations, seeds, firstSeed)
+
+	// Replay determinism: the first violating seed violates again with an
+	// identical schedule fingerprint and identical gap.
+	gapA, boundA, hashA, _ := runStarvationWorkload(t, firstSeed, true)
+	gapB, _, hashB, _ := runStarvationWorkload(t, firstSeed, true)
+	if gapA <= boundA {
+		t.Fatalf("seed %d did not re-violate on replay (gap %d, bound %d)", firstSeed, gapA, boundA)
+	}
+	if gapA != gapB || hashA != hashB {
+		t.Fatalf("seed %d: replays diverge: gap %d/%d, hash %#x/%#x", firstSeed, gapA, gapB, hashA, hashB)
+	}
+}
+
 // TestWeightedDrainHoldsServiceBound sweeps 100 seeds: the executor's
 // weighted-round-robin wheel never exceeds the wheel-rotation bound, and the
 // armed stall detector stays silent. A failure reports on how many seeds
@@ -88,7 +171,7 @@ func TestWeightedDrainHoldsServiceBound(t *testing.T) {
 	var firstHash uint64
 	var firstReport error
 	for seed := int64(0); seed < seeds; seed++ {
-		gap, bound, hash, starved := runStarvationWorkload(t, seed)
+		gap, bound, hash, starved := runStarvationWorkload(t, seed, false)
 		if gap > bound {
 			if violations++; firstSeed < 0 {
 				firstSeed, firstGap, firstBound, firstHash = seed, gap, bound, hash
@@ -105,7 +188,7 @@ func TestWeightedDrainHoldsServiceBound(t *testing.T) {
 	}
 	replay := "no seed broke the bound"
 	if firstSeed >= 0 {
-		gap, _, hash, _ := runStarvationWorkload(t, firstSeed)
+		gap, _, hash, _ := runStarvationWorkload(t, firstSeed, false)
 		replay = fmt.Sprintf("first seed %d: gap %d > bound %d, ", firstSeed, firstGap, firstBound)
 		if gap == firstGap && hash == firstHash {
 			replay += "replays identically"
