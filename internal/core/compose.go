@@ -127,4 +127,4 @@ func (j Join) Gen() uint64 { return j.n.topo.gen.Load() }
 
 // Latency returns the topology's latency sink, bound to its flow; nil when
 // the scheduler records no histograms.
-func (j Join) Latency() executor.LatencySink { return j.n.topo.lat }
+func (j Join) Latency() *executor.LatencySink { return j.n.topo.lat }

@@ -302,7 +302,7 @@ func (n *node) label(i int) string {
 // zero TaskMeta is distinguishable from any real task.
 var traceIDCounter atomic.Uint64
 
-// Describe implements executor.Described: the task identity carried into
+// Describe implements executor.Runnable: the task identity carried into
 // trace events. Building it copies string headers and integers — no
 // allocation on the traced hot path.
 func (n *node) Describe() executor.TaskMeta {

@@ -5,9 +5,9 @@ package core
 // file owns the timestamps, because only the node lifecycle knows when an
 // execution became ready (queued) and when its body ran.
 //
-// The seam is cold by construction: newTopology type-asserts the scheduler
-// to executor.LatencyProvider once per topology and caches the returned
-// sink on it. When the sink is nil — the executor was built without
+// The seam is cold by construction: newTopology asks the scheduler, when it
+// is an executor.Executor, for its sink once per topology and caches it
+// there. When the sink is nil — the executor was built without
 // WithLatencyHistograms, or the scheduler is internal/sim — the
 // per-execution cost is one flag check and readyAtNs is never written.
 //

@@ -10,7 +10,7 @@ import (
 )
 
 // TestLatencyHistogramsRecordPerExecution wires a real executor built
-// WithLatencyHistograms through the LatencyProvider seam: every completed
+// WithLatencyHistograms through its LatencySink: every completed
 // task execution records exactly one observation into the topology's sink
 // — the unbound default for plain taskflows, the flow's own set for
 // flow-bound ones.
@@ -266,7 +266,10 @@ func TestOneTimestampLaw(t *testing.T) {
 // one release makes ready, one inherits the releaser's end stamp and the
 // rest — popped or stolen later — start at a reading of their own, not
 // before they were ready and not inside another span of their worker. The
-// three readers of the stamps still agree to the nanosecond.
+// three readers of the stamps still agree to the nanosecond, and the
+// releases the flight recorder holds are the fan-out's edges, each once:
+// the hand-off record folds in the release of the task it continues with
+// and no other.
 func TestHandOffLawFanOut(t *testing.T) {
 	const width = 64
 	e := executor.New(2, executor.WithMetrics(), executor.WithLatencyHistograms(),
@@ -281,8 +284,20 @@ func TestHandOffLawFanOut(t *testing.T) {
 	if err := tf.Run(); err != nil {
 		t.Fatal(err)
 	}
-	spans, _ := oneTimestampLaw(t, e, tf, width+1, width)
+	spans, releases := oneTimestampLaw(t, e, tf, width+1, width)
 	nodes := tf.g.nodes
+	edges := map[uint64]int{}
+	for _, ev := range releases {
+		if ev.Meta.ID != nodes[0].traceID {
+			t.Fatalf("release %+v is not the source's", ev)
+		}
+		edges[ev.Arg]++
+	}
+	for _, nd := range nodes[1:] {
+		if c := edges[nd.traceID]; c != 1 {
+			t.Fatalf("the edge to task %d is released %d times, want once", nd.idx, c)
+		}
+	}
 	releaser := spans[nodes[0].traceID]
 	inherited := 0
 	for _, nd := range nodes[1:] {

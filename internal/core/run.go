@@ -98,16 +98,14 @@ func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 	if f := tf.flow; f != nil {
 		t.out, t.flowReserved = f, g.len()
 	}
-	if lp, ok := tf.exec.(executor.LatencyProvider); ok {
-		t.lat = lp.LatencySink(tf.flow)
+	if e, ok := tf.exec.(*executor.Executor); ok {
+		t.lat = e.LatencySink(tf.flow)
+		t.quiet = e.Quiet() && t.flow == nil
 	}
 	if tf.statsEnabled {
 		t.stats = newTopoStats(tf)
 	}
 	t.timed = t.lat != nil || (tf.statsEnabled && tf.statsTiming)
-	if q, ok := tf.exec.(interface{ Quiet() bool }); ok {
-		t.quiet = q.Quiet() && t.flow == nil
-	}
 	nsrc, nsem := 0, 0
 	ordered, dynamic := true, false
 	for _, n := range g.nodes {

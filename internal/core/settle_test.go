@@ -358,3 +358,100 @@ func TestSettledBeforeDoneWorkerMovesOn(t *testing.T) {
 	rs, _ := short.LastRunStats()
 	assertSettled(t, e, "short", rs, bodies.Load(), new(settledWant))
 }
+
+// eagerPool is a scheduler whose thieves always win: a batch a task
+// publishes runs, on the next worker, before the publishing SubmitBatch
+// returns, so a published execution completes before its publisher takes
+// its next step. External submissions wait for run. A panic that escapes a
+// task is contained, as the pool's workers contain it.
+type eagerPool struct {
+	workers int
+	queued  []*executor.Runnable
+	panics  []any
+}
+
+type eagerCtx struct {
+	p *eagerPool
+	w int
+}
+
+func (p *eagerPool) Submit(r *executor.Runnable) error { return p.SubmitBatch([]*executor.Runnable{r}) }
+func (p *eagerPool) SubmitBatch(rs []*executor.Runnable) error {
+	p.queued = append(p.queued, rs...)
+	return nil
+}
+func (p *eagerPool) NumWorkers() int { return p.workers }
+func (p *eagerPool) Shutdown()       {}
+func (p *eagerPool) Stopped() bool   { return false }
+func (p *eagerPool) AfterFunc(d time.Duration, fn func()) executor.Timer {
+	return time.AfterFunc(d, fn)
+}
+func (p *eagerPool) TraceExternal(executor.EventKind, executor.TaskMeta, uint64) {}
+
+// run runs the external submissions on worker 0.
+func (p *eagerPool) run() {
+	for len(p.queued) > 0 {
+		r := p.queued[0]
+		p.queued = p.queued[1:]
+		eagerCtx{p, 0}.invoke(r)
+	}
+}
+
+func (c eagerCtx) invoke(r *executor.Runnable) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			c.p.panics = append(c.p.panics, rec)
+		}
+	}()
+	(*r).Run(c)
+}
+
+func (c eagerCtx) Submit(r *executor.Runnable) { c.SubmitBatch([]*executor.Runnable{r}) }
+func (c eagerCtx) SubmitBatch(rs []*executor.Runnable) {
+	for _, r := range append([]*executor.Runnable(nil), rs...) {
+		eagerCtx{c.p, (c.w + 1) % c.p.workers}.invoke(r)
+	}
+}
+func (c eagerCtx) SubmitCached(r *executor.Runnable)                    { c.Submit(r) }
+func (c eagerCtx) Continue(*executor.Runnable)                          {}
+func (c eagerCtx) WorkerID() int                                        { return c.w }
+func (c eagerCtx) Executor() executor.Scheduler                         { return c.p }
+func (c eagerCtx) StartStamp() int64                                    { return executor.Nanos() }
+func (c eagerCtx) EndStamp() int64                                      { return executor.Nanos() }
+func (c eagerCtx) Trace(executor.EventKind, *executor.Runnable, uint64) {}
+func (c eagerCtx) Settle()                                              {}
+
+// TestSettleBeforePublish: a completion that releases several executions
+// moves the outstanding count before it publishes them, so the first of
+// them to finish cannot take the count to zero while the others — and the
+// one its worker continues with — have not run. On a pool whose thieves
+// always win, done is never signalled before every body has run.
+func TestSettleBeforePublish(t *testing.T) {
+	for _, width := range []int{2, 4, releaseChunk + 3} {
+		p := &eagerPool{workers: 2}
+		tf := NewShared(p)
+		var fut *Future
+		ran, early := 0, 0
+		body := func() {
+			select {
+			case <-fut.Done():
+				early++
+			default:
+			}
+			ran++
+		}
+		src := tf.Emplace1(body)
+		for i := 0; i < width; i++ {
+			src.Precede(tf.Emplace1(body))
+		}
+		fut = tf.Dispatch()
+		p.run()
+		if early != 0 || ran != width+1 || len(p.panics) != 0 {
+			t.Fatalf("fan-out of %d: done signalled before %d of %d bodies ran (%d ran, panics %v)",
+				width, early, width+1, ran, p.panics)
+		}
+		if err := fut.Get(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -45,13 +45,13 @@ type topology struct {
 	exec      executor.Scheduler
 
 	// lat is the executor's latency histogram sink for this topology's
-	// flow, non-nil only when the scheduler implements
-	// executor.LatencyProvider with histograms enabled (see latency.go).
-	// timed is set when lat or the stats block wants task bodies timed.
-	// quiet is set when the scheduler books nothing (executor.Executor's
-	// Quiet) and no flow counts executions: a fused link's release is then
-	// nothing at all, and runLinks jumps straight to its successor's body.
-	lat   executor.LatencySink
+	// flow, non-nil only when the scheduler is an executor.Executor with
+	// histograms enabled (see latency.go). timed is set when lat or the
+	// stats block wants task bodies timed. quiet is set when the scheduler
+	// books nothing (executor.Executor's Quiet) and no flow counts
+	// executions: a fused link's release is then nothing at all, and
+	// runLinks jumps straight to its successor's body.
+	lat   *executor.LatencySink
 	timed bool
 	quiet bool
 
@@ -337,7 +337,7 @@ func (t *topology) runNode(ctx executor.Context, n *node) *node {
 				n.execCount, n.execDurNs = 0, 0
 			}
 		}
-		ctx.Trace(executor.EvSkip, n, 0)
+		ctx.Trace(executor.EvSkip, n.ref(), 0)
 		t.releaseSems(ctx, n)
 		if n.isCondition() {
 			return t.complete(ctx, n, released{})
@@ -518,7 +518,7 @@ func (t *topology) runFallible(ctx executor.Context, n *node, start int64) bool 
 		if st := t.stats; st != nil {
 			st.retries.Add(1)
 		}
-		ctx.Trace(executor.EvRetryArm, n, uint64(n.ext.attempts))
+		ctx.Trace(executor.EvRetryArm, n.ref(), uint64(n.ext.attempts))
 		// Release units now: the retry waits on a timer, not on a worker,
 		// and re-admits through the semaphores when it resubmits — to any
 		// worker, so this one's records of the attempt go out first.
@@ -586,7 +586,7 @@ func (t *topology) failTask(n *node, err error) {
 // returns one of them for this worker to continue with; false means the
 // caller completes n itself (detached, or g has no source).
 func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) (*node, bool) {
-	ctx.Trace(executor.EvSubflowSpawn, n, uint64(g.len()))
+	ctx.Trace(executor.EvSubflowSpawn, n.ref(), uint64(g.len()))
 	n.ext.detached = !joined
 	var parent *node
 	if joined {
@@ -697,7 +697,7 @@ func (t *topology) notifySucc(ctx executor.Context, src, s *node, rs *released) 
 // strong predecessor releases was never taken down — and the wait clock
 // set.
 func (t *topology) arm(ctx executor.Context, src, s *node) {
-	ctx.Trace(executor.EvDepRelease, src, s.traceID)
+	ctx.Trace(executor.EvDepRelease, src.ref(), s.traceID)
 	if s.numDependents != 1 {
 		s.join.Store(s.numDependents)
 	}
@@ -746,7 +746,7 @@ func (t *topology) settle(ctx executor.Context, n *node, delta int) *node {
 	}
 	var next *node
 	if p := n.parent; p != nil && p.children.Add(int32(delta)) == 0 {
-		ctx.Trace(executor.EvSubflowJoin, p, 0)
+		ctx.Trace(executor.EvSubflowJoin, p.ref(), 0)
 		p.ext.subgraph.composing.Store(false) // a Composed task's claim (compose)
 		next = t.finishNode(ctx, p)
 	}

@@ -71,8 +71,12 @@ var ErrShutdown = errors.New("executor: submit after Shutdown")
 // interface slot, one word in the queues. Long-lived task objects (graph
 // nodes, pipeline cells) embed a Runnable field initialized to themselves
 // and submit its address, so re-executing them allocates nothing.
+//
+// Describe returns the task's identity in trace events; a task that has
+// none returns the zero TaskMeta.
 type Runnable interface {
 	Run(ctx Context)
+	Describe() TaskMeta
 }
 
 // Func adapts an ordinary function to a Runnable, for producers that have
@@ -81,6 +85,9 @@ type Func func(Context)
 
 // Run implements Runnable.
 func (f Func) Run(ctx Context) { f(ctx) }
+
+// Describe implements Runnable: a function has no identity.
+func (Func) Describe() TaskMeta { return TaskMeta{} }
 
 // NewTask boxes fn into a submit-ready task reference. Each call allocates
 // one box; hot paths should use intrusive task objects instead.
@@ -129,11 +136,12 @@ type Context interface {
 	// Otherwise each call reads the clock.
 	StartStamp() int64
 	EndStamp() int64
-	// Trace records an event about task, attributed to this worker and
-	// stamped EndStamp: it is for the running task's owner to call after
-	// the body (or instead of it). No-op unless a capture is active or the
-	// flight recorder is armed (see WithTracing / WithFlightRecorder).
-	Trace(kind EventKind, task Described, arg uint64)
+	// Trace records an event about task (nil: about no task), attributed
+	// to this worker and stamped EndStamp: it is for the running task's
+	// owner to call after the body (or instead of it). No-op unless a
+	// capture is active or the flight recorder is armed (see WithTracing /
+	// WithFlightRecorder).
+	Trace(kind EventKind, task *Runnable, arg uint64)
 	// Settle makes everything this worker has recorded readable by others:
 	// it ends the running task's span at EndStamp, publishes the worker's
 	// trace events and adds its pending latency records to their histogram
@@ -175,14 +183,13 @@ type worker struct {
 	// while stamping is set (see begin): its two shared clock readings (0:
 	// not taken yet; between tasks start holds the boundary stamp a
 	// handed-over task inherits), whether its start event still lacks its end
-	// event and, when events are wanted, its identity (cur nil and meta zero
-	// for a task that has none).
+	// event and, when events are wanted, the task and its identity.
 	spine      *spine
 	ring       *eventRing
 	stamping   bool
 	spanOpen   bool
 	start, end int64
-	cur        Described
+	cur        *Runnable
 	meta       TaskMeta
 
 	// held says the running task's release of the task heldArg names is
@@ -298,7 +305,7 @@ type Executor struct {
 	// histogram.go; a flow carries its own), non-nil only when built
 	// WithLatencyHistograms.
 	latencyOn bool
-	lat       *flowLatency
+	lat       *LatencySink
 
 	// quiet is set by New when metrics, spine and lat are all nil: nothing
 	// books the pool's tasks (Quiet). Every worker copies it.
@@ -353,7 +360,7 @@ func New(n int, opts ...Option) *Executor {
 	}
 	e.workers = make([]*worker, n)
 	if e.latencyOn {
-		e.lat = newFlowLatency(n, e.workers)
+		e.lat = newLatencySink(n, e.workers)
 	}
 	e.quiet = e.metrics == nil && e.spine == nil && e.lat == nil
 	for i := 0; i < n; i++ {
@@ -719,9 +726,7 @@ func (w *worker) begin(r *Runnable) {
 	// The start event is published at once: a task that never returns must
 	// still be seen.
 	if tracing {
-		if d, ok := (*r).(Described); ok {
-			w.cur, w.meta = d, d.Describe()
-		}
+		w.cur, w.meta = r, (*r).Describe()
 		w.ring.write(int32(w.id), EvTaskStart, w.StartStamp(), &w.meta, 0)
 		w.ring.publish()
 		w.spanOpen = true

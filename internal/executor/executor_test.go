@@ -62,7 +62,8 @@ func newIntrusive(fn func(ctx Context, t *intrusiveTask)) *intrusiveTask {
 	return t
 }
 
-func (t *intrusiveTask) Run(ctx Context) { t.fn(ctx, t) }
+func (t *intrusiveTask) Run(ctx Context)  { t.fn(ctx, t) }
+func (*intrusiveTask) Describe() TaskMeta { return TaskMeta{} }
 
 func TestIntrusiveResubmit(t *testing.T) {
 	// One pre-built task object resubmits itself 1000 times.

@@ -259,7 +259,7 @@ func TestFlightShowsBlockedTask(t *testing.T) {
 	defer e.Shutdown()
 	meta := TaskMeta{Flow: "flow", Name: "stuck", ID: 42}
 	inside, release := make(chan struct{}), make(chan struct{})
-	d := newDescribedTask(meta, func(Context) {
+	d := newMetaTask(meta, func(Context) {
 		close(inside)
 		<-release
 	})

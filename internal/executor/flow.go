@@ -159,42 +159,15 @@ type FlowStats struct {
 	// Config echoes, so exported snapshots are self-describing.
 	MaxInFlight int
 	MaxBacklog  int
-
-	// Latency is the flow's merged latency histogram triple, non-nil only
-	// when the executor was built WithLatencyHistograms (histogram.go).
-	Latency *FlowLatencyStats
 }
 
-// Flow is a multi-tenant submission handle, implemented by *FlowQueue on the
-// real executor and under internal/sim alike, so flow-bound taskflows run
-// under deterministic simulation through the same admission and queue code.
-//
-// The admission pair is Admit/Release; the submission pair is
-// Submit/SubmitBatch (pre-admitted work only). NoteExecuted attributes
-// executions. All methods are safe for concurrent use.
-type Flow interface {
-	// Name returns the flow's display name.
-	Name() string
-	// Class returns the flow's priority class.
-	Class() PriorityClass
-	// Admit reserves n in-flight task units, or rejects the whole request
-	// with ErrAdmission (quota), ErrOverloaded (backlog watermark), or
-	// ErrShutdown — charging nothing on any error.
-	Admit(n int) error
-	// Release returns n units reserved by a successful Admit. Call
-	// exactly once per admission.
-	Release(n int)
-	// Submit enqueues one pre-admitted task on the flow's priority queue.
-	// It fails only with ErrShutdown.
-	Submit(r *Runnable) error
-	// SubmitBatch enqueues pre-admitted tasks as one FIFO batch, accepted
-	// whole or rejected whole with ErrShutdown.
-	SubmitBatch(rs []*Runnable) error
-	// NoteExecuted attributes n task executions to the flow.
-	NoteExecuted(n int)
-	// Stats snapshots the flow's counters.
-	Stats() FlowStats
-}
+// Flow is a multi-tenant submission handle: a *FlowQueue, which the real
+// executor and internal/sim hand out alike, so flow-bound taskflows run
+// under deterministic simulation through the same admission and queue
+// code. The admission pair is Admit/Release; the submission pair is the
+// Queue's Submit/SubmitBatch (pre-admitted work only). NoteExecuted
+// attributes executions. All methods are safe for concurrent use.
+type Flow = *FlowQueue
 
 // classState is the per-priority-class scheduling state: an atomic
 // backlog gauge (published like the injection queue's len, after the ring
@@ -223,9 +196,8 @@ type FlowTable struct {
 // NewFlowTable returns an empty table whose flows report to host.
 func NewFlowTable(host QueueHost) *FlowTable { return &FlowTable{host: host} }
 
-// FlowQueue is the Flow both schedulers hand out: a Queue whose pushes and
-// drains also move its class's backlog gauge, plus always-on atomic
-// admission accounting.
+// FlowQueue is a flow: a Queue whose pushes and drains also move its
+// class's backlog gauge, plus always-on atomic admission accounting.
 type FlowQueue struct {
 	Queue
 	cfg FlowConfig
@@ -241,10 +213,8 @@ type FlowQueue struct {
 
 	// lat is the flow's latency histogram set, non-nil only when the
 	// executor was built WithLatencyHistograms (histogram.go).
-	lat *flowLatency
+	lat *LatencySink
 }
-
-var _ Flow = (*FlowQueue)(nil)
 
 // normalizeFlowConfig clamps a FlowConfig to its documented ranges:
 // out-of-range classes become Background, Weight lands in [1, 64], and
@@ -264,7 +234,7 @@ func (t *FlowTable) NewFlow(name string, cfg FlowConfig) *FlowQueue {
 	return t.register(name, cfg, nil)
 }
 
-func (t *FlowTable) register(name string, cfg FlowConfig, lat *flowLatency) *FlowQueue {
+func (t *FlowTable) register(name string, cfg FlowConfig, lat *LatencySink) *FlowQueue {
 	cfg = normalizeFlowConfig(cfg)
 	f := &FlowQueue{cfg: cfg, lat: lat}
 	cs := &t.classes[cfg.Class]
@@ -328,9 +298,9 @@ func (e *Executor) NewFlow(name string, cfg FlowConfig) Flow {
 			mt = e.mt.Load()
 		}
 	}
-	var lat *flowLatency
+	var lat *LatencySink
 	if e.lat != nil {
-		lat = newFlowLatency(len(e.workers), e.workers)
+		lat = newLatencySink(len(e.workers), e.workers)
 	}
 	return mt.register(name, cfg, lat)
 }
@@ -352,14 +322,16 @@ func (e *Executor) FlowStats() []FlowStats {
 // from the injection queue (id 0).
 const flowTraceBase = 0x80
 
+// Name returns the flow's display name; Class its priority class.
 func (f *FlowQueue) Name() string         { return f.name }
 func (f *FlowQueue) Class() PriorityClass { return f.cfg.Class }
 
 // Index returns the flow's registration index on its table.
 func (f *FlowQueue) Index() int { return f.idx }
 
-// Admit implements Flow: an all-or-nothing reservation of n in-flight
-// task units. The watermark check comes first (nothing to undo), then the
+// Admit reserves n in-flight task units, or rejects the whole request
+// with ErrAdmission (quota), ErrOverloaded (backlog watermark) or
+// ErrShutdown. The watermark check comes first (nothing to undo), then the
 // quota CAS loop, so a rejected request leaves every counter untouched.
 func (f *FlowQueue) Admit(n int) error {
 	if n <= 0 {
@@ -398,7 +370,8 @@ func (f *FlowQueue) Admit(n int) error {
 	return nil
 }
 
-// Release implements Flow: return n units reserved by Admit.
+// Release returns n units reserved by a successful Admit. Call exactly
+// once per admission.
 func (f *FlowQueue) Release(n int) {
 	if n <= 0 {
 		return
@@ -407,17 +380,13 @@ func (f *FlowQueue) Release(n int) {
 	f.released.Add(uint64(n))
 }
 
-// NoteExecuted implements Flow.
+// NoteExecuted attributes n task executions to the flow.
 func (f *FlowQueue) NoteExecuted(n int) {
 	f.executed.Add(uint64(n))
 }
 
-// Stats implements Flow.
+// Stats snapshots the flow's counters.
 func (f *FlowQueue) Stats() FlowStats {
-	var lat *FlowLatencyStats
-	if f.lat != nil {
-		lat = f.lat.stats()
-	}
 	q := f.Queue.Stats()
 	return FlowStats{
 		Name:             f.name,
@@ -436,7 +405,6 @@ func (f *FlowQueue) Stats() FlowStats {
 		Backlog:          q.Depth,
 		MaxInFlight:      f.cfg.MaxInFlight,
 		MaxBacklog:       f.cfg.MaxBacklog,
-		Latency:          lat,
 	}
 }
 

@@ -264,7 +264,7 @@ func TestFlowTraceIDsDistinct(t *testing.T) {
 	flows := make([]*FlowQueue, 300)
 	seen := make(map[int]int, len(flows))
 	for i := range flows {
-		flows[i] = e.NewFlow("f", FlowConfig{Class: Batch}).(*FlowQueue)
+		flows[i] = e.NewFlow("f", FlowConfig{Class: Batch})
 		id := flows[i].TraceID()
 		if j, dup := seen[id]; dup {
 			t.Fatalf("flows %d and %d share trace id %#x", j, i, id)

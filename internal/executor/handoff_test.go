@@ -5,17 +5,17 @@ import "testing"
 // describedChain returns n described tasks (IDs 1..n, named by index); task
 // i runs body(i), traces its release of task i+1 and continues it, running
 // it in its own frame — what a fused chain of internal/core does.
-func describedChain(n int, body func(i int)) []*describedTask {
-	tasks := make([]*describedTask, n)
+func describedChain(n int, body func(i int)) []*metaTask {
+	tasks := make([]*metaTask, n)
 	for i := range tasks {
 		i := i
-		tasks[i] = newDescribedTask(TaskMeta{Name: string(rune('a' + i%26)), ID: uint64(i) + 1}, func(ctx Context) {
+		tasks[i] = newMetaTask(TaskMeta{Name: string(rune('a' + i%26)), ID: uint64(i) + 1}, func(ctx Context) {
 			for j := i; ; j++ {
 				body(j)
 				if j+1 == n {
 					return
 				}
-				ctx.Trace(EvDepRelease, tasks[j], tasks[j+1].meta.ID)
+				ctx.Trace(EvDepRelease, &tasks[j].rbox, tasks[j+1].meta.ID)
 				ctx.Continue(&tasks[j+1].rbox)
 			}
 		})
@@ -55,11 +55,11 @@ func TestHandOffRecordFoldsOnlyItsOwnRelease(t *testing.T) {
 			defer e.Shutdown()
 			a, b := TaskMeta{Name: "a", ID: 1}, TaskMeta{Name: "b", ID: 2}
 			done := make(chan struct{})
-			tb := newDescribedTask(b, func(Context) { close(done) })
-			var ta *describedTask
-			ta = newDescribedTask(a, func(ctx Context) {
+			tb := newMetaTask(b, func(Context) { close(done) })
+			var ta *metaTask
+			ta = newMetaTask(a, func(ctx Context) {
 				ctx.Trace(EvDepRelease, nil, 7) // about no task: never held
-				ctx.Trace(EvDepRelease, ta, c.releases)
+				ctx.Trace(EvDepRelease, &ta.rbox, c.releases)
 				ctx.Continue(&tb.rbox)
 				tb.Run(ctx)
 			})
@@ -226,9 +226,9 @@ func TestHeldReleaseSettles(t *testing.T) {
 	defer e.Shutdown()
 	a := TaskMeta{Name: "a", ID: 1}
 	var got []TraceEvent
-	var ta *describedTask
-	ta = newDescribedTask(a, func(ctx Context) {
-		ctx.Trace(EvDepRelease, ta, 5)
+	var ta *metaTask
+	ta = newMetaTask(a, func(ctx Context) {
+		ctx.Trace(EvDepRelease, &ta.rbox, 5)
 		ctx.Settle()
 		fl, _ := e.FlightSnapshot()
 		got = spanEvents(fl)

@@ -14,7 +14,7 @@ package executor
 //	end-to-end  ready → body end (the sum, recorded as its own series)
 //
 // internal/core captures the timestamps on the node lifecycle and feeds
-// them through the LatencySink seam below; the executor aggregates them
+// them into a LatencySink (below); the executor aggregates them
 // per Flow (plus one default sink for topologies bound to no flow) and,
 // at read time, per PriorityClass.
 //
@@ -22,8 +22,8 @@ package executor
 //
 //   - Provably zero cost when disabled. The histogram state exists only
 //     when the executor was built WithLatencyHistograms; internal/core
-//     fetches its sink once per topology (a cold type assertion) and the
-//     per-task guard is one nil-interface check.
+//     fetches its sink once per topology and the per-task guard is one
+//     nil-pointer check.
 //
 //   - Lock-free and allocation-free on the record path. Each sink keeps
 //     one padded shard per worker, written only by that worker, and a
@@ -236,44 +236,29 @@ func (s *LatencySnapshot) Quantile(q float64) time.Duration {
 	return time.Duration(latencyBounds[len(latencyBounds)-1])
 }
 
-// LatencySink records the latency triple of one finished task execution.
-// Implemented by the executor's per-flow histogram sets; internal/core
-// fetches one per topology through LatencyProvider and calls it from the
-// worker executing the task. worker must be the executing worker's index
-// (Context.WorkerID) — call on that worker, only: the record goes into
-// words that worker owns and writes without synchronization, and readers
-// see it once that worker settles (Context.Settle). Negative timings are
-// clamped to zero. End-to-end is derived as queueWaitNs+execNs, so one
-// call feeds all three series.
-type LatencySink interface {
-	RecordLatency(worker int, queueWaitNs, execNs int64)
-}
-
-// LatencyProvider is implemented by schedulers that aggregate per-task
-// latency histograms. LatencySink returns the sink for topologies bound
-// to f (nil selects the shared default sink for unbound topologies); it
-// returns a nil interface when histogram collection is disabled or f is
-// foreign, and callers must treat nil as "do not record".
-type LatencyProvider interface {
-	LatencySink(f Flow) LatencySink
-}
-
-// flowLatency is one sink: the three series of one flow (or of the
-// default, unbound set), sharded per worker and merged at read time.
+// LatencySink records the latency triple of finished task executions: the
+// three series of one flow (or of the default, unbound set), sharded per
+// worker and merged at read time. internal/core fetches one per topology
+// (Executor.LatencySink) and records from the worker executing the task.
 // owners are the executor's workers, which settle the shards they dirty;
 // a sink no executor owns (nil) is settled by whoever records into it.
-type flowLatency struct {
+type LatencySink struct {
 	shards []paddedLatShard
 	owners []*worker
 }
 
-func newFlowLatency(workers int, owners []*worker) *flowLatency {
-	return &flowLatency{shards: make([]paddedLatShard, workers), owners: owners}
+func newLatencySink(workers int, owners []*worker) *LatencySink {
+	return &LatencySink{shards: make([]paddedLatShard, workers), owners: owners}
 }
 
-// RecordLatency implements LatencySink: plain stores into the worker's own
-// shard while the buckets repeat, no allocation, no CAS; see latShard.
-func (fl *flowLatency) RecordLatency(worker int, queueWaitNs, execNs int64) {
+// RecordLatency records one execution. worker must be the executing
+// worker's index (Context.WorkerID) — call on that worker, only: the
+// record goes into words that worker owns and writes without
+// synchronization (plain stores while the buckets repeat, no allocation,
+// no CAS; see latShard), and readers see it once that worker settles
+// (Context.Settle). Negative timings are clamped to zero. End-to-end is
+// derived as queueWaitNs+execNs, so one call feeds all three series.
+func (fl *LatencySink) RecordLatency(worker int, queueWaitNs, execNs int64) {
 	if worker < 0 || worker >= len(fl.shards) {
 		worker = 0
 	}
@@ -306,7 +291,7 @@ func (fl *flowLatency) RecordLatency(worker int, queueWaitNs, execNs int64) {
 // concurrent record skews the result by at most the records still with
 // their workers — never tears it — and each series' Count always equals
 // the total of its own buckets.
-func (fl *flowLatency) stats() *FlowLatencyStats {
+func (fl *LatencySink) stats() *FlowLatencyStats {
 	var out FlowLatencyStats
 	series := [numLatSeries]*LatencySnapshot{&out.QueueWait, &out.Exec, &out.EndToEnd}
 	for i := range fl.shards {
@@ -371,20 +356,15 @@ func WithLatencyHistograms() Option {
 // WithLatencyHistograms.
 func (e *Executor) LatencyEnabled() bool { return e.lat != nil }
 
-// LatencySink implements LatencyProvider: the recording sink for
-// topologies bound to f (nil f selects the unbound default sink). Returns
-// nil when histograms are disabled.
-func (e *Executor) LatencySink(f Flow) LatencySink {
-	if e.lat == nil {
-		return nil
-	}
-	if f == nil {
+// LatencySink returns the recording sink for topologies bound to f (nil f
+// selects the unbound default sink). It returns nil, and callers record
+// nothing, when histograms are disabled or f belongs to no executor that
+// collects them.
+func (e *Executor) LatencySink(f Flow) *LatencySink {
+	if e.lat == nil || f == nil {
 		return e.lat
 	}
-	if ef, ok := f.(*FlowQueue); ok && ef.lat != nil {
-		return ef.lat
-	}
-	return nil
+	return f.lat
 }
 
 // LatencyStats snapshots every latency histogram: the unbound default

@@ -8,7 +8,7 @@ import (
 
 // settled returns the merged stats of a sink no executor owns, having
 // settled every shard first: nobody else would.
-func settled(fl *flowLatency) *FlowLatencyStats {
+func settled(fl *LatencySink) *FlowLatencyStats {
 	for i := range fl.shards {
 		fl.shards[i].settle()
 	}
@@ -78,7 +78,7 @@ func TestLatencyBucketBoundaries(t *testing.T) {
 }
 
 func TestLatencySnapshotMeanAndQuantile(t *testing.T) {
-	h := newFlowLatency(1, nil)
+	h := newLatencySink(1, nil)
 	for i := 0; i < 1000; i++ {
 		h.RecordLatency(0, 0, 1000)
 	}
@@ -100,7 +100,7 @@ func TestLatencySnapshotMeanAndQuantile(t *testing.T) {
 
 	// A spread distribution must yield monotonically non-decreasing
 	// quantiles bracketing the data.
-	h2 := newFlowLatency(1, nil)
+	h2 := newLatencySink(1, nil)
 	for i := int64(1); i <= 10000; i++ {
 		h2.RecordLatency(0, 0, i*100) // 100ns .. 1ms
 	}
@@ -128,10 +128,10 @@ func TestLatencySnapshotMeanAndQuantile(t *testing.T) {
 }
 
 func TestLatencySnapshotMerge(t *testing.T) {
-	a := newFlowLatency(2, nil)
+	a := newLatencySink(2, nil)
 	a.RecordLatency(0, 0, 300)
 	a.RecordLatency(1, 0, 300)
-	b := newFlowLatency(1, nil)
+	b := newLatencySink(1, nil)
 	b.RecordLatency(0, 0, 600)
 	sa, sb := settled(a).Exec, settled(b).Exec
 	sa.Merge(&sb)
@@ -147,7 +147,7 @@ func TestLatencySnapshotMerge(t *testing.T) {
 // indices fall back to shard 0, negative timings clamp to zero, and
 // end-to-end is derived as the sum.
 func TestFlowLatencyRecordClamps(t *testing.T) {
-	fl := newFlowLatency(2, nil)
+	fl := newLatencySink(2, nil)
 	fl.RecordLatency(-1, -10, 50)
 	fl.RecordLatency(99, 100, 200)
 	st := settled(fl)
@@ -162,9 +162,6 @@ func TestFlowLatencyRecordClamps(t *testing.T) {
 		t.Fatalf("end-to-end sum = %d, want 350", st.EndToEnd.Sum)
 	}
 }
-
-// fakeFlow is a Flow implementation foreign to this executor.
-type fakeFlow struct{ Flow }
 
 func TestExecutorLatencySinks(t *testing.T) {
 	e := New(2, WithLatencyHistograms())
@@ -189,8 +186,8 @@ func TestExecutorLatencySinks(t *testing.T) {
 		fs.RecordLatency(ctx.WorkerID(), 1000, 2000)
 	})
 
-	if s := e.LatencySink(fakeFlow{}); s != nil {
-		t.Fatal("foreign flow must yield a nil sink")
+	if s := e.LatencySink(NewFlowTable(nil).NewFlow("foreign", FlowConfig{})); s != nil {
+		t.Fatal("a flow no executor collects for must yield a nil sink")
 	}
 
 	flows, ok := e.LatencyStats()

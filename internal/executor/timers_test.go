@@ -55,8 +55,7 @@ func TestShutdownFiresArmedTimers(t *testing.T) {
 	var submitErr atomic.Value
 	e.AfterFunc(time.Hour, func() {
 		sawStopped.Store(e.Stopped())
-		var r Runnable = noopRunnable{}
-		if err := e.Submit(&r); err != nil {
+		if err := e.Submit(NewTask(func(Context) {})); err != nil {
 			submitErr.Store(err)
 		}
 	})
@@ -89,7 +88,3 @@ func TestAfterFuncPostShutdownRunsInline(t *testing.T) {
 		t.Fatal("Stop on an already-resolved timer returned true")
 	}
 }
-
-type noopRunnable struct{}
-
-func (noopRunnable) Run(Context) {}

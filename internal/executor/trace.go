@@ -184,13 +184,6 @@ type TaskMeta struct {
 	Gen uint64
 }
 
-// Described is implemented by Runnables that can identify themselves —
-// graph nodes do. Anonymous tasks (NewTask) trace with a zero
-// TaskMeta.
-type Described interface {
-	Describe() TaskMeta
-}
-
 // TraceEvent is one recorded event. Worker is the recording worker's index,
 // or ExternalWorker for events from outside the pool (external submissions,
 // retry timers, cancellation).
@@ -589,12 +582,12 @@ func (w *worker) EndStamp() int64 {
 
 // Trace implements Context: record an event about task at the current
 // task's end stamp. The running task's identity was resolved when it
-// started (invoke); any other task is asked for its own. The event is
+// started (begin); any other task is asked for its own. The event is
 // published with the worker's next publication (see Settle). The running
 // task's release of a successor is held back instead (held): the next
 // record writes it out first, unless it is the hand-off record of that
 // successor, which folds it in (handOff).
-func (w *worker) Trace(kind EventKind, task Described, arg uint64) {
+func (w *worker) Trace(kind EventKind, task *Runnable, arg uint64) {
 	if !w.tracing() {
 		return
 	}
@@ -604,7 +597,7 @@ func (w *worker) Trace(kind EventKind, task Described, arg uint64) {
 	if task != w.cur {
 		var m TaskMeta
 		if task != nil {
-			m = task.Describe()
+			m = (*task).Describe()
 		}
 		meta = &m
 	} else if kind == EvDepRelease && w.spanOpen {
@@ -639,17 +632,13 @@ const (
 // hand-offs, hitLag after the last time it did, and at Settle.
 func (w *worker) handOff(r *Runnable) {
 	end := w.EndStamp()
-	d, _ := (*r).(Described)
-	var meta TaskMeta
-	if d != nil {
-		meta = d.Describe()
-	}
+	meta := (*r).Describe()
 	var folded uint64
 	if w.held && w.heldArg == meta.ID {
 		w.held, folded = false, 1
 	}
 	w.writeHeld()
-	w.cur, w.meta = d, meta
+	w.cur, w.meta = r, meta
 	w.ring.writeHandOff(int32(w.id), end, &w.meta, folded)
 	w.ring.publish()
 	w.start, w.end = end, 0

@@ -7,21 +7,21 @@ import (
 	"time"
 )
 
-// describedTask is a Runnable that carries identity, like graph nodes do.
-type describedTask struct {
+// metaTask is a Runnable that carries identity, like graph nodes do.
+type metaTask struct {
 	rbox Runnable
 	meta TaskMeta
 	fn   func(Context)
 }
 
-func newDescribedTask(meta TaskMeta, fn func(Context)) *describedTask {
-	d := &describedTask{meta: meta, fn: fn}
+func newMetaTask(meta TaskMeta, fn func(Context)) *metaTask {
+	d := &metaTask{meta: meta, fn: fn}
 	d.rbox = d
 	return d
 }
 
-func (d *describedTask) Run(ctx Context)    { d.fn(ctx) }
-func (d *describedTask) Describe() TaskMeta { return d.meta }
+func (d *metaTask) Run(ctx Context)    { d.fn(ctx) }
+func (d *metaTask) Describe() TaskMeta { return d.meta }
 
 func TestTraceDisabledWithoutOption(t *testing.T) {
 	e := New(2)
@@ -65,7 +65,7 @@ func TestTraceCaptureLifecycle(t *testing.T) {
 	var n atomic.Int64
 	body := func(ctx Context) { ctx.Settle(); n.Add(1) }
 	meta := TaskMeta{Flow: "flow", Name: "alpha", ID: 7, Idx: 3, Gen: 1}
-	d := newDescribedTask(meta, body)
+	d := newMetaTask(meta, body)
 	e.Submit(&d.rbox)
 	for i := 0; i < 9; i++ {
 		e.Submit(NewTask(body))

@@ -20,17 +20,14 @@ import (
 	"gotaskflow/internal/executor"
 )
 
-// Source is the snapshot provider — *executor.Executor implements it.
+// Source is the snapshot provider — *executor.Executor implements it, and
+// so does the Static wrap of a snapshot already taken. MetricsSnapshot
+// gives the scheduler counters (WithMetrics); LatencyStats the per-flow
+// latency histograms (WithLatencyHistograms), exported as
+// gotaskflow_flow_latency_* series even when the counters are off. Each
+// reports false when its half was not collected.
 type Source interface {
 	MetricsSnapshot() (executor.Snapshot, bool)
-}
-
-// latencySource provides the per-flow latency histograms —
-// *executor.Executor implements it (WithLatencyHistograms). Sources that
-// also implement it get gotaskflow_flow_latency_* histogram series in the
-// Prometheus export, even when the scheduler counters (WithMetrics) are
-// off.
-type latencySource interface {
 	LatencyStats() ([]executor.FlowLatencySummary, bool)
 }
 
@@ -118,10 +115,9 @@ var exported = []series{
 
 // WritePrometheus writes the source's current counters in the Prometheus
 // text exposition format (version 0.0.4). Counter series require the
-// source to have been built with metrics; latency histogram series
-// (latencySource) render independently, so a histogram-only executor
-// still exports them. A source with neither writes nothing and returns
-// nil.
+// source to have been built with metrics; latency histogram series render
+// independently, so a histogram-only executor still exports them. A
+// source with neither writes nothing and returns nil.
 func WritePrometheus(w io.Writer, src Source) error {
 	var b strings.Builder
 	if snap, ok := src.MetricsSnapshot(); ok {
@@ -142,9 +138,7 @@ func WritePrometheus(w io.Writer, src Source) error {
 			}
 		}
 	}
-	if ls, ok := src.(latencySource); ok {
-		writeLatencySeries(&b, ls)
-	}
+	writeLatencySeries(&b, src)
 	_, err := io.WriteString(w, b.String())
 	return err
 }
@@ -179,8 +173,8 @@ func flowLabels(f *executor.FlowLatencySummary) string {
 // writeLatencySeries renders the per-flow latency histograms as
 // Prometheus histogram series: cumulative _bucket counts with le bounds
 // in seconds, plus _sum (seconds) and _count.
-func writeLatencySeries(b *strings.Builder, ls latencySource) {
-	flows, ok := ls.LatencyStats()
+func writeLatencySeries(b *strings.Builder, src Source) {
+	flows, ok := src.LatencyStats()
 	if !ok {
 		return
 	}
@@ -223,6 +217,9 @@ func Static(snap executor.Snapshot) Source { return staticSource{snap} }
 type staticSource struct{ snap executor.Snapshot }
 
 func (s staticSource) MetricsSnapshot() (executor.Snapshot, bool) { return s.snap, true }
+
+// LatencyStats implements Source: a Snapshot holds no histograms.
+func (staticSource) LatencyStats() ([]executor.FlowLatencySummary, bool) { return nil, false }
 
 // WriteRunSummary writes a compact human-readable digest of one
 // instrumented run — the graph-level RunStats and the executor's scheduler

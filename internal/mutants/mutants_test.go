@@ -66,9 +66,6 @@ type pkgRun struct {
 	run     string // -run pattern
 	skip    string // -skip pattern, optional
 	timeout time.Duration
-	// count repeats the tests (-count, default 1): a mutant that opens a
-	// race window on the real pool is killed only when the race is lost.
-	count int
 }
 
 // moduleRoot is the directory holding go.mod, two levels up from this
@@ -238,7 +235,7 @@ var timedOut = regexp.MustCompile(`^\s+((?:Test|Fuzz)\w*)\S* \(`)
 // runPkg runs one package of a row in the mutated tree and folds the result
 // into o.
 func runPkg(dir string, r pkgRun, o *outcome) {
-	args := []string{"test", "-json", fmt.Sprintf("-count=%d", max(r.count, 1)), "-run", r.run, "-timeout", r.timeout.String()}
+	args := []string{"test", "-json", "-count=1", "-run", r.run, "-timeout", r.timeout.String()}
 	if r.skip != "" {
 		args = append(args, "-skip", r.skip)
 	}

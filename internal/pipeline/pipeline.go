@@ -202,7 +202,7 @@ type cell struct {
 // Run implements executor.Runnable.
 func (c *cell) Run(ctx executor.Context) { c.p.runCell(ctx, c) }
 
-// Describe implements executor.Described (see the package comment).
+// Describe implements executor.Runnable (see the package comment).
 func (c *cell) Describe() executor.TaskMeta {
 	return executor.TaskMeta{
 		Flow: c.p.name, Name: c.name, ID: c.id,
@@ -220,7 +220,7 @@ type dpClaim struct {
 // Run implements executor.Runnable.
 func (d *dpClaim) Run(ctx executor.Context) { d.c.p.runClaim(ctx, d.c) }
 
-// Describe implements executor.Described: its cell's identity, its own ID.
+// Describe implements executor.Runnable: its cell's identity, its own ID.
 func (d *dpClaim) Describe() executor.TaskMeta {
 	m := d.c.Describe()
 	m.ID = d.id

@@ -79,7 +79,7 @@ func runStarvationWorkload(t *testing.T, seed int64, strict bool) (gap int, boun
 	if err := s.CheckQueues(); err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	lightIdx := light.(*executor.FlowQueue).Index()
+	lightIdx := light.Index()
 	return MaxServiceGap(s.ServiceLog(), executor.Batch, lightIdx), s.WheelSize(executor.Batch) - 1, s.ScheduleHash(), starved
 }
 
@@ -234,7 +234,7 @@ func TestServiceGapScalesWithWeight(t *testing.T) {
 		if err := s.CheckQueues(); err != nil {
 			t.Fatalf("weight %d: %v", weight, err)
 		}
-		lightIdx := light.(*executor.FlowQueue).Index()
+		lightIdx := light.Index()
 		return MaxServiceGap(s.ServiceLog(), executor.Batch, lightIdx), s.WheelSize(executor.Batch) - 1
 	}
 	gap1, bound1 := worst(1)

@@ -708,7 +708,7 @@ func (c simCtx) Executor() executor.Scheduler { return c.s }
 // anything to settle.
 func (c simCtx) StartStamp() int64                                    { return executor.Nanos() }
 func (c simCtx) EndStamp() int64                                      { return executor.Nanos() }
-func (c simCtx) Trace(executor.EventKind, executor.Described, uint64) {}
+func (c simCtx) Trace(executor.EventKind, *executor.Runnable, uint64) {}
 func (c simCtx) Settle()                                              {}
 
 // target picks the deque a worker-context submission lands on. On the

@@ -143,15 +143,9 @@ func TestSimVirtualTimeRetry(t *testing.T) {
 	}
 }
 
-// runnableFunc adapts a func to executor.Runnable for direct-submission
-// tests that bypass core.
-type runnableFunc struct{ fn func(executor.Context) }
-
-func (r *runnableFunc) Run(ctx executor.Context) { r.fn(ctx) }
-
+// submitFn submits fn directly, bypassing core.
 func submitFn(s *sim.SimExecutor, fn func(executor.Context)) error {
-	var r executor.Runnable = &runnableFunc{fn: fn}
-	return s.Submit(&r)
+	return s.Submit(executor.NewTask(fn))
 }
 
 func TestSimAfterFuncLifecycle(t *testing.T) {
