@@ -25,9 +25,11 @@ var ErrComposedInUse = errors.New("core: composed graph already running")
 // executed, in a Taskflow or inside a Subflow alike. The child graph is
 // shared, not copied: it must stay unmodified and must not be dispatched on
 // its own while a topology containing the module task is executing — the
-// same aliasing rule as Cpp-Taskflow's composed_of. Composing a taskflow
-// into itself panics; a composition already in flight fails the task with
-// ErrComposedInUse.
+// same aliasing rule as Cpp-Taskflow's composed_of. Between executions any
+// builder edit of the child is allowed: each execution arms the child graph
+// as it finds it (spawn), and the child's own next Run rebuilds its run
+// state. Composing a taskflow into itself panics; a composition already in
+// flight fails the task with ErrComposedInUse.
 func (b *builder) Composed(child *Taskflow) Task {
 	if child.g == b.g {
 		panic("core: Composed of a taskflow into itself")
@@ -36,9 +38,7 @@ func (b *builder) Composed(child *Taskflow) Task {
 	if name == "" {
 		name = "module"
 	}
-	n := b.add()
-	n.work = child
-	return Task{n}.Name(name)
+	return b.add(child).Name(name)
 }
 
 // compose spawns g, the present graph of n's Composed child, as n's joined
@@ -83,9 +83,7 @@ type Module interface {
 // worker waits for it; m's failures, cancellation, flow and latency sink
 // are those of the task's topology, reached through the Join.
 func (b *builder) EmplaceModule(m Module) Task {
-	n := b.add()
-	n.work = m
-	return Task{n}
+	return b.add(m)
 }
 
 // Join is a module task's completion handle for one execution of it. It

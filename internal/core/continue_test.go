@@ -220,42 +220,64 @@ func TestSinglePredConditionBackEdge(t *testing.T) {
 
 // TestSinglePredGainsSecondPredecessor: a node that ran with one strong
 // predecessor and gains a second before the next Run waits for both: the
-// join counter it skipped is back in use.
+// join counter it skipped is back in use, and the fused link compiled into
+// its first predecessor is undone — also when a Composed parent, not the
+// graph's own Run, was the last to execute it.
 func TestSinglePredGainsSecondPredecessor(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			e := executor.New(workers)
-			defer e.Shutdown()
-			tf := NewShared(e)
-			var aDone, bDone atomic.Bool
-			var sawBoth, runs atomic.Int32
-			a := tf.Emplace1(func() { aDone.Store(true) })
-			b := tf.Emplace1(func() {
-				time.Sleep(time.Millisecond)
-				bDone.Store(true)
-			})
-			c := tf.Emplace1(func() {
-				runs.Add(1)
-				if aDone.Load() && bDone.Load() {
-					sawBoth.Add(1)
-				}
-			})
-			a.Precede(c)
-			if err := tf.Run(); err != nil {
-				t.Fatal(err)
-			}
-			b.Precede(c)
-			for i := 0; i < 20; i++ {
-				aDone.Store(false)
-				bDone.Store(false)
-				if err := tf.Run(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if runs.Load() != 21 || sawBoth.Load() != 20 {
-				t.Fatalf("c ran %d times, %d of them after both predecessors; want 21 and 20", runs.Load(), sawBoth.Load())
+			for _, host := range []string{"plain", "composed"} {
+				t.Run(host, func(t *testing.T) {
+					testSinglePredGainsSecondPredecessor(t, workers, host == "composed")
+				})
 			}
 		})
+	}
+}
+
+func testSinglePredGainsSecondPredecessor(t *testing.T, workers int, composed bool) {
+	e := executor.New(workers)
+	defer e.Shutdown()
+	tf := NewShared(e)
+	var aDone, bDone atomic.Bool
+	var sawBoth, runs atomic.Int32
+	a := tf.Emplace1(func() { aDone.Store(true) })
+	b := tf.Emplace1(func() {
+		time.Sleep(time.Millisecond)
+		bDone.Store(true)
+	})
+	c := tf.Emplace1(func() {
+		runs.Add(1)
+		if aDone.Load() && bDone.Load() {
+			sawBoth.Add(1)
+		}
+	})
+	a.Precede(c)
+	run := tf.Run
+	if composed {
+		parent := NewShared(e)
+		parent.Composed(tf)
+		run = parent.Run
+	}
+	if err := run(); err != nil {
+		t.Fatal(err)
+	}
+	if !a.node.fused {
+		t.Fatal("a→c, c's one predecessor, is no fused link")
+	}
+	b.Precede(c)
+	for i := 0; i < 20; i++ {
+		aDone.Store(false)
+		bDone.Store(false)
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.node.fused {
+		t.Fatal("a→c is still a fused link after c gained a second predecessor")
+	}
+	if runs.Load() != 21 || sawBoth.Load() != 20 {
+		t.Fatalf("c ran %d times, %d of them after both predecessors; want 21 and 20", runs.Load(), sawBoth.Load())
 	}
 }
 

@@ -63,8 +63,10 @@
 // trace event, and its body runs next. On a pool that books nothing
 // (executor.Executor's Quiet) and a topology bound to no flow, there is no
 // trace event either: a fused link is its body and its successor check.
-// Accounting, traces, run stats, histograms and errors are per task all
-// the same.
+// Whether a link is fused is compiled once, when a run is armed; every
+// builder edit between runs marks the graph's run state stale, so the next
+// run compiles it again. Accounting, traces, run stats, histograms and
+// errors are per task all the same.
 //
 // # Algorithms and debugging
 //

@@ -55,11 +55,11 @@ func (rp *retryPolicy) delay(attempt int) time.Duration {
 // and re-acquired on resubmission. Retry applies to Emplace, EmplaceErr
 // and EmplaceCtx bodies; condition and subflow tasks do not retry.
 func (t Task) Retry(n int, backoff time.Duration) Task {
-	t.must("Retry")
+	nd := t.edit("Retry")
 	if n < 0 {
 		panic("core: negative retry count")
 	}
-	t.node.extra().retry = &retryPolicy{max: n, backoff: backoff}
+	nd.extra().retry = &retryPolicy{max: n, backoff: backoff}
 	return t
 }
 

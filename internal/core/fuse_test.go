@@ -244,12 +244,15 @@ func TestFuseDeclinedLinks(t *testing.T) {
 				a := tf.Emplace1(func() { heads.Add(1) })
 				s, count, perRun := c.build(tf)
 				a.Precede(s)
-				if a.node.link() != nil {
+				if a.node.fusable() {
 					t.Fatalf("%s successor forms a fused link", c.name)
 				}
 				for run := int32(1); run <= runs; run++ {
 					if err := tf.Run(); err != nil {
 						t.Fatalf("run %d: %v", run, err)
+					}
+					if a.node.fused {
+						t.Fatalf("run %d compiled a fused link to the %s successor", run, c.name)
 					}
 					if got := count(); got != run*perRun {
 						t.Fatalf("run %d: successor body ran %d times, want %d", run, got, run*perRun)

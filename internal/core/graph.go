@@ -36,10 +36,13 @@ type node struct {
 	succCount int32
 
 	// numDependents counts strong in-edges (those participating in the
-	// join counter); numWeakPreds counts in-edges from condition tasks. A
-	// node is a topology source only when both are zero.
+	// join counter); weakPred is set by an in-edge from a condition task. A
+	// node is a topology source only when it has neither. fused is the
+	// node's compiled link (fusable), set by the scan that arms its graph
+	// for a run: newTopology's, or spawn's.
 	numDependents int32
-	numWeakPreds  int32
+	weakPred      bool
+	fused         bool
 
 	// traceID is a process-unique task identity assigned at allocation,
 	// used by trace exports to match dependency-release events to the
@@ -177,14 +180,9 @@ func (n *node) precede(m *node) {
 	}
 	n.succCount++
 	if n.isCondition() {
-		m.numWeakPreds++
+		m.weakPred = true
 	} else {
 		m.numDependents++
-	}
-	if t := m.topo; t != nil {
-		// The edge makes t's cached run state stale: the source list, and
-		// m's join counter, armed for one dependency fewer.
-		t.builtLen = -1
 	}
 }
 
@@ -220,28 +218,26 @@ func (n *node) static() bool {
 	return false
 }
 
-// link returns n's successor s when n→s is a fused link, nil otherwise: n
-// has that one successor and no cold fields (no semaphore to release); s has
-// n as its one predecessor, no condition task beside it, no cold fields (no
-// semaphore to take) and a static body. Releasing s is then its arm and
-// nothing else — no join counter, no count to settle, nothing to admit or
-// hand over — and its body runs next in the same loop (runLinks).
-func (n *node) link() *node {
+// fusable reports whether n→succInline[0] is a fused link: n has that one
+// successor and no cold fields (no semaphore to release); s has n as its one
+// predecessor, no condition task beside it, no cold fields (no semaphore to
+// take) and a static body. Releasing s is then its arm and nothing else — no
+// join counter, no count to settle, nothing to admit or hand over — and its
+// body runs next in the same loop (runLinks). It is compiled into n.fused
+// when a run is armed, and holds until the next edit (Task.edit).
+func (n *node) fusable() bool {
 	if n.succCount != 1 || n.ext != nil {
-		return nil
+		return false
 	}
 	s := n.succInline[0]
-	if s.numDependents != 1 || s.numWeakPreds != 0 || s.ext != nil || !s.static() {
-		return nil
-	}
-	return s
+	return s.numDependents == 1 && !s.weakPred && s.ext == nil && s.static()
 }
 
 // ref returns the node's submit-ready task reference.
 func (n *node) ref() *executor.Runnable { return &n.rbox }
 
 // isSource reports whether the node starts when its topology starts.
-func (n *node) isSource() bool { return n.numDependents == 0 && n.numWeakPreds == 0 }
+func (n *node) isSource() bool { return n.numDependents == 0 && !n.weakPred }
 
 // successor returns the i-th successor in insertion order.
 func (n *node) successor(i int) *node {
@@ -346,6 +342,11 @@ type graph struct {
 	// composing is set while a Composed task runs the graph as its joined
 	// children (topology.compose); a second composition fails meanwhile.
 	composing atomic.Bool
+
+	// edits counts the builder's mutations of the graph (Task.edit,
+	// builder.add). Run's cached topology is stale once it differs from the
+	// count the topology was built at (Taskflow.runStale).
+	edits uint64
 }
 
 // graphStore is a Taskflow's free list of graph storage, filled by Reclaim

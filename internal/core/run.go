@@ -21,10 +21,13 @@ import (
 // Run executes the present graph once and blocks until it finishes,
 // returning every captured task error joined (panics are converted). The
 // graph is NOT consumed: calling Run again re-executes it, and
-// steady-state re-runs of an unchanged graph are allocation-free. Adding
-// tasks between runs is allowed (the run state is rebuilt); mixing Run
-// with Dispatch is allowed (Dispatch consumes the graph as usual). Run
-// must not be called concurrently with itself or with graph construction.
+// steady-state re-runs of an unchanged graph are allocation-free. Any
+// builder edit between runs is allowed — Emplace*, Placeholder, Composed,
+// Precede/Succeed, Acquire/Release, Retry, Work/WorkCondition — also after
+// a Composed parent ran the graph: it marks the run state stale, and the
+// next Run rebuilds it (sources and fused links) once. Mixing Run with
+// Dispatch is allowed (Dispatch consumes the graph as usual). Run must not
+// be called concurrently with itself or with graph construction.
 func (tf *Taskflow) Run() error {
 	return tf.run(nil)
 }
@@ -68,11 +71,11 @@ func (tf *Taskflow) run(ctx context.Context) error {
 }
 
 // runStale reports whether the cached run state does not fit the present
-// graph: there is none, it was built for another graph, or tasks or edges
-// (node.precede) were added since.
+// graph: there is none, it was built for another graph, or the graph was
+// edited since (graph.edits).
 func (tf *Taskflow) runStale() bool {
 	t := tf.runTopo
-	return t == nil || t.graph != tf.g || t.builtLen != tf.g.len()
+	return t == nil || t.graph != tf.g || t.edits != tf.g.edits
 }
 
 // newTopology builds the run state of g: reusable for Run, one-shot for
@@ -86,7 +89,7 @@ func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 		out:      tf.exec,
 		flow:     tf.flow,
 		reusable: reusable,
-		builtLen: g.len(),
+		edits:    g.edits,
 		flowName: tf.name,
 		ready:    make([]releaseScratch, tf.exec.NumWorkers()),
 	}
@@ -116,6 +119,7 @@ func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 			dynamic = true
 		}
 		ordered = ordered && n.forward()
+		n.fused = n.fusable()
 		if n.isSource() {
 			nsrc++
 			if n.hasAcquires() {

@@ -71,8 +71,7 @@ func (s *Semaphore) release() *node {
 // starts (per execution). The acquisition list is kept sorted by semaphore
 // identity so tasks acquiring the same set cannot deadlock each other.
 func (t Task) Acquire(sems ...*Semaphore) Task {
-	t.must("Acquire")
-	ext := t.node.extra()
+	ext := t.edit("Acquire").extra()
 	for _, s := range sems {
 		ext.acquires = insertSem(ext.acquires, s)
 	}
@@ -82,8 +81,7 @@ func (t Task) Acquire(sems ...*Semaphore) Task {
 // Release makes the task return one unit to each semaphore when its
 // callable finishes (per execution).
 func (t Task) Release(sems ...*Semaphore) Task {
-	t.must("Release")
-	ext := t.node.extra()
+	ext := t.edit("Release").extra()
 	ext.releases = append(ext.releases, sems...)
 	return t
 }

@@ -7,6 +7,7 @@ package core
 // be decided until later in the program.
 type Task struct {
 	node *node
+	g    *graph // the graph the node was emplaced in: whose edits it counts
 }
 
 // IsEmpty reports whether the handle is associated with a node.
@@ -29,10 +30,9 @@ func (t Task) NameOf() string {
 // Precede adds dependency edges so that t runs before each task in others
 // (paper: A.precede(B, C)). It returns t for chaining.
 func (t Task) Precede(others ...Task) Task {
-	t.must("Precede")
+	n := t.edit("Precede")
 	for _, o := range others {
-		o.must("Precede")
-		t.node.precede(o.node)
+		n.precede(o.edit("Precede"))
 	}
 	return t
 }
@@ -40,10 +40,9 @@ func (t Task) Precede(others ...Task) Task {
 // Succeed adds dependency edges so that t runs after each task in others.
 // It returns t for chaining.
 func (t Task) Succeed(others ...Task) Task {
-	t.must("Succeed")
+	n := t.edit("Succeed")
 	for _, o := range others {
-		o.must("Succeed")
-		o.node.precede(t.node)
+		o.edit("Succeed").precede(n)
 	}
 	return t
 }
@@ -71,8 +70,7 @@ func (t Task) WorkCondition(fn func() int) Task {
 // condition and non-condition once successors are wired, which would leave
 // stale strong/weak edge accounting.
 func (t Task) rebind(op string, condition bool) *node {
-	t.must(op)
-	n := t.node
+	n := t.edit(op)
 	if n.succCount > 0 && n.isCondition() != condition {
 		panic("core: " + op + " would change the condition-ness of a task that already has successors")
 	}
@@ -95,6 +93,16 @@ func (t Task) NumSuccessors() int {
 func (t Task) NumDependents() int {
 	t.must("NumDependents")
 	return int(t.node.numDependents)
+}
+
+// edit returns the task's node for a builder mutation, after must, and
+// marks the graph's cached run state stale: Run rebuilds its topology — the
+// source lists and the compiled links (node.fused) — before it runs again.
+// Every builder mutation goes through here or builder.add.
+func (t Task) edit(op string) *node {
+	t.must(op)
+	t.g.edits++
+	return t.node
 }
 
 // must rejects an empty handle and, as far as it can be told, a dead one:

@@ -60,12 +60,15 @@ type builder struct {
 	g *graph
 }
 
-// add appends a fresh node to the graph.
-func (b *builder) add() *node {
+// add appends a fresh node running work to the graph, an edit of it
+// (Task.edit), and returns its handle.
+func (b *builder) add(work any) Task {
 	n := b.g.alloc()
 	n.idx = int32(len(b.g.nodes))
+	n.work = work
 	b.g.nodes = append(b.g.nodes, n)
-	return n
+	b.g.edits++
+	return Task{n, b.g}
 }
 
 // Emplace creates one task per callable and returns their handles in order.
@@ -80,26 +83,20 @@ func (b *builder) Emplace(fns ...func()) []Task {
 // Emplace1 creates a single task; a convenience over Emplace for the
 // common one-callable case.
 func (b *builder) Emplace1(fn func()) Task {
-	n := b.add()
-	n.work = fn
-	return Task{n}
+	return b.add(fn)
 }
 
 // EmplaceSubflow creates a dynamic task (paper Section III-D): at runtime
 // fn receives a *Subflow through which it spawns a child graph, and
 // subflows may recursively spawn subflows of their own.
 func (b *builder) EmplaceSubflow(fn func(*Subflow)) Task {
-	n := b.add()
-	n.work = fn
-	return Task{n}
+	return b.add(fn)
 }
 
 // EmplaceCondition creates a condition task whose result selects the
 // successor branch to run; see FlowBuilder.EmplaceCondition.
 func (b *builder) EmplaceCondition(fn func() int) Task {
-	n := b.add()
-	n.work = fn
-	return Task{n}
+	return b.add(fn)
 }
 
 // EmplaceErr creates an error-returning task. A non-nil result (or a
@@ -107,9 +104,7 @@ func (b *builder) EmplaceCondition(fn func() int) Task {
 // not started are skipped, the dependency structure drains so Wait and Get
 // never hang, and Future.Get reports every captured error via errors.Join.
 func (b *builder) EmplaceErr(fn func() error) Task {
-	n := b.add()
-	n.work = fn
-	return Task{n}
+	return b.add(fn)
 }
 
 // EmplaceCtx creates a context-aware, error-returning task. The body
@@ -117,14 +112,12 @@ func (b *builder) EmplaceErr(fn func() error) Task {
 // cancelled, or exceeds the deadline of RunContext/DispatchContext, so
 // long-running bodies can stop cooperatively mid-flight.
 func (b *builder) EmplaceCtx(fn func(context.Context) error) Task {
-	n := b.add()
-	n.work = fn
-	return Task{n}
+	return b.add(fn)
 }
 
 // Placeholder creates a task with no work assigned.
 func (b *builder) Placeholder() Task {
-	return Task{b.add()}
+	return b.add(nil)
 }
 
 // NumNodes returns the number of tasks in the graph under construction: a

@@ -109,12 +109,12 @@ type topology struct {
 	// reusable marks a topology driven by Taskflow.Run: completion is
 	// signalled with a token on the (buffered) done channel instead of a
 	// close, so the same topology object serves many runs without
-	// reallocating. builtLen records the graph size the cached run state
-	// was prepared for (-1 once an edge was added since), invalidating it
-	// when the graph changes. hasCond records whether the graph contains a
-	// condition task, so each launch re-arms every node first.
+	// reallocating. edits is the graph's edit count the run state was built
+	// at (graph.edits); a later edit makes it stale. hasCond records whether
+	// the graph contains a condition task, so each launch re-arms every
+	// node first.
 	reusable bool
-	builtLen int
+	edits    uint64
 	hasCond  bool
 
 	// errMu guards the captured-error list, the derived context, and the
@@ -397,16 +397,17 @@ func (t *topology) runNode(ctx executor.Context, n *node) *node {
 
 // runLinks runs static bodies (node.static) from n on, one after another in
 // this frame and under one panic net — Algorithm 1's task cache as a jump back
-// to the top of the loop. After a fused link (node.link) the release of the
+// to the top of the loop. After a fused link (node.fused) the release of the
 // successor is its arm alone, and on a quiet topology nothing: no event to
 // trace, no counter to re-arm, no wait clock, and no Continue, which books
 // nothing on a quiet pool (executor.Executor's Quiet). After any other body
 // finishNode completes the execution. The next node is continued
 // (Context.Continue) and runs here if it is static and the topology not
 // cancelled; else it is returned, continued, for runNode. nil means the
-// worker has nothing to go on with. A body after another starts at its end
-// stamp (bodyStart), so a timed run reads the clock once per body whatever
-// the pool books. A panic ends the run: recoverLink completes the link that
+// worker has nothing to go on with. Whether bodies are booked (bodyStart,
+// bodyEnd) is read once per call; a body after another starts at its end
+// stamp, so a timed run reads the clock once per body whatever the pool
+// books. A panic ends the run: recoverLink completes the link that
 // panicked, and the caller starts a new run from what that released.
 func (t *topology) runLinks(ctx executor.Context, n *node) (next *node) {
 	var start, end int64
@@ -415,22 +416,28 @@ func (t *topology) runLinks(ctx executor.Context, n *node) (next *node) {
 			next = t.recoverLink(ctx, n, start, r)
 		}
 	}()
+	books, quiet := t.stats != nil || t.timed, t.quiet
 	for {
-		start = t.bodyStart(ctx, n, end)
+		if books {
+			start = t.bodyStart(ctx, n, end)
+		}
 		if w, ok := n.work.(func()); ok {
 			w()
 		} else if err := n.work.(func() error)(); err != nil {
 			t.failTask(n, err)
 		}
-		end = t.bodyEnd(ctx, n, start, true)
-		s := n.link()
-		if s != nil && t.quiet {
-			if n = s; t.cancelled.Load() {
+		if books {
+			end = t.bodyEnd(ctx, n, start, true)
+		}
+		if n.fused && quiet {
+			if n = n.succInline[0]; t.cancelled.Load() {
 				return n
 			}
 			continue
 		}
-		if s != nil {
+		var s *node
+		if n.fused {
+			s = n.succInline[0]
 			t.arm(ctx, n, s)
 			if f := t.flow; f != nil {
 				f.NoteExecuted(1)
@@ -601,6 +608,7 @@ func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) (
 	for _, c := range g.nodes {
 		c.topo = t
 		c.parent = parent
+		c.fused = c.fusable()
 		c.join.Store(c.numDependents)
 		if c.isSource() {
 			nsrc++
