@@ -32,7 +32,7 @@ vet:
 
 race:
 	$(GO) test -race . ./internal/...
-	$(GO) test -race -count=3 -run 'Rerun|PendingNeverZero|HotColdLayout|Launch|Partition|Reduce|Compose' ./internal/core/
+	$(GO) test -race -count=3 -run 'Rerun|PendingNeverZero|HotColdLayout|Launch|Partition|Reduce|Compose|Edit' ./internal/core/
 	$(GO) test -race -count=3 -run 'Reclaim|Scrub|OrderedEdges|SliceLaw|OneLaw|WeightedDrain|Notifier|CorrectModel|LostWakeup|IdleWakeup|ParkScrubs|Shrink|Queue|Injection' ./internal/core/ ./internal/wsq/ ./internal/executor/ ./internal/stav2/ ./internal/sim/
 	$(GO) test -race -count=3 -run 'Flight|Trace|Latency|Hammer|Settle|HandOff|SettledBeforeDone|Module|Composed|Continue|SinglePred|Fuse|Quiet|Watchdog|Reconcile' ./internal/executor/ ./internal/core/ ./internal/debughttp/ ./internal/pipeline/
 

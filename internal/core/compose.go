@@ -104,7 +104,7 @@ func (j Join) Add(k int) { j.n.children.Add(int32(k)) }
 func (j Join) Done(ctx executor.Context) {
 	ctx.Settle()
 	if j.n.children.Add(-1) == 0 {
-		if next := j.n.topo.finishNode(ctx, j.n); next != nil {
+		if next := j.n.g.topo.finishNode(ctx, j.n); next != nil {
 			ctx.Submit(next.ref())
 		}
 	}
@@ -115,14 +115,14 @@ func (j Join) Busy() bool { return j.n.children.Load() > 0 }
 
 // Cancelled reports whether the topology was cancelled — by a failure, a
 // context or Future.Cancel.
-func (j Join) Cancelled() bool { return j.n.topo.cancelled.Load() }
+func (j Join) Cancelled() bool { return j.n.g.topo.cancelled.Load() }
 
 // Fail records err against the topology and fail-fast-cancels it.
-func (j Join) Fail(err error) { j.n.topo.fail(err) }
+func (j Join) Fail(err error) { j.n.g.topo.fail(err) }
 
 // Gen returns the topology's run generation (TaskMeta.Gen).
-func (j Join) Gen() uint64 { return j.n.topo.gen.Load() }
+func (j Join) Gen() uint64 { return j.n.g.topo.gen.Load() }
 
 // Latency returns the topology's latency sink, bound to its flow; nil when
 // the scheduler records no histograms.
-func (j Join) Latency() *executor.LatencySink { return j.n.topo.lat }
+func (j Join) Latency() *executor.LatencySink { return j.n.g.topo.lat }

@@ -61,12 +61,14 @@
 // of fused links: each link's successor, whose only predecessor it is, is
 // released with no join counter and no completion bookkeeping beyond its
 // trace event, and its body runs next. On a pool that books nothing
-// (executor.Executor's Quiet) and a topology bound to no flow, there is no
-// trace event either: a fused link is its body and its successor check.
-// Whether a link is fused is compiled once, when a run is armed; every
-// builder edit between runs marks the graph's run state stale, so the next
-// run compiles it again. Accounting, traces, run stats, histograms and
-// errors are per task all the same.
+// (executor.Executor's Quiet), a topology bound to no flow and no run
+// stats, there is no trace event either: a run of fused func() links is a
+// dense path, whose bodies the graph keeps in one contiguous table, and it
+// runs as a loop over that table — the body, the cancellation check, the
+// next index. Whether a link is fused, and the dense paths, are compiled by
+// the scan that arms a graph; every builder edit between runs marks them
+// stale, so the next scan compiles them again. Accounting, traces, run
+// stats, histograms and errors are per task all the same.
 //
 // # Algorithms and debugging
 //

@@ -329,6 +329,18 @@ var editCases = []editCase{
 		after: counts(1, "a0", "a1", "q"),
 	},
 	{
+		name: "join-dense-paths",
+		build: func(h *editHarness) {
+			h.chain("a", 16)
+			h.chain("b", 16)
+		},
+		before: counts(1, append(chainNames("a", 16), chainNames("b", 16)...)...),
+		// b0, a source, becomes a15's one successor: the two dense paths are
+		// one, and b0 waits for a15.
+		edit:  func(h *editHarness) { h.edge("a15", "b0") },
+		after: counts(1, append(chainNames("a", 16), chainNames("b", 16)...)...),
+	},
+	{
 		name:   "composed",
 		build:  func(h *editHarness) { h.chain("a", 2) },
 		before: counts(1, "a0", "a1"),
@@ -489,5 +501,22 @@ func TestEditComposedChildAfterParentRun(t *testing.T) {
 					aRuns.Load(), bRuns.Load(), bEarly.Load())
 			}
 		})
+	}
+}
+
+// TestSetNameBetweenRuns: a rename between two Runs reaches the run state
+// the second builds — its trace spans and TaskMeta.Flow carry the new name.
+func TestSetNameBetweenRuns(t *testing.T) {
+	tf := New(2)
+	defer tf.Close()
+	tf.Emplace1(func() {})
+	for _, name := range []string{"first", "second"} {
+		tf.SetName(name)
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := tf.g.nodes[0].Describe().Flow; got != name {
+			t.Fatalf("after SetName(%q) and a Run, a task's Flow reads %q", name, got)
+		}
 	}
 }

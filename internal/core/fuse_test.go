@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,6 +70,68 @@ func checkHits(t *testing.T, hits []atomic.Int32, want func(i int) int32) {
 	}
 }
 
+// denseHosts are where a dense-path test builds its chain: the graph of the
+// Taskflow it runs (plain), the graph of a Composed child of it (composed),
+// or a subflow its one task spawns at every run (subflow).
+var denseHosts = []string{"plain", "composed", "subflow"}
+
+// denseHost returns a Taskflow on e whose every run runs the graph build
+// makes, as host says (denseHosts).
+func denseHost(e *executor.Executor, host string, build func(b *builder)) *Taskflow {
+	tf := NewShared(e)
+	switch host {
+	case "plain":
+		build(&tf.builder)
+	case "composed":
+		child := NewShared(e)
+		build(&child.builder)
+		tf.Composed(child)
+	case "subflow":
+		tf.EmplaceSubflow(func(sf *Subflow) { build(&sf.builder) })
+	}
+	return tf
+}
+
+// hostGraph returns the graph tf ran last that denseHost's build made.
+func hostGraph(tf *Taskflow, host string) *graph {
+	if host == "plain" {
+		return tf.g
+	}
+	return tf.g.nodes[0].spawned()
+}
+
+// fallibleLink says which links of a mixed chain are func() error: they cut
+// its plain links into dense paths 0..4, 6..12, 14..20, 22..28, ...
+func fallibleLink(i int) bool { return i%8 == 5 }
+
+// mixedChain builds into b a chain of len(hits) links named k<i>, link i a
+// func() error where fallibleLink(i) and a func() elsewhere. Link i counts
+// in early a start before link i-1 ran once more than it, counts itself in
+// hits[i] and then runs body(i).
+func mixedChain(b *builder, hits []atomic.Int32, early *atomic.Int32, body func(i int)) {
+	var prev Task
+	for i := range hits {
+		step := func() {
+			if i > 0 && hits[i-1].Load() != hits[i].Load()+1 {
+				early.Add(1)
+			}
+			hits[i].Add(1)
+			body(i)
+		}
+		var task Task
+		if fallibleLink(i) {
+			task = b.EmplaceErr(func() error { step(); return nil })
+		} else {
+			task = b.Emplace1(step)
+		}
+		task.Name(fmt.Sprintf("k%d", i))
+		if i > 0 {
+			prev.Precede(task)
+		}
+		prev = task
+	}
+}
+
 // TestFusePanicAtLink: a plain link that panics inside a fused run is
 // recorded under its own name, and the run completes it — its successor's
 // release is traced as every other — and goes on, so every body runs
@@ -98,6 +162,36 @@ func TestFusePanicAtLink(t *testing.T) {
 						run, kinds[executor.EvTaskStart], kinds[executor.EvDepRelease], n, n-1)
 				}
 			}
+		})
+	}
+	// On a quiet pool the plain links run as dense paths from their graph's
+	// body table. A panic in the middle of one, link 24 of the path 22..28,
+	// is recorded under that link's name, and the path is re-entered at the
+	// next link: every body runs exactly once a run, in chain order.
+	for _, host := range denseHosts {
+		t.Run("dense/"+host, func(t *testing.T) {
+			eachFusePool(t, func(t *testing.T, e *executor.Executor) {
+				const n, k = 48, 24
+				want := fmt.Sprintf("core: task %q panicked: boom", fmt.Sprintf("k%d", k))
+				hits := make([]atomic.Int32, n)
+				var early atomic.Int32
+				tf := denseHost(e, host, func(b *builder) {
+					mixedChain(b, hits, &early, func(i int) {
+						if i == k {
+							panic("boom")
+						}
+					})
+				})
+				for run := int32(1); run <= 2; run++ {
+					if err := tf.Run(); err == nil || err.Error() != want {
+						t.Fatalf("run %d: error %v, want %q", run, err, want)
+					}
+					checkHits(t, hits, func(int) int32 { return run })
+					if early.Load() != 0 {
+						t.Fatalf("run %d: %d links started before the link before them", run, early.Load())
+					}
+				}
+			})
 		})
 	}
 }
@@ -173,6 +267,236 @@ func TestFuseCancelInsideLink(t *testing.T) {
 			return 1
 		})
 	})
+	// The same inside a dense path, link 25 of the path 22..28 of a chain
+	// cut into paths by fallible links, on every host.
+	for _, host := range denseHosts {
+		t.Run("dense/"+host, func(t *testing.T) {
+			eachFusePool(t, func(t *testing.T, e *executor.Executor) {
+				const n, k = 48, 25
+				hits := make([]atomic.Int32, n)
+				var early atomic.Int32
+				var fut atomic.Pointer[Future]
+				dispatched := make(chan struct{})
+				tf := denseHost(e, host, func(b *builder) {
+					mixedChain(b, hits, &early, func(i int) {
+						switch i {
+						case 0:
+							<-dispatched
+						case k:
+							fut.Load().Cancel()
+						}
+					})
+				})
+				fut.Store(tf.Dispatch())
+				close(dispatched)
+				if err := fut.Load().Get(); !errors.Is(err, ErrCancelled) {
+					t.Fatalf("Get = %v, want ErrCancelled", err)
+				}
+				checkHits(t, hits, func(i int) int32 {
+					if i > k {
+						return 0
+					}
+					return 1
+				})
+				if early.Load() != 0 {
+					t.Fatalf("%d links started before the link before them", early.Load())
+				}
+			})
+		})
+	}
+}
+
+// denseTable reads g's body table as the names of each path's nodes, and
+// fails unless every path ends in a nil whose slot names its last node,
+// every node of a path is dense and placed at its position, and no other
+// node is dense.
+func denseTable(t *testing.T, g *graph) [][]string {
+	t.Helper()
+	var paths [][]string
+	var cur []string
+	placed := 0
+	for i, body := range g.bodies {
+		n := g.path[i]
+		if body == nil {
+			if len(cur) < 2 || n.name != cur[len(cur)-1] {
+				t.Fatalf("path %v ends at %s", cur, n.name)
+			}
+			paths, cur = append(paths, cur), nil
+			continue
+		}
+		if !n.dense || int(g.at[n.idx]) != i {
+			t.Fatalf("%s at position %d: dense %v, placed at %d", n.name, i, n.dense, g.at[n.idx])
+		}
+		cur = append(cur, n.name)
+		placed++
+	}
+	if cur != nil {
+		t.Fatalf("path %v has no end", cur)
+	}
+	dense := 0
+	for _, n := range g.nodes {
+		if n.dense {
+			dense++
+		}
+	}
+	if dense != placed {
+		t.Fatalf("%d dense nodes, %d in the table", dense, placed)
+	}
+	return paths
+}
+
+// wantPaths is the dense paths of an n-link mixed chain whose link i-1→i is
+// no fused link where cut(i).
+func wantPaths(n int, cut func(i int) bool) [][]string {
+	var paths [][]string
+	var cur []string
+	for i := 0; i <= n; i++ {
+		if i == n || fallibleLink(i) || (i > 0 && cut(i)) {
+			if len(cur) >= 2 {
+				paths = append(paths, cur)
+			}
+			cur = nil
+		}
+		if i < n && !fallibleLink(i) {
+			cur = append(cur, fmt.Sprintf("k%d", i))
+		}
+	}
+	return paths
+}
+
+// TestFuseDenseTable: the scans that arm a graph lay each maximal run of
+// plain links joined by fused links out in the graph's body table — on the
+// Taskflow's own graph, a Composed child and a subflow, also for a chain
+// emplaced back to front, whose paths start at their last-emplaced node. An
+// edge into the middle of a path has the next scan lay it again, cut in two.
+func TestFuseDenseTable(t *testing.T) {
+	const n = 30
+	uncut := func(int) bool { return false }
+	for _, order := range []string{"forward", "reverse"} {
+		for _, host := range denseHosts {
+			t.Run(order+"/"+host, func(t *testing.T) {
+				e := executor.New(2)
+				defer e.Shutdown()
+				hits := make([]atomic.Int32, n)
+				var early atomic.Int32
+				tf := denseHost(e, host, func(b *builder) {
+					if order == "forward" {
+						mixedChain(b, hits, &early, func(int) {})
+						return
+					}
+					// Build the chain in another graph and emplace its
+					// nodes here back to front.
+					src := NewShared(e)
+					mixedChain(&src.builder, hits, &early, func(int) {})
+					for i := n - 1; i >= 0; i-- {
+						nd := src.g.nodes[i]
+						task := b.add(nd.work).Name(nd.name)
+						if i < n-1 {
+							task.Precede(Task{b.g.nodes[n-2-i]})
+						}
+					}
+				})
+				for run := int32(1); run <= 2; run++ {
+					if err := tf.Run(); err != nil {
+						t.Fatal(err)
+					}
+					checkHits(t, hits, func(int) int32 { return run })
+					if early.Load() != 0 {
+						t.Fatalf("run %d: %d links started before the link before them", run, early.Load())
+					}
+					want := wantPaths(n, uncut)
+					if order == "reverse" {
+						slices.Reverse(want) // paths are laid in the order of their heads
+					}
+					if got := denseTable(t, hostGraph(tf, host)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("run %d: dense paths %v, want %v", run, got, want)
+					}
+				}
+				if host == "subflow" {
+					return
+				}
+				g := hostGraph(tf, host)
+				// A new source into k9, the middle of the path 6..12.
+				var x atomic.Int32
+				var k9 Task
+				for _, nd := range g.nodes {
+					if nd.name == "k9" {
+						k9 = Task{nd}
+					}
+				}
+				(&builder{g}).Emplace1(func() { x.Add(1) }).Precede(k9)
+				if err := tf.Run(); err != nil {
+					t.Fatal(err)
+				}
+				checkHits(t, hits, func(int) int32 { return 3 })
+				want := wantPaths(n, func(i int) bool { return i == 9 })
+				if order == "reverse" {
+					slices.Reverse(want)
+				}
+				if got := denseTable(t, g); x.Load() != 1 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("after the edit: x ran %d times, dense paths %v; want once, %v", x.Load(), got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestFuseDenseTableAllocs: a graph's body table costs three slices when
+// it is compiled and nothing when it is kept. A subflow, whose graph is new
+// at every spawn, allocates three objects more per run when its chain is a
+// dense path than when its links are fallible (no path); a chain rebuilt
+// through Reclaim lays its table in the storage the reclaimed graph kept,
+// and allocates what a fallible chain does.
+func TestFuseDenseTableAllocs(t *testing.T) {
+	const n = 64
+	chain := func(b *builder, fallible bool) {
+		var prev Task
+		for i := 0; i < n; i++ {
+			var task Task
+			if fallible {
+				task = b.EmplaceErr(func() error { return nil })
+			} else {
+				task = b.Emplace1(func() {})
+			}
+			if i > 0 {
+				prev.Precede(task)
+			}
+			prev = task
+		}
+	}
+	subflow := func(fallible bool) float64 {
+		tf := New(2)
+		defer tf.Close()
+		tf.EmplaceSubflow(func(sf *Subflow) { chain(&sf.builder, fallible) })
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if err := tf.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if dense, none := subflow(false), subflow(true); dense > none+3 {
+		t.Fatalf("a subflow whose chain is a dense path allocates %v objects per run, %v without one", dense, none)
+	}
+	rebuild := func(fallible bool) float64 {
+		tf := New(2)
+		defer tf.Close()
+		iter := func() {
+			chain(&tf.builder, fallible)
+			if err := tf.Reclaim(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			iter() // fill the free list
+		}
+		return testing.AllocsPerRun(50, iter)
+	}
+	if dense, none := rebuild(false), rebuild(true); dense != none {
+		t.Fatalf("rebuilding a chain through Reclaim allocates %v objects per build, a fallible chain %v", dense, none)
+	}
 }
 
 // doneModule is a module that counts its starts and retires within Start.

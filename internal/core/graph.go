@@ -38,11 +38,14 @@ type node struct {
 	// numDependents counts strong in-edges (those participating in the
 	// join counter); weakPred is set by an in-edge from a condition task. A
 	// node is a topology source only when it has neither. fused is the
-	// node's compiled link (fusable), set by the scan that arms its graph
-	// for a run: newTopology's, or spawn's.
+	// node's compiled link (fusable), and dense says that its body is in
+	// its graph's body table (graph.bodies, at position g.at[idx]); both
+	// are compiled by the scan that arms the graph for a run: newTopology's,
+	// or spawn's.
 	numDependents int32
 	weakPred      bool
 	fused         bool
+	dense         bool
 
 	// traceID is a process-unique task identity assigned at allocation,
 	// used by trace exports to match dependency-release events to the
@@ -94,7 +97,9 @@ type node struct {
 	// less to zero and less for the garbage collector to scan.
 	ext *nodeExt
 
-	topo *topology
+	// g is the graph the node was emplaced in; g.topo is the topology it
+	// runs under.
+	g *graph
 
 	// rbox is the node's intrusive task slot: a Runnable interface value
 	// holding the node itself, initialized once at allocation. The
@@ -198,8 +203,10 @@ func (n *node) isCondition() bool {
 // through runNode. The executor invokes it through the node's intrusive
 // rbox slot.
 func (n *node) Run(ctx executor.Context) {
+	// Every execution the loop goes on with — a successor, a spawned child,
+	// a joined parent — runs under the topology of the first.
+	t := n.g.topo
 	for n != nil {
-		t := n.topo
 		if n.static() && !t.cancelled.Load() {
 			n = t.runLinks(ctx, n)
 		} else if n = t.runNode(ctx, n); n != nil {
@@ -231,6 +238,18 @@ func (n *node) fusable() bool {
 	}
 	s := n.succInline[0]
 	return s.numDependents == 1 && !s.weakPred && s.ext == nil && s.static()
+}
+
+// plain reports whether n's body is a func(), the kind a dense path runs.
+func (n *node) plain() bool {
+	_, ok := n.work.(func())
+	return ok
+}
+
+// denseLink reports whether n's compiled link joins two plain bodies: a
+// step of a dense path (graph.lay).
+func (n *node) denseLink() bool {
+	return n.fused && n.plain() && n.succInline[0].plain()
 }
 
 // ref returns the node's submit-ready task reference.
@@ -302,7 +321,7 @@ var traceIDCounter atomic.Uint64
 // trace events. Building it copies string headers and integers — no
 // allocation on the traced hot path.
 func (n *node) Describe() executor.TaskMeta {
-	t := n.topo
+	t := n.g.topo
 	if t == nil {
 		return executor.TaskMeta{Name: n.name, ID: n.traceID, Idx: n.idx}
 	}
@@ -347,6 +366,23 @@ type graph struct {
 	// builder.add). Run's cached topology is stale once it differs from the
 	// count the topology was built at (Taskflow.runStale).
 	edits uint64
+
+	// topo is the topology the graph's nodes run under: set by the launch
+	// that arms the graph, or by the spawn that runs it as a subflow or a
+	// Composed child.
+	topo *topology
+
+	// The compiled run state: every node's link (node.fused) and the dense
+	// paths — maximal runs of plain bodies joined by fused links — laid out
+	// contiguously in bodies, each path followed by a nil, with path[i] the
+	// node whose body is bodies[i] (at a nil, the path's last node) and
+	// at[idx] the position of the body of the dense node with that idx.
+	// built is the edit count it was compiled at (compiling); at is left
+	// empty when the graph has no dense path.
+	built  uint64
+	bodies []func()
+	path   []*node
+	at     []int32
 }
 
 // graphStore is a Taskflow's free list of graph storage, filled by Reclaim
@@ -379,7 +415,10 @@ func (s *graphStore) reclaim(g *graph) {
 	}
 	s.blocks = append(s.blocks, g.blocks...)
 	clear(g.blocks)
-	*g = graph{store: s, nodes: g.nodes[:0], blocks: g.blocks[:0]}
+	*g = graph{
+		store: s, nodes: g.nodes[:0], blocks: g.blocks[:0],
+		bodies: g.bodies[:0], path: g.path[:0], at: g.at[:0],
+	}
 	s.graphs = append(s.graphs, g)
 }
 
@@ -418,9 +457,70 @@ func (g *graph) alloc() *node {
 		*n = node{succSpill: spill[:0]}
 	}
 	n.rbox = n
+	n.g = g
 	g.lastID++
 	n.traceID = g.lastID
 	return n
 }
 
 func (g *graph) len() int { return len(g.nodes) }
+
+// compiling reports whether g's compiled run state is older than its last
+// edit and, if so, empties it for the scan about to compile it again: that
+// scan sets every node's fused bit and calls mark for it, then calls lay
+// for every node. A scan cut short by a refused graph leaves no node dense,
+// so the links it compiled run as a node walk.
+func (g *graph) compiling() bool {
+	if g.built == g.edits {
+		return false
+	}
+	g.built = g.edits
+	g.bodies, g.path, g.at = g.bodies[:0], g.path[:0], g.at[:0]
+	return true
+}
+
+// mark takes n out of g's dense paths until lay puts it back and, when n's
+// link is a dense step, marks its successor as no path's head (at = -1).
+// The table is sized on the first mark for the most entries its paths can
+// take — a path has two nodes or more, and a nil — so a graph without a
+// dense path allocates nothing for it, and one with paths three slices.
+func (g *graph) mark(n *node) {
+	n.dense = false
+	if !n.denseLink() {
+		return
+	}
+	if k := len(g.nodes); len(g.at) == 0 {
+		g.at = room(g.at, k)[:k]
+		clear(g.at)
+		g.bodies, g.path = room(g.bodies, k+k/2), room(g.path, k+k/2)
+	}
+	g.at[n.succInline[0].idx] = -1
+}
+
+// room returns s emptied, with room for n elements.
+func room[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, 0, n)
+	}
+	return s[:0]
+}
+
+// lay appends the dense path that starts at n, if one does — n's link is a
+// dense step and no dense step leads to n — to g's body table.
+func (g *graph) lay(n *node) {
+	if n.dense || !n.denseLink() || g.at[n.idx] < 0 {
+		return
+	}
+	for {
+		n.dense = true
+		g.at[n.idx] = int32(len(g.bodies))
+		g.bodies = append(g.bodies, n.work.(func()))
+		g.path = append(g.path, n)
+		if !n.denseLink() {
+			break
+		}
+		n = n.succInline[0]
+	}
+	g.bodies = append(g.bodies, nil)
+	g.path = append(g.path, n)
+}

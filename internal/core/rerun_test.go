@@ -316,9 +316,9 @@ func TestRerunLeavesCountersArmed(t *testing.T) {
 					// The next run will trust what this one left behind.
 					elided++
 					for _, n := range tf.g.nodes {
-						if got := n.join.Load(); got != int32(n.numDependents) || n.topo != rt || n.parent != nil {
+						if got := n.join.Load(); got != int32(n.numDependents) || n.g.topo != rt || n.parent != nil {
 							t.Fatalf("run %d: node %d left join=%d of %d, topo match %v, parent %v; the next run does not sweep",
-								i, n.idx, got, n.numDependents, n.topo == rt, n.parent)
+								i, n.idx, got, n.numDependents, n.g.topo == rt, n.parent)
 						}
 					}
 				}

@@ -25,9 +25,9 @@ import (
 // builder edit between runs is allowed — Emplace*, Placeholder, Composed,
 // Precede/Succeed, Acquire/Release, Retry, Work/WorkCondition — also after
 // a Composed parent ran the graph: it marks the run state stale, and the
-// next Run rebuilds it (sources and fused links) once. Mixing Run with
-// Dispatch is allowed (Dispatch consumes the graph as usual). Run must not
-// be called concurrently with itself or with graph construction.
+// next Run rebuilds it (sources, fused links and dense paths) once. Mixing
+// Run with Dispatch is allowed (Dispatch consumes the graph as usual). Run
+// must not be called concurrently with itself or with graph construction.
 func (tf *Taskflow) Run() error {
 	return tf.run(nil)
 }
@@ -111,6 +111,7 @@ func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 	t.timed = t.lat != nil || (tf.statsEnabled && tf.statsTiming)
 	nsrc, nsem := 0, 0
 	ordered, dynamic := true, false
+	compile := g.compiling()
 	for _, n := range g.nodes {
 		switch n.work.(type) {
 		case func() int:
@@ -119,7 +120,10 @@ func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 			dynamic = true
 		}
 		ordered = ordered && n.forward()
-		n.fused = n.fusable()
+		if compile {
+			n.fused = n.fusable()
+			g.mark(n)
+		}
 		if n.isSource() {
 			nsrc++
 			if n.hasAcquires() {
@@ -148,6 +152,9 @@ func (tf *Taskflow) newTopology(g *graph, reusable bool) (*topology, error) {
 		t.semSources = make([]*node, 0, nsem)
 	}
 	for _, n := range g.nodes {
+		if compile {
+			g.lay(n)
+		}
 		switch {
 		case !n.isSource():
 		case n.hasAcquires():
@@ -200,8 +207,8 @@ func (t *topology) launch(ctx context.Context) error {
 	}
 
 	if t.mustSweep() {
+		t.graph.topo = t
 		for _, n := range t.graph.nodes {
-			n.topo = t
 			n.parent = nil
 			n.join.Store(n.numDependents)
 			if t.stats != nil {
@@ -264,11 +271,10 @@ func (t *topology) undoSubmit(err error, k int) {
 // in which every node executed — failed and cancelled ones included:
 // skipped nodes still drain the structure — leaves them all armed and
 // accounted, and the serial O(n) sweep, made while every worker idles, is
-// skipped. It is kept where counters can be short — the nodes have not run
+// skipped. It is kept where counters can be short — the graph has not run
 // under t (it is new, or a Composed parent ran the graph since) or a
 // condition task may leave a branch untaken — and where executions add to
 // their node's counters (topology.sumNodeStats).
 func (t *topology) mustSweep() bool {
-	nodes := t.graph.nodes
-	return t.hasCond || t.sumNodeStats || len(nodes) == 0 || nodes[0].topo != t
+	return t.hasCond || t.sumNodeStats || t.graph.len() == 0 || t.graph.topo != t
 }

@@ -147,7 +147,7 @@ func (t *topology) admit(sub submitter, n *node) bool {
 // waiter.
 func (t *topology) handBack(sub submitter, s *Semaphore) {
 	if w := s.release(); w != nil {
-		wt := w.topo
+		wt := w.g.topo
 		if wt.admit(sub, w) {
 			sub.Submit(w.ref())
 		}

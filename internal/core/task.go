@@ -7,7 +7,6 @@ package core
 // be decided until later in the program.
 type Task struct {
 	node *node
-	g    *graph // the graph the node was emplaced in: whose edits it counts
 }
 
 // IsEmpty reports whether the handle is associated with a node.
@@ -96,12 +95,13 @@ func (t Task) NumDependents() int {
 }
 
 // edit returns the task's node for a builder mutation, after must, and
-// marks the graph's cached run state stale: Run rebuilds its topology — the
-// source lists and the compiled links (node.fused) — before it runs again.
-// Every builder mutation goes through here or builder.add.
+// marks the cached run state of the node's graph stale: Run rebuilds its
+// topology — the source lists — and the next scan that arms the graph
+// compiles its links and dense paths again (graph.compiling) before it runs
+// again. Every builder mutation goes through here or builder.add.
 func (t Task) edit(op string) *node {
 	t.must(op)
-	t.g.edits++
+	t.node.g.edits++
 	return t.node
 }
 

@@ -68,7 +68,7 @@ func (b *builder) add(work any) Task {
 	n.work = work
 	b.g.nodes = append(b.g.nodes, n)
 	b.g.edits++
-	return Task{n, b.g}
+	return Task{n}
 }
 
 // Emplace creates one task per callable and returns their handles in order.
@@ -195,9 +195,11 @@ func (tf *Taskflow) Executor() executor.Scheduler { return tf.exec }
 // workerCount implements FlowBuilder.
 func (tf *Taskflow) workerCount() int { return tf.exec.NumWorkers() }
 
-// SetName names the taskflow for DOT dumps. Returns tf for chaining.
+// SetName names the taskflow for DOT dumps, trace spans and TaskMeta.Flow.
+// Returns tf for chaining.
 func (tf *Taskflow) SetName(name string) *Taskflow {
 	tf.name = name
+	tf.runTopo = nil // the cached run state carries the old name
 	return tf
 }
 

@@ -398,42 +398,53 @@ func (t *topology) runNode(ctx executor.Context, n *node) *node {
 // runLinks runs static bodies (node.static) from n on, one after another in
 // this frame and under one panic net — Algorithm 1's task cache as a jump back
 // to the top of the loop. After a fused link (node.fused) the release of the
-// successor is its arm alone, and on a quiet topology nothing: no event to
-// trace, no counter to re-arm, no wait clock, and no Continue, which books
-// nothing on a quiet pool (executor.Executor's Quiet). After any other body
-// finishNode completes the execution. The next node is continued
-// (Context.Continue) and runs here if it is static and the topology not
-// cancelled; else it is returned, continued, for runNode. nil means the
-// worker has nothing to go on with. Whether bodies are booked (bodyStart,
-// bodyEnd) is read once per call; a body after another starts at its end
-// stamp, so a timed run reads the clock once per body whatever the pool
-// books. A panic ends the run: recoverLink completes the link that
-// panicked, and the caller starts a new run from what that released.
+// successor is its arm alone; after any other body finishNode completes the
+// execution. The next node is continued (Context.Continue) and runs here if
+// it is static and the topology not cancelled; else it is returned,
+// continued, for runNode. nil means the worker has nothing to go on with.
+// Whether bodies are booked (bodyStart, bodyEnd) is read once per call; a
+// body after another starts at its end stamp, so a timed run reads the clock
+// once per body whatever the pool books. On a quiet topology that books
+// nothing a dense node (node.dense) starts a run of its path's bodies from
+// its graph's table (runPath): no trace event, no counter to re-arm, no wait
+// clock and no Continue, which books nothing on a quiet pool
+// (executor.Executor's Quiet). A cancelled topology returns the next node of
+// the path uncontinued; the path's last node goes on as any other. A panic
+// ends the run: recoverLink completes the link that panicked, and the caller
+// starts a new run from what that released — in the middle of a path, the
+// rest of it.
 func (t *topology) runLinks(ctx executor.Context, n *node) (next *node) {
 	var start, end int64
+	i := -1 // the position of the body running in n's graph's table, if any
 	defer func() {
 		if r := recover(); r != nil {
+			if i >= 0 {
+				n = n.g.path[i]
+			}
 			next = t.recoverLink(ctx, n, start, r)
 		}
 	}()
-	books, quiet := t.stats != nil || t.timed, t.quiet
+	books := t.stats != nil || t.timed
+	dense := t.quiet && !books
 	for {
-		if books {
-			start = t.bodyStart(ctx, n, end)
-		}
-		if w, ok := n.work.(func()); ok {
-			w()
-		} else if err := n.work.(func() error)(); err != nil {
-			t.failTask(n, err)
-		}
-		if books {
-			end = t.bodyEnd(ctx, n, start, true)
-		}
-		if n.fused && quiet {
-			if n = n.succInline[0]; t.cancelled.Load() {
-				return n
+		if dense && n.dense {
+			g := n.g
+			if i = int(g.at[n.idx]); t.runPath(g.bodies, &i) {
+				return g.path[i]
 			}
-			continue
+			n, i = g.path[i], -1
+		} else {
+			if books {
+				start = t.bodyStart(ctx, n, end)
+			}
+			if w, ok := n.work.(func()); ok {
+				w()
+			} else if err := n.work.(func() error)(); err != nil {
+				t.failTask(n, err)
+			}
+			if books {
+				end = t.bodyEnd(ctx, n, start, true)
+			}
 		}
 		var s *node
 		if n.fused {
@@ -452,6 +463,24 @@ func (t *topology) runLinks(ctx executor.Context, n *node) (next *node) {
 		ctx.Continue(s.ref())
 		if n = s; !n.static() || t.cancelled.Load() {
 			return n
+		}
+	}
+}
+
+// runPath runs the bodies of a dense path from position *i of its graph's
+// table on, keeping *i at the body running: a loop of the body, the
+// cancelled read and the next index. It stops at the nil that ends the path,
+// with *i there, or reports the cancelled topology, with *i at the next body.
+// A loop of its own keeps that loop out of runLinks' frame, whose other
+// values it would reload after every body.
+func (t *topology) runPath(bodies []func(), i *int) (cancelled bool) {
+	for {
+		bodies[*i]()
+		if *i++; bodies[*i] == nil {
+			return false
+		}
+		if t.cancelled.Load() {
+			return true
 		}
 	}
 }
@@ -605,10 +634,14 @@ func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) (
 	if t.lat != nil {
 		readyNs = ctx.EndStamp()
 	}
+	g.topo = t
+	compile := g.compiling()
 	for _, c := range g.nodes {
-		c.topo = t
 		c.parent = parent
-		c.fused = c.fusable()
+		if compile {
+			c.fused = c.fusable()
+			g.mark(c)
+		}
 		c.join.Store(c.numDependents)
 		if c.isSource() {
 			nsrc++
@@ -620,6 +653,12 @@ func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) (
 	if nsrc == 0 {
 		t.addErr(ErrNoSource)
 		return nil, false
+	}
+	if compile {
+		// Every path is laid before the first source is published.
+		for _, c := range g.nodes {
+			g.lay(c)
+		}
 	}
 	// Pre-count all sources before submitting any, so an early-finishing
 	// child cannot observe a transiently zero counter.
