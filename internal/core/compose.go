@@ -26,10 +26,12 @@ var ErrComposedInUse = errors.New("core: composed graph already running")
 // shared, not copied: it must stay unmodified and must not be dispatched on
 // its own while a topology containing the module task is executing — the
 // same aliasing rule as Cpp-Taskflow's composed_of. Between executions any
-// builder edit of the child is allowed: each execution arms the child graph
-// as it finds it (spawn), and the child's own next Run rebuilds its run
-// state. Composing a taskflow into itself panics; a composition already in
-// flight fails the task with ErrComposedInUse.
+// builder edit of the child is allowed: the child graph is compiled once
+// after it, by whichever runs it first — an execution of the task (spawn)
+// or the child's own Run — and a child graph that Run would refuse (no
+// source, a strong cycle) is not spawned: the task records the same error
+// against its topology. Composing a taskflow into itself panics; a
+// composition already in flight fails the task with ErrComposedInUse.
 func (b *builder) Composed(child *Taskflow) Task {
 	if child.g == b.g {
 		panic("core: Composed of a taskflow into itself")

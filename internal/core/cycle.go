@@ -13,9 +13,9 @@ import (
 // The usual graph needs no search: when every strong edge leads from an
 // earlier-emplaced node to a later one (node.forward), emplace order is a
 // topological order. Builders that wire tasks as they create them — timing
-// cones, wavefronts, the traversal DAG — produce exactly that. newTopology
-// makes the same test inside the pass it already runs over the nodes and
-// comes to kahn only when it fails.
+// cones, wavefronts, the traversal DAG — produce exactly that.
+// graph.compile makes the same test inside the pass it already runs over
+// the nodes and comes to kahn only when it fails.
 func findCycleError(g *graph) error {
 	for _, nd := range g.nodes {
 		if !nd.forward() {

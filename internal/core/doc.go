@@ -65,10 +65,13 @@
 // stats, there is no trace event either: a run of fused func() links is a
 // dense path, whose bodies the graph keeps in one contiguous table, and it
 // runs as a loop over that table — the body, the cancellation check, the
-// next index. Whether a link is fused, and the dense paths, are compiled by
-// the scan that arms a graph; every builder edit between runs marks them
-// stale, so the next scan compiles them again. Accounting, traces, run
-// stats, histograms and errors are per task all the same.
+// next index. Whether a link is fused, the dense paths and the sources are
+// compiled by the one method that arms a graph for Run, Dispatch, a subflow
+// and a Composed child alike; every builder edit between runs marks them
+// stale, so the next run or spawn compiles them again, and a graph that
+// can never start (no source, a strong cycle) is refused with the same
+// error wherever it is armed. Accounting, traces, run stats, histograms and
+// errors are per task all the same.
 //
 // # Algorithms and debugging
 //

@@ -127,8 +127,10 @@ type editCase struct {
 	// between executions.
 	build, edit func(h *editHarness)
 	// before and after are each task's bodies per execution of the graph,
-	// before and after the edit.
+	// before and after the edit; every execution after the edit fails with
+	// an error wrapping refused, when it is set.
 	before, after map[string]int32
+	refused       error
 }
 
 // counts gives every name n bodies per execution.
@@ -359,6 +361,16 @@ var editCases = []editCase{
 		},
 		after: counts(1, "a0", "a1", "m0", "m1", "m2", "m3"),
 	},
+	{
+		name:   "close-cycle",
+		build:  func(h *editHarness) { h.chain("a", 3) },
+		before: counts(1, "a0", "a1", "a2"),
+		// a2→a1 closes a cycle behind the source a0: the graph is refused
+		// whole, also as the Composed child of a parent that ran it.
+		edit:    func(h *editHarness) { h.edge("a2", "a1") },
+		after:   counts(0, "a0", "a1", "a2"),
+		refused: ErrCyclic,
+	},
 }
 
 // TestEditRule: every kind of builder mutation made between two executions
@@ -424,8 +436,8 @@ func testEdit(t *testing.T, e *executor.Executor, c editCase, composed bool) {
 	h.peak.Store(0)
 	for i, run := range after {
 		h.exec.Add(1)
-		if err := run(); err != nil {
-			t.Fatalf("execution %d after the edit: %v", i+1, err)
+		if err := run(); !errors.Is(err, c.refused) {
+			t.Fatalf("execution %d after the edit: %v, want %v", i+1, err, c.refused)
 		}
 		nAfter++
 		check(fmt.Sprintf("execution %d after the edit", i+1))

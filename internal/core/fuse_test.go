@@ -364,11 +364,12 @@ func wantPaths(n int, cut func(i int) bool) [][]string {
 	return paths
 }
 
-// TestFuseDenseTable: the scans that arm a graph lay each maximal run of
+// TestFuseDenseTable: the compile that arms a graph lays each maximal run of
 // plain links joined by fused links out in the graph's body table — on the
 // Taskflow's own graph, a Composed child and a subflow, also for a chain
 // emplaced back to front, whose paths start at their last-emplaced node. An
-// edge into the middle of a path has the next scan lay it again, cut in two.
+// edge into the middle of a path has the next compile lay it again, cut in
+// two.
 func TestFuseDenseTable(t *testing.T) {
 	const n = 30
 	uncut := func(int) bool { return false }

@@ -40,8 +40,7 @@ type node struct {
 	// node is a topology source only when it has neither. fused is the
 	// node's compiled link (fusable), and dense says that its body is in
 	// its graph's body table (graph.bodies, at position g.at[idx]); both
-	// are compiled by the scan that arms the graph for a run: newTopology's,
-	// or spawn's.
+	// are compiled with the graph (graph.compile).
 	numDependents int32
 	weakPred      bool
 	fused         bool
@@ -231,7 +230,7 @@ func (n *node) static() bool {
 // take) and a static body. Releasing s is then its arm and nothing else — no
 // join counter, no count to settle, nothing to admit or hand over — and its
 // body runs next in the same loop (runLinks). It is compiled into n.fused
-// when a run is armed, and holds until the next edit (Task.edit).
+// by graph.compile, and holds until the next edit (Task.edit).
 func (n *node) fusable() bool {
 	if n.succCount != 1 || n.ext != nil {
 		return false
@@ -363,26 +362,35 @@ type graph struct {
 	composing atomic.Bool
 
 	// edits counts the builder's mutations of the graph (Task.edit,
-	// builder.add). Run's cached topology is stale once it differs from the
-	// count the topology was built at (Taskflow.runStale).
+	// builder.add); the compiled run state is stale once it differs from
+	// built, the count it was compiled at (compile).
 	edits uint64
 
 	// topo is the topology the graph's nodes run under: set by the launch
 	// that arms the graph, or by the spawn that runs it as a subflow or a
-	// Composed child.
+	// Composed child, and cleared by a recompile.
 	topo *topology
 
-	// The compiled run state: every node's link (node.fused) and the dense
-	// paths — maximal runs of plain bodies joined by fused links — laid out
-	// contiguously in bodies, each path followed by a nil, with path[i] the
-	// node whose body is bodies[i] (at a nil, the path's last node) and
-	// at[idx] the position of the body of the dense node with that idx.
-	// built is the edit count it was compiled at (compiling); at is left
-	// empty when the graph has no dense path.
-	built  uint64
-	bodies []func()
-	path   []*node
-	at     []int32
+	// The compiled run state, which every launch and spawn of the graph
+	// reads (compile). err is why the graph can never start, nil if it can.
+	// sources and semSources are its sources, split by whether they must
+	// pass semaphores first. hasCond says that it has a condition task and
+	// dynamic that it has a subflow or a Composed task. Every node's link is
+	// compiled into node.fused, and the dense paths — maximal runs of plain
+	// bodies joined by fused links — are laid out contiguously in bodies,
+	// each path followed by a nil, with path[i] the node whose body is
+	// bodies[i] (at a nil, the path's last node) and at[idx] the position of
+	// the body of the dense node with that idx; at is left empty when the
+	// graph has no dense path.
+	built      uint64
+	err        error
+	sources    []*executor.Runnable
+	semSources []*node
+	hasCond    bool
+	dynamic    bool
+	bodies     []func()
+	path       []*node
+	at         []int32
 }
 
 // graphStore is a Taskflow's free list of graph storage, filled by Reclaim
@@ -417,6 +425,7 @@ func (s *graphStore) reclaim(g *graph) {
 	clear(g.blocks)
 	*g = graph{
 		store: s, nodes: g.nodes[:0], blocks: g.blocks[:0],
+		sources: g.sources[:0], semSources: g.semSources[:0],
 		bodies: g.bodies[:0], path: g.path[:0], at: g.at[:0],
 	}
 	s.graphs = append(s.graphs, g)
@@ -465,18 +474,59 @@ func (g *graph) alloc() *node {
 
 func (g *graph) len() int { return len(g.nodes) }
 
-// compiling reports whether g's compiled run state is older than its last
-// edit and, if so, empties it for the scan about to compile it again: that
-// scan sets every node's fused bit and calls mark for it, then calls lay
-// for every node. A scan cut short by a refused graph leaves no node dense,
-// so the links it compiled run as a node walk.
-func (g *graph) compiling() bool {
+// compile brings g's compiled run state up to date with its last edit and
+// returns why g can never start: ErrNoSource, a strong cycle behind the
+// sources (an edge against emplace order sends the check to kahn), or nil.
+// It is the one place a graph is armed for a run — by a launch (Run,
+// Dispatch) and by a spawn (a subflow, a Composed child) alike — and costs
+// one compare when nothing changed. A recompile clears g.topo, so the next
+// launch re-arms every node (topology.mustSweep). A refused graph has no
+// dense node and no source.
+func (g *graph) compile() error {
 	if g.built == g.edits {
-		return false
+		return g.err
 	}
-	g.built = g.edits
+	g.built, g.topo, g.err = g.edits, nil, nil
+	g.hasCond, g.dynamic = false, false
 	g.bodies, g.path, g.at = g.bodies[:0], g.path[:0], g.at[:0]
-	return true
+	nsrc, nsem, ordered := 0, 0, true
+	for _, n := range g.nodes {
+		switch n.work.(type) {
+		case func() int:
+			g.hasCond = true
+		case func(*Subflow), *Taskflow:
+			g.dynamic = true
+		}
+		ordered = ordered && n.forward()
+		n.fused = n.fusable()
+		g.mark(n)
+		if n.isSource() {
+			nsrc++
+			if n.hasAcquires() {
+				nsem++
+			}
+		}
+	}
+	g.sources, g.semSources = room(g.sources, nsrc-nsem), room(g.semSources, nsem)
+	if nsrc == 0 && g.len() > 0 {
+		g.err = ErrNoSource
+	} else if !ordered {
+		_, g.err = kahn(g)
+	}
+	if g.err != nil {
+		return g.err
+	}
+	for _, n := range g.nodes {
+		g.lay(n)
+		switch {
+		case !n.isSource():
+		case n.hasAcquires():
+			g.semSources = append(g.semSources, n)
+		default:
+			g.sources = append(g.sources, n.ref())
+		}
+	}
+	return nil
 }
 
 // mark takes n out of g's dense paths until lay puts it back and, when n's

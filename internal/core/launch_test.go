@@ -4,7 +4,9 @@ package core
 // (newTopology, launch), so they must answer alike: the same refusals with
 // the same errors, the same executions, the same statistics. These tests
 // pin that, and what launch owns: an already-done context is refused by
-// both, and a context watcher costs no goroutine.
+// both, and a context watcher costs no goroutine. A subflow and a Composed
+// child are armed by the same compile as a launched graph, so a spawned
+// graph that Run would refuse fails its parent's run with the same error.
 
 import (
 	"context"
@@ -164,6 +166,36 @@ var launchCases = []struct {
 		want: "core: cycle through tasks y -> x: " + ErrCyclic.Error(),
 	},
 	{
+		name: "subflow back-edge cycle",
+		build: func(_ *executor.Executor, tf *Taskflow, _ bool) func(launched) string {
+			var ran atomic.Int64
+			body := func() { ran.Add(1) }
+			tf.Emplace1(func() {}).Precede(tf.EmplaceSubflow(func(sf *Subflow) {
+				a, b, c := sf.Emplace1(body).Name("a"), sf.Emplace1(body).Name("b"), sf.Emplace1(body).Name("c")
+				a.Precede(b)
+				b.Precede(c)
+				c.Precede(b)
+			}).Name("sf"))
+			return spawnedCycle(&ran)
+		},
+		want: `core: task "sf": core: cycle through tasks c -> b: ` + ErrCyclic.Error() + "; cyclic true; ran 0",
+	},
+	{
+		name: "composed back-edge cycle",
+		build: func(e *executor.Executor, tf *Taskflow, _ bool) func(launched) string {
+			var ran atomic.Int64
+			body := func() { ran.Add(1) }
+			child := NewShared(e).SetName("child")
+			x, y, z := child.Emplace1(body).Name("x"), child.Emplace1(body).Name("y"), child.Emplace1(body).Name("z")
+			x.Precede(y)
+			y.Precede(z)
+			z.Precede(y)
+			tf.Emplace1(func() {}).Precede(tf.Composed(child))
+			return spawnedCycle(&ran)
+		},
+		want: `core: task "child": core: cycle through tasks z -> y: ` + ErrCyclic.Error() + "; cyclic true; ran 0",
+	},
+	{
 		name:    "flow quota refusal",
 		refused: true,
 		build: func(e *executor.Executor, tf *Taskflow, _ bool) func(launched) string {
@@ -268,7 +300,16 @@ var launchCases = []struct {
 
 func errText(l launched) string { return fmt.Sprint(l.err) }
 
-// TestLaunchRunAndDispatchAlike runs every case through both entry points.
+// spawnedCycle observes a launch whose spawned graph has a cycle: the error,
+// whether it wraps ErrCyclic, and how many of the spawned bodies ran.
+func spawnedCycle(ran *atomic.Int64) func(launched) string {
+	return func(l launched) string {
+		return fmt.Sprintf("%v; cyclic %v; ran %d", l.err, errors.Is(l.err, ErrCyclic), ran.Load())
+	}
+}
+
+// TestLaunchRunAndDispatchAlike runs every case through both entry points,
+// on pools of one, two and four workers.
 func TestLaunchRunAndDispatchAlike(t *testing.T) {
 	for _, c := range launchCases {
 		for _, dispatch := range []bool{false, true} {
@@ -280,12 +321,16 @@ func TestLaunchRunAndDispatchAlike(t *testing.T) {
 				}
 			}
 			t.Run(c.name+"/"+entry, func(t *testing.T) {
-				e := executor.New(2, c.opts...)
-				defer e.Shutdown()
-				tf := NewShared(e)
-				observe := c.build(e, tf, dispatch)
-				if got := observe(launchOnce(t, tf, dispatch, c.refused)); got != want {
-					t.Fatalf("got %q, want %q", got, want)
+				for _, workers := range []int{1, 2, 4} {
+					t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+						e := executor.New(workers, c.opts...)
+						defer e.Shutdown()
+						tf := NewShared(e)
+						observe := c.build(e, tf, dispatch)
+						if got := observe(launchOnce(t, tf, dispatch, c.refused)); got != want {
+							t.Fatalf("got %q, want %q", got, want)
+						}
+					})
 				}
 			})
 		}

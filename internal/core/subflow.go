@@ -33,9 +33,4 @@ func (sf *Subflow) IsDetached() bool { return sf.detached }
 
 // workerCount implements FlowBuilder: a subflow runs on the executor of
 // the topology that spawned it.
-func (sf *Subflow) workerCount() int {
-	if sf.topo == nil || sf.topo.exec == nil {
-		return 0
-	}
-	return sf.topo.exec.NumWorkers()
-}
+func (sf *Subflow) workerCount() int { return sf.topo.exec.NumWorkers() }

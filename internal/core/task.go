@@ -95,10 +95,10 @@ func (t Task) NumDependents() int {
 }
 
 // edit returns the task's node for a builder mutation, after must, and
-// marks the cached run state of the node's graph stale: Run rebuilds its
-// topology — the source lists — and the next scan that arms the graph
-// compiles its links and dense paths again (graph.compiling) before it runs
-// again. Every builder mutation goes through here or builder.add.
+// marks the compiled run state of the node's graph stale: the next launch
+// or spawn of the graph compiles its sources, links and dense paths again
+// (graph.compile) before it runs again. Every builder mutation goes through
+// here or builder.add.
 func (t Task) edit(op string) *node {
 	t.must(op)
 	t.node.g.edits++

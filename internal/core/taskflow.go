@@ -142,10 +142,12 @@ type Taskflow struct {
 	store graphStore
 
 	// runTopo is the reusable execution state behind Run/RunN: a topology
-	// whose done channel is signalled (not closed) at quiescence and whose
-	// source batch is pre-built, so steady-state re-runs of an unchanged
-	// graph are allocation-free. Dropped when a setting it was built with
-	// changes or Dispatch takes the graph; rebuilt when runStale.
+	// whose done channel is signalled (not closed) at quiescence, so
+	// steady-state re-runs of an unchanged graph are allocation-free. It
+	// does not depend on the graph's shape, which the graph compiles itself
+	// (graph.compile): it is dropped only when a setting it was built with
+	// changes (SetName, SetFlow, CollectRunStats) or Dispatch takes the
+	// graph, and the next Run builds it again.
 	runTopo *topology
 
 	// statsEnabled/statsTiming configure per-run statistics collection for
@@ -270,12 +272,9 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 	g := tf.g
 	tf.g = tf.store.graph()
 	tf.runTopo = nil
-	t, err := tf.newTopology(g, false)
+	t := tf.newTopology(g, false)
 	tf.topologies = append(tf.topologies, t)
-	if err == nil {
-		err = t.launch(ctx)
-	}
-	if err != nil {
+	if err := t.launch(ctx); err != nil {
 		// Refused: nothing started, so nothing else will resolve the Future.
 		t.addErr(err)
 		close(t.done)

@@ -50,7 +50,7 @@ type topology struct {
 	// stats block wants task bodies timed. quiet is set when the scheduler
 	// books nothing (executor.Executor's Quiet) and no flow counts
 	// executions: a fused link's release is then nothing at all, and
-	// runLinks jumps straight to its successor's body.
+	// runLinks runs a dense path's bodies from its graph's table (runPath).
 	lat   *executor.LatencySink
 	timed bool
 	quiet bool
@@ -88,17 +88,13 @@ type topology struct {
 
 	// out is where launch, retries and off-pool semaphore hand-offs submit:
 	// the flow when bound (so they inherit its priority class), else the
-	// scheduler's injection queue. sources and semSources are the graph's
-	// sources, split by whether they must pass semaphores first; built once
-	// by newTopology, they serve every launch.
-	out        target
-	sources    []*executor.Runnable
-	semSources []*node
+	// scheduler's injection queue.
+	out target
 
 	// flowReserved is the number of in-flight task units Admit charged the
-	// flow at launch; finish returns them through Release exactly once
-	// (including the failed-submission undo paths, which drain through
-	// finish).
+	// flow at launch, the graph's size; finish returns them through Release
+	// exactly once (including the failed-submission undo paths, which drain
+	// through finish).
 	flowReserved int
 
 	// stopWatch unregisters the launch context's watcher (nil: none);
@@ -108,14 +104,9 @@ type topology struct {
 
 	// reusable marks a topology driven by Taskflow.Run: completion is
 	// signalled with a token on the (buffered) done channel instead of a
-	// close, so the same topology object serves many runs without
-	// reallocating. edits is the graph's edit count the run state was built
-	// at (graph.edits); a later edit makes it stale. hasCond records whether
-	// the graph contains a condition task, so each launch re-arms every
-	// node first.
+	// close, so the same topology object serves many runs — of the graph as
+	// each is compiled then — without reallocating.
 	reusable bool
-	edits    uint64
-	hasCond  bool
 
 	// errMu guards the captured-error list, the derived context, and the
 	// run generation counter. errs accumulates every task failure (plus
@@ -618,9 +609,11 @@ func (t *topology) failTask(n *node, err error) {
 // completes only after every child execution (recursively) finishes — maybe
 // on another worker, before this one runs anything else of the topology;
 // detached, the children flow independently but hold the topology open
-// until they drain. It reports whether joined children started, and then
-// returns one of them for this worker to continue with; false means the
-// caller completes n itself (detached, or g has no source).
+// until they drain. g is armed as a launch arms its graph (graph.compile),
+// and a graph Run would refuse fails the topology with the same error. It
+// reports whether joined children started, and then returns one of them for
+// this worker to continue with; false means the caller completes n itself
+// (detached, or g refused).
 func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) (*node, bool) {
 	ctx.Trace(executor.EvSubflowSpawn, n.ref(), uint64(g.len()))
 	n.ext.detached = !joined
@@ -629,39 +622,18 @@ func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) (
 		parent = n
 		ctx.Settle()
 	}
-	nsrc := 0
-	var readyNs int64
-	if t.lat != nil {
-		readyNs = ctx.EndStamp()
-	}
-	g.topo = t
-	compile := g.compiling()
-	for _, c := range g.nodes {
-		c.parent = parent
-		if compile {
-			c.fused = c.fusable()
-			g.mark(c)
-		}
-		c.join.Store(c.numDependents)
-		if c.isSource() {
-			nsrc++
-			if t.lat != nil {
-				c.readyAtNs = readyNs
-			}
-		}
-	}
-	if nsrc == 0 {
-		t.addErr(ErrNoSource)
+	if err := g.compile(); err != nil {
+		t.addErr(fmt.Errorf("core: task %q: %w", n.name, err))
 		return nil, false
 	}
-	if compile {
-		// Every path is laid before the first source is published.
-		for _, c := range g.nodes {
-			g.lay(c)
-		}
+	g.topo = t
+	for _, c := range g.nodes {
+		c.parent = parent
+		c.join.Store(c.numDependents)
 	}
 	// Pre-count all sources before submitting any, so an early-finishing
 	// child cannot observe a transiently zero counter.
+	nsrc := len(g.sources) + len(g.semSources)
 	t.pending.Add(int64(nsrc))
 	if parent != nil {
 		parent.children.Store(int32(nsrc))
@@ -673,10 +645,17 @@ func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) (
 	if joined {
 		next = nil
 	}
+	var readyNs int64
+	if t.lat != nil {
+		readyNs = ctx.EndStamp()
+	}
 	srcs := t.ready[ctx.WorkerID()].nodes[:0]
 	for _, c := range g.nodes {
 		if !c.isSource() {
 			continue
+		}
+		if t.lat != nil {
+			c.readyAtNs = readyNs
 		}
 		if len(srcs) == releaseChunk {
 			next = t.handOver(ctx, next, srcs)

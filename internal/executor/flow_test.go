@@ -139,14 +139,17 @@ func TestFlowQuotaConcurrentAdmit(t *testing.T) {
 
 	// Phase 1: 16 goroutines race exactly one Admit from a barrier and
 	// hold the reservation — at most quota can win, so at least
-	// 16−quota rejections are guaranteed, not probabilistic.
+	// 16−quota rejections are guaranteed, not probabilistic. Every holder
+	// has released before phase 2 reads the gauge (done).
 	var admitted, rejected atomic.Int64
-	var start, held sync.WaitGroup
+	var start, held, done sync.WaitGroup
 	finish := make(chan struct{})
 	start.Add(1)
 	for g := 0; g < 16; g++ {
 		held.Add(1)
+		done.Add(1)
 		go func() {
+			defer done.Done()
 			start.Wait()
 			switch err := f.Admit(1); {
 			case err == nil:
@@ -172,6 +175,7 @@ func TestFlowQuotaConcurrentAdmit(t *testing.T) {
 		t.Fatalf("%d rejections, want at least %d", rejected.Load(), 16-quota)
 	}
 	close(finish)
+	done.Wait()
 
 	// Phase 2: a churning storm — the live gauge must never exceed the
 	// quota and every reservation must come back.
