@@ -529,6 +529,16 @@ func (g *graph) compile() error {
 	return nil
 }
 
+// stampSources marks every compiled source of g ready at ns.
+func (g *graph) stampSources(ns int64) {
+	for _, r := range g.sources {
+		(*r).(*node).readyAtNs = ns
+	}
+	for _, n := range g.semSources {
+		n.readyAtNs = ns
+	}
+}
+
 // mark takes n out of g's dense paths until lay puts it back and, when n's
 // link is a dense step, marks its successor as no path's head (at = -1).
 // The table is sized on the first mark for the most entries its paths can

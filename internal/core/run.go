@@ -163,17 +163,11 @@ func (t *topology) launch(ctx context.Context) error {
 		}
 	}
 	if t.stats != nil {
-		t.stats.reset()
+		t.stats.reset(g.edits)
 	}
 	if t.lat != nil {
 		// Sources are ready now; the rest are stamped when released.
-		readyNs := executor.Nanos()
-		for _, r := range g.sources {
-			(*r).(*node).readyAtNs = readyNs
-		}
-		for _, n := range g.semSources {
-			n.readyAtNs = readyNs
-		}
+		g.stampSources(executor.Nanos())
 	}
 	// pending counts outstanding executions; sources are pre-counted before
 	// submission so no execution can retire against a zero count.

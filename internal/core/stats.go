@@ -87,7 +87,8 @@ type topoStats struct {
 	skipped atomic.Int64
 
 	timing  bool
-	startNs int64 // executor.Nanos at submission; 0 until the first run
+	startNs int64  // executor.Nanos at submission; 0 until the first run
+	edits   uint64 // the graph's edit count (graph.edits) at submission
 	// wall is written by the finishing worker in topology.finish and read
 	// by waiters after the done signal (the channel provides the
 	// happens-before edge).
@@ -107,11 +108,12 @@ func newTopoStats(tf *Taskflow) *topoStats {
 	return &topoStats{timing: tf.statsTiming, workers: make([]workerRunStats, tf.exec.NumWorkers())}
 }
 
-func (st *topoStats) reset() {
+func (st *topoStats) reset(edits uint64) {
 	clear(st.workers)
 	st.retries.Store(0)
 	st.skipped.Store(0)
 	st.startNs = executor.Nanos()
+	st.edits = edits
 	st.wall = 0
 }
 
@@ -131,11 +133,14 @@ func (tf *Taskflow) CollectRunStats(timing bool) *Taskflow {
 }
 
 // LastRunStats returns the statistics of the most recent completed Run.
-// ok is false when CollectRunStats was not enabled or no Run has finished
-// since. Must not be called concurrently with Run.
+// ok is false when CollectRunStats was not enabled, no Run has finished
+// since, or the graph was edited after that Run started — also when the
+// next Run refused the edited graph (ErrNoSource, ErrCyclic): the counters
+// describe a graph that is no longer there. Must not be called concurrently
+// with Run.
 func (tf *Taskflow) LastRunStats() (RunStats, bool) {
 	t := tf.runTopo
-	if t == nil || t.stats == nil || t.stats.startNs == 0 {
+	if t == nil || t.stats == nil || t.stats.startNs == 0 || t.stats.edits != t.graph.edits {
 		return RunStats{}, false
 	}
 	return t.runStats(), true

@@ -194,6 +194,57 @@ func TestRunStatsResetBetweenRuns(t *testing.T) {
 	}
 }
 
+// An edit after a Run takes back that Run's stats: they describe a graph
+// that is no longer there. A refused Run of the edited graph gives none, and
+// a Run of the graph mended after it answers again.
+func TestRunStatsDropLastRunAfterEdit(t *testing.T) {
+	tf := New(2).CollectRunStats(false)
+	defer tf.Close()
+	a := tf.Emplace1(func() {})
+	b := tf.Emplace1(func() {})
+	c := tf.Emplace1(func() {})
+	a.Precede(b)
+	b.Precede(c)
+	if err := tf.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rs, ok := tf.LastRunStats(); !ok || rs.Tasks != 3 || rs.Span != 3 {
+		t.Fatalf("after a clean Run: %+v, ok=%v; want 3 tasks, span 3", rs, ok)
+	}
+	c.Precede(b) // b and c now wait for each other
+	if _, ok := tf.LastRunStats(); ok {
+		t.Fatal("LastRunStats ok after an edit, before any Run of the edited graph")
+	}
+	if err := tf.Run(); !errors.Is(err, ErrCyclic) {
+		t.Fatalf("Run of a cycle behind a source = %v, want ErrCyclic", err)
+	}
+	if rs, ok := tf.LastRunStats(); ok {
+		t.Fatalf("LastRunStats ok after a refused Run: %+v", rs)
+	}
+	d := tf.Emplace1(func() {})
+	a.Precede(d)
+	if err := tf.Run(); !errors.Is(err, ErrCyclic) {
+		t.Fatalf("Run with the cycle still closed = %v, want ErrCyclic", err)
+	}
+	if _, ok := tf.LastRunStats(); ok {
+		t.Fatal("LastRunStats ok after a second refused Run")
+	}
+
+	grown := New(2).CollectRunStats(false)
+	defer grown.Close()
+	x := grown.Emplace1(func() {})
+	if err := grown.Run(); err != nil {
+		t.Fatal(err)
+	}
+	x.Precede(grown.Emplace1(func() {}))
+	if err := grown.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rs, ok := grown.LastRunStats(); !ok || rs.Tasks != 2 || rs.Span != 2 {
+		t.Fatalf("after a Run of the edited graph: %+v, ok=%v; want 2 tasks, span 2", rs, ok)
+	}
+}
+
 func TestRunStatsSubflowTasks(t *testing.T) {
 	tf := New(2).CollectRunStats(false)
 	defer tf.Close()

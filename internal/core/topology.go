@@ -638,32 +638,23 @@ func (t *topology) spawn(ctx executor.Context, n *node, g *graph, joined bool) (
 	if parent != nil {
 		parent.children.Store(int32(nsrc))
 	}
-	// Detached, every source goes out (a next in hand keeps handOver from
-	// holding one back): the caller completes n, and this worker continues
-	// with what that releases.
-	next := n
+	if t.lat != nil {
+		g.stampSources(ctx.EndStamp())
+	}
+	// The compiled sources go out: the plain ones as one batch, the
+	// semaphore-guarded ones through handOver's admission. Joined, this
+	// worker keeps one to continue with. Detached, every source goes out (a
+	// next in hand keeps handOver from holding one back): the caller
+	// completes n, and this worker continues with what that releases.
+	next, batch := n, g.sources
 	if joined {
 		next = nil
-	}
-	var readyNs int64
-	if t.lat != nil {
-		readyNs = ctx.EndStamp()
-	}
-	srcs := t.ready[ctx.WorkerID()].nodes[:0]
-	for _, c := range g.nodes {
-		if !c.isSource() {
-			continue
+		if len(batch) > 0 {
+			next, batch = (*batch[0]).(*node), batch[1:]
 		}
-		if t.lat != nil {
-			c.readyAtNs = readyNs
-		}
-		if len(srcs) == releaseChunk {
-			next = t.handOver(ctx, next, srcs)
-			srcs = srcs[:0]
-		}
-		srcs = append(srcs, c)
 	}
-	next = t.handOver(ctx, next, srcs)
+	ctx.SubmitBatch(batch)
+	next = t.handOver(ctx, next, g.semSources)
 	if !joined {
 		return nil, false
 	}
